@@ -241,7 +241,7 @@ def voigt_sum_fit(
         "overlap_degenerate": bool(abs(spacing) < fwhm / 2.0),
         "fwhm": float(fwhm),
     }
-    converged = bool(best.success) and np.isfinite(best.cost)
+    converged = bool(best.success and np.isfinite(best.cost))
     return (
         FitResult(params, uncert, float(math.sqrt(2.0 * best.cost)), converged, meta),
         populations,

@@ -66,6 +66,8 @@ def _rounded(obj):
         return _round_sig(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 

@@ -9,6 +9,11 @@ Constant-Hamiltonian stretches are propagated by exponentiating the
 (Liouvillian or Hamiltonian) generator once and caching it; ramps and
 carrier-rotating drives fall back to adaptive RK integration of the
 vectorized density matrix.
+
+The Liouvillian is built as a sparse matrix.  Without drives it conserves
+the total excitation number, so it splits into independent blocks by
+coherence order; its propagator is exponentiated block by block, with the
+blocks read off the generator's own nonzero pattern, and stored sparse.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm as _expm
+from scipy.sparse.csgraph import connected_components
 
 from .device import TWO_PI, SystemParams
 from .exceptions import NumericError, ValidationError
@@ -136,15 +143,19 @@ def collapse_operators(config: HilbertConfig, noise: NoiseModel) -> list[np.ndar
     return ops
 
 
-def liouvillian(h_angular: np.ndarray, collapse: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense superoperator acting on vec(rho) (row-major vectorization)."""
+def liouvillian(h_angular: np.ndarray, collapse: Sequence[np.ndarray]) -> sparse.csr_matrix:
+    """Sparse (CSR) superoperator acting on vec(rho) (row-major vectorization)."""
     d = h_angular.shape[0]
-    eye = np.eye(d)
-    lv = -1j * (np.kron(h_angular, eye) - np.kron(eye, h_angular.T))
+    eye = sparse.identity(d, format="csr")
+    h = sparse.csr_matrix(h_angular)
+    lv = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
     for c in collapse:
+        c = sparse.csr_matrix(c)
         cdc = c.conj().T @ c
-        lv += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    return lv
+        lv = lv + sparse.kron(c, c.conj()) - 0.5 * (
+            sparse.kron(cdc, eye) + sparse.kron(eye, cdc.T)
+        )
+    return lv.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +256,11 @@ class Schedule:
 
 
 class _PropagatorCache:
-    """Size-budgeted LRU for dense propagators (keyed by generator content)."""
+    """Size-budgeted LRU for propagators (keyed by generator content).
+
+    The budget counts stored elements: ``size`` of a dense array, ``nnz`` of
+    a sparse one.
+    """
 
     def __init__(self, max_elements: float = 4.8e7):
         self._data: OrderedDict[bytes, np.ndarray] = OrderedDict()
@@ -304,9 +319,27 @@ def _liouvillian_propagator(
     key = _digest(h_angular, *collapse, extra=("L", duration))
     p = _CACHE.get(key)
     if p is None:
-        p = _expm(liouvillian(h_angular, collapse) * duration)
+        p = _blocked_expm(liouvillian(h_angular, collapse) * duration)
         _CACHE.put(key, p)
     return p
+
+
+def _blocked_expm(gen: sparse.csr_matrix):
+    """exp(gen), exponentiating each connected component of its nonzero pattern.
+
+    A generator that splits into independent blocks gives a sparse (CSR)
+    propagator with exactly zero coupling between the blocks; one that is a
+    single block (a driven segment) gives the dense ``ndarray``.
+    """
+    n_blocks, labels = connected_components(gen != 0, directed=False)
+    if n_blocks == 1:
+        return _expm(gen.toarray())
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
+    permuted = gen[order][:, order]
+    blocks = [_expm(permuted[a:b, a:b].toarray()) for a, b in zip(bounds[:-1], bounds[1:])]
+    p = sparse.block_diag(blocks, format="coo")
+    return sparse.csr_matrix((p.data, (order[p.row], order[p.col])), shape=gen.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +491,7 @@ def _segment_h_of_t(params, config, segment: Segment, noise: NoiseModel):
     return h_of_t
 
 
-def _apply_propagator_rho(rho: DensityMatrix, prop: np.ndarray) -> DensityMatrix:
+def _apply_propagator_rho(rho: DensityMatrix, prop) -> DensityMatrix:
     d = rho.config.dim
     return DensityMatrix(rho.config, (prop @ rho.matrix.reshape(-1)).reshape(d, d))
 

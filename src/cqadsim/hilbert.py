@@ -7,7 +7,8 @@ Conventions fixed here and relied on everywhere else:
 * Qubit basis index 0 is ``|g>``, 1 is ``|e>`` (and 2 is ``|f>`` for a
   three-level qubit).  ``sigma_z |e> = +|e>``, ``sigma_z |g> = -|g>``.
 * States and operators are dense complex arrays; dimensions stay small
-  (a few hundred at most), so no sparsity is used.
+  (a few hundred at most).  Only the d^2 x d^2 Liouvillian superoperator and
+  its block-diagonal propagators in ``cqadsim.dynamics`` are sparse.
 """
 
 from __future__ import annotations

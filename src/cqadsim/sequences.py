@@ -699,7 +699,7 @@ def qubit_spectroscopy(
         for h_drive in drives:
             h = h0 + h_drive
             if cs:
-                prop = _expm(liouvillian(h, cs) * probe_duration)
+                prop = _expm(liouvillian(h, cs).toarray() * probe_duration)
                 rho_f = (prop @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
             else:
                 w, v = np.linalg.eigh(h)

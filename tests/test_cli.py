@@ -161,3 +161,32 @@ def test_fock_prep_check_run(tmp_path):
     assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["target_population"] > 0.9
+
+
+def preset_copy(tmp_path, name, **overrides):
+    """A copy of a preset spec in tmp_path with some keys overridden."""
+    data = parse_keyval((PRESETS / name).read_text())
+    data.update(overrides)
+    return write(tmp_path, name, "".join(f"{k} = {v}\n" for k, v in data.items()))
+
+
+def test_coherent_spectroscopy_preset_run(tmp_path):
+    spec = preset_copy(tmp_path, "coherent_spectroscopy.spec",
+                       phonon_dim=6, freq_step=10e3)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    text = (out / "summary.json").read_text()
+    assert '"converged": true' in text
+    summary = json.loads(text)
+    assert summary["nbar"] == pytest.approx(0.64, abs=0.2)
+
+
+def test_wigner_preset_run(tmp_path):
+    spec = preset_copy(tmp_path, "wigner_fock1.spec",
+                       phonon_dim=8, grid_points=3, grid_extent=0.8)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["w_origin"] < 0
+    rows = (out / "wigner.csv").read_text().splitlines()
+    assert len(rows) == 2 + 9

@@ -2,6 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from cqadsim.device import TWO_PI, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
@@ -14,8 +19,14 @@ from cqadsim.dynamics import (
     evolve_segments,
     ideal_displacement_amplitude,
     lindblad_evolve,
+    liouvillian,
     swap_gate,
     vacuum_rabi_chevron,
+)
+from cqadsim.dynamics import (
+    _constant_drive_hamiltonian,
+    _liouvillian_propagator,
+    _static_segment_hamiltonian,
 )
 from cqadsim.exceptions import ValidationError
 from cqadsim.hilbert import (
@@ -250,3 +261,81 @@ def test_static_offset_shifts_qubit(params):
     shifted = ramsey_parity(st, t0, 0.0, params, cfg,
                             NoiseModel(static_qubit_offset=10e3))
     assert abs(shifted.value - base.value) > 0.05
+
+
+# ---------------------------------------------------------------------------
+# block-diagonal Liouvillian propagators
+
+_RATES = st.one_of(st.just(0.0), st.floats(min_value=1e2, max_value=1e5))
+_CONFIGS = st.one_of(
+    st.integers(2, 6).map(lambda n: HilbertConfig(2, (n,))),
+    st.integers(2, 5).map(lambda n: HilbertConfig(3, (n,))),
+    st.tuples(st.integers(2, 3), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
+)
+
+
+@st.composite
+def _static_generators(draw):
+    """(config, h, collapse ops, duration) of an undriven segment with random noise."""
+    config = draw(_CONFIGS)
+    noise = NoiseModel(
+        qubit_gamma1=draw(_RATES),
+        qubit_gamma_phi=draw(_RATES),
+        phonon_kappa1=draw(_RATES),
+        phonon_kappa_phi=draw(_RATES),
+        static_qubit_offset=draw(st.floats(-2e5, 2e5)),
+    )
+    detuning = draw(st.floats(-3e6, 3e6))
+    duration = draw(st.floats(1e-8, 5e-6))
+    h = _static_segment_hamiltonian(paper_default_params(), config, detuning, noise)
+    return config, h, collapse_operators(config, noise), duration
+
+
+@settings(max_examples=40, deadline=None)
+@given(_static_generators())
+def test_blocked_propagator_matches_dense_expm(gen):
+    config, h, cs, duration = gen
+    dense = expm(liouvillian(h, cs).toarray() * duration)
+    prop = _liouvillian_propagator(h, cs, duration)
+    assert isinstance(prop, csr_matrix)
+    err = np.abs(prop.toarray() - dense).max()
+    assert err <= 1e-12 * np.abs(dense).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_static_generators(), st.integers(0, 2**32 - 1))
+def test_blocked_propagator_trace_and_hermiticity(gen, seed):
+    config, h, cs, duration = gen
+    prop = _liouvillian_propagator(h, cs, duration)
+    vec_eye = np.eye(config.dim).reshape(-1)
+    assert np.abs(prop.T @ vec_eye - vec_eye).max() < 1e-10
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
+    rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    out = (prop @ rho.reshape(-1)).reshape(config.dim, config.dim)
+    assert np.abs(out - out.conj().T).max() < 1e-12
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("drive", ["qubit", "phonon"])
+def test_driven_propagator_is_one_dense_block(params, drive):
+    config = HilbertConfig(2, (5,))
+    delta = params.delta("ramsey")
+    if drive == "qubit":
+        seg = Segment(duration=0.2e-6, detuning=delta,
+                      qubit_drive=Pulse(amplitude=1e6, carrier_detuning=-delta))
+    else:
+        seg = Segment(duration=0.2e-6, detuning=params.delta("rest"),
+                      phonon_drive=Pulse(amplitude=1e6))
+    assert not seg.is_time_dependent
+    noise = NoiseModel.from_params(params, seg.detuning)
+    h = (_static_segment_hamiltonian(params, config, seg.detuning, noise)
+         + _constant_drive_hamiltonian(config, seg))
+    cs = collapse_operators(config, noise)
+    gen = liouvillian(h, cs) * seg.duration
+    n_blocks, _ = connected_components(gen != 0, directed=False)
+    assert n_blocks == 1
+    prop = _liouvillian_propagator(h, cs, seg.duration)
+    assert type(prop) is np.ndarray
+    assert np.array_equal(prop, expm(gen.toarray()))

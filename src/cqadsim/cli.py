@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, sequences
-from .device import SystemParams, chi_analytic, load_params, paper_default_params
+from .device import SystemParams, chi_analytic, load_params
 from .dynamics import NoiseModel, vacuum_rabi_chevron
 from .exceptions import CqadError, NumericError, ValidationError
 from .hilbert import HilbertConfig
@@ -92,14 +92,22 @@ def _format_cell(v) -> str:
 # experiment spec loading
 
 
+def _number(data: dict, key: str, default=None, cast=float):
+    """Numeric spec value; a non-numeric one is a validation error naming the key."""
+    value = data.get(key, default)
+    if isinstance(value, str):
+        raise ValidationError(f"spec key {key!r} must be numeric, got {value!r}")
+    return None if value is None else cast(value)
+
+
 def _spec_from_keyval(data: dict) -> tuple[ExperimentSpec, dict]:
     if "kind" not in data:
         raise ValidationError("experiment file needs a 'kind' key")
     kind = str(data["kind"])
     prep = StatePrep(
         target=str(data.get("prep_target", "vacuum")),
-        m=int(data.get("prep_m", 0)),
-        beta=complex(float(data.get("prep_beta_re", 0.0)), float(data.get("prep_beta_im", 0.0))),
+        m=_number(data, "prep_m", 0, int),
+        beta=complex(_number(data, "prep_beta_re", 0.0), _number(data, "prep_beta_im", 0.0)),
         method=str(data.get("prep_method", "ideal_injection")),
     )
     reserved = {"kind", "prep_target", "prep_m", "prep_beta_re", "prep_beta_im", "prep_method"}
@@ -116,7 +124,7 @@ def _resolve_detuning(params: SystemParams, value) -> float:
 
 def _noise_for(params: SystemParams, sweep: dict, delta: float) -> NoiseModel:
     mode = str(sweep.get("noise", "paper"))
-    offset = float(sweep.get("static_qubit_offset", 0.0))
+    offset = _number(sweep, "static_qubit_offset", 0.0)
     if mode == "paper":
         return NoiseModel.from_params(params, delta, static_qubit_offset=offset)
     if mode == "none":
@@ -125,9 +133,9 @@ def _noise_for(params: SystemParams, sweep: dict, delta: float) -> NoiseModel:
 
 
 def _config_for(sweep: dict, default_dim: int = 10) -> HilbertConfig:
-    dim = int(sweep.get("phonon_dim", default_dim))
-    if int(sweep.get("include_lg10", 0)):
-        return HilbertConfig(2, (dim, int(sweep.get("lg10_dim", 4))))
+    dim = _number(sweep, "phonon_dim", default_dim, int)
+    if _number(sweep, "include_lg10", 0, int):
+        return HilbertConfig(2, (dim, _number(sweep, "lg10_dim", 4, int)))
     return HilbertConfig(2, (dim,))
 
 
@@ -139,7 +147,7 @@ def _config_for(sweep: dict, default_dim: int = 10) -> HilbertConfig:
 def _run_spectroscopy(params, spec, sweep, jobs, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "coherent"))
     noise = _noise_for(params, sweep, delta)
-    n_peaks = int(sweep.get("n_peaks", 0))
+    n_peaks = _number(sweep, "n_peaks", 0, int)
     prep = spec.preparation
     if n_peaks <= 0:
         if prep.target == "fock":
@@ -153,16 +161,16 @@ def _run_spectroscopy(params, spec, sweep, jobs, seed):
     config = _config_for(sweep, default_dim)
     line0, spacing = sequences.spectroscopy_peak_hints(params, delta, n_peaks)
     if "freq_min" in sweep and "freq_max" in sweep:
-        grid = np.arange(float(sweep["freq_min"]), float(sweep["freq_max"]),
-                         float(sweep.get("freq_step", 5e3)))
+        grid = np.arange(_number(sweep, "freq_min"), _number(sweep, "freq_max"),
+                         _number(sweep, "freq_step", 5e3))
     else:
-        margin = float(sweep.get("window_margin", 50e3))
+        margin = _number(sweep, "window_margin", 50e3)
         grid = np.arange(line0 + (n_peaks - 1) * spacing - margin, line0 + margin,
-                         float(sweep.get("freq_step", 5e3)))
+                         _number(sweep, "freq_step", 5e3))
     state = sequences.prepare_state(prep, params, config, noise)
     trace = sequences.qubit_spectroscopy(
         state, delta, None, grid, params, config, noise,
-        probe_duration=float(sweep.get("probe_duration", 15e-6)), jobs=jobs,
+        probe_duration=_number(sweep, "probe_duration", 15e-6), jobs=jobs,
     )
     fit, pops = analysis.voigt_sum_fit(trace, n_peaks, spacing, center_hint=line0, seed=seed)
     summary = {
@@ -195,8 +203,9 @@ def _run_parity(params, spec, sweep, jobs, seed, kind):
     if t == "auto":
         t = (sequences.default_ramsey_time(params, delta) if variant == "ramsey"
              else sequences.echo_offset_zero_time(params, delta))
-    t = float(t)
-    n_phases = int(sweep.get("phases", 4))
+    else:
+        t = _number(sweep, "interaction_time")
+    n_phases = _number(sweep, "phases", 4, int)
     if n_phases == 1:
         res = (sequences.ramsey_parity(state, t, 0.0, params, config, noise, delta=delta)
                if variant == "ramsey"
@@ -222,8 +231,8 @@ def _run_parity(params, spec, sweep, jobs, seed, kind):
 def _run_wigner(params, spec, sweep, jobs, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
     noise = _noise_for(params, sweep, delta)
-    extent = float(sweep.get("grid_extent", 2.0))
-    npts = int(sweep.get("grid_points", 9))
+    extent = _number(sweep, "grid_extent", 2.0)
+    npts = _number(sweep, "grid_points", 9, int)
     default_dim = max(10, int(4.0 * extent**2) + 4)
     config = _config_for(sweep, default_dim)
     prep = spec.preparation
@@ -231,12 +240,13 @@ def _run_wigner(params, spec, sweep, jobs, seed):
     axis = np.linspace(-extent, extent, npts)
     grid = axis[None, :] + 1j * axis[:, None]
     t = sweep.get("interaction_time", "auto")
-    t = sequences.echo_offset_zero_time(params, delta) if t == "auto" else float(t)
+    t = (sequences.echo_offset_zero_time(params, delta) if t == "auto"
+         else _number(sweep, "interaction_time"))
     parities = sequences.wigner_scan(
         state, grid, params, config, noise, interaction_time=t, delta=delta, jobs=jobs,
     )
     wmap = analysis.wigner_assemble(grid, parities,
-                                    calibration_scale=float(sweep.get("calibration_scale", 1.0)))
+                                    calibration_scale=_number(sweep, "calibration_scale", 1.0))
     i0 = np.unravel_index(np.argmin(np.abs(grid)), grid.shape)
     summary = {
         "kind": "wigner",
@@ -287,12 +297,11 @@ def _run_coherence(params, spec, sweep, jobs, seed, kind):
     }.get((kind, system))
     if proto is None:
         raise ValidationError(f"unsupported coherence combination {kind}/{system}")
-    t_max = float(sweep.get("delay_max", 300e-6 if system == "phonon" else 30e-6))
-    n = int(sweep.get("delay_points", 31))
+    t_max = _number(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
+    n = _number(sweep, "delay_points", 31, int)
     delays = np.linspace(0.0, t_max, n)
-    demod = sweep.get("demod_freq")
     times, values, fit = sequences.coherence_protocols(
-        proto, params, config, noise, delays, None if demod is None else float(demod),
+        proto, params, config, noise, delays, _number(sweep, "demod_freq"),
     )
     summary = {
         "kind": kind,
@@ -308,13 +317,13 @@ def _run_coherence(params, spec, sweep, jobs, seed, kind):
 
 def _run_rabi_chevron(params, spec, sweep, jobs, seed):
     noise = _noise_for(params, sweep, 0.0) if sweep.get("noise", "none") != "none" else \
-        NoiseModel(static_qubit_offset=float(sweep.get("static_qubit_offset", 0.0)))
+        NoiseModel(static_qubit_offset=_number(sweep, "static_qubit_offset", 0.0))
     config = _config_for(sweep, 4)
-    d_lo = float(sweep.get("detuning_min", -1.5e6))
-    d_hi = float(sweep.get("detuning_max", 2.0e6))
-    nd = int(sweep.get("detuning_points", 36))
-    t_max = float(sweep.get("time_max", 4e-6))
-    nt = int(sweep.get("time_points", 81))
+    d_lo = _number(sweep, "detuning_min", -1.5e6)
+    d_hi = _number(sweep, "detuning_max", 2.0e6)
+    nd = _number(sweep, "detuning_points", 36, int)
+    t_max = _number(sweep, "time_max", 4e-6)
+    nt = _number(sweep, "time_points", 81, int)
     deltas = np.linspace(d_lo, d_hi, nd)
     times = np.linspace(0.0, t_max, nt)
     pe = vacuum_rabi_chevron(params, config, noise, deltas, times)
@@ -335,7 +344,7 @@ def _run_rabi_chevron(params, spec, sweep, jobs, seed):
 
 
 def _run_chi_scan(params, spec, sweep, jobs, seed):
-    n_max = int(sweep.get("n_max", 4))
+    n_max = _number(sweep, "n_max", 4, int)
     config = HilbertConfig(2, (max(12, n_max + 6),))
     points = [p.strip() for p in str(sweep.get("points", "fock,coherent,ramsey,rest")).split(",")]
     rows = []
@@ -378,7 +387,6 @@ def _fit_dict(fit) -> dict:
 def run_experiment(manifest: RunManifest) -> dict:
     """Execute one experiment; returns the summary dict (also written to disk)."""
     out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = load_params(manifest.params_path, paper_defaults=manifest.paper_defaults)
     if manifest.params_path:
         params_hash = hashlib.sha256(Path(manifest.params_path).read_bytes()).hexdigest()
@@ -402,6 +410,7 @@ def run_experiment(manifest: RunManifest) -> dict:
             raise ValidationError(f"experiment kind {spec.kind!r} is not runnable")
         summary["seed"] = manifest.seed
         summary["params_sha256"] = params_hash
+        out.mkdir(parents=True, exist_ok=True)
         for name, header, rows in csvs:
             path = out / name
             _write_csv(path, header, rows, params_hash)

@@ -1,4 +1,4 @@
-"""Device parameters and system Hamiltonian builders.
+"""Device parameters and the system Hamiltonian.
 
 All frequencies, couplings, and rates are ordinary frequencies in Hz; the
 Hamiltonian matrices returned by the builders are in angular units (rad/s).
@@ -6,23 +6,27 @@ Hamiltonian matrices returned by the builders are in angular units (rad/s).
 the current operating point; the qubit is Stark-shifted, so the operating
 detuning is an input rather than something derived from the bare qubit
 frequency.
+
+``full_jc_hamiltonian`` is the one Jaynes-Cummings builder.  Every frame the
+package uses (the LG-00 phonon frame of the dynamics, the probe frame of
+spectroscopy, the dressed-qubit frame of the Schrieffer-Wolff oracle) is the
+same H minus 2 pi f times the conserved excitation number sigma_z/2 + sum n_k,
+with f given by name or in Hz relative to LG-00.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
 from .exceptions import DispersiveRegimeError, ValidationError
-from .hilbert import HilbertConfig, OperatorMatrix, annihilation, number_operator, qubit_operator
+from .hilbert import HilbertConfig, OperatorMatrix, annihilation, qubit_operator
 
 __all__ = [
     "SystemParams",
-    "DetuningPoint",
     "paper_default_params",
     "load_params",
     "full_jc_hamiltonian",
@@ -204,19 +208,6 @@ def _validate_against_defaults(loaded: SystemParams, defaults: SystemParams):
             )
 
 
-@dataclass(frozen=True)
-class DetuningPoint:
-    """A named qubit-phonon detuning Delta = omega_q - omega_m."""
-
-    delta: float
-    label: str = ""
-
-    def require_dispersive(self):
-        if self.delta == 0.0:
-            raise ValidationError(f"detuning {self.label or self.delta} must be nonzero")
-        return self
-
-
 # ---------------------------------------------------------------------------
 # analytic quantities
 
@@ -273,40 +264,53 @@ def _check_hermitian(op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.config, op.matrix, hermitian=True)
 
 
+def _frame_frequency(params: SystemParams, delta: float, frame) -> float:
+    """Frame frequency in Hz relative to LG-00 of a named or numeric frame."""
+    if not isinstance(frame, str):
+        return float(frame)
+    if frame not in _FRAMES:
+        raise ValidationError(f"unknown frame {frame!r}; expected one of {_FRAMES} or a number")
+    return {"lab": -params.omega_m_lg00, "qubit_rotating": delta, "phonon_rotating": 0.0}[frame]
+
+
+@functools.lru_cache(maxsize=32)
+def _jc_terms(config: HilbertConfig):
+    """Read-only sigma_z and, per mode, (n_k, sigma+ a_k + sigma- a_k^dag)."""
+    sz = qubit_operator(config, "sigma_z").matrix
+    sp = qubit_operator(config, "sigma_plus").matrix
+    sm = qubit_operator(config, "sigma_minus").matrix
+    modes = []
+    for k in range(config.n_modes):
+        a = annihilation(config, k).matrix
+        n_k, x_k = a.conj().T @ a, sp @ a + sm @ a.conj().T
+        n_k.setflags(write=False)
+        x_k.setflags(write=False)
+        modes.append((n_k, x_k))
+    return sz, tuple(modes)
+
+
 def full_jc_hamiltonian(
     params: SystemParams,
     config: HilbertConfig,
     delta: float,
-    frame: str = "qubit_rotating",
+    frame: str | float = "qubit_rotating",
 ) -> OperatorMatrix:
     """Jaynes-Cummings Hamiltonian (angular units), one term per configured mode.
 
-    The effective qubit frequency is omega_m(LG-00) + delta.  Frames:
-    ``lab`` keeps absolute frequencies, ``qubit_rotating`` subtracts the
-    qubit frequency from every factor, ``phonon_rotating`` subtracts the
-    LG-00 frequency (the frame the dynamics engine uses).
+    H = 2 pi [(delta - f)/2 sigma_z + sum_k (offset_k - f) n_k
+    + g_k (sigma+ a_k + sigma- a_k^dag)], with every frequency relative to
+    LG-00 and f the frame frequency.  ``frame`` is a number f in Hz or a
+    name: ``phonon_rotating`` (f = 0, the frame the dynamics engine uses),
+    ``qubit_rotating`` (f = delta) or ``lab`` (f = -omega_m(LG-00)).
     """
-    if frame not in _FRAMES:
-        raise ValidationError(f"unknown frame {frame!r}; expected one of {_FRAMES}")
     if config.n_modes > 2:
         raise ValidationError("at most two modes (LG-00, LG-10) are modeled")
-    omega_q_eff = params.omega_m_lg00 + delta
-    frame_freq = {
-        "lab": 0.0,
-        "qubit_rotating": omega_q_eff,
-        "phonon_rotating": params.omega_m_lg00,
-    }[frame]
-
-    sz = qubit_operator(config, "sigma_z")
-    sp = qubit_operator(config, "sigma_plus")
-    sm = qubit_operator(config, "sigma_minus")
-    h = TWO_PI * (omega_q_eff - frame_freq) * 0.5 * sz.matrix
-    for k in range(config.n_modes):
-        a = annihilation(config, k).matrix
-        omega_k = params.omega_m_lg00 + params.mode_offset(k)
-        g_k = params.mode_g(k)
-        h = h + TWO_PI * (omega_k - frame_freq) * (a.conj().T @ a)
-        h = h + TWO_PI * g_k * (sp.matrix @ a + sm.matrix @ a.conj().T)
+    f = _frame_frequency(params, delta, frame)
+    sz, modes = _jc_terms(config)
+    h = TWO_PI * (delta - f) * 0.5 * sz
+    for k, (n_k, x_k) in enumerate(modes):
+        h = h + TWO_PI * (params.mode_offset(k) - f) * n_k
+        h = h + TWO_PI * params.mode_g(k) * x_k
     return _check_hermitian(OperatorMatrix(config, h))
 
 
@@ -314,34 +318,24 @@ def dispersive_hamiltonian(
     params: SystemParams,
     config: HilbertConfig,
     delta: float,
-    frame: str = "lab",
+    frame: str | float = "lab",
     form: str = "full",
 ) -> OperatorMatrix:
     """Diagonal dispersive approximation: omega_m n + (omega_q + chi n) sigma_z / 2.
 
     Guarded by |g/delta| < 0.3; outside that the approximation is meaningless.
     With a second configured mode its own dispersive term is added using the
-    LG-10 coupling and detuning.
+    LG-10 coupling and detuning.  Frames as in ``full_jc_hamiltonian``.
     """
-    if frame not in _FRAMES:
-        raise ValidationError(f"unknown frame {frame!r}; expected one of {_FRAMES}")
     if delta == 0.0 or abs(params.g_lg00 / delta) >= 0.3:
         raise DispersiveRegimeError(
             f"not in dispersive regime: |g/delta| = "
             f"{abs(params.g_lg00 / delta) if delta else math.inf:.3f} >= 0.3"
         )
-    omega_q_eff = params.omega_m_lg00 + delta
-    frame_freq = {
-        "lab": 0.0,
-        "qubit_rotating": omega_q_eff,
-        "phonon_rotating": params.omega_m_lg00,
-    }[frame]
-    sz = qubit_operator(config, "sigma_z").matrix
-    h = TWO_PI * (omega_q_eff - frame_freq) * 0.5 * sz
-    for k in range(config.n_modes):
-        nk = number_operator(config, k).matrix
-        omega_k = params.omega_m_lg00 + params.mode_offset(k)
-        delta_k = omega_q_eff - omega_k
-        chi_k = chi_analytic(params.mode_g(k), delta_k, params.alpha, form=form)
-        h = h + TWO_PI * (omega_k - frame_freq) * nk + TWO_PI * 0.5 * chi_k * (sz @ nk)
+    f = _frame_frequency(params, delta, frame)
+    sz, modes = _jc_terms(config)
+    h = TWO_PI * (delta - f) * 0.5 * sz
+    for k, (n_k, _) in enumerate(modes):
+        chi_k = chi_analytic(params.mode_g(k), delta - params.mode_offset(k), params.alpha, form=form)
+        h = h + TWO_PI * (params.mode_offset(k) - f) * n_k + TWO_PI * 0.5 * chi_k * (sz @ n_k)
     return _check_hermitian(OperatorMatrix(config, h))

@@ -1,9 +1,10 @@
 """Time evolution under the Lindblad master equation.
 
 All dynamics run in the frame rotating at the LG-00 phonon frequency for
-every degree of freedom, so the qubit detuning Delta(t) appears explicitly
-and a second mode sits at its +1.1 MHz offset.  Rates and frequencies are
-ordinary Hz at the API; Hamiltonians are angular internally.
+every degree of freedom (``device.full_jc_hamiltonian`` with
+``frame="phonon_rotating"``), so the qubit detuning Delta(t) appears
+explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
+frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
 Constant-Hamiltonian stretches are propagated by exponentiating the
 (Liouvillian or Hamiltonian) generator once and caching it; ramps and
@@ -22,7 +23,7 @@ import hashlib
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm as _expm
 from scipy.sparse.csgraph import connected_components
 
-from .device import TWO_PI, SystemParams
+from .device import TWO_PI, SystemParams, full_jc_hamiltonian
 from .exceptions import NumericError, ValidationError
 from .hilbert import (
     DensityMatrix,
@@ -435,21 +436,6 @@ def _validate_evolved(rho: DensityMatrix):
 # segment execution
 
 
-def _static_segment_hamiltonian(
-    params: SystemParams, config: HilbertConfig, detuning: float, noise: NoiseModel
-) -> np.ndarray:
-    """Constant part of the phonon-frame Hamiltonian at a given detuning."""
-    sz = qubit_operator(config, "sigma_z").matrix
-    sp = qubit_operator(config, "sigma_plus").matrix
-    sm = qubit_operator(config, "sigma_minus").matrix
-    h = TWO_PI * (detuning + noise.static_qubit_offset) * 0.5 * sz
-    for k in range(config.n_modes):
-        a = annihilation(config, k).matrix
-        h = h + TWO_PI * params.mode_offset(k) * (a.conj().T @ a)
-        h = h + TWO_PI * params.mode_g(k) * (sp @ a + sm @ a.conj().T)
-    return h
-
-
 def _drive_terms(config: HilbertConfig, segment: Segment):
     """Returns [(op_plus, op_minus, carrier_hz, phase, pulse)] for active drives."""
     terms = []
@@ -469,7 +455,9 @@ def _drive_terms(config: HilbertConfig, segment: Segment):
 
 def _segment_h_of_t(params, config, segment: Segment, noise: NoiseModel):
     """Time-dependent Hamiltonian callable for one segment (local time)."""
-    h_static = _static_segment_hamiltonian(params, config, segment.detuning, noise)
+    h_static = full_jc_hamiltonian(
+        params, config, segment.detuning + noise.static_qubit_offset, frame="phonon_rotating"
+    ).matrix
     sz_half = TWO_PI * 0.5 * qubit_operator(config, "sigma_z").matrix
     terms = _drive_terms(config, segment)
     ramp_from = segment.ramp_from if segment.ramp_from is not None else segment.detuning
@@ -507,9 +495,10 @@ def evolve_segments(
 ):
     """Run a list of segments; instantaneous detuning changes are frame jumps.
 
-    Kets are evolved unitarily and are only accepted with trivial noise;
-    density matrices use cached Liouvillian propagators for constant segments
-    and RK integration otherwise.
+    A Ket stays a Ket while the noise is trivial and is evolved unitarily.
+    Dissipative segments need a density matrix: this is the one place a Ket
+    becomes a ``DensityMatrix``.  Density matrices use cached Liouvillian
+    propagators for constant segments and RK integration otherwise.
     """
     if isinstance(state, Ket) and not noise.is_trivial:
         state = state.to_density()
@@ -521,7 +510,9 @@ def evolve_segments(
             state = _evolve_time_dependent(state, seg, params, config, noise, rtol, atol)
         else:
             drive_h = _constant_drive_hamiltonian(config, seg)
-            h = _static_segment_hamiltonian(params, config, seg.detuning, noise) + drive_h
+            h = full_jc_hamiltonian(
+                params, config, seg.detuning + noise.static_qubit_offset, frame="phonon_rotating"
+            ).matrix + drive_h
             if isinstance(state, Ket):
                 u = _unitary_propagator(h, seg.duration)
                 state = Ket(state.config, u @ state.amplitudes, normalized=False)
@@ -597,7 +588,9 @@ def vacuum_rabi_chevron(
     out = np.empty((len(detuning_grid), times.size))
     cs = collapse_operators(config, noise)
     for i, delta in enumerate(detuning_grid):
-        h = _static_segment_hamiltonian(params, config, delta, noise)
+        h = full_jc_hamiltonian(
+            params, config, delta + noise.static_qubit_offset, frame="phonon_rotating"
+        ).matrix
         if not cs:
             u_dt = _unitary_propagator(h, dt)
             psi = psi0.copy()

@@ -14,7 +14,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma
+from math import cos, lgamma, sin
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "number_operator",
     "qubit_operator",
     "qubit_projector",
+    "qubit_rotation",
     "identity",
     "fock_state",
     "coherent_state",
@@ -305,6 +306,24 @@ def qubit_projector(config: HilbertConfig, level: int) -> OperatorMatrix:
     m[level, level] = 1.0
     factors = [m] + [np.eye(d, dtype=complex) for d in config.phonon_dims]
     return OperatorMatrix(config, _embed(config, factors), hermitian=True)
+
+
+def qubit_rotation(config: HilbertConfig, theta: float, eta: float) -> np.ndarray:
+    """Counterclockwise qubit rotation: |g> -> cos(eta/2)|g> + e^{i theta} sin(eta/2)|e>.
+
+    Acts on the {g, e} block (|f>, if present, is left alone), identity on
+    every mode.
+    """
+    c, s = cos(eta / 2.0), sin(eta / 2.0)
+    q = np.eye(config.qubit_levels, dtype=complex)
+    q[0, 0] = c
+    q[1, 1] = c
+    q[1, 0] = np.exp(1j * theta) * s
+    q[0, 1] = -np.exp(-1j * theta) * s
+    m = q
+    for d in config.phonon_dims:
+        m = np.kron(m, np.eye(d))
+    return m
 
 
 def fock_state(config: HilbertConfig, mode_occupations: Sequence[int], qubit_level: int = 0) -> Ket:

@@ -6,20 +6,24 @@ final pi/2 pulse is calibrated numerically against a vacuum reference run
 (sequence variant, detuning, interaction time, noise) operating point.
 Parity values are reported normalized by the vacuum fringe contrast; the raw
 qubit expectation is kept alongside.
+
+Prepared states are Kets; ``dynamics.evolve_segments`` turns a Ket into a
+density matrix when it meets a dissipative segment.  Spectroscopy, which
+propagates in its own probe frame, converts its input itself.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm as _expm
 
 from .analysis import SpectrumTrace, decay_fit
-from .device import TWO_PI, SystemParams, chi_analytic, delta_prime
+from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
 from .dynamics import (
     NoiseModel,
     Pulse,
@@ -34,15 +38,18 @@ from .hilbert import (
     DensityMatrix,
     HilbertConfig,
     Ket,
-    annihilation,
+    _truncation_guard,
     coherent_amplitudes,
     displacement_operator,
+    expectation,
     fock_state,
+    hermitian_propagator,
     qubit_operator,
     qubit_projector,
+    qubit_rotation,
     reduced_mode_matrix,
 )
-from .swtheory import echo_sigma_z_analytic
+from .swtheory import chi_numeric, echo_sigma_z_analytic
 
 __all__ = [
     "StatePrep",
@@ -59,7 +66,6 @@ __all__ = [
     "wigner_scan",
     "default_ramsey_time",
     "echo_offset_zero_time",
-    "analytic_echo_offset",
     "interaction_time_offset_scan",
     "OffsetScan",
     "coherence_protocols",
@@ -118,8 +124,6 @@ class ExperimentSpec:
     kind: str
     preparation: StatePrep = field(default_factory=StatePrep)
     sweep: Mapping[str, object] = field(default_factory=dict)
-    repetitions: int = 1
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -155,31 +159,10 @@ class ParityResult:
 # state preparation
 
 
-def _rotation_matrix(config: HilbertConfig, theta: float, eta: float) -> np.ndarray:
-    """Counterclockwise qubit rotation: |g> -> cos(eta/2)|g> + e^{i theta} sin(eta/2)|e>."""
-    c, s = math.cos(eta / 2.0), math.sin(eta / 2.0)
-    q = np.eye(config.qubit_levels, dtype=complex)
-    q[0, 0] = c
-    q[1, 1] = c
-    q[1, 0] = np.exp(1j * theta) * s
-    q[0, 1] = -np.exp(-1j * theta) * s
-    m = q
-    for d in config.phonon_dims:
-        m = np.kron(m, np.eye(d))
-    return m
-
-
 def _apply_unitary(state, u: np.ndarray):
     if isinstance(state, Ket):
         return Ket(state.config, u @ state.amplitudes, normalized=False)
     return DensityMatrix(state.config, u @ state.matrix @ u.conj().T)
-
-
-def _sigma_z_expectation(state) -> float:
-    sz = qubit_operator(state.config, "sigma_z").matrix
-    if isinstance(state, Ket):
-        return float(np.real(state.amplitudes.conj() @ (sz @ state.amplitudes)))
-    return float(np.real(np.trace(state.matrix @ sz)))
 
 
 def fock_preparation(
@@ -199,12 +182,10 @@ def fock_preparation(
     if M > config.phonon_dims[0] - 2:
         raise TruncationError(f"M={M} needs phonon dim >= {M + 2}")
     if method == "ideal_injection" or M == 0:
-        ket = fock_state(config, [M] + [0] * (config.n_modes - 1), 0)
-        return ket if noise.is_trivial else ket.to_density()
+        return fock_state(config, [M] + [0] * (config.n_modes - 1), 0)
     if method != "swap_sequence":
         raise ValidationError(f"Fock preparation does not support method {method!r}")
     state = fock_state(config, [0] * config.n_modes, 0)
-    state = state if noise.is_trivial else state.to_density()
     g = params.mode_g(0)
     for k in range(1, M + 1):
         state = _excite_qubit(state, params, config, noise, math.pi, pulse_duration)
@@ -215,7 +196,7 @@ def fock_preparation(
 
 def _excite_qubit(state, params, config, noise, angle, pulse_duration, theta=0.0):
     if pulse_duration <= 0:
-        return _apply_unitary(state, _rotation_matrix(config, theta, angle))
+        return _apply_unitary(state, qubit_rotation(config, theta, angle))
     amp = angle / (TWO_PI * pulse_duration)
     seg = Segment(
         duration=pulse_duration,
@@ -235,8 +216,7 @@ def prepare_state(
 ):
     """Produce the phonon state at the rest detuning with the qubit in |g>."""
     if prep.target == "vacuum":
-        ket = fock_state(config, [0] * config.n_modes, 0)
-        return ket if noise.is_trivial else ket.to_density()
+        return fock_state(config, [0] * config.n_modes, 0)
     if prep.target == "fock":
         return fock_preparation(prep.m, prep.method, params, config, noise, pulse_duration)
     if prep.target == "coherent":
@@ -246,32 +226,27 @@ def prepare_state(
                 params, config, noise, amplitude=amp,
                 phase=float(np.angle(prep.beta) + math.pi / 2.0), duration=drive_duration,
             )
-            state = fock_state(config, [0] * config.n_modes, 0)
-            return drive.apply(state if noise.is_trivial else state.to_density())
-        from .hilbert import _truncation_guard
-
+            return drive.apply(fock_state(config, [0] * config.n_modes, 0))
         _truncation_guard(config, 0, prep.beta)
-        c = coherent_amplitudes(config.phonon_dims[0], prep.beta)
-        return _inject_mode_state(c, config, noise)
+        return _inject_mode_state(coherent_amplitudes(config.phonon_dims[0], prep.beta), config)
     if prep.target == "superposition_01":
         if prep.method == "swap_sequence":
             state = fock_state(config, [0] * config.n_modes, 0)
-            state = state if noise.is_trivial else state.to_density()
             state = _excite_qubit(state, params, config, noise, math.pi / 2.0, pulse_duration)
             g = params.mode_g(0)
             swap_seg = Segment(duration=1.0 / (4.0 * g), detuning=0.0)
             return evolve_segments(state, [swap_seg], params, config, noise)
         c = np.zeros(config.phonon_dims[0], dtype=complex)
         c[0] = c[1] = 1.0 / math.sqrt(2.0)
-        return _inject_mode_state(c, config, noise)
+        return _inject_mode_state(c, config)
     if prep.target == "custom":
         if prep.ket.config != config:
             raise ValidationError("custom ket config mismatch")
-        return prep.ket if noise.is_trivial else prep.ket.to_density()
+        return prep.ket
     raise ValidationError(f"unhandled prep target {prep.target!r}")
 
 
-def _inject_mode_state(c: np.ndarray, config: HilbertConfig, noise: NoiseModel):
+def _inject_mode_state(c: np.ndarray, config: HilbertConfig) -> Ket:
     v = c
     for d in config.phonon_dims[1:]:
         g0 = np.zeros(d, dtype=complex)
@@ -279,8 +254,7 @@ def _inject_mode_state(c: np.ndarray, config: HilbertConfig, noise: NoiseModel):
         v = np.kron(v, g0)
     full = np.zeros(config.dim, dtype=complex)
     full[: v.size] = v  # qubit |g> block (qubit index is slowest)
-    ket = Ket(config, full)
-    return ket if noise.is_trivial else ket.to_density()
+    return Ket(config, full)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +278,17 @@ def _run_parity_sequence(state, variant, theta, theta2, t, delta, params, config
                            ramp_time=min(ramp_time, duration), ramp_from=rest)
         return Segment(duration=duration, detuning=det)
 
-    state = _apply_unitary(state, _rotation_matrix(config, theta, math.pi / 2.0))
+    state = _apply_unitary(state, qubit_rotation(config, theta, math.pi / 2.0))
     if variant == "ramsey":
         state = evolve_segments(state, [seg(t, delta)], params, config, noise)
     elif variant == "echo":
         state = evolve_segments(state, [seg(t / 2.0, delta)], params, config, noise)
-        state = _apply_unitary(state, _rotation_matrix(config, theta, math.pi))
+        state = _apply_unitary(state, qubit_rotation(config, theta, math.pi))
         state = evolve_segments(state, [seg(t / 2.0, -delta)], params, config, noise)
     else:
         raise ValidationError(f"unknown parity variant {variant!r}")
-    state = _apply_unitary(state, _rotation_matrix(config, theta2, math.pi / 2.0))
-    return _sigma_z_expectation(state)
+    state = _apply_unitary(state, qubit_rotation(config, theta2, math.pi / 2.0))
+    return expectation(state, qubit_operator(config, "sigma_z")).real
 
 
 _CAL_LOCK = threading.Lock()
@@ -334,14 +308,13 @@ def _fringe_calibration(variant, t, delta, params, config, noise, ramp_time=0.0)
     """
     key = (
         variant, float(t), float(delta), config.dims, _noise_key(noise),
-        params.g_lg00, params.lg10_offset, params.delta("rest"), ramp_time,
+        params.g_lg00, params.g_lg10, params.lg10_offset, params.delta("rest"), ramp_time,
     )
     with _CAL_LOCK:
         if key in _CAL_CACHE:
             return _CAL_CACHE[key]
     cal_noise = noise.without_offset()
-    vac = fock_state(config, [0] * config.n_modes, 0)
-    state0 = vac if cal_noise.is_trivial else vac.to_density()
+    state0 = fock_state(config, [0] * config.n_modes, 0)
     vals = [
         _run_parity_sequence(state0, variant, 0.0, o, t, delta, params, config, cal_noise,
                              ramp_time)
@@ -447,24 +420,6 @@ def four_phase_average(
 _ZERO_CACHE: dict[tuple, float] = {}
 
 
-def analytic_echo_offset(
-    params: SystemParams, delta: float, times: Sequence[float], beta_far: float = 2.0,
-) -> np.ndarray:
-    """Order-eps^2 four-phase echo background on a far-field coherent state.
-
-    This is the analytic track for the tomography offset: its zero crossings
-    are the interaction times that null the Wigner background.
-    """
-    chi_sign = 1 if delta > 0 else -1
-    dim = max(int(4 * beta_far**2) + 6, 12)
-    c = coherent_amplitudes(dim, beta_far)
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        vals = [echo_sigma_z_analytic(c, th, t, params, delta, chi_sign) for th in FOUR_PHASES]
-        out[i] = float(np.mean(vals))
-    return out
-
-
 def echo_offset_zero_time(
     params: SystemParams, delta: float | None = None, beta_far: float = 2.0,
     span: float = 0.30e-6,
@@ -477,7 +432,7 @@ def echo_offset_zero_time(
     tomography interaction time that nulls the Wigner background.
     """
     d = params.delta("ramsey") if delta is None else delta
-    key = (params.g_lg00, params.alpha, d, beta_far)
+    key = (params.g_lg00, params.alpha, d, beta_far, span)
     if key in _ZERO_CACHE:
         return _ZERO_CACHE[key]
     t0 = default_ramsey_time(params, d)
@@ -544,12 +499,11 @@ def interaction_time_offset_scan(
         times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 41)
     times = np.asarray(times, dtype=float)
     vac = fock_state(config, [0] * config.n_modes, 0)
-    base = vac if noise.is_trivial else vac.to_density()
     ring = [ring_radius * np.exp(2j * math.pi * k / n_ring) for k in range(n_ring)]
     displaced = []
     for b in ring:
         u = displacement_operator(config, 0, -b).matrix
-        displaced.append(_apply_unitary(base, u))
+        displaced.append(_apply_unitary(vac, u))
     offsets = np.empty(times.size)
     for i, t in enumerate(times):
         cal = _fringe_calibration(variant, t, d, params, config, noise)
@@ -622,12 +576,8 @@ def spectroscopy_peak_hints(
     the per-phonon shift shrinks with n, so the chord anchored at peak 0
     keeps the bounded per-peak deviations smallest).
     """
-    from .swtheory import chi_numeric
-
     cfg = HilbertConfig(2, (max(n_peaks + 6, 10),))
     shifts = chi_numeric(params, cfg, delta_operate, max(n_peaks - 1, 1))
-    from .device import full_jc_hamiltonian
-
     h = full_jc_hamiltonian(params, cfg, delta_operate, frame="phonon_rotating").matrix
     w, v = np.linalg.eigh(h)
     d = cfg.phonon_dims[0]
@@ -671,7 +621,6 @@ def qubit_spectroscopy(
     if probe is None or probe.amplitude == 0.0:
         amp = 0.5 / (TWO_PI * probe_duration)
         probe = Pulse(shape="square", amplitude=amp)
-    sz = qubit_operator(config, "sigma_z").matrix
     sp = qubit_operator(config, "sigma_plus").matrix
     sm = qubit_operator(config, "sigma_minus").matrix
     pe = qubit_projector(config, 1).matrix
@@ -685,16 +634,8 @@ def qubit_spectroscopy(
     cs = collapse_operators(config, noise)
     qubit_freq = delta_operate + noise.static_qubit_offset
 
-    mode_ops = []
-    for k in range(config.n_modes):
-        a = annihilation(config, k).matrix
-        mode_ops.append((a.conj().T @ a, TWO_PI * params.mode_g(k) * (sp @ a + sm @ a.conj().T),
-                         params.mode_offset(k)))
-
     def one_point(f: float) -> float:
-        h0 = TWO_PI * (qubit_freq - f) * 0.5 * sz
-        for num, coupling, offset in mode_ops:
-            h0 = h0 + TWO_PI * (offset - f) * num + coupling
+        h0 = full_jc_hamiltonian(params, config, qubit_freq, frame=f).matrix
         acc = 0.0
         for h_drive in drives:
             h = h0 + h_drive
@@ -702,8 +643,7 @@ def qubit_spectroscopy(
                 prop = _expm(liouvillian(h, cs).toarray() * probe_duration)
                 rho_f = (prop @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
             else:
-                w, v = np.linalg.eigh(h)
-                u = (v * np.exp(-1j * w * probe_duration)) @ v.conj().T
+                u = hermitian_propagator(h, probe_duration)
                 rho_f = u @ rho.matrix @ u.conj().T
             acc += float(np.real(np.trace(rho_f @ pe)))
         return acc / len(drives)
@@ -785,6 +725,15 @@ def wigner_scan(
 # coherence protocols
 
 
+# kind: (first pulse angle, swap in/out, Ramsey readout, default demodulation Hz)
+_COHERENCE_PROTOCOLS = {
+    "qubit_t1": (math.pi, False, False, None),
+    "qubit_t2": (math.pi / 2.0, False, True, 0.25e6),
+    "phonon_t1": (math.pi, True, False, None),
+    "phonon_t2": (math.pi / 2.0, True, True, 15e3),
+}
+
+
 def coherence_protocols(
     kind: str,
     params: SystemParams,
@@ -796,67 +745,37 @@ def coherence_protocols(
     """Simulated T1/T2 protocols with fits; returns (times, values, FitResult).
 
     Phonon protocols park the qubit at the rest detuning during the delay and
-    shuttle the excitation with resonant swaps.
+    shuttle the excitation with resonant swaps.  Ramsey readouts take two
+    quadrature-opposed final pulses, so the T1 baseline drift cancels; their
+    phase follows the demodulation frequency less the stored excitation's
+    own precession (the rest detuning for the qubit, none for the phonon).
     """
+    if kind not in _COHERENCE_PROTOCOLS:
+        raise ValidationError(f"unknown coherence protocol {kind!r}")
+    first_angle, swap, ramsey, default_demod = _COHERENCE_PROTOCOLS[kind]
+    f_demod = default_demod if demod_freq is None else demod_freq
     delays = np.asarray(delays, dtype=float)
     rest = params.delta("rest")
-    g = params.mode_g(0)
-    swap_seg = Segment(duration=1.0 / (4.0 * g), detuning=0.0)
-    pe = qubit_projector(config, 1).matrix
+    f_stored = 0.0 if swap else rest
+    swaps = [Segment(duration=1.0 / (4.0 * params.mode_g(0)), detuning=0.0)] if swap else []
+    pe = qubit_projector(config, 1)
     vac = fock_state(config, [0] * config.n_modes, 0)
-    base = vac if noise.is_trivial else vac.to_density()
-
-    def measure_pe(state):
-        if isinstance(state, Ket):
-            return float(np.real(state.amplitudes.conj() @ (pe @ state.amplitudes)))
-        return float(np.real(np.trace(state.matrix @ pe)))
 
     values = np.empty(delays.size)
-    if kind == "qubit_t1":
-        for i, tau in enumerate(delays):
-            st = _apply_unitary(base, _rotation_matrix(config, 0.0, math.pi))
-            if tau > 0:
-                st = evolve_segments(st, [Segment(tau, rest)], params, config, noise)
-            values[i] = measure_pe(st)
-        fit = decay_fit(delays, values, "exponential")
-    elif kind == "qubit_t2":
-        f_demod = 0.25e6 if demod_freq is None else demod_freq
-        for i, tau in enumerate(delays):
-            st = _apply_unitary(base, _rotation_matrix(config, 0.0, math.pi / 2.0))
-            if tau > 0:
-                st = evolve_segments(st, [Segment(tau, rest)], params, config, noise)
-            theta2 = -TWO_PI * rest * tau + TWO_PI * f_demod * tau
-            # two quadrature-opposed readouts: the T1 baseline drift cancels
-            plus = measure_pe(_apply_unitary(st, _rotation_matrix(config, theta2, math.pi / 2.0)))
-            minus = measure_pe(
-                _apply_unitary(st, _rotation_matrix(config, theta2 + math.pi, math.pi / 2.0))
+    for i, tau in enumerate(delays):
+        wait = [Segment(tau, rest)] if tau > 0 else []
+        st = _apply_unitary(vac, qubit_rotation(config, 0.0, first_angle))
+        for seg in swaps + wait + swaps:
+            st = evolve_segments(st, [seg], params, config, noise)
+        if ramsey:
+            theta2 = -TWO_PI * f_stored * tau + TWO_PI * f_demod * tau
+            plus, minus = (
+                expectation(_apply_unitary(st, qubit_rotation(config, theta2 + o, math.pi / 2.0)),
+                            pe).real
+                for o in (0.0, math.pi)
             )
             values[i] = 0.5 * (plus - minus)
-        fit = decay_fit(delays, values, "exponential_sine")
-    elif kind == "phonon_t1":
-        for i, tau in enumerate(delays):
-            st = _apply_unitary(base, _rotation_matrix(config, 0.0, math.pi))
-            st = evolve_segments(st, [swap_seg], params, config, noise)
-            if tau > 0:
-                st = evolve_segments(st, [Segment(tau, rest)], params, config, noise)
-            st = evolve_segments(st, [swap_seg], params, config, noise)
-            values[i] = measure_pe(st)
-        fit = decay_fit(delays, values, "exponential")
-    elif kind == "phonon_t2":
-        f_demod = 15e3 if demod_freq is None else demod_freq
-        for i, tau in enumerate(delays):
-            st = _apply_unitary(base, _rotation_matrix(config, 0.0, math.pi / 2.0))
-            st = evolve_segments(st, [swap_seg], params, config, noise)
-            if tau > 0:
-                st = evolve_segments(st, [Segment(tau, rest)], params, config, noise)
-            st = evolve_segments(st, [swap_seg], params, config, noise)
-            theta2 = TWO_PI * f_demod * tau
-            plus = measure_pe(_apply_unitary(st, _rotation_matrix(config, theta2, math.pi / 2.0)))
-            minus = measure_pe(
-                _apply_unitary(st, _rotation_matrix(config, theta2 + math.pi, math.pi / 2.0))
-            )
-            values[i] = 0.5 * (plus - minus)
-        fit = decay_fit(delays, values, "exponential_sine")
-    else:
-        raise ValidationError(f"unknown coherence protocol {kind!r}")
+        else:
+            values[i] = expectation(st, pe).real
+    fit = decay_fit(delays, values, "exponential_sine" if ramsey else "exponential")
     return delays, values, fit

@@ -12,6 +12,10 @@ composition as a polynomial in the formal variables (eps, eps*), truncated
 at total degree two.  That makes every first- and second-order constant an
 output of the algebra, checkable against the exact matrix-exponential
 composition (see ``ramsey_sigma_z_exact_sw``).
+
+The full-JC oracles take their Hamiltonian from ``device.full_jc_hamiltonian``
+in the frame rotating at the dressed qubit frequency Delta' = Delta + g^2/Delta,
+and their pulses from ``hilbert.qubit_rotation``.
 """
 
 from __future__ import annotations
@@ -22,16 +26,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .device import TWO_PI, SystemParams, chi_analytic, delta_prime
+from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
 from .exceptions import NumericError, TruncationError, ValidationError
 from .hilbert import (
     HilbertConfig,
     Ket,
     OperatorMatrix,
     annihilation,
+    hermitian_propagator,
     matrix_exp,
     number_operator,
     qubit_operator,
+    qubit_rotation,
 )
 
 __all__ = [
@@ -103,8 +109,6 @@ class SWExpansion:
 
 
 def sw_expansion(params: SystemParams, config: HilbertConfig, delta: float, order: int = 2) -> SWExpansion:
-    from .device import full_jc_hamiltonian
-
     _require_two_level_single_mode(config)
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
@@ -352,12 +356,11 @@ def ramsey_sigma_z_exact_phases(
     u = matrix_exp(sw_generator(config, eps).matrix)
     n = np.arange(d)
     phases = np.concatenate([np.exp(1j * n * (phi + psi)), np.exp(1j * n * (phi - psi))])
-    r = _pulse_matrix(config, theta, math.pi / 2.0)
+    r = qubit_rotation(config, theta, math.pi / 2.0)
     psi_v = r @ _state_from_coeffs(config, c)
     psi_v = u.conj().T @ (phases * (u @ psi_v))
     psi_v = r @ psi_v
-    amps = psi_v.reshape(2, d)
-    return float(np.sum(np.abs(amps[1]) ** 2) - np.sum(np.abs(amps[0]) ** 2))
+    return _sigma_z_of(psi_v)
 
 
 def echo_sigma_z_analytic(
@@ -395,11 +398,10 @@ def echo_sigma_z_analytic(
 # exact composition oracles
 
 
-def _pulse_matrix(config: HilbertConfig, theta: float, eta: float) -> np.ndarray:
-    d = config.phonon_dims[0]
-    c, s = math.cos(eta / 2.0), math.sin(eta / 2.0)
-    q = np.array([[c, -np.exp(-1j * theta) * s], [np.exp(1j * theta) * s, c]])
-    return np.kron(q, np.eye(d))
+def _sigma_z_of(psi: np.ndarray) -> float:
+    """<sigma_z> of a two-level qubit + one mode state vector."""
+    g, e = psi.reshape(2, -1)
+    return float(np.sum(np.abs(e) ** 2) - np.sum(np.abs(g) ** 2))
 
 
 def _state_from_coeffs(config: HilbertConfig, c: np.ndarray) -> np.ndarray:
@@ -419,27 +421,18 @@ def ramsey_sigma_z_exact_sw(
     u = matrix_exp(sw_generator(config, eps).matrix)
     hr = sw_rotating_hamiltonian(params, config, delta).matrix
     ev = np.diag(np.exp(-1j * np.diag(hr) * t))
-    r = _pulse_matrix(config, theta, math.pi / 2.0)
+    r = qubit_rotation(config, theta, math.pi / 2.0)
     psi = _state_from_coeffs(config, c)
     psi = r @ psi
     psi = u.conj().T @ (ev @ (u @ psi))
     psi = r @ psi
-    d = config.phonon_dims[0]
-    amps = psi.reshape(2, d)
-    return float(np.sum(np.abs(amps[1]) ** 2) - np.sum(np.abs(amps[0]) ** 2))
+    return _sigma_z_of(psi)
 
 
-def _jc_frame_hamiltonian(params: SystemParams, config: HilbertConfig, delta: float) -> np.ndarray:
-    """Full JC Hamiltonian in the frame rotating at the dressed qubit frequency."""
-    a = annihilation(config, 0).matrix
-    sz = qubit_operator(config, "sigma_z").matrix
-    sp = qubit_operator(config, "sigma_plus").matrix
-    sm = qubit_operator(config, "sigma_minus").matrix
-    lamb = params.g_lg00 ** 2 / delta
-    dp = delta + lamb
-    return TWO_PI * (
-        -dp * (a.conj().T @ a) - lamb * 0.5 * sz + params.g_lg00 * (sp @ a + sm @ a.conj().T)
-    )
+def _dressed_frame_propagator(params, config, delta, t) -> np.ndarray:
+    """exp(-i H t) of the full JC Hamiltonian rotating at the dressed qubit frequency."""
+    frame = delta_prime(params.g_lg00, delta)
+    return hermitian_propagator(full_jc_hamiltonian(params, config, delta, frame=frame).matrix, t)
 
 
 def ramsey_sigma_z_jc(
@@ -453,14 +446,10 @@ def ramsey_sigma_z_jc(
     """
     c = np.asarray(c, dtype=complex).reshape(-1)
     config = HilbertConfig(2, (c.size + margin,))
-    h = _jc_frame_hamiltonian(params, config, delta)
-    w, v = np.linalg.eigh(h)
-    ev = (v * np.exp(-1j * w * t)) @ v.conj().T
-    r = _pulse_matrix(config, theta, math.pi / 2.0)
+    ev = _dressed_frame_propagator(params, config, delta, t)
+    r = qubit_rotation(config, theta, math.pi / 2.0)
     psi = r @ (ev @ (r @ _state_from_coeffs(config, c)))
-    d = config.phonon_dims[0]
-    amps = psi.reshape(2, d)
-    return float(np.sum(np.abs(amps[1]) ** 2) - np.sum(np.abs(amps[0]) ** 2))
+    return _sigma_z_of(psi)
 
 
 def echo_sigma_z_jc(
@@ -470,18 +459,12 @@ def echo_sigma_z_jc(
     """Noiseless full-JC simulation of the idealized echo sequence."""
     c = np.asarray(c, dtype=complex).reshape(-1)
     config = HilbertConfig(2, (c.size + margin,))
-    h1 = _jc_frame_hamiltonian(params, config, delta)
-    h2 = _jc_frame_hamiltonian(params, config, -delta)
-    w1, v1 = np.linalg.eigh(h1)
-    w2, v2 = np.linalg.eigh(h2)
-    ev1 = (v1 * np.exp(-1j * w1 * t_total / 2.0)) @ v1.conj().T
-    ev2 = (v2 * np.exp(-1j * w2 * t_total / 2.0)) @ v2.conj().T
-    r_half = _pulse_matrix(config, theta, math.pi / 2.0)
-    r_pi = _pulse_matrix(config, theta, math.pi)
+    ev1 = _dressed_frame_propagator(params, config, delta, t_total / 2.0)
+    ev2 = _dressed_frame_propagator(params, config, -delta, t_total / 2.0)
+    r_half = qubit_rotation(config, theta, math.pi / 2.0)
+    r_pi = qubit_rotation(config, theta, math.pi)
     psi = r_half @ (ev2 @ (r_pi @ (ev1 @ (r_half @ _state_from_coeffs(config, c)))))
-    d = config.phonon_dims[0]
-    amps = psi.reshape(2, d)
-    return float(np.sum(np.abs(amps[1]) ** 2) - np.sum(np.abs(amps[0]) ** 2))
+    return _sigma_z_of(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +484,6 @@ def chi_numeric(
     d = config.phonon_dims[0]
     if d < n_max + 5:
         raise ValidationError(f"truncation dim {d} must be >= n_max + 5 = {n_max + 5}")
-    from .device import full_jc_hamiltonian
-
     h = full_jc_hamiltonian(params, config, delta, frame="phonon_rotating").matrix
     w, v = np.linalg.eigh(h)
     overlaps = np.abs(v) ** 2

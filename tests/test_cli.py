@@ -190,3 +190,40 @@ def test_wigner_preset_run(tmp_path):
     assert summary["w_origin"] < 0
     rows = (out / "wigner.csv").read_text().splitlines()
     assert len(rows) == 2 + 9
+
+
+def test_non_numeric_spec_value_is_a_validation_error(tmp_path, capsys):
+    spec = preset_copy(tmp_path, "wigner_fock1.spec", grid_points="abc")
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert "grid_points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_phonon_t1_preset_run(tmp_path):
+    from cqadsim.device import TWO_PI, paper_default_params, purcell_rate
+
+    params = paper_default_params()
+    spec = preset_copy(tmp_path, "phonon_t1.spec", delay_points=9)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    text = (out / "summary.json").read_text()
+    assert '"converged": true' in text
+    # intrinsic phonon decay plus Purcell loss through the qubit at rest
+    t1 = 1.0 / (TWO_PI * purcell_rate(params, params.delta("rest")))
+    assert json.loads(text)["t_fit_s"] == pytest.approx(t1, rel=0.1)
+
+
+def test_qubit_t2_ramsey_run(tmp_path):
+    from cqadsim.device import TWO_PI, paper_default_params
+
+    params = paper_default_params()
+    spec = write(tmp_path, "t2.spec",
+                 "kind = t2_ramsey\nsystem = qubit\nnoise = paper\ndelay_max = 20u\n"
+                 "delay_points = 21\nphonon_dim = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    text = (out / "summary.json").read_text()
+    assert '"converged": true' in text
+    t2 = 1.0 / (TWO_PI * params.gamma2_star["rest"])
+    assert json.loads(text)["t_fit_s"] == pytest.approx(t2, rel=0.1)

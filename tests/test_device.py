@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqadsim.device import (
     TWO_PI,
@@ -124,6 +126,37 @@ def test_full_jc_hermitian_and_excitation_conserving(params):
     )
     comm = h.matrix @ n_exc - n_exc @ h.matrix
     assert np.abs(comm).max() < 1e-9 * np.abs(h.matrix).max()
+
+
+_JC_CONFIGS = st.one_of(
+    st.integers(2, 6).map(lambda n: HilbertConfig(2, (n,))),
+    st.integers(2, 5).map(lambda n: HilbertConfig(3, (n,))),
+    st.tuples(st.integers(2, 4), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_JC_CONFIGS, st.floats(-5e6, 5e6),
+       st.one_of(st.floats(-1e7, 1e7), st.floats(-6.5e9, 6.5e9)))
+def test_jc_frame_subtracts_excitation_number(cfg, delta, f):
+    # every frame is the phonon-frame H minus 2 pi f (sigma_z/2 + sum_k n_k)
+    params = paper_default_params()
+    h_phonon = full_jc_hamiltonian(params, cfg, delta, frame="phonon_rotating").matrix
+    n_exc = 0.5 * qubit_operator(cfg, "sigma_z").matrix + sum(
+        number_operator(cfg, k).matrix for k in range(cfg.n_modes)
+    )
+    expected = h_phonon - TWO_PI * f * n_exc
+    h = full_jc_hamiltonian(params, cfg, delta, frame=f).matrix
+    assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
+    named = {"phonon_rotating": 0.0, "qubit_rotating": delta, "lab": -params.omega_m_lg00}
+    for name, value in named.items():
+        assert np.array_equal(full_jc_hamiltonian(params, cfg, delta, frame=name).matrix,
+                              full_jc_hamiltonian(params, cfg, delta, frame=value).matrix)
+
+
+def test_jc_unknown_frame_name(params):
+    with pytest.raises(ValidationError, match="frame"):
+        full_jc_hamiltonian(params, HilbertConfig(2, (3,)), -1e6, frame="probe")
 
 
 def test_dispersive_hamiltonian_structure(params):

@@ -23,11 +23,7 @@ from cqadsim.dynamics import (
     swap_gate,
     vacuum_rabi_chevron,
 )
-from cqadsim.dynamics import (
-    _constant_drive_hamiltonian,
-    _liouvillian_propagator,
-    _static_segment_hamiltonian,
-)
+from cqadsim.dynamics import _constant_drive_hamiltonian, _liouvillian_propagator
 from cqadsim.exceptions import ValidationError
 from cqadsim.hilbert import (
     HilbertConfig,
@@ -287,7 +283,8 @@ def _static_generators(draw):
     )
     detuning = draw(st.floats(-3e6, 3e6))
     duration = draw(st.floats(1e-8, 5e-6))
-    h = _static_segment_hamiltonian(paper_default_params(), config, detuning, noise)
+    h = full_jc_hamiltonian(paper_default_params(), config,
+                            detuning + noise.static_qubit_offset, frame="phonon_rotating").matrix
     return config, h, collapse_operators(config, noise), duration
 
 
@@ -330,7 +327,8 @@ def test_driven_propagator_is_one_dense_block(params, drive):
                       phonon_drive=Pulse(amplitude=1e6))
     assert not seg.is_time_dependent
     noise = NoiseModel.from_params(params, seg.detuning)
-    h = (_static_segment_hamiltonian(params, config, seg.detuning, noise)
+    h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset,
+                             frame="phonon_rotating").matrix
          + _constant_drive_hamiltonian(config, seg))
     cs = collapse_operators(config, noise)
     gen = liouvillian(h, cs) * seg.duration

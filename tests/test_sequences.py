@@ -334,3 +334,35 @@ def test_zero_noise_divergent_flagged(params):
     delays = np.linspace(0.0, 100e-6, 21)
     _, _, fit = coherence_protocols("qubit_t1", decoupled, cfg, NOISELESS, delays)
     assert not fit.converged or fit.metadata.get("divergent")
+
+
+# ---------------------------------------------------------------------------
+# cache keys
+
+
+def test_fringe_calibration_cache_tracks_lg10_coupling(params, monkeypatch):
+    from cqadsim import sequences
+
+    monkeypatch.setattr(sequences, "_CAL_CACHE", {})
+    cfg = HilbertConfig(2, (5, 3))
+    strong = replace(params, g_lg10=200e3)
+    d = params.delta("ramsey")
+    t = default_ramsey_time(params, d)
+    fresh = sequences._fringe_calibration("ramsey", t, d, strong, cfg, NOISELESS)
+    sequences._CAL_CACHE.clear()
+    weak = sequences._fringe_calibration("ramsey", t, d, params, cfg, NOISELESS)
+    assert sequences._fringe_calibration("ramsey", t, d, strong, cfg, NOISELESS) == fresh
+    assert abs(fresh[0] - weak[0]) > 0.1
+
+
+def test_echo_offset_zero_time_cache_tracks_span(params, monkeypatch):
+    from cqadsim import sequences
+
+    monkeypatch.setattr(sequences, "_ZERO_CACHE", {})
+    fresh = echo_offset_zero_time(params, span=1e-9)
+    sequences._ZERO_CACHE.clear()
+    wide = echo_offset_zero_time(params)
+    assert echo_offset_zero_time(params, span=1e-9) == fresh
+    # no zero crossing within +-1 ns of t0: the scan falls back to t0
+    assert fresh == default_ramsey_time(params)
+    assert wide != fresh

@@ -100,6 +100,14 @@ def _number(data: dict, key: str, default=None, cast=float):
     return None if value is None else cast(value)
 
 
+def _count(data: dict, key: str, default: int) -> int:
+    """Integer spec value that must be at least 1."""
+    n = _number(data, key, default, int)
+    if n < 1:
+        raise ValidationError(f"spec key {key!r} must be >= 1, got {n}")
+    return n
+
+
 def _spec_from_keyval(data: dict) -> tuple[ExperimentSpec, dict]:
     if "kind" not in data:
         raise ValidationError("experiment file needs a 'kind' key")
@@ -160,17 +168,24 @@ def _run_spectroscopy(params, spec, sweep, jobs, seed):
     default_dim = max(10, n_peaks + 4)
     config = _config_for(sweep, default_dim)
     line0, spacing = sequences.spectroscopy_peak_hints(params, delta, n_peaks)
+    step = _number(sweep, "freq_step", 5e3)
+    probe_duration = _number(sweep, "probe_duration", 15e-6)
+    for key, value in (("freq_step", step), ("probe_duration", probe_duration)):
+        if not value > 0:
+            raise ValidationError(f"spec key {key!r} must be > 0, got {value!r}")
     if "freq_min" in sweep and "freq_max" in sweep:
-        grid = np.arange(_number(sweep, "freq_min"), _number(sweep, "freq_max"),
-                         _number(sweep, "freq_step", 5e3))
+        keys = "'freq_min'/'freq_max'"
+        lo, hi = _number(sweep, "freq_min"), _number(sweep, "freq_max")
     else:
-        margin = _number(sweep, "window_margin", 50e3)
-        grid = np.arange(line0 + (n_peaks - 1) * spacing - margin, line0 + margin,
-                         _number(sweep, "freq_step", 5e3))
+        keys, margin = "'window_margin'", _number(sweep, "window_margin", 50e3)
+        lo, hi = line0 + (n_peaks - 1) * spacing - margin, line0 + margin
+    grid = np.arange(lo, hi, step)
+    if grid.size == 0:
+        raise ValidationError(f"spec {keys} give an empty frequency grid [{lo:.6g}, {hi:.6g})")
     state = sequences.prepare_state(prep, params, config, noise)
     trace = sequences.qubit_spectroscopy(
         state, delta, None, grid, params, config, noise,
-        probe_duration=_number(sweep, "probe_duration", 15e-6), jobs=jobs,
+        probe_duration=probe_duration, jobs=jobs,
     )
     fit, pops = analysis.voigt_sum_fit(trace, n_peaks, spacing, center_hint=line0, seed=seed)
     summary = {
@@ -205,7 +220,7 @@ def _run_parity(params, spec, sweep, jobs, seed, kind):
              else sequences.echo_offset_zero_time(params, delta))
     else:
         t = _number(sweep, "interaction_time")
-    n_phases = _number(sweep, "phases", 4, int)
+    n_phases = _count(sweep, "phases", 4)
     if n_phases == 1:
         res = (sequences.ramsey_parity(state, t, 0.0, params, config, noise, delta=delta)
                if variant == "ramsey"
@@ -232,7 +247,7 @@ def _run_wigner(params, spec, sweep, jobs, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
     noise = _noise_for(params, sweep, delta)
     extent = _number(sweep, "grid_extent", 2.0)
-    npts = _number(sweep, "grid_points", 9, int)
+    npts = _count(sweep, "grid_points", 9)
     default_dim = max(10, int(4.0 * extent**2) + 4)
     config = _config_for(sweep, default_dim)
     prep = spec.preparation
@@ -321,7 +336,7 @@ def _run_rabi_chevron(params, spec, sweep, jobs, seed):
     config = _config_for(sweep, 4)
     d_lo = _number(sweep, "detuning_min", -1.5e6)
     d_hi = _number(sweep, "detuning_max", 2.0e6)
-    nd = _number(sweep, "detuning_points", 36, int)
+    nd = _count(sweep, "detuning_points", 36)
     t_max = _number(sweep, "time_max", 4e-6)
     nt = _number(sweep, "time_points", 81, int)
     deltas = np.linspace(d_lo, d_hi, nd)
@@ -344,7 +359,7 @@ def _run_rabi_chevron(params, spec, sweep, jobs, seed):
 
 
 def _run_chi_scan(params, spec, sweep, jobs, seed):
-    n_max = _number(sweep, "n_max", 4, int)
+    n_max = _count(sweep, "n_max", 4)
     config = HilbertConfig(2, (max(12, n_max + 6),))
     points = [p.strip() for p in str(sweep.get("points", "fock,coherent,ramsey,rest")).split(",")]
     rows = []
@@ -457,6 +472,16 @@ def compare_summaries(reference: dict, new: dict, tolerances: dict,
     return ok, report
 
 
+def _load_summary(path: str) -> dict:
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read summary {path!r}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"summary {path!r} is not a JSON object")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -503,11 +528,13 @@ def main(argv=None) -> int:
             tolerances = {}
             for item in args.tolerance:
                 key, _, val = item.partition("=")
-                if not val:
-                    raise ValidationError(f"bad --tolerance {item!r}; expected metric=value")
-                tolerances[key.strip()] = float(val)
-            ref = json.loads(Path(args.reference).read_text())
-            new = json.loads(Path(args.new).read_text())
+                try:
+                    tolerances[key.strip()] = float(val)
+                except ValueError:
+                    raise ValidationError(
+                        f"bad --tolerance {item!r}; expected metric=value"
+                    ) from None
+            ref, new = _load_summary(args.reference), _load_summary(args.new)
             ok, report = compare_summaries(ref, new, tolerances, args.default_tolerance)
             if not args.quiet:
                 for line in report:

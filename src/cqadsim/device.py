@@ -96,6 +96,13 @@ class SystemParams:
         if abs(self.g_lg00) >= self.fsr or abs(self.g_lg10) >= self.fsr:
             raise ValidationError("couplings must stay well below the FSR")
 
+    def __hash__(self):
+        # consistent with the field-wise __eq__: the (frozen) tables hash as sorted items
+        return hash(tuple(
+            tuple(sorted(v.items())) if isinstance(v, MappingProxyType) else v
+            for v in vars(self).values()
+        ))
+
     def delta(self, point: str) -> float:
         """Detuning (Hz) of a named operating point."""
         try:

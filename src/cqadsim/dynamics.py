@@ -6,10 +6,12 @@ every degree of freedom (``device.full_jc_hamiltonian`` with
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
-Constant-Hamiltonian stretches are propagated by exponentiating the
-(Liouvillian or Hamiltonian) generator once and caching it; ramps and
-carrier-rotating drives fall back to adaptive RK integration of the
-vectorized density matrix.
+Every propagator is built one way (``_propagator``: the Liouvillian
+exponential with collapse operators, exp(-i H t) without) and applied one
+way (``_apply``: U psi, U rho U^dag or P vec(rho), by the propagator's row
+count).  Constant segments take theirs from one cache keyed on the segment's
+inputs (segment, params, config, noise); ramps and carrier-rotating drives
+fall back to adaptive RK integration.
 
 The Liouvillian is built as a sparse matrix.  Without drives it conserves
 the total excitation number, so it splits into independent blocks by
@@ -19,7 +21,6 @@ blocks read off the generator's own nonzero pattern, and stored sparse.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from collections import OrderedDict
@@ -40,6 +41,8 @@ from .hilbert import (
     Ket,
     OperatorMatrix,
     annihilation,
+    expectation,
+    fock_state,
     hermitian_propagator,
     qubit_operator,
     qubit_projector,
@@ -257,25 +260,25 @@ class Schedule:
 
 
 class _PropagatorCache:
-    """Size-budgeted LRU for propagators (keyed by generator content).
+    """Size-budgeted LRU for segment propagators, keyed by the segment's inputs.
 
     The budget counts stored elements: ``size`` of a dense array, ``nnz`` of
     a sparse one.
     """
 
     def __init__(self, max_elements: float = 4.8e7):
-        self._data: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._data: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         self._max_elements = max_elements
 
-    def get(self, key: bytes):
+    def get(self, key: tuple):
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
                 return self._data[key]
         return None
 
-    def put(self, key: bytes, value: np.ndarray):
+    def put(self, key: tuple, value: np.ndarray):
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
@@ -296,33 +299,44 @@ def clear_propagator_cache():
     _CACHE.clear()
 
 
-def _digest(*arrays: np.ndarray, extra: tuple = ()) -> bytes:
-    h = hashlib.blake2b(digest_size=24)
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    for x in extra:
-        h.update(repr(x).encode())
-    return h.digest()
+def _propagator(h_angular: np.ndarray, collapse: Sequence[np.ndarray], duration: float):
+    """exp(L t) on vec(rho) (d^2 rows) with collapse operators, else exp(-i H t) (d rows)."""
+    if collapse:
+        return _blocked_expm(liouvillian(h_angular, collapse) * duration)
+    return hermitian_propagator(h_angular, duration)
 
 
-def _unitary_propagator(h_angular: np.ndarray, duration: float) -> np.ndarray:
-    key = _digest(h_angular, extra=("U", duration))
-    u = _CACHE.get(key)
-    if u is None:
-        u = hermitian_propagator(h_angular, duration)
-        _CACHE.put(key, u)
-    return u
+def _segment_propagator(seg: Segment, params: SystemParams, config: HilbertConfig,
+                        noise: NoiseModel):
+    """Cached propagator of a constant segment.
+
+    The key is every input H and the collapse operators are built from, so
+    nothing is built or hashed beyond the arguments on a hit.
+    """
+    key = (seg, params, config, noise)
+    prop = _CACHE.get(key)
+    if prop is None:
+        h = full_jc_hamiltonian(
+            params, config, seg.detuning + noise.static_qubit_offset, frame="phonon_rotating"
+        ).matrix + _constant_drive_hamiltonian(config, seg)
+        prop = _propagator(h, collapse_operators(config, noise), seg.duration)
+        _CACHE.put(key, prop)
+    return prop
 
 
-def _liouvillian_propagator(
-    h_angular: np.ndarray, collapse: Sequence[np.ndarray], duration: float
-) -> np.ndarray:
-    key = _digest(h_angular, *collapse, extra=("L", duration))
-    p = _CACHE.get(key)
-    if p is None:
-        p = _blocked_expm(liouvillian(h_angular, collapse) * duration)
-        _CACHE.put(key, p)
-    return p
+def _apply(prop, state):
+    """U psi, U rho U^dag or P vec(rho), chosen by the propagator's row count.
+
+    A Ket handed a superoperator (d^2 rows) becomes a density matrix.
+    """
+    config = state.config
+    d = config.dim
+    if prop.shape[0] == d * d:
+        rho = state.to_density() if isinstance(state, Ket) else state
+        return DensityMatrix(config, (prop @ rho.matrix.reshape(-1)).reshape(d, d))
+    if isinstance(state, Ket):
+        return Ket(config, prop @ state.amplitudes, normalized=False)
+    return DensityMatrix(config, prop @ state.matrix @ prop.conj().T)
 
 
 def _blocked_expm(gen: sparse.csr_matrix):
@@ -479,11 +493,6 @@ def _segment_h_of_t(params, config, segment: Segment, noise: NoiseModel):
     return h_of_t
 
 
-def _apply_propagator_rho(rho: DensityMatrix, prop) -> DensityMatrix:
-    d = rho.config.dim
-    return DensityMatrix(rho.config, (prop @ rho.matrix.reshape(-1)).reshape(d, d))
-
-
 def evolve_segments(
     state,
     segments: Sequence[Segment],
@@ -497,8 +506,8 @@ def evolve_segments(
 
     A Ket stays a Ket while the noise is trivial and is evolved unitarily.
     Dissipative segments need a density matrix: this is the one place a Ket
-    becomes a ``DensityMatrix``.  Density matrices use cached Liouvillian
-    propagators for constant segments and RK integration otherwise.
+    becomes a ``DensityMatrix``.  Constant segments apply their cached
+    propagator; time-dependent ones are integrated with RK.
     """
     if isinstance(state, Ket) and not noise.is_trivial:
         state = state.to_density()
@@ -509,21 +518,7 @@ def evolve_segments(
         if seg.is_time_dependent:
             state = _evolve_time_dependent(state, seg, params, config, noise, rtol, atol)
         else:
-            drive_h = _constant_drive_hamiltonian(config, seg)
-            h = full_jc_hamiltonian(
-                params, config, seg.detuning + noise.static_qubit_offset, frame="phonon_rotating"
-            ).matrix + drive_h
-            if isinstance(state, Ket):
-                u = _unitary_propagator(h, seg.duration)
-                state = Ket(state.config, u @ state.amplitudes, normalized=False)
-            else:
-                cs = collapse_operators(config, noise)
-                if cs:
-                    prop = _liouvillian_propagator(h, cs, seg.duration)
-                    state = _apply_propagator_rho(state, prop)
-                else:
-                    u = _unitary_propagator(h, seg.duration)
-                    state = DensityMatrix(config, u @ state.matrix @ u.conj().T)
+            state = _apply(_segment_propagator(seg, params, config, noise), state)
         prev_detuning = seg.detuning
     return state
 
@@ -582,30 +577,16 @@ def vacuum_rabi_chevron(
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-15):
         raise ValidationError("time grid must be uniform")
 
-    pe_op = qubit_projector(config, 1).matrix
-    psi0 = np.zeros(config.dim, dtype=complex)
-    psi0[config.index(1, [0] * config.n_modes)] = 1.0
+    pe = qubit_projector(config, 1)
+    psi0 = fock_state(config, [0] * config.n_modes, 1)
     out = np.empty((len(detuning_grid), times.size))
-    cs = collapse_operators(config, noise)
     for i, delta in enumerate(detuning_grid):
-        h = full_jc_hamiltonian(
-            params, config, delta + noise.static_qubit_offset, frame="phonon_rotating"
-        ).matrix
-        if not cs:
-            u_dt = _unitary_propagator(h, dt)
-            psi = psi0.copy()
-            out[i, 0] = np.real(psi.conj() @ (pe_op @ psi))
-            for j in range(1, times.size):
-                psi = u_dt @ psi
-                out[i, j] = np.real(psi.conj() @ (pe_op @ psi))
-        else:
-            prop = _liouvillian_propagator(h, cs, dt)
-            vec = np.outer(psi0, psi0.conj()).reshape(-1)
-            for j in range(times.size):
-                if j:
-                    vec = prop @ vec
-                rho = vec.reshape(config.dim, config.dim)
-                out[i, j] = float(np.real(np.trace(rho @ pe_op)))
+        prop = _segment_propagator(Segment(dt, delta), params, config, noise)
+        state = psi0
+        for j in range(times.size):
+            if j:
+                state = _apply(prop, state)
+            out[i, j] = expectation(state, pe).real
     return out
 
 

@@ -3,24 +3,28 @@
 Pulses in the parity sequences are instantaneous rotations; the phase of the
 final pi/2 pulse is calibrated numerically against a vacuum reference run
 (four phase offsets, cosine extraction), exactly one calibration per
-(sequence variant, detuning, interaction time, noise) operating point.
+operating point: variant, interaction time, detuning, parameters, Hilbert
+space, noise without its static offset, and ramp time.
 Parity values are reported normalized by the vacuum fringe contrast; the raw
 qubit expectation is kept alongside.
 
 Prepared states are Kets; ``dynamics.evolve_segments`` turns a Ket into a
 density matrix when it meets a dissipative segment.  Spectroscopy, which
-propagates in its own probe frame, converts its input itself.
+propagates in its own probe frame, converts its input itself and builds a
+fresh, uncached propagator per probe frequency with ``dynamics._propagator``.
+Every state update, instantaneous pulses included, goes through
+``dynamics._apply``.  The fringe calibration and the echo-offset zero time
+are ``functools.lru_cache`` memos keyed on their arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from .analysis import SpectrumTrace, decay_fit
 from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
@@ -28,14 +32,14 @@ from .dynamics import (
     NoiseModel,
     Pulse,
     Segment,
+    _apply,
+    _propagator,
     collapse_operators,
     displacement_drive,
     evolve_segments,
-    liouvillian,
 )
 from .exceptions import NumericError, TruncationError, ValidationError
 from .hilbert import (
-    DensityMatrix,
     HilbertConfig,
     Ket,
     _truncation_guard,
@@ -43,7 +47,6 @@ from .hilbert import (
     displacement_operator,
     expectation,
     fock_state,
-    hermitian_propagator,
     qubit_operator,
     qubit_projector,
     qubit_rotation,
@@ -151,18 +154,12 @@ class ParityResult:
     reference_offset: float
 
     def __post_init__(self):
-        if abs(self.value) > 1.05:
-            raise NumericError(f"parity estimate {self.value:.4f} far outside [-1, 1]")
+        if not math.isfinite(self.value) or abs(self.value) > 1.05:
+            raise NumericError(f"parity estimate {self.value:.4f} not finite or far outside [-1, 1]")
 
 
 # ---------------------------------------------------------------------------
 # state preparation
-
-
-def _apply_unitary(state, u: np.ndarray):
-    if isinstance(state, Ket):
-        return Ket(state.config, u @ state.amplitudes, normalized=False)
-    return DensityMatrix(state.config, u @ state.matrix @ u.conj().T)
 
 
 def fock_preparation(
@@ -196,7 +193,7 @@ def fock_preparation(
 
 def _excite_qubit(state, params, config, noise, angle, pulse_duration, theta=0.0):
     if pulse_duration <= 0:
-        return _apply_unitary(state, qubit_rotation(config, theta, angle))
+        return _apply(qubit_rotation(config, theta, angle), state)
     amp = angle / (TWO_PI * pulse_duration)
     seg = Segment(
         duration=pulse_duration,
@@ -278,46 +275,34 @@ def _run_parity_sequence(state, variant, theta, theta2, t, delta, params, config
                            ramp_time=min(ramp_time, duration), ramp_from=rest)
         return Segment(duration=duration, detuning=det)
 
-    state = _apply_unitary(state, qubit_rotation(config, theta, math.pi / 2.0))
+    state = _apply(qubit_rotation(config, theta, math.pi / 2.0), state)
     if variant == "ramsey":
         state = evolve_segments(state, [seg(t, delta)], params, config, noise)
     elif variant == "echo":
         state = evolve_segments(state, [seg(t / 2.0, delta)], params, config, noise)
-        state = _apply_unitary(state, qubit_rotation(config, theta, math.pi))
+        state = _apply(qubit_rotation(config, theta, math.pi), state)
         state = evolve_segments(state, [seg(t / 2.0, -delta)], params, config, noise)
     else:
         raise ValidationError(f"unknown parity variant {variant!r}")
-    state = _apply_unitary(state, qubit_rotation(config, theta2, math.pi / 2.0))
+    state = _apply(qubit_rotation(config, theta2, math.pi / 2.0), state)
     return expectation(state, qubit_operator(config, "sigma_z")).real
-
-
-_CAL_LOCK = threading.Lock()
-_CAL_CACHE: dict[tuple, tuple[float, float, float]] = {}
-
-
-def _noise_key(noise: NoiseModel) -> tuple:
-    return (noise.qubit_gamma1, noise.qubit_gamma_phi, noise.phonon_kappa1,
-            noise.phonon_kappa_phi)
 
 
 def _fringe_calibration(variant, t, delta, params, config, noise, ramp_time=0.0):
     """Vacuum-reference fringe: returns (phase, contrast, offset).
 
     Computed without any static qubit offset (an uncalibrated drift must not
-    leak into the calibration), with four second-pulse phase offsets.
+    leak into the calibration), so offset variants share one calibration.
     """
-    key = (
-        variant, float(t), float(delta), config.dims, _noise_key(noise),
-        params.g_lg00, params.g_lg10, params.lg10_offset, params.delta("rest"), ramp_time,
-    )
-    with _CAL_LOCK:
-        if key in _CAL_CACHE:
-            return _CAL_CACHE[key]
-    cal_noise = noise.without_offset()
+    return _vacuum_fringe(variant, t, delta, params, config, noise.without_offset(), ramp_time)
+
+
+@functools.lru_cache(maxsize=1024)
+def _vacuum_fringe(variant, t, delta, params, config, noise, ramp_time):
+    """The fringe of the vacuum at four second-pulse phase offsets, cached on its arguments."""
     state0 = fock_state(config, [0] * config.n_modes, 0)
     vals = [
-        _run_parity_sequence(state0, variant, 0.0, o, t, delta, params, config, cal_noise,
-                             ramp_time)
+        _run_parity_sequence(state0, variant, 0.0, o, t, delta, params, config, noise, ramp_time)
         for o in FOUR_PHASES
     ]
     c = (vals[0] - vals[2]) / 2.0
@@ -327,10 +312,7 @@ def _fringe_calibration(variant, t, delta, params, config, noise, ramp_time=0.0)
     offset = sum(vals) / 4.0
     if contrast < 1e-6:
         raise NumericError("vacuum reference fringe has no contrast; cannot calibrate")
-    result = (phase, contrast, offset)
-    with _CAL_LOCK:
-        _CAL_CACHE[key] = result
-    return result
+    return phase, contrast, offset
 
 
 def _parity_result(raw, t, phases, cal):
@@ -401,6 +383,8 @@ def four_phase_average(
     ramp_time: float = 0.0,
 ) -> ParityResult:
     """Average the chosen parity sequence over drive phases (default four)."""
+    if len(phases) == 0:
+        raise ValidationError("four_phase_average needs at least one phase")
     d = params.delta("ramsey") if delta is None else delta
     t = (default_ramsey_time(params, d) if variant == "ramsey" else
          echo_offset_zero_time(params, d)) if t_interaction is None else t_interaction
@@ -417,9 +401,6 @@ def four_phase_average(
 # interaction-time selection (finite-epsilon offset of the parity estimate)
 
 
-_ZERO_CACHE: dict[tuple, float] = {}
-
-
 def echo_offset_zero_time(
     params: SystemParams, delta: float | None = None, beta_far: float = 2.0,
     span: float = 0.30e-6,
@@ -432,9 +413,11 @@ def echo_offset_zero_time(
     tomography interaction time that nulls the Wigner background.
     """
     d = params.delta("ramsey") if delta is None else delta
-    key = (params.g_lg00, params.alpha, d, beta_far, span)
-    if key in _ZERO_CACHE:
-        return _ZERO_CACHE[key]
+    return _echo_offset_zero(params, d, beta_far, span)
+
+
+@functools.lru_cache(maxsize=64)
+def _echo_offset_zero(params, d, beta_far, span):
     t0 = default_ramsey_time(params, d)
     chi_sign = 1 if d > 0 else -1
     dim = max(int(4 * beta_far**2) + 6, 12)
@@ -448,7 +431,6 @@ def echo_offset_zero_time(
     vals = np.array([offset(t) for t in times])
     crossings = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if crossings.size == 0:
-        _ZERO_CACHE[key] = t0
         return t0
     best = crossings[np.argmin(np.abs(times[crossings] - t0))]
     lo, hi = times[best], times[best + 1]
@@ -460,9 +442,7 @@ def echo_offset_zero_time(
             hi = mid
         else:
             lo, flo = mid, fm
-    result = 0.5 * (lo + hi)
-    _ZERO_CACHE[key] = result
-    return result
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -503,7 +483,7 @@ def interaction_time_offset_scan(
     displaced = []
     for b in ring:
         u = displacement_operator(config, 0, -b).matrix
-        displaced.append(_apply_unitary(vac, u))
+        displaced.append(_apply(u, vac))
     offsets = np.empty(times.size)
     for i, t in enumerate(times):
         cal = _fringe_calibration(variant, t, d, params, config, noise)
@@ -623,7 +603,7 @@ def qubit_spectroscopy(
         probe = Pulse(shape="square", amplitude=amp)
     sp = qubit_operator(config, "sigma_plus").matrix
     sm = qubit_operator(config, "sigma_minus").matrix
-    pe = qubit_projector(config, 1).matrix
+    pe = qubit_projector(config, 1)
     drives = []
     for k in range(max(phase_cycles, 1)):
         drive_phase = -(probe.phase + TWO_PI * k / max(phase_cycles, 1) + math.pi / 2.0)
@@ -638,14 +618,7 @@ def qubit_spectroscopy(
         h0 = full_jc_hamiltonian(params, config, qubit_freq, frame=f).matrix
         acc = 0.0
         for h_drive in drives:
-            h = h0 + h_drive
-            if cs:
-                prop = _expm(liouvillian(h, cs).toarray() * probe_duration)
-                rho_f = (prop @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
-            else:
-                u = hermitian_propagator(h, probe_duration)
-                rho_f = u @ rho.matrix @ u.conj().T
-            acc += float(np.real(np.trace(rho_f @ pe)))
+            acc += expectation(_apply(_propagator(h0 + h_drive, cs, probe_duration), rho), pe).real
         return acc / len(drives)
 
     pops = np.array(_ordered_map(one_point, freqs, jobs))
@@ -710,7 +683,7 @@ def wigner_scan(
 
     def one_point(b: complex) -> float:
         u = displacement_operator(config, 0, -b).matrix
-        st = _apply_unitary(prepared_state, u)
+        st = _apply(u, prepared_state)
         raws = [
             _run_parity_sequence(st, variant, th, th + cal[0], t, d, params, config, noise)
             for th in phases
@@ -764,13 +737,13 @@ def coherence_protocols(
     values = np.empty(delays.size)
     for i, tau in enumerate(delays):
         wait = [Segment(tau, rest)] if tau > 0 else []
-        st = _apply_unitary(vac, qubit_rotation(config, 0.0, first_angle))
+        st = _apply(qubit_rotation(config, 0.0, first_angle), vac)
         for seg in swaps + wait + swaps:
             st = evolve_segments(st, [seg], params, config, noise)
         if ramsey:
             theta2 = -TWO_PI * f_stored * tau + TWO_PI * f_demod * tau
             plus, minus = (
-                expectation(_apply_unitary(st, qubit_rotation(config, theta2 + o, math.pi / 2.0)),
+                expectation(_apply(qubit_rotation(config, theta2 + o, math.pi / 2.0), st),
                             pe).real
                 for o in (0.0, math.pi)
             )

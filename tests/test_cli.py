@@ -227,3 +227,52 @@ def test_qubit_t2_ramsey_run(tmp_path):
     assert '"converged": true' in text
     t2 = 1.0 / (TWO_PI * params.gamma2_star["rest"])
     assert json.loads(text)["t_fit_s"] == pytest.approx(t2, rel=0.1)
+
+
+@pytest.mark.parametrize("preset, key, value", [
+    ("fock1_ramsey_parity.spec", "phases", 0),
+    ("fock1_ramsey_parity.spec", "phases", -2),
+    ("wigner_fock1.spec", "grid_points", 0),
+    ("vacuum_rabi.spec", "detuning_points", 0),
+    ("chi_scan.spec", "n_max", 0),
+])
+def test_count_below_one_is_a_validation_error(tmp_path, capsys, preset, key, value):
+    spec = preset_copy(tmp_path, preset, **{key: value, "phonon_dim": 4})
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"freq_step": 0}, "freq_step"),
+    ({"freq_step": "-5k"}, "freq_step"),
+    ({"probe_duration": 0}, "probe_duration"),
+    ({"window_margin": "-1M"}, "window_margin"),
+    ({"freq_min": "-1M", "freq_max": "-1M"}, "freq_max"),
+    ({"freq_min": "-1M", "freq_max": "-2M"}, "freq_max"),
+])
+def test_empty_spectroscopy_grid_is_a_validation_error(tmp_path, capsys, overrides, key):
+    spec = preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_compare_unreadable_summary_is_a_validation_error(tmp_path, capsys, text):
+    ref = write(tmp_path, "ref.json", json.dumps({"kind": "x", "m": 1.0}))
+    new = tmp_path / "new.json"
+    if text is not None:
+        new.write_text(text)
+    assert main(["compare", "--reference", ref, "--new", str(new), "--quiet"]) == 2
+    assert "new.json" in capsys.readouterr().err
+    assert main(["compare", "--reference", str(new), "--new", ref, "--quiet"]) == 2
+
+
+def test_compare_bad_tolerance_is_a_validation_error(tmp_path, capsys):
+    ref = write(tmp_path, "ref.json", json.dumps({"kind": "x", "m": 1.0}))
+    assert main(["compare", "--reference", ref, "--new", ref,
+                 "--tolerance", "m=abc", "--quiet"]) == 2
+    assert "m=abc" in capsys.readouterr().err

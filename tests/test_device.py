@@ -229,3 +229,38 @@ def test_params_invariants():
         SystemParams(g_lg00=13e6)  # exceeds FSR
     with pytest.raises(ValidationError):
         SystemParams(gamma1={"rest": -1.0})
+
+
+_PARAM_SCALARS = ("omega_q", "omega_m_lg00", "omega_m_lg10", "g_lg00", "g_lg10",
+                  "alpha", "fsr", "e_c", "e_j")
+_PARAM_TABLES = ("gamma1", "gamma2_star", "gamma2_echo", "kappa1", "kappa2_star",
+                 "operating_points")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_params_hash_follows_every_field(data):
+    from dataclasses import fields, replace
+
+    from cqadsim.device import SystemParams
+
+    base = paper_default_params()
+    # tables rebuilt in reverse insertion order: equal, and so hash-equal
+    twin = SystemParams(**{
+        f.name: ({k: v for k, v in reversed(getattr(base, f.name).items())}
+                 if f.name in _PARAM_TABLES else getattr(base, f.name))
+        for f in fields(base)
+    })
+    assert twin == base and hash(twin) == hash(base)
+    factor = data.draw(st.floats(0.5, 2.0).filter(lambda x: x != 1.0), label="factor")
+    name = data.draw(st.sampled_from(_PARAM_SCALARS + _PARAM_TABLES), label="field")
+    if name in _PARAM_SCALARS:
+        change = {name: getattr(base, name) * factor}
+    else:
+        table = dict(getattr(base, name))
+        key = data.draw(st.sampled_from(sorted(table)), label="entry")
+        change = {name: {**table, key: table[key] * factor}}
+    changed = replace(base, **change)
+    assert changed != base
+    assert replace(twin, **change) == changed
+    assert hash(replace(twin, **change)) == hash(changed)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from cqadsim.dynamics import (
     Pulse,
     Schedule,
     Segment,
+    clear_propagator_cache,
     collapse_operators,
     displacement_drive,
     evolve_segments,
@@ -23,7 +26,7 @@ from cqadsim.dynamics import (
     swap_gate,
     vacuum_rabi_chevron,
 )
-from cqadsim.dynamics import _constant_drive_hamiltonian, _liouvillian_propagator
+from cqadsim.dynamics import _blocked_expm, _constant_drive_hamiltonian
 from cqadsim.exceptions import ValidationError
 from cqadsim.hilbert import (
     HilbertConfig,
@@ -293,7 +296,7 @@ def _static_generators(draw):
 def test_blocked_propagator_matches_dense_expm(gen):
     config, h, cs, duration = gen
     dense = expm(liouvillian(h, cs).toarray() * duration)
-    prop = _liouvillian_propagator(h, cs, duration)
+    prop = _blocked_expm(liouvillian(h, cs) * duration)
     assert isinstance(prop, csr_matrix)
     err = np.abs(prop.toarray() - dense).max()
     assert err <= 1e-12 * np.abs(dense).max()
@@ -303,7 +306,7 @@ def test_blocked_propagator_matches_dense_expm(gen):
 @given(_static_generators(), st.integers(0, 2**32 - 1))
 def test_blocked_propagator_trace_and_hermiticity(gen, seed):
     config, h, cs, duration = gen
-    prop = _liouvillian_propagator(h, cs, duration)
+    prop = _blocked_expm(liouvillian(h, cs) * duration)
     vec_eye = np.eye(config.dim).reshape(-1)
     assert np.abs(prop.T @ vec_eye - vec_eye).max() < 1e-10
     rng = np.random.default_rng(seed)
@@ -334,6 +337,40 @@ def test_driven_propagator_is_one_dense_block(params, drive):
     gen = liouvillian(h, cs) * seg.duration
     n_blocks, _ = connected_components(gen != 0, directed=False)
     assert n_blocks == 1
-    prop = _liouvillian_propagator(h, cs, seg.duration)
+    prop = _blocked_expm(liouvillian(h, cs) * seg.duration)
     assert type(prop) is np.ndarray
     assert np.array_equal(prop, expm(gen.toarray()))
+
+
+def test_cached_propagator_follows_every_input(params):
+    """A warm cache gives what a cold one does, whichever segment input changes."""
+    config = HilbertConfig(2, (5, 3))
+    delta = params.delta("ramsey")
+    noise = NoiseModel.from_params(params, delta)
+    seg = Segment(duration=0.3e-6, detuning=delta)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
+    psi = Ket(config, v / np.linalg.norm(v))
+    variants = [
+        (params, noise, seg),
+        (replace(params, g_lg10=200e3), noise, seg),
+        (params, replace(noise, static_qubit_offset=50e3), seg),
+        (params, replace(noise, phonon_kappa1=4 * noise.phonon_kappa1), seg),
+        (params, NoiseModel(), seg),
+        (params, noise, replace(seg, qubit_drive=Pulse(amplitude=0.5e6, carrier_detuning=-delta))),
+    ]
+    assert not variants[-1][2].is_time_dependent
+
+    def run(p, n, s):
+        out = evolve_segments(psi, [s], p, config, n)
+        return out.to_density().matrix if isinstance(out, Ket) else out.matrix
+
+    clear_propagator_cache()
+    warm = [run(*v) for v in variants]
+    for v, w in zip(variants, warm):
+        clear_propagator_cache()
+        cold = run(*v)
+        assert np.array_equal(w, cold)
+        assert np.array_equal(run(*v), cold)
+    for a, b in combinations(warm, 2):
+        assert not np.array_equal(a, b)

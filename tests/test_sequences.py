@@ -6,7 +6,7 @@ import pytest
 
 from cqadsim.device import TWO_PI, chi_analytic, paper_default_params
 from cqadsim.dynamics import NoiseModel
-from cqadsim.exceptions import ValidationError
+from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
     HilbertConfig,
     Ket,
@@ -18,6 +18,7 @@ from cqadsim.hilbert import (
 from cqadsim.sequences import (
     FOUR_PHASES,
     ExperimentSpec,
+    ParityResult,
     StatePrep,
     coherence_protocols,
     default_ramsey_time,
@@ -181,6 +182,19 @@ def test_four_phase_vacuum(params, cfg8):
     assert len(r.phases_used) == 4
 
 
+def test_four_phase_average_rejects_no_phases(params, cfg8):
+    vac = fock_preparation(0, "ideal_injection", params, cfg8, NOISELESS)
+    with pytest.raises(ValidationError):
+        four_phase_average(vac, "ramsey", params, cfg8, NOISELESS, phases=())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.2])
+def test_parity_result_rejects_non_finite_or_far_values(value):
+    with pytest.raises(NumericError):
+        ParityResult(value=value, raw_sigma_z=0.0, interaction_time=1e-6, phases_used=(),
+                     reference_contrast=1.0, reference_offset=0.0)
+
+
 def test_four_phase_beats_single_phase_for_coherent(params):
     cfg = HilbertConfig(2, (12,))
     noise = NOISELESS
@@ -340,27 +354,27 @@ def test_zero_noise_divergent_flagged(params):
 # cache keys
 
 
-def test_fringe_calibration_cache_tracks_lg10_coupling(params, monkeypatch):
+def test_fringe_calibration_cache_tracks_lg10_coupling(params):
     from cqadsim import sequences
 
-    monkeypatch.setattr(sequences, "_CAL_CACHE", {})
+    sequences._vacuum_fringe.cache_clear()
     cfg = HilbertConfig(2, (5, 3))
     strong = replace(params, g_lg10=200e3)
     d = params.delta("ramsey")
     t = default_ramsey_time(params, d)
     fresh = sequences._fringe_calibration("ramsey", t, d, strong, cfg, NOISELESS)
-    sequences._CAL_CACHE.clear()
+    sequences._vacuum_fringe.cache_clear()
     weak = sequences._fringe_calibration("ramsey", t, d, params, cfg, NOISELESS)
     assert sequences._fringe_calibration("ramsey", t, d, strong, cfg, NOISELESS) == fresh
     assert abs(fresh[0] - weak[0]) > 0.1
 
 
-def test_echo_offset_zero_time_cache_tracks_span(params, monkeypatch):
+def test_echo_offset_zero_time_cache_tracks_span(params):
     from cqadsim import sequences
 
-    monkeypatch.setattr(sequences, "_ZERO_CACHE", {})
+    sequences._echo_offset_zero.cache_clear()
     fresh = echo_offset_zero_time(params, span=1e-9)
-    sequences._ZERO_CACHE.clear()
+    sequences._echo_offset_zero.cache_clear()
     wide = echo_offset_zero_time(params)
     assert echo_offset_zero_time(params, span=1e-9) == fresh
     # no zero crossing within +-1 ns of t0: the scan falls back to t0

@@ -14,19 +14,21 @@ import numpy as np
 from cqadsim.device import paper_default_params
 from cqadsim.dynamics import NoiseModel
 from cqadsim.hilbert import HilbertConfig
-from cqadsim.sequences import interaction_time_offset_scan
+from cqadsim.sequences import default_ramsey_time, interaction_time_offset_scan
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/offset_scan")
     ap.add_argument("--points", type=int, default=41)
     ap.add_argument("--ring-radius", type=float, default=1.9)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     params = paper_default_params()
     config = HilbertConfig(2, (16,))
+    t0 = default_ramsey_time(params)
     scan = interaction_time_offset_scan(
-        params, config, NoiseModel(), ring_radius=args.ring_radius, n_ring=8,
+        params, config, NoiseModel(), times=np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, args.points),
+        ring_radius=args.ring_radius, n_ring=8,
     )
     print(f"oscillation frequency {scan.oscillation_frequency / 1e6:.3f} MHz "
           f"({scan.frequency_ratio_to_delta_prime:.2f} x |Delta'|"

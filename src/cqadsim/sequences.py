@@ -40,6 +40,7 @@ from .dynamics import (
 )
 from .exceptions import NumericError, TruncationError, ValidationError
 from .hilbert import (
+    DensityMatrix,
     HilbertConfig,
     Ket,
     _truncation_guard,
@@ -327,6 +328,14 @@ def _parity_result(raw, t, phases, cal):
     )
 
 
+def _phase_mean(state, variant, phases, cal, t, delta, params, config, noise, ramp_time=0.0):
+    """Mean raw sigma_z over the drive phases, each read out at its calibrated phase."""
+    if len(phases) == 0:
+        raise ValidationError("phases must hold at least one drive phase")
+    return float(np.mean([_run_parity_sequence(state, variant, th, th + cal[0], t, delta, params,
+                                               config, noise, ramp_time) for th in phases]))
+
+
 def ramsey_parity(
     prepared_state,
     t_interaction: float,
@@ -383,18 +392,12 @@ def four_phase_average(
     ramp_time: float = 0.0,
 ) -> ParityResult:
     """Average the chosen parity sequence over drive phases (default four)."""
-    if len(phases) == 0:
-        raise ValidationError("four_phase_average needs at least one phase")
     d = params.delta("ramsey") if delta is None else delta
     t = (default_ramsey_time(params, d) if variant == "ramsey" else
          echo_offset_zero_time(params, d)) if t_interaction is None else t_interaction
     cal = _fringe_calibration(variant, t, d, params, config, noise, ramp_time)
-    raws = [
-        _run_parity_sequence(prepared_state, variant, th, th + cal[0], t, d,
-                             params, config, noise, ramp_time)
-        for th in phases
-    ]
-    return _parity_result(float(np.mean(raws)), t, phases, cal)
+    raw = _phase_mean(prepared_state, variant, phases, cal, t, d, params, config, noise, ramp_time)
+    return _parity_result(raw, t, phases, cal)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +490,8 @@ def interaction_time_offset_scan(
     offsets = np.empty(times.size)
     for i, t in enumerate(times):
         cal = _fringe_calibration(variant, t, d, params, config, noise)
-        vals = []
-        for st in displaced:
-            raws = [
-                _run_parity_sequence(st, variant, th, th + cal[0], t, d, params, config, noise)
-                for th in phases
-            ]
-            vals.append((np.mean(raws) - cal[2]) / cal[1])
+        vals = [(_phase_mean(st, variant, phases, cal, t, d, params, config, noise) - cal[2])
+                / cal[1] for st in displaced]
         offsets[i] = (2.0 / math.pi) * float(np.mean(vals))
 
     freq = _fit_oscillation_frequency(times, offsets)
@@ -588,38 +586,42 @@ def qubit_spectroscopy(
     frame co-rotating with the probe, where the Hamiltonian is constant.  The
     default probe amplitude keeps peak excitation in the linear regime.
 
-    ``phase_cycles`` averages the spectrum over equally spaced probe carrier
-    phases.  Two cycles cancel every response term linear in the probe field;
-    without them, states with phonon coherences (coherent states) bias the
-    peak heights through interference between the probe-built amplitude and
-    the dressed components the state already carries.  (Experimentally the
-    same terms wash out through slow qubit frequency fluctuations.)  Diagonal
-    phonon states are insensitive, so ``phase_cycles=1`` is safe for Fock
-    preparations.
+    ``phase_cycles`` (an integer m >= 1) averages over m equally spaced probe
+    carrier phases.  Two cycles cancel every response term linear in the probe
+    field, which otherwise biases the peak heights of states with phonon
+    coherences (coherent states); experimentally the same terms wash out
+    through slow qubit frequency fluctuations.  Diagonal phonon states are
+    insensitive, so ``phase_cycles=1`` is safe for Fock preparations.
+
+    The average costs one run.  The probe-frame Hamiltonian and every collapse
+    operator commute with R = exp(i phi N), N = sigma+ sigma- + sum_k n_k, and
+    R turns the phase-0 drive into the phase-phi one, so the m-phase average is
+    the phase-0 run on rho projected onto coherence orders N_i - N_j = 0 (mod m).
     """
+    if not isinstance(phase_cycles, (int, np.integer)) or phase_cycles < 1:
+        raise ValidationError(f"phase_cycles must be an integer >= 1, got {phase_cycles!r}")
     freqs = np.asarray(sorted(freq_grid), dtype=float)
     if probe is None or probe.amplitude == 0.0:
-        amp = 0.5 / (TWO_PI * probe_duration)
-        probe = Pulse(shape="square", amplitude=amp)
+        probe = Pulse(shape="square", amplitude=0.5 / (TWO_PI * probe_duration))
     sp = qubit_operator(config, "sigma_plus").matrix
     sm = qubit_operator(config, "sigma_minus").matrix
     pe = qubit_projector(config, 1)
-    drives = []
-    for k in range(max(phase_cycles, 1)):
-        drive_phase = -(probe.phase + TWO_PI * k / max(phase_cycles, 1) + math.pi / 2.0)
-        drives.append(TWO_PI * 0.5 * probe.amplitude * (
-            np.exp(-1j * drive_phase) * sp + np.exp(1j * drive_phase) * sm
-        ))
+    drive_phase = -(probe.phase + math.pi / 2.0)
+    h_drive = TWO_PI * 0.5 * probe.amplitude * (
+        np.exp(-1j * drive_phase) * sp + np.exp(1j * drive_phase) * sm
+    )
     rho = prepared_state.to_density() if isinstance(prepared_state, Ket) else prepared_state
+    # N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none
+    levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
+    n = (levels[0] == 1) + levels[1:].sum(axis=0)
+    keep = np.subtract.outer(n, n) % phase_cycles == 0
+    rho = DensityMatrix(config, np.where(keep, rho.matrix, 0.0))
     cs = collapse_operators(config, noise)
     qubit_freq = delta_operate + noise.static_qubit_offset
 
     def one_point(f: float) -> float:
         h0 = full_jc_hamiltonian(params, config, qubit_freq, frame=f).matrix
-        acc = 0.0
-        for h_drive in drives:
-            acc += expectation(_apply(_propagator(h0 + h_drive, cs, probe_duration), rho), pe).real
-        return acc / len(drives)
+        return expectation(_apply(_propagator(h0 + h_drive, cs, probe_duration), rho), pe).real
 
     pops = np.array(_ordered_map(one_point, freqs, jobs))
 
@@ -684,11 +686,8 @@ def wigner_scan(
     def one_point(b: complex) -> float:
         u = displacement_operator(config, 0, -b).matrix
         st = _apply(u, prepared_state)
-        raws = [
-            _run_parity_sequence(st, variant, th, th + cal[0], t, d, params, config, noise)
-            for th in phases
-        ]
-        return (float(np.mean(raws)) - cal[2]) / cal[1]
+        raw = _phase_mean(st, variant, phases, cal, t, d, params, config, noise)
+        return (raw - cal[2]) / cal[1]
 
     out = np.array(_ordered_map(one_point, list(flat), jobs))
     return out.reshape(grid.shape)

@@ -3,16 +3,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cqadsim.device import TWO_PI, chi_analytic, paper_default_params
-from cqadsim.dynamics import NoiseModel
+from cqadsim import sequences
+from cqadsim.device import TWO_PI, chi_analytic, full_jc_hamiltonian, paper_default_params
+from cqadsim.dynamics import NoiseModel, Pulse, _apply, _propagator, collapse_operators
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
+    DensityMatrix,
     HilbertConfig,
     Ket,
     expectation,
+    fock_state,
     number_operator,
     parity_operator,
+    qubit_operator,
+    qubit_projector,
     reduced_mode_matrix,
 )
 from cqadsim.sequences import (
@@ -246,6 +253,16 @@ def test_wigner_scan_vacuum_gaussian(params):
     assert np.abs(w - expected).max() < 0.1 * (2.0 / math.pi)
 
 
+def test_scans_reject_empty_phases(params):
+    cfg = HilbertConfig(2, (6,))
+    vac = fock_state(cfg, [0], 0)
+    with pytest.raises(ValidationError, match="phases"):
+        wigner_scan(vac, np.array([[0j]]), params, cfg, NOISELESS, phases=())
+    with pytest.raises(ValidationError, match="phases"):
+        interaction_time_offset_scan(params, cfg, NOISELESS, times=[default_ramsey_time(params)],
+                                     ring_radius=1.0, n_ring=1, phases=())
+
+
 def test_interaction_time_offset_scan_smoke(params):
     cfg = HilbertConfig(2, (16,))
     t0 = default_ramsey_time(params)
@@ -283,6 +300,92 @@ def test_spectroscopy_grid_warning(params):
     tr = qubit_spectroscopy(one, params.delta("fock"), None, grid, params, cfg, noise,
                             phase_cycles=1)
     assert tr.metadata["warnings"]
+
+
+def _explicit_cycle_average(rho, m, probe, freqs, delta, params, cfg, noise, tau):
+    """The m-cycle spectrum run drive by drive: one propagator per cycle and point."""
+    sp = qubit_operator(cfg, "sigma_plus").matrix
+    sm = qubit_operator(cfg, "sigma_minus").matrix
+    amp = TWO_PI * 0.5 * probe.amplitude
+    pe = qubit_projector(cfg, 1)
+    cs = collapse_operators(cfg, noise)
+    pops = []
+    for f in freqs:
+        h0 = full_jc_hamiltonian(params, cfg, delta + noise.static_qubit_offset, frame=f).matrix
+        acc = 0.0
+        for k in range(m):
+            phi = -(probe.phase + TWO_PI * k / m + math.pi / 2.0)
+            h = h0 + amp * (np.exp(-1j * phi) * sp + np.exp(1j * phi) * sm)
+            acc += expectation(_apply(_propagator(h, cs, tau), rho), pe).real
+        pops.append(acc / m)
+    return np.array(pops)
+
+
+def _phase_twirl(rho, m, cfg):
+    """(1/m) sum_k R_k^dag rho R_k with R_k = exp(2 pi i k N / m), N = sigma+ sigma- + sum n_k."""
+    n = qubit_operator(cfg, "sigma_plus").matrix @ qubit_operator(cfg, "sigma_minus").matrix
+    n = n + sum(number_operator(cfg, k).matrix for k in range(cfg.n_modes))
+    phases = [np.exp(2j * math.pi * k * np.rint(np.diag(n).real) / m) for k in range(m)]
+    return sum(np.outer(r.conj(), r) * rho.matrix for r in phases) / m
+
+
+_SPEC_CONFIGS = (HilbertConfig(2, (4,)), HilbertConfig(3, (3,)), HilbertConfig(2, (3, 2)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(_SPEC_CONFIGS),
+       st.sampled_from(("fock", "coherent", "random")), st.integers(0, 2**32 - 1),
+       st.floats(-math.pi, math.pi))
+@example(1, _SPEC_CONFIGS[0], "fock", 0, 0.0)
+@example(2, _SPEC_CONFIGS[2], "coherent", 1, 0.3)
+@example(3, _SPEC_CONFIGS[1], "random", 2, -1.0)
+@example(4, _SPEC_CONFIGS[1], "random", 3, 2.0)
+@example(4, _SPEC_CONFIGS[2], "random", 4, 1.0)
+def test_spectroscopy_projection_equals_explicit_phase_average(m, cfg, kind, seed, phase):
+    params = paper_default_params()
+    delta, tau = params.delta("coherent"), 15e-6
+    noise = NoiseModel.from_params(params, delta, static_qubit_offset=20e3)
+    if kind == "fock":
+        rho = fock_state(cfg, [1] + [0] * (cfg.n_modes - 1), 0).to_density()
+    elif kind == "coherent":
+        rho = prepare_state(StatePrep(target="coherent", beta=0.8), params, cfg, noise).to_density()
+    else:
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(cfg.dim,) * 2) + 1j * rng.normal(size=(cfg.dim,) * 2)
+        rho = DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T))
+    line0, spacing = spectroscopy_peak_hints(params, delta, 2)
+    freqs = np.array([line0 + spacing, line0])
+    probe = Pulse(shape="square", amplitude=0.5 / (TWO_PI * tau), phase=phase)
+    builds, states = [], []
+
+    def counting_propagator(*args):
+        builds.append(args)
+        return _propagator(*args)
+
+    def recording_apply(prop, state):
+        states.append(state)
+        return _apply(prop, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_propagator", counting_propagator)
+        mp.setattr(sequences, "_apply", recording_apply)
+        tr = qubit_spectroscopy(rho, delta, probe, freqs, params, cfg, noise,
+                                probe_duration=tau, phase_cycles=m)
+    assert len(builds) == freqs.size
+    # the run sees rho twirled over the m probe phases, |f> (if any) unrotated
+    assert np.abs(states[0].matrix - _phase_twirl(rho, m, cfg)).max() < 1e-15
+    expected = _explicit_cycle_average(rho, m, probe, tr.frequencies, delta, params, cfg,
+                                       noise, tau)
+    assert np.abs(tr.populations - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("cycles", [0, -3, 1.5, 2.0, "2"])
+def test_spectroscopy_rejects_bad_phase_cycles(params, cycles):
+    cfg = HilbertConfig(2, (4,))
+    vac = fock_state(cfg, [0], 0)
+    with pytest.raises(ValidationError, match="phase_cycles"):
+        qubit_spectroscopy(vac, params.delta("coherent"), None, [0.0], params, cfg, NOISELESS,
+                           phase_cycles=cycles)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from cqadsim.sequences import (
 )
 
 
-def measure_amplitude(params, target_beta, jobs, probe_angle=1.0, tau=15e-6):
+def measure_amplitude(params, target_beta, probe_angle=1.0, tau=15e-6):
     delta = params.delta("coherent")
     noise = NoiseModel.from_params(params, delta)
     dim = max(10, int(np.ceil(4 * target_beta**2)) + 2)
@@ -42,7 +42,7 @@ def measure_amplitude(params, target_beta, jobs, probe_angle=1.0, tau=15e-6):
     probe = Pulse(shape="square", amplitude=probe_angle / (TWO_PI * tau))
     grid = np.arange(line0 + (n_peaks - 1) * chord - 100e3, line0 + 100e3, 4e3)
     trace = qubit_spectroscopy(state, delta, probe, grid, params, config, noise,
-                               probe_duration=tau, jobs=jobs)
+                               probe_duration=tau)
     fit, pops = voigt_sum_fit(trace, n_peaks, chord, center_hint=line0,
                               deviation_bound=0.35)
     beta_fit = poisson_fit(pops).parameters["beta"]
@@ -52,7 +52,6 @@ def measure_amplitude(params, target_beta, jobs, probe_angle=1.0, tau=15e-6):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/coherent_pipeline")
-    ap.add_argument("--jobs", type=int, default=2)
     ap.add_argument("--targets", default="0.5,0.8,1.1,1.44,1.67")
     args = ap.parse_args()
     params = paper_default_params()
@@ -62,7 +61,7 @@ def main():
     rows = []
     for target, amp in zip(targets, drive_amps):
         t0 = time.time()
-        beta_prep, beta_fit = measure_amplitude(params, target, args.jobs)
+        beta_prep, beta_fit = measure_amplitude(params, target)
         rows.append((amp, beta_prep, beta_fit, beta_fit / beta_prep))
         print(f"drive {amp / 1e3:7.1f} kHz: |b_prep| {beta_prep:.3f} "
               f"|b_fit| {beta_fit:.3f}  ratio {beta_fit / beta_prep:.3f} "

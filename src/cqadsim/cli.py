@@ -36,13 +36,20 @@ __all__ = ["main", "run_experiment", "compare_summaries", "RunManifest"]
 
 @dataclass(frozen=True)
 class RunManifest:
+    """Inputs of one ``cqadsim run``.  ``jobs`` accepts only 1 (sweeps run in
+    one thread); it stays because ``benchmarks/worker.py`` passes ``jobs=1``.
+    """
+
     params_path: str | None
     experiment_path: str
     out_dir: str
     jobs: int = 1
     seed: int = 0
     paper_defaults: bool = False
-    quiet: bool = False
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise ValidationError(f"jobs must be 1 (sweeps run in one thread), got {self.jobs!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +159,7 @@ def _config_for(sweep: dict, default_dim: int = 10) -> HilbertConfig:
 # list of (filename, header, rows) CSV payloads plus optional fit JSON
 
 
-def _run_spectroscopy(params, spec, sweep, jobs, seed):
+def _run_spectroscopy(params, spec, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "coherent"))
     noise = _noise_for(params, sweep, delta)
     n_peaks = _number(sweep, "n_peaks", 0, int)
@@ -185,7 +192,7 @@ def _run_spectroscopy(params, spec, sweep, jobs, seed):
     state = sequences.prepare_state(prep, params, config, noise)
     trace = sequences.qubit_spectroscopy(
         state, delta, None, grid, params, config, noise,
-        probe_duration=probe_duration, jobs=jobs,
+        probe_duration=probe_duration,
     )
     fit, pops = analysis.voigt_sum_fit(trace, n_peaks, spacing, center_hint=line0, seed=seed)
     summary = {
@@ -207,14 +214,14 @@ def _run_spectroscopy(params, spec, sweep, jobs, seed):
     return summary, [("spectrum.csv", ["frequency_hz", "population"], rows)], fit_payload
 
 
-def _run_parity(params, spec, sweep, jobs, seed, kind):
+def _run_parity(params, spec, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
     noise = _noise_for(params, sweep, delta)
     config = _config_for(sweep, 8)
     prep = spec.preparation
     state = sequences.prepare_state(prep, params, config, noise)
     t = sweep.get("interaction_time", "auto")
-    variant = "ramsey" if kind == "ramsey_parity" else "echo"
+    variant = "ramsey" if spec.kind == "ramsey_parity" else "echo"
     if t == "auto":
         t = (sequences.default_ramsey_time(params, delta) if variant == "ramsey"
              else sequences.echo_offset_zero_time(params, delta))
@@ -231,7 +238,7 @@ def _run_parity(params, spec, sweep, jobs, seed, kind):
             state, variant, params, config, noise, t_interaction=t, delta=delta, phases=phases,
         )
     summary = {
-        "kind": kind,
+        "kind": spec.kind,
         "parity": res.value,
         "raw_sigma_z": res.raw_sigma_z,
         "interaction_time_s": res.interaction_time,
@@ -243,7 +250,7 @@ def _run_parity(params, spec, sweep, jobs, seed, kind):
     return summary, [("parity.csv", ["theta_rad", "raw_sigma_z", "parity"], rows)], None
 
 
-def _run_wigner(params, spec, sweep, jobs, seed):
+def _run_wigner(params, spec, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
     noise = _noise_for(params, sweep, delta)
     extent = _number(sweep, "grid_extent", 2.0)
@@ -258,7 +265,7 @@ def _run_wigner(params, spec, sweep, jobs, seed):
     t = (sequences.echo_offset_zero_time(params, delta) if t == "auto"
          else _number(sweep, "interaction_time"))
     parities = sequences.wigner_scan(
-        state, grid, params, config, noise, interaction_time=t, delta=delta, jobs=jobs,
+        state, grid, params, config, noise, interaction_time=t, delta=delta,
     )
     wmap = analysis.wigner_assemble(grid, parities,
                                     calibration_scale=_number(sweep, "calibration_scale", 1.0))
@@ -279,7 +286,7 @@ def _run_wigner(params, spec, sweep, jobs, seed):
     return summary, [("wigner.csv", ["beta_re", "beta_im", "w"], rows)], None
 
 
-def _run_fock_prep_check(params, spec, sweep, jobs, seed):
+def _run_fock_prep_check(params, spec, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "rest"))
     noise = _noise_for(params, sweep, delta)
     config = _config_for(sweep, 8)
@@ -299,7 +306,7 @@ def _run_fock_prep_check(params, spec, sweep, jobs, seed):
     return summary, [("populations.csv", ["n", "population"], rows)], None
 
 
-def _run_coherence(params, spec, sweep, jobs, seed, kind):
+def _run_coherence(params, spec, sweep, seed):
     system = str(sweep.get("system", "phonon"))
     delta = params.delta("rest")
     noise = _noise_for(params, sweep, delta)
@@ -309,9 +316,9 @@ def _run_coherence(params, spec, sweep, jobs, seed, kind):
         ("t1", "phonon"): "phonon_t1",
         ("t2_ramsey", "qubit"): "qubit_t2",
         ("t2_ramsey", "phonon"): "phonon_t2",
-    }.get((kind, system))
+    }.get((spec.kind, system))
     if proto is None:
-        raise ValidationError(f"unsupported coherence combination {kind}/{system}")
+        raise ValidationError(f"unsupported coherence combination {spec.kind}/{system}")
     t_max = _number(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
     n = _number(sweep, "delay_points", 31, int)
     delays = np.linspace(0.0, t_max, n)
@@ -319,7 +326,7 @@ def _run_coherence(params, spec, sweep, jobs, seed, kind):
         proto, params, config, noise, delays, _number(sweep, "demod_freq"),
     )
     summary = {
-        "kind": kind,
+        "kind": spec.kind,
         "protocol": proto,
         "t_fit_s": fit.parameters.get("t_decay", float("nan")),
         "converged": fit.converged,
@@ -330,7 +337,7 @@ def _run_coherence(params, spec, sweep, jobs, seed, kind):
     return summary, [("decay.csv", ["delay_s", "population"], rows)], {"decay": _fit_dict(fit)}
 
 
-def _run_rabi_chevron(params, spec, sweep, jobs, seed):
+def _run_rabi_chevron(params, spec, sweep, seed):
     noise = _noise_for(params, sweep, 0.0) if sweep.get("noise", "none") != "none" else \
         NoiseModel(static_qubit_offset=_number(sweep, "static_qubit_offset", 0.0))
     config = _config_for(sweep, 4)
@@ -358,7 +365,7 @@ def _run_rabi_chevron(params, spec, sweep, jobs, seed):
     return summary, [("chevron.csv", ["detuning_hz", "time_s", "p_e"], rows)], {"resonant": _fit_dict(fit)}
 
 
-def _run_chi_scan(params, spec, sweep, jobs, seed):
+def _run_chi_scan(params, spec, sweep, seed):
     n_max = _count(sweep, "n_max", 4)
     config = HilbertConfig(2, (max(12, n_max + 6),))
     points = [p.strip() for p in str(sweep.get("points", "fock,coherent,ramsey,rest")).split(",")]
@@ -380,12 +387,36 @@ def _run_chi_scan(params, spec, sweep, jobs, seed):
     )], None
 
 
+def _run_offset_scan(params, spec, sweep, seed):
+    t0 = sequences.default_ramsey_time(params)
+    times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, _count(sweep, "time_points", 41))
+    scan = sequences.interaction_time_offset_scan(
+        params, HilbertConfig(2, (16,)), NoiseModel(), times=times,
+        ring_radius=_number(sweep, "ring_radius", 1.9),
+    )
+    summary = {
+        "kind": "offset_scan",
+        "oscillation_frequency_hz": scan.oscillation_frequency,
+        "frequency_ratio_to_delta_prime": scan.frequency_ratio_to_delta_prime,
+        "best_time_s": scan.best_time,
+        "analytic_zero_s": scan.analytic_zero,
+        "doubled_frequency_flag": scan.doubled_frequency_flag,
+    }
+    rows = list(zip(scan.times, scan.offsets))
+    return summary, [("offset_scan.csv", ["time_s", "offset"], rows)], None
+
+
 _RUNNERS = {
     "spectroscopy": _run_spectroscopy,
+    "ramsey_parity": _run_parity,
+    "echo_parity": _run_parity,
     "wigner": _run_wigner,
     "fock_prep_check": _run_fock_prep_check,
+    "t1": _run_coherence,
+    "t2_ramsey": _run_coherence,
     "rabi_chevron": _run_rabi_chevron,
     "chi_scan": _run_chi_scan,
+    "offset_scan": _run_offset_scan,
 }
 
 
@@ -412,17 +443,7 @@ def run_experiment(manifest: RunManifest) -> dict:
 
     written: list[Path] = []
     try:
-        if spec.kind in _RUNNERS:
-            summary, csvs, fits = _RUNNERS[spec.kind](params, spec, sweep, manifest.jobs,
-                                                      manifest.seed)
-        elif spec.kind in ("ramsey_parity", "echo_parity"):
-            summary, csvs, fits = _run_parity(params, spec, sweep, manifest.jobs,
-                                              manifest.seed, spec.kind)
-        elif spec.kind in ("t1", "t2_ramsey"):
-            summary, csvs, fits = _run_coherence(params, spec, sweep, manifest.jobs,
-                                                 manifest.seed, spec.kind)
-        else:
-            raise ValidationError(f"experiment kind {spec.kind!r} is not runnable")
+        summary, csvs, fits = _RUNNERS[spec.kind](params, spec, sweep, manifest.seed)
         summary["seed"] = manifest.seed
         summary["params_sha256"] = params_hash
         out.mkdir(parents=True, exist_ok=True)
@@ -493,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--params", default=None, help="parameter key/value file")
     runp.add_argument("--experiment", required=True, help="experiment spec file")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--jobs", type=int, default=1)
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--paper-defaults", action="store_true")
     runp.add_argument("--quiet", action="store_true")
@@ -515,10 +535,8 @@ def main(argv=None) -> int:
                 params_path=args.params,
                 experiment_path=args.experiment,
                 out_dir=args.out,
-                jobs=args.jobs,
                 seed=args.seed,
                 paper_defaults=args.paper_defaults,
-                quiet=args.quiet,
             )
             summary = run_experiment(manifest)
             if not args.quiet:

@@ -22,7 +22,6 @@ blocks read off the generator's own nonzero pattern, and stored sparse.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -263,33 +262,29 @@ class _PropagatorCache:
     """Size-budgeted LRU for segment propagators, keyed by the segment's inputs.
 
     The budget counts stored elements: ``size`` of a dense array, ``nnz`` of
-    a sparse one.
+    a sparse one.  Unlocked: every sweep runs in one thread.
     """
 
     def __init__(self, max_elements: float = 4.8e7):
         self._data: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
         self._max_elements = max_elements
 
     def get(self, key: tuple):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
+        if key in self._data:
+            self._data.move_to_end(key)
+            return self._data[key]
         return None
 
     def put(self, key: tuple, value: np.ndarray):
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            total = sum(v.size for v in self._data.values())
-            while total > self._max_elements and len(self._data) > 1:
-                _, old = self._data.popitem(last=False)
-                total -= old.size
+        self._data[key] = value
+        self._data.move_to_end(key)
+        total = sum(v.size for v in self._data.values())
+        while total > self._max_elements and len(self._data) > 1:
+            _, old = self._data.popitem(last=False)
+            total -= old.size
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
 
 _CACHE = _PropagatorCache()

@@ -14,7 +14,9 @@ propagates in its own probe frame, converts its input itself and builds a
 fresh, uncached propagator per probe frequency with ``dynamics._propagator``.
 Every state update, instantaneous pulses included, goes through
 ``dynamics._apply``.  The fringe calibration and the echo-offset zero time
-are ``functools.lru_cache`` memos keyed on their arguments.
+are ``functools.lru_cache`` memos keyed on their arguments.  Sweep points
+(spectroscopy frequencies, Wigner grid points, offset-scan times) run in
+order in one thread.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .analysis import SpectrumTrace, decay_fit
 from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
@@ -79,15 +82,6 @@ __all__ = [
 FOUR_PHASES = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
 
 
-def _ordered_map(fn, items, jobs: int = 1) -> list:
-    """Map preserving input order; optional thread pool over sweep points."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
 EXPERIMENT_KINDS = (
     "spectroscopy",
     "ramsey_parity",
@@ -98,6 +92,7 @@ EXPERIMENT_KINDS = (
     "t2_ramsey",
     "rabi_chevron",
     "chi_scan",
+    "offset_scan",
 )
 
 _PREP_TARGETS = ("vacuum", "fock", "coherent", "superposition_01", "custom")
@@ -412,7 +407,7 @@ def echo_offset_zero_time(
 
     The offset is evaluated on a far-field coherent state (parity ~ 0) with
     the order-eps^2 echo expression, four-phase averaged; the zero crossing
-    closest to t0 is refined by bisection.  This mirrors choosing the
+    closest to t0 is refined by Brent's method.  This mirrors choosing the
     tomography interaction time that nulls the Wigner background.
     """
     d = params.delta("ramsey") if delta is None else delta
@@ -436,16 +431,7 @@ def _echo_offset_zero(params, d, beta_far, span):
     if crossings.size == 0:
         return t0
     best = crossings[np.argmin(np.abs(times[crossings] - t0))]
-    lo, hi = times[best], times[best + 1]
-    flo = offset(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = offset(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return brentq(offset, times[best], times[best + 1], xtol=1e-20, rtol=4 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -597,7 +583,12 @@ def qubit_spectroscopy(
     operator commute with R = exp(i phi N), N = sigma+ sigma- + sum_k n_k, and
     R turns the phase-0 drive into the phase-phi one, so the m-phase average is
     the phase-0 run on rho projected onto coherence orders N_i - N_j = 0 (mod m).
+
+    Grid points run in order in one thread.  ``jobs`` accepts only 1; it stays
+    because ``benchmarks/worker.py`` passes ``jobs=1``.
     """
+    if jobs != 1:
+        raise ValidationError(f"jobs must be 1 (sweeps run in one thread), got {jobs!r}")
     if not isinstance(phase_cycles, (int, np.integer)) or phase_cycles < 1:
         raise ValidationError(f"phase_cycles must be an integer >= 1, got {phase_cycles!r}")
     freqs = np.asarray(sorted(freq_grid), dtype=float)
@@ -623,7 +614,7 @@ def qubit_spectroscopy(
         h0 = full_jc_hamiltonian(params, config, qubit_freq, frame=f).matrix
         return expectation(_apply(_propagator(h0 + h_drive, cs, probe_duration), rho), pe).real
 
-    pops = np.array(_ordered_map(one_point, freqs, jobs))
+    pops = np.array([one_point(f) for f in freqs])
 
     meta = {
         "detuning": delta_operate,
@@ -667,7 +658,6 @@ def wigner_scan(
     phases: Sequence[float] = FOUR_PHASES,
     delta: float | None = None,
     variant: str = "echo",
-    jobs: int = 1,
 ) -> np.ndarray:
     """Displaced-parity values over a grid of complex amplitudes.
 
@@ -689,7 +679,7 @@ def wigner_scan(
         raw = _phase_mean(st, variant, phases, cal, t, d, params, config, noise)
         return (raw - cal[2]) / cal[1]
 
-    out = np.array(_ordered_map(one_point, list(flat), jobs))
+    out = np.array([one_point(b) for b in flat])
     return out.reshape(grid.shape)
 
 

@@ -4,8 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cqadsim import cli, sequences
 from cqadsim.cli import RunManifest, compare_summaries, main, run_experiment
+from cqadsim.device import paper_default_params
+from cqadsim.dynamics import NoiseModel
 from cqadsim.exceptions import ValidationError
+from cqadsim.hilbert import HilbertConfig, fock_state
 from cqadsim.keyval import parse_keyval, parse_number
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -192,6 +196,47 @@ def test_wigner_preset_run(tmp_path):
     assert len(rows) == 2 + 9
 
 
+def test_offset_scan_preset_run(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", str(PRESETS / "offset_scan.spec"),
+                 "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # simulations track |Delta'|, not the doubled frequency seen in experiment
+    assert summary["frequency_ratio_to_delta_prime"] == pytest.approx(1.0, abs=0.25)
+    assert summary["doubled_frequency_flag"] is False
+    assert abs(summary["best_time_s"] - summary["analytic_zero_s"]) < 0.30e-6
+    rows = (out / "offset_scan.csv").read_text().splitlines()
+    assert rows[1] == "time_s,offset"
+    assert len(rows) == 2 + 41
+
+
+def test_offset_scan_honours_time_points(tmp_path):
+    spec = preset_copy(tmp_path, "offset_scan.spec", time_points=5)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    assert len((out / "offset_scan.csv").read_text().splitlines()) == 2 + 5
+
+
+def test_every_experiment_kind_dispatches():
+    assert set(cli._RUNNERS) == set(sequences.EXPERIMENT_KINDS)
+
+
+def test_jobs_other_than_one_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--experiment", str(PRESETS / "chi_scan.spec"),
+              "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(ValidationError, match="jobs"):
+        RunManifest(params_path=None, experiment_path="x.spec", out_dir="out", jobs=2)
+    params, cfg = paper_default_params(), HilbertConfig(2, (4,))
+    vac = fock_state(cfg, [0], 0)
+    with pytest.raises(ValidationError, match="jobs"):
+        sequences.qubit_spectroscopy(vac, params.delta("coherent"), None, [0.0], params, cfg,
+                                     NoiseModel(), jobs=2)
+    with pytest.raises(TypeError, match="jobs"):
+        sequences.wigner_scan(vac, np.zeros((1, 1), complex), params, cfg, NoiseModel(), jobs=1)
+
+
 def test_non_numeric_spec_value_is_a_validation_error(tmp_path, capsys):
     spec = preset_copy(tmp_path, "wigner_fock1.spec", grid_points="abc")
     out = tmp_path / "out"
@@ -235,6 +280,7 @@ def test_qubit_t2_ramsey_run(tmp_path):
     ("wigner_fock1.spec", "grid_points", 0),
     ("vacuum_rabi.spec", "detuning_points", 0),
     ("chi_scan.spec", "n_max", 0),
+    ("offset_scan.spec", "time_points", 0),
 ])
 def test_count_below_one_is_a_validation_error(tmp_path, capsys, preset, key, value):
     spec = preset_copy(tmp_path, preset, **{key: value, "phonon_dim": 4})

@@ -472,6 +472,27 @@ def test_fringe_calibration_cache_tracks_lg10_coupling(params):
     assert abs(fresh[0] - weak[0]) > 0.1
 
 
+@pytest.mark.parametrize("point", ["ramsey", "fock", "coherent", "rest"])
+def test_echo_offset_zero_time_is_a_bracketed_sign_change(params, point):
+    from cqadsim.hilbert import coherent_amplitudes
+    from cqadsim.swtheory import echo_sigma_z_analytic
+
+    d = params.delta(point)
+    c = coherent_amplitudes(22, 2.0)  # the far-field state echo_offset_zero_time uses
+
+    def offset(t):
+        return np.mean([echo_sigma_z_analytic(c, th, t, params, d, 1 if d > 0 else -1)
+                        for th in FOUR_PHASES])
+
+    t0 = default_ramsey_time(params, d)
+    scan = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 121)
+    t_star = echo_offset_zero_time(params, d)
+    i = int(np.searchsorted(scan, t_star)) - 1
+    assert scan[i] < t_star < scan[i + 1]
+    assert offset(scan[i]) * offset(scan[i + 1]) < 0
+    assert offset(t_star * (1 - 1e-12)) * offset(t_star * (1 + 1e-12)) < 0
+
+
 def test_echo_offset_zero_time_cache_tracks_span(params):
     from cqadsim import sequences
 

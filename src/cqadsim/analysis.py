@@ -146,9 +146,12 @@ def voigt_sum_fit(
     """Fit a sum of Voigt profiles with a shared peak spacing.
 
     Peak k sits at ``center + k*spacing + d_k`` with |d_k| bounded by
-    ``deviation_bound * |spacing|`` (d_0 = 0); all peaks share one Gaussian
-    and one Lorentzian width.  Returns (FitResult, populations) where the
-    populations are the normalized peak heights.
+    ``deviation_bound * |spacing|``; all peaks share one Gaussian and one
+    Lorentzian width.  d_0 = d_{n-1} = 0, so ``spacing`` is the chord from the
+    first to the last peak (the one ``spectroscopy_peak_hints`` gives): with
+    every d_k free, spacing + D and d_k - k*D would be the same model.
+    Returns (FitResult, populations) where the populations are the
+    normalized peak heights.
     """
     if n_peaks < 1:
         raise ValidationError("need at least one peak")
@@ -168,14 +171,15 @@ def voigt_sum_fit(
     c0 = center_hint if center_hint is not None else float(x[np.argmax(y)])
     base0 = float(np.percentile(y, 5))
 
-    # params: [base, center, spacing, sigma, gamma, h_0..h_{n-1}, d_1..d_{n-1}]
+    # params: [base, center, spacing, sigma, gamma, h_0..h_{n-1}, d_1..d_{n-2}]
     nh = n_peaks
-    nd = n_peaks - 1
+    nd = max(n_peaks - 2, 0)
 
     def unpack(p):
         base, center, spacing, sigma, gamma = p[:5]
         heights = p[5 : 5 + nh]
-        devs = np.concatenate([[0.0], p[5 + nh : 5 + nh + nd]])
+        devs = np.zeros(n_peaks)
+        devs[1 : 1 + nd] = p[5 + nh :]
         return base, center, spacing, sigma, gamma, heights, devs
 
     def model(p):
@@ -201,7 +205,7 @@ def voigt_sum_fit(
     base_lo = min(base0, float(y.min()))
     lo = np.concatenate(
         [
-            [base_lo - 0.05 * signal, c0 - 0.5 * abs(spacing_hint),
+            [base_lo - signal, c0 - 0.5 * abs(spacing_hint),
              spacing_hint - 0.2 * abs(spacing_hint), w0 / 50.0, w0 / 50.0],
             np.zeros(nh),
             -dmax * np.ones(nd),
@@ -229,7 +233,7 @@ def voigt_sum_fit(
     names = (
         ["baseline", "center", "spacing", "sigma_gauss", "gamma_lorentz"]
         + [f"height_{k}" for k in range(nh)]
-        + [f"deviation_{k}" for k in range(1, n_peaks)]
+        + [f"deviation_{k}" for k in range(1, n_peaks - 1)]
     )
     params = dict(zip(names, [float(v) for v in best.x]))
     uncert = dict(zip(names, [float(v) for v in sigmas]))

@@ -320,7 +320,7 @@ def _run_coherence(params, spec, sweep, seed):
     if proto is None:
         raise ValidationError(f"unsupported coherence combination {spec.kind}/{system}")
     t_max = _number(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
-    n = _number(sweep, "delay_points", 31, int)
+    n = _count(sweep, "delay_points", 31)
     delays = np.linspace(0.0, t_max, n)
     times, values, fit = sequences.coherence_protocols(
         proto, params, config, noise, delays, _number(sweep, "demod_freq"),
@@ -345,7 +345,7 @@ def _run_rabi_chevron(params, spec, sweep, seed):
     d_hi = _number(sweep, "detuning_max", 2.0e6)
     nd = _count(sweep, "detuning_points", 36)
     t_max = _number(sweep, "time_max", 4e-6)
-    nt = _number(sweep, "time_points", 81, int)
+    nt = _count(sweep, "time_points", 81)
     deltas = np.linspace(d_lo, d_hi, nd)
     times = np.linspace(0.0, t_max, nt)
     pe = vacuum_rabi_chevron(params, config, noise, deltas, times)

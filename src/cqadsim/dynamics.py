@@ -17,6 +17,9 @@ The Liouvillian is built as a sparse matrix.  Without drives it conserves
 the total excitation number, so it splits into independent blocks by
 coherence order; its propagator is exponentiated block by block, with the
 blocks read off the generator's own nonzero pattern, and stored sparse.
+A driven Liouvillian is one block.  It maps Hermitian matrices to Hermitian
+matrices, so it is exponentiated as a real matrix in an orthonormal basis of
+Hermitian operators, at about a quarter of the flops of the complex one.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -334,16 +338,47 @@ def _apply(prop, state):
     return DensityMatrix(config, prop @ state.matrix @ prop.conj().T)
 
 
+@lru_cache(maxsize=None)
+def _hermitian_basis(d: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """(S, S^dag): columns are vec of an orthonormal basis of Hermitian d x d matrices.
+
+    |i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 for i < j,
+    in the row-major vec convention of ``liouvillian``.
+    """
+    i, j = np.triu_indices(d, k=1)
+    diag = np.arange(d) * (d + 1)
+    upper, lower = i * d + j, j * d + i
+    n_off = i.size
+    rows = np.concatenate([diag, upper, lower, upper, lower])
+    cols = np.concatenate([np.arange(d), np.tile(d + np.arange(n_off), 2),
+                           np.tile(d + n_off + np.arange(n_off), 2)])
+    r = math.sqrt(0.5)
+    vals = np.concatenate([np.ones(d), np.full(2 * n_off, r),
+                           np.full(n_off, 1j * r), np.full(n_off, -1j * r)])
+    s = sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    return s, s.conj().T.tocsr()
+
+
 def _blocked_expm(gen: sparse.csr_matrix):
     """exp(gen), exponentiating each connected component of its nonzero pattern.
 
     A generator that splits into independent blocks gives a sparse (CSR)
     propagator with exactly zero coupling between the blocks; one that is a
     single block (a driven segment) gives the dense ``ndarray``.
+
+    A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
+    the orthonormal Hermitian basis S it is real: a single block is
+    exponentiated as the real S^dag gen S (about a quarter of the complex
+    flops) and mapped back.  The blocks stay complex: the real basis would
+    pair each coherence-order block q with -q into one block twice the size.
     """
     n_blocks, labels = connected_components(gen != 0, directed=False)
     if n_blocks == 1:
-        return _expm(gen.toarray())
+        s, s_h = _hermitian_basis(math.isqrt(gen.shape[0]))
+        g = (s_h @ gen @ s).toarray()
+        if np.abs(g.imag).max() > 1e-12 * np.abs(g.real).max():
+            raise NumericError("generator does not preserve Hermiticity")
+        return s @ _expm(g.real) @ s_h
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
     permuted = gen[order][:, order]

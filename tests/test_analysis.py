@@ -21,15 +21,17 @@ from cqadsim.analysis import (
 from cqadsim.exceptions import ValidationError
 
 
-def synth_spectrum(populations, spacing, center, sigma, gamma, baseline=0.0, span_pad=4.0):
+def synth_spectrum(populations, spacing, center, sigma, gamma, baseline=0.0, span_pad=4.0,
+                   deviations=None):
     n = len(populations)
+    deviations = np.zeros(n) if deviations is None else deviations
     lo = center + (n - 1) * spacing - span_pad * abs(spacing) / 2
     hi = center + span_pad * abs(spacing) / 2
     x = np.arange(min(lo, hi), max(lo, hi), abs(spacing) / 25.0)
     y = np.full_like(x, baseline)
     peak = voigt_profile(0.0, sigma, gamma)
     for k, h in enumerate(populations):
-        y = y + h * voigt_profile(x - (center + k * spacing), sigma, gamma) / peak
+        y = y + h * voigt_profile(x - (center + k * spacing + deviations[k]), sigma, gamma) / peak
     return SpectrumTrace(x, y)
 
 
@@ -59,6 +61,23 @@ def test_voigt_four_peak_poisson_recovery():
     assert fit.converged
     assert np.abs(pops - pops_true).max() < 0.02
     assert fit.parameters["spacing"] == pytest.approx(-147e3, rel=0.01)
+
+
+def test_voigt_spacing_is_the_end_to_end_chord():
+    """Curved peak positions: the fitted spacing is the chord from the first to the last peak.
+
+    With every per-peak deviation free, spacing + D and d_k - k*D fit equally
+    well and the fit stops anywhere along that valley.
+    """
+    pops_true = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
+    devs = np.array([0.0, 3e3, 5e3, 4e3, 0.0])
+    tr = synth_spectrum(pops_true * 0.3, -100e3, -0.85e6, 5e3, 7e3, deviations=devs)
+    fit, pops = voigt_sum_fit(tr, 5, -98e3, center_hint=-0.85e6)
+    assert fit.converged
+    assert fit.parameters["spacing"] == pytest.approx(-100e3, rel=1e-5)
+    assert [fit.parameters[f"deviation_{k}"] for k in (1, 2, 3)] == pytest.approx(devs[1:4], abs=1.0)
+    assert "deviation_4" not in fit.parameters
+    assert np.abs(pops - pops_true).max() < 1e-5
 
 
 def test_voigt_zero_trace_flagged():

@@ -281,6 +281,8 @@ def test_qubit_t2_ramsey_run(tmp_path):
     ("vacuum_rabi.spec", "detuning_points", 0),
     ("chi_scan.spec", "n_max", 0),
     ("offset_scan.spec", "time_points", 0),
+    ("vacuum_rabi.spec", "time_points", 0),
+    ("phonon_t1.spec", "delay_points", 0),
 ])
 def test_count_below_one_is_a_validation_error(tmp_path, capsys, preset, key, value):
     spec = preset_copy(tmp_path, preset, **{key: value, "phonon_dim": 4})

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from cqadsim import dynamics
 from cqadsim.device import TWO_PI, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
     NoiseModel,
@@ -27,7 +28,7 @@ from cqadsim.dynamics import (
     vacuum_rabi_chevron,
 )
 from cqadsim.dynamics import _blocked_expm, _constant_drive_hamiltonian
-from cqadsim.exceptions import ValidationError
+from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
     HilbertConfig,
     Ket,
@@ -339,7 +340,75 @@ def test_driven_propagator_is_one_dense_block(params, drive):
     assert n_blocks == 1
     prop = _blocked_expm(liouvillian(h, cs) * seg.duration)
     assert type(prop) is np.ndarray
-    assert np.array_equal(prop, expm(gen.toarray()))
+    dense = expm(gen.toarray())
+    assert np.linalg.norm(prop - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@st.composite
+def _driven_generators(draw):
+    """(config, generator) of one component: a random dense H, random rates, a random time.
+
+    A dense H couples every pair of levels, as a drive does.  The time is
+    chosen so that ||gen||_1 <= 50: squaring amplifies rounding in any
+    scaling-and-squaring kernel, and both kernels differ by about 5e-12 at
+    ||gen||_1 ~ 1e3.
+    """
+    config = draw(_CONFIGS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
+    small_rates = st.one_of(st.just(0.0), st.floats(1e-2, 10.0))
+    noise = NoiseModel(qubit_gamma1=draw(small_rates), qubit_gamma_phi=draw(small_rates),
+                       phonon_kappa1=draw(small_rates), phonon_kappa_phi=draw(small_rates))
+    gen = liouvillian(m + m.conj().T, collapse_operators(config, noise))
+    norm = abs(gen).sum(axis=0).max()
+    return config, gen * (draw(st.floats(1e-3, 50.0)) / norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_driven_generators(), st.integers(0, 2**32 - 1))
+def test_driven_propagator_real_basis_matches_complex_expm(gen, seed):
+    """The real Hermitian-basis exponential is exp(gen): same matrix, trace and Hermiticity."""
+    config, gen = gen
+    assert connected_components(gen != 0, directed=False)[0] == 1
+    prop = _blocked_expm(gen)
+    dense = expm(gen.toarray())
+    assert np.linalg.norm(prop - dense) <= 1e-12 * np.linalg.norm(dense)
+    vec_eye = np.eye(config.dim).reshape(-1)
+    assert np.abs(prop.T @ vec_eye - vec_eye).max() < 1e-12
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
+    rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    out = (prop @ rho.reshape(-1)).reshape(config.dim, config.dim)
+    assert np.abs(out - out.conj().T).max() < 1e-14
+
+
+def test_generator_that_breaks_hermiticity_is_refused():
+    """A non-Hermitian H gives a generator that is not real in the Hermitian basis."""
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    with pytest.raises(NumericError, match="Hermiticity"):
+        _blocked_expm(liouvillian(m, []) * 0.1)
+
+
+def test_driven_propagator_exponentiates_a_real_matrix(params, monkeypatch):
+    """A driven Liouvillian reaches the kernel as float64, not as complex128."""
+    config = HilbertConfig(2, (4,))
+    delta = params.delta("ramsey")
+    seg = Segment(duration=0.2e-6, detuning=delta,
+                  qubit_drive=Pulse(amplitude=1e6, carrier_detuning=-delta))
+    noise = NoiseModel.from_params(params, delta)
+    h = (full_jc_hamiltonian(params, config, delta, frame="phonon_rotating").matrix
+         + _constant_drive_hamiltonian(config, seg))
+    dtypes = []
+
+    def recording_expm(a):
+        dtypes.append(a.dtype)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "_expm", recording_expm)
+    _blocked_expm(liouvillian(h, collapse_operators(config, noise)) * seg.duration)
+    assert dtypes == [np.float64]
 
 
 def test_cached_propagator_follows_every_input(params):

@@ -100,11 +100,19 @@ def _format_cell(v) -> str:
 
 
 def _number(data: dict, key: str, default=None, cast=float):
-    """Numeric spec value; a non-numeric one is a validation error naming the key."""
+    """Numeric spec value; a non-numeric one is a validation error naming the key.
+
+    With ``cast=int`` the value must be integral: keyval parses every number
+    as a float, so 3.0 is accepted and 2.5 is an error, not a truncation.
+    """
     value = data.get(key, default)
     if isinstance(value, str):
         raise ValidationError(f"spec key {key!r} must be numeric, got {value!r}")
-    return None if value is None else cast(value)
+    if value is None:
+        return None
+    if cast is int and not float(value).is_integer():
+        raise ValidationError(f"spec key {key!r} must be an integer, got {value!r}")
+    return cast(value)
 
 
 def _count(data: dict, key: str, default: int) -> int:
@@ -113,6 +121,14 @@ def _count(data: dict, key: str, default: int) -> int:
     if n < 1:
         raise ValidationError(f"spec key {key!r} must be >= 1, got {n}")
     return n
+
+
+def _positive(data: dict, key: str, default: float) -> float:
+    """Numeric spec value that must be > 0."""
+    value = _number(data, key, default)
+    if not value > 0:
+        raise ValidationError(f"spec key {key!r} must be > 0, got {value!r}")
+    return value
 
 
 def _spec_from_keyval(data: dict) -> tuple[ExperimentSpec, dict]:
@@ -175,11 +191,8 @@ def _run_spectroscopy(params, spec, sweep, seed):
     default_dim = max(10, n_peaks + 4)
     config = _config_for(sweep, default_dim)
     line0, spacing = sequences.spectroscopy_peak_hints(params, delta, n_peaks)
-    step = _number(sweep, "freq_step", 5e3)
-    probe_duration = _number(sweep, "probe_duration", 15e-6)
-    for key, value in (("freq_step", step), ("probe_duration", probe_duration)):
-        if not value > 0:
-            raise ValidationError(f"spec key {key!r} must be > 0, got {value!r}")
+    step = _positive(sweep, "freq_step", 5e3)
+    probe_duration = _positive(sweep, "probe_duration", 15e-6)
     if "freq_min" in sweep and "freq_max" in sweep:
         keys = "'freq_min'/'freq_max'"
         lo, hi = _number(sweep, "freq_min"), _number(sweep, "freq_max")
@@ -253,7 +266,8 @@ def _run_parity(params, spec, sweep, seed):
 def _run_wigner(params, spec, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
     noise = _noise_for(params, sweep, delta)
-    extent = _number(sweep, "grid_extent", 2.0)
+    extent = _positive(sweep, "grid_extent", 2.0)
+    scale = _positive(sweep, "calibration_scale", 1.0)
     npts = _count(sweep, "grid_points", 9)
     default_dim = max(10, int(4.0 * extent**2) + 4)
     config = _config_for(sweep, default_dim)
@@ -267,8 +281,7 @@ def _run_wigner(params, spec, sweep, seed):
     parities = sequences.wigner_scan(
         state, grid, params, config, noise, interaction_time=t, delta=delta,
     )
-    wmap = analysis.wigner_assemble(grid, parities,
-                                    calibration_scale=_number(sweep, "calibration_scale", 1.0))
+    wmap = analysis.wigner_assemble(grid, parities, calibration_scale=scale)
     i0 = np.unravel_index(np.argmin(np.abs(grid)), grid.shape)
     summary = {
         "kind": "wigner",
@@ -392,7 +405,7 @@ def _run_offset_scan(params, spec, sweep, seed):
     times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, _count(sweep, "time_points", 41))
     scan = sequences.interaction_time_offset_scan(
         params, HilbertConfig(2, (16,)), NoiseModel(), times=times,
-        ring_radius=_number(sweep, "ring_radius", 1.9),
+        ring_radius=_positive(sweep, "ring_radius", 1.9),
     )
     summary = {
         "kind": "offset_scan",

@@ -9,9 +9,10 @@ frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 Every propagator is built one way (``_propagator``: the Liouvillian
 exponential with collapse operators, exp(-i H t) without) and applied one
 way (``_apply``: U psi, U rho U^dag or P vec(rho), by the propagator's row
-count).  Constant segments take theirs from one cache keyed on the segment's
-inputs (segment, params, config, noise); ramps and carrier-rotating drives
-fall back to adaptive RK integration.
+count); ``_apply_adjoint`` is the same step taken backward on an
+observable.  Constant segments take theirs from one cache keyed on the
+segment's inputs (segment, params, config, noise); ramps and
+carrier-rotating drives fall back to adaptive RK integration.
 
 The Liouvillian is built as a sparse matrix.  Without drives it conserves
 the total excitation number, so it splits into independent blocks by
@@ -336,6 +337,18 @@ def _apply(prop, state):
     if isinstance(state, Ket):
         return Ket(config, prop @ state.amplitudes, normalized=False)
     return DensityMatrix(config, prop @ state.matrix @ prop.conj().T)
+
+
+def _apply_adjoint(prop, op: np.ndarray) -> np.ndarray:
+    """The Heisenberg step: the operator B with Tr[B rho] = Tr[op _apply(prop, rho)].
+
+    U^dag op U for a d-row propagator; mat(P^T vec(op^T))^T for a d^2-row
+    one, in the row-major vec convention of ``liouvillian``.
+    """
+    d = op.shape[0]
+    if prop.shape[0] == d * d:
+        return (prop.T @ op.T.reshape(-1)).reshape(d, d).T
+    return prop.conj().T @ op @ prop
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,19 @@ density matrix when it meets a dissipative segment.  Spectroscopy, which
 propagates in its own probe frame, converts its input itself and builds a
 fresh, uncached propagator per probe frequency with ``dynamics._propagator``.
 Every state update, instantaneous pulses included, goes through
-``dynamics._apply``.  The fringe calibration and the echo-offset zero time
-are ``functools.lru_cache`` memos keyed on their arguments.  Sweep points
+``dynamics._apply``.
+
+The Ramsey and echo sequences are one list of steps (``_parity_steps``:
+rotation matrices and segments).  A single readout (``ramsey_parity``,
+``echo_parity``, ``four_phase_average``, the vacuum fringe) runs it forward
+on its state, ramps included.  The Wigner and offset scans read many states
+at one operating point, so they run it backward once instead: from sigma_z
+through ``dynamics._apply_adjoint`` into one phase-averaged effect operator
+E, and read each displaced state as Tr[E rho] (<psi|E|psi> for a Ket).
+
+The fringe calibration and the echo-offset zero time are
+``functools.lru_cache`` memos keyed on their arguments; the zero time's
+121-point bracket scan is one batched analytic call per phase.  Sweep points
 (spectroscopy frequencies, Wigner grid points, offset-scan times) run in
 order in one thread.
 """
@@ -36,7 +47,9 @@ from .dynamics import (
     Pulse,
     Segment,
     _apply,
+    _apply_adjoint,
     _propagator,
+    _segment_propagator,
     collapse_operators,
     displacement_drive,
     evolve_segments,
@@ -46,6 +59,7 @@ from .hilbert import (
     DensityMatrix,
     HilbertConfig,
     Ket,
+    OperatorMatrix,
     _truncation_guard,
     coherent_amplitudes,
     displacement_operator,
@@ -261,8 +275,8 @@ def default_ramsey_time(params: SystemParams, delta: float | None = None) -> flo
     return 1.0 / (2.0 * abs(chi))
 
 
-def _run_parity_sequence(state, variant, theta, theta2, t, delta, params, config, noise,
-                         ramp_time=0.0):
+def _parity_steps(variant, theta, theta2, t, delta, params, config, ramp_time=0.0):
+    """The parity sequence in time order: qubit rotation matrices and ``Segment``s."""
     rest = params.delta("rest")
 
     def seg(duration, det):
@@ -271,16 +285,25 @@ def _run_parity_sequence(state, variant, theta, theta2, t, delta, params, config
                            ramp_time=min(ramp_time, duration), ramp_from=rest)
         return Segment(duration=duration, detuning=det)
 
-    state = _apply(qubit_rotation(config, theta, math.pi / 2.0), state)
     if variant == "ramsey":
-        state = evolve_segments(state, [seg(t, delta)], params, config, noise)
+        middle = [seg(t, delta)]
     elif variant == "echo":
-        state = evolve_segments(state, [seg(t / 2.0, delta)], params, config, noise)
-        state = _apply(qubit_rotation(config, theta, math.pi), state)
-        state = evolve_segments(state, [seg(t / 2.0, -delta)], params, config, noise)
+        middle = [seg(t / 2.0, delta), qubit_rotation(config, theta, math.pi),
+                  seg(t / 2.0, -delta)]
     else:
         raise ValidationError(f"unknown parity variant {variant!r}")
-    state = _apply(qubit_rotation(config, theta2, math.pi / 2.0), state)
+    return [qubit_rotation(config, theta, math.pi / 2.0), *middle,
+            qubit_rotation(config, theta2, math.pi / 2.0)]
+
+
+def _run_parity_sequence(state, variant, theta, theta2, t, delta, params, config, noise,
+                         ramp_time=0.0):
+    """Raw sigma_z after running the parity sequence forward on one state."""
+    for step in _parity_steps(variant, theta, theta2, t, delta, params, config, ramp_time):
+        if isinstance(step, Segment):
+            state = evolve_segments(state, [step], params, config, noise)
+        else:
+            state = _apply(step, state)
     return expectation(state, qubit_operator(config, "sigma_z")).real
 
 
@@ -323,12 +346,38 @@ def _parity_result(raw, t, phases, cal):
     )
 
 
-def _phase_mean(state, variant, phases, cal, t, delta, params, config, noise, ramp_time=0.0):
-    """Mean raw sigma_z over the drive phases, each read out at its calibrated phase."""
+def _require_phases(phases):
     if len(phases) == 0:
         raise ValidationError("phases must hold at least one drive phase")
+
+
+def _phase_mean(state, variant, phases, cal, t, delta, params, config, noise, ramp_time=0.0):
+    """Mean raw sigma_z over the drive phases, each read out at its calibrated phase."""
+    _require_phases(phases)
     return float(np.mean([_run_parity_sequence(state, variant, th, th + cal[0], t, delta, params,
                                                config, noise, ramp_time) for th in phases]))
+
+
+def _parity_effect(variant, phases, cal, t, delta, params, config, noise) -> OperatorMatrix:
+    """The phase-averaged effect E with Tr[E rho] = ``_phase_mean(rho, ...)``.
+
+    Each phase's sequence runs backward from sigma_z (the Heisenberg picture)
+    through the cached segment propagators, so a scan reads every state with
+    one contraction instead of evolving it.  Ramps have no single propagator.
+    """
+    _require_phases(phases)
+    sz = qubit_operator(config, "sigma_z").matrix
+    total = 0.0
+    for th in phases:
+        op = sz
+        for step in reversed(_parity_steps(variant, th, th + cal[0], t, delta, params, config)):
+            if isinstance(step, Segment):
+                if step.is_time_dependent:
+                    raise ValidationError("a time-dependent segment has no single propagator")
+                step = _segment_propagator(step, params, config, noise)
+            op = _apply_adjoint(step, op)
+        total = total + op
+    return OperatorMatrix(config, total / len(phases))
 
 
 def ramsey_parity(
@@ -422,11 +471,12 @@ def _echo_offset_zero(params, d, beta_far, span):
     c = coherent_amplitudes(dim, beta_far)
 
     def offset(t):
+        # one call per phase, batched over an array of times
         vals = [echo_sigma_z_analytic(c, th, t, params, d, chi_sign) for th in FOUR_PHASES]
-        return float(np.mean(vals))
+        return np.mean(vals, axis=0)
 
     times = np.linspace(t0 - span, t0 + span, 121)
-    vals = np.array([offset(t) for t in times])
+    vals = offset(times)
     crossings = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if crossings.size == 0:
         return t0
@@ -467,6 +517,11 @@ def interaction_time_offset_scan(
     if times is None:
         times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 41)
     times = np.asarray(times, dtype=float)
+    _require_phases(phases)
+    if times.size < 4:
+        raise ValidationError(
+            f"an offset scan needs at least 4 times to fit a sinusoid's 3 parameters, "
+            f"got {times.size}")
     vac = fock_state(config, [0] * config.n_modes, 0)
     ring = [ring_radius * np.exp(2j * math.pi * k / n_ring) for k in range(n_ring)]
     displaced = []
@@ -476,8 +531,8 @@ def interaction_time_offset_scan(
     offsets = np.empty(times.size)
     for i, t in enumerate(times):
         cal = _fringe_calibration(variant, t, d, params, config, noise)
-        vals = [(_phase_mean(st, variant, phases, cal, t, d, params, config, noise) - cal[2])
-                / cal[1] for st in displaced]
+        effect = _parity_effect(variant, phases, cal, t, d, params, config, noise)
+        vals = [(expectation(st, effect).real - cal[2]) / cal[1] for st in displaced]
         offsets[i] = (2.0 / math.pi) * float(np.mean(vals))
 
     freq = _fit_oscillation_frequency(times, offsets)
@@ -672,12 +727,11 @@ def wigner_scan(
     grid = np.asarray(beta_grid, dtype=complex)
     flat = grid.reshape(-1)
     cal = _fringe_calibration(variant, t, d, params, config, noise)
+    effect = _parity_effect(variant, phases, cal, t, d, params, config, noise)
 
     def one_point(b: complex) -> float:
-        u = displacement_operator(config, 0, -b).matrix
-        st = _apply(u, prepared_state)
-        raw = _phase_mean(st, variant, phases, cal, t, d, params, config, noise)
-        return (raw - cal[2]) / cal[1]
+        st = _apply(displacement_operator(config, 0, -b).matrix, prepared_state)
+        return (expectation(st, effect).real - cal[2]) / cal[1]
 
     out = np.array([one_point(b) for b in flat])
     return out.reshape(grid.shape)

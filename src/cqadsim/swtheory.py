@@ -155,11 +155,12 @@ def sw_transform_state(ket: Ket, epsilon: complex, order: int = 2) -> Ket:
 # ---------------------------------------------------------------------------
 # polynomial algebra in (eps, eps*) up to total degree 2
 
-_GRADES = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
-
-
 class _GradedState:
-    """Qubit+mode amplitudes with coefficients graded by powers of (eps, eps*)."""
+    """Qubit+mode amplitudes with coefficients graded by powers of (eps, eps*).
+
+    Each part has shape (*batch, 2, dim).  Pulse phases and evolution phases
+    may be arrays; the parts broadcast over their leading batch shape.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -174,63 +175,55 @@ class _GradedState:
         return st
 
     def _add(self, grade, arr):
-        if grade[0] + grade[1] > 2:
-            return
         if grade in self.parts:
             self.parts[grade] = self.parts[grade] + arr
         else:
             self.parts[grade] = arr
 
-    def pulse(self, theta: float, eta: float):
+    def pulse(self, theta, eta: float):
         """Counterclockwise rotation: |g> -> cos|g> + e^{i theta} sin|e>."""
         c, s = math.cos(eta / 2.0), math.sin(eta / 2.0)
+        theta = np.asarray(theta)[..., None]
         for grade, arr in list(self.parts.items()):
-            g, e = arr[0].copy(), arr[1].copy()
-            new = np.empty_like(arr)
-            new[0] = c * g - np.exp(-1j * theta) * s * e
-            new[1] = np.exp(1j * theta) * s * g + c * e
-            self.parts[grade] = new
+            g, e = arr[..., 0, :], arr[..., 1, :]
+            self.parts[grade] = np.stack([c * g - np.exp(-1j * theta) * s * e,
+                                          np.exp(1j * theta) * s * g + c * e], axis=-2)
 
     def sw(self, direction: int, eps_sign: int = 1):
         """Apply I + dA + A^2/2 with d = direction (+1 for U, -1 for U^dag).
 
         ``eps_sign`` tracks a sign flip of epsilon itself (detuning -Delta).
+        Updates beyond total degree two are never formed.
         """
         n = np.arange(self.dim, dtype=float)
         sq = np.sqrt(n)
-        updates = []
-        for (p, q), arr in self.parts.items():
-            g, e = arr[0], arr[1]
-            # grade (p+1, q): eps sqrt(n) g_n -> e_{n-1}
-            first = np.zeros_like(arr)
-            first[1, :-1] = sq[1:] * g[1:]
-            first[0, 1:] = 0.0
-            updates.append(((p + 1, q), direction * eps_sign * first))
-            # grade (p, q+1): -eps* sqrt(n+1) e_n -> g_{n+1}
-            second = np.zeros_like(arr)
-            second[0, 1:] = -sq[1:] * e[:-1]
-            updates.append(((p, q + 1), direction * eps_sign * second))
-            # grade (p+1, q+1): -(1/2)(n g_n, (n+1) e_n); direction^2 = 1
-            diag = np.zeros_like(arr)
-            diag[0] = -0.5 * n * g
-            diag[1] = -0.5 * (n + 1.0) * e
-            updates.append(((p + 1, q + 1), diag))
-        for grade, arr in updates:
-            self._add(grade, arr)
+        old = dict(self.parts)  # every update is formed from the parts before this step
+        for (p, q), arr in old.items():
+            g, e = arr[..., 0, :], arr[..., 1, :]
+            if p + q < 2:
+                # grade (p+1, q): eps sqrt(n) g_n -> e_{n-1}
+                first = np.zeros_like(arr)
+                first[..., 1, :-1] = sq[1:] * g[..., 1:]
+                self._add((p + 1, q), direction * eps_sign * first)
+                # grade (p, q+1): -eps* sqrt(n+1) e_n -> g_{n+1}
+                second = np.zeros_like(arr)
+                second[..., 0, 1:] = -sq[1:] * e[..., :-1]
+                self._add((p, q + 1), direction * eps_sign * second)
+            if p + q == 0:
+                # grade (p+1, q+1): -(1/2)(n g_n, (n+1) e_n); direction^2 = 1
+                self._add((p + 1, q + 1), np.stack([-0.5 * n * g, -0.5 * (n + 1.0) * e], axis=-2))
 
-    def evolve(self, phi: float, psi: float):
+    def evolve(self, phi, psi):
         """Diagonal phases: |g,n> gains e^{+i n(phi+psi)}, |e,n> e^{+i n(phi-psi)}."""
         n = np.arange(self.dim, dtype=float)
+        phi, psi = np.asarray(phi)[..., None], np.asarray(psi)[..., None]
         pg = np.exp(1j * n * (phi + psi))
         pe = np.exp(1j * n * (phi - psi))
         for grade, arr in list(self.parts.items()):
-            new = arr.copy()
-            new[0] = arr[0] * pg
-            new[1] = arr[1] * pe
-            self.parts[grade] = new
+            self.parts[grade] = np.stack([arr[..., 0, :] * pg, arr[..., 1, :] * pe], axis=-2)
 
     def sigma_z_by_order(self, epsilon: complex) -> dict[int, complex]:
-        """<sigma_z> as {order: value}, truncated at total degree 2."""
+        """<sigma_z> as {order: value}, truncated at total degree 2; batch-shaped values."""
         out: dict[int, complex] = {0: 0.0, 1: 0.0, 2: 0.0}
         items = list(self.parts.items())
         for (p, q), a1 in items:
@@ -239,7 +232,8 @@ class _GradedState:
                 if total_p + total_q > 2:
                     continue
                 weight = (epsilon ** total_p) * (np.conj(epsilon) ** total_q)
-                val = np.sum(a1[1] * a2[1].conj()) - np.sum(a1[0] * a2[0].conj())
+                val = (np.sum(a1[..., 1, :] * a2[..., 1, :].conj(), axis=-1)
+                       - np.sum(a1[..., 0, :] * a2[..., 0, :].conj(), axis=-1))
                 out[total_p + total_q] += weight * val
         return out
 
@@ -255,7 +249,7 @@ def _check_inputs(c, t, params, delta, chi_sign):
     c = np.asarray(c, dtype=complex).reshape(-1)
     if abs(np.sum(np.abs(c) ** 2) - 1.0) > 1e-9:
         raise ValidationError("Fock coefficients must be normalized to 1 within 1e-9")
-    if t <= 0:
+    if np.any(np.asarray(t) <= 0):
         raise ValidationError("interaction time must be positive")
     if delta == 0.0:
         raise ValidationError("detuning must be nonzero")
@@ -366,15 +360,16 @@ def ramsey_sigma_z_exact_phases(
 def echo_sigma_z_analytic(
     c: Sequence[complex],
     theta: float,
-    t_total: float,
+    t_total,
     params: SystemParams,
     delta: float,
     chi_sign: int,
-) -> float:
+):
     """Echo-sequence <sigma_z>_theta through second order in eps.
 
     Composition: pi/2 -> half evolution at delta -> pi echo -> half evolution
     at -delta (eps and chi flip sign) -> pi/2, all with the same pulse phase.
+    An array of total times gives an array of the same shape; a scalar a float.
     """
     c = _check_inputs(c, t_total, params, delta, chi_sign)
     eps = params.g_lg00 / delta
@@ -391,7 +386,8 @@ def echo_sigma_z_analytic(
     st.sw(-1, eps_sign=-1)
     st.pulse(theta, math.pi / 2.0)
     orders = st.sigma_z_by_order(eps)
-    return float(np.real(orders[0] + orders[1] + orders[2]))
+    total = np.real(orders[0] + orders[1] + orders[2])
+    return float(total) if np.ndim(t_total) == 0 else total
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,46 @@ def test_count_below_one_is_a_validation_error(tmp_path, capsys, preset, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset, overrides, key", [
+    ("wigner_fock1.spec", {"grid_points": 2.5}, "grid_points"),
+    ("wigner_fock1.spec", {"prep_m": 1.5}, "prep_m"),
+    ("wigner_fock1.spec", {"phonon_dim": 6.5}, "phonon_dim"),
+    ("wigner_fock1.spec", {"include_lg10": 0.5}, "include_lg10"),
+    ("wigner_fock1.spec", {"include_lg10": 1, "lg10_dim": 2.5}, "lg10_dim"),
+    ("fock1_ramsey_parity.spec", {"phases": 2.5}, "phases"),
+    ("chi_scan.spec", {"n_max": 2.5}, "n_max"),
+    ("offset_scan.spec", {"time_points": 4.5}, "time_points"),
+    ("vacuum_rabi.spec", {"detuning_points": 1.5}, "detuning_points"),
+    ("phonon_t1.spec", {"delay_points": 3.5}, "delay_points"),
+    ("coherent_spectroscopy.spec", {"n_peaks": 3.5}, "n_peaks"),
+])
+def test_non_integral_integer_key_is_a_validation_error(tmp_path, capsys, preset, overrides,
+                                                         key):
+    spec = preset_copy(tmp_path, preset, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, overrides, message", [
+    ("offset_scan.spec", {"time_points": 1}, "at least 4 times"),
+    ("offset_scan.spec", {"time_points": 3}, "at least 4 times"),
+    ("offset_scan.spec", {"ring_radius": -1}, "ring_radius"),
+    ("offset_scan.spec", {"ring_radius": 0}, "ring_radius"),
+    ("wigner_fock1.spec", {"grid_extent": -0.5}, "grid_extent"),
+    ("wigner_fock1.spec", {"grid_extent": 0}, "grid_extent"),
+    ("wigner_fock1.spec", {"calibration_scale": 0}, "calibration_scale"),
+    ("wigner_fock1.spec", {"calibration_scale": -1}, "calibration_scale"),
+])
+def test_nonsense_range_is_a_validation_error(tmp_path, capsys, preset, overrides, message):
+    spec = preset_copy(tmp_path, preset, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"freq_step": 0}, "freq_step"),
     ({"freq_step": "-5k"}, "freq_step"),

@@ -275,6 +275,89 @@ def test_interaction_time_offset_scan_smoke(params):
 
 
 # ---------------------------------------------------------------------------
+# Heisenberg-picture readout of the scans
+
+_EFFECT_CONFIGS = st.one_of(
+    st.integers(2, 6).map(lambda n: HilbertConfig(2, (n,))),
+    st.integers(2, 4).map(lambda n: HilbertConfig(3, (n,))),
+    st.tuples(st.integers(2, 3), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EFFECT_CONFIGS, st.booleans(), st.sampled_from(("echo", "ramsey")),
+       st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4),
+       st.floats(-math.pi, math.pi), st.floats(0.5, 1.5), st.integers(0, 2**32 - 1))
+@example(HilbertConfig(2, (6,)), True, "echo", list(FOUR_PHASES), 0.7, 1.0, 0)
+@example(HilbertConfig(3, (4,)), True, "ramsey", [0.3, 1.7], -1.2, 0.8, 1)
+@example(HilbertConfig(2, (3, 3)), False, "echo", [2.0], 2.5, 1.2, 2)
+def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases, cal_phase,
+                                                    t_scale, seed):
+    params = paper_default_params()
+    d = params.delta("ramsey")
+    t = t_scale * default_ramsey_time(params, d)
+    noise = (NoiseModel.from_params(params, d, static_qubit_offset=20e3) if noisy
+             else NoiseModel(static_qubit_offset=20e3))
+    cal = (cal_phase, 0.9, 0.05)  # only the readout phase offset enters E
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
+    a = rng.normal(size=(cfg.dim, 2)) + 1j * rng.normal(size=(cfg.dim, 2))
+    states = (Ket(cfg, v / np.linalg.norm(v)),
+              DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T)))
+    effect = sequences._parity_effect(variant, tuple(phases), cal, t, d, params, cfg, noise)
+    for state in states:
+        forward = sequences._phase_mean(state, variant, tuple(phases), cal, t, d, params, cfg,
+                                        noise)
+        assert abs(expectation(state, effect).real - forward) < 1e-12
+
+
+def test_wigner_scan_evolves_no_segment_per_grid_point(params):
+    cfg = HilbertConfig(2, (5,))
+    noise = NoiseModel.from_params(params, params.delta("ramsey"))
+    one = fock_state(cfg, [1], 0)
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def calls(grid):
+        counts.clear()
+        sequences._vacuum_fringe.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_segment_propagator", "evolve_segments"):
+                mp.setattr(sequences, name, counting(name, getattr(sequences, name)))
+            wigner_scan(one, grid, params, cfg, noise, interaction_time=7e-6)
+        return dict(counts)
+
+    axis = np.linspace(-0.5, 0.5, 3)
+    single = calls(np.zeros((1, 1), complex))
+    assert single == calls(axis[None, :] + 1j * axis[:, None])
+    assert single["_segment_propagator"] > 0 and single["evolve_segments"] > 0
+
+
+def test_parity_effect_refuses_a_ramp(params, monkeypatch):
+    cfg = HilbertConfig(2, (4,))
+    d = params.delta("ramsey")
+    steps = sequences._parity_steps
+    monkeypatch.setattr(sequences, "_parity_steps",
+                        lambda *args: steps(*args, ramp_time=50e-9))
+    with pytest.raises(ValidationError, match="time-dependent"):
+        sequences._parity_effect("echo", FOUR_PHASES, (0.0, 1.0, 0.0), 7e-6, d, params, cfg,
+                                 NOISELESS)
+
+
+def test_offset_scan_needs_four_times(params):
+    cfg = HilbertConfig(2, (6,))
+    t0 = default_ramsey_time(params)
+    with pytest.raises(ValidationError, match="at least 4 times"):
+        interaction_time_offset_scan(params, cfg, NOISELESS, times=[t0 - 1e-7, t0, t0 + 1e-7],
+                                     n_ring=1)
+
+
+# ---------------------------------------------------------------------------
 # spectroscopy
 
 
@@ -491,6 +574,24 @@ def test_echo_offset_zero_time_is_a_bracketed_sign_change(params, point):
     assert scan[i] < t_star < scan[i + 1]
     assert offset(scan[i]) * offset(scan[i + 1]) < 0
     assert offset(t_star * (1 - 1e-12)) * offset(t_star * (1 + 1e-12)) < 0
+
+
+@pytest.mark.parametrize("point", ["ramsey", "fock", "coherent", "rest"])
+def test_echo_offset_zero_scans_in_one_call_per_phase(params, point, monkeypatch):
+    analytic = sequences.echo_sigma_z_analytic
+    calls = []
+
+    def counting(c, theta, t, *args):
+        calls.append(np.ndim(t))
+        return analytic(c, theta, t, *args)
+
+    monkeypatch.setattr(sequences, "echo_sigma_z_analytic", counting)
+    sequences._echo_offset_zero.cache_clear()
+    echo_offset_zero_time(params, params.delta(point))
+    sequences._echo_offset_zero.cache_clear()
+    # four batched scan calls, then four scalar calls per Brent step
+    assert calls[:4] == [1, 1, 1, 1] and not any(calls[4:])
+    assert len(calls) <= 4 * 20
 
 
 def test_echo_offset_zero_time_cache_tracks_span(params):

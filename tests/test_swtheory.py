@@ -253,6 +253,21 @@ def test_echo_analytic_matches_jc(params):
         assert a == pytest.approx(s, abs=5e-4)
 
 
+def test_echo_analytic_batches_over_times(params):
+    rng = np.random.default_rng(8)
+    delta = params.delta("ramsey")
+    c = random_state(rng, 9)
+    times = np.linspace(0.8, 1.2, 37) * t0_of(params, delta)
+    for th in (0.0, 1.3, 4.0):
+        batch = echo_sigma_z_analytic(c, th, times, params, delta, -1)
+        scalar = [echo_sigma_z_analytic(c, th, t, params, delta, -1) for t in times]
+        assert isinstance(batch, np.ndarray) and batch.shape == times.shape
+        assert all(type(v) is float for v in scalar)
+        assert np.abs(batch - scalar).max() <= 1e-15
+    with pytest.raises(ValidationError, match="positive"):
+        echo_sigma_z_analytic(c, 0.0, np.array([1e-6, 0.0]), params, delta, -1)
+
+
 def test_unnormalized_input_rejected(params):
     with pytest.raises(ValidationError):
         ramsey_sigma_z_analytic([1.0, 1.0], 0.0, 1e-6, params, params.delta("ramsey"), -1)

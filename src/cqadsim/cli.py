@@ -131,7 +131,23 @@ def _positive(data: dict, key: str, default: float) -> float:
     return value
 
 
-def _spec_from_keyval(data: dict) -> tuple[ExperimentSpec, dict]:
+class _ReadTracker(dict):
+    """Sweep keys that remember which of them were read; ``key in d`` is not a read."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _spec_from_keyval(data: dict) -> tuple[ExperimentSpec, _ReadTracker]:
     if "kind" not in data:
         raise ValidationError("experiment file needs a 'kind' key")
     kind = str(data["kind"])
@@ -142,7 +158,7 @@ def _spec_from_keyval(data: dict) -> tuple[ExperimentSpec, dict]:
         method=str(data.get("prep_method", "ideal_injection")),
     )
     reserved = {"kind", "prep_target", "prep_m", "prep_beta_re", "prep_beta_im", "prep_method"}
-    sweep = {k: v for k, v in data.items() if k not in reserved}
+    sweep = _ReadTracker({k: v for k, v in data.items() if k not in reserved})
     spec = ExperimentSpec(kind=kind, preparation=prep, sweep=sweep)
     return spec, sweep
 
@@ -241,15 +257,10 @@ def _run_parity(params, spec, sweep, seed):
     else:
         t = _number(sweep, "interaction_time")
     n_phases = _count(sweep, "phases", 4)
-    if n_phases == 1:
-        res = (sequences.ramsey_parity(state, t, 0.0, params, config, noise, delta=delta)
-               if variant == "ramsey"
-               else sequences.echo_parity(state, 0.0, params, config, noise, t_total=t, delta=delta))
-    else:
-        phases = tuple(2.0 * math.pi * k / n_phases for k in range(n_phases))
-        res = sequences.four_phase_average(
-            state, variant, params, config, noise, t_interaction=t, delta=delta, phases=phases,
-        )
+    phases = tuple(2.0 * math.pi * k / n_phases for k in range(n_phases))
+    res = sequences.four_phase_average(
+        state, variant, params, config, noise, t_interaction=t, delta=delta, phases=phases,
+    )
     summary = {
         "kind": spec.kind,
         "parity": res.value,
@@ -457,6 +468,9 @@ def run_experiment(manifest: RunManifest) -> dict:
     written: list[Path] = []
     try:
         summary, csvs, fits = _RUNNERS[spec.kind](params, spec, sweep, manifest.seed)
+        unread = sorted(set(sweep) - sweep.read)
+        if unread:
+            raise ValidationError(f"spec keys not read by kind {spec.kind!r}: {', '.join(unread)}")
         summary["seed"] = manifest.seed
         summary["params_sha256"] = params_hash
         out.mkdir(parents=True, exist_ok=True)

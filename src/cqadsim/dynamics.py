@@ -436,7 +436,6 @@ def lindblad_evolve(
     t_eval: Sequence[float] | None = None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    validate: bool = True,
 ) -> Trajectory:
     """Adaptive RK45 integration of the vectorized master equation.
 
@@ -468,25 +467,9 @@ def lindblad_evolve(
     )
     if not sol.success:
         raise NumericError(f"master-equation integration failed: {sol.message}")
-    states = []
-    for k in range(sol.y.shape[1]):
-        rho = DensityMatrix(config, sol.y[:, k].reshape(d, d))
-        if validate:
-            _validate_evolved(rho)
-        states.append(rho)
+    states = [DensityMatrix(config, y.reshape(d, d)).validate(herm_tol=1e-8, eig_floor=-1e-6)
+              for y in sol.y.T]
     return Trajectory(times=sol.t, states=states)
-
-
-def _validate_evolved(rho: DensityMatrix):
-    tr = rho.trace()
-    if abs(tr - 1.0) > 1e-6:
-        raise NumericError(f"trace drifted to {tr!r}")
-    defect = float(np.abs(rho.matrix - rho.matrix.conj().T).max())
-    if defect > 1e-8:
-        raise NumericError(f"hermiticity defect {defect:.2e}")
-    lo = float(np.linalg.eigvalsh(0.5 * (rho.matrix + rho.matrix.conj().T)).min())
-    if lo < -1e-6:
-        raise NumericError(f"state developed negative eigenvalue {lo:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +576,7 @@ def _evolve_time_dependent(state, seg, params, config, noise, rtol, atol):
         return Ket(config, sol.y[:, -1], normalized=False)
     traj = lindblad_evolve(
         state, h_of_t, noise, (0.0, seg.duration), t_eval=[seg.duration],
-        rtol=rtol, atol=atol, validate=False,
+        rtol=rtol, atol=atol,
     )
     return traj.final
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.linalg import expm as _expm
 
-from .exceptions import TruncationError, ValidationError
+from .exceptions import NumericError, TruncationError, ValidationError
 
 __all__ = [
     "HilbertConfig",
@@ -205,8 +205,6 @@ class DensityMatrix:
 
     def validate(self, trace_tol=1e-6, herm_tol=1e-9, eig_floor=-1e-7) -> "DensityMatrix":
         """Check trace, hermiticity, and positivity within the stated slacks."""
-        from .exceptions import NumericError
-
         if abs(self.trace() - 1.0) > trace_tol:
             raise NumericError(f"trace {self.trace()!r} deviates from 1 beyond {trace_tol}")
         defect = float(np.abs(self.matrix - self.matrix.conj().T).max())

@@ -4,7 +4,7 @@ Pulses in the parity sequences are instantaneous rotations; the phase of the
 final pi/2 pulse is calibrated numerically against a vacuum reference run
 (four phase offsets, cosine extraction), exactly one calibration per
 operating point: variant, interaction time, detuning, parameters, Hilbert
-space, noise without its static offset, and ramp time.
+space, and noise without its static offset.
 Parity values are reported normalized by the vacuum fringe contrast; the raw
 qubit expectation is kept alongside.
 
@@ -16,12 +16,12 @@ Every state update, instantaneous pulses included, goes through
 ``dynamics._apply``.
 
 The Ramsey and echo sequences are one list of steps (``_parity_steps``:
-rotation matrices and segments).  A single readout (``ramsey_parity``,
-``echo_parity``, ``four_phase_average``, the vacuum fringe) runs it forward
-on its state, ramps included.  The Wigner and offset scans read many states
-at one operating point, so they run it backward once instead: from sigma_z
-through ``dynamics._apply_adjoint`` into one phase-averaged effect operator
-E, and read each displaced state as Tr[E rho] (<psi|E|psi> for a Ket).
+rotation matrices and constant segments, no ramps).  Parity has one readout,
+run backward: from sigma_z through ``dynamics._apply_adjoint`` into one
+phase-averaged effect operator E per operating point, and each state is read
+as Tr[E rho] (<psi|E|psi> for a Ket).  Single estimates (``ramsey_parity``,
+``echo_parity``, ``four_phase_average``), the vacuum fringe and the Wigner
+and offset scans all read parity this way.
 
 The fringe calibration and the echo-offset zero time are
 ``functools.lru_cache`` memos keyed on their arguments; the zero time's
@@ -60,8 +60,8 @@ from .hilbert import (
     HilbertConfig,
     Ket,
     OperatorMatrix,
-    _truncation_guard,
     coherent_amplitudes,
+    coherent_state,
     displacement_operator,
     expectation,
     fock_state,
@@ -234,8 +234,7 @@ def prepare_state(
                 phase=float(np.angle(prep.beta) + math.pi / 2.0), duration=drive_duration,
             )
             return drive.apply(fock_state(config, [0] * config.n_modes, 0))
-        _truncation_guard(config, 0, prep.beta)
-        return _inject_mode_state(coherent_amplitudes(config.phonon_dims[0], prep.beta), config)
+        return coherent_state(config, 0, prep.beta)
     if prep.target == "superposition_01":
         if prep.method == "swap_sequence":
             state = fock_state(config, [0] * config.n_modes, 0)
@@ -275,55 +274,56 @@ def default_ramsey_time(params: SystemParams, delta: float | None = None) -> flo
     return 1.0 / (2.0 * abs(chi))
 
 
-def _parity_steps(variant, theta, theta2, t, delta, params, config, ramp_time=0.0):
-    """The parity sequence in time order: qubit rotation matrices and ``Segment``s."""
-    rest = params.delta("rest")
-
-    def seg(duration, det):
-        if ramp_time > 0:
-            return Segment(duration=duration, detuning=det, ramp="linear",
-                           ramp_time=min(ramp_time, duration), ramp_from=rest)
-        return Segment(duration=duration, detuning=det)
-
+def _parity_steps(variant, theta, theta2, t, delta, config):
+    """The parity sequence in time order: qubit rotation matrices and constant ``Segment``s."""
     if variant == "ramsey":
-        middle = [seg(t, delta)]
+        middle = [Segment(duration=t, detuning=delta)]
     elif variant == "echo":
-        middle = [seg(t / 2.0, delta), qubit_rotation(config, theta, math.pi),
-                  seg(t / 2.0, -delta)]
+        middle = [Segment(duration=t / 2.0, detuning=delta), qubit_rotation(config, theta, math.pi),
+                  Segment(duration=t / 2.0, detuning=-delta)]
     else:
         raise ValidationError(f"unknown parity variant {variant!r}")
     return [qubit_rotation(config, theta, math.pi / 2.0), *middle,
             qubit_rotation(config, theta2, math.pi / 2.0)]
 
 
-def _run_parity_sequence(state, variant, theta, theta2, t, delta, params, config, noise,
-                         ramp_time=0.0):
-    """Raw sigma_z after running the parity sequence forward on one state."""
-    for step in _parity_steps(variant, theta, theta2, t, delta, params, config, ramp_time):
-        if isinstance(step, Segment):
-            state = evolve_segments(state, [step], params, config, noise)
-        else:
-            state = _apply(step, state)
-    return expectation(state, qubit_operator(config, "sigma_z")).real
+def _parity_effect(variant, phases, offset, t, delta, params, config, noise) -> OperatorMatrix:
+    """The phase-averaged effect E: Tr[E rho] is the mean raw sigma_z over ``phases``.
+
+    Drive phase th is read out at th + ``offset``.  Each phase's sequence runs
+    backward from sigma_z (the Heisenberg picture) through the cached segment
+    propagators, so one E reads any number of states by one contraction each.
+    """
+    if len(phases) == 0:
+        raise ValidationError("phases must hold at least one drive phase")
+    sz = qubit_operator(config, "sigma_z").matrix
+    total = 0.0
+    for th in phases:
+        op = sz
+        for step in reversed(_parity_steps(variant, th, th + offset, t, delta, config)):
+            if isinstance(step, Segment):
+                step = _segment_propagator(step, params, config, noise)
+            op = _apply_adjoint(step, op)
+        total = total + op
+    return OperatorMatrix(config, total / len(phases))
 
 
-def _fringe_calibration(variant, t, delta, params, config, noise, ramp_time=0.0):
+def _fringe_calibration(variant, t, delta, params, config, noise):
     """Vacuum-reference fringe: returns (phase, contrast, offset).
 
     Computed without any static qubit offset (an uncalibrated drift must not
     leak into the calibration), so offset variants share one calibration.
     """
-    return _vacuum_fringe(variant, t, delta, params, config, noise.without_offset(), ramp_time)
+    return _vacuum_fringe(variant, t, delta, params, config, noise.without_offset())
 
 
 @functools.lru_cache(maxsize=1024)
-def _vacuum_fringe(variant, t, delta, params, config, noise, ramp_time):
-    """The fringe of the vacuum at four second-pulse phase offsets, cached on its arguments."""
-    state0 = fock_state(config, [0] * config.n_modes, 0)
-    vals = [
-        _run_parity_sequence(state0, variant, 0.0, o, t, delta, params, config, noise, ramp_time)
-        for o in FOUR_PHASES
-    ]
+def _vacuum_fringe(variant, t, delta, params, config, noise):
+    """The fringe of the vacuum at four readout-phase offsets, cached on its arguments."""
+    vac = fock_state(config, [0] * config.n_modes, 0)
+    vals = [expectation(vac, _parity_effect(variant, (0.0,), o, t, delta, params, config,
+                                            noise)).real
+            for o in FOUR_PHASES]
     c = (vals[0] - vals[2]) / 2.0
     s = (vals[1] - vals[3]) / 2.0
     phase = math.atan2(s, c)
@@ -334,8 +334,13 @@ def _vacuum_fringe(variant, t, delta, params, config, noise, ramp_time):
     return phase, contrast, offset
 
 
-def _parity_result(raw, t, phases, cal):
-    phase, contrast, offset = cal
+def _parity_readout(state, variant, phases, t, delta, params, config, noise) -> ParityResult:
+    """Calibrate at the operating point, then read ``state`` as Tr[E rho]."""
+    if t <= 0:
+        raise ValidationError("interaction time must be > 0")
+    phase, contrast, offset = _fringe_calibration(variant, t, delta, params, config, noise)
+    effect = _parity_effect(variant, phases, phase, t, delta, params, config, noise)
+    raw = float(expectation(state, effect).real)
     return ParityResult(
         value=(raw - offset) / contrast,
         raw_sigma_z=raw,
@@ -346,40 +351,6 @@ def _parity_result(raw, t, phases, cal):
     )
 
 
-def _require_phases(phases):
-    if len(phases) == 0:
-        raise ValidationError("phases must hold at least one drive phase")
-
-
-def _phase_mean(state, variant, phases, cal, t, delta, params, config, noise, ramp_time=0.0):
-    """Mean raw sigma_z over the drive phases, each read out at its calibrated phase."""
-    _require_phases(phases)
-    return float(np.mean([_run_parity_sequence(state, variant, th, th + cal[0], t, delta, params,
-                                               config, noise, ramp_time) for th in phases]))
-
-
-def _parity_effect(variant, phases, cal, t, delta, params, config, noise) -> OperatorMatrix:
-    """The phase-averaged effect E with Tr[E rho] = ``_phase_mean(rho, ...)``.
-
-    Each phase's sequence runs backward from sigma_z (the Heisenberg picture)
-    through the cached segment propagators, so a scan reads every state with
-    one contraction instead of evolving it.  Ramps have no single propagator.
-    """
-    _require_phases(phases)
-    sz = qubit_operator(config, "sigma_z").matrix
-    total = 0.0
-    for th in phases:
-        op = sz
-        for step in reversed(_parity_steps(variant, th, th + cal[0], t, delta, params, config)):
-            if isinstance(step, Segment):
-                if step.is_time_dependent:
-                    raise ValidationError("a time-dependent segment has no single propagator")
-                step = _segment_propagator(step, params, config, noise)
-            op = _apply_adjoint(step, op)
-        total = total + op
-    return OperatorMatrix(config, total / len(phases))
-
-
 def ramsey_parity(
     prepared_state,
     t_interaction: float,
@@ -388,18 +359,11 @@ def ramsey_parity(
     config: HilbertConfig,
     noise: NoiseModel,
     delta: float | None = None,
-    ramp_time: float = 0.0,
 ) -> ParityResult:
     """Single Ramsey parity estimate: pi/2 - dispersive interaction - pi/2."""
-    if t_interaction <= 0:
-        raise ValidationError("interaction time must be > 0")
     d = params.delta("ramsey") if delta is None else delta
-    cal = _fringe_calibration("ramsey", t_interaction, d, params, config, noise, ramp_time)
-    raw = _run_parity_sequence(
-        prepared_state, "ramsey", theta, theta + cal[0], t_interaction, d,
-        params, config, noise, ramp_time,
-    )
-    return _parity_result(raw, t_interaction, (theta,), cal)
+    return _parity_readout(prepared_state, "ramsey", (theta,), t_interaction, d, params, config,
+                           noise)
 
 
 def echo_parity(
@@ -410,18 +374,11 @@ def echo_parity(
     noise: NoiseModel,
     t_total: float | None = None,
     delta: float | None = None,
-    ramp_time: float = 0.0,
 ) -> ParityResult:
     """Echo parity: two half interactions at +-Delta with a pi pulse between."""
     d = params.delta("ramsey") if delta is None else delta
     t = default_ramsey_time(params, d) if t_total is None else t_total
-    if t <= 0:
-        raise ValidationError("interaction time must be > 0")
-    cal = _fringe_calibration("echo", t, d, params, config, noise, ramp_time)
-    raw = _run_parity_sequence(
-        prepared_state, "echo", theta, theta + cal[0], t, d, params, config, noise, ramp_time,
-    )
-    return _parity_result(raw, t, (theta,), cal)
+    return _parity_readout(prepared_state, "echo", (theta,), t, d, params, config, noise)
 
 
 def four_phase_average(
@@ -433,15 +390,12 @@ def four_phase_average(
     t_interaction: float | None = None,
     delta: float | None = None,
     phases: Sequence[float] = FOUR_PHASES,
-    ramp_time: float = 0.0,
 ) -> ParityResult:
     """Average the chosen parity sequence over drive phases (default four)."""
     d = params.delta("ramsey") if delta is None else delta
     t = (default_ramsey_time(params, d) if variant == "ramsey" else
          echo_offset_zero_time(params, d)) if t_interaction is None else t_interaction
-    cal = _fringe_calibration(variant, t, d, params, config, noise, ramp_time)
-    raw = _phase_mean(prepared_state, variant, phases, cal, t, d, params, config, noise, ramp_time)
-    return _parity_result(raw, t, phases, cal)
+    return _parity_readout(prepared_state, variant, phases, t, d, params, config, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +471,8 @@ def interaction_time_offset_scan(
     if times is None:
         times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 41)
     times = np.asarray(times, dtype=float)
-    _require_phases(phases)
+    if len(phases) == 0:
+        raise ValidationError("phases must hold at least one drive phase")
     if times.size < 4:
         raise ValidationError(
             f"an offset scan needs at least 4 times to fit a sinusoid's 3 parameters, "
@@ -530,9 +485,9 @@ def interaction_time_offset_scan(
         displaced.append(_apply(u, vac))
     offsets = np.empty(times.size)
     for i, t in enumerate(times):
-        cal = _fringe_calibration(variant, t, d, params, config, noise)
-        effect = _parity_effect(variant, phases, cal, t, d, params, config, noise)
-        vals = [(expectation(st, effect).real - cal[2]) / cal[1] for st in displaced]
+        phase, contrast, offset = _fringe_calibration(variant, t, d, params, config, noise)
+        effect = _parity_effect(variant, phases, phase, t, d, params, config, noise)
+        vals = [(expectation(st, effect).real - offset) / contrast for st in displaced]
         offsets[i] = (2.0 / math.pi) * float(np.mean(vals))
 
     freq = _fit_oscillation_frequency(times, offsets)
@@ -726,12 +681,12 @@ def wigner_scan(
          else default_ramsey_time(params, d)) if interaction_time is None else interaction_time
     grid = np.asarray(beta_grid, dtype=complex)
     flat = grid.reshape(-1)
-    cal = _fringe_calibration(variant, t, d, params, config, noise)
-    effect = _parity_effect(variant, phases, cal, t, d, params, config, noise)
+    phase, contrast, offset = _fringe_calibration(variant, t, d, params, config, noise)
+    effect = _parity_effect(variant, phases, phase, t, d, params, config, noise)
 
     def one_point(b: complex) -> float:
         st = _apply(displacement_operator(config, 0, -b).matrix, prepared_state)
-        return (expectation(st, effect).real - cal[2]) / cal[1]
+        return (expectation(st, effect).real - offset) / contrast
 
     out = np.array([one_point(b) for b in flat])
     return out.reshape(grid.shape)

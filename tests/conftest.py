@@ -1,0 +1,26 @@
+"""Shared test helpers.
+
+``tests/reference/presets/<name>.json`` holds the ``summary.json`` that
+``cqadsim run --experiment presets/<name>.spec`` wrote before the latest
+refactor.  A refactor must reproduce it to 1e-6 relative; rewrite a reference
+only with a change that means to move the results, and say so.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cqadsim.cli import compare_summaries
+
+REFERENCE = Path(__file__).resolve().parent / "reference" / "presets"
+
+
+@pytest.fixture
+def matches_reference():
+    """Asserts that a preset's summary agrees with its stored reference."""
+    def check(preset, summary):
+        reference = json.loads((REFERENCE / f"{preset}.json").read_text())
+        ok, report = compare_summaries(reference, summary, {}, default_tolerance=1e-6)
+        assert ok, "\n".join(report)
+    return check

@@ -13,25 +13,27 @@ from cqadsim.cli import main
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
-def run_preset(tmp_path, name):
+def run_preset(tmp_path, name, matches_reference):
     out = tmp_path / "out"
-    assert main(["run", "--paper-defaults", "--experiment", str(PRESETS / name),
+    assert main(["run", "--paper-defaults", "--experiment", str(PRESETS / f"{name}.spec"),
                  "--out", str(out), "--quiet"]) == 0
-    return json.loads((out / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    matches_reference(name, summary)
+    return summary
 
 
-def test_single_phonon_wigner_is_negative_at_the_origin(tmp_path):
+def test_single_phonon_wigner_is_negative_at_the_origin(tmp_path, matches_reference):
     """A swap-prepared single phonon has W(0) < 0.
 
     The ``wigner_fock1`` preset: 9x9 grid over |Re, Im beta| <= 1.5, phonon
     dim 19, paper noise, echo readout at the offset-zero time.  W(0) = -0.5069;
     at dim 23 and 27 it moves by less than 2e-8.
     """
-    summary = run_preset(tmp_path, "wigner_fock1.spec")
+    summary = run_preset(tmp_path, "wigner_fock1", matches_reference)
     assert summary["w_origin"] < 0
 
 
-def test_tomography_background_tracks_the_dressed_detuning(tmp_path):
+def test_tomography_background_tracks_the_dressed_detuning(tmp_path, matches_reference):
     """The far-field Wigner offset oscillates with the interaction time at |Delta'|.
 
     The ``offset_scan`` preset: echo readout on a radius-1.9 ring, 41 times
@@ -40,6 +42,6 @@ def test_tomography_background_tracks_the_dressed_detuning(tmp_path):
     the doubled frequency seen in experiment; at dim 20 and 24 the ratio
     moves by less than 1e-5.
     """
-    summary = run_preset(tmp_path, "offset_scan.spec")
+    summary = run_preset(tmp_path, "offset_scan", matches_reference)
     assert abs(summary["frequency_ratio_to_delta_prime"] - 1.0) < 0.25
     assert summary["doubled_frequency_flag"] is False

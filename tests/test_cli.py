@@ -41,7 +41,7 @@ def test_parse_keyval_diagnostics():
         parse_keyval("a = 1\na = 2\n")
 
 
-def test_chi_scan_run(tmp_path):
+def test_chi_scan_run(tmp_path, matches_reference):
     out = tmp_path / "out"
     manifest = RunManifest(
         params_path=None,
@@ -57,6 +57,7 @@ def test_chi_scan_run(tmp_path):
     assert csv[1] == "point,delta_hz,n,shift_numeric_hz,chi_full_hz,chi_approx_hz"
     assert len(csv) == 2 + 4 * 4
     assert json.loads((out / "summary.json").read_text())["kind"] == "chi_scan"
+    matches_reference("chi_scan", summary)
 
 
 def test_run_determinism(tmp_path):
@@ -73,7 +74,7 @@ def test_run_determinism(tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_parity_run_and_compare(tmp_path):
+def test_parity_run_and_compare(tmp_path, matches_reference):
     out = tmp_path / "out"
     code = main([
         "run",
@@ -85,6 +86,7 @@ def test_parity_run_and_compare(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["parity"] < -0.5
     assert (out / "parity.csv").exists()
+    matches_reference("fock1_ramsey_parity", summary)
 
     # identical summaries compare clean
     ok, report = compare_summaries(summary, summary, {})
@@ -144,7 +146,7 @@ def test_paper_defaults_flag_with_params_file(tmp_path):
     assert code == 2  # file contradicts the measured defaults
 
 
-def test_vacuum_rabi_run(tmp_path):
+def test_vacuum_rabi_run(tmp_path, matches_reference):
     out = tmp_path / "out"
     code = main([
         "run", "--experiment", str(PRESETS / "vacuum_rabi.spec"),
@@ -153,6 +155,7 @@ def test_vacuum_rabi_run(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["resonant_oscillation_hz"] == pytest.approx(519e3, rel=0.02)
+    matches_reference("vacuum_rabi", summary)
     rows = (out / "chevron.csv").read_text().splitlines()
     assert rows[1] == "detuning_hz,time_s,p_e"
 
@@ -196,7 +199,7 @@ def test_wigner_preset_run(tmp_path):
     assert len(rows) == 2 + 9
 
 
-def test_offset_scan_preset_run(tmp_path):
+def test_offset_scan_preset_run(tmp_path, matches_reference):
     out = tmp_path / "out"
     assert main(["run", "--experiment", str(PRESETS / "offset_scan.spec"),
                  "--out", str(out), "--quiet"]) == 0
@@ -208,6 +211,7 @@ def test_offset_scan_preset_run(tmp_path):
     rows = (out / "offset_scan.csv").read_text().splitlines()
     assert rows[1] == "time_s,offset"
     assert len(rows) == 2 + 41
+    matches_reference("offset_scan", summary)
 
 
 def test_offset_scan_honours_time_points(tmp_path):
@@ -235,6 +239,17 @@ def test_jobs_other_than_one_is_rejected(tmp_path):
                                      NoiseModel(), jobs=2)
     with pytest.raises(TypeError, match="jobs"):
         sequences.wigner_scan(vac, np.zeros((1, 1), complex), params, cfg, NoiseModel(), jobs=1)
+
+
+def test_unread_spec_keys_are_a_validation_error(tmp_path, capsys):
+    # offset_scan reads neither noise nor phonon_dim, and ring_radiuss is a typo
+    spec = preset_copy(tmp_path, "offset_scan.spec", time_points=5, noise="paper",
+                       phonon_dim=40, ring_radiuss=1.0)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("noise", "phonon_dim", "ring_radiuss"))
+    assert not out.exists()
 
 
 def test_non_numeric_spec_value_is_a_validation_error(tmp_path, capsys):

@@ -30,6 +30,7 @@ from cqadsim.dynamics import (
 from cqadsim.dynamics import _blocked_expm, _constant_drive_hamiltonian
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
+    DensityMatrix,
     HilbertConfig,
     Ket,
     OperatorMatrix,
@@ -248,6 +249,21 @@ def test_linear_ramp_runs(params):
     noise = NoiseModel.from_params(params, -1.9e6)
     out = evolve_segments(k, [seg], params, cfg, noise)
     assert abs(out.trace() - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("seg", [
+    Segment(duration=1e-6, detuning=-1.9e6, ramp="linear", ramp_time=0.4e-6, ramp_from=-4.1e6),
+    Segment(duration=1e-6, detuning=-1.9e6,
+            qubit_drive=Pulse(amplitude=0.5e6, phase=0.3, carrier_detuning=0.2e6)),
+])
+def test_rk_density_path_returns_a_valid_state(params, seg):
+    cfg = HilbertConfig(2, (4,))
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(cfg.dim, 3)) + 1j * rng.normal(size=(cfg.dim, 3))
+    rho = DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T))
+    assert seg.is_time_dependent
+    out = evolve_segments(rho, [seg], params, cfg, NoiseModel.from_params(params, seg.detuning))
+    out.validate()
 
 
 def test_static_offset_shifts_qubit(params):

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from cqadsim import sequences
 from cqadsim.device import TWO_PI, chi_analytic, full_jc_hamiltonian, paper_default_params
-from cqadsim.dynamics import NoiseModel, Pulse, _apply, _propagator, collapse_operators
+from cqadsim.dynamics import (
+    NoiseModel,
+    Pulse,
+    Segment,
+    _apply,
+    _propagator,
+    collapse_operators,
+    evolve_segments,
+)
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
     DensityMatrix,
@@ -284,6 +292,18 @@ _EFFECT_CONFIGS = st.one_of(
 )
 
 
+def _forward_phase_mean(state, variant, phases, offset, t, d, params, cfg, noise):
+    """Mean sigma_z after running each phase's sequence forward on the state."""
+    vals = []
+    for th in phases:
+        out = state
+        for step in sequences._parity_steps(variant, th, th + offset, t, d, cfg):
+            out = (evolve_segments(out, [step], params, cfg, noise) if isinstance(step, Segment)
+                   else _apply(step, out))
+        vals.append(expectation(out, qubit_operator(cfg, "sigma_z")).real)
+    return float(np.mean(vals))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_EFFECT_CONFIGS, st.booleans(), st.sampled_from(("echo", "ramsey")),
        st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4),
@@ -291,23 +311,21 @@ _EFFECT_CONFIGS = st.one_of(
 @example(HilbertConfig(2, (6,)), True, "echo", list(FOUR_PHASES), 0.7, 1.0, 0)
 @example(HilbertConfig(3, (4,)), True, "ramsey", [0.3, 1.7], -1.2, 0.8, 1)
 @example(HilbertConfig(2, (3, 3)), False, "echo", [2.0], 2.5, 1.2, 2)
-def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases, cal_phase,
+def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases, offset,
                                                     t_scale, seed):
     params = paper_default_params()
     d = params.delta("ramsey")
     t = t_scale * default_ramsey_time(params, d)
     noise = (NoiseModel.from_params(params, d, static_qubit_offset=20e3) if noisy
              else NoiseModel(static_qubit_offset=20e3))
-    cal = (cal_phase, 0.9, 0.05)  # only the readout phase offset enters E
     rng = np.random.default_rng(seed)
     v = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
     a = rng.normal(size=(cfg.dim, 2)) + 1j * rng.normal(size=(cfg.dim, 2))
     states = (Ket(cfg, v / np.linalg.norm(v)),
               DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T)))
-    effect = sequences._parity_effect(variant, tuple(phases), cal, t, d, params, cfg, noise)
+    effect = sequences._parity_effect(variant, tuple(phases), offset, t, d, params, cfg, noise)
     for state in states:
-        forward = sequences._phase_mean(state, variant, tuple(phases), cal, t, d, params, cfg,
-                                        noise)
+        forward = _forward_phase_mean(state, variant, phases, offset, t, d, params, cfg, noise)
         assert abs(expectation(state, effect).real - forward) < 1e-12
 
 
@@ -327,7 +345,7 @@ def test_wigner_scan_evolves_no_segment_per_grid_point(params):
         counts.clear()
         sequences._vacuum_fringe.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_segment_propagator", "evolve_segments"):
+            for name in ("_segment_propagator", "_apply_adjoint"):
                 mp.setattr(sequences, name, counting(name, getattr(sequences, name)))
             wigner_scan(one, grid, params, cfg, noise, interaction_time=7e-6)
         return dict(counts)
@@ -335,18 +353,7 @@ def test_wigner_scan_evolves_no_segment_per_grid_point(params):
     axis = np.linspace(-0.5, 0.5, 3)
     single = calls(np.zeros((1, 1), complex))
     assert single == calls(axis[None, :] + 1j * axis[:, None])
-    assert single["_segment_propagator"] > 0 and single["evolve_segments"] > 0
-
-
-def test_parity_effect_refuses_a_ramp(params, monkeypatch):
-    cfg = HilbertConfig(2, (4,))
-    d = params.delta("ramsey")
-    steps = sequences._parity_steps
-    monkeypatch.setattr(sequences, "_parity_steps",
-                        lambda *args: steps(*args, ramp_time=50e-9))
-    with pytest.raises(ValidationError, match="time-dependent"):
-        sequences._parity_effect("echo", FOUR_PHASES, (0.0, 1.0, 0.0), 7e-6, d, params, cfg,
-                                 NOISELESS)
+    assert single["_segment_propagator"] > 0 and single["_apply_adjoint"] > 0
 
 
 def test_offset_scan_needs_four_times(params):

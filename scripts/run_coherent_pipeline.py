@@ -49,13 +49,26 @@ def measure_amplitude(params, target_beta, probe_angle=1.0, tau=15e-6):
     return beta_prep, beta_fit
 
 
+def target_list(text):
+    """Comma-separated |beta| targets; calibration_fit needs at least three."""
+    try:
+        targets = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"targets must be numbers, got {text!r}")
+    if len(targets) < 3:
+        raise argparse.ArgumentTypeError(
+            f"a calibration line needs at least 3 targets, got {len(targets)}")
+    return targets
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/coherent_pipeline")
-    ap.add_argument("--targets", default="0.5,0.8,1.1,1.44,1.67")
+    ap.add_argument("--targets", type=target_list, default="0.5,0.8,1.1,1.44,1.67")
+    # argparse exits 2 on a bad --targets, before any spectroscopy runs
     args = ap.parse_args()
+    targets = args.targets
     params = paper_default_params()
-    targets = [float(x) for x in args.targets.split(",")]
     drive_amps = [t / (np.pi * 1e-6) for t in targets]
 
     rows = []

@@ -21,6 +21,10 @@ blocks read off the generator's own nonzero pattern, and stored sparse.
 A driven Liouvillian is one block.  It maps Hermitian matrices to Hermitian
 matrices, so it is exponentiated as a real matrix in an orthonormal basis of
 Hermitian operators, at about a quarter of the flops of the complex one.
+
+Beside that one propagator path, ``_expm_action`` serves sweeps that need a
+single number w . exp(G) u per point and no propagator (spectroscopy): one
+Pade step on G/2^s with no squaring, then 2^s matrix-vector products.
 """
 
 from __future__ import annotations
@@ -372,6 +376,21 @@ def _hermitian_basis(d: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     return s, s.conj().T.tocsr()
 
 
+def _hermitian_generator(gen: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The real S^dag gen S of a superoperator that maps Hermitian matrices to Hermitian ones.
+
+    Raises ``NumericError`` if the reduction is not real to 1e-12 of its largest entry.
+    """
+    s, s_h = _hermitian_basis(math.isqrt(gen.shape[0]))
+    g = (s_h @ gen @ s).tocsr()
+    # canonical first: views such as g.imag share its index arrays, and their
+    # max() would sort those in place under g's unsorted data
+    g.sum_duplicates()
+    if abs(g.imag).max() > 1e-12 * abs(g.real).max():
+        raise NumericError("generator does not preserve Hermiticity")
+    return g.real
+
+
 def _blocked_expm(gen: sparse.csr_matrix):
     """exp(gen), exponentiating each connected component of its nonzero pattern.
 
@@ -388,16 +407,35 @@ def _blocked_expm(gen: sparse.csr_matrix):
     n_blocks, labels = connected_components(gen != 0, directed=False)
     if n_blocks == 1:
         s, s_h = _hermitian_basis(math.isqrt(gen.shape[0]))
-        g = (s_h @ gen @ s).toarray()
-        if np.abs(g.imag).max() > 1e-12 * np.abs(g.real).max():
-            raise NumericError("generator does not preserve Hermiticity")
-        return s @ _expm(g.real) @ s_h
+        return s @ _expm(_hermitian_generator(gen).toarray()) @ s_h
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
     permuted = gen[order][:, order]
     blocks = [_expm(permuted[a:b, a:b].toarray()) for a, b in zip(bounds[:-1], bounds[1:])]
     p = sparse.block_diag(blocks, format="coo")
     return sparse.csr_matrix((p.data, (order[p.row], order[p.col])), shape=gen.shape)
+
+
+# Higham (2005): the largest 1-norm at which the degree-13 Pade approximant
+# meets double precision unscaled, so ``expm`` takes it without squaring.
+_THETA_13 = 5.37
+
+
+def _expm_action(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
+    """w . exp(g) u for a dense real generator, without forming exp(g).
+
+    g is scaled by the smallest 2^-s that brings its 1-norm to theta_13, so
+    ``expm`` takes one Pade step with no squaring; exp(g) u is then 2^s
+    matrix-vector products with exp(g 2^-s).  g is overwritten.
+    """
+    norm = np.linalg.norm(g, 1)
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    g *= 2.0**-s
+    step = _expm(g)
+    v = u
+    for _ in range(2**s):
+        v = step @ v
+    return float(w @ v)
 
 
 # ---------------------------------------------------------------------------

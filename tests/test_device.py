@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cqadsim.device import (
     TWO_PI,
+    _jc_terms,
     chi_analytic,
     delta_prime,
     dispersive_hamiltonian,
@@ -152,6 +153,20 @@ def test_jc_frame_subtracts_excitation_number(cfg, delta, f):
     for name, value in named.items():
         assert np.array_equal(full_jc_hamiltonian(params, cfg, delta, frame=name).matrix,
                               full_jc_hamiltonian(params, cfg, delta, frame=value).matrix)
+
+
+@pytest.mark.parametrize("cfg", [HilbertConfig(2, (10,)), HilbertConfig(3, (3,)),
+                                 HilbertConfig(2, (3, 2))])
+def test_jc_frame_term_is_minus_two_pi_k(params, cfg):
+    """H(f) - H(0) = f (-2 pi K), K = sigma_z/2 + sum_k n_k from ``_jc_terms``, to 4 ulps of H."""
+    sz, modes = _jc_terms(cfg)
+    k = 0.5 * sz + sum(n_k for n_k, _ in modes)
+    delta = params.delta("coherent")
+    h0 = full_jc_hamiltonian(params, cfg, delta, frame=0.0).matrix
+    for f in np.linspace(-2e6, 1e6, 31):
+        h = full_jc_hamiltonian(params, cfg, delta, frame=f).matrix
+        scale = max(np.abs(h).max(), np.abs(h0).max())
+        assert np.abs(h - h0 - f * (-TWO_PI * k)).max() <= 4 * np.finfo(float).eps * scale
 
 
 def test_jc_unknown_frame_name(params):

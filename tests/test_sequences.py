@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from cqadsim import sequences
+from cqadsim import dynamics, sequences
 from cqadsim.device import TWO_PI, chi_analytic, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
     NoiseModel,
     Pulse,
     Segment,
     _apply,
+    _expm_action,
+    _hermitian_basis,
     _propagator,
     collapse_operators,
     evolve_segments,
@@ -22,6 +25,7 @@ from cqadsim.hilbert import (
     DensityMatrix,
     HilbertConfig,
     Ket,
+    coherent_state,
     expectation,
     fock_state,
     number_operator,
@@ -446,25 +450,61 @@ def test_spectroscopy_projection_equals_explicit_phase_average(m, cfg, kind, see
     line0, spacing = spectroscopy_peak_hints(params, delta, 2)
     freqs = np.array([line0 + spacing, line0])
     probe = Pulse(shape="square", amplitude=0.5 / (TWO_PI * tau), phase=phase)
-    builds, states = [], []
+    vectors = []
 
-    def counting_propagator(*args):
-        builds.append(args)
-        return _propagator(*args)
-
-    def recording_apply(prop, state):
-        states.append(state)
-        return _apply(prop, state)
+    def recording_action(g, u, w):
+        vectors.append(u)
+        return _expm_action(g, u, w)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sequences, "_propagator", counting_propagator)
-        mp.setattr(sequences, "_apply", recording_apply)
+        mp.setattr(sequences, "_expm_action", recording_action)
         tr = qubit_spectroscopy(rho, delta, probe, freqs, params, cfg, noise,
                                 probe_duration=tau, phase_cycles=m)
-    assert len(builds) == freqs.size
+    # one exponential per frequency
+    assert len(vectors) == freqs.size
     # the run sees rho twirled over the m probe phases, |f> (if any) unrotated
-    assert np.abs(states[0].matrix - _phase_twirl(rho, m, cfg)).max() < 1e-15
+    s, _ = _hermitian_basis(cfg.dim)
+    seen = (s @ vectors[0]).reshape(cfg.dim, cfg.dim)
+    assert np.abs(seen - _phase_twirl(rho, m, cfg)).max() < 1e-15
     expected = _explicit_cycle_average(rho, m, probe, tr.frequencies, delta, params, cfg,
+                                       noise, tau)
+    assert np.abs(tr.populations - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("tau, halvings", [(15e-6, (8, 9)), (20e-9, (0, 0))])
+def test_spectroscopy_action_matches_dense_propagator(params, tau, halvings):
+    """Phonon dim 10, paper noise: one unsquared Pade step on G/2^s per point, s in ``halvings``.
+
+    15 us is the preset's probe; 20 ns needs no halving.  Either way the
+    populations match the dense propagator to 1e-12.
+    """
+    cfg, delta = HilbertConfig(2, (10,)), params.delta("coherent")
+    noise = NoiseModel.from_params(params, delta)
+    rho = coherent_state(cfg, 0, 0.8).to_density()
+    line0, spacing = spectroscopy_peak_hints(params, delta, 5)
+    # the CLI grid's lower edge, between peaks 1 and 2, and on peak 0
+    freqs = np.array([line0 + 4 * spacing - 50e3, line0 + 1.5 * spacing, line0])
+    norms, step_norms = [], []
+
+    def recording_action(g, u, w):
+        norms.append(np.linalg.norm(g, 1))
+        return _expm_action(g, u, w)
+
+    def recording_expm(a):
+        step_norms.append(np.linalg.norm(a, 1))
+        return expm(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_expm_action", recording_action)
+        mp.setattr(dynamics, "_expm", recording_expm)
+        tr = qubit_spectroscopy(rho, delta, None, freqs, params, cfg, noise, probe_duration=tau)
+    halved = np.maximum(np.ceil(np.log2(np.array(norms) / dynamics._THETA_13)), 0)
+    assert np.all((halved >= halvings[0]) & (halved <= halvings[1]))
+    # one Pade step per point, at a 1-norm scipy takes without squaring
+    assert np.array_equal(step_norms, np.array(norms) / 2**halved)
+    assert np.all(np.array(step_norms) <= dynamics._THETA_13)
+    probe = Pulse(shape="square", amplitude=0.5 / (TWO_PI * tau))
+    expected = _explicit_cycle_average(rho, 2, probe, tr.frequencies, delta, params, cfg,
                                        noise, tau)
     assert np.abs(tr.populations - expected).max() <= 1e-12 * np.abs(expected).max()
 

@@ -39,7 +39,7 @@ def measure_amplitude(params, target_beta, probe_angle=1.0, tau=15e-6):
     nbar_eff = (0.86 * beta_prep) ** 2
     n_peaks = min(int(np.ceil(nbar_eff + 4.0 * np.sqrt(max(nbar_eff, 0.25)))) + 1, 7)
     line0, chord = spectroscopy_peak_hints(params, delta, n_peaks)
-    probe = Pulse(shape="square", amplitude=probe_angle / (TWO_PI * tau))
+    probe = Pulse(amplitude=probe_angle / (TWO_PI * tau))
     grid = np.arange(line0 + (n_peaks - 1) * chord - 100e3, line0 + 100e3, 4e3)
     trace = qubit_spectroscopy(state, delta, probe, grid, params, config, noise,
                                probe_duration=tau)

@@ -1,9 +1,10 @@
 """Desk-scale simulator and analysis toolkit for dispersive qubit-phonon
 (circuit quantum acoustodynamics) experiments: truncated-Fock-space linear
-algebra, Lindblad dynamics under pulse schedules, the experiment protocols
-(swap-based Fock preparation, number-resolved spectroscopy, Ramsey/echo
-parity, Wigner tomography), a Schrieffer-Wolff analytic track, and the
-spectral/tomographic fitting pipeline.
+algebra, Lindblad dynamics over segments of constant detuning with square
+resonant drives, the experiment protocols (swap-based Fock preparation,
+number-resolved spectroscopy, Ramsey/echo parity, Wigner tomography), a
+Schrieffer-Wolff analytic track, and the spectral/tomographic fitting
+pipeline.
 """
 
 from .device import (
@@ -19,11 +20,7 @@ from .device import (
 from .dynamics import (
     NoiseModel,
     Pulse,
-    Schedule,
     Segment,
-    displacement_drive,
-    lindblad_evolve,
-    swap_gate,
     vacuum_rabi_chevron,
 )
 from .exceptions import (

@@ -11,8 +11,10 @@ exponential with collapse operators, exp(-i H t) without) and applied one
 way (``_apply``: U psi, U rho U^dag or P vec(rho), by the propagator's row
 count); ``_apply_adjoint`` is the same step taken backward on an
 observable.  Constant segments take theirs from one cache keyed on the
-segment's inputs (segment, params, config, noise); ramps and
-carrier-rotating drives fall back to adaptive RK integration.
+segment's inputs (segment, params, config, noise).  Segments hold a
+constant detuning and square, resonant drives; the one kind that is not
+constant in the phonon frame, a qubit drive with the qubit off the frame
+(the pi pulse of swap-based preparation), is integrated with adaptive RK.
 
 The Liouvillian is built as a sparse matrix.  Without drives it conserves
 the total excitation number, so it splits into independent blocks by
@@ -33,7 +35,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -47,7 +49,6 @@ from .hilbert import (
     DensityMatrix,
     HilbertConfig,
     Ket,
-    OperatorMatrix,
     annihilation,
     expectation,
     fock_state,
@@ -60,24 +61,12 @@ __all__ = [
     "NoiseModel",
     "Pulse",
     "Segment",
-    "Schedule",
-    "Trajectory",
-    "lindblad_evolve",
     "evolve_segments",
     "vacuum_rabi_chevron",
-    "swap_gate",
-    "SwapGate",
-    "displacement_drive",
-    "DisplacementDrive",
-    "ideal_displacement_amplitude",
-    "DISPLACEMENT_BETA_PER_AMP_SEC",
     "collapse_operators",
     "liouvillian",
     "clear_propagator_cache",
 ]
-
-# beta accumulated per (Hz of drive amplitude) x (second of duration)
-DISPLACEMENT_BETA_PER_AMP_SEC = math.pi
 
 
 @dataclass(frozen=True)
@@ -171,96 +160,49 @@ def liouvillian(h_angular: np.ndarray, collapse: Sequence[np.ndarray]) -> sparse
 
 
 # ---------------------------------------------------------------------------
-# pulses, segments, schedules
+# pulses and segments
 
 
 @dataclass(frozen=True)
 class Pulse:
-    """Drive pulse within a segment.
+    """Square drive over a segment, on resonance with the driven system.
 
-    ``amplitude`` is a Rabi rate in Hz for qubit drives (rotation angle of a
-    resonant square pulse is 2*pi*amplitude*duration) and a displacement rate
-    for phonon drives (|beta| = pi*amplitude*duration on resonance).
-    ``phase`` follows the rotation-axis convention of the instantaneous
-    pulses used in the sequence layer.  ``carrier_detuning`` is relative to
-    the driven system's current frequency.
+    ``amplitude`` is a Rabi rate in Hz for qubit drives (rotation angle
+    2*pi*amplitude*duration) and a displacement rate for phonon drives
+    (|beta| = pi*amplitude*duration).  ``phase`` follows the rotation-axis
+    convention of the instantaneous pulses used in the sequence layer.
     """
 
-    shape: str = "square"
-    amplitude: float = 0.0
+    amplitude: float
     phase: float = 0.0
-    carrier_detuning: float = 0.0
-    sigma: float | None = None
 
     def __post_init__(self):
-        if self.shape not in ("square", "gaussian"):
-            raise ValidationError(f"unknown pulse shape {self.shape!r}")
         if self.amplitude < 0:
             raise ValidationError("pulse amplitude must be >= 0")
-        if self.shape == "gaussian" and (self.sigma is None or self.sigma <= 0):
-            raise ValidationError("gaussian pulses need a positive sigma")
-
-    def envelope(self, t_local: float, duration: float) -> float:
-        if self.shape == "square":
-            return self.amplitude
-        # gaussian, truncated at +-4 sigma around the segment midpoint
-        arg = (t_local - duration / 2.0) / self.sigma
-        if abs(arg) > 4.0:
-            return 0.0
-        return self.amplitude * math.exp(-0.5 * arg * arg)
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One piece of a schedule: a detuning with optional ramp and drives."""
+    """A constant detuning held for ``duration``, with optional square drives.
+
+    A qubit drive's carrier sits at ``detuning`` in the phonon frame (the
+    static qubit offset is not calibrated into it); a phonon drive's sits at
+    the LG-00 frequency.
+    """
 
     duration: float
     detuning: float
     qubit_drive: Pulse | None = None
     phonon_drive: Pulse | None = None
-    ramp: str = "instantaneous"
-    ramp_time: float = 0.0
-    ramp_from: float | None = None
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValidationError("segment duration must be > 0")
-        if self.ramp not in ("instantaneous", "linear"):
-            raise ValidationError(f"unknown ramp {self.ramp!r}")
-        if self.ramp == "linear" and not 0 < self.ramp_time <= self.duration:
-            raise ValidationError("ramp time must lie in (0, duration]")
 
     @property
     def is_time_dependent(self) -> bool:
-        if self.ramp == "linear":
-            return True
-        if self.qubit_drive is not None:
-            # carrier in the phonon frame sits at detuning + carrier_detuning
-            if self.qubit_drive.shape != "square":
-                return True
-            if self.detuning + self.qubit_drive.carrier_detuning != 0.0:
-                return True
-        if self.phonon_drive is not None:
-            if self.phonon_drive.shape != "square" or self.phonon_drive.carrier_detuning != 0.0:
-                return True
-        return False
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Contiguous, non-overlapping segments."""
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        if not segs:
-            raise ValidationError("schedule needs at least one segment")
-        object.__setattr__(self, "segments", segs)
-
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
+        """A qubit drive off the phonon frame rotates in it."""
+        return self.qubit_drive is not None and self.detuning != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +264,7 @@ def _segment_propagator(seg: Segment, params: SystemParams, config: HilbertConfi
     if prop is None:
         h = full_jc_hamiltonian(
             params, config, seg.detuning + noise.static_qubit_offset, frame="phonon_rotating"
-        ).matrix + _constant_drive_hamiltonian(config, seg)
+        ).matrix + _drive_hamiltonian(_drive_terms(config, seg))
         prop = _propagator(h, collapse_operators(config, noise), seg.duration)
         _CACHE.put(key, prop)
     return prop
@@ -439,122 +381,84 @@ def _expm_action(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# master-equation integration
-
-
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: list[DensityMatrix]
-
-    def expectations(self, op: OperatorMatrix) -> np.ndarray:
-        return np.array([np.real(np.trace(s.matrix @ op.matrix)) for s in self.states])
-
-    @property
-    def final(self) -> DensityMatrix:
-        return self.states[-1]
-
-
-def _as_h_callable(hamiltonian_of_t) -> Callable[[float], np.ndarray]:
-    if isinstance(hamiltonian_of_t, OperatorMatrix):
-        m = hamiltonian_of_t.matrix
-        return lambda t: m
-    if isinstance(hamiltonian_of_t, np.ndarray):
-        return lambda t: hamiltonian_of_t
-    if callable(hamiltonian_of_t):
-        return hamiltonian_of_t
-    raise ValidationError("hamiltonian_of_t must be an operator, array, or callable")
-
-
-def lindblad_evolve(
-    rho0: DensityMatrix,
-    hamiltonian_of_t,
-    noise: NoiseModel,
-    t_span: tuple[float, float],
-    t_eval: Sequence[float] | None = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-) -> Trajectory:
-    """Adaptive RK45 integration of the vectorized master equation.
-
-    Every stored state is checked for trace preservation (1e-6), hermiticity
-    (1e-8), and positivity (eigenvalues above -1e-6).
-    """
-    config = rho0.config
-    d = config.dim
-    h_of_t = _as_h_callable(hamiltonian_of_t)
-    cs = collapse_operators(config, noise)
-    cdc = [c.conj().T @ c for c in cs]
-
-    def rhs(t, y):
-        rho = y.reshape(d, d)
-        h = h_of_t(t)
-        drho = -1j * (h @ rho - rho @ h)
-        for c, n in zip(cs, cdc):
-            drho += c @ rho @ c.conj().T - 0.5 * (n @ rho + rho @ n)
-        return drho.reshape(-1)
-
-    sol = solve_ivp(
-        rhs,
-        t_span,
-        rho0.matrix.reshape(-1).astype(complex),
-        t_eval=t_eval,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise NumericError(f"master-equation integration failed: {sol.message}")
-    states = [DensityMatrix(config, y.reshape(d, d)).validate(herm_tol=1e-8, eig_floor=-1e-6)
-              for y in sol.y.T]
-    return Trajectory(times=sol.t, states=states)
-
-
-# ---------------------------------------------------------------------------
 # segment execution
+
+# RK45 tolerances of the one time-dependent segment kind
+_RTOL = 1e-8
+_ATOL = 1e-10
 
 
 def _drive_terms(config: HilbertConfig, segment: Segment):
-    """Returns [(op_plus, op_minus, carrier_hz, phase, pulse)] for active drives."""
+    """[(op_plus, op_minus, amplitude, phase, carrier_hz)] of the segment's drives.
+
+    The carrier is the drive's frequency in the phonon frame: the segment
+    detuning for a qubit drive, 0 for a phonon drive.
+    """
     terms = []
     if segment.qubit_drive is not None:
         p = segment.qubit_drive
-        sp = qubit_operator(config, "sigma_plus").matrix
-        sm = qubit_operator(config, "sigma_minus").matrix
-        carrier = segment.detuning + p.carrier_detuning  # in phonon frame
-        drive_phase = -(p.phase + math.pi / 2.0)  # rotation-axis convention
-        terms.append((sp, sm, carrier, drive_phase, p))
+        terms.append((qubit_operator(config, "sigma_plus").matrix,
+                      qubit_operator(config, "sigma_minus").matrix,
+                      p.amplitude, -(p.phase + math.pi / 2.0),  # rotation-axis convention
+                      segment.detuning))
     if segment.phonon_drive is not None:
         p = segment.phonon_drive
         a = annihilation(config, 0).matrix
-        terms.append((a.conj().T, a, p.carrier_detuning, p.phase, p))
+        terms.append((a.conj().T, a, p.amplitude, p.phase, 0.0))
     return terms
 
 
-def _segment_h_of_t(params, config, segment: Segment, noise: NoiseModel):
-    """Time-dependent Hamiltonian callable for one segment (local time)."""
+def _drive_hamiltonian(terms, t: float = 0.0):
+    """Sum of pi amp (e^{-i ph} op_plus + e^{i ph} op_minus), ph = 2 pi carrier t + phase."""
+    h = 0.0
+    for op_p, op_m, amp, phase, carrier in terms:
+        ph = TWO_PI * carrier * t + phase
+        h = h + TWO_PI * 0.5 * amp * (np.exp(-1j * ph) * op_p + np.exp(1j * ph) * op_m)
+    return h
+
+
+def _evolve_rk(state, seg: Segment, params, config: HilbertConfig, noise: NoiseModel):
+    """Adaptive RK45 through a segment whose qubit drive rotates in the phonon frame.
+
+    A Ket follows the Schroedinger equation, a density matrix the vectorized
+    master equation; the final density matrix is checked for trace (1e-6),
+    hermiticity (1e-8) and positivity (eigenvalues above -1e-6).
+    """
     h_static = full_jc_hamiltonian(
-        params, config, segment.detuning + noise.static_qubit_offset, frame="phonon_rotating"
+        params, config, seg.detuning + noise.static_qubit_offset, frame="phonon_rotating"
     ).matrix
-    sz_half = TWO_PI * 0.5 * qubit_operator(config, "sigma_z").matrix
-    terms = _drive_terms(config, segment)
-    ramp_from = segment.ramp_from if segment.ramp_from is not None else segment.detuning
+    terms = _drive_terms(config, seg)
 
     def h_of_t(t):
-        h = h_static
-        if segment.ramp == "linear" and t < segment.ramp_time:
-            frac = t / segment.ramp_time
-            delta_now = ramp_from + (segment.detuning - ramp_from) * frac
-            h = h + (delta_now - segment.detuning) * sz_half
-        for op_p, op_m, carrier, phase, pulse in terms:
-            amp = pulse.envelope(t, segment.duration)
-            if amp == 0.0:
-                continue
-            ph = TWO_PI * carrier * t + phase
-            h = h + TWO_PI * 0.5 * amp * (np.exp(-1j * ph) * op_p + np.exp(1j * ph) * op_m)
-        return h
+        return h_static + _drive_hamiltonian(terms, t)
 
-    return h_of_t
+    d = config.dim
+    if isinstance(state, Ket):
+        y0 = state.amplitudes.astype(complex)
+
+        def rhs(t, y):
+            return -1j * (h_of_t(t) @ y)
+    else:
+        y0 = state.matrix.reshape(-1).astype(complex)
+        cs = collapse_operators(config, noise)
+        cdc = [c.conj().T @ c for c in cs]
+
+        def rhs(t, y):
+            rho = y.reshape(d, d)
+            h = h_of_t(t)
+            drho = -1j * (h @ rho - rho @ h)
+            for c, n in zip(cs, cdc):
+                drho += c @ rho @ c.conj().T - 0.5 * (n @ rho + rho @ n)
+            return drho.reshape(-1)
+
+    sol = solve_ivp(rhs, (0.0, seg.duration), y0, t_eval=(seg.duration,), method="RK45",
+                    rtol=_RTOL, atol=_ATOL)
+    if not sol.success:
+        raise NumericError(f"RK integration failed: {sol.message}")
+    y = sol.y[:, -1]
+    if isinstance(state, Ket):
+        return Ket(config, y, normalized=False)
+    return DensityMatrix(config, y.reshape(d, d)).validate(herm_tol=1e-8, eig_floor=-1e-6)
 
 
 def evolve_segments(
@@ -563,60 +467,22 @@ def evolve_segments(
     params: SystemParams,
     config: HilbertConfig,
     noise: NoiseModel,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ):
-    """Run a list of segments; instantaneous detuning changes are frame jumps.
+    """Run a list of segments; detuning changes between segments are frame jumps.
 
     A Ket stays a Ket while the noise is trivial and is evolved unitarily.
     Dissipative segments need a density matrix: this is the one place a Ket
     becomes a ``DensityMatrix``.  Constant segments apply their cached
-    propagator; time-dependent ones are integrated with RK.
+    propagator; a qubit drive off the phonon frame is integrated with RK.
     """
     if isinstance(state, Ket) and not noise.is_trivial:
         state = state.to_density()
-    prev_detuning = None
     for seg in segments:
-        if seg.ramp == "linear" and seg.ramp_from is None and prev_detuning is not None:
-            seg = replace(seg, ramp_from=prev_detuning)
         if seg.is_time_dependent:
-            state = _evolve_time_dependent(state, seg, params, config, noise, rtol, atol)
+            state = _evolve_rk(state, seg, params, config, noise)
         else:
             state = _apply(_segment_propagator(seg, params, config, noise), state)
-        prev_detuning = seg.detuning
     return state
-
-
-def _constant_drive_hamiltonian(config: HilbertConfig, segment: Segment) -> np.ndarray:
-    """Drive terms that are static in the phonon frame (resonant square drives)."""
-    h = np.zeros((config.dim, config.dim), dtype=complex)
-    for op_p, op_m, carrier, phase, pulse in _drive_terms(config, segment):
-        if pulse.shape != "square" or carrier != 0.0:
-            raise ValidationError("segment marked constant has a rotating drive")
-        h = h + TWO_PI * 0.5 * pulse.amplitude * (
-            np.exp(-1j * phase) * op_p + np.exp(1j * phase) * op_m
-        )
-    return h
-
-
-def _evolve_time_dependent(state, seg, params, config, noise, rtol, atol):
-    h_of_t = _segment_h_of_t(params, config, seg, noise)
-    if isinstance(state, Ket):
-        def rhs(t, y):
-            return -1j * (h_of_t(t) @ y)
-
-        sol = solve_ivp(
-            rhs, (0.0, seg.duration), state.amplitudes.astype(complex),
-            method="RK45", rtol=rtol, atol=atol,
-        )
-        if not sol.success:
-            raise NumericError(f"unitary integration failed: {sol.message}")
-        return Ket(config, sol.y[:, -1], normalized=False)
-    traj = lindblad_evolve(
-        state, h_of_t, noise, (0.0, seg.duration), t_eval=[seg.duration],
-        rtol=rtol, atol=atol,
-    )
-    return traj.final
 
 
 # ---------------------------------------------------------------------------
@@ -652,75 +518,3 @@ def vacuum_rabi_chevron(
                 state = _apply(prop, state)
             out[i, j] = expectation(state, pe).real
     return out
-
-
-@dataclass(frozen=True)
-class SwapGate:
-    """Resonant qubit-phonon excitation swap (half a vacuum-Rabi period)."""
-
-    params: SystemParams
-    config: HilbertConfig
-    noise: NoiseModel
-    mode_index: int = 0
-
-    @property
-    def duration(self) -> float:
-        return 1.0 / (4.0 * self.params.mode_g(self.mode_index))
-
-    @property
-    def schedule(self) -> Schedule:
-        return Schedule((Segment(duration=self.duration, detuning=self.mode_offset()),))
-
-    def mode_offset(self) -> float:
-        # resonance with the chosen mode, expressed as qubit-LG00 detuning
-        return self.params.mode_offset(self.mode_index)
-
-    def apply(self, state, n_target: int = 1):
-        """Swap calibrated for the |e, n-1> <-> |g, n> transition (default n=1)."""
-        seg = Segment(
-            duration=self.duration / math.sqrt(n_target), detuning=self.mode_offset()
-        )
-        return evolve_segments(state, [seg], self.params, self.config, self.noise)
-
-
-def swap_gate(params, config, noise, mode_index: int = 0) -> SwapGate:
-    return SwapGate(params, config, noise, mode_index)
-
-
-@dataclass(frozen=True)
-class DisplacementDrive:
-    """Resonant phonon displacement drive with the qubit parked at rest."""
-
-    params: SystemParams
-    config: HilbertConfig
-    noise: NoiseModel
-    amplitude: float
-    phase: float = 0.0
-    duration: float = 1e-6
-
-    @property
-    def beta_ideal(self) -> complex:
-        """Coherent amplitude in the noiseless, unhybridized limit."""
-        return -1j * math.pi * self.amplitude * self.duration * np.exp(1j * self.phase)
-
-    @property
-    def segment(self) -> Segment:
-        return Segment(
-            duration=self.duration,
-            detuning=self.params.delta("rest"),
-            phonon_drive=Pulse(shape="square", amplitude=self.amplitude, phase=self.phase),
-        )
-
-    def apply(self, state):
-        return evolve_segments(state, [self.segment], self.params, self.config, self.noise)
-
-
-def displacement_drive(
-    params, config, noise, amplitude: float, phase: float = 0.0, duration: float = 1e-6
-) -> DisplacementDrive:
-    return DisplacementDrive(params, config, noise, amplitude, phase, duration)
-
-
-def ideal_displacement_amplitude(amplitude: float, duration: float) -> float:
-    """|beta| reached by a resonant square drive of given rate (Hz) and length (s)."""
-    return DISPLACEMENT_BETA_PER_AMP_SEC * amplitude * duration

@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "CqadError",
+    "ValidationError",
+    "TruncationError",
+    "DispersiveRegimeError",
+    "NumericError",
+    "FitError",
+]
+
 
 class CqadError(Exception):
     """Base class for all package-specific errors."""

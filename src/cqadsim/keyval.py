@@ -7,6 +7,7 @@ ignored.  Numeric values take optional magnitude suffixes G/M/k (1e9, 1e6,
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -19,17 +20,25 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?([GMkmun])?$")
 
 
 def parse_number(text: str):
-    """Float value of a suffixed numeric literal, or None if not numeric."""
+    """Float value of a suffixed numeric literal, or None if not numeric.
+
+    A literal beyond the float range (``1e400``, ``1e300M``) is a
+    ``ValidationError``, not infinity.
+    """
     m = _NUMBER_RE.match(text.strip())
     if not m:
         return None
     body = text.strip()[:-1] if m.group(3) else text.strip()
     if m.group(3) is None:
-        return float(body)
-    if m.group(2) is None:
+        value = float(body)
+    elif m.group(2) is None:
         # splice the suffix in as a decimal exponent to keep e.g. 4.1M exact
-        return float(f"{body}e{_SUFFIX_EXP[m.group(3)]}")
-    return float(body) * 10.0 ** _SUFFIX_EXP[m.group(3)]
+        value = float(f"{body}e{_SUFFIX_EXP[m.group(3)]}")
+    else:
+        value = float(body) * 10.0 ** _SUFFIX_EXP[m.group(3)]
+    if not math.isfinite(value):
+        raise ValidationError(f"numeric literal {text.strip()!r} is out of the float range")
+    return value
 
 
 def parse_keyval(text: str, source: str = "<string>") -> dict:
@@ -48,7 +57,10 @@ def parse_keyval(text: str, source: str = "<string>") -> dict:
             raise ValidationError(f"{source}:{lineno}: empty key or value")
         if key in out:
             raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
-        num = parse_number(value)
+        try:
+            num = parse_number(value)
+        except ValidationError as exc:
+            raise ValidationError(f"{source}:{lineno}: {key}: {exc}") from None
         out[key] = num if num is not None else value
     return out
 

@@ -16,7 +16,7 @@ Every other state update, instantaneous pulses included, goes through
 ``dynamics._apply``.
 
 The Ramsey and echo sequences are one list of steps (``_parity_steps``:
-rotation matrices and constant segments, no ramps).  Parity has one readout,
+rotation matrices and constant segments).  Parity has one readout,
 run backward: from sigma_z through ``dynamics._apply_adjoint`` into one
 phase-averaged effect operator E per operating point, and each state is read
 as Tr[E rho] (<psi|E|psi> for a Ket).  Single estimates (``ramsey_parity``,
@@ -57,12 +57,13 @@ from .dynamics import (
     Segment,
     _apply,
     _apply_adjoint,
+    _drive_hamiltonian,
+    _drive_terms,
     _expm_action,
     _hermitian_basis,
     _hermitian_generator,
     _segment_propagator,
     collapse_operators,
-    displacement_drive,
     evolve_segments,
     liouvillian,
 )
@@ -205,12 +206,15 @@ def fock_preparation(
     if method != "swap_sequence":
         raise ValidationError(f"Fock preparation does not support method {method!r}")
     state = fock_state(config, [0] * config.n_modes, 0)
-    g = params.mode_g(0)
     for k in range(1, M + 1):
         state = _excite_qubit(state, params, config, noise, math.pi, pulse_duration)
-        swap_seg = Segment(duration=1.0 / (4.0 * g * math.sqrt(k)), detuning=0.0)
-        state = evolve_segments(state, [swap_seg], params, config, noise)
+        state = evolve_segments(state, [_swap_segment(params, k)], params, config, noise)
     return state
+
+
+def _swap_segment(params: SystemParams, k: int = 1) -> Segment:
+    """Resonant swap with LG-00 for full transfer on |e, k-1> <-> |g, k>: 1/(4 g sqrt(k))."""
+    return Segment(1.0 / (4.0 * params.mode_g(0) * math.sqrt(k)), 0.0)
 
 
 def _excite_qubit(state, params, config, noise, angle, pulse_duration, theta=0.0):
@@ -220,7 +224,7 @@ def _excite_qubit(state, params, config, noise, angle, pulse_duration, theta=0.0
     seg = Segment(
         duration=pulse_duration,
         detuning=params.delta("rest"),
-        qubit_drive=Pulse(shape="square", amplitude=amp, phase=theta),
+        qubit_drive=Pulse(amp, theta),
     )
     return evolve_segments(state, [seg], params, config, noise)
 
@@ -240,20 +244,18 @@ def prepare_state(
         return fock_preparation(prep.m, prep.method, params, config, noise, pulse_duration)
     if prep.target == "coherent":
         if prep.method == "displacement_drive":
-            amp = abs(prep.beta) / (math.pi * drive_duration)
-            drive = displacement_drive(
-                params, config, noise, amplitude=amp,
-                phase=float(np.angle(prep.beta) + math.pi / 2.0), duration=drive_duration,
-            )
-            return drive.apply(fock_state(config, [0] * config.n_modes, 0))
+            # resonant square drive with the qubit at rest: |beta| = pi amp duration
+            drive = Pulse(abs(prep.beta) / (math.pi * drive_duration),
+                          float(np.angle(prep.beta) + math.pi / 2.0))
+            seg = Segment(drive_duration, params.delta("rest"), phonon_drive=drive)
+            return evolve_segments(fock_state(config, [0] * config.n_modes, 0), [seg],
+                                   params, config, noise)
         return coherent_state(config, 0, prep.beta)
     if prep.target == "superposition_01":
         if prep.method == "swap_sequence":
             state = fock_state(config, [0] * config.n_modes, 0)
             state = _excite_qubit(state, params, config, noise, math.pi / 2.0, pulse_duration)
-            g = params.mode_g(0)
-            swap_seg = Segment(duration=1.0 / (4.0 * g), detuning=0.0)
-            return evolve_segments(state, [swap_seg], params, config, noise)
+            return evolve_segments(state, [_swap_segment(params)], params, config, noise)
         c = np.zeros(config.phonon_dims[0], dtype=complex)
         c[0] = c[1] = 1.0 / math.sqrt(2.0)
         return _inject_mode_state(c, config)
@@ -632,14 +634,10 @@ def qubit_spectroscopy(
         raise ValidationError(f"phase_cycles must be an integer >= 1, got {phase_cycles!r}")
     freqs = np.asarray(sorted(freq_grid), dtype=float)
     if probe is None or probe.amplitude == 0.0:
-        probe = Pulse(shape="square", amplitude=0.5 / (TWO_PI * probe_duration))
-    sp = qubit_operator(config, "sigma_plus").matrix
-    sm = qubit_operator(config, "sigma_minus").matrix
+        probe = Pulse(0.5 / (TWO_PI * probe_duration))
     pe = qubit_projector(config, 1)
-    drive_phase = -(probe.phase + math.pi / 2.0)
-    h_drive = TWO_PI * 0.5 * probe.amplitude * (
-        np.exp(-1j * drive_phase) * sp + np.exp(1j * drive_phase) * sm
-    )
+    probe_seg = Segment(probe_duration, 0.0, qubit_drive=probe)  # resonant in the probe frame
+    h_drive = _drive_hamiltonian(_drive_terms(config, probe_seg))
     rho = prepared_state.to_density() if isinstance(prepared_state, Ket) else prepared_state
     # N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none
     levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
@@ -771,7 +769,7 @@ def coherence_protocols(
     delays = np.asarray(delays, dtype=float)
     rest = params.delta("rest")
     f_stored = 0.0 if swap else rest
-    swaps = [Segment(duration=1.0 / (4.0 * params.mode_g(0)), detuning=0.0)] if swap else []
+    swaps = [_swap_segment(params)] if swap else []
     pe = qubit_projector(config, 1)
     vac = fock_state(config, [0] * config.n_modes, 0)
 

@@ -30,6 +30,9 @@ def test_parse_number_suffixes():
     assert parse_number("50n") == 5e-8
     assert parse_number("1e3") == 1000.0
     assert parse_number("auto") is None
+    for literal in ("1e400", "-1e400", "1e308k"):
+        with pytest.raises(ValidationError, match="float range"):
+            parse_number(literal)
 
 
 def test_parse_keyval_diagnostics():
@@ -344,6 +347,20 @@ def test_nonsense_range_is_a_validation_error(tmp_path, capsys, preset, override
     out = tmp_path / "out"
     assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, key", [
+    ("coherent_spectroscopy.spec", "prep_beta_re"),
+    ("fock1_ramsey_parity.spec", "interaction_time"),
+    ("phonon_t1.spec", "delay_max"),
+])
+def test_overflowing_number_is_a_validation_error(tmp_path, capsys, preset, key):
+    spec = preset_copy(tmp_path, preset, **{key: "1e400"})
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "float range" in err
     assert not out.exists()
 
 

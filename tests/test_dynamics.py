@@ -11,35 +11,29 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from cqadsim import dynamics
-from cqadsim.device import TWO_PI, full_jc_hamiltonian, paper_default_params
+from cqadsim.device import TWO_PI, _jc_terms, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
     NoiseModel,
     Pulse,
-    Schedule,
     Segment,
     clear_propagator_cache,
     collapse_operators,
-    displacement_drive,
     evolve_segments,
-    ideal_displacement_amplitude,
-    lindblad_evolve,
     liouvillian,
-    swap_gate,
     vacuum_rabi_chevron,
 )
-from cqadsim.dynamics import _blocked_expm, _constant_drive_hamiltonian
+from cqadsim.dynamics import _apply, _blocked_expm, _drive_hamiltonian, _drive_terms, _propagator
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
     DensityMatrix,
     HilbertConfig,
     Ket,
-    OperatorMatrix,
     annihilation,
     expectation,
     fock_state,
-    hermitian_propagator,
     qubit_projector,
 )
+from cqadsim.sequences import StatePrep, prepare_state
 
 
 @pytest.fixture(scope="module")
@@ -61,81 +55,75 @@ def test_noise_model_from_params(params):
 
 
 def test_schedule_validation():
+    """A segment list holds segments of positive duration; an empty one changes nothing."""
     with pytest.raises(ValidationError):
         Segment(duration=0.0, detuning=0.0)
     with pytest.raises(ValidationError):
-        Segment(duration=1e-6, detuning=0.0, ramp="linear", ramp_time=2e-6)
-    with pytest.raises(ValidationError):
-        Schedule(())
-    s = Schedule((Segment(1e-6, 0.0), Segment(2e-6, -1e6)))
-    assert s.total_duration == pytest.approx(3e-6)
+        Segment(duration=-1e-6, detuning=0.0)
+    cfg = HilbertConfig(2, (3,))
+    psi = fock_state(cfg, [1], 0)
+    assert evolve_segments(psi, [], paper_default_params(), cfg, NoiseModel()) is psi
 
 
 def test_pulse_validation():
     with pytest.raises(ValidationError):
-        Pulse(shape="triangle")
-    with pytest.raises(ValidationError):
-        Pulse(shape="gaussian", amplitude=1.0)
-    g = Pulse(shape="gaussian", amplitude=1.0, sigma=1e-7)
-    assert g.envelope(4e-7 + 5e-7, 8e-7) == 0.0  # beyond 4 sigma from midpoint
+        Pulse(amplitude=-1.0)
+
+
+def _uncoupled(params):
+    """The device with both couplings negligible, so the qubit and the modes evolve apart."""
+    return replace(params, g_lg00=1e-9, g_lg10=1e-9)
 
 
 def test_pure_qubit_decay(params):
     cfg = HilbertConfig(2, (2,))
     gamma1 = 15.6e3
     noise = NoiseModel(qubit_gamma1=gamma1)
-    rho0 = fock_state(cfg, [0], 1).to_density()
-    h0 = OperatorMatrix(cfg, np.zeros((cfg.dim, cfg.dim)), hermitian=True)
     t1 = 1.0 / (TWO_PI * gamma1)
-    traj = lindblad_evolve(rho0, h0, noise, (0.0, t1), t_eval=[0.5 * t1, t1])
-    pe = traj.expectations(qubit_projector(cfg, 1))
-    assert pe[-1] == pytest.approx(1.0 / math.e, abs=1e-4)
+    half = Segment(0.5 * t1, params.delta("rest"))
+    pe = []
+    state = fock_state(cfg, [0], 1)
+    for _ in range(2):
+        state = evolve_segments(state, [half], _uncoupled(params), cfg, noise)
+        pe.append(expectation(state, qubit_projector(cfg, 1)).real)
+    assert pe[1] == pytest.approx(1.0 / math.e, abs=1e-4)
     assert pe[0] == pytest.approx(math.exp(-0.5), abs=1e-4)
 
 
-def test_noiseless_matches_eigen_propagator(params):
-    cfg = HilbertConfig(2, (6,))
-    h = full_jc_hamiltonian(params, cfg, -0.7e6, frame="phonon_rotating")
-    psi0 = fock_state(cfg, [2], 1).to_density()
-    t = 10e-6
-    traj = lindblad_evolve(psi0, h, NoiseModel(), (0.0, t), t_eval=[t],
-                           rtol=1e-9, atol=1e-12)
-    u = hermitian_propagator(h.matrix, t)
-    oracle = u @ psi0.matrix @ u.conj().T
-    dist = 0.5 * np.abs(np.linalg.eigvalsh(traj.final.matrix - oracle)).sum()
-    assert dist < 1e-7
-
-
-def test_phonon_dephasing_closed_form():
+def test_phonon_dephasing_closed_form(params):
     cfg = HilbertConfig(2, (3,))
     kphi = 5e3
     noise = NoiseModel(phonon_kappa_phi=kphi)
     v = (fock_state(cfg, [0]).amplitudes + fock_state(cfg, [1]).amplitudes) / math.sqrt(2)
-    rho0 = Ket(cfg, v).to_density()
-    h0 = OperatorMatrix(cfg, np.zeros((cfg.dim, cfg.dim)), hermitian=True)
     t = 20e-6
-    traj = lindblad_evolve(rho0, h0, noise, (0.0, t), t_eval=[t])
-    od = traj.final.matrix[cfg.index(0, [0]), cfg.index(0, [1])]
+    out = evolve_segments(Ket(cfg, v), [Segment(t, params.delta("rest"))], _uncoupled(params),
+                          cfg, noise)
+    od = out.matrix[cfg.index(0, [0]), cfg.index(0, [1])]
     assert abs(od) == pytest.approx(0.5 * math.exp(-TWO_PI * kphi * t), abs=1e-6)
 
 
 def test_evolved_states_stay_physical(params):
+    """Constant segments and RK-integrated pi pulses alternate; every state stays physical."""
     cfg = HilbertConfig(2, (5,))
-    noise = NoiseModel.from_params(params, params.delta("ramsey"))
-    h = full_jc_hamiltonian(params, cfg, params.delta("ramsey"), frame="phonon_rotating")
-    rho0 = fock_state(cfg, [2], 0).to_density()
-    traj = lindblad_evolve(rho0, h, noise, (0.0, 8e-6), t_eval=np.linspace(0, 8e-6, 9))
-    for s in traj.states:
-        assert abs(s.trace() - 1.0) < 1e-6
-        assert np.linalg.eigvalsh(s.matrix).min() > -1e-6
+    delta = params.delta("ramsey")
+    noise = NoiseModel.from_params(params, delta)
+    wait = Segment(1e-6, delta)
+    pulse = Segment(50e-9, delta, qubit_drive=Pulse(1e7, 0.4))  # 2 pi amp duration = pi
+    assert pulse.is_time_dependent and not wait.is_time_dependent
+    state = fock_state(cfg, [2], 0)
+    for seg in [wait, pulse] * 4:
+        state = evolve_segments(state, [seg], params, cfg, noise)
+        assert abs(state.trace() - 1.0) < 1e-6
+        assert np.linalg.eigvalsh(state.matrix).min() > -1e-6
 
 
 def test_noiseless_purity_preserved(params):
     cfg = HilbertConfig(2, (5,))
-    h = full_jc_hamiltonian(params, cfg, -1.1e6, frame="phonon_rotating")
     rho0 = fock_state(cfg, [1], 1).to_density()
-    traj = lindblad_evolve(rho0, h, NoiseModel(), (0.0, 6e-6), t_eval=[6e-6])
-    assert traj.final.purity() == pytest.approx(1.0, abs=1e-6)
+    segs = [Segment(6e-6, -1.1e6), Segment(0.2e-6, -1.1e6, qubit_drive=Pulse(2e6, 1.0))]
+    out = evolve_segments(rho0, segs, params, cfg, NoiseModel())
+    assert isinstance(out, DensityMatrix)
+    assert out.purity() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_vacuum_rabi_resonant(params):
@@ -178,39 +166,39 @@ def test_vacuum_rabi_lg10_feature(params):
 
 
 def test_swap_gate_fidelity(params):
+    """Half a vacuum-Rabi period on resonance swaps |e,0> and |g,1>."""
     cfg = HilbertConfig(2, (6,))
-    sw = swap_gate(params, cfg, NoiseModel())
-    assert sw.duration == pytest.approx(1.0 / (4.0 * params.g_lg00))
-    out = sw.apply(fock_state(cfg, [0], 1))
-    amp = out.amplitudes[cfg.index(0, [1])]
-    assert abs(amp) ** 2 > 0.99
-    back = sw.apply(out)
-    amp2 = back.amplitudes[cfg.index(0, [0]) + cfg.phonon_dims[0]]  # |e,0>
+    swap = [Segment(1.0 / (4.0 * params.g_lg00), 0.0)]
+    out = evolve_segments(fock_state(cfg, [0], 1), swap, params, cfg, NoiseModel())
+    assert abs(out.amplitudes[cfg.index(0, [1])]) ** 2 > 0.99
+    back = evolve_segments(out, swap, params, cfg, NoiseModel())
     assert abs(back.amplitudes[cfg.index(1, [0])]) ** 2 > 0.98
     # zero-excitation sector untouched
-    vac = sw.apply(fock_state(cfg, [0], 0))
+    vac = evolve_segments(fock_state(cfg, [0], 0), swap, params, cfg, NoiseModel())
     assert abs(vac.amplitudes[cfg.index(0, [0])]) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def _driven_coherent(params, cfg, noise, beta):
+    """A coherent state made by the resonant phonon drive: |beta| = pi amp, over 1 us."""
+    prep = StatePrep(target="coherent", beta=beta, method="displacement_drive")
+    return prepare_state(prep, params, cfg, noise, drive_duration=1e-6)
 
 
 def test_displacement_drive_amplitude(params):
     cfg = HilbertConfig(2, (10,))
-    amp = 0.25e6
-    dd = displacement_drive(params, cfg, NoiseModel(), amplitude=amp, duration=1e-6)
-    assert abs(dd.beta_ideal) == pytest.approx(ideal_displacement_amplitude(amp, 1e-6))
-    out = dd.apply(fock_state(cfg, [0], 0))
+    target = math.pi * 0.25e6 * 1e-6  # amplitude 0.25 MHz
+    out = _driven_coherent(params, cfg, NoiseModel(), target)
     beta = expectation(out, annihilation(cfg))
     # hybridization with the detuned qubit costs a fraction (g/delta)^2
-    assert abs(beta) == pytest.approx(abs(dd.beta_ideal), rel=0.01)
+    assert abs(beta) == pytest.approx(target, rel=0.01)
 
 
 def test_displacement_linearity(params):
     cfg = HilbertConfig(2, (12,))
     amps = np.linspace(0.05e6, 0.45e6, 5)
-    betas = []
-    for a in amps:
-        dd = displacement_drive(params, cfg, NoiseModel(), amplitude=a, duration=1e-6)
-        out = dd.apply(fock_state(cfg, [0], 0))
-        betas.append(abs(expectation(out, annihilation(cfg))))
+    betas = [abs(expectation(_driven_coherent(params, cfg, NoiseModel(), math.pi * a * 1e-6),
+                             annihilation(cfg)))
+             for a in amps]
     from cqadsim.analysis import calibration_fit
 
     fit = calibration_fit(amps, betas)
@@ -221,12 +209,11 @@ def test_displacement_linearity(params):
 
 def test_displacement_with_decay_shrinks(params):
     cfg = HilbertConfig(2, (10,))
-    noisy = NoiseModel(phonon_kappa1=20e3)
-    dd_n = displacement_drive(params, cfg, noisy, amplitude=0.3e6, duration=1e-6)
-    dd_0 = displacement_drive(params, cfg, NoiseModel(), amplitude=0.3e6, duration=1e-6)
-    rho = dd_n.apply(fock_state(cfg, [0], 0).to_density())
-    ket = dd_0.apply(fock_state(cfg, [0], 0))
-    b_noisy = abs(np.trace(rho.matrix @ annihilation(cfg).matrix))
+    target = math.pi * 0.3e6 * 1e-6  # amplitude 0.3 MHz
+    rho = _driven_coherent(params, cfg, NoiseModel(phonon_kappa1=20e3), target)
+    ket = _driven_coherent(params, cfg, NoiseModel(), target)
+    assert isinstance(rho, DensityMatrix) and isinstance(ket, Ket)
+    b_noisy = abs(expectation(rho, annihilation(cfg)))
     b_clean = abs(expectation(ket, annihilation(cfg)))
     assert b_noisy < b_clean
 
@@ -241,29 +228,87 @@ def test_instantaneous_ramp_is_frame_jump(params):
     assert abs(np.vdot(out.amplitudes, k.amplitudes)) ** 2 > 1.0 - 1e-3
 
 
-def test_linear_ramp_runs(params):
+def test_rk_density_path_returns_a_valid_state(params):
     cfg = HilbertConfig(2, (4,))
-    k = fock_state(cfg, [1], 0).to_density()
-    seg = Segment(duration=2e-6, detuning=-1.9e6, ramp="linear", ramp_time=0.5e-6,
-                  ramp_from=-4.1e6)
-    noise = NoiseModel.from_params(params, -1.9e6)
-    out = evolve_segments(k, [seg], params, cfg, noise)
-    assert abs(out.trace() - 1.0) < 1e-6
-
-
-@pytest.mark.parametrize("seg", [
-    Segment(duration=1e-6, detuning=-1.9e6, ramp="linear", ramp_time=0.4e-6, ramp_from=-4.1e6),
-    Segment(duration=1e-6, detuning=-1.9e6,
-            qubit_drive=Pulse(amplitude=0.5e6, phase=0.3, carrier_detuning=0.2e6)),
-])
-def test_rk_density_path_returns_a_valid_state(params, seg):
-    cfg = HilbertConfig(2, (4,))
+    seg = Segment(duration=1e-6, detuning=-1.9e6, qubit_drive=Pulse(amplitude=0.5e6, phase=0.3))
     rng = np.random.default_rng(3)
     a = rng.normal(size=(cfg.dim, 3)) + 1j * rng.normal(size=(cfg.dim, 3))
     rho = DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T))
     assert seg.is_time_dependent
     out = evolve_segments(rho, [seg], params, cfg, NoiseModel.from_params(params, seg.detuning))
     out.validate()
+
+
+_RK_CONFIGS = st.one_of(
+    st.integers(2, 4).map(lambda n: HilbertConfig(2, (n,))),
+    st.integers(2, 3).map(lambda n: HilbertConfig(3, (n,))),
+    st.tuples(st.integers(2, 3), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
+    st.just(HilbertConfig(3, (2, 2))),
+)
+
+
+def _in_drive_frame(state, seg, params, config, noise):
+    """The exact evolution through a qubit drive at detuning delta, in the frame f = delta.
+
+    There the drive is static, so the generator is constant: rho_f(tau) is one
+    propagator run of full_jc_hamiltonian(frame=delta) plus the static drive.
+    Back in the phonon frame, rho(tau) = V rho_f(tau) V^dag with
+    V = exp(-i 2 pi delta tau K), K = sigma_z/2 + sum_k n_k.
+    """
+    delta = seg.detuning
+    h = (full_jc_hamiltonian(params, config, delta + noise.static_qubit_offset,
+                             frame=delta).matrix
+         + _drive_hamiltonian(_drive_terms(config, Segment(seg.duration, 0.0,
+                                                           qubit_drive=seg.qubit_drive))))
+    in_frame = _apply(_propagator(h, collapse_operators(config, noise), seg.duration), state)
+    sz, modes = _jc_terms(config)
+    k = 0.5 * sz + sum(n_k for n_k, _ in modes)
+    return _apply(expm(-1j * TWO_PI * delta * seg.duration * k), in_frame)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    config=_RK_CONFIGS,
+    rates=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e2, 1e5))] * 4),
+    offset=st.floats(-2e5, 2e5),
+    delta=st.floats(0.2e6, 5e6).flatmap(lambda d: st.sampled_from([d, -d])),
+    duration=st.floats(10e-9, 200e-9),
+    amplitude=st.floats(0.0, 1e7),
+    phase=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rk_drive_matches_the_constant_generator_in_the_drive_frame(
+        params, config, rates, offset, delta, duration, amplitude, phase, seed):
+    noise = NoiseModel(*rates, static_qubit_offset=offset)
+    seg = Segment(duration, delta, qubit_drive=Pulse(amplitude, phase))
+    assert seg.is_time_dependent
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
+    rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
+    out = evolve_segments(rho, [seg], params, config, noise)
+    diff = out.matrix - _in_drive_frame(rho, seg, params, config, noise).matrix
+    assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-7
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    config=_RK_CONFIGS,
+    delta=st.floats(0.2e6, 5e6).flatmap(lambda d: st.sampled_from([d, -d])),
+    duration=st.floats(10e-9, 200e-9),
+    amplitude=st.floats(0.0, 1e7),
+    phase=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rk_ket_drive_matches_the_constant_generator_in_the_drive_frame(
+        params, config, delta, duration, amplitude, phase, seed):
+    seg = Segment(duration, delta, qubit_drive=Pulse(amplitude, phase))
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
+    psi = Ket(config, v / np.linalg.norm(v))
+    out = evolve_segments(psi, [seg], params, config, NoiseModel())
+    assert isinstance(out, Ket)
+    exact = _in_drive_frame(psi, seg, params, config, NoiseModel())
+    assert np.linalg.norm(out.amplitudes - exact.amplitudes) <= 1e-7
 
 
 def test_static_offset_shifts_qubit(params):
@@ -338,10 +383,8 @@ def test_blocked_propagator_trace_and_hermiticity(gen, seed):
 @pytest.mark.parametrize("drive", ["qubit", "phonon"])
 def test_driven_propagator_is_one_dense_block(params, drive):
     config = HilbertConfig(2, (5,))
-    delta = params.delta("ramsey")
     if drive == "qubit":
-        seg = Segment(duration=0.2e-6, detuning=delta,
-                      qubit_drive=Pulse(amplitude=1e6, carrier_detuning=-delta))
+        seg = Segment(duration=0.2e-6, detuning=0.0, qubit_drive=Pulse(amplitude=1e6))
     else:
         seg = Segment(duration=0.2e-6, detuning=params.delta("rest"),
                       phonon_drive=Pulse(amplitude=1e6))
@@ -349,7 +392,7 @@ def test_driven_propagator_is_one_dense_block(params, drive):
     noise = NoiseModel.from_params(params, seg.detuning)
     h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset,
                              frame="phonon_rotating").matrix
-         + _constant_drive_hamiltonian(config, seg))
+         + _drive_hamiltonian(_drive_terms(config, seg)))
     cs = collapse_operators(config, noise)
     gen = liouvillian(h, cs) * seg.duration
     n_blocks, _ = connected_components(gen != 0, directed=False)
@@ -410,12 +453,10 @@ def test_generator_that_breaks_hermiticity_is_refused():
 def test_driven_propagator_exponentiates_a_real_matrix(params, monkeypatch):
     """A driven Liouvillian reaches the kernel as float64, not as complex128."""
     config = HilbertConfig(2, (4,))
-    delta = params.delta("ramsey")
-    seg = Segment(duration=0.2e-6, detuning=delta,
-                  qubit_drive=Pulse(amplitude=1e6, carrier_detuning=-delta))
-    noise = NoiseModel.from_params(params, delta)
-    h = (full_jc_hamiltonian(params, config, delta, frame="phonon_rotating").matrix
-         + _constant_drive_hamiltonian(config, seg))
+    seg = Segment(duration=0.2e-6, detuning=0.0, qubit_drive=Pulse(amplitude=1e6))
+    noise = NoiseModel.from_params(params, params.delta("ramsey"))
+    h = (full_jc_hamiltonian(params, config, 0.0, frame="phonon_rotating").matrix
+         + _drive_hamiltonian(_drive_terms(config, seg)))
     dtypes = []
 
     def recording_expm(a):
@@ -442,7 +483,8 @@ def test_cached_propagator_follows_every_input(params):
         (params, replace(noise, static_qubit_offset=50e3), seg),
         (params, replace(noise, phonon_kappa1=4 * noise.phonon_kappa1), seg),
         (params, NoiseModel(), seg),
-        (params, noise, replace(seg, qubit_drive=Pulse(amplitude=0.5e6, carrier_detuning=-delta))),
+        (params, noise, replace(seg, detuning=0.0)),
+        (params, noise, replace(seg, detuning=0.0, qubit_drive=Pulse(amplitude=0.5e6))),
     ]
     assert not variants[-1][2].is_time_dependent
 

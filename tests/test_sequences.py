@@ -449,7 +449,7 @@ def test_spectroscopy_projection_equals_explicit_phase_average(m, cfg, kind, see
         rho = DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T))
     line0, spacing = spectroscopy_peak_hints(params, delta, 2)
     freqs = np.array([line0 + spacing, line0])
-    probe = Pulse(shape="square", amplitude=0.5 / (TWO_PI * tau), phase=phase)
+    probe = Pulse(amplitude=0.5 / (TWO_PI * tau), phase=phase)
     vectors = []
 
     def recording_action(g, u, w):
@@ -503,7 +503,7 @@ def test_spectroscopy_action_matches_dense_propagator(params, tau, halvings):
     # one Pade step per point, at a 1-norm scipy takes without squaring
     assert np.array_equal(step_norms, np.array(norms) / 2**halved)
     assert np.all(np.array(step_norms) <= dynamics._THETA_13)
-    probe = Pulse(shape="square", amplitude=0.5 / (TWO_PI * tau))
+    probe = Pulse(amplitude=0.5 / (TWO_PI * tau))
     expected = _explicit_cycle_average(rho, 2, probe, tr.frequencies, delta, params, cfg,
                                        noise, tau)
     assert np.abs(tr.populations - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -11,7 +11,6 @@ from .device import (
     SystemParams,
     chi_analytic,
     delta_prime,
-    dispersive_hamiltonian,
     full_jc_hamiltonian,
     load_params,
     paper_default_params,
@@ -25,8 +24,6 @@ from .dynamics import (
 )
 from .exceptions import (
     CqadError,
-    DispersiveRegimeError,
-    FitError,
     NumericError,
     TruncationError,
     ValidationError,
@@ -42,12 +39,10 @@ from .hilbert import (
     expectation,
     fock_state,
     parity_operator,
-    partial_trace,
     qubit_operator,
-    tensor,
+    reduced_mode_matrix,
 )
 from .sequences import (
-    ExperimentSpec,
     ParityResult,
     StatePrep,
     echo_parity,
@@ -64,7 +59,6 @@ from .swtheory import (
     chi_numeric,
     ramsey_sigma_z_analytic,
     sw_rotating_hamiltonian,
-    sw_transform_state,
 )
 
 __version__ = "0.1.0"

@@ -26,9 +26,9 @@ from . import analysis, sequences
 from .device import SystemParams, chi_analytic, load_params
 from .dynamics import NoiseModel, vacuum_rabi_chevron
 from .exceptions import CqadError, NumericError, ValidationError
-from .hilbert import HilbertConfig
+from .hilbert import HilbertConfig, Ket, reduced_mode_matrix
 from .keyval import load_keyval
-from .sequences import ExperimentSpec, StatePrep
+from .sequences import StatePrep
 from .swtheory import chi_numeric
 
 __all__ = ["main", "run_experiment", "compare_summaries", "RunManifest"]
@@ -147,10 +147,13 @@ class _ReadTracker(dict):
         return super().get(key, default)
 
 
-def _spec_from_keyval(data: dict) -> tuple[ExperimentSpec, _ReadTracker]:
+def _spec_from_keyval(data: dict) -> tuple[str, StatePrep, _ReadTracker]:
     if "kind" not in data:
         raise ValidationError("experiment file needs a 'kind' key")
     kind = str(data["kind"])
+    if kind not in _RUNNERS:
+        raise ValidationError(
+            f"unknown experiment kind {kind!r}; expected one of {tuple(_RUNNERS)}")
     prep = StatePrep(
         target=str(data.get("prep_target", "vacuum")),
         m=_number(data, "prep_m", 0, int),
@@ -159,8 +162,7 @@ def _spec_from_keyval(data: dict) -> tuple[ExperimentSpec, _ReadTracker]:
     )
     reserved = {"kind", "prep_target", "prep_m", "prep_beta_re", "prep_beta_im", "prep_method"}
     sweep = _ReadTracker({k: v for k, v in data.items() if k not in reserved})
-    spec = ExperimentSpec(kind=kind, preparation=prep, sweep=sweep)
-    return spec, sweep
+    return kind, prep, sweep
 
 
 def _resolve_detuning(params: SystemParams, value) -> float:
@@ -191,17 +193,21 @@ def _config_for(sweep: dict, default_dim: int = 10) -> HilbertConfig:
 # list of (filename, header, rows) CSV payloads plus optional fit JSON
 
 
-def _run_spectroscopy(params, spec, sweep, seed):
+def _run_spectroscopy(params, kind, prep, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "coherent"))
     noise = _noise_for(params, sweep, delta)
     n_peaks = _number(sweep, "n_peaks", 0, int)
-    prep = spec.preparation
     if n_peaks <= 0:
         if prep.target == "fock":
             n_peaks = prep.m + 2
         elif prep.target == "coherent":
-            nbar = abs(prep.beta) ** 2
-            n_peaks = int(math.ceil(nbar + 4.0 * math.sqrt(max(nbar, 0.25)))) + 1
+            try:
+                nbar = abs(prep.beta) ** 2
+                n_peaks = int(math.ceil(nbar + 4.0 * math.sqrt(max(nbar, 0.25)))) + 1
+            except OverflowError:
+                raise ValidationError(
+                    f"|beta| = {abs(prep.beta):.3g} ('prep_beta_re', 'prep_beta_im') is too "
+                    f"large to count its spectral peaks") from None
         else:
             n_peaks = 2
     default_dim = max(10, n_peaks + 4)
@@ -243,14 +249,13 @@ def _run_spectroscopy(params, spec, sweep, seed):
     return summary, [("spectrum.csv", ["frequency_hz", "population"], rows)], fit_payload
 
 
-def _run_parity(params, spec, sweep, seed):
+def _run_parity(params, kind, prep, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
     noise = _noise_for(params, sweep, delta)
     config = _config_for(sweep, 8)
-    prep = spec.preparation
     state = sequences.prepare_state(prep, params, config, noise)
     t = sweep.get("interaction_time", "auto")
-    variant = "ramsey" if spec.kind == "ramsey_parity" else "echo"
+    variant = "ramsey" if kind == "ramsey_parity" else "echo"
     if t == "auto":
         t = (sequences.default_ramsey_time(params, delta) if variant == "ramsey"
              else sequences.echo_offset_zero_time(params, delta))
@@ -262,7 +267,7 @@ def _run_parity(params, spec, sweep, seed):
         state, variant, params, config, noise, t_interaction=t, delta=delta, phases=phases,
     )
     summary = {
-        "kind": spec.kind,
+        "kind": kind,
         "parity": res.value,
         "raw_sigma_z": res.raw_sigma_z,
         "interaction_time_s": res.interaction_time,
@@ -274,15 +279,18 @@ def _run_parity(params, spec, sweep, seed):
     return summary, [("parity.csv", ["theta_rad", "raw_sigma_z", "parity"], rows)], None
 
 
-def _run_wigner(params, spec, sweep, seed):
+def _run_wigner(params, kind, prep, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
     noise = _noise_for(params, sweep, delta)
     extent = _positive(sweep, "grid_extent", 2.0)
     scale = _positive(sweep, "calibration_scale", 1.0)
     npts = _count(sweep, "grid_points", 9)
-    default_dim = max(10, int(4.0 * extent**2) + 4)
+    try:
+        default_dim = max(10, int(4.0 * extent**2) + 4)
+    except OverflowError:
+        raise ValidationError(
+            f"spec key 'grid_extent' = {extent:.3g} is too large for a phonon dim") from None
     config = _config_for(sweep, default_dim)
-    prep = spec.preparation
     state = sequences.prepare_state(prep, params, config, noise)
     axis = np.linspace(-extent, extent, npts)
     grid = axis[None, :] + 1j * axis[:, None]
@@ -310,15 +318,12 @@ def _run_wigner(params, spec, sweep, seed):
     return summary, [("wigner.csv", ["beta_re", "beta_im", "w"], rows)], None
 
 
-def _run_fock_prep_check(params, spec, sweep, seed):
+def _run_fock_prep_check(params, kind, prep, sweep, seed):
     delta = _resolve_detuning(params, sweep.get("detuning", "rest"))
     noise = _noise_for(params, sweep, delta)
     config = _config_for(sweep, 8)
-    prep = spec.preparation
     state = sequences.prepare_state(prep, params, config, noise)
-    from .hilbert import reduced_mode_matrix
-
-    rho = state.to_density() if hasattr(state, "amplitudes") else state
+    rho = state.to_density() if isinstance(state, Ket) else state
     pn = np.real(np.diag(reduced_mode_matrix(rho, 0)))
     summary = {
         "kind": "fock_prep_check",
@@ -330,7 +335,7 @@ def _run_fock_prep_check(params, spec, sweep, seed):
     return summary, [("populations.csv", ["n", "population"], rows)], None
 
 
-def _run_coherence(params, spec, sweep, seed):
+def _run_coherence(params, kind, prep, sweep, seed):
     system = str(sweep.get("system", "phonon"))
     delta = params.delta("rest")
     noise = _noise_for(params, sweep, delta)
@@ -340,9 +345,9 @@ def _run_coherence(params, spec, sweep, seed):
         ("t1", "phonon"): "phonon_t1",
         ("t2_ramsey", "qubit"): "qubit_t2",
         ("t2_ramsey", "phonon"): "phonon_t2",
-    }.get((spec.kind, system))
+    }.get((kind, system))
     if proto is None:
-        raise ValidationError(f"unsupported coherence combination {spec.kind}/{system}")
+        raise ValidationError(f"unsupported coherence combination {kind}/{system}")
     t_max = _number(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
     n = _count(sweep, "delay_points", 31)
     delays = np.linspace(0.0, t_max, n)
@@ -350,7 +355,7 @@ def _run_coherence(params, spec, sweep, seed):
         proto, params, config, noise, delays, _number(sweep, "demod_freq"),
     )
     summary = {
-        "kind": spec.kind,
+        "kind": kind,
         "protocol": proto,
         "t_fit_s": fit.parameters.get("t_decay", float("nan")),
         "converged": fit.converged,
@@ -361,7 +366,7 @@ def _run_coherence(params, spec, sweep, seed):
     return summary, [("decay.csv", ["delay_s", "population"], rows)], {"decay": _fit_dict(fit)}
 
 
-def _run_rabi_chevron(params, spec, sweep, seed):
+def _run_rabi_chevron(params, kind, prep, sweep, seed):
     noise = _noise_for(params, sweep, 0.0) if sweep.get("noise", "none") != "none" else \
         NoiseModel(static_qubit_offset=_number(sweep, "static_qubit_offset", 0.0))
     config = _config_for(sweep, 4)
@@ -389,7 +394,7 @@ def _run_rabi_chevron(params, spec, sweep, seed):
     return summary, [("chevron.csv", ["detuning_hz", "time_s", "p_e"], rows)], {"resonant": _fit_dict(fit)}
 
 
-def _run_chi_scan(params, spec, sweep, seed):
+def _run_chi_scan(params, kind, prep, sweep, seed):
     n_max = _count(sweep, "n_max", 4)
     config = HilbertConfig(2, (max(12, n_max + 6),))
     points = [p.strip() for p in str(sweep.get("points", "fock,coherent,ramsey,rest")).split(",")]
@@ -411,7 +416,7 @@ def _run_chi_scan(params, spec, sweep, seed):
     )], None
 
 
-def _run_offset_scan(params, spec, sweep, seed):
+def _run_offset_scan(params, kind, prep, sweep, seed):
     t0 = sequences.default_ramsey_time(params)
     times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, _count(sweep, "time_points", 41))
     scan = sequences.interaction_time_offset_scan(
@@ -463,14 +468,14 @@ def run_experiment(manifest: RunManifest) -> dict:
     else:
         params_hash = hashlib.sha256(b"paper-defaults").hexdigest()
     data = load_keyval(manifest.experiment_path)
-    spec, sweep = _spec_from_keyval(data)
+    kind, prep, sweep = _spec_from_keyval(data)
 
     written: list[Path] = []
     try:
-        summary, csvs, fits = _RUNNERS[spec.kind](params, spec, sweep, manifest.seed)
+        summary, csvs, fits = _RUNNERS[kind](params, kind, prep, sweep, manifest.seed)
         unread = sorted(set(sweep) - sweep.read)
         if unread:
-            raise ValidationError(f"spec keys not read by kind {spec.kind!r}: {', '.join(unread)}")
+            raise ValidationError(f"spec keys not read by kind {kind!r}: {', '.join(unread)}")
         summary["seed"] = manifest.seed
         summary["params_sha256"] = params_hash
         out.mkdir(parents=True, exist_ok=True)

@@ -7,11 +7,11 @@ the current operating point; the qubit is Stark-shifted, so the operating
 detuning is an input rather than something derived from the bare qubit
 frequency.
 
-``full_jc_hamiltonian`` is the one Jaynes-Cummings builder.  Every frame the
-package uses (the LG-00 phonon frame of the dynamics, the probe frame of
-spectroscopy, the dressed-qubit frame of the Schrieffer-Wolff oracle) is the
-same H minus 2 pi f times the conserved excitation number sigma_z/2 + sum n_k,
-with f given by name or in Hz relative to LG-00.
+``full_jc_hamiltonian`` is the one Jaynes-Cummings builder.  A frame is a
+frequency f in Hz relative to LG-00: H minus 2 pi f times the conserved
+excitation number sigma_z/2 + sum n_k.  The dynamics run at f = 0 (the LG-00
+phonon frame), spectroscopy at the probe frequency, and the Schrieffer-Wolff
+oracle at the dressed qubit frequency Delta'.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .exceptions import DispersiveRegimeError, ValidationError
+from .exceptions import ValidationError
 from .hilbert import HilbertConfig, OperatorMatrix, annihilation, qubit_operator
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "paper_default_params",
     "load_params",
     "full_jc_hamiltonian",
-    "dispersive_hamiltonian",
     "chi_analytic",
     "delta_prime",
     "purcell_rate",
@@ -38,9 +37,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-_FRAMES = ("lab", "qubit_rotating", "phonon_rotating")
-
 
 def _freeze(d: Mapping[str, float]) -> Mapping[str, float]:
     return MappingProxyType(dict(d))
@@ -268,16 +264,7 @@ def purcell_rate(params: SystemParams, delta: float) -> float:
 def _check_hermitian(op: OperatorMatrix) -> OperatorMatrix:
     if op.hermiticity_defect() > 1e-12:
         raise ValidationError("Hamiltonian builder produced a non-Hermitian matrix")
-    return OperatorMatrix(op.config, op.matrix, hermitian=True)
-
-
-def _frame_frequency(params: SystemParams, delta: float, frame) -> float:
-    """Frame frequency in Hz relative to LG-00 of a named or numeric frame."""
-    if not isinstance(frame, str):
-        return float(frame)
-    if frame not in _FRAMES:
-        raise ValidationError(f"unknown frame {frame!r}; expected one of {_FRAMES} or a number")
-    return {"lab": -params.omega_m_lg00, "qubit_rotating": delta, "phonon_rotating": 0.0}[frame]
+    return op
 
 
 @functools.lru_cache(maxsize=32)
@@ -300,19 +287,19 @@ def full_jc_hamiltonian(
     params: SystemParams,
     config: HilbertConfig,
     delta: float,
-    frame: str | float = "qubit_rotating",
+    frame: float = 0.0,
 ) -> OperatorMatrix:
     """Jaynes-Cummings Hamiltonian (angular units), one term per configured mode.
 
     H = 2 pi [(delta - f)/2 sigma_z + sum_k (offset_k - f) n_k
     + g_k (sigma+ a_k + sigma- a_k^dag)], with every frequency relative to
-    LG-00 and f the frame frequency.  ``frame`` is a number f in Hz or a
-    name: ``phonon_rotating`` (f = 0, the frame the dynamics engine uses),
-    ``qubit_rotating`` (f = delta) or ``lab`` (f = -omega_m(LG-00)).
+    LG-00 and f = ``frame`` the frame frequency in Hz (0: the LG-00 phonon
+    frame the dynamics engine uses; delta: the qubit frame; -omega_m(LG-00):
+    the lab frame).
     """
     if config.n_modes > 2:
         raise ValidationError("at most two modes (LG-00, LG-10) are modeled")
-    f = _frame_frequency(params, delta, frame)
+    f = float(frame)
     sz, modes = _jc_terms(config)
     h = TWO_PI * (delta - f) * 0.5 * sz
     for k, (n_k, x_k) in enumerate(modes):
@@ -320,29 +307,3 @@ def full_jc_hamiltonian(
         h = h + TWO_PI * params.mode_g(k) * x_k
     return _check_hermitian(OperatorMatrix(config, h))
 
-
-def dispersive_hamiltonian(
-    params: SystemParams,
-    config: HilbertConfig,
-    delta: float,
-    frame: str | float = "lab",
-    form: str = "full",
-) -> OperatorMatrix:
-    """Diagonal dispersive approximation: omega_m n + (omega_q + chi n) sigma_z / 2.
-
-    Guarded by |g/delta| < 0.3; outside that the approximation is meaningless.
-    With a second configured mode its own dispersive term is added using the
-    LG-10 coupling and detuning.  Frames as in ``full_jc_hamiltonian``.
-    """
-    if delta == 0.0 or abs(params.g_lg00 / delta) >= 0.3:
-        raise DispersiveRegimeError(
-            f"not in dispersive regime: |g/delta| = "
-            f"{abs(params.g_lg00 / delta) if delta else math.inf:.3f} >= 0.3"
-        )
-    f = _frame_frequency(params, delta, frame)
-    sz, modes = _jc_terms(config)
-    h = TWO_PI * (delta - f) * 0.5 * sz
-    for k, (n_k, _) in enumerate(modes):
-        chi_k = chi_analytic(params.mode_g(k), delta - params.mode_offset(k), params.alpha, form=form)
-        h = h + TWO_PI * (params.mode_offset(k) - f) * n_k + TWO_PI * 0.5 * chi_k * (sz @ n_k)
-    return _check_hermitian(OperatorMatrix(config, h))

@@ -1,8 +1,8 @@
 """Time evolution under the Lindblad master equation.
 
 All dynamics run in the frame rotating at the LG-00 phonon frequency for
-every degree of freedom (``device.full_jc_hamiltonian`` with
-``frame="phonon_rotating"``), so the qubit detuning Delta(t) appears
+every degree of freedom (``device.full_jc_hamiltonian`` at its default
+frame, 0 Hz from LG-00), so the qubit detuning Delta(t) appears
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
@@ -262,9 +262,8 @@ def _segment_propagator(seg: Segment, params: SystemParams, config: HilbertConfi
     key = (seg, params, config, noise)
     prop = _CACHE.get(key)
     if prop is None:
-        h = full_jc_hamiltonian(
-            params, config, seg.detuning + noise.static_qubit_offset, frame="phonon_rotating"
-        ).matrix + _drive_hamiltonian(_drive_terms(config, seg))
+        h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
+             + _drive_hamiltonian(_drive_terms(config, seg)))
         prop = _propagator(h, collapse_operators(config, noise), seg.duration)
         _CACHE.put(key, prop)
     return prop
@@ -361,6 +360,8 @@ def _blocked_expm(gen: sparse.csr_matrix):
 # Higham (2005): the largest 1-norm at which the degree-13 Pade approximant
 # meets double precision unscaled, so ``expm`` takes it without squaring.
 _THETA_13 = 5.37
+# At most 2^20 products per action; the presets take at most 2^9.
+_MAX_HALVINGS = 20
 
 
 def _expm_action(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
@@ -368,9 +369,13 @@ def _expm_action(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
 
     g is scaled by the smallest 2^-s that brings its 1-norm to theta_13, so
     ``expm`` takes one Pade step with no squaring; exp(g) u is then 2^s
-    matrix-vector products with exp(g 2^-s).  g is overwritten.
+    matrix-vector products with exp(g 2^-s).  g is overwritten.  A g that
+    needs s > 20 (or is not finite) is a ``NumericError``.
     """
     norm = np.linalg.norm(g, 1)
+    if not norm <= _THETA_13 * 2.0**_MAX_HALVINGS:
+        raise NumericError(f"expm action of a generator with 1-norm {norm:.3g} needs more than "
+                           f"2^{_MAX_HALVINGS} matrix-vector products")
     s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     g *= 2.0**-s
     step = _expm(g)
@@ -424,9 +429,7 @@ def _evolve_rk(state, seg: Segment, params, config: HilbertConfig, noise: NoiseM
     master equation; the final density matrix is checked for trace (1e-6),
     hermiticity (1e-8) and positivity (eigenvalues above -1e-6).
     """
-    h_static = full_jc_hamiltonian(
-        params, config, seg.detuning + noise.static_qubit_offset, frame="phonon_rotating"
-    ).matrix
+    h_static = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
     terms = _drive_terms(config, seg)
 
     def h_of_t(t):

@@ -4,9 +4,7 @@ __all__ = [
     "CqadError",
     "ValidationError",
     "TruncationError",
-    "DispersiveRegimeError",
     "NumericError",
-    "FitError",
 ]
 
 
@@ -22,13 +20,5 @@ class TruncationError(CqadError):
     """A requested state or operation does not fit in the truncated Fock space."""
 
 
-class DispersiveRegimeError(CqadError):
-    """Parameters violate the dispersive-approximation guard."""
-
-
 class NumericError(CqadError):
     """Numerical failure: tolerance not met, positivity lost, degenerate labels."""
-
-
-class FitError(CqadError):
-    """A fit could not be set up (structurally invalid data)."""

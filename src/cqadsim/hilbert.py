@@ -32,17 +32,14 @@ __all__ = [
     "qubit_operator",
     "qubit_projector",
     "qubit_rotation",
-    "identity",
     "fock_state",
     "coherent_state",
     "coherent_amplitudes",
     "displacement_operator",
     "parity_operator",
     "expectation",
-    "partial_trace",
-    "tensor",
+    "reduced_mode_matrix",
     "hermitian_propagator",
-    "matrix_exp",
 ]
 
 _QUBIT_SELECTORS = ("sigma_z", "sigma_plus", "sigma_minus", "sigma_x", "sigma_y")
@@ -103,7 +100,6 @@ class OperatorMatrix:
 
     config: HilbertConfig
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -114,9 +110,6 @@ class OperatorMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.config, self.matrix.conj().T, self.hermitian)
-
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
             _check_same_config(self, other)
@@ -125,24 +118,6 @@ class OperatorMatrix:
             _check_same_config(self, other)
             return Ket(self.config, self.matrix @ other.amplitudes, normalized=False)
         return NotImplemented
-
-    def __add__(self, other):
-        _check_same_config(self, other)
-        return OperatorMatrix(
-            self.config, self.matrix + other.matrix, self.hermitian and other.hermitian
-        )
-
-    def __sub__(self, other):
-        _check_same_config(self, other)
-        return OperatorMatrix(
-            self.config, self.matrix - other.matrix, self.hermitian and other.hermitian
-        )
-
-    def __mul__(self, scalar):
-        herm = self.hermitian and float(np.imag(scalar)) == 0.0
-        return OperatorMatrix(self.config, self.matrix * scalar, herm)
-
-    __rmul__ = __mul__
 
     def hermiticity_defect(self) -> float:
         """Max |H - H^dag| entry relative to the largest entry magnitude."""
@@ -173,9 +148,6 @@ class Ket:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def unit(self) -> "Ket":
-        return Ket(self.config, self.amplitudes / self.norm())
 
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.config, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -247,10 +219,6 @@ def _mode_operator(config: HilbertConfig, mode_index: int, op: np.ndarray) -> np
     return _embed(config, factors)
 
 
-def identity(config: HilbertConfig) -> OperatorMatrix:
-    return OperatorMatrix(config, np.eye(config.dim, dtype=complex), hermitian=True)
-
-
 def annihilation(config: HilbertConfig, mode_index: int = 0) -> OperatorMatrix:
     """Lowering operator of one acoustic mode, identity on all other factors."""
     _check_mode(config, mode_index)
@@ -262,9 +230,7 @@ def annihilation(config: HilbertConfig, mode_index: int = 0) -> OperatorMatrix:
 def number_operator(config: HilbertConfig, mode_index: int = 0) -> OperatorMatrix:
     _check_mode(config, mode_index)
     a = _mode_ladder(config.phonon_dims[mode_index])
-    return OperatorMatrix(
-        config, _mode_operator(config, mode_index, a.conj().T @ a), hermitian=True
-    )
+    return OperatorMatrix(config, _mode_operator(config, mode_index, a.conj().T @ a))
 
 
 def _qubit_matrix(levels: int, which: str) -> np.ndarray:
@@ -293,8 +259,7 @@ def qubit_operator(config: HilbertConfig, which: str) -> OperatorMatrix:
     """Pauli-type operator embedded in the full space (see module conventions)."""
     m = _qubit_matrix(config.qubit_levels, which)
     factors = [m] + [np.eye(d, dtype=complex) for d in config.phonon_dims]
-    herm = which in ("sigma_z", "sigma_x", "sigma_y")
-    return OperatorMatrix(config, _embed(config, factors), hermitian=herm)
+    return OperatorMatrix(config, _embed(config, factors))
 
 
 def qubit_projector(config: HilbertConfig, level: int) -> OperatorMatrix:
@@ -303,7 +268,7 @@ def qubit_projector(config: HilbertConfig, level: int) -> OperatorMatrix:
     m = np.zeros((config.qubit_levels,) * 2, dtype=complex)
     m[level, level] = 1.0
     factors = [m] + [np.eye(d, dtype=complex) for d in config.phonon_dims]
-    return OperatorMatrix(config, _embed(config, factors), hermitian=True)
+    return OperatorMatrix(config, _embed(config, factors))
 
 
 def qubit_rotation(config: HilbertConfig, theta: float, eta: float) -> np.ndarray:
@@ -334,10 +299,10 @@ def fock_state(config: HilbertConfig, mode_occupations: Sequence[int], qubit_lev
 def _truncation_guard(config: HilbertConfig, mode_index: int, beta: complex):
     _check_mode(config, mode_index)
     dim = config.phonon_dims[mode_index]
-    required = int(np.ceil(4.0 * abs(beta) ** 2))
+    required = 4.0 * abs(beta) * abs(beta)  # inf, not an OverflowError, for a huge |beta|
     if dim < required:
         raise TruncationError(
-            f"|beta|={abs(beta):.3f} needs phonon dim >= {required}, mode has {dim}"
+            f"|beta|={abs(beta):.4g} needs phonon dim >= {np.ceil(required):.0f}, mode has {dim}"
         )
 
 
@@ -396,7 +361,7 @@ def parity_operator(config: HilbertConfig, mode_index: int = 0) -> OperatorMatri
     _check_mode(config, mode_index)
     d = config.phonon_dims[mode_index]
     p = np.diag((-1.0 + 0j) ** np.arange(d))
-    return OperatorMatrix(config, _mode_operator(config, mode_index, p), hermitian=True)
+    return OperatorMatrix(config, _mode_operator(config, mode_index, p))
 
 
 # ---------------------------------------------------------------------------
@@ -413,47 +378,9 @@ def expectation(state, operator: OperatorMatrix) -> complex:
     raise ValidationError(f"cannot take expectation of {type(state).__name__}")
 
 
-def partial_trace(density: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out all subsystems not listed in ``keep``.
-
-    Subsystem 0 is the qubit; subsystem k >= 1 is phonon mode k-1.  The kept
-    subsystems stay in their original relative order.  Because every
-    DensityMatrix needs a qubit factor and at least one mode, traced-out
-    factors are re-embedded in their ground state: tracing over the qubit
-    returns |g><g| (x) rho_modes, tracing over all modes returns
-    rho_qubit (x) |0><0| on a trivial 2-dim mode.  Trace is preserved.
-    """
-    dims = density.config.dims
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValidationError(f"keep indices {keep} out of range")
-    if not keep:
-        raise ValidationError("must keep at least one subsystem")
-    nsub = len(dims)
-    t = density.matrix.reshape(dims + dims)
-    # contract traced-out subsystem pairs, highest axis first
-    for k in reversed([i for i in range(nsub) if i not in keep]):
-        t = np.trace(t, axis1=k, axis2=k + t.ndim // 2)
-    kept_dims = tuple(dims[k] for k in keep)
-    d = int(np.prod(kept_dims))
-    reduced = t.reshape(d, d)
-    if 0 in keep and len(kept_dims) > 1:
-        return DensityMatrix(HilbertConfig(dims[0], kept_dims[1:]), reduced)
-    if 0 in keep:
-        # qubit only: re-embed with a trivial 2-dim mode in |0>
-        ql = dims[0]
-        out = np.zeros((ql * 2, ql * 2), dtype=complex)
-        out[::2, ::2] = reduced
-        return DensityMatrix(HilbertConfig(ql, (2,)), out)
-    # modes only: re-embed with the qubit reset to |g>
-    cfg = HilbertConfig(2, kept_dims)
-    out = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    out[:d, :d] = reduced
-    return DensityMatrix(cfg, out)
-
-
 def reduced_mode_matrix(density: DensityMatrix, mode_index: int = 0) -> np.ndarray:
     """Plain ndarray of the reduced density matrix of one phonon mode."""
+    _check_mode(density.config, mode_index)
     dims = density.config.dims
     t = density.matrix.reshape(dims + dims)
     nsub = len(dims)
@@ -461,18 +388,6 @@ def reduced_mode_matrix(density: DensityMatrix, mode_index: int = 0) -> np.ndarr
     for k in reversed([i for i in range(nsub) if i != target]):
         t = np.trace(t, axis1=k, axis2=k + t.ndim // 2)
     return t
-
-
-def tensor(config: HilbertConfig, factors: Sequence[np.ndarray]) -> OperatorMatrix:
-    """Assemble a full-space operator from per-factor matrices (qubit first)."""
-    if len(factors) != 1 + config.n_modes:
-        raise ValidationError(
-            f"need {1 + config.n_modes} factors (qubit + modes), got {len(factors)}"
-        )
-    for f, d in zip(factors, config.dims):
-        if np.asarray(f).shape != (d, d):
-            raise ValidationError(f"factor shape {np.asarray(f).shape} does not match dim {d}")
-    return OperatorMatrix(config, _embed(config, [np.asarray(f, dtype=complex) for f in factors]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +399,3 @@ def hermitian_propagator(h_angular: np.ndarray, t: float) -> np.ndarray:
     w, v = np.linalg.eigh(h_angular)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
-
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """General dense matrix exponential (scaling-and-squaring Pade)."""
-    return _expm(m)

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -87,9 +87,7 @@ from .swtheory import chi_numeric, echo_sigma_z_analytic
 
 __all__ = [
     "StatePrep",
-    "ExperimentSpec",
     "ParityResult",
-    "EXPERIMENT_KINDS",
     "prepare_state",
     "fock_preparation",
     "qubit_spectroscopy",
@@ -109,20 +107,7 @@ __all__ = [
 FOUR_PHASES = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
 
 
-EXPERIMENT_KINDS = (
-    "spectroscopy",
-    "ramsey_parity",
-    "echo_parity",
-    "wigner",
-    "fock_prep_check",
-    "t1",
-    "t2_ramsey",
-    "rabi_chevron",
-    "chi_scan",
-    "offset_scan",
-)
-
-_PREP_TARGETS = ("vacuum", "fock", "coherent", "superposition_01", "custom")
+_PREP_TARGETS = ("vacuum", "fock", "coherent", "superposition_01")
 _PREP_METHODS = ("ideal_injection", "swap_sequence", "displacement_drive")
 
 
@@ -132,7 +117,6 @@ class StatePrep:
     m: int = 0
     beta: complex = 0j
     method: str = "ideal_injection"
-    ket: Ket | None = None
 
     def __post_init__(self):
         if self.target not in _PREP_TARGETS:
@@ -141,22 +125,6 @@ class StatePrep:
             raise ValidationError(f"unknown prep method {self.method!r}")
         if self.target == "fock" and self.method == "swap_sequence" and self.m > 3:
             raise ValidationError("swap-sequence preparation is limited to M <= 3")
-        if self.target == "custom" and self.ket is None:
-            raise ValidationError("custom prep requires a ket")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    kind: str
-    preparation: StatePrep = field(default_factory=StatePrep)
-    sweep: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValidationError(
-                f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}"
-            )
-        object.__setattr__(self, "sweep", dict(self.sweep))
 
 
 @dataclass(frozen=True)
@@ -259,10 +227,6 @@ def prepare_state(
         c = np.zeros(config.phonon_dims[0], dtype=complex)
         c[0] = c[1] = 1.0 / math.sqrt(2.0)
         return _inject_mode_state(c, config)
-    if prep.target == "custom":
-        if prep.ket.config != config:
-            raise ValidationError("custom ket config mismatch")
-        return prep.ket
     raise ValidationError(f"unhandled prep target {prep.target!r}")
 
 
@@ -575,7 +539,7 @@ def spectroscopy_peak_hints(
     """
     cfg = HilbertConfig(2, (max(n_peaks + 6, 10),))
     shifts = chi_numeric(params, cfg, delta_operate, max(n_peaks - 1, 1))
-    h = full_jc_hamiltonian(params, cfg, delta_operate, frame="phonon_rotating").matrix
+    h = full_jc_hamiltonian(params, cfg, delta_operate).matrix
     w, v = np.linalg.eigh(h)
     d = cfg.phonon_dims[0]
     idx_g0 = int(np.argmax(np.abs(v[0 * d + 0, :]) ** 2))
@@ -647,8 +611,7 @@ def qubit_spectroscopy(
     # the probe frame f enters H only as -2 pi f K, K = sigma_z/2 + sum_k n_k
     sz, modes = _jc_terms(config)
     k = 0.5 * sz + sum(n_k for n_k, _ in modes)
-    h0 = full_jc_hamiltonian(params, config, delta_operate + noise.static_qubit_offset,
-                             frame=0.0).matrix
+    h0 = full_jc_hamiltonian(params, config, delta_operate + noise.static_qubit_offset).matrix
     g0 = _hermitian_generator(
         liouvillian(h0 + h_drive, collapse_operators(config, noise)) * probe_duration).tocoo()
     g1 = _hermitian_generator(liouvillian(-TWO_PI * k, ()) * probe_duration).tocoo()

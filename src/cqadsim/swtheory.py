@@ -2,9 +2,9 @@
 
 The transformation U = exp(A) with A = eps sigma+ a - eps* sigma- a^dag,
 eps = g/Delta, removes the exchange coupling to first order.  This module
-provides the transformed rotating-frame Hamiltonian, the perturbed basis
-states, a closed-form Ramsey <sigma_z> correct through second order in eps,
-and exact-diagonalization dispersive shifts.
+provides the transformed rotating-frame Hamiltonian, a closed-form Ramsey
+<sigma_z> correct through second order in eps, and exact-diagonalization
+dispersive shifts.
 
 The second-order Ramsey expression is not transcribed from anywhere: it is
 evaluated by carrying the state through the pulse/transform/evolve
@@ -25,16 +25,15 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import expm as _expm
 
 from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
-from .exceptions import NumericError, TruncationError, ValidationError
+from .exceptions import NumericError, ValidationError
 from .hilbert import (
     HilbertConfig,
-    Ket,
     OperatorMatrix,
     annihilation,
     hermitian_propagator,
-    matrix_exp,
     number_operator,
     qubit_operator,
     qubit_rotation,
@@ -46,7 +45,6 @@ __all__ = [
     "sw_generator",
     "sw_expansion",
     "sw_rotating_hamiltonian",
-    "sw_transform_state",
     "ramsey_prediction",
     "ramsey_sigma_z_analytic",
     "ramsey_sigma_z_from_phases",
@@ -65,7 +63,7 @@ def _require_two_level_single_mode(config: HilbertConfig):
 
 
 # ---------------------------------------------------------------------------
-# transformed Hamiltonian and states
+# transformed Hamiltonian
 
 
 def sw_rotating_hamiltonian(params: SystemParams, config: HilbertConfig, delta: float) -> OperatorMatrix:
@@ -78,7 +76,7 @@ def sw_rotating_hamiltonian(params: SystemParams, config: HilbertConfig, delta: 
     n = number_operator(config, 0).matrix
     sz = qubit_operator(config, "sigma_z").matrix
     h = TWO_PI * (-dp * n + 0.5 * chi * (sz @ n))
-    return OperatorMatrix(config, h, hermitian=True)
+    return OperatorMatrix(config, h)
 
 
 def sw_generator(config: HilbertConfig, epsilon: complex) -> OperatorMatrix:
@@ -96,7 +94,6 @@ class SWExpansion:
     """Generator, unitary, and transformed Hamiltonian at one detuning."""
 
     epsilon: complex
-    order: int
     generator: OperatorMatrix
     transformed_h: OperatorMatrix
 
@@ -108,48 +105,18 @@ class SWExpansion:
         return float(np.linalg.norm(m[0, :, 1, :]) + np.linalg.norm(m[1, :, 0, :]))
 
 
-def sw_expansion(params: SystemParams, config: HilbertConfig, delta: float, order: int = 2) -> SWExpansion:
+def sw_expansion(params: SystemParams, config: HilbertConfig, delta: float) -> SWExpansion:
+    """The exact transform U H U^dag, U = exp(A), of the phonon-frame JC Hamiltonian."""
     _require_two_level_single_mode(config)
-    if order not in (1, 2):
-        raise ValidationError("order must be 1 or 2")
     eps = params.g_lg00 / delta
     gen = sw_generator(config, eps)
     scale = max(np.abs(gen.matrix).max(), 1e-300)
     if np.abs(gen.matrix + gen.matrix.conj().T).max() / scale > 1e-12:
         raise NumericError("SW generator is not anti-Hermitian")
-    h = full_jc_hamiltonian(params, config, delta, frame="phonon_rotating").matrix
-    u = matrix_exp(gen.matrix)
+    h = full_jc_hamiltonian(params, config, delta).matrix
+    u = _expm(gen.matrix)
     transformed = OperatorMatrix(config, u @ h @ u.conj().T)
-    return SWExpansion(epsilon=eps, order=order, generator=gen, transformed_h=transformed)
-
-
-def sw_transform_state(ket: Ket, epsilon: complex, order: int = 2) -> Ket:
-    """Apply the truncated expansion of U = exp(A) to a state.
-
-    Implements U|g,n> = |g,n> + eps sqrt(n)|e,n-1> - |eps|^2/2 n |g,n> and the
-    matching |e,n> action; no renormalization is applied (the expansion is
-    used as-is).  The top ladder level must be unoccupied.
-    """
-    cfg = ket.config
-    _require_two_level_single_mode(cfg)
-    if order not in (1, 2):
-        raise ValidationError("order must be 1 or 2")
-    d = cfg.phonon_dims[0]
-    amps = ket.amplitudes.reshape(2, d)
-    if np.abs(amps[:, d - 1]).max() > 1e-12:
-        raise TruncationError("state occupies the top ladder level; enlarge the truncation")
-    g, e = amps[0], amps[1]
-    n = np.arange(d, dtype=float)
-    out_g = g.astype(complex).copy()
-    out_e = e.astype(complex).copy()
-    # A|g,n> = eps sqrt(n) |e,n-1>;  A|e,n> = -eps* sqrt(n+1) |g,n+1>
-    out_e[:-1] += epsilon * np.sqrt(n[1:]) * g[1:]
-    out_g[1:] += -np.conj(epsilon) * np.sqrt(n[1:]) * e[:-1]
-    if order >= 2:
-        a2 = abs(epsilon) ** 2 / 2.0
-        out_g += -a2 * n * g
-        out_e += -a2 * (n + 1.0) * e
-    return Ket(cfg, np.concatenate([out_g, out_e]), normalized=False)
+    return SWExpansion(epsilon=eps, generator=gen, transformed_h=transformed)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +314,7 @@ def ramsey_sigma_z_exact_phases(
     c = np.asarray(c, dtype=complex).reshape(-1)
     config = HilbertConfig(2, (c.size + 6,))
     d = config.phonon_dims[0]
-    u = matrix_exp(sw_generator(config, eps).matrix)
+    u = _expm(sw_generator(config, eps).matrix)
     n = np.arange(d)
     phases = np.concatenate([np.exp(1j * n * (phi + psi)), np.exp(1j * n * (phi - psi))])
     r = qubit_rotation(config, theta, math.pi / 2.0)
@@ -414,7 +381,7 @@ def ramsey_sigma_z_exact_sw(
     c = np.asarray(c, dtype=complex).reshape(-1)
     config = HilbertConfig(2, (c.size + 6,))
     eps = params.g_lg00 / delta
-    u = matrix_exp(sw_generator(config, eps).matrix)
+    u = _expm(sw_generator(config, eps).matrix)
     hr = sw_rotating_hamiltonian(params, config, delta).matrix
     ev = np.diag(np.exp(-1j * np.diag(hr) * t))
     r = qubit_rotation(config, theta, math.pi / 2.0)
@@ -480,7 +447,7 @@ def chi_numeric(
     d = config.phonon_dims[0]
     if d < n_max + 5:
         raise ValidationError(f"truncation dim {d} must be >= n_max + 5 = {n_max + 5}")
-    h = full_jc_hamiltonian(params, config, delta, frame="phonon_rotating").matrix
+    h = full_jc_hamiltonian(params, config, delta).matrix
     w, v = np.linalg.eigh(h)
     overlaps = np.abs(v) ** 2
     energies = {}

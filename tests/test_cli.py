@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqadsim import cli, sequences
+from cqadsim import sequences
 from cqadsim.cli import RunManifest, compare_summaries, main, run_experiment
 from cqadsim.device import paper_default_params
 from cqadsim.dynamics import NoiseModel
@@ -12,7 +15,8 @@ from cqadsim.exceptions import ValidationError
 from cqadsim.hilbert import HilbertConfig, fock_state
 from cqadsim.keyval import parse_keyval, parse_number
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "presets"
 
 
 def write(tmp_path, name, text):
@@ -224,10 +228,6 @@ def test_offset_scan_honours_time_points(tmp_path):
     assert len((out / "offset_scan.csv").read_text().splitlines()) == 2 + 5
 
 
-def test_every_experiment_kind_dispatches():
-    assert set(cli._RUNNERS) == set(sequences.EXPERIMENT_KINDS)
-
-
 def test_jobs_other_than_one_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--experiment", str(PRESETS / "chi_scan.spec"),
@@ -361,6 +361,38 @@ def test_overflowing_number_is_a_validation_error(tmp_path, capsys, preset, key)
     assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert key in err and "float range" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, overrides, name", [
+    ("coherent_spectroscopy.spec", {"prep_beta_re": "1e300"}, "|beta|"),
+    ("wigner_fock1.spec", {"grid_extent": "1e300"}, "grid_extent"),
+    ("fock1_ramsey_parity.spec",
+     {"kind": "echo_parity", "prep_target": "coherent", "prep_beta_re": "1e300"}, "|beta|"),
+])
+def test_huge_amplitude_is_a_validation_error(tmp_path, capsys, preset, overrides, name):
+    """A finite amplitude whose square leaves the float range: exit 2, not an OverflowError."""
+    spec = preset_copy(tmp_path, preset, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unbounded_expm_action_is_a_numeric_failure(tmp_path):
+    """A probe so long that the expm action would take 2^1000 products: exit 3 at once."""
+    spec = preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6,
+                       probe_duration="1e300")
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqadsim.cli", "run", "--experiment", spec, "--out", str(out),
+         "--quiet"], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "matrix-vector products" in proc.stderr
     assert not out.exists()
 
 

@@ -10,14 +10,13 @@ from cqadsim.device import (
     _jc_terms,
     chi_analytic,
     delta_prime,
-    dispersive_hamiltonian,
     full_jc_hamiltonian,
     load_params,
     paper_default_params,
     purcell_rate,
 )
-from cqadsim.exceptions import DispersiveRegimeError, ValidationError
-from cqadsim.hilbert import HilbertConfig, annihilation, number_operator, qubit_operator
+from cqadsim.exceptions import ValidationError
+from cqadsim.hilbert import HilbertConfig, number_operator, qubit_operator
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +87,7 @@ def test_purcell_rate(params):
 
 def test_full_jc_doublet_splitting(params):
     cfg = HilbertConfig(2, (3,))
-    h = full_jc_hamiltonian(params, cfg, 0.0, frame="qubit_rotating")
+    h = full_jc_hamiltonian(params, cfg, 0.0)  # at resonance the qubit frame is the phonon frame
     evals = np.linalg.eigvalsh(h.matrix) / TWO_PI
     # n=1 manifold at resonance: dressed pair at +-g, splitting 2g = 519 kHz
     assert min(abs(v - params.g_lg00) for v in evals) < 1.0
@@ -98,7 +97,7 @@ def test_full_jc_doublet_splitting(params):
 def test_full_jc_detuned_doublet(params):
     cfg = HilbertConfig(2, (2,))
     delta = -0.9e6
-    h = full_jc_hamiltonian(params, cfg, delta, frame="qubit_rotating")
+    h = full_jc_hamiltonian(params, cfg, delta, frame=delta)
     evals = np.sort(np.linalg.eigvalsh(h.matrix)) / TWO_PI
     # one-excitation manifold: splitting 2 sqrt(g^2 + (delta/2)^2)
     expected = 2.0 * math.hypot(params.g_lg00, delta / 2.0)
@@ -111,14 +110,14 @@ def test_full_jc_zero_coupling_is_diagonal(params):
 
     cfg = HilbertConfig(2, (3,))
     p0 = replace(params, g_lg00=1e-6, g_lg10=1e-6)
-    h = full_jc_hamiltonian(p0, cfg, -1e6, frame="phonon_rotating").matrix
+    h = full_jc_hamiltonian(p0, cfg, -1e6).matrix
     off = h - np.diag(np.diag(h))
     assert np.abs(off).max() / np.abs(h).max() < 1e-9
 
 
 def test_full_jc_hermitian_and_excitation_conserving(params):
     cfg = HilbertConfig(2, (4, 3))
-    h = full_jc_hamiltonian(params, cfg, -2e6, frame="phonon_rotating")
+    h = full_jc_hamiltonian(params, cfg, -2e6)
     assert h.hermiticity_defect() < 1e-12
     n_exc = (
         0.5 * (qubit_operator(cfg, "sigma_z").matrix + np.eye(cfg.dim))
@@ -142,17 +141,13 @@ _JC_CONFIGS = st.one_of(
 def test_jc_frame_subtracts_excitation_number(cfg, delta, f):
     # every frame is the phonon-frame H minus 2 pi f (sigma_z/2 + sum_k n_k)
     params = paper_default_params()
-    h_phonon = full_jc_hamiltonian(params, cfg, delta, frame="phonon_rotating").matrix
+    h_phonon = full_jc_hamiltonian(params, cfg, delta).matrix
     n_exc = 0.5 * qubit_operator(cfg, "sigma_z").matrix + sum(
         number_operator(cfg, k).matrix for k in range(cfg.n_modes)
     )
     expected = h_phonon - TWO_PI * f * n_exc
     h = full_jc_hamiltonian(params, cfg, delta, frame=f).matrix
     assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
-    named = {"phonon_rotating": 0.0, "qubit_rotating": delta, "lab": -params.omega_m_lg00}
-    for name, value in named.items():
-        assert np.array_equal(full_jc_hamiltonian(params, cfg, delta, frame=name).matrix,
-                              full_jc_hamiltonian(params, cfg, delta, frame=value).matrix)
 
 
 @pytest.mark.parametrize("cfg", [HilbertConfig(2, (10,)), HilbertConfig(3, (3,)),
@@ -167,31 +162,6 @@ def test_jc_frame_term_is_minus_two_pi_k(params, cfg):
         h = full_jc_hamiltonian(params, cfg, delta, frame=f).matrix
         scale = max(np.abs(h).max(), np.abs(h0).max())
         assert np.abs(h - h0 - f * (-TWO_PI * k)).max() <= 4 * np.finfo(float).eps * scale
-
-
-def test_jc_unknown_frame_name(params):
-    with pytest.raises(ValidationError, match="frame"):
-        full_jc_hamiltonian(params, HilbertConfig(2, (3,)), -1e6, frame="probe")
-
-
-def test_dispersive_hamiltonian_structure(params):
-    cfg = HilbertConfig(2, (4,))
-    delta = params.delta("ramsey")
-    h = dispersive_hamiltonian(params, cfg, delta, frame="lab").matrix / TWO_PI
-    assert np.abs(h - np.diag(np.diag(h))).max() < 1e-6
-    d = np.real(np.diag(h)).reshape(2, 4)
-    chi = chi_analytic(params.g_lg00, delta, params.alpha, "full")
-    # e/g splitting grows by chi per phonon
-    split = d[1] - d[0]
-    assert split[1] - split[0] == pytest.approx(chi, rel=1e-9)
-    # n = 0 sector: splitting equals the operating qubit frequency exactly
-    assert split[0] == pytest.approx(params.omega_m_lg00 + delta, rel=1e-12)
-
-
-def test_dispersive_guard(params):
-    cfg = HilbertConfig(2, (3,))
-    with pytest.raises(DispersiveRegimeError):
-        dispersive_hamiltonian(params, cfg, -0.5e6)
 
 
 def test_dispersive_vs_exact_diagonalization(params):

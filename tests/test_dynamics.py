@@ -349,7 +349,7 @@ def _static_generators(draw):
     detuning = draw(st.floats(-3e6, 3e6))
     duration = draw(st.floats(1e-8, 5e-6))
     h = full_jc_hamiltonian(paper_default_params(), config,
-                            detuning + noise.static_qubit_offset, frame="phonon_rotating").matrix
+                            detuning + noise.static_qubit_offset).matrix
     return config, h, collapse_operators(config, noise), duration
 
 
@@ -390,8 +390,7 @@ def test_driven_propagator_is_one_dense_block(params, drive):
                       phonon_drive=Pulse(amplitude=1e6))
     assert not seg.is_time_dependent
     noise = NoiseModel.from_params(params, seg.detuning)
-    h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset,
-                             frame="phonon_rotating").matrix
+    h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
          + _drive_hamiltonian(_drive_terms(config, seg)))
     cs = collapse_operators(config, noise)
     gen = liouvillian(h, cs) * seg.duration
@@ -455,7 +454,7 @@ def test_driven_propagator_exponentiates_a_real_matrix(params, monkeypatch):
     config = HilbertConfig(2, (4,))
     seg = Segment(duration=0.2e-6, detuning=0.0, qubit_drive=Pulse(amplitude=1e6))
     noise = NoiseModel.from_params(params, params.delta("ramsey"))
-    h = (full_jc_hamiltonian(params, config, 0.0, frame="phonon_rotating").matrix
+    h = (full_jc_hamiltonian(params, config, 0.0).matrix
          + _drive_hamiltonian(_drive_terms(config, seg)))
     dtypes = []
 

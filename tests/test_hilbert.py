@@ -15,12 +15,10 @@ from cqadsim.hilbert import (
     displacement_operator,
     expectation,
     fock_state,
-    identity,
     number_operator,
     parity_operator,
-    partial_trace,
     qubit_operator,
-    tensor,
+    reduced_mode_matrix,
 )
 
 
@@ -182,26 +180,17 @@ def test_parity_conjugates_annihilation():
     assert np.abs(par @ a @ par + a).max() < 1e-14
 
 
-def test_partial_trace_over_qubit():
-    cfg = HilbertConfig(2, (3,))
-    rho = fock_state(cfg, [1], 0).to_density()
-    red = partial_trace(rho, keep=[1])
-    # |g><g| (x) |1><1| embedding
-    expected = np.zeros((6, 6))
-    expected[1, 1] = 1.0
-    assert np.allclose(red.matrix, expected)
-    assert red.trace() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_partial_trace_keep_qubit():
-    cfg = HilbertConfig(2, (3,))
-    v = (fock_state(cfg, [0], 0).amplitudes + fock_state(cfg, [1], 1).amplitudes) / math.sqrt(2)
-    rho = Ket(cfg, v).to_density()
-    red = partial_trace(rho, keep=[0])
-    # maximally mixed qubit re-embedded with a trivial mode
-    assert red.matrix[0, 0] == pytest.approx(0.5)
-    assert red.matrix[2, 2] == pytest.approx(0.5)
-    assert red.trace() == pytest.approx(1.0, abs=1e-9)
+def test_reduced_mode_matrix_of_a_two_mode_product_state():
+    # rho = rho_q (x) rho_1 (x) rho_2: each mode's reduction is its own factor
+    cfg = HilbertConfig(2, (3, 2))
+    rho_q = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    rho_1 = np.array([[0.5, 0.1j, 0.05], [-0.1j, 0.3, 0.0], [0.05, 0.0, 0.2]])
+    rho_2 = np.array([[0.6, 0.25 + 0.05j], [0.25 - 0.05j, 0.4]])
+    rho = DensityMatrix(cfg, np.kron(np.kron(rho_q, rho_1), rho_2))
+    assert np.abs(reduced_mode_matrix(rho, 0) - rho_1).max() < 1e-15
+    assert np.abs(reduced_mode_matrix(rho, 1) - rho_2).max() < 1e-15
+    with pytest.raises(ValidationError):
+        reduced_mode_matrix(rho, 2)
 
 
 def test_expectation_real_for_hermitian():
@@ -211,14 +200,6 @@ def test_expectation_real_for_hermitian():
     k = Ket(cfg, v / np.linalg.norm(v))
     n = number_operator(cfg)
     assert abs(expectation(k, n).imag) < 1e-10
-
-
-def test_tensor_identity():
-    cfg = HilbertConfig(2, (3, 4))
-    op = tensor(cfg, [np.eye(2), np.eye(3), np.eye(4)])
-    assert np.allclose(op.matrix, np.eye(cfg.dim))
-    with pytest.raises(ValidationError):
-        tensor(cfg, [np.eye(2), np.eye(3)])
 
 
 def test_density_matrix_validate():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cqadsim import dynamics, sequences
-from cqadsim.device import TWO_PI, chi_analytic, full_jc_hamiltonian, paper_default_params
+from cqadsim.device import TWO_PI, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
     NoiseModel,
     Pulse,
@@ -29,14 +29,12 @@ from cqadsim.hilbert import (
     expectation,
     fock_state,
     number_operator,
-    parity_operator,
     qubit_operator,
     qubit_projector,
     reduced_mode_matrix,
 )
 from cqadsim.sequences import (
     FOUR_PHASES,
-    ExperimentSpec,
     ParityResult,
     StatePrep,
     coherence_protocols,
@@ -81,10 +79,6 @@ def test_spec_and_prep_validation():
         StatePrep(target="squeezed")
     with pytest.raises(ValidationError):
         StatePrep(target="fock", m=4, method="swap_sequence")
-    with pytest.raises(ValidationError):
-        ExperimentSpec(kind="frobnicate")
-    spec = ExperimentSpec(kind="wigner", sweep={"grid_points": 5})
-    assert spec.sweep["grid_points"] == 5
 
 
 def test_fock_prep_trivial_and_ideal(params, cfg8):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cqadsim.device import TWO_PI, chi_analytic, delta_prime, paper_default_params
-from cqadsim.exceptions import NumericError, TruncationError, ValidationError
-from cqadsim.hilbert import HilbertConfig, fock_state, matrix_exp
+from cqadsim.exceptions import NumericError, ValidationError
+from cqadsim.hilbert import HilbertConfig
 from cqadsim.swtheory import (
     chi_numeric,
     echo_sigma_z_analytic,
@@ -18,7 +18,6 @@ from cqadsim.swtheory import (
     sw_expansion,
     sw_generator,
     sw_rotating_hamiltonian,
-    sw_transform_state,
 )
 
 FOUR = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
@@ -70,7 +69,7 @@ def test_sw_expansion_flip_block_scaling(params):
     norms = []
     for scale in (1.0, 0.5, 0.25):
         ps = replace(params, g_lg00=params.g_lg00 * scale)
-        ex = sw_expansion(ps, cfg, params.delta("ramsey"), order=2)
+        ex = sw_expansion(ps, cfg, params.delta("ramsey"))
         norms.append(ex.flip_block_norm())
     # halving eps cuts the residual flip block by >= 7x (cubic)
     assert norms[0] / norms[1] >= 7.0
@@ -78,49 +77,18 @@ def test_sw_expansion_flip_block_scaling(params):
 
 
 def test_sw_expansion_order1_bound(params):
-    # ||flip|| <= C |eps|^2 ||H_JC|| with C <= 10 at order 1
+    # the first-order generator leaves ||flip|| <= C |eps|^2 ||H_JC|| with C <= 10
     from cqadsim.device import full_jc_hamiltonian
 
     cfg = HilbertConfig(2, (8,))
     delta = params.delta("ramsey")
-    ex = sw_expansion(params, cfg, delta, order=1)
+    ex = sw_expansion(params, cfg, delta)
     p0 = replace(params, g_lg00=1e-30, g_lg10=1e-30)
-    h_full = full_jc_hamiltonian(params, cfg, delta, frame="phonon_rotating").matrix
-    h_bare = full_jc_hamiltonian(p0, cfg, delta, frame="phonon_rotating").matrix
+    h_full = full_jc_hamiltonian(params, cfg, delta).matrix
+    h_bare = full_jc_hamiltonian(p0, cfg, delta).matrix
     hjc_norm = np.linalg.norm(h_full - h_bare)
     c = ex.flip_block_norm() / (abs(ex.epsilon) ** 2 * hjc_norm)
     assert c <= 10.0
-
-
-def test_sw_transform_state_first_order(params):
-    cfg = HilbertConfig(2, (6,))
-    eps = 0.1
-    out = sw_transform_state(fock_state(cfg, [1], 0), eps, order=1)
-    amps = out.amplitudes.reshape(2, 6)
-    assert amps[0][1] == pytest.approx(1.0)
-    assert amps[1][0] == pytest.approx(eps)  # eps sqrt(1) |e,0>
-    # identity at eps = 0
-    same = sw_transform_state(fock_state(cfg, [1], 0), 0.0, order=2)
-    assert np.allclose(same.amplitudes, fock_state(cfg, [1], 0).amplitudes)
-
-
-def test_sw_transform_state_cubic_scaling(params):
-    cfg = HilbertConfig(2, (8,))
-    ket = fock_state(cfg, [2], 0)
-    errs = []
-    for eps in (0.2, 0.1, 0.05):
-        u = matrix_exp(sw_generator(cfg, eps).matrix)
-        exact = u @ ket.amplitudes
-        approx = sw_transform_state(ket, eps, order=2).amplitudes
-        errs.append(np.linalg.norm(exact - approx))
-    assert errs[0] / errs[1] >= 7.0
-    assert errs[1] / errs[2] >= 7.0
-
-
-def test_sw_transform_top_of_ladder(params):
-    cfg = HilbertConfig(2, (4,))
-    with pytest.raises(TruncationError):
-        sw_transform_state(fock_state(cfg, [3], 0), 0.1, order=1)
 
 
 # ---------------------------------------------------------------------------

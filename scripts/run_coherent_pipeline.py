@@ -33,7 +33,7 @@ def measure_amplitude(params, target_beta, probe_angle=1.0, tau=15e-6):
     config = HilbertConfig(2, (dim,))
     prep = StatePrep(target="coherent", beta=complex(target_beta, 0.0),
                      method="displacement_drive")
-    state = prepare_state(prep, params, config, noise, drive_duration=1e-6)
+    state = prepare_state(prep, params, config, noise)
     rho = state.to_density() if isinstance(state, Ket) else state
     beta_prep = abs(np.trace(rho.matrix @ annihilation(config).matrix))
     nbar_eff = (0.86 * beta_prep) ** 2

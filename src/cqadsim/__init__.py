@@ -45,12 +45,10 @@ from .hilbert import (
 from .sequences import (
     ParityResult,
     StatePrep,
-    echo_parity,
-    fock_preparation,
     four_phase_average,
     interaction_time_offset_scan,
+    prepare_state,
     qubit_spectroscopy,
-    ramsey_parity,
     wigner_scan,
 )
 from .swtheory import (

@@ -40,7 +40,6 @@ class SpectrumTrace:
 
     frequencies: np.ndarray
     populations: np.ndarray
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -74,7 +73,6 @@ class WignerMap:
 
     beta_grid: np.ndarray
     values: np.ndarray
-    calibration_scale: float = 1.0
 
     def __post_init__(self):
         b = np.asarray(self.beta_grid, dtype=complex)
@@ -105,11 +103,14 @@ def _covariance_sigmas(res, n_data: int) -> np.ndarray:
         return np.full(res.x.size, np.inf)
 
 
-def _multistart_least_squares(residual, x0, bounds, seed, restarts, jitter_scale):
+_RESTARTS = 5  # the unjittered start plus four seeded jitters
+
+
+def _multistart_least_squares(residual, x0, bounds, seed, jitter_scale):
     rng = np.random.default_rng(seed)
     best = None
     lo, hi = bounds
-    for k in range(restarts):
+    for k in range(_RESTARTS):
         start = np.array(x0, dtype=float)
         if k > 0:
             start = start + rng.standard_normal(start.size) * jitter_scale
@@ -138,10 +139,8 @@ def voigt_sum_fit(
     n_peaks: int,
     spacing_hint: float,
     center_hint: float | None = None,
-    width_hint: float | None = None,
     deviation_bound: float = 0.25,
     seed: int = 0,
-    restarts: int = 5,
 ):
     """Fit a sum of Voigt profiles with a shared peak spacing.
 
@@ -167,7 +166,7 @@ def voigt_sum_fit(
             np.zeros(n_peaks),
         )
 
-    w0 = width_hint if width_hint else max(abs(spacing_hint) / 8.0, span / 200.0)
+    w0 = max(abs(spacing_hint) / 8.0, span / 200.0)
     c0 = center_hint if center_hint is not None else float(x[np.argmax(y)])
     base0 = float(np.percentile(y, 5))
 
@@ -221,7 +220,7 @@ def voigt_sum_fit(
         ]
     )
     best = _multistart_least_squares(
-        residual, x0, (lo, hi), seed, restarts, jitter_scale=abs(spacing_hint) / 40.0
+        residual, x0, (lo, hi), seed, jitter_scale=abs(spacing_hint) / 40.0
     )
     if best is None:
         return (
@@ -385,7 +384,7 @@ def decay_fit(times: Sequence[float], values: Sequence[float], model: str = "exp
         names = ["amplitude", "t_decay", "frequency", "phase", "offset"]
 
     best = _multistart_least_squares(
-        residual, x0, (np.array(lo), np.array(hi)), seed, 5,
+        residual, x0, (np.array(lo), np.array(hi)), seed,
         jitter_scale=abs(np.array(x0)).max() / 20.0 + 1e-12,
     )
     if best is None:
@@ -419,4 +418,4 @@ def wigner_assemble(
         raise ValidationError("grid and parity shapes differ")
     if np.any(~np.isfinite(p)):
         raise ValidationError("missing (non-finite) parity grid points")
-    return WignerMap(b * calibration_scale, (2.0 / math.pi) * p, calibration_scale)
+    return WignerMap(b * calibration_scale, (2.0 / math.pi) * p)

@@ -165,6 +165,15 @@ def _spec_from_keyval(data: dict) -> tuple[str, StatePrep, _ReadTracker]:
     return kind, prep, sweep
 
 
+def _interaction_time(sweep: dict, params: SystemParams, delta: float, variant: str) -> float:
+    """The spec's ``interaction_time``, or for "auto" the variant's default at ``delta``."""
+    if sweep.get("interaction_time", "auto") != "auto":
+        return _positive(sweep, "interaction_time", None)
+    if variant == "ramsey":
+        return sequences.default_ramsey_time(params, delta)
+    return sequences.echo_offset_zero_time(params, delta)
+
+
 def _resolve_detuning(params: SystemParams, value) -> float:
     if isinstance(value, str):
         return params.delta(value)
@@ -254,28 +263,21 @@ def _run_parity(params, kind, prep, sweep, seed):
     noise = _noise_for(params, sweep, delta)
     config = _config_for(sweep, 8)
     state = sequences.prepare_state(prep, params, config, noise)
-    t = sweep.get("interaction_time", "auto")
     variant = "ramsey" if kind == "ramsey_parity" else "echo"
-    if t == "auto":
-        t = (sequences.default_ramsey_time(params, delta) if variant == "ramsey"
-             else sequences.echo_offset_zero_time(params, delta))
-    else:
-        t = _number(sweep, "interaction_time")
+    t = _interaction_time(sweep, params, delta, variant)
     n_phases = _count(sweep, "phases", 4)
     phases = tuple(2.0 * math.pi * k / n_phases for k in range(n_phases))
-    res = sequences.four_phase_average(
-        state, variant, params, config, noise, t_interaction=t, delta=delta, phases=phases,
-    )
+    res = sequences.four_phase_average(state, variant, params, config, noise, t, delta, phases)
     summary = {
         "kind": kind,
         "parity": res.value,
         "raw_sigma_z": res.raw_sigma_z,
-        "interaction_time_s": res.interaction_time,
+        "interaction_time_s": t,
         "reference_contrast": res.reference_contrast,
         "detuning_hz": delta,
-        "phases": list(res.phases_used),
+        "phases": list(phases),
     }
-    rows = [(p, res.raw_sigma_z, res.value) for p in res.phases_used]
+    rows = [(p, res.raw_sigma_z, res.value) for p in phases]
     return summary, [("parity.csv", ["theta_rad", "raw_sigma_z", "parity"], rows)], None
 
 
@@ -294,12 +296,8 @@ def _run_wigner(params, kind, prep, sweep, seed):
     state = sequences.prepare_state(prep, params, config, noise)
     axis = np.linspace(-extent, extent, npts)
     grid = axis[None, :] + 1j * axis[:, None]
-    t = sweep.get("interaction_time", "auto")
-    t = (sequences.echo_offset_zero_time(params, delta) if t == "auto"
-         else _number(sweep, "interaction_time"))
-    parities = sequences.wigner_scan(
-        state, grid, params, config, noise, interaction_time=t, delta=delta,
-    )
+    t = _interaction_time(sweep, params, delta, "echo")
+    parities = sequences.wigner_scan(state, grid, params, config, noise, t, delta)
     wmap = analysis.wigner_assemble(grid, parities, calibration_scale=scale)
     i0 = np.unravel_index(np.argmin(np.abs(grid)), grid.shape)
     summary = {
@@ -348,7 +346,7 @@ def _run_coherence(params, kind, prep, sweep, seed):
     }.get((kind, system))
     if proto is None:
         raise ValidationError(f"unsupported coherence combination {kind}/{system}")
-    t_max = _number(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
+    t_max = _positive(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
     n = _count(sweep, "delay_points", 31)
     delays = np.linspace(0.0, t_max, n)
     times, values, fit = sequences.coherence_protocols(
@@ -373,7 +371,7 @@ def _run_rabi_chevron(params, kind, prep, sweep, seed):
     d_lo = _number(sweep, "detuning_min", -1.5e6)
     d_hi = _number(sweep, "detuning_max", 2.0e6)
     nd = _count(sweep, "detuning_points", 36)
-    t_max = _number(sweep, "time_max", 4e-6)
+    t_max = _positive(sweep, "time_max", 4e-6)
     nt = _count(sweep, "time_points", 81)
     deltas = np.linspace(d_lo, d_hi, nd)
     times = np.linspace(0.0, t_max, nt)

@@ -89,8 +89,6 @@ class NoiseModel:
         cls,
         params: SystemParams,
         delta: float,
-        include_qubit: bool = True,
-        include_phonon: bool = True,
         static_qubit_offset: float = 0.0,
     ) -> "NoiseModel":
         """Rates for an operating detuning.
@@ -99,18 +97,15 @@ class NoiseModel:
         phonon uses the intrinsic (rest-point) rates because Purcell loss
         through the qubit emerges from the simulated coupling itself.
         """
-        g1 = params.rate_at("gamma1", delta) if include_qubit else 0.0
-        g2 = params.rate_at("gamma2_star", delta) if include_qubit else 0.0
-        gphi = g2 - g1 / 2.0
+        g1 = params.rate_at("gamma1", delta)
+        gphi = params.rate_at("gamma2_star", delta) - g1 / 2.0
         if gphi < -1e-9:
             raise ValidationError("gamma2* - gamma1/2 must be >= 0")
-        k1 = params.kappa1["rest"] if include_phonon else 0.0
-        kphi = max(params.kappa2_star["rest"] - params.kappa1["rest"] / 2.0, 0.0) if include_phonon else 0.0
         return cls(
             qubit_gamma1=g1,
             qubit_gamma_phi=max(gphi, 0.0),
-            phonon_kappa1=k1,
-            phonon_kappa_phi=kphi,
+            phonon_kappa1=params.kappa1["rest"],
+            phonon_kappa_phi=max(params.kappa2_star["rest"] - params.kappa1["rest"] / 2.0, 0.0),
             static_qubit_offset=static_qubit_offset,
         )
 

@@ -19,17 +19,17 @@ The Ramsey and echo sequences are one list of steps (``_parity_steps``:
 rotation matrices and constant segments).  Parity has one readout,
 run backward: from sigma_z through ``dynamics._apply_adjoint`` into one
 phase-averaged effect operator E per operating point, and each state is read
-as Tr[E rho] (<psi|E|psi> for a Ket).  Single estimates (``ramsey_parity``,
-``echo_parity``, ``four_phase_average``) and the Wigner and offset scans all
-read parity this way.  The vacuum fringe that calibrates E runs forward: its
-four readout offsets share every step but the final pulse, so the vacuum
-takes the shared steps once.
+as Tr[E rho] (<psi|E|psi> for a Ket).  ``_calibrated_effect`` pairs E with its
+vacuum calibration; the parity estimate (``four_phase_average``; one drive
+phase is ``phases=(theta,)``) and the Wigner and offset scans all read parity
+through it.  The vacuum fringe that calibrates E runs forward: its four
+readout offsets share every step but the final pulse, so the vacuum takes the
+shared steps once.
 
-The fringe calibration and the echo-offset zero time are
-``functools.lru_cache`` memos keyed on their arguments; the zero time's
-121-point bracket scan is one batched analytic call per phase.  Sweep points
-(spectroscopy frequencies, Wigner grid points, offset-scan times) run in
-order in one thread.
+The vacuum fringe and the echo-offset zero time are ``functools.lru_cache``
+memos keyed on their arguments; the zero time's 121-point bracket scan is one
+batched analytic call per phase.  Sweep points (spectroscopy frequencies,
+Wigner grid points, offset-scan times) run in order in one thread.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from .hilbert import (
     qubit_operator,
     qubit_projector,
     qubit_rotation,
-    reduced_mode_matrix,
 )
 from .swtheory import chi_numeric, echo_sigma_z_analytic
 
@@ -89,11 +88,8 @@ __all__ = [
     "StatePrep",
     "ParityResult",
     "prepare_state",
-    "fock_preparation",
     "qubit_spectroscopy",
     "spectroscopy_peak_hints",
-    "ramsey_parity",
-    "echo_parity",
     "four_phase_average",
     "wigner_scan",
     "default_ramsey_time",
@@ -105,6 +101,10 @@ __all__ = [
 ]
 
 FOUR_PHASES = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
+
+_PULSE_DURATION = 50e-9  # qubit pi and pi/2 pulses of the swap preparations
+_DRIVE_DURATION = 1e-6  # resonant phonon drive of the displacement preparation
+_PHASE_CYCLES = 2  # probe carrier phases averaged by qubit_spectroscopy
 
 
 _PREP_TARGETS = ("vacuum", "fock", "coherent", "superposition_01")
@@ -139,10 +139,7 @@ class ParityResult:
 
     value: float
     raw_sigma_z: float
-    interaction_time: float
-    phases_used: tuple[float, ...]
     reference_contrast: float
-    reference_offset: float
 
     def __post_init__(self):
         if not math.isfinite(self.value) or abs(self.value) > 1.05:
@@ -153,19 +150,35 @@ class ParityResult:
 # state preparation
 
 
-def fock_preparation(
-    M: int,
-    method: str,
-    params: SystemParams,
-    config: HilbertConfig,
-    noise: NoiseModel,
-    pulse_duration: float = 50e-9,
-):
+def prepare_state(prep: StatePrep, params: SystemParams, config: HilbertConfig,
+                  noise: NoiseModel):
+    """Produce the phonon state at the rest detuning with the qubit in |g>."""
+    vacuum = fock_state(config, [0] * config.n_modes, 0)
+    if prep.target == "vacuum":
+        return vacuum
+    if prep.target == "fock":
+        return _fock_preparation(prep.m, prep.method, params, config, noise)
+    if prep.target == "coherent":
+        if prep.method == "displacement_drive":
+            # resonant square drive with the qubit at rest: |beta| = pi amp duration
+            drive = Pulse(abs(prep.beta) / (math.pi * _DRIVE_DURATION),
+                          float(np.angle(prep.beta) + math.pi / 2.0))
+            seg = Segment(_DRIVE_DURATION, params.delta("rest"), phonon_drive=drive)
+            return evolve_segments(vacuum, [seg], params, config, noise)
+        return coherent_state(config, 0, prep.beta)
+    # superposition_01: (|0> + |1>)/sqrt(2) in LG-00
+    if prep.method == "swap_sequence":
+        state = _excite_qubit(vacuum, params, config, noise, math.pi / 2.0)
+        return evolve_segments(state, [_swap_segment(params)], params, config, noise)
+    one = fock_state(config, [1] + [0] * (config.n_modes - 1), 0)
+    return Ket(config, (vacuum.amplitudes + one.amplitudes) / math.sqrt(2.0))
+
+
+def _fock_preparation(M, method, params, config, noise):
     """Prepare M phonons: ideal injection or repeated pi-pulse + swap rounds.
 
     Swap k uses the resonant duration 1/(4 g sqrt(k)) for full transfer on
-    the |e, k-1> <-> |g, k> transition.  ``pulse_duration`` = 0 makes the
-    qubit pulses instantaneous.
+    the |e, k-1> <-> |g, k> transition.
     """
     if M > config.phonon_dims[0] - 2:
         raise TruncationError(f"M={M} needs phonon dim >= {M + 2}")
@@ -175,7 +188,7 @@ def fock_preparation(
         raise ValidationError(f"Fock preparation does not support method {method!r}")
     state = fock_state(config, [0] * config.n_modes, 0)
     for k in range(1, M + 1):
-        state = _excite_qubit(state, params, config, noise, math.pi, pulse_duration)
+        state = _excite_qubit(state, params, config, noise, math.pi)
         state = evolve_segments(state, [_swap_segment(params, k)], params, config, noise)
     return state
 
@@ -185,60 +198,11 @@ def _swap_segment(params: SystemParams, k: int = 1) -> Segment:
     return Segment(1.0 / (4.0 * params.mode_g(0) * math.sqrt(k)), 0.0)
 
 
-def _excite_qubit(state, params, config, noise, angle, pulse_duration, theta=0.0):
-    if pulse_duration <= 0:
-        return _apply(qubit_rotation(config, theta, angle), state)
-    amp = angle / (TWO_PI * pulse_duration)
-    seg = Segment(
-        duration=pulse_duration,
-        detuning=params.delta("rest"),
-        qubit_drive=Pulse(amp, theta),
-    )
+def _excite_qubit(state, params, config, noise, angle):
+    """A square qubit pulse of rotation ``angle`` at the rest detuning."""
+    seg = Segment(_PULSE_DURATION, params.delta("rest"),
+                  qubit_drive=Pulse(angle / (TWO_PI * _PULSE_DURATION)))
     return evolve_segments(state, [seg], params, config, noise)
-
-
-def prepare_state(
-    prep: StatePrep,
-    params: SystemParams,
-    config: HilbertConfig,
-    noise: NoiseModel,
-    pulse_duration: float = 50e-9,
-    drive_duration: float = 1e-6,
-):
-    """Produce the phonon state at the rest detuning with the qubit in |g>."""
-    if prep.target == "vacuum":
-        return fock_state(config, [0] * config.n_modes, 0)
-    if prep.target == "fock":
-        return fock_preparation(prep.m, prep.method, params, config, noise, pulse_duration)
-    if prep.target == "coherent":
-        if prep.method == "displacement_drive":
-            # resonant square drive with the qubit at rest: |beta| = pi amp duration
-            drive = Pulse(abs(prep.beta) / (math.pi * drive_duration),
-                          float(np.angle(prep.beta) + math.pi / 2.0))
-            seg = Segment(drive_duration, params.delta("rest"), phonon_drive=drive)
-            return evolve_segments(fock_state(config, [0] * config.n_modes, 0), [seg],
-                                   params, config, noise)
-        return coherent_state(config, 0, prep.beta)
-    if prep.target == "superposition_01":
-        if prep.method == "swap_sequence":
-            state = fock_state(config, [0] * config.n_modes, 0)
-            state = _excite_qubit(state, params, config, noise, math.pi / 2.0, pulse_duration)
-            return evolve_segments(state, [_swap_segment(params)], params, config, noise)
-        c = np.zeros(config.phonon_dims[0], dtype=complex)
-        c[0] = c[1] = 1.0 / math.sqrt(2.0)
-        return _inject_mode_state(c, config)
-    raise ValidationError(f"unhandled prep target {prep.target!r}")
-
-
-def _inject_mode_state(c: np.ndarray, config: HilbertConfig) -> Ket:
-    v = c
-    for d in config.phonon_dims[1:]:
-        g0 = np.zeros(d, dtype=complex)
-        g0[0] = 1.0
-        v = np.kron(v, g0)
-    full = np.zeros(config.dim, dtype=complex)
-    full[: v.size] = v  # qubit |g> block (qubit index is slowest)
-    return Ket(config, full)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +250,16 @@ def _parity_effect(variant, phases, offset, t, delta, params, config, noise) -> 
     return OperatorMatrix(config, total / len(phases))
 
 
-def _fringe_calibration(variant, t, delta, params, config, noise):
-    """Vacuum-reference fringe: returns (phase, contrast, offset).
+def _calibrated_effect(variant, phases, t, delta, params, config, noise):
+    """The effect E at one operating point with its vacuum calibration: (E, offset, contrast).
 
-    Computed without any static qubit offset (an uncalibrated drift must not
-    leak into the calibration), so offset variants share one calibration.
+    The fringe is computed without any static qubit offset (an uncalibrated
+    drift must not leak into the calibration), so offset variants share one
+    calibration; E reads each drive phase at the fringe's phase offset.
     """
-    return _vacuum_fringe(variant, t, delta, params, config, noise.without_offset())
+    phase, contrast, offset = _vacuum_fringe(variant, t, delta, params, config,
+                                             noise.without_offset())
+    return _parity_effect(variant, phases, phase, t, delta, params, config, noise), offset, contrast
 
 
 @functools.lru_cache(maxsize=1024)
@@ -321,102 +288,52 @@ def _vacuum_fringe(variant, t, delta, params, config, noise):
     return phase, contrast, offset
 
 
-def _parity_readout(state, variant, phases, t, delta, params, config, noise) -> ParityResult:
-    """Calibrate at the operating point, then read ``state`` as Tr[E rho]."""
-    if t <= 0:
-        raise ValidationError("interaction time must be > 0")
-    phase, contrast, offset = _fringe_calibration(variant, t, delta, params, config, noise)
-    effect = _parity_effect(variant, phases, phase, t, delta, params, config, noise)
-    raw = float(expectation(state, effect).real)
-    return ParityResult(
-        value=(raw - offset) / contrast,
-        raw_sigma_z=raw,
-        interaction_time=t,
-        phases_used=tuple(phases),
-        reference_contrast=contrast,
-        reference_offset=offset,
-    )
-
-
-def ramsey_parity(
-    prepared_state,
-    t_interaction: float,
-    theta: float,
-    params: SystemParams,
-    config: HilbertConfig,
-    noise: NoiseModel,
-    delta: float | None = None,
-) -> ParityResult:
-    """Single Ramsey parity estimate: pi/2 - dispersive interaction - pi/2."""
-    d = params.delta("ramsey") if delta is None else delta
-    return _parity_readout(prepared_state, "ramsey", (theta,), t_interaction, d, params, config,
-                           noise)
-
-
-def echo_parity(
-    prepared_state,
-    theta: float,
-    params: SystemParams,
-    config: HilbertConfig,
-    noise: NoiseModel,
-    t_total: float | None = None,
-    delta: float | None = None,
-) -> ParityResult:
-    """Echo parity: two half interactions at +-Delta with a pi pulse between."""
-    d = params.delta("ramsey") if delta is None else delta
-    t = default_ramsey_time(params, d) if t_total is None else t_total
-    return _parity_readout(prepared_state, "echo", (theta,), t, d, params, config, noise)
-
-
 def four_phase_average(
     prepared_state,
-    variant: str = "echo",
-    params: SystemParams | None = None,
-    config: HilbertConfig | None = None,
-    noise: NoiseModel | None = None,
-    t_interaction: float | None = None,
-    delta: float | None = None,
+    variant: str,
+    params: SystemParams,
+    config: HilbertConfig,
+    noise: NoiseModel,
+    t_interaction: float,
+    delta: float,
     phases: Sequence[float] = FOUR_PHASES,
 ) -> ParityResult:
-    """Average the chosen parity sequence over drive phases (default four)."""
-    d = params.delta("ramsey") if delta is None else delta
-    t = (default_ramsey_time(params, d) if variant == "ramsey" else
-         echo_offset_zero_time(params, d)) if t_interaction is None else t_interaction
-    return _parity_readout(prepared_state, variant, phases, t, d, params, config, noise)
+    """Calibrated parity of ``prepared_state``: the ``variant`` sequence averaged over ``phases``.
+
+    Ramsey is pi/2 - interaction - pi/2; echo splits the interaction into
+    halves at +-``delta`` around a pi pulse.  One drive phase is ``(theta,)``.
+    """
+    effect, offset, contrast = _calibrated_effect(variant, phases, t_interaction, delta, params,
+                                                  config, noise)
+    raw = float(expectation(prepared_state, effect).real)
+    return ParityResult(value=(raw - offset) / contrast, raw_sigma_z=raw,
+                        reference_contrast=contrast)
 
 
 # ---------------------------------------------------------------------------
 # interaction-time selection (finite-epsilon offset of the parity estimate)
 
 
-def echo_offset_zero_time(
-    params: SystemParams, delta: float | None = None, beta_far: float = 2.0,
-    span: float = 0.30e-6,
-) -> float:
+@functools.lru_cache(maxsize=64)
+def echo_offset_zero_time(params: SystemParams, delta: float) -> float:
     """Interaction time near pi/|chi| where the analytic echo offset crosses zero.
 
-    The offset is evaluated on a far-field coherent state (parity ~ 0) with
-    the order-eps^2 echo expression, four-phase averaged; the zero crossing
-    closest to t0 is refined by Brent's method.  This mirrors choosing the
-    tomography interaction time that nulls the Wigner background.
+    The offset is evaluated on a far-field coherent state (|beta| = 2, parity
+    ~ 0) with the order-eps^2 echo expression, four-phase averaged; the zero
+    crossing closest to t0 within t0 +- 0.3 us is refined by Brent's method
+    (t0 itself if there is none).  This mirrors choosing the tomography
+    interaction time that nulls the Wigner background.
     """
-    d = params.delta("ramsey") if delta is None else delta
-    return _echo_offset_zero(params, d, beta_far, span)
-
-
-@functools.lru_cache(maxsize=64)
-def _echo_offset_zero(params, d, beta_far, span):
-    t0 = default_ramsey_time(params, d)
-    chi_sign = 1 if d > 0 else -1
-    dim = max(int(4 * beta_far**2) + 6, 12)
-    c = coherent_amplitudes(dim, beta_far)
+    t0 = default_ramsey_time(params, delta)
+    chi_sign = 1 if delta > 0 else -1
+    c = coherent_amplitudes(22, 2.0)
 
     def offset(t):
         # one call per phase, batched over an array of times
-        vals = [echo_sigma_z_analytic(c, th, t, params, d, chi_sign) for th in FOUR_PHASES]
+        vals = [echo_sigma_z_analytic(c, th, t, params, delta, chi_sign) for th in FOUR_PHASES]
         return np.mean(vals, axis=0)
 
-    times = np.linspace(t0 - span, t0 + span, 121)
+    times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 121)
     vals = offset(times)
     crossings = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if crossings.size == 0:
@@ -440,26 +357,19 @@ def interaction_time_offset_scan(
     params: SystemParams,
     config: HilbertConfig,
     noise: NoiseModel,
-    times: Sequence[float] | None = None,
-    delta: float | None = None,
+    times: Sequence[float],
     ring_radius: float = 1.9,
     n_ring: int = 8,
-    variant: str = "echo",
-    phases: Sequence[float] = FOUR_PHASES,
 ) -> OffsetScan:
     """Far-field Wigner offset (mean over a |beta| ring) vs interaction time.
 
-    Reports the fitted oscillation frequency, the |offset|-minimizing time,
-    and whether the frequency looks doubled relative to |Delta'| (the
-    unexplained experimental observation; simulations track |Delta'|).
+    Each time reads the four-phase echo at the Ramsey detuning.  Reports the
+    fitted oscillation frequency, the |offset|-minimizing time, and whether
+    the frequency looks doubled relative to |Delta'| (the unexplained
+    experimental observation; simulations track |Delta'|).
     """
-    d = params.delta("ramsey") if delta is None else delta
-    t0 = default_ramsey_time(params, d)
-    if times is None:
-        times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 41)
+    d = params.delta("ramsey")
     times = np.asarray(times, dtype=float)
-    if len(phases) == 0:
-        raise ValidationError("phases must hold at least one drive phase")
     if times.size < 4:
         raise ValidationError(
             f"an offset scan needs at least 4 times to fit a sinusoid's 3 parameters, "
@@ -472,32 +382,24 @@ def interaction_time_offset_scan(
         displaced.append(_apply(u, vac))
     offsets = np.empty(times.size)
     for i, t in enumerate(times):
-        phase, contrast, offset = _fringe_calibration(variant, t, d, params, config, noise)
-        effect = _parity_effect(variant, phases, phase, t, d, params, config, noise)
+        effect, offset, contrast = _calibrated_effect("echo", FOUR_PHASES, t, d, params, config,
+                                                      noise)
         vals = [(expectation(st, effect).real - offset) / contrast for st in displaced]
         offsets[i] = (2.0 / math.pi) * float(np.mean(vals))
 
     freq = _fit_oscillation_frequency(times, offsets)
     dp = abs(delta_prime(params.g_lg00, d))
     best_time = float(times[np.argmin(np.abs(offsets))])
-    zero = echo_offset_zero_time(params, d) if variant == "echo" else _ramsey_zero(params, d)
     ratio = freq / dp
     return OffsetScan(
         times=times,
         offsets=offsets,
         oscillation_frequency=freq,
         best_time=best_time,
-        analytic_zero=zero,
+        analytic_zero=echo_offset_zero_time(params, d),
         frequency_ratio_to_delta_prime=ratio,
         doubled_frequency_flag=bool(abs(ratio - 2.0) < 0.25),
     )
-
-
-def _ramsey_zero(params, d):
-    # zeros of sin(Delta' t): multiples of 1/(2|Delta'|) nearest t0
-    t0 = default_ramsey_time(params, d)
-    step = 1.0 / (2.0 * abs(delta_prime(params.g_lg00, d)))
-    return round(t0 / step) * step
 
 
 def _fit_oscillation_frequency(times, offsets) -> float:
@@ -561,7 +463,6 @@ def qubit_spectroscopy(
     noise: NoiseModel,
     probe_duration: float = 15e-6,
     jobs: int = 1,
-    phase_cycles: int = 2,
 ) -> SpectrumTrace:
     """Weak-probe qubit spectrum while dispersively coupled to the phonon state.
 
@@ -569,12 +470,11 @@ def qubit_spectroscopy(
     frame co-rotating with the probe, where the Hamiltonian is constant.  The
     default probe amplitude keeps peak excitation in the linear regime.
 
-    ``phase_cycles`` (an integer m >= 1) averages over m equally spaced probe
-    carrier phases.  Two cycles cancel every response term linear in the probe
-    field, which otherwise biases the peak heights of states with phonon
-    coherences (coherent states); experimentally the same terms wash out
-    through slow qubit frequency fluctuations.  Diagonal phonon states are
-    insensitive, so ``phase_cycles=1`` is safe for Fock preparations.
+    The spectrum averages over m = 2 opposite probe carrier phases.  That
+    cancels every response term linear in the probe field, which otherwise
+    biases the peak heights of states with phonon coherences (coherent
+    states); experimentally the same terms wash out through slow qubit
+    frequency fluctuations.
 
     The average costs one run.  The probe-frame Hamiltonian and every collapse
     operator commute with R = exp(i phi N), N = sigma+ sigma- + sum_k n_k, and
@@ -594,8 +494,6 @@ def qubit_spectroscopy(
     """
     if jobs != 1:
         raise ValidationError(f"jobs must be 1 (sweeps run in one thread), got {jobs!r}")
-    if not isinstance(phase_cycles, (int, np.integer)) or phase_cycles < 1:
-        raise ValidationError(f"phase_cycles must be an integer >= 1, got {phase_cycles!r}")
     freqs = np.asarray(sorted(freq_grid), dtype=float)
     if probe is None or probe.amplitude == 0.0:
         probe = Pulse(0.5 / (TWO_PI * probe_duration))
@@ -606,7 +504,7 @@ def qubit_spectroscopy(
     # N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none
     levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
     n = (levels[0] == 1) + levels[1:].sum(axis=0)
-    keep = np.subtract.outer(n, n) % phase_cycles == 0
+    keep = np.subtract.outer(n, n) % _PHASE_CYCLES == 0
     rho = DensityMatrix(config, np.where(keep, rho.matrix, 0.0))
     # the probe frame f enters H only as -2 pi f K, K = sigma_z/2 + sum_k n_k
     sz, modes = _jc_terms(config)
@@ -629,33 +527,7 @@ def qubit_spectroscopy(
         return _expm_action(g, u, w)
 
     pops = np.array([one_point(f) for f in freqs])
-
-    meta = {
-        "detuning": delta_operate,
-        "probe_amplitude": probe.amplitude,
-        "probe_duration": probe_duration,
-        "probe_bandwidth": 1.0 / (TWO_PI * probe_duration),
-        "warnings": [],
-    }
-    _warn_if_grid_misses_peaks(meta, rho, freqs, params, delta_operate)
-    return SpectrumTrace(freqs, pops, meta)
-
-
-def _warn_if_grid_misses_peaks(meta, rho, freqs, params, delta_operate):
-    pn = np.real(np.diag(reduced_mode_matrix(rho, 0)))
-    occupied = np.where(pn > 0.01)[0]
-    if occupied.size == 0:
-        return
-    chi = chi_analytic(params.g_lg00, delta_operate, params.alpha, form="full")
-    lamb = params.g_lg00**2 / delta_operate
-    line0 = delta_operate + lamb
-    expected = [line0 + n * chi for n in occupied]
-    margin = abs(chi) / 2.0
-    if min(expected) - margin < freqs[0] or max(expected) + margin > freqs[-1]:
-        meta["warnings"].append(
-            f"frequency grid [{freqs[0]:.3e}, {freqs[-1]:.3e}] does not span the expected "
-            f"peaks [{min(expected):.3e}, {max(expected):.3e}]"
-        )
+    return SpectrumTrace(freqs, pops)
 
 
 # ---------------------------------------------------------------------------
@@ -668,25 +540,21 @@ def wigner_scan(
     params: SystemParams,
     config: HilbertConfig,
     noise: NoiseModel,
-    interaction_time: float | None = None,
-    phases: Sequence[float] = FOUR_PHASES,
-    delta: float | None = None,
-    variant: str = "echo",
+    interaction_time: float,
+    delta: float,
 ) -> np.ndarray:
     """Displaced-parity values over a grid of complex amplitudes.
 
     Convention: the state is displaced by -beta and the parity recorded as
     the value at beta, i.e. W(beta) = (2/pi) Tr[D^dag(beta) rho D(beta) Pi];
     this function returns the calibrated parities (the 2/pi scaling and axis
-    calibration are applied by ``analysis.wigner_assemble``).
+    calibration are applied by ``analysis.wigner_assemble``).  Each point
+    reads the four-phase echo parity.
     """
-    d = params.delta("ramsey") if delta is None else delta
-    t = (echo_offset_zero_time(params, d) if variant == "echo"
-         else default_ramsey_time(params, d)) if interaction_time is None else interaction_time
     grid = np.asarray(beta_grid, dtype=complex)
     flat = grid.reshape(-1)
-    phase, contrast, offset = _fringe_calibration(variant, t, d, params, config, noise)
-    effect = _parity_effect(variant, phases, phase, t, d, params, config, noise)
+    effect, offset, contrast = _calibrated_effect("echo", FOUR_PHASES, interaction_time, delta,
+                                                  params, config, noise)
 
     def one_point(b: complex) -> float:
         st = _apply(displacement_operator(config, 0, -b).matrix, prepared_state)
@@ -740,8 +608,7 @@ def coherence_protocols(
     for i, tau in enumerate(delays):
         wait = [Segment(tau, rest)] if tau > 0 else []
         st = _apply(qubit_rotation(config, 0.0, first_angle), vac)
-        for seg in swaps + wait + swaps:
-            st = evolve_segments(st, [seg], params, config, noise)
+        st = evolve_segments(st, swaps + wait + swaps, params, config, noise)
         if ramsey:
             theta2 = -TWO_PI * f_stored * tau + TWO_PI * f_demod * tau
             plus, minus = (

@@ -263,18 +263,19 @@ def test_non_numeric_spec_value_is_a_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_phonon_t1_preset_run(tmp_path):
+def test_phonon_t1_preset_run(tmp_path, matches_reference):
     from cqadsim.device import TWO_PI, paper_default_params, purcell_rate
 
     params = paper_default_params()
-    spec = preset_copy(tmp_path, "phonon_t1.spec", delay_points=9)
     out = tmp_path / "out"
-    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    assert main(["run", "--experiment", str(PRESETS / "phonon_t1.spec"),
+                 "--out", str(out), "--quiet"]) == 0
     text = (out / "summary.json").read_text()
     assert '"converged": true' in text
     # intrinsic phonon decay plus Purcell loss through the qubit at rest
     t1 = 1.0 / (TWO_PI * purcell_rate(params, params.delta("rest")))
     assert json.loads(text)["t_fit_s"] == pytest.approx(t1, rel=0.1)
+    matches_reference("phonon_t1", json.loads(text))
 
 
 def test_qubit_t2_ramsey_run(tmp_path):
@@ -341,6 +342,13 @@ def test_non_integral_integer_key_is_a_validation_error(tmp_path, capsys, preset
     ("wigner_fock1.spec", {"grid_extent": 0}, "grid_extent"),
     ("wigner_fock1.spec", {"calibration_scale": 0}, "calibration_scale"),
     ("wigner_fock1.spec", {"calibration_scale": -1}, "calibration_scale"),
+    ("phonon_t1.spec", {"delay_max": -250e-6}, "delay_max"),
+    ("phonon_t1.spec", {"delay_max": 0}, "delay_max"),
+    ("vacuum_rabi.spec", {"time_max": -1e-6}, "time_max"),
+    ("vacuum_rabi.spec", {"time_max": 0}, "time_max"),
+    ("fock1_ramsey_parity.spec", {"interaction_time": -1e-6}, "interaction_time"),
+    ("fock1_ramsey_parity.spec", {"interaction_time": 0}, "interaction_time"),
+    ("wigner_fock1.spec", {"interaction_time": 0}, "interaction_time"),
 ])
 def test_nonsense_range_is_a_validation_error(tmp_path, capsys, preset, overrides, message):
     spec = preset_copy(tmp_path, preset, **overrides)

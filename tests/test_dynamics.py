@@ -181,7 +181,7 @@ def test_swap_gate_fidelity(params):
 def _driven_coherent(params, cfg, noise, beta):
     """A coherent state made by the resonant phonon drive: |beta| = pi amp, over 1 us."""
     prep = StatePrep(target="coherent", beta=beta, method="displacement_drive")
-    return prepare_state(prep, params, cfg, noise, drive_duration=1e-6)
+    return prepare_state(prep, params, cfg, noise)
 
 
 def test_displacement_drive_amplitude(params):
@@ -314,13 +314,13 @@ def test_rk_ket_drive_matches_the_constant_generator_in_the_drive_frame(
 def test_static_offset_shifts_qubit(params):
     # the offset enters the Hamiltonian: Ramsey fringe phase moves
     cfg = HilbertConfig(2, (2,))
-    from cqadsim.sequences import ramsey_parity, fock_preparation, default_ramsey_time
+    from cqadsim.sequences import default_ramsey_time, four_phase_average
 
-    t0 = default_ramsey_time(params)
-    st = fock_preparation(0, "ideal_injection", params, cfg, NoiseModel())
-    base = ramsey_parity(st, t0, 0.0, params, cfg, NoiseModel())
-    shifted = ramsey_parity(st, t0, 0.0, params, cfg,
-                            NoiseModel(static_qubit_offset=10e3))
+    t0, d = default_ramsey_time(params), params.delta("ramsey")
+    st = prepare_state(StatePrep("fock", 0), params, cfg, NoiseModel())
+    base = four_phase_average(st, "ramsey", params, cfg, NoiseModel(), t0, d, (0.0,))
+    shifted = four_phase_average(st, "ramsey", params, cfg, NoiseModel(static_qubit_offset=10e3),
+                                 t0, d, (0.0,))
     assert abs(shifted.value - base.value) > 0.05
 
 

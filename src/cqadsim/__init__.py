@@ -51,12 +51,6 @@ from .sequences import (
     qubit_spectroscopy,
     wigner_scan,
 )
-from .swtheory import (
-    RamseyPrediction,
-    SWExpansion,
-    chi_numeric,
-    ramsey_sigma_z_analytic,
-    sw_rotating_hamiltonian,
-)
+from .swtheory import RamseyPrediction, chi_numeric
 
 __version__ = "0.1.0"

@@ -1,9 +1,13 @@
 """Fitting and reconstruction: spectra, populations, decays, Wigner maps.
 
-All fits are damped least squares (``scipy.optimize.least_squares``) with a
-few deterministic jittered restarts; uncertainties come from the standard
-covariance of the linearized problem at the optimum.  Fits never raise on
-pathological data; they return a result with ``converged=False``.
+Every nonlinear fit is one bounded least-squares problem
+(``scipy.optimize.least_squares``) solved by ``_fit``: the Voigt-sum and decay
+fits from five starts (the unjittered one and four seeded jitters), the
+Poisson fit and the offset-scan sinusoid (``sequences``) from one.
+Uncertainties come from the standard covariance of the linearized problem at
+the optimum (``_covariance_sigmas``, which the calibration line shares).  Fits
+never raise on pathological data; they return a result with
+``converged=False``.
 """
 
 from __future__ import annotations
@@ -91,38 +95,58 @@ class WignerMap:
 # generic least-squares helpers
 
 
-def _covariance_sigmas(res, n_data: int) -> np.ndarray:
-    """One-standard-deviation parameter uncertainties at the optimum."""
-    dof = max(n_data - res.x.size, 1)
-    s_sq = 2.0 * res.cost / dof
+def _covariance_sigmas(jac: np.ndarray, cost: float) -> np.ndarray:
+    """One-standard-deviation parameter uncertainties at an optimum of cost = SSR/2."""
+    n_data, n_params = jac.shape
+    s_sq = 2.0 * cost / max(n_data - n_params, 1)
     try:
-        jtj = res.jac.T @ res.jac
-        cov = np.linalg.pinv(jtj) * s_sq
+        cov = np.linalg.pinv(jac.T @ jac) * s_sq
         return np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
-        return np.full(res.x.size, np.inf)
+        return np.full(n_params, np.inf)
 
 
-_RESTARTS = 5  # the unjittered start plus four seeded jitters
+_RESTARTS = 5  # with a jitter: the unjittered start plus four seeded jitters
 
 
-def _multistart_least_squares(residual, x0, bounds, seed, jitter_scale):
+def _fit(residual, x0, bounds, names, seed=0, jitter=None, **tol):
+    """Bounded least squares from ``x0``, and with ``jitter`` from four seeded jittered starts.
+
+    Returns (FitResult, x) at the lowest cost; ``converged`` means success and
+    a finite cost.  When no start finishes, x is None and the result is flagged.
+    """
     rng = np.random.default_rng(seed)
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
     best = None
-    lo, hi = bounds
-    for k in range(_RESTARTS):
+    for k in range(_RESTARTS if jitter is not None else 1):
         start = np.array(x0, dtype=float)
         if k > 0:
-            start = start + rng.standard_normal(start.size) * jitter_scale
+            start = start + rng.standard_normal(start.size) * jitter
             start = np.clip(start, lo + 1e-12, hi - 1e-12 if np.all(np.isfinite(hi)) else start)
             start = np.minimum(np.maximum(start, lo), np.where(np.isfinite(hi), hi, start))
         try:
-            res = least_squares(residual, start, bounds=bounds, method="trf")
-        except Exception:
+            res = least_squares(residual, start, bounds=(lo, hi), method="trf", **tol)
+        except (ValueError, np.linalg.LinAlgError):  # an infeasible or non-finite start
             continue
         if best is None or res.cost < best.cost:
             best = res
-    return best
+    if best is None:
+        return FitResult({}, {}, math.nan, False, {"reason": "no convergence"}), None
+    sigmas = _covariance_sigmas(best.jac, best.cost)
+    fit = FitResult(
+        dict(zip(names, [float(v) for v in best.x])),
+        dict(zip(names, [float(v) for v in sigmas])),
+        float(math.sqrt(2.0 * best.cost)),
+        bool(best.success and np.isfinite(best.cost)),
+    )
+    return fit, best.x
+
+
+def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
+    """Frequency (Hz) of the largest non-constant FFT component of the detrended trace."""
+    spec = np.abs(np.fft.rfft(y - y.mean()))
+    freqs = np.fft.rfftfreq(t.size, float(np.median(np.diff(t))))
+    return float(freqs[np.argmax(spec[1:]) + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,36 +243,21 @@ def voigt_sum_fit(
             dmax * np.ones(nd),
         ]
     )
-    best = _multistart_least_squares(
-        residual, x0, (lo, hi), seed, jitter_scale=abs(spacing_hint) / 40.0
-    )
-    if best is None:
-        return (
-            FitResult({}, {}, float(np.linalg.norm(y)), False, {"reason": "no convergence"}),
-            np.zeros(n_peaks),
-        )
-    base, center, spacing, sigma, gamma, heights, devs = unpack(best.x)
-    sigmas = _covariance_sigmas(best, x.size)
     names = (
         ["baseline", "center", "spacing", "sigma_gauss", "gamma_lorentz"]
         + [f"height_{k}" for k in range(nh)]
         + [f"deviation_{k}" for k in range(1, n_peaks - 1)]
     )
-    params = dict(zip(names, [float(v) for v in best.x]))
-    uncert = dict(zip(names, [float(v) for v in sigmas]))
+    fit, best = _fit(residual, x0, (lo, hi), names, seed, jitter=abs(spacing_hint) / 40.0)
+    if best is None:
+        return fit, np.zeros(n_peaks)
+    base, center, spacing, sigma, gamma, heights, devs = unpack(best)
     total = float(np.sum(heights))
     populations = heights / total if total > 0 else np.zeros(nh)
     fwhm = 0.5346 * 2 * gamma + math.sqrt(0.2166 * (2 * gamma) ** 2 + 8 * math.log(2) * sigma**2)
-    meta = {
-        "profile": "voigt_exact_wofz",
-        "overlap_degenerate": bool(abs(spacing) < fwhm / 2.0),
-        "fwhm": float(fwhm),
-    }
-    converged = bool(best.success and np.isfinite(best.cost))
-    return (
-        FitResult(params, uncert, float(math.sqrt(2.0 * best.cost)), converged, meta),
-        populations,
-    )
+    fit.metadata.update(profile="voigt_exact_wofz",
+                        overlap_degenerate=bool(abs(spacing) < fwhm / 2.0), fwhm=float(fwhm))
+    return fit, populations
 
 
 def poisson_fit(populations: Sequence[float]) -> FitResult:
@@ -275,19 +284,14 @@ def poisson_fit(populations: Sequence[float]) -> FitResult:
         return poisson(theta[0]) - p
 
     nbar0 = float(np.sum(n * p))
-    best = least_squares(residual, [nbar0], bounds=([0.0], [float(p.size) * 2.0]),
-                         xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    sig = _covariance_sigmas(best, p.size)
-    nbar = float(best.x[0])
-    nbar_err = float(sig[0])
-    beta = math.sqrt(max(nbar, 0.0))
-    beta_err = nbar_err / (2.0 * beta) if beta > 0 else nbar_err
-    return FitResult(
-        {"nbar": nbar, "beta": beta},
-        {"nbar": nbar_err, "beta": beta_err},
-        float(math.sqrt(2.0 * best.cost)),
-        bool(best.success),
-    )
+    fit, x = _fit(residual, [nbar0], ([0.0], [float(p.size) * 2.0]), ["nbar"],
+                  xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    if x is not None:
+        nbar, nbar_err = fit.parameters["nbar"], fit.uncertainties["nbar"]
+        beta = math.sqrt(max(nbar, 0.0))
+        fit.parameters["beta"] = beta
+        fit.uncertainties["beta"] = nbar_err / (2.0 * beta) if beta > 0 else nbar_err
+    return fit
 
 
 def beta_decay_ratio(kappa_total: float, tau_spec: float) -> float:
@@ -307,18 +311,15 @@ def calibration_fit(drive_amplitudes: Sequence[float], fitted_betas: Sequence[fl
     if a.size < 3 or a.size != b.size:
         raise ValidationError("need at least 3 matching calibration points")
     design = np.vstack([a, np.ones_like(a)]).T
-    coef, res_ss, *_ = np.linalg.lstsq(design, b, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, b, rcond=None)
     fitted = design @ coef
     ss_res = float(np.sum((b - fitted) ** 2))
     ss_tot = float(np.sum((b - b.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    dof = max(a.size - 2, 1)
-    s_sq = ss_res / dof
-    cov = np.linalg.pinv(design.T @ design) * s_sq
+    sig = _covariance_sigmas(design, ss_res / 2.0)
     return FitResult(
         {"slope": float(coef[0]), "intercept": float(coef[1]), "r_squared": float(r2)},
-        {"slope": float(math.sqrt(max(cov[0, 0], 0.0))),
-         "intercept": float(math.sqrt(max(cov[1, 1], 0.0)))},
+        {"slope": float(sig[0]), "intercept": float(sig[1])},
         math.sqrt(ss_res),
         True,
     )
@@ -368,12 +369,8 @@ def decay_fit(times: Sequence[float], values: Sequence[float], model: str = "exp
         hi = [np.inf, span * 1e4, np.inf]
         names = ["amplitude", "t_decay", "offset"]
     else:
-        # frequency seed from the dominant FFT component of the detrended trace
-        dt = float(np.median(np.diff(t)))
-        yd = y - y.mean()
-        spec = np.abs(np.fft.rfft(yd))
-        freqs = np.fft.rfftfreq(t.size, dt)
-        f0 = float(freqs[np.argmax(spec[1:]) + 1]) if spec.size > 1 else 1.0 / span
+        f0 = _dominant_frequency(t, y)
+
         def residual(p):
             a, tau, f, ph, c = p
             return a * np.exp(-t / tau) * np.cos(TWO_PI * f * t + ph) + c - y
@@ -383,20 +380,12 @@ def decay_fit(times: Sequence[float], values: Sequence[float], model: str = "exp
         hi = [np.inf, span * 1e4, f0 * 4.0 + 1.0 / span, TWO_PI, np.inf]
         names = ["amplitude", "t_decay", "frequency", "phase", "offset"]
 
-    best = _multistart_least_squares(
-        residual, x0, (np.array(lo), np.array(hi)), seed,
-        jitter_scale=abs(np.array(x0)).max() / 20.0 + 1e-12,
-    )
-    if best is None:
-        return FitResult({}, {}, float(np.linalg.norm(y)), False, {"reason": "no convergence"})
-    sigmas = _covariance_sigmas(best, t.size)
-    params = dict(zip(names, [float(v) for v in best.x]))
-    uncert = dict(zip(names, [float(v) for v in sigmas]))
-    meta = {}
-    if params["t_decay"] > 50.0 * span:
-        meta["divergent"] = True
-        params["t_decay"] = math.inf
-    return FitResult(params, uncert, float(math.sqrt(2.0 * best.cost)), bool(best.success), meta)
+    fit, best = _fit(residual, x0, (lo, hi), names, seed,
+                     jitter=abs(np.array(x0)).max() / 20.0 + 1e-12)
+    if best is not None and fit.parameters["t_decay"] > 50.0 * span:
+        fit.metadata["divergent"] = True
+        fit.parameters["t_decay"] = math.inf
+    return fit
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from . import analysis, sequences
 from .device import SystemParams, chi_analytic, load_params
 from .dynamics import NoiseModel, vacuum_rabi_chevron
 from .exceptions import CqadError, NumericError, ValidationError
-from .hilbert import HilbertConfig, Ket, reduced_mode_matrix
+from .hilbert import HilbertConfig, Ket, _truncation_guard, reduced_mode_matrix
 from .keyval import load_keyval
 from .sequences import StatePrep
 from .swtheory import chi_numeric
@@ -221,6 +221,9 @@ def _run_spectroscopy(params, kind, prep, sweep, seed):
             n_peaks = 2
     default_dim = max(10, n_peaks + 4)
     config = _config_for(sweep, default_dim)
+    if prep.target == "coherent":
+        # refuse a |beta| the mode cannot hold before the hints size a space from it
+        _truncation_guard(config, 0, prep.beta)
     line0, spacing = sequences.spectroscopy_peak_hints(params, delta, n_peaks)
     step = _positive(sweep, "freq_step", 5e3)
     probe_duration = _positive(sweep, "probe_duration", 15e-6)
@@ -453,7 +456,7 @@ def _fit_dict(fit) -> dict:
         "uncertainties": dict(fit.uncertainties),
         "residual_norm": fit.residual_norm,
         "converged": fit.converged,
-        "metadata": {k: v for k, v in fit.metadata.items() if not isinstance(v, np.ndarray)},
+        "metadata": dict(fit.metadata),
     }
 
 

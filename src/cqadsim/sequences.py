@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .analysis import SpectrumTrace, decay_fit
+from .analysis import SpectrumTrace, _dominant_frequency, _fit, decay_fit
 from .device import (
     TWO_PI,
     SystemParams,
@@ -107,8 +107,13 @@ _DRIVE_DURATION = 1e-6  # resonant phonon drive of the displacement preparation
 _PHASE_CYCLES = 2  # probe carrier phases averaged by qubit_spectroscopy
 
 
-_PREP_TARGETS = ("vacuum", "fock", "coherent", "superposition_01")
-_PREP_METHODS = ("ideal_injection", "swap_sequence", "displacement_drive")
+# prep target: the methods that prepare it
+_PREP_METHODS = {
+    "vacuum": ("ideal_injection",),
+    "fock": ("ideal_injection", "swap_sequence"),
+    "coherent": ("ideal_injection", "displacement_drive"),
+    "superposition_01": ("ideal_injection", "swap_sequence"),
+}
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,12 @@ class StatePrep:
     method: str = "ideal_injection"
 
     def __post_init__(self):
-        if self.target not in _PREP_TARGETS:
+        if self.target not in _PREP_METHODS:
             raise ValidationError(f"unknown prep target {self.target!r}")
-        if self.method not in _PREP_METHODS:
-            raise ValidationError(f"unknown prep method {self.method!r}")
+        if self.method not in _PREP_METHODS[self.target]:
+            raise ValidationError(
+                f"prep target {self.target!r} has no method {self.method!r}; expected one of "
+                f"{_PREP_METHODS[self.target]}")
         if self.target == "fock" and self.method == "swap_sequence" and self.m > 3:
             raise ValidationError("swap-sequence preparation is limited to M <= 3")
 
@@ -184,8 +191,6 @@ def _fock_preparation(M, method, params, config, noise):
         raise TruncationError(f"M={M} needs phonon dim >= {M + 2}")
     if method == "ideal_injection" or M == 0:
         return fock_state(config, [M] + [0] * (config.n_modes - 1), 0)
-    if method != "swap_sequence":
-        raise ValidationError(f"Fock preparation does not support method {method!r}")
     state = fock_state(config, [0] * config.n_modes, 0)
     for k in range(1, M + 1):
         state = _excite_qubit(state, params, config, noise, math.pi)
@@ -325,12 +330,11 @@ def echo_offset_zero_time(params: SystemParams, delta: float) -> float:
     interaction time that nulls the Wigner background.
     """
     t0 = default_ramsey_time(params, delta)
-    chi_sign = 1 if delta > 0 else -1
     c = coherent_amplitudes(22, 2.0)
 
     def offset(t):
         # one call per phase, batched over an array of times
-        vals = [echo_sigma_z_analytic(c, th, t, params, delta, chi_sign) for th in FOUR_PHASES]
+        vals = [echo_sigma_z_analytic(c, th, t, params, delta) for th in FOUR_PHASES]
         return np.mean(vals, axis=0)
 
     times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 121)
@@ -408,21 +412,18 @@ def _fit_oscillation_frequency(times, offsets) -> float:
     y = offsets - offsets.mean()
     if np.allclose(y, 0):
         return 0.0
-    dt = float(np.median(np.diff(t)))
-    spec = np.abs(np.fft.rfft(y))
-    freqs = np.fft.rfftfreq(t.size, dt)
-    f0 = float(freqs[np.argmax(spec[1:]) + 1])
-    from scipy.optimize import least_squares
+    f0 = _dominant_frequency(t, y)
 
     def residual(p):
         a, f, ph = p
         return a * np.cos(TWO_PI * f * t + ph) - y
 
-    res = least_squares(
-        residual, [float(np.abs(y).max()), f0, 0.0],
-        bounds=([0.0, f0 / 3.0, -TWO_PI], [np.inf, f0 * 3.0, TWO_PI]),
-    )
-    return float(res.x[1])
+    _, x = _fit(residual, [float(np.abs(y).max()), f0, 0.0],
+                ([0.0, f0 / 3.0, -TWO_PI], [np.inf, f0 * 3.0, TWO_PI]),
+                ["amplitude", "frequency", "phase"])
+    if x is None:
+        raise NumericError("the offset-scan sinusoid fit did not finish")
+    return float(x[1])
 
 
 # ---------------------------------------------------------------------------

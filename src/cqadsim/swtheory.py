@@ -1,17 +1,20 @@
 """Schrieffer-Wolff analytic track for the dispersive qubit-phonon system.
 
 The transformation U = exp(A) with A = eps sigma+ a - eps* sigma- a^dag,
-eps = g/Delta, removes the exchange coupling to first order.  This module
-provides the transformed rotating-frame Hamiltonian, a closed-form Ramsey
-<sigma_z> correct through second order in eps, and exact-diagonalization
-dispersive shifts.
+eps = g/Delta, removes the exchange coupling to first order
+(``sw_flip_block_norm`` measures what it leaves).  In the transformed frame
+the evolution is diagonal: |g,n> and |e,n> gain the phases n(phi + psi) and
+n(phi - psi), phi = Delta' t and psi = chi t/2.  This module provides
+closed-form Ramsey and echo <sigma_z> correct through second order in eps,
+and exact-diagonalization dispersive shifts.
 
-The second-order Ramsey expression is not transcribed from anywhere: it is
-evaluated by carrying the state through the pulse/transform/evolve
-composition as a polynomial in the formal variables (eps, eps*), truncated
-at total degree two.  That makes every first- and second-order constant an
-output of the algebra, checkable against the exact matrix-exponential
-composition (see ``ramsey_sigma_z_exact_sw``).
+The second-order expressions are not transcribed from anywhere: one graded
+composition (``_graded_sigma_z``) carries the state through the
+pulse/transform/evolve steps as a polynomial in the formal variables
+(eps, eps*), truncated at total degree two.  That makes every first- and
+second-order constant an output of the algebra, checkable against the exact
+matrix-exponential composition at the same phases
+(``ramsey_sigma_z_exact_phases``).
 
 The full-JC oracles take their Hamiltonian from ``device.full_jc_hamiltonian``
 in the frame rotating at the dressed qubit frequency Delta' = Delta + g^2/Delta,
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm as _expm
@@ -34,23 +37,18 @@ from .hilbert import (
     OperatorMatrix,
     annihilation,
     hermitian_propagator,
-    number_operator,
     qubit_operator,
     qubit_rotation,
 )
 
 __all__ = [
-    "SWExpansion",
     "RamseyPrediction",
     "sw_generator",
-    "sw_expansion",
-    "sw_rotating_hamiltonian",
+    "sw_flip_block_norm",
     "ramsey_prediction",
-    "ramsey_sigma_z_analytic",
     "ramsey_sigma_z_from_phases",
     "ramsey_sigma_z_exact_phases",
     "echo_sigma_z_analytic",
-    "ramsey_sigma_z_exact_sw",
     "ramsey_sigma_z_jc",
     "echo_sigma_z_jc",
     "chi_numeric",
@@ -63,20 +61,7 @@ def _require_two_level_single_mode(config: HilbertConfig):
 
 
 # ---------------------------------------------------------------------------
-# transformed Hamiltonian
-
-
-def sw_rotating_hamiltonian(params: SystemParams, config: HilbertConfig, delta: float) -> OperatorMatrix:
-    """-Delta' a^dag a + (chi/2) sigma_z a^dag a, angular units (diagonal)."""
-    _require_two_level_single_mode(config)
-    if delta == 0.0:
-        raise ValidationError("detuning must be nonzero")
-    dp = delta_prime(params.g_lg00, delta)
-    chi = chi_analytic(params.g_lg00, delta, params.alpha, form="approximate")
-    n = number_operator(config, 0).matrix
-    sz = qubit_operator(config, "sigma_z").matrix
-    h = TWO_PI * (-dp * n + 0.5 * chi * (sz @ n))
-    return OperatorMatrix(config, h)
+# the transformation
 
 
 def sw_generator(config: HilbertConfig, epsilon: complex) -> OperatorMatrix:
@@ -89,34 +74,16 @@ def sw_generator(config: HilbertConfig, epsilon: complex) -> OperatorMatrix:
     return OperatorMatrix(config, m)
 
 
-@dataclass(frozen=True)
-class SWExpansion:
-    """Generator, unitary, and transformed Hamiltonian at one detuning."""
-
-    epsilon: complex
-    generator: OperatorMatrix
-    transformed_h: OperatorMatrix
-
-    def flip_block_norm(self) -> float:
-        """Norm of the qubit-flip block of the transformed Hamiltonian."""
-        cfg = self.generator.config
-        d = cfg.phonon_dims[0]
-        m = self.transformed_h.matrix.reshape(2, d, 2, d)
-        return float(np.linalg.norm(m[0, :, 1, :]) + np.linalg.norm(m[1, :, 0, :]))
-
-
-def sw_expansion(params: SystemParams, config: HilbertConfig, delta: float) -> SWExpansion:
-    """The exact transform U H U^dag, U = exp(A), of the phonon-frame JC Hamiltonian."""
-    _require_two_level_single_mode(config)
-    eps = params.g_lg00 / delta
-    gen = sw_generator(config, eps)
-    scale = max(np.abs(gen.matrix).max(), 1e-300)
-    if np.abs(gen.matrix + gen.matrix.conj().T).max() / scale > 1e-12:
+def sw_flip_block_norm(params: SystemParams, config: HilbertConfig, delta: float) -> float:
+    """Norm of the qubit-flip block of U H U^dag, U = exp(A), H the phonon-frame JC Hamiltonian."""
+    gen = sw_generator(config, params.g_lg00 / delta).matrix
+    scale = max(np.abs(gen).max(), 1e-300)
+    if np.abs(gen + gen.conj().T).max() / scale > 1e-12:
         raise NumericError("SW generator is not anti-Hermitian")
-    h = full_jc_hamiltonian(params, config, delta).matrix
-    u = _expm(gen.matrix)
-    transformed = OperatorMatrix(config, u @ h @ u.conj().T)
-    return SWExpansion(epsilon=eps, generator=gen, transformed_h=transformed)
+    u = _expm(gen)
+    d = config.phonon_dims[0]
+    m = (u @ full_jc_hamiltonian(params, config, delta).matrix @ u.conj().T).reshape(2, d, 2, d)
+    return float(np.linalg.norm(m[0, :, 1, :]) + np.linalg.norm(m[1, :, 0, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +123,9 @@ class _GradedState:
             self.parts[grade] = np.stack([c * g - np.exp(-1j * theta) * s * e,
                                           np.exp(1j * theta) * s * g + c * e], axis=-2)
 
-    def sw(self, direction: int, eps_sign: int = 1):
-        """Apply I + dA + A^2/2 with d = direction (+1 for U, -1 for U^dag).
+    def sw(self, sign: int):
+        """Apply I + sA + A^2/2: s = +1 for U, -1 for U^dag, negated again when eps is (-Delta).
 
-        ``eps_sign`` tracks a sign flip of epsilon itself (detuning -Delta).
         Updates beyond total degree two are never formed.
         """
         n = np.arange(self.dim, dtype=float)
@@ -171,13 +137,13 @@ class _GradedState:
                 # grade (p+1, q): eps sqrt(n) g_n -> e_{n-1}
                 first = np.zeros_like(arr)
                 first[..., 1, :-1] = sq[1:] * g[..., 1:]
-                self._add((p + 1, q), direction * eps_sign * first)
+                self._add((p + 1, q), sign * first)
                 # grade (p, q+1): -eps* sqrt(n+1) e_n -> g_{n+1}
                 second = np.zeros_like(arr)
                 second[..., 0, 1:] = -sq[1:] * e[..., :-1]
-                self._add((p, q + 1), direction * eps_sign * second)
+                self._add((p, q + 1), sign * second)
             if p + q == 0:
-                # grade (p+1, q+1): -(1/2)(n g_n, (n+1) e_n); direction^2 = 1
+                # grade (p+1, q+1): -(1/2)(n g_n, (n+1) e_n); sign^2 = 1
                 self._add((p + 1, q + 1), np.stack([-0.5 * n * g, -0.5 * (n + 1.0) * e], axis=-2))
 
     def evolve(self, phi, psi):
@@ -212,7 +178,7 @@ def _phases(params: SystemParams, delta: float, t: float) -> tuple[float, float]
     return TWO_PI * dp * t, TWO_PI * chi * t / 2.0
 
 
-def _check_inputs(c, t, params, delta, chi_sign):
+def _check_inputs(c, t, delta):
     c = np.asarray(c, dtype=complex).reshape(-1)
     if abs(np.sum(np.abs(c) ** 2) - 1.0) > 1e-9:
         raise ValidationError("Fock coefficients must be normalized to 1 within 1e-9")
@@ -220,13 +186,26 @@ def _check_inputs(c, t, params, delta, chi_sign):
         raise ValidationError("interaction time must be positive")
     if delta == 0.0:
         raise ValidationError("detuning must be nonzero")
-    if chi_sign not in (+1, -1):
-        raise ValidationError("chi_sign must be +1 or -1")
-    if chi_sign != (1 if delta > 0 else -1):
-        raise ValidationError(
-            f"chi_sign {chi_sign} contradicts sign(delta)={'+1' if delta > 0 else '-1'}"
-        )
     return c
+
+
+def _graded_sigma_z(c: np.ndarray, theta, eps: complex, legs) -> dict[int, complex]:
+    """<sigma_z> by order in eps of the graded composition, batched over array phases.
+
+    A pi/2 pulse, then each leg (phi, psi, eps_sign) as U, evolution, U^dag,
+    consecutive legs separated by pi pulses, then a pi/2 pulse; every pulse
+    has the drive phase ``theta``.
+    """
+    st = _GradedState.from_mode_coefficients(c, c.size + 3)
+    st.pulse(theta, math.pi / 2.0)
+    for k, (phi, psi, eps_sign) in enumerate(legs):
+        if k:
+            st.pulse(theta, math.pi)
+        st.sw(eps_sign)
+        st.evolve(phi, psi)
+        st.sw(-eps_sign)
+    st.pulse(theta, math.pi / 2.0)
+    return st.sigma_z_by_order(eps)
 
 
 @dataclass(frozen=True)
@@ -236,65 +215,23 @@ class RamseyPrediction:
     order0: float
     order1: float
     order2: float
-    epsilon: complex
-    phi: float
-    theta: float
 
     @property
     def total(self) -> float:
         return self.order0 + self.order1 + self.order2
 
-    @property
-    def terms(self) -> Mapping[str, float]:
-        return {"order0": self.order0, "order1": self.order1, "order2": self.order2}
-
-
-def _graded_ramsey(c: np.ndarray, theta: float, phi: float, psi: float, dim: int) -> _GradedState:
-    st = _GradedState.from_mode_coefficients(c, dim)
-    st.pulse(theta, math.pi / 2.0)
-    st.sw(+1)
-    st.evolve(phi, psi)
-    st.sw(-1)
-    st.pulse(theta, math.pi / 2.0)
-    return st
-
 
 def ramsey_prediction(
-    c: Sequence[complex],
-    theta: float,
-    t: float,
-    params: SystemParams,
-    delta: float,
-    chi_sign: int,
+    c: Sequence[complex], theta: float, t: float, params: SystemParams, delta: float
 ) -> RamseyPrediction:
     """Closed-form Ramsey <sigma_z>_theta through second order in eps = g/Delta."""
-    c = _check_inputs(c, t, params, delta, chi_sign)
-    eps = params.g_lg00 / delta
+    c = _check_inputs(c, t, delta)
     phi, psi = _phases(params, delta, t)
-    st = _graded_ramsey(c, theta, phi, psi, c.size + 3)
-    orders = st.sigma_z_by_order(eps)
+    orders = _graded_sigma_z(c, theta, params.g_lg00 / delta, [(phi, psi, 1)])
     for k, v in orders.items():
         if abs(np.imag(v)) > 1e-10:
             raise NumericError(f"order-{k} term has imaginary part {np.imag(v):.2e}")
-    return RamseyPrediction(
-        order0=float(np.real(orders[0])),
-        order1=float(np.real(orders[1])),
-        order2=float(np.real(orders[2])),
-        epsilon=eps,
-        phi=phi,
-        theta=theta,
-    )
-
-
-def ramsey_sigma_z_analytic(
-    c: Sequence[complex],
-    theta: float,
-    t: float,
-    params: SystemParams,
-    delta: float,
-    chi_sign: int,
-) -> float:
-    return ramsey_prediction(c, theta, t, params, delta, chi_sign).total
+    return RamseyPrediction(*(float(np.real(orders[k])) for k in range(3)))
 
 
 def ramsey_sigma_z_from_phases(
@@ -302,35 +239,12 @@ def ramsey_sigma_z_from_phases(
 ) -> float:
     """Order-eps^2 Ramsey expectation at explicit evolution phases (testing hook)."""
     c = np.asarray(c, dtype=complex).reshape(-1)
-    st = _graded_ramsey(c, theta, phi, psi, c.size + 3)
-    orders = st.sigma_z_by_order(eps)
+    orders = _graded_sigma_z(c, theta, eps, [(phi, psi, 1)])
     return float(np.real(sum(orders.values())))
 
 
-def ramsey_sigma_z_exact_phases(
-    c: Sequence[complex], theta: float, eps: complex, phi: float, psi: float
-) -> float:
-    """Exact exp(A) composition at explicit evolution phases (testing hook)."""
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    config = HilbertConfig(2, (c.size + 6,))
-    d = config.phonon_dims[0]
-    u = _expm(sw_generator(config, eps).matrix)
-    n = np.arange(d)
-    phases = np.concatenate([np.exp(1j * n * (phi + psi)), np.exp(1j * n * (phi - psi))])
-    r = qubit_rotation(config, theta, math.pi / 2.0)
-    psi_v = r @ _state_from_coeffs(config, c)
-    psi_v = u.conj().T @ (phases * (u @ psi_v))
-    psi_v = r @ psi_v
-    return _sigma_z_of(psi_v)
-
-
 def echo_sigma_z_analytic(
-    c: Sequence[complex],
-    theta: float,
-    t_total,
-    params: SystemParams,
-    delta: float,
-    chi_sign: int,
+    c: Sequence[complex], theta: float, t_total, params: SystemParams, delta: float
 ):
     """Echo-sequence <sigma_z>_theta through second order in eps.
 
@@ -338,21 +252,10 @@ def echo_sigma_z_analytic(
     at -delta (eps and chi flip sign) -> pi/2, all with the same pulse phase.
     An array of total times gives an array of the same shape; a scalar a float.
     """
-    c = _check_inputs(c, t_total, params, delta, chi_sign)
-    eps = params.g_lg00 / delta
-    phi1, psi1 = _phases(params, delta, t_total / 2.0)
-    phi2, psi2 = _phases(params, -delta, t_total / 2.0)
-    st = _GradedState.from_mode_coefficients(np.asarray(c, dtype=complex), len(c) + 3)
-    st.pulse(theta, math.pi / 2.0)
-    st.sw(+1, eps_sign=+1)
-    st.evolve(phi1, psi1)
-    st.sw(-1, eps_sign=+1)
-    st.pulse(theta, math.pi)
-    st.sw(+1, eps_sign=-1)
-    st.evolve(phi2, psi2)
-    st.sw(-1, eps_sign=-1)
-    st.pulse(theta, math.pi / 2.0)
-    orders = st.sigma_z_by_order(eps)
+    c = _check_inputs(c, t_total, delta)
+    half = t_total / 2.0
+    legs = [(*_phases(params, delta, half), 1), (*_phases(params, -delta, half), -1)]
+    orders = _graded_sigma_z(c, theta, params.g_lg00 / delta, legs)
     total = np.real(orders[0] + orders[1] + orders[2])
     return float(total) if np.ndim(t_total) == 0 else total
 
@@ -361,73 +264,59 @@ def echo_sigma_z_analytic(
 # exact composition oracles
 
 
-def _sigma_z_of(psi: np.ndarray) -> float:
-    """<sigma_z> of a two-level qubit + one mode state vector."""
-    g, e = psi.reshape(2, -1)
+def _composed_sigma_z(config: HilbertConfig, c: np.ndarray, theta: float, legs) -> float:
+    """<sigma_z> after a pi/2 pulse, the ``legs`` (matrices) separated by pi pulses, and pi/2.
+
+    The mode starts in the Fock coefficients ``c`` with the qubit in |g>.
+    """
+    psi = np.zeros(config.dim, dtype=complex)
+    psi[: c.size] = c
+    psi = qubit_rotation(config, theta, math.pi / 2.0) @ psi
+    for k, leg in enumerate(legs):
+        if k:
+            psi = qubit_rotation(config, theta, math.pi) @ psi
+        psi = leg @ psi
+    g, e = (qubit_rotation(config, theta, math.pi / 2.0) @ psi).reshape(2, -1)
     return float(np.sum(np.abs(e) ** 2) - np.sum(np.abs(g) ** 2))
 
 
-def _state_from_coeffs(config: HilbertConfig, c: np.ndarray) -> np.ndarray:
-    d = config.phonon_dims[0]
-    v = np.zeros(2 * d, dtype=complex)
-    v[: c.size] = c  # qubit |g> block
-    return v
-
-
-def ramsey_sigma_z_exact_sw(
-    c: Sequence[complex], theta: float, t: float, params: SystemParams, delta: float
+def ramsey_sigma_z_exact_phases(
+    c: Sequence[complex], theta: float, eps: complex, phi: float, psi: float
 ) -> float:
-    """Same composition with the exact U = exp(A): the matrix-exponential oracle."""
+    """Exact exp(A) composition at explicit evolution phases (testing hook)."""
     c = np.asarray(c, dtype=complex).reshape(-1)
     config = HilbertConfig(2, (c.size + 6,))
-    eps = params.g_lg00 / delta
     u = _expm(sw_generator(config, eps).matrix)
-    hr = sw_rotating_hamiltonian(params, config, delta).matrix
-    ev = np.diag(np.exp(-1j * np.diag(hr) * t))
-    r = qubit_rotation(config, theta, math.pi / 2.0)
-    psi = _state_from_coeffs(config, c)
-    psi = r @ psi
-    psi = u.conj().T @ (ev @ (u @ psi))
-    psi = r @ psi
-    return _sigma_z_of(psi)
+    n = np.arange(config.phonon_dims[0])
+    phases = np.concatenate([np.exp(1j * n * (phi + psi)), np.exp(1j * n * (phi - psi))])
+    return _composed_sigma_z(config, c, theta, [u.conj().T @ (phases[:, None] * u)])
 
 
-def _dressed_frame_propagator(params, config, delta, t) -> np.ndarray:
-    """exp(-i H t) of the full JC Hamiltonian rotating at the dressed qubit frequency."""
-    frame = delta_prime(params.g_lg00, delta)
-    return hermitian_propagator(full_jc_hamiltonian(params, config, delta, frame=frame).matrix, t)
+def _jc_sigma_z(c: Sequence[complex], theta: float, params: SystemParams, legs) -> float:
+    """Noiseless full-JC composition; each leg (t, delta) evolves in the dressed frame of delta."""
+    c = np.asarray(c, dtype=complex).reshape(-1)
+    config = HilbertConfig(2, (c.size + 8,))
+    props = [hermitian_propagator(full_jc_hamiltonian(
+        params, config, d, frame=delta_prime(params.g_lg00, d)).matrix, t) for t, d in legs]
+    return _composed_sigma_z(config, c, theta, props)
 
 
 def ramsey_sigma_z_jc(
-    c: Sequence[complex], theta: float, t: float, params: SystemParams, delta: float,
-    margin: int = 6,
+    c: Sequence[complex], theta: float, t: float, params: SystemParams, delta: float
 ) -> float:
     """Noiseless full-JC simulation of the idealized Ramsey sequence.
 
     Instantaneous pi/2 pulses; the interaction runs in the frame rotating at
     the dressed qubit frequency (the frame the analytic result lives in).
     """
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    config = HilbertConfig(2, (c.size + margin,))
-    ev = _dressed_frame_propagator(params, config, delta, t)
-    r = qubit_rotation(config, theta, math.pi / 2.0)
-    psi = r @ (ev @ (r @ _state_from_coeffs(config, c)))
-    return _sigma_z_of(psi)
+    return _jc_sigma_z(c, theta, params, [(t, delta)])
 
 
 def echo_sigma_z_jc(
-    c: Sequence[complex], theta: float, t_total: float, params: SystemParams, delta: float,
-    margin: int = 6,
+    c: Sequence[complex], theta: float, t_total: float, params: SystemParams, delta: float
 ) -> float:
     """Noiseless full-JC simulation of the idealized echo sequence."""
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    config = HilbertConfig(2, (c.size + margin,))
-    ev1 = _dressed_frame_propagator(params, config, delta, t_total / 2.0)
-    ev2 = _dressed_frame_propagator(params, config, -delta, t_total / 2.0)
-    r_half = qubit_rotation(config, theta, math.pi / 2.0)
-    r_pi = qubit_rotation(config, theta, math.pi)
-    psi = r_half @ (ev2 @ (r_pi @ (ev1 @ (r_half @ _state_from_coeffs(config, c)))))
-    return _sigma_z_of(psi)
+    return _jc_sigma_z(c, theta, params, [(t_total / 2.0, delta), (t_total / 2.0, -delta)])
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,18 @@ def test_calibration_fit_exact_line():
         calibration_fit([1.0, 2.0], [0.1, 0.2])
 
 
+def test_calibration_fit_uncertainties_are_the_ols_standard_errors():
+    a = np.array([0.5, 0.8, 1.1, 1.44, 1.67, 2.0])
+    b = 0.86 * a + 0.02 + np.array([0.013, -0.021, 0.008, 0.017, -0.011, -0.004])
+    fit = calibration_fit(a, b)
+    slope, intercept = np.polyfit(a, b, 1)
+    s_sq = np.sum((b - slope * a - intercept) ** 2) / (a.size - 2)
+    sxx = np.sum((a - a.mean()) ** 2)
+    assert fit.uncertainties["slope"] == pytest.approx(math.sqrt(s_sq / sxx), rel=1e-9)
+    assert fit.uncertainties["intercept"] == pytest.approx(
+        math.sqrt(s_sq * (1.0 / a.size + a.mean() ** 2 / sxx)), rel=1e-9)
+
+
 def test_parity_from_populations():
     assert parity_from_populations([1.0, 0.0]) == 1.0
     assert parity_from_populations([0.0, 1.0]) == -1.0

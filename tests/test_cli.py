@@ -377,13 +377,30 @@ def test_overflowing_number_is_a_validation_error(tmp_path, capsys, preset, key)
     ("wigner_fock1.spec", {"grid_extent": "1e300"}, "grid_extent"),
     ("fock1_ramsey_parity.spec",
      {"kind": "echo_parity", "prep_target": "coherent", "prep_beta_re": "1e300"}, "|beta|"),
+    ("coherent_spectroscopy.spec", {"prep_beta_re": "1e100"}, "|beta|"),
 ])
 def test_huge_amplitude_is_a_validation_error(tmp_path, capsys, preset, overrides, name):
-    """A finite amplitude whose square leaves the float range: exit 2, not an OverflowError."""
+    """An amplitude whose square leaves the float range, or the mode: exit 2, not a crash."""
     spec = preset_copy(tmp_path, preset, **overrides)
     out = tmp_path / "out"
     assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
     assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, method", [
+    ("vacuum", "swap_sequence"),
+    ("vacuum", "displacement_drive"),
+    ("fock", "displacement_drive"),
+    ("coherent", "swap_sequence"),
+    ("superposition_01", "displacement_drive"),
+])
+def test_prep_pair_without_a_preparation_is_refused(tmp_path, capsys, target, method):
+    spec = preset_copy(tmp_path, "fock1_ramsey_parity.spec", prep_target=target,
+                       prep_method=method)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert f"has no method {method!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -581,8 +581,7 @@ def test_echo_offset_zero_time_is_a_bracketed_sign_change(params, point):
     c = coherent_amplitudes(22, 2.0)  # the far-field state echo_offset_zero_time uses
 
     def offset(t):
-        return np.mean([echo_sigma_z_analytic(c, th, t, params, d, 1 if d > 0 else -1)
-                        for th in FOUR_PHASES])
+        return np.mean([echo_sigma_z_analytic(c, th, t, params, d) for th in FOUR_PHASES])
 
     t0 = default_ramsey_time(params, d)
     scan = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 121)

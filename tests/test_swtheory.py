@@ -8,16 +8,16 @@ from cqadsim.device import TWO_PI, chi_analytic, delta_prime, paper_default_para
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import HilbertConfig
 from cqadsim.swtheory import (
+    _phases,
     chi_numeric,
     echo_sigma_z_analytic,
     echo_sigma_z_jc,
     ramsey_prediction,
-    ramsey_sigma_z_analytic,
-    ramsey_sigma_z_exact_sw,
+    ramsey_sigma_z_exact_phases,
+    ramsey_sigma_z_from_phases,
     ramsey_sigma_z_jc,
-    sw_expansion,
+    sw_flip_block_norm,
     sw_generator,
-    sw_rotating_hamiltonian,
 )
 
 FOUR = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
@@ -39,23 +39,7 @@ def random_state(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# transformed Hamiltonian
-
-
-def test_sw_rotating_hamiltonian_entries(params):
-    cfg = HilbertConfig(2, (4,))
-    delta = params.delta("ramsey")
-    h = sw_rotating_hamiltonian(params, cfg, delta).matrix / TWO_PI
-    d = np.real(np.diag(h)).reshape(2, 4)
-    # n = 0 sector identically zero
-    assert d[0][0] == 0.0 and d[1][0] == 0.0
-    # <e,1| - <g,1| = chi
-    chi = chi_analytic(params.g_lg00, delta, params.alpha, "approximate")
-    assert d[1][1] - d[0][1] == pytest.approx(chi, rel=1e-12)
-    # <g,1| = -(Delta' + chi/2), about +1.9709 MHz at the Ramsey point
-    dp = delta_prime(params.g_lg00, delta)
-    assert d[0][1] == pytest.approx(-(dp + chi / 2.0), rel=1e-12)
-    assert d[0][1] == pytest.approx(1.9709e6, abs=1e3)
+# the transformation
 
 
 def test_sw_generator_antihermitian(params):
@@ -69,8 +53,7 @@ def test_sw_expansion_flip_block_scaling(params):
     norms = []
     for scale in (1.0, 0.5, 0.25):
         ps = replace(params, g_lg00=params.g_lg00 * scale)
-        ex = sw_expansion(ps, cfg, params.delta("ramsey"))
-        norms.append(ex.flip_block_norm())
+        norms.append(sw_flip_block_norm(ps, cfg, params.delta("ramsey")))
     # halving eps cuts the residual flip block by >= 7x (cubic)
     assert norms[0] / norms[1] >= 7.0
     assert norms[1] / norms[2] >= 7.0
@@ -82,12 +65,12 @@ def test_sw_expansion_order1_bound(params):
 
     cfg = HilbertConfig(2, (8,))
     delta = params.delta("ramsey")
-    ex = sw_expansion(params, cfg, delta)
     p0 = replace(params, g_lg00=1e-30, g_lg10=1e-30)
     h_full = full_jc_hamiltonian(params, cfg, delta).matrix
     h_bare = full_jc_hamiltonian(p0, cfg, delta).matrix
     hjc_norm = np.linalg.norm(h_full - h_bare)
-    c = ex.flip_block_norm() / (abs(ex.epsilon) ** 2 * hjc_norm)
+    eps = params.g_lg00 / delta
+    c = sw_flip_block_norm(params, cfg, delta) / (abs(eps) ** 2 * hjc_norm)
     assert c <= 10.0
 
 
@@ -99,14 +82,14 @@ def test_order0_is_parity_at_t0(params):
     rng = np.random.default_rng(1)
     c = random_state(rng, 5)
     delta = params.delta("ramsey")
-    pr = ramsey_prediction(c, 0.4, t0_of(params, delta), params, delta, -1)
+    pr = ramsey_prediction(c, 0.4, t0_of(params, delta), params, delta)
     parity = sum(abs(x) ** 2 * (-1) ** n for n, x in enumerate(c))
     assert pr.order0 == pytest.approx(parity, abs=1e-12)
 
 
 def test_vacuum_order0(params):
     delta = params.delta("ramsey")
-    pr = ramsey_prediction([1.0, 0.0], 0.9, t0_of(params, delta), params, delta, -1)
+    pr = ramsey_prediction([1.0, 0.0], 0.9, t0_of(params, delta), params, delta)
     assert pr.order0 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,7 +99,7 @@ def test_fock1_eps_zero_cosine(params):
     delta = params.delta("ramsey")
     t0 = t0_of(ps, delta)
     for frac in (0.5, 1.0):
-        val = ramsey_sigma_z_analytic([0, 1, 0], 0.0, t0 * frac, ps, delta, -1)
+        val = ramsey_prediction([0, 1, 0], 0.0, t0 * frac, ps, delta).total
         chi = chi_analytic(ps.g_lg00, delta, ps.alpha, "approximate")
         assert val == pytest.approx(math.cos(TWO_PI * abs(chi) * t0 * frac), abs=1e-5)
 
@@ -128,16 +111,9 @@ def test_two_phase_sum_cancels_first_order(params):
     for _ in range(5):
         c = random_state(rng, 6)
         th = rng.uniform(0, 2 * math.pi)
-        p1 = ramsey_prediction(c, th, t0, params, delta, -1)
-        p2 = ramsey_prediction(c, th + math.pi, t0, params, delta, -1)
+        p1 = ramsey_prediction(c, th, t0, params, delta)
+        p2 = ramsey_prediction(c, th + math.pi, t0, params, delta)
         assert abs(p1.order1 + p2.order1) < 1e-12
-
-
-def test_chi_sign_validation(params):
-    with pytest.raises(ValidationError):
-        ramsey_sigma_z_analytic([1, 0], 0.0, 1e-6, params, params.delta("ramsey"), +1)
-    with pytest.raises(ValidationError):
-        ramsey_sigma_z_analytic([1, 1], 0.0, 1e-6, params, params.delta("ramsey"), -1)
 
 
 def test_analytic_vs_exact_sw_cubic_scaling(params):
@@ -149,8 +125,6 @@ def test_analytic_vs_exact_sw_cubic_scaling(params):
     # from 0.14 measure 5.64, 7.005, 7.55, 7.78, 7.89.  The >= 7 bound is
     # applied where eps <= 0.035; dropping the order-2 terms sends every
     # ratio towards 4.
-    from cqadsim.swtheory import ramsey_sigma_z_exact_phases, ramsey_sigma_z_from_phases
-
     rng = np.random.default_rng(3)
     c = random_state(rng, 5)
     phi, psi = -85.7, -math.pi / 2.0
@@ -170,8 +144,8 @@ def test_analytic_close_to_exact_sw_at_paper_eps(params):
     c = random_state(rng, 5)
     delta = params.delta("ramsey")
     t = t0_of(params, delta)
-    ana = ramsey_sigma_z_analytic(c, 0.3, t, params, delta, -1)
-    ora = ramsey_sigma_z_exact_sw(c, 0.3, t, params, delta)
+    ana = ramsey_prediction(c, 0.3, t, params, delta).total
+    ora = ramsey_sigma_z_exact_phases(c, 0.3, params.g_lg00 / delta, *_phases(params, delta, t))
     assert abs(ana - ora) < 4.0 * abs(params.g_lg00 / delta) ** 3
 
 
@@ -185,7 +159,7 @@ def test_four_phase_average_closed_form_structure(params):
     eps = params.g_lg00 / delta
     phi = TWO_PI * delta_prime(params.g_lg00, delta) * t0
     for m in (0, 1, 2):
-        vals = [ramsey_sigma_z_analytic([0] * m + [1] + [0], th, t0, params, delta, -1)
+        vals = [ramsey_prediction([0] * m + [1] + [0], th, t0, params, delta).total
                 for th in FOUR]
         avg = float(np.mean(vals))
         pi_m = (-1.0) ** m
@@ -202,7 +176,7 @@ def test_matches_full_jc_simulation_small_eps(params):
     for _ in range(6):
         c = random_state(rng, 7)
         th = rng.uniform(0, 2 * math.pi)
-        ana = ramsey_sigma_z_analytic(c, th, t0, params, delta, -1)
+        ana = ramsey_prediction(c, th, t0, params, delta).total
         sim = ramsey_sigma_z_jc(c, th, t0, params, delta)
         worst = max(worst, abs(ana - sim))
     assert worst < 5e-3
@@ -216,8 +190,8 @@ def test_echo_analytic_matches_jc(params):
     for _ in range(3):
         c = random_state(rng, 5)
         th = rng.uniform(0, 2 * math.pi)
-        a = echo_sigma_z_analytic(c, th, t0, ps, delta, -1)
-        s = echo_sigma_z_jc(c, th, t0, ps, delta, margin=8)
+        a = echo_sigma_z_analytic(c, th, t0, ps, delta)
+        s = echo_sigma_z_jc(c, th, t0, ps, delta)
         assert a == pytest.approx(s, abs=5e-4)
 
 
@@ -227,18 +201,18 @@ def test_echo_analytic_batches_over_times(params):
     c = random_state(rng, 9)
     times = np.linspace(0.8, 1.2, 37) * t0_of(params, delta)
     for th in (0.0, 1.3, 4.0):
-        batch = echo_sigma_z_analytic(c, th, times, params, delta, -1)
-        scalar = [echo_sigma_z_analytic(c, th, t, params, delta, -1) for t in times]
+        batch = echo_sigma_z_analytic(c, th, times, params, delta)
+        scalar = [echo_sigma_z_analytic(c, th, t, params, delta) for t in times]
         assert isinstance(batch, np.ndarray) and batch.shape == times.shape
         assert all(type(v) is float for v in scalar)
         assert np.abs(batch - scalar).max() <= 1e-15
     with pytest.raises(ValidationError, match="positive"):
-        echo_sigma_z_analytic(c, 0.0, np.array([1e-6, 0.0]), params, delta, -1)
+        echo_sigma_z_analytic(c, 0.0, np.array([1e-6, 0.0]), params, delta)
 
 
 def test_unnormalized_input_rejected(params):
     with pytest.raises(ValidationError):
-        ramsey_sigma_z_analytic([1.0, 1.0], 0.0, 1e-6, params, params.delta("ramsey"), -1)
+        ramsey_prediction([1.0, 1.0], 0.0, 1e-6, params, params.delta("ramsey"))
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,10 @@ def _run_spectroscopy(params, kind, prep, sweep, seed):
     default_dim = max(10, n_peaks + 4)
     config = _config_for(sweep, default_dim)
     if prep.target == "coherent":
-        # refuse a |beta| the mode cannot hold before the hints size a space from it
+        # refuse a |beta| the mode cannot hold before a drive of that size runs
         _truncation_guard(config, 0, prep.beta)
+    # prepared before the hints size a space from n_peaks, so a bad prep_m exits 2
+    state = sequences.prepare_state(prep, params, config, noise)
     line0, spacing = sequences.spectroscopy_peak_hints(params, delta, n_peaks)
     step = _positive(sweep, "freq_step", 5e3)
     probe_duration = _positive(sweep, "probe_duration", 15e-6)
@@ -236,7 +238,6 @@ def _run_spectroscopy(params, kind, prep, sweep, seed):
     grid = np.arange(lo, hi, step)
     if grid.size == 0:
         raise ValidationError(f"spec {keys} give an empty frequency grid [{lo:.6g}, {hi:.6g})")
-    state = sequences.prepare_state(prep, params, config, noise)
     trace = sequences.qubit_spectroscopy(
         state, delta, None, grid, params, config, noise,
         probe_duration=probe_duration,

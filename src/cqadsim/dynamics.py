@@ -6,25 +6,25 @@ frame, 0 Hz from LG-00), so the qubit detuning Delta(t) appears
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
-Every propagator is built one way (``_propagator``: the Liouvillian
-exponential with collapse operators, exp(-i H t) without) and applied one
-way (``_apply``: U psi, U rho U^dag or P vec(rho), by the propagator's row
-count); ``_apply_adjoint`` is the same step taken backward on an
-observable.  Constant segments take theirs from one cache keyed on the
-segment's inputs (segment, params, config, noise).  Segments hold a
-constant detuning and square, resonant drives; the one kind that is not
-constant in the phonon frame, a qubit drive with the qubit off the frame
-(the pi pulse of swap-based preparation), is integrated with adaptive RK.
+Undriven segments take a propagator, built one way (``_propagator``: the
+Liouvillian exponential with collapse operators, exp(-i H t) without) and
+applied one way (``_apply``: U psi, U rho U^dag or P vec(rho), by the
+propagator's row count); ``_apply_adjoint`` is the same step taken backward
+on an observable.  Each comes from one cache keyed on the segment's inputs
+(segment, params, config, noise).  The Liouvillian is built as a sparse
+matrix.  Without drives it conserves the total excitation number, so it
+splits into independent blocks by coherence order; its propagator is
+exponentiated block by block, with the blocks read off the generator's own
+nonzero pattern, and stored sparse.
 
-The Liouvillian is built as a sparse matrix.  Without drives it conserves
-the total excitation number, so it splits into independent blocks by
-coherence order; its propagator is exponentiated block by block, with the
-blocks read off the generator's own nonzero pattern, and stored sparse.
-A driven Liouvillian is one block.  It maps Hermitian matrices to Hermitian
-matrices, so it is exponentiated as a real matrix in an orthonormal basis of
-Hermitian operators, at about a quarter of the flops of the complex one.
+Driven segments (square, resonant drives) build no propagator: each is
+applied once to one state (``_drive_action``).  Every drive is constant in
+its own frame, the segment detuning for a qubit drive and the phonon frame
+for a phonon drive, so the exact evolution is a constant generator acting on
+one vector (``expm_multiply`` on vec(rho), or exp(-i H t) on a Ket),
+followed by the diagonal phases that return to the phonon frame.
 
-Beside that one propagator path, ``_expm_action`` serves sweeps that need a
+Beside these two paths, ``_expm_action`` serves sweeps that need a
 single number w . exp(G) u per point and no propagator (spectroscopy): one
 Pade step on G/2^s with no squaring, then 2^s matrix-vector products.
 """
@@ -39,11 +39,11 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm as _expm
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import expm_multiply
 
-from .device import TWO_PI, SystemParams, full_jc_hamiltonian
+from .device import TWO_PI, SystemParams, _jc_terms, full_jc_hamiltonian
 from .exceptions import NumericError, ValidationError
 from .hilbert import (
     DensityMatrix,
@@ -182,7 +182,8 @@ class Segment:
 
     A qubit drive's carrier sits at ``detuning`` in the phonon frame (the
     static qubit offset is not calibrated into it); a phonon drive's sits at
-    the LG-00 frequency.
+    the LG-00 frequency.  The two together need the qubit in the phonon
+    frame (detuning 0): otherwise no frame holds both drives constant.
     """
 
     duration: float
@@ -193,11 +194,9 @@ class Segment:
     def __post_init__(self):
         if self.duration <= 0:
             raise ValidationError("segment duration must be > 0")
-
-    @property
-    def is_time_dependent(self) -> bool:
-        """A qubit drive off the phonon frame rotates in it."""
-        return self.qubit_drive is not None and self.detuning != 0.0
+        if self.qubit_drive is not None and self.phonon_drive is not None and self.detuning != 0:
+            raise ValidationError("a qubit drive off the phonon frame and a phonon drive "
+                                  "have no common frame")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def _propagator(h_angular: np.ndarray, collapse: Sequence[np.ndarray], duration:
 
 def _segment_propagator(seg: Segment, params: SystemParams, config: HilbertConfig,
                         noise: NoiseModel):
-    """Cached propagator of a constant segment.
+    """Cached propagator of an undriven segment (its drives, if any, are not read).
 
     The key is every input H and the collapse operators are built from, so
     nothing is built or hashed beyond the arguments on a hit.
@@ -257,8 +256,7 @@ def _segment_propagator(seg: Segment, params: SystemParams, config: HilbertConfi
     key = (seg, params, config, noise)
     prop = _CACHE.get(key)
     if prop is None:
-        h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
-             + _drive_hamiltonian(_drive_terms(config, seg)))
+        h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
         prop = _propagator(h, collapse_operators(config, noise), seg.duration)
         _CACHE.put(key, prop)
     return prop
@@ -328,22 +326,14 @@ def _hermitian_generator(gen: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 def _blocked_expm(gen: sparse.csr_matrix):
-    """exp(gen), exponentiating each connected component of its nonzero pattern.
+    """exp(gen) as a sparse (CSR) matrix, one dense ``expm`` per independent block.
 
-    A generator that splits into independent blocks gives a sparse (CSR)
-    propagator with exactly zero coupling between the blocks; one that is a
-    single block (a driven segment) gives the dense ``ndarray``.
-
-    A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
-    the orthonormal Hermitian basis S it is real: a single block is
-    exponentiated as the real S^dag gen S (about a quarter of the complex
-    flops) and mapped back.  The blocks stay complex: the real basis would
+    The blocks are the connected components of the generator's nonzero
+    pattern, so the propagator has exactly zero coupling between them.  They
+    stay complex: the real Hermitian basis of ``_hermitian_generator`` would
     pair each coherence-order block q with -q into one block twice the size.
     """
     n_blocks, labels = connected_components(gen != 0, directed=False)
-    if n_blocks == 1:
-        s, s_h = _hermitian_basis(math.isqrt(gen.shape[0]))
-        return s @ _expm(_hermitian_generator(gen).toarray()) @ s_h
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
     permuted = gen[order][:, order]
@@ -383,80 +373,55 @@ def _expm_action(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # segment execution
 
-# RK45 tolerances of the one time-dependent segment kind
-_RTOL = 1e-8
-_ATOL = 1e-10
-
 
 def _drive_terms(config: HilbertConfig, segment: Segment):
-    """[(op_plus, op_minus, amplitude, phase, carrier_hz)] of the segment's drives.
-
-    The carrier is the drive's frequency in the phonon frame: the segment
-    detuning for a qubit drive, 0 for a phonon drive.
-    """
+    """[(op_plus, op_minus, amplitude, phase)] of the segment's drives."""
     terms = []
     if segment.qubit_drive is not None:
         p = segment.qubit_drive
         terms.append((qubit_operator(config, "sigma_plus").matrix,
                       qubit_operator(config, "sigma_minus").matrix,
-                      p.amplitude, -(p.phase + math.pi / 2.0),  # rotation-axis convention
-                      segment.detuning))
+                      p.amplitude, -(p.phase + math.pi / 2.0)))  # rotation-axis convention
     if segment.phonon_drive is not None:
         p = segment.phonon_drive
         a = annihilation(config, 0).matrix
-        terms.append((a.conj().T, a, p.amplitude, p.phase, 0.0))
+        terms.append((a.conj().T, a, p.amplitude, p.phase))
     return terms
 
 
-def _drive_hamiltonian(terms, t: float = 0.0):
-    """Sum of pi amp (e^{-i ph} op_plus + e^{i ph} op_minus), ph = 2 pi carrier t + phase."""
+def _drive_hamiltonian(terms):
+    """The drives in their own frame: sum of pi amp (e^{-i phase} op_plus + h.c.)."""
     h = 0.0
-    for op_p, op_m, amp, phase, carrier in terms:
-        ph = TWO_PI * carrier * t + phase
-        h = h + TWO_PI * 0.5 * amp * (np.exp(-1j * ph) * op_p + np.exp(1j * ph) * op_m)
+    for op_p, op_m, amp, phase in terms:
+        h = h + TWO_PI * 0.5 * amp * (np.exp(-1j * phase) * op_p + np.exp(1j * phase) * op_m)
     return h
 
 
-def _evolve_rk(state, seg: Segment, params, config: HilbertConfig, noise: NoiseModel):
-    """Adaptive RK45 through a segment whose qubit drive rotates in the phonon frame.
+def _drive_action(state, seg: Segment, params, config: HilbertConfig, noise: NoiseModel):
+    """A driven segment applied to one state, exactly, without a propagator.
 
-    A Ket follows the Schroedinger equation, a density matrix the vectorized
-    master equation; the final density matrix is checked for trace (1e-6),
-    hermiticity (1e-8) and positivity (eigenvalues above -1e-6).
+    In the frame f of the drives (the segment detuning for a qubit drive, 0
+    for a phonon drive alone) H is constant: ``full_jc_hamiltonian`` at
+    frame f plus the static drive.  A Ket takes exp(-i H t); a density matrix
+    takes exp(L t) vec(rho) by ``expm_multiply`` (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488, 2011) and is checked for trace (1e-6), hermiticity
+    (1e-8) and positivity (eigenvalues above -1e-6).  The diagonal
+    V = exp(-i 2 pi f t K), K = sigma_z/2 + sum_k n_k, returns the state to
+    the phonon frame.
     """
-    h_static = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
-    terms = _drive_terms(config, seg)
-
-    def h_of_t(t):
-        return h_static + _drive_hamiltonian(terms, t)
-
+    f = seg.detuning if seg.qubit_drive is not None else 0.0
+    h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset,
+                             frame=f).matrix
+         + _drive_hamiltonian(_drive_terms(config, seg)))
+    sz, modes = _jc_terms(config)
+    k = 0.5 * sz.diagonal() + sum(n_k.diagonal() for n_k, _ in modes)
+    v = np.diag(np.exp(-1j * TWO_PI * f * seg.duration * k))
+    if isinstance(state, Ket):
+        return _apply(v, _apply(hermitian_propagator(h, seg.duration), state))
     d = config.dim
-    if isinstance(state, Ket):
-        y0 = state.amplitudes.astype(complex)
-
-        def rhs(t, y):
-            return -1j * (h_of_t(t) @ y)
-    else:
-        y0 = state.matrix.reshape(-1).astype(complex)
-        cs = collapse_operators(config, noise)
-        cdc = [c.conj().T @ c for c in cs]
-
-        def rhs(t, y):
-            rho = y.reshape(d, d)
-            h = h_of_t(t)
-            drho = -1j * (h @ rho - rho @ h)
-            for c, n in zip(cs, cdc):
-                drho += c @ rho @ c.conj().T - 0.5 * (n @ rho + rho @ n)
-            return drho.reshape(-1)
-
-    sol = solve_ivp(rhs, (0.0, seg.duration), y0, t_eval=(seg.duration,), method="RK45",
-                    rtol=_RTOL, atol=_ATOL)
-    if not sol.success:
-        raise NumericError(f"RK integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    if isinstance(state, Ket):
-        return Ket(config, y, normalized=False)
-    return DensityMatrix(config, y.reshape(d, d)).validate(herm_tol=1e-8, eig_floor=-1e-6)
+    gen = liouvillian(h, collapse_operators(config, noise)) * seg.duration
+    rho = DensityMatrix(config, expm_multiply(gen, state.matrix.reshape(-1)).reshape(d, d))
+    return _apply(v, rho).validate(herm_tol=1e-8, eig_floor=-1e-6)
 
 
 def evolve_segments(
@@ -470,16 +435,16 @@ def evolve_segments(
 
     A Ket stays a Ket while the noise is trivial and is evolved unitarily.
     Dissipative segments need a density matrix: this is the one place a Ket
-    becomes a ``DensityMatrix``.  Constant segments apply their cached
-    propagator; a qubit drive off the phonon frame is integrated with RK.
+    becomes a ``DensityMatrix``.  Undriven segments apply their cached
+    propagator; driven ones act on the state in their drive frame.
     """
     if isinstance(state, Ket) and not noise.is_trivial:
         state = state.to_density()
     for seg in segments:
-        if seg.is_time_dependent:
-            state = _evolve_rk(state, seg, params, config, noise)
-        else:
+        if seg.qubit_drive is None and seg.phonon_drive is None:
             state = _apply(_segment_propagator(seg, params, config, noise), state)
+        else:
+            state = _drive_action(state, seg, params, config, noise)
     return state
 
 

@@ -378,9 +378,11 @@ def test_overflowing_number_is_a_validation_error(tmp_path, capsys, preset, key)
     ("fock1_ramsey_parity.spec",
      {"kind": "echo_parity", "prep_target": "coherent", "prep_beta_re": "1e300"}, "|beta|"),
     ("coherent_spectroscopy.spec", {"prep_beta_re": "1e100"}, "|beta|"),
+    ("coherent_spectroscopy.spec",
+     {"prep_target": "fock", "prep_method": "ideal_injection", "prep_m": "1e100"}, "M="),
 ])
 def test_huge_amplitude_is_a_validation_error(tmp_path, capsys, preset, overrides, name):
-    """An amplitude whose square leaves the float range, or the mode: exit 2, not a crash."""
+    """An amplitude or phonon number beyond the float range or the mode: exit 2, not a crash."""
     spec = preset_copy(tmp_path, preset, **overrides)
     out = tmp_path / "out"
     assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
@@ -404,21 +406,31 @@ def test_prep_pair_without_a_preparation_is_refused(tmp_path, capsys, target, me
     assert not out.exists()
 
 
+def _python(*args):
+    """``python *args`` in a fresh process that imports cqadsim from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
 def test_unbounded_expm_action_is_a_numeric_failure(tmp_path):
     """A probe so long that the expm action would take 2^1000 products: exit 3 at once."""
     spec = preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6,
                        probe_duration="1e300")
     out = tmp_path / "out"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cqadsim.cli", "run", "--experiment", spec, "--out", str(out),
-         "--quiet"], env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = _python("-m", "cqadsim.cli", "run", "--experiment", spec, "--out", str(out), "--quiet")
     assert proc.returncode == 3
     assert "matrix-vector products" in proc.stderr
     assert not out.exists()
+
+
+def test_cli_start_up_does_not_load_an_ode_solver():
+    """No path integrates an ODE, so ``import cqadsim.cli`` leaves scipy.integrate unloaded."""
+    proc = _python("-c", "import sys, cqadsim.cli; print('scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("overrides, key", [

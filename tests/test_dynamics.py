@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from cqadsim import dynamics
 from cqadsim.device import TWO_PI, _jc_terms, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
     NoiseModel,
@@ -22,7 +20,15 @@ from cqadsim.dynamics import (
     liouvillian,
     vacuum_rabi_chevron,
 )
-from cqadsim.dynamics import _apply, _blocked_expm, _drive_hamiltonian, _drive_terms, _propagator
+from cqadsim.dynamics import (
+    _apply,
+    _apply_adjoint,
+    _blocked_expm,
+    _drive_hamiltonian,
+    _drive_terms,
+    _hermitian_generator,
+    _propagator,
+)
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
     DensityMatrix,
@@ -103,13 +109,12 @@ def test_phonon_dephasing_closed_form(params):
 
 
 def test_evolved_states_stay_physical(params):
-    """Constant segments and RK-integrated pi pulses alternate; every state stays physical."""
+    """Undriven segments and drive-frame pi pulses alternate; every state stays physical."""
     cfg = HilbertConfig(2, (5,))
     delta = params.delta("ramsey")
     noise = NoiseModel.from_params(params, delta)
     wait = Segment(1e-6, delta)
     pulse = Segment(50e-9, delta, qubit_drive=Pulse(1e7, 0.4))  # 2 pi amp duration = pi
-    assert pulse.is_time_dependent and not wait.is_time_dependent
     state = fock_state(cfg, [2], 0)
     for seg in [wait, pulse] * 4:
         state = evolve_segments(state, [seg], params, cfg, noise)
@@ -234,12 +239,11 @@ def test_rk_density_path_returns_a_valid_state(params):
     rng = np.random.default_rng(3)
     a = rng.normal(size=(cfg.dim, 3)) + 1j * rng.normal(size=(cfg.dim, 3))
     rho = DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T))
-    assert seg.is_time_dependent
     out = evolve_segments(rho, [seg], params, cfg, NoiseModel.from_params(params, seg.detuning))
     out.validate()
 
 
-_RK_CONFIGS = st.one_of(
+_DRIVE_CONFIGS = st.one_of(
     st.integers(2, 4).map(lambda n: HilbertConfig(2, (n,))),
     st.integers(2, 3).map(lambda n: HilbertConfig(3, (n,))),
     st.tuples(st.integers(2, 3), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
@@ -268,7 +272,7 @@ def _in_drive_frame(state, seg, params, config, noise):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    config=_RK_CONFIGS,
+    config=_DRIVE_CONFIGS,
     rates=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e2, 1e5))] * 4),
     offset=st.floats(-2e5, 2e5),
     delta=st.floats(0.2e6, 5e6).flatmap(lambda d: st.sampled_from([d, -d])),
@@ -277,29 +281,28 @@ def _in_drive_frame(state, seg, params, config, noise):
     phase=st.floats(-math.pi, math.pi),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rk_drive_matches_the_constant_generator_in_the_drive_frame(
+def test_qubit_drive_matches_the_constant_generator_in_the_drive_frame(
         params, config, rates, offset, delta, duration, amplitude, phase, seed):
     noise = NoiseModel(*rates, static_qubit_offset=offset)
     seg = Segment(duration, delta, qubit_drive=Pulse(amplitude, phase))
-    assert seg.is_time_dependent
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
     rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
     out = evolve_segments(rho, [seg], params, config, noise)
     diff = out.matrix - _in_drive_frame(rho, seg, params, config, noise).matrix
-    assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-7
+    assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)
 @given(
-    config=_RK_CONFIGS,
+    config=_DRIVE_CONFIGS,
     delta=st.floats(0.2e6, 5e6).flatmap(lambda d: st.sampled_from([d, -d])),
     duration=st.floats(10e-9, 200e-9),
     amplitude=st.floats(0.0, 1e7),
     phase=st.floats(-math.pi, math.pi),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rk_ket_drive_matches_the_constant_generator_in_the_drive_frame(
+def test_ket_qubit_drive_matches_the_constant_generator_in_the_drive_frame(
         params, config, delta, duration, amplitude, phase, seed):
     seg = Segment(duration, delta, qubit_drive=Pulse(amplitude, phase))
     rng = np.random.default_rng(seed)
@@ -308,7 +311,65 @@ def test_rk_ket_drive_matches_the_constant_generator_in_the_drive_frame(
     out = evolve_segments(psi, [seg], params, config, NoiseModel())
     assert isinstance(out, Ket)
     exact = _in_drive_frame(psi, seg, params, config, NoiseModel())
-    assert np.linalg.norm(out.amplitudes - exact.amplitudes) <= 1e-7
+    assert np.linalg.norm(out.amplitudes - exact.amplitudes) <= 1e-12
+    # the Ket and the density matrix take independent kernels to the same state
+    rho = evolve_segments(psi.to_density(), [seg], params, config, NoiseModel())
+    diff = out.to_density().matrix - rho.matrix
+    assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    config=_DRIVE_CONFIGS,
+    rates=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e2, 1e5))] * 4),
+    detuning=st.floats(-5e6, 5e6),
+    drives=st.sampled_from(["qubit", "phonon", "both"]),
+    duration=st.floats(10e-9, 1e-6),
+    amplitude=st.floats(0.0, 1e7),
+    phase=st.floats(-math.pi, math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_driven_segments_are_cptp(params, config, rates, detuning, drives, duration, amplitude,
+                                  phase, seed):
+    """Any drive keeps a random rho's trace, Hermiticity and positivity, and a Ket's norm."""
+    pulse = Pulse(amplitude, phase)
+    seg = Segment(duration, 0.0 if drives == "both" else detuning,
+                  qubit_drive=None if drives == "phonon" else pulse,
+                  phonon_drive=None if drives == "qubit" else pulse)
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
+    rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
+    out = evolve_segments(rho, [seg], params, config, NoiseModel(*rates)).matrix
+    assert abs(np.trace(out) - 1.0) < 1e-10
+    assert np.abs(out - out.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(out).min() >= -1e-10
+    v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
+    psi = evolve_segments(Ket(config, v / np.linalg.norm(v)), [seg], params, config, NoiseModel())
+    assert isinstance(psi, Ket)
+    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("config", [HilbertConfig(2, (6,)), HilbertConfig(2, (3, 2))])
+@pytest.mark.parametrize("detuning, qubit_drive", [(-1.9e6, None), (0.0, Pulse(2e6, 0.7))])
+def test_phonon_drive_matches_the_dense_propagator(params, config, detuning, qubit_drive):
+    """A phonon drive is static in the phonon frame: the action equals the dense exp(L t)."""
+    seg = Segment(0.3e-6, detuning, qubit_drive=qubit_drive, phonon_drive=Pulse(1.5e6, -0.4))
+    noise = NoiseModel.from_params(params, params.delta("coherent"), static_qubit_offset=20e3)
+    h = (full_jc_hamiltonian(params, config, detuning + noise.static_qubit_offset).matrix
+         + _drive_hamiltonian(_drive_terms(config, seg)))
+    rho = fock_state(config, [1] + [0] * (config.n_modes - 1), 1).to_density()
+    dense = expm(liouvillian(h, collapse_operators(config, noise)).toarray() * seg.duration)
+    exact = (dense @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
+    diff = evolve_segments(rho, [seg], params, config, noise).matrix - exact
+    assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
+
+
+def test_two_drives_without_a_common_frame_are_refused():
+    """A qubit drive off the phonon frame rotates against a phonon drive in every frame."""
+    drives = dict(qubit_drive=Pulse(1e6), phonon_drive=Pulse(1e5))
+    with pytest.raises(ValidationError, match="no common frame"):
+        Segment(50e-9, -1.9e6, **drives)
+    Segment(50e-9, 0.0, **drives)  # both resonant in the phonon frame
 
 
 def test_static_offset_shifts_qubit(params):
@@ -378,67 +439,12 @@ def test_blocked_propagator_trace_and_hermiticity(gen, seed):
     out = (prop @ rho.reshape(-1)).reshape(config.dim, config.dim)
     assert np.abs(out - out.conj().T).max() < 1e-12
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
-
-
-@pytest.mark.parametrize("drive", ["qubit", "phonon"])
-def test_driven_propagator_is_one_dense_block(params, drive):
-    config = HilbertConfig(2, (5,))
-    if drive == "qubit":
-        seg = Segment(duration=0.2e-6, detuning=0.0, qubit_drive=Pulse(amplitude=1e6))
-    else:
-        seg = Segment(duration=0.2e-6, detuning=params.delta("rest"),
-                      phonon_drive=Pulse(amplitude=1e6))
-    assert not seg.is_time_dependent
-    noise = NoiseModel.from_params(params, seg.detuning)
-    h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
-         + _drive_hamiltonian(_drive_terms(config, seg)))
-    cs = collapse_operators(config, noise)
-    gen = liouvillian(h, cs) * seg.duration
-    n_blocks, _ = connected_components(gen != 0, directed=False)
-    assert n_blocks == 1
-    prop = _blocked_expm(liouvillian(h, cs) * seg.duration)
-    assert type(prop) is np.ndarray
-    dense = expm(gen.toarray())
-    assert np.linalg.norm(prop - dense) <= 1e-12 * np.linalg.norm(dense)
-
-
-@st.composite
-def _driven_generators(draw):
-    """(config, generator) of one component: a random dense H, random rates, a random time.
-
-    A dense H couples every pair of levels, as a drive does.  The time is
-    chosen so that ||gen||_1 <= 50: squaring amplifies rounding in any
-    scaling-and-squaring kernel, and both kernels differ by about 5e-12 at
-    ||gen||_1 ~ 1e3.
-    """
-    config = draw(_CONFIGS)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
-    small_rates = st.one_of(st.just(0.0), st.floats(1e-2, 10.0))
-    noise = NoiseModel(qubit_gamma1=draw(small_rates), qubit_gamma_phi=draw(small_rates),
-                       phonon_kappa1=draw(small_rates), phonon_kappa_phi=draw(small_rates))
-    gen = liouvillian(m + m.conj().T, collapse_operators(config, noise))
-    norm = abs(gen).sum(axis=0).max()
-    return config, gen * (draw(st.floats(1e-3, 50.0)) / norm)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_driven_generators(), st.integers(0, 2**32 - 1))
-def test_driven_propagator_real_basis_matches_complex_expm(gen, seed):
-    """The real Hermitian-basis exponential is exp(gen): same matrix, trace and Hermiticity."""
-    config, gen = gen
-    assert connected_components(gen != 0, directed=False)[0] == 1
-    prop = _blocked_expm(gen)
-    dense = expm(gen.toarray())
-    assert np.linalg.norm(prop - dense) <= 1e-12 * np.linalg.norm(dense)
-    vec_eye = np.eye(config.dim).reshape(-1)
-    assert np.abs(prop.T @ vec_eye - vec_eye).max() < 1e-12
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
-    rho = m @ m.conj().T
-    rho /= np.trace(rho)
-    out = (prop @ rho.reshape(-1)).reshape(config.dim, config.dim)
-    assert np.abs(out - out.conj().T).max() < 1e-14
+    assert np.linalg.eigvalsh(out).min() >= -1e-10
+    # the Heisenberg step of a CPTP map is unital and positive
+    assert np.abs(_apply_adjoint(prop, np.eye(config.dim)) - np.eye(config.dim)).max() < 1e-10
+    back = _apply_adjoint(prop, rho)
+    assert np.abs(back - back.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(back).min() >= -1e-10
 
 
 def test_generator_that_breaks_hermiticity_is_refused():
@@ -446,25 +452,7 @@ def test_generator_that_breaks_hermiticity_is_refused():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     with pytest.raises(NumericError, match="Hermiticity"):
-        _blocked_expm(liouvillian(m, []) * 0.1)
-
-
-def test_driven_propagator_exponentiates_a_real_matrix(params, monkeypatch):
-    """A driven Liouvillian reaches the kernel as float64, not as complex128."""
-    config = HilbertConfig(2, (4,))
-    seg = Segment(duration=0.2e-6, detuning=0.0, qubit_drive=Pulse(amplitude=1e6))
-    noise = NoiseModel.from_params(params, params.delta("ramsey"))
-    h = (full_jc_hamiltonian(params, config, 0.0).matrix
-         + _drive_hamiltonian(_drive_terms(config, seg)))
-    dtypes = []
-
-    def recording_expm(a):
-        dtypes.append(a.dtype)
-        return expm(a)
-
-    monkeypatch.setattr(dynamics, "_expm", recording_expm)
-    _blocked_expm(liouvillian(h, collapse_operators(config, noise)) * seg.duration)
-    assert dtypes == [np.float64]
+        _hermitian_generator(liouvillian(m, []) * 0.1)
 
 
 def test_cached_propagator_follows_every_input(params):
@@ -485,7 +473,6 @@ def test_cached_propagator_follows_every_input(params):
         (params, noise, replace(seg, detuning=0.0)),
         (params, noise, replace(seg, detuning=0.0, qubit_drive=Pulse(amplitude=0.5e6))),
     ]
-    assert not variants[-1][2].is_time_dependent
 
     def run(p, n, s):
         out = evolve_segments(psi, [s], p, config, n)

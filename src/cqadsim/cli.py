@@ -131,6 +131,22 @@ def _positive(data: dict, key: str, default: float) -> float:
     return value
 
 
+# Longest time a spec may ask for, in s: about 12 lifetimes of the device's
+# longest-lived excitation (the LG-00 phonon, T1 = 1/(2 pi kappa1) = 80 us), after
+# which e^-12 of it is left to read.  probe_duration has its own limit: the
+# spectroscopy sweep refuses a probe that needs more than 2^20 products.
+_MAX_TIME = 1e-3
+
+
+def _duration(data: dict, key: str, default: float | None) -> float:
+    """Time spec value in (0, _MAX_TIME] seconds."""
+    value = _positive(data, key, default)
+    if value > _MAX_TIME:
+        raise ValidationError(f"spec key {key!r} must be <= {_MAX_TIME:g} s (about 12 phonon "
+                              f"lifetimes), got {value!r}")
+    return value
+
+
 class _ReadTracker(dict):
     """Sweep keys that remember which of them were read; ``key in d`` is not a read."""
 
@@ -168,7 +184,7 @@ def _spec_from_keyval(data: dict) -> tuple[str, StatePrep, _ReadTracker]:
 def _interaction_time(sweep: dict, params: SystemParams, delta: float, variant: str) -> float:
     """The spec's ``interaction_time``, or for "auto" the variant's default at ``delta``."""
     if sweep.get("interaction_time", "auto") != "auto":
-        return _positive(sweep, "interaction_time", None)
+        return _duration(sweep, "interaction_time", None)
     if variant == "ramsey":
         return sequences.default_ramsey_time(params, delta)
     return sequences.echo_offset_zero_time(params, delta)
@@ -350,7 +366,7 @@ def _run_coherence(params, kind, prep, sweep, seed):
     }.get((kind, system))
     if proto is None:
         raise ValidationError(f"unsupported coherence combination {kind}/{system}")
-    t_max = _positive(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
+    t_max = _duration(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
     n = _count(sweep, "delay_points", 31)
     delays = np.linspace(0.0, t_max, n)
     times, values, fit = sequences.coherence_protocols(
@@ -375,7 +391,7 @@ def _run_rabi_chevron(params, kind, prep, sweep, seed):
     d_lo = _number(sweep, "detuning_min", -1.5e6)
     d_hi = _number(sweep, "detuning_max", 2.0e6)
     nd = _count(sweep, "detuning_points", 36)
-    t_max = _positive(sweep, "time_max", 4e-6)
+    t_max = _duration(sweep, "time_max", 4e-6)
     nt = _count(sweep, "time_points", 81)
     deltas = np.linspace(d_lo, d_hi, nd)
     times = np.linspace(0.0, t_max, nt)

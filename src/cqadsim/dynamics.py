@@ -24,9 +24,11 @@ for a phonon drive, so the exact evolution is a constant generator acting on
 one vector (``expm_multiply`` on vec(rho), or exp(-i H t) on a Ket),
 followed by the diagonal phases that return to the phonon frame.
 
-Beside these two paths, ``_expm_action`` serves sweeps that need a
-single number w . exp(G) u per point and no propagator (spectroscopy): one
-Pade step on G/2^s with no squaring, then 2^s matrix-vector products.
+Beside these two paths, ``_sweep_action`` serves sweeps that need a
+single number w . exp(G0 + f G1) u per point f and no propagator
+(spectroscopy): one Chebyshev recurrence of sparse products on a block that
+holds the whole grid, about as many products as the generator's spectral
+radius.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from scipy import sparse
 from scipy.linalg import expm as _expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 from .device import TWO_PI, SystemParams, _jc_terms, full_jc_hamiltonian
 from .exceptions import NumericError, ValidationError
@@ -342,32 +345,77 @@ def _blocked_expm(gen: sparse.csr_matrix):
     return sparse.csr_matrix((p.data, (order[p.row], order[p.col])), shape=gen.shape)
 
 
-# Higham (2005): the largest 1-norm at which the degree-13 Pade approximant
-# meets double precision unscaled, so ``expm`` takes it without squaring.
-_THETA_13 = 5.37
-# At most 2^20 products per action; the presets take at most 2^9.
-_MAX_HALVINGS = 20
+# At most 2^20 products per sweep; the spectroscopy preset takes about 1.8e3.
+_MAX_PRODUCTS = 2**20
 
 
-def _expm_action(g: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
-    """w . exp(g) u for a dense real generator, without forming exp(g).
+def _gershgorin(g: sparse.csr_matrix) -> tuple[float, float, float]:
+    """(lo, hi, r): the field of values of the real matrix g, so its spectrum, lies in
+    [lo, hi] x i[-r, r].
 
-    g is scaled by the smallest 2^-s that brings its 1-norm to theta_13, so
-    ``expm`` takes one Pade step with no squaring; exp(g) u is then 2^s
-    matrix-vector products with exp(g 2^-s).  g is overwritten.  A g that
-    needs s > 20 (or is not finite) is a ``NumericError``.
+    [lo, hi] holds the Gershgorin discs of the symmetric part, and r is the
+    largest absolute row sum of the antisymmetric part, which bounds its norm.
     """
-    norm = np.linalg.norm(g, 1)
-    if not norm <= _THETA_13 * 2.0**_MAX_HALVINGS:
-        raise NumericError(f"expm action of a generator with 1-norm {norm:.3g} needs more than "
-                           f"2^{_MAX_HALVINGS} matrix-vector products")
-    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    g *= 2.0**-s
-    step = _expm(g)
-    v = u
-    for _ in range(2**s):
-        v = step @ v
-    return float(w @ v)
+    sym, asym = (g + g.T) * 0.5, (g - g.T) * 0.5
+    d = sym.diagonal()
+    off = np.asarray(abs(sym).sum(axis=1)).ravel() - np.abs(d)
+    return float((d - off).min()), float((d + off).max()), float(abs(asym).sum(axis=1).max())
+
+
+def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray,
+                  u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w . exp(G0 + f G1) u for every f in ``freqs``, without forming an exponential.
+
+    One real Chebyshev recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
+    1984) runs on a block with one column per f.  The Gershgorin bounds of
+    G0 + f G1 are convex or concave in f, so taken at the grid's two ends they
+    put every spectrum of the grid in [lo, hi] x i[-R, R].  exp(G) is taken
+    as p = ceil((hi - lo)/2) substeps, each of real half-extent at most 1,
+    and the real centre c is taken out as a factor.  A substep is
+    G/p = c + r Y with Y's spectrum about i[-1, 1], and
+    exp(r Y) u = sum_k (2 - delta_k0) J_k(r) s_k, s_0 = u, s_1 = Y u,
+    s_{k+1} = 2 Y s_k + s_{k-1}, truncated where J_k(r) falls below double
+    precision.  That is about R products of G0 and G1 with the block, where
+    a Taylor method takes several times the 1-norm.  A bound above 2^20
+    products, or one that is not finite, is a ``NumericError`` raised before
+    any work.
+    """
+    ends = np.array([_gershgorin(g0 + f * g1) for f in (freqs.min(), freqs.max())])
+    lo, hi, radius = ends[:, 0].min(), ends[:, 1].max(), ends[:, 2].max()
+    half = (hi - lo) / 2.0
+    if not radius + half <= _MAX_PRODUCTS:
+        raise NumericError(f"Chebyshev action of a generator with spectral bound "
+                           f"{radius + half:.3g} needs more than 2^20 matrix-vector products")
+    p = max(math.ceil(half), 1)
+    r = max(radius / p, 1.0)
+    c = (lo + hi) / (2.0 * p)
+    # J_k(r) is weighed by rho^k, rho = b + sqrt(1 + b^2), the growth of T_k at
+    # Y's real half-extent b = half/(p r) <= 1; past k = 1.5 r + 50 the weighed
+    # term is far below double precision
+    b = half / (p * r)
+    k = np.arange(int(1.5 * r) + 50)
+    coef = 2.0 * jv(k, r)
+    coef = coef[:np.nonzero(np.abs(coef) * (b + math.sqrt(1.0 + b * b))**k > 1e-16)[0][-1] + 1]
+    coef[0] /= 2.0
+    n = g0.shape[0]
+    # 2 Y = A + f B on the column of f; one product with the stacked [A; B] gives both
+    stack = sparse.vstack([(g0 / p - c * sparse.identity(n)) * (2.0 / r),
+                           g1 * (2.0 / (p * r))]).tocsr()
+    f = freqs[None, :]
+
+    def twice_y(v):
+        t = stack @ v
+        return t[:n] + t[n:] * f
+
+    v = np.repeat(u[:, None], freqs.size, axis=1)
+    for _ in range(p):
+        prev, cur = v, 0.5 * twice_y(v)
+        v = coef[0] * prev + coef[1] * cur
+        for a in coef[2:]:
+            prev, cur = cur, twice_y(cur) + prev
+            v += a * cur
+        v *= math.exp(c)
+    return w @ v
 
 
 # ---------------------------------------------------------------------------

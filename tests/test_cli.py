@@ -349,6 +349,10 @@ def test_non_integral_integer_key_is_a_validation_error(tmp_path, capsys, preset
     ("fock1_ramsey_parity.spec", {"interaction_time": -1e-6}, "interaction_time"),
     ("fock1_ramsey_parity.spec", {"interaction_time": 0}, "interaction_time"),
     ("wigner_fock1.spec", {"interaction_time": 0}, "interaction_time"),
+    ("phonon_t1.spec", {"delay_max": 1e300}, "delay_max"),
+    ("fock1_ramsey_parity.spec", {"interaction_time": 1e300}, "interaction_time"),
+    ("vacuum_rabi.spec", {"time_max": 1e300}, "time_max"),
+    ("phonon_t1.spec", {"delay_max": 1.01e-3}, "delay_max"),
 ])
 def test_nonsense_range_is_a_validation_error(tmp_path, capsys, preset, overrides, message):
     spec = preset_copy(tmp_path, preset, **overrides)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 
+from cqadsim import dynamics
 from cqadsim.device import TWO_PI, _jc_terms, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
     NoiseModel,
@@ -26,8 +27,11 @@ from cqadsim.dynamics import (
     _blocked_expm,
     _drive_hamiltonian,
     _drive_terms,
+    _gershgorin,
+    _hermitian_basis,
     _hermitian_generator,
     _propagator,
+    _sweep_action,
 )
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
@@ -453,6 +457,58 @@ def test_generator_that_breaks_hermiticity_is_refused():
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     with pytest.raises(NumericError, match="Hermiticity"):
         _hermitian_generator(liouvillian(m, []) * 0.1)
+
+
+def _random_sweep(seed, d=4):
+    """(G0, G1, u, w) of a random d-level Lindbladian of H0 + f H1 in the Hermitian basis.
+
+    u is a random state and w a random observable.  H0 and H1 set the
+    imaginary spread (a Gershgorin radius near 140), and two jump operators a
+    real spread that takes 7 to 10 substeps.
+    """
+    rng = np.random.default_rng(seed)
+
+    def gaussian(scale):
+        return scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+    h0, h1, obs = ((m + m.conj().T) / 2 for m in (gaussian(10.0), gaussian(5.0), gaussian(1.0)))
+    rho = gaussian(1.0) @ gaussian(1.0).conj().T
+    g0 = _hermitian_generator(liouvillian(h0, [gaussian(0.4), gaussian(0.4)]))
+    g1 = _hermitian_generator(liouvillian(h1, []))
+    s, s_h = _hermitian_basis(d)
+    u = (s_h @ (rho / np.trace(rho)).reshape(-1)).real
+    w = (s.T @ obs.T.reshape(-1)).real
+    return g0, g1, u, w
+
+
+@pytest.mark.parametrize("seed, decay", [(0, 0.0), (1, 0.0), (2, 0.0), (0, 100.0)])
+def test_sweep_action_matches_dense_expm(seed, decay):
+    """The Chebyshev sweep against expm at every grid frequency, over several substeps.
+
+    A uniform ``decay`` moves the spectrum far off the imaginary axis; it
+    commutes with the rest, so the expected values are exp(-decay) times.
+    """
+    g0, g1, u, w = _random_sweep(seed)
+    freqs = np.linspace(-2.0, 3.0, 7)
+    lo, hi, radius = _gershgorin(g0 + 3.0 * g1)
+    assert math.ceil((hi - lo) / 2) > 1 and radius > 50
+    expected = np.array([w @ expm((g0 + f * g1).toarray()) @ u for f in freqs])
+    expected *= math.exp(-decay)
+    got = _sweep_action((g0 - decay * identity(g0.shape[0])).tocsr(), g1, freqs, u, w)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, 1e7])
+def test_sweep_action_refuses_before_any_work(monkeypatch, scale):
+    """A generator that is not finite, or needs more than 2^20 products, is a NumericError."""
+    g0, g1, u, w = _random_sweep(0)
+
+    def no_work(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(dynamics, "jv", no_work)
+    with pytest.raises(NumericError, match="matrix-vector products"):
+        _sweep_action(g0 * scale, g1, np.linspace(-2.0, 3.0, 7), u, w)
 
 
 def test_cached_propagator_follows_every_input(params):

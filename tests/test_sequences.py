@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from cqadsim import dynamics, sequences
 from cqadsim.device import TWO_PI, full_jc_hamiltonian, paper_default_params
@@ -14,9 +13,9 @@ from cqadsim.dynamics import (
     Pulse,
     Segment,
     _apply,
-    _expm_action,
     _hermitian_basis,
     _propagator,
+    _sweep_action,
     collapse_operators,
     evolve_segments,
 )
@@ -373,6 +372,14 @@ def test_spectroscopy_vacuum_single_peak(params):
     assert abs(peak_f - line0) < 8e3
 
 
+def test_spectroscopy_empty_grid_is_a_validation_error(params):
+    cfg = HilbertConfig(2, (4,))
+    noise = NoiseModel.from_params(params, params.delta("coherent"))
+    vac = fock_state(cfg, [0], 0)
+    with pytest.raises(ValidationError, match="grid is empty"):
+        qubit_spectroscopy(vac, params.delta("coherent"), None, [], params, cfg, noise)
+
+
 def _explicit_cycle_average(rho, m, probe, freqs, delta, params, cfg, noise, tau):
     """The m-cycle spectrum run drive by drive: one propagator per cycle and point."""
     sp = qubit_operator(cfg, "sigma_plus").matrix
@@ -430,15 +437,15 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
     probe = Pulse(amplitude=0.5 / (TWO_PI * tau), phase=phase)
     vectors = []
 
-    def recording_action(g, u, w):
+    def recording_action(g0, g1, f, u, w):
         vectors.append(u)
-        return _expm_action(g, u, w)
+        return _sweep_action(g0, g1, f, u, w)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sequences, "_expm_action", recording_action)
+        mp.setattr(sequences, "_sweep_action", recording_action)
         tr = qubit_spectroscopy(rho, delta, probe, freqs, params, cfg, noise, probe_duration=tau)
-    # one exponential per frequency
-    assert len(vectors) == freqs.size
+    # one action for the whole sweep
+    assert len(vectors) == 1
     # the run sees rho twirled over the m probe phases, |f> (if any) unrotated
     s, _ = _hermitian_basis(cfg.dim)
     seen = (s @ vectors[0]).reshape(cfg.dim, cfg.dim)
@@ -448,38 +455,33 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
     assert np.abs(tr.populations - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("tau, halvings", [(15e-6, (8, 9)), (20e-9, (0, 0))])
-def test_spectroscopy_action_matches_dense_propagator(params, tau, halvings):
-    """Phonon dim 10, paper noise: one unsquared Pade step on G/2^s per point, s in ``halvings``.
+@pytest.mark.parametrize("dim, tau, substeps",
+                         [(10, 15e-6, 3), (10, 20e-9, 1), (10, 60e-6, 11), (4, 150e-6, 17)])
+def test_spectroscopy_action_matches_dense_propagator(params, dim, tau, substeps):
+    """Paper noise: one Chebyshev sweep in ``substeps`` substeps.
 
-    15 us is the preset's probe; 20 ns needs no halving.  Either way the
+    15 us is the preset's probe; 20 ns takes one substep and 60 us several.
+    At dim 4 and 150 us one substep would lose every digit.  Each way the
     populations match the dense propagator to 1e-12.
     """
-    cfg, delta = HilbertConfig(2, (10,)), params.delta("coherent")
+    cfg, delta = HilbertConfig(2, (dim,)), params.delta("coherent")
     noise = NoiseModel.from_params(params, delta)
     rho = coherent_state(cfg, 0, 0.8).to_density()
     line0, spacing = spectroscopy_peak_hints(params, delta, 5)
     # the CLI grid's lower edge, between peaks 1 and 2, and on peak 0
     freqs = np.array([line0 + 4 * spacing - 50e3, line0 + 1.5 * spacing, line0])
-    norms, step_norms = [], []
+    generators = []
 
-    def recording_action(g, u, w):
-        norms.append(np.linalg.norm(g, 1))
-        return _expm_action(g, u, w)
-
-    def recording_expm(a):
-        step_norms.append(np.linalg.norm(a, 1))
-        return expm(a)
+    def recording_action(g0, g1, f, u, w):
+        generators.append(g0)
+        return _sweep_action(g0, g1, f, u, w)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sequences, "_expm_action", recording_action)
-        mp.setattr(dynamics, "_expm", recording_expm)
+        mp.setattr(sequences, "_sweep_action", recording_action)
         tr = qubit_spectroscopy(rho, delta, None, freqs, params, cfg, noise, probe_duration=tau)
-    halved = np.maximum(np.ceil(np.log2(np.array(norms) / dynamics._THETA_13)), 0)
-    assert np.all((halved >= halvings[0]) & (halved <= halvings[1]))
-    # one Pade step per point, at a 1-norm scipy takes without squaring
-    assert np.array_equal(step_norms, np.array(norms) / 2**halved)
-    assert np.all(np.array(step_norms) <= dynamics._THETA_13)
+    # G1 is antisymmetric, so G0 alone sets the real extent and the substep count
+    lo, hi, _ = dynamics._gershgorin(generators[0])
+    assert math.ceil((hi - lo) / 2) == substeps
     probe = Pulse(amplitude=0.5 / (TWO_PI * tau))
     expected = _explicit_cycle_average(rho, 2, probe, tr.frequencies, delta, params, cfg,
                                        noise, tau)

@@ -6,6 +6,12 @@ deterministic artifacts: a raw results CSV, a fit JSON, a machine-readable
 summary JSON, and plot-ready CSVs.  ``cqadsim compare`` checks a new summary
 against a reference within per-metric tolerances.
 
+The registry ``_KINDS`` maps each experiment kind to its runner and to the
+table of every spec key that runner reads, with the key's default and rule
+(``_Key``).  ``_spec_from_keyval`` checks a spec against the table before any
+work: a value outside its rule or a key the kind does not read exits 2 and
+writes nothing.
+
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 comparison
 failure.
 """
@@ -18,12 +24,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis, sequences
-from .device import SystemParams, chi_analytic, load_params
+from .device import _POINT_NAMES, SystemParams, chi_analytic, load_params
 from .dynamics import NoiseModel, vacuum_rabi_chevron
 from .exceptions import CqadError, NumericError, ValidationError
 from .hilbert import HilbertConfig, Ket, _truncation_guard, reduced_mode_matrix
@@ -99,164 +107,198 @@ def _format_cell(v) -> str:
 # experiment spec loading
 
 
-def _number(data: dict, key: str, default=None, cast=float):
-    """Numeric spec value; a non-numeric one is a validation error naming the key.
+class _Key(NamedTuple):
+    """One spec key of a kind: its default and the rule its value must meet.
 
-    With ``cast=int`` the value must be integral: keyval parses every number
-    as a float, so 3.0 is accepted and 2.5 is an error, not a truncation.
+    ``rule`` is "number", "whole number" or "word".
+    A number lies in [lo, hi], or in (lo, hi] when ``lo_open``.  A word is one
+    of ``words``, or with ``listed`` a comma list of them; a number rule may
+    take words too ("auto", an operating point).  A whole number reaches the
+    runner as an int.  A default of None means the runner derives the value.
     """
-    value = data.get(key, default)
-    if isinstance(value, str):
-        raise ValidationError(f"spec key {key!r} must be numeric, got {value!r}")
-    if value is None:
-        return None
-    if cast is int and not float(value).is_integer():
-        raise ValidationError(f"spec key {key!r} must be an integer, got {value!r}")
-    return cast(value)
+
+    default: object
+    rule: str = "number"
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    words: tuple = ()
+    listed: bool = False
+
+    def admits(self, value) -> bool:
+        if isinstance(value, str):
+            items = value.split(",") if self.listed else [value]
+            return all(item.strip() in self.words for item in items)
+        return (self.rule != "word" and math.isfinite(value) and value <= self.hi
+                and (self.lo < value if self.lo_open else self.lo <= value)
+                and (self.rule == "number" or float(value).is_integer()))
+
+    def __str__(self):
+        text = [] if self.rule == "word" else [
+            f"a {self.rule} in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}]"]
+        words = ("a comma list of " if self.listed else "") + "/".join(self.words)
+        return " or ".join(text + [words] if self.words else text)
 
 
-def _count(data: dict, key: str, default: int) -> int:
-    """Integer spec value that must be at least 1."""
-    n = _number(data, key, default, int)
-    if n < 1:
-        raise ValidationError(f"spec key {key!r} must be >= 1, got {n}")
-    return n
-
-
-def _positive(data: dict, key: str, default: float) -> float:
-    """Numeric spec value that must be > 0."""
-    value = _number(data, key, default)
-    if not value > 0:
-        raise ValidationError(f"spec key {key!r} must be > 0, got {value!r}")
-    return value
-
-
+# Bounds that many keys share, each with its reason.
 # Longest time a spec may ask for, in s: about 12 lifetimes of the device's
 # longest-lived excitation (the LG-00 phonon, T1 = 1/(2 pi kappa1) = 80 us), after
 # which e^-12 of it is left to read.  probe_duration has its own limit: the
-# spectroscopy sweep refuses a probe that needs more than 2^20 products.
+# spectroscopy sweep refuses a probe that needs more than 2^20 products (exit 3).
 _MAX_TIME = 1e-3
+# Largest |frequency| in Hz (detunings, probe frequencies, offsets): the acoustic
+# free spectral range, beyond which an omitted longitudinal mode is nearer than LG-00.
+_MAX_FREQ = 12e6
+# Most points on one sweep axis: the paper's sweeps have at most a few hundred.
+_MAX_POINTS = 10_000
+# Most Fock levels in one mode: 60 hold |beta| = 3.9 under the truncation guard
+# (dim >= 4|beta|^2), beyond the paper's largest displacement, |beta| = 2.1 at the
+# corner of the Wigner grid.  chi_scan and the spectroscopy peak hints diagonalise
+# n + 6 levels for n shifts or peaks.
+_MAX_DIM = 60
 
 
-def _duration(data: dict, key: str, default: float | None) -> float:
-    """Time spec value in (0, _MAX_TIME] seconds."""
-    value = _positive(data, key, default)
-    if value > _MAX_TIME:
-        raise ValidationError(f"spec key {key!r} must be <= {_MAX_TIME:g} s (about 12 phonon "
-                              f"lifetimes), got {value!r}")
-    return value
+_whole = partial(_Key, rule="whole number", lo=1, hi=_MAX_POINTS)  # by default a count
+_time = partial(_Key, lo=0.0, hi=_MAX_TIME, lo_open=True)
+_freq = partial(_Key, lo=-_MAX_FREQ, hi=_MAX_FREQ)
 
 
-class _ReadTracker(dict):
-    """Sweep keys that remember which of them were read; ``key in d`` is not a read."""
-
-    def __init__(self, data):
-        super().__init__(data)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
-def _spec_from_keyval(data: dict) -> tuple[str, StatePrep, _ReadTracker]:
-    if "kind" not in data:
-        raise ValidationError("experiment file needs a 'kind' key")
-    kind = str(data["kind"])
-    if kind not in _RUNNERS:
-        raise ValidationError(
-            f"unknown experiment kind {kind!r}; expected one of {tuple(_RUNNERS)}")
-    prep = StatePrep(
-        target=str(data.get("prep_target", "vacuum")),
-        m=_number(data, "prep_m", 0, int),
-        beta=complex(_number(data, "prep_beta_re", 0.0), _number(data, "prep_beta_im", 0.0)),
-        method=str(data.get("prep_method", "ideal_injection")),
-    )
-    reserved = {"kind", "prep_target", "prep_m", "prep_beta_re", "prep_beta_im", "prep_method"}
-    sweep = _ReadTracker({k: v for k, v in data.items() if k not in reserved})
-    return kind, prep, sweep
+_NOISE = {"noise": _Key("paper", "word", words=("paper", "none")),
+          "static_qubit_offset": _freq(0.0)}
+_CONFIG = {"phonon_dim": _whole(None, lo=2, hi=_MAX_DIM),  # None: the kind's own default
+           "include_lg10": _whole(0, lo=0, hi=1),
+           "lg10_dim": _whole(None, lo=2, hi=_MAX_DIM)}  # None: 4 levels with include_lg10 = 1
+# M and |beta| have no upper bound here: where the state is prepared,
+# _fock_preparation and _truncation_guard refuse what the phonon dim cannot hold.
+_STATE = {
+    "prep_target": _Key("vacuum", "word", words=tuple(sequences._PREP_METHODS)),
+    "prep_m": _whole(0, lo=0, hi=math.inf),
+    "prep_beta_re": _Key(0.0),
+    "prep_beta_im": _Key(0.0),
+    "prep_method": _Key("ideal_injection", "word", words=tuple(dict.fromkeys(
+        m for methods in sequences._PREP_METHODS.values() for m in methods))),
+    **_NOISE, **_CONFIG,
+}
+_KINDS = {}  # kind -> (runner, key table)
 
 
-def _interaction_time(sweep: dict, params: SystemParams, delta: float, variant: str) -> float:
+def _kind(*kinds, **table):
+    """Registers the decorated runner for ``kinds`` with the key table ``table``."""
+    def register(runner):
+        _KINDS.update((kind, (runner, table)) for kind in kinds)
+        return runner
+    return register
+
+
+def _spec_from_keyval(data: dict) -> tuple[str, dict]:
+    """The spec's kind, and every key of the kind's table: checked, defaults filled in.
+
+    Values are checked before unknown keys are refused, so a bad value is
+    named even in a spec that also holds another kind's key.
+    """
+    kind = data.get("kind")
+    if kind not in _KINDS:
+        raise ValidationError(f"spec key 'kind' must be one of {tuple(_KINDS)}, got {kind!r}")
+    table = _KINDS[kind][1]
+    spec = {key: rule.default for key, rule in table.items()}
+    for key, value in data.items():
+        if key in table:
+            if not table[key].admits(value):
+                raise ValidationError(f"spec key {key!r} must be {table[key]}, got {value!r}")
+            spec[key] = int(value) if table[key].rule == "whole number" else value
+    unread = sorted(set(data) - set(table) - {"kind"})
+    if unread:
+        raise ValidationError(f"spec keys not read by kind {kind!r}: {', '.join(unread)}")
+    return kind, spec
+
+
+def _interaction_time(spec: dict, params: SystemParams, delta: float, variant: str) -> float:
     """The spec's ``interaction_time``, or for "auto" the variant's default at ``delta``."""
-    if sweep.get("interaction_time", "auto") != "auto":
-        return _duration(sweep, "interaction_time", None)
+    if spec["interaction_time"] != "auto":
+        return spec["interaction_time"]
     if variant == "ramsey":
         return sequences.default_ramsey_time(params, delta)
     return sequences.echo_offset_zero_time(params, delta)
 
 
-def _resolve_detuning(params: SystemParams, value) -> float:
-    if isinstance(value, str):
-        return params.delta(value)
-    return float(value)
-
-
-def _noise_for(params: SystemParams, sweep: dict, delta: float) -> NoiseModel:
-    mode = str(sweep.get("noise", "paper"))
-    offset = _number(sweep, "static_qubit_offset", 0.0)
-    if mode == "paper":
+def _noise_for(params: SystemParams, spec: dict, delta: float) -> NoiseModel:
+    offset = spec["static_qubit_offset"]
+    if spec["noise"] == "paper":
         return NoiseModel.from_params(params, delta, static_qubit_offset=offset)
-    if mode == "none":
-        return NoiseModel(static_qubit_offset=offset)
-    raise ValidationError(f"unknown noise selection {mode!r}")
+    return NoiseModel(static_qubit_offset=offset)
 
 
-def _config_for(sweep: dict, default_dim: int = 10) -> HilbertConfig:
-    dim = _number(sweep, "phonon_dim", default_dim, int)
-    if _number(sweep, "include_lg10", 0, int):
-        return HilbertConfig(2, (dim, _number(sweep, "lg10_dim", 4, int)))
-    return HilbertConfig(2, (dim,))
+def _config_for(spec: dict, default_dim: int) -> HilbertConfig:
+    if spec["lg10_dim"] is not None and not spec["include_lg10"]:
+        raise ValidationError("spec key 'lg10_dim' needs include_lg10 = 1")
+    lg10 = (spec["lg10_dim"] or 4,) if spec["include_lg10"] else ()
+    return HilbertConfig(2, (spec["phonon_dim"] or default_dim, *lg10))
+
+
+def _prepared(params: SystemParams, spec: dict, default_dim: int):
+    """The spec's detuning, noise and Hilbert space, and the state it prepares in them.
+
+    ``StatePrep`` refuses a target/method pair it cannot make, and a coherent
+    |beta| the mode cannot hold is refused before a drive of that size runs.
+    """
+    prep = StatePrep(spec["prep_target"], spec["prep_m"],
+                     complex(spec["prep_beta_re"], spec["prep_beta_im"]), spec["prep_method"])
+    detuning = spec["detuning"]
+    delta = params.delta(detuning) if isinstance(detuning, str) else float(detuning)
+    noise = _noise_for(params, spec, delta)
+    config = _config_for(spec, default_dim)
+    if prep.target == "coherent":
+        _truncation_guard(config, 0, prep.beta)
+    return delta, noise, config, sequences.prepare_state(prep, params, config, noise)
 
 
 # ---------------------------------------------------------------------------
-# per-kind runners: each returns (summary, artifacts) where artifacts is a
-# list of (filename, header, rows) CSV payloads plus optional fit JSON
+# per-kind runners, each registered with the table of every key it reads.  Each
+# returns (summary, artifacts) where artifacts is a list of (filename, header,
+# rows) CSV payloads plus optional fit JSON
 
 
-def _run_spectroscopy(params, kind, prep, sweep, seed):
-    delta = _resolve_detuning(params, sweep.get("detuning", "coherent"))
-    noise = _noise_for(params, sweep, delta)
-    n_peaks = _number(sweep, "n_peaks", 0, int)
-    if n_peaks <= 0:
-        if prep.target == "fock":
-            n_peaks = prep.m + 2
-        elif prep.target == "coherent":
+@_kind("spectroscopy", **_STATE,
+       detuning=_freq("coherent", words=_POINT_NAMES),
+       n_peaks=_whole(0, lo=0, hi=_MAX_DIM - 6),  # 0: from the prepared state
+       freq_step=_Key(5e3, lo=0.0, hi=_MAX_FREQ, lo_open=True),
+       probe_duration=_Key(15e-6, lo=0.0, lo_open=True),
+       freq_min=_freq(None),
+       freq_max=_freq(None),
+       window_margin=_Key(None, lo=0.0, hi=_MAX_FREQ))  # None: 50 kHz
+def _run_spectroscopy(params, kind, spec, seed):
+    lo, hi, margin = spec["freq_min"], spec["freq_max"], spec["window_margin"]
+    if (lo is None) != (hi is None) or (lo is not None and margin is not None):
+        raise ValidationError("spec sets the frequency window by 'freq_min' and 'freq_max' "
+                              "together or by 'window_margin', not by a mix")
+    n_peaks, beta = spec["n_peaks"], abs(complex(spec["prep_beta_re"], spec["prep_beta_im"]))
+    if n_peaks == 0:
+        if spec["prep_target"] == "fock":
+            n_peaks = spec["prep_m"] + 2
+        elif spec["prep_target"] == "coherent":
             try:
-                nbar = abs(prep.beta) ** 2
+                nbar = beta ** 2
                 n_peaks = int(math.ceil(nbar + 4.0 * math.sqrt(max(nbar, 0.25)))) + 1
             except OverflowError:
-                raise ValidationError(
-                    f"|beta| = {abs(prep.beta):.3g} ('prep_beta_re', 'prep_beta_im') is too "
-                    f"large to count its spectral peaks") from None
+                raise ValidationError(f"|beta| = {beta:.3g} ('prep_beta_re', 'prep_beta_im') is "
+                                      f"too large to count its spectral peaks") from None
         else:
             n_peaks = 2
-    default_dim = max(10, n_peaks + 4)
-    config = _config_for(sweep, default_dim)
-    if prep.target == "coherent":
-        # refuse a |beta| the mode cannot hold before a drive of that size runs
-        _truncation_guard(config, 0, prep.beta)
     # prepared before the hints size a space from n_peaks, so a bad prep_m exits 2
-    state = sequences.prepare_state(prep, params, config, noise)
+    delta, noise, config, state = _prepared(params, spec, max(10, n_peaks + 4))
     line0, spacing = sequences.spectroscopy_peak_hints(params, delta, n_peaks)
-    step = _positive(sweep, "freq_step", 5e3)
-    probe_duration = _positive(sweep, "probe_duration", 15e-6)
-    if "freq_min" in sweep and "freq_max" in sweep:
-        keys = "'freq_min'/'freq_max'"
-        lo, hi = _number(sweep, "freq_min"), _number(sweep, "freq_max")
-    else:
-        keys, margin = "'window_margin'", _number(sweep, "window_margin", 50e3)
+    if lo is None:
+        margin = 50e3 if margin is None else margin
         lo, hi = line0 + (n_peaks - 1) * spacing - margin, line0 + margin
-    grid = np.arange(lo, hi, step)
-    if grid.size == 0:
-        raise ValidationError(f"spec {keys} give an empty frequency grid [{lo:.6g}, {hi:.6g})")
+    n_points = math.ceil((hi - lo) / spec["freq_step"])  # np.arange's length
+    if not 0 < n_points <= _MAX_POINTS:
+        raise ValidationError(f"spec keys freq_min, freq_max, window_margin and freq_step give "
+                              f"{max(n_points, 0)} points in [{lo:.6g}, {hi:.6g}), not 1 to "
+                              f"{_MAX_POINTS}")
+    grid = np.arange(lo, hi, spec["freq_step"])
     trace = sequences.qubit_spectroscopy(
         state, delta, None, grid, params, config, noise,
-        probe_duration=probe_duration,
+        probe_duration=spec["probe_duration"],
     )
     fit, pops = analysis.voigt_sum_fit(trace, n_peaks, spacing, center_hint=line0, seed=seed)
     summary = {
@@ -278,14 +320,15 @@ def _run_spectroscopy(params, kind, prep, sweep, seed):
     return summary, [("spectrum.csv", ["frequency_hz", "population"], rows)], fit_payload
 
 
-def _run_parity(params, kind, prep, sweep, seed):
-    delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
-    noise = _noise_for(params, sweep, delta)
-    config = _config_for(sweep, 8)
-    state = sequences.prepare_state(prep, params, config, noise)
+@_kind("ramsey_parity", "echo_parity", **_STATE,
+       detuning=_freq("ramsey", words=_POINT_NAMES),
+       interaction_time=_time("auto", words=("auto",)),
+       phases=_whole(4))
+def _run_parity(params, kind, spec, seed):
+    delta, noise, config, state = _prepared(params, spec, 8)
     variant = "ramsey" if kind == "ramsey_parity" else "echo"
-    t = _interaction_time(sweep, params, delta, variant)
-    n_phases = _count(sweep, "phases", 4)
+    t = _interaction_time(spec, params, delta, variant)
+    n_phases = spec["phases"]
     phases = tuple(2.0 * math.pi * k / n_phases for k in range(n_phases))
     res = sequences.four_phase_average(state, variant, params, config, noise, t, delta, phases)
     summary = {
@@ -301,24 +344,22 @@ def _run_parity(params, kind, prep, sweep, seed):
     return summary, [("parity.csv", ["theta_rad", "raw_sigma_z", "parity"], rows)], None
 
 
-def _run_wigner(params, kind, prep, sweep, seed):
-    delta = _resolve_detuning(params, sweep.get("detuning", "ramsey"))
-    noise = _noise_for(params, sweep, delta)
-    extent = _positive(sweep, "grid_extent", 2.0)
-    scale = _positive(sweep, "calibration_scale", 1.0)
-    npts = _count(sweep, "grid_points", 9)
-    try:
-        default_dim = max(10, int(4.0 * extent**2) + 4)
-    except OverflowError:
-        raise ValidationError(
-            f"spec key 'grid_extent' = {extent:.3g} is too large for a phonon dim") from None
-    config = _config_for(sweep, default_dim)
-    state = sequences.prepare_state(prep, params, config, noise)
+@_kind("wigner", **_STATE,
+       detuning=_freq("ramsey", words=_POINT_NAMES),
+       interaction_time=_time("auto", words=("auto",)),
+       # the grid corner |beta| = sqrt(2) extent needs phonon dim >= 8 extent^2
+       grid_extent=_Key(2.0, lo=0.0, hi=math.sqrt(_MAX_DIM / 8), lo_open=True),
+       # prepared per requested |beta|, about 0.9 on this device: tenfold is no calibration
+       calibration_scale=_Key(1.0, lo=0.0, hi=10.0, lo_open=True),
+       grid_points=_whole(9))
+def _run_wigner(params, kind, spec, seed):
+    extent, npts = spec["grid_extent"], spec["grid_points"]
+    delta, noise, config, state = _prepared(params, spec, max(10, int(4.0 * extent**2) + 4))
     axis = np.linspace(-extent, extent, npts)
     grid = axis[None, :] + 1j * axis[:, None]
-    t = _interaction_time(sweep, params, delta, "echo")
+    t = _interaction_time(spec, params, delta, "echo")
     parities = sequences.wigner_scan(state, grid, params, config, noise, t, delta)
-    wmap = analysis.wigner_assemble(grid, parities, calibration_scale=scale)
+    wmap = analysis.wigner_assemble(grid, parities, calibration_scale=spec["calibration_scale"])
     i0 = np.unravel_index(np.argmin(np.abs(grid)), grid.shape)
     summary = {
         "kind": "wigner",
@@ -336,41 +377,35 @@ def _run_wigner(params, kind, prep, sweep, seed):
     return summary, [("wigner.csv", ["beta_re", "beta_im", "w"], rows)], None
 
 
-def _run_fock_prep_check(params, kind, prep, sweep, seed):
-    delta = _resolve_detuning(params, sweep.get("detuning", "rest"))
-    noise = _noise_for(params, sweep, delta)
-    config = _config_for(sweep, 8)
-    state = sequences.prepare_state(prep, params, config, noise)
+@_kind("fock_prep_check", **_STATE, detuning=_freq("rest", words=_POINT_NAMES))
+def _run_fock_prep_check(params, kind, spec, seed):
+    state = _prepared(params, spec, 8)[3]
     rho = state.to_density() if isinstance(state, Ket) else state
     pn = np.real(np.diag(reduced_mode_matrix(rho, 0)))
     summary = {
         "kind": "fock_prep_check",
-        "m": prep.m,
+        "m": spec["prep_m"],
         "populations": [float(p) for p in pn],
-        "target_population": float(pn[prep.m]),
+        "target_population": float(pn[spec["prep_m"]]),
     }
     rows = list(enumerate(pn))
     return summary, [("populations.csv", ["n", "population"], rows)], None
 
 
-def _run_coherence(params, kind, prep, sweep, seed):
-    system = str(sweep.get("system", "phonon"))
-    delta = params.delta("rest")
-    noise = _noise_for(params, sweep, delta)
-    config = _config_for(sweep, 6)
-    proto = {
-        ("t1", "qubit"): "qubit_t1",
-        ("t1", "phonon"): "phonon_t1",
-        ("t2_ramsey", "qubit"): "qubit_t2",
-        ("t2_ramsey", "phonon"): "phonon_t2",
-    }.get((kind, system))
-    if proto is None:
-        raise ValidationError(f"unsupported coherence combination {kind}/{system}")
-    t_max = _duration(sweep, "delay_max", 300e-6 if system == "phonon" else 30e-6)
-    n = _count(sweep, "delay_points", 31)
-    delays = np.linspace(0.0, t_max, n)
+@_kind("t1", "t2_ramsey", **_NOISE, **_CONFIG,
+       system=_Key("phonon", "word", words=("phonon", "qubit")),
+       delay_max=_time(None),  # None: 300 us for the phonon, 30 us for the qubit
+       delay_points=_whole(31),
+       demod_freq=_freq(None))  # None: the protocol's own
+def _run_coherence(params, kind, spec, seed):
+    system = spec["system"]
+    noise = _noise_for(params, spec, params.delta("rest"))
+    config = _config_for(spec, 6)
+    proto = f"{system}_{'t1' if kind == 't1' else 't2'}"
+    t_max = spec["delay_max"] or (300e-6 if system == "phonon" else 30e-6)
+    delays = np.linspace(0.0, t_max, spec["delay_points"])
     times, values, fit = sequences.coherence_protocols(
-        proto, params, config, noise, delays, _number(sweep, "demod_freq"),
+        proto, params, config, noise, delays, spec["demod_freq"],
     )
     summary = {
         "kind": kind,
@@ -384,17 +419,18 @@ def _run_coherence(params, kind, prep, sweep, seed):
     return summary, [("decay.csv", ["delay_s", "population"], rows)], {"decay": _fit_dict(fit)}
 
 
-def _run_rabi_chevron(params, kind, prep, sweep, seed):
-    noise = _noise_for(params, sweep, 0.0) if sweep.get("noise", "none") != "none" else \
-        NoiseModel(static_qubit_offset=_number(sweep, "static_qubit_offset", 0.0))
-    config = _config_for(sweep, 4)
-    d_lo = _number(sweep, "detuning_min", -1.5e6)
-    d_hi = _number(sweep, "detuning_max", 2.0e6)
-    nd = _count(sweep, "detuning_points", 36)
-    t_max = _duration(sweep, "time_max", 4e-6)
-    nt = _count(sweep, "time_points", 81)
-    deltas = np.linspace(d_lo, d_hi, nd)
-    times = np.linspace(0.0, t_max, nt)
+@_kind("rabi_chevron", **{**_NOISE, "noise": _NOISE["noise"]._replace(default="none")}, **_CONFIG,
+       detuning_min=_freq(-1.5e6),
+       detuning_max=_freq(2.0e6),
+       detuning_points=_whole(36),
+       time_max=_time(4e-6),
+       time_points=_whole(81))
+def _run_rabi_chevron(params, kind, spec, seed):
+    noise = _noise_for(params, spec, 0.0)
+    config = _config_for(spec, 4)
+    nd, nt = spec["detuning_points"], spec["time_points"]
+    deltas = np.linspace(spec["detuning_min"], spec["detuning_max"], nd)
+    times = np.linspace(0.0, spec["time_max"], nt)
     pe = vacuum_rabi_chevron(params, config, noise, deltas, times)
     i0 = int(np.argmin(np.abs(deltas)))
     fit = analysis.decay_fit(times, pe[i0] - 0.5, "exponential_sine", seed=seed)
@@ -412,10 +448,12 @@ def _run_rabi_chevron(params, kind, prep, sweep, seed):
     return summary, [("chevron.csv", ["detuning_hz", "time_s", "p_e"], rows)], {"resonant": _fit_dict(fit)}
 
 
-def _run_chi_scan(params, kind, prep, sweep, seed):
-    n_max = _count(sweep, "n_max", 4)
+@_kind("chi_scan", n_max=_whole(4, hi=_MAX_DIM - 6),
+       points=_Key("fock,coherent,ramsey,rest", "word", words=_POINT_NAMES, listed=True))
+def _run_chi_scan(params, kind, spec, seed):
+    n_max = spec["n_max"]
     config = HilbertConfig(2, (max(12, n_max + 6),))
-    points = [p.strip() for p in str(sweep.get("points", "fock,coherent,ramsey,rest")).split(",")]
+    points = [p.strip() for p in spec["points"].split(",")]
     rows = []
     summary = {"kind": "chi_scan", "n_max": n_max}
     for name in points:
@@ -434,12 +472,15 @@ def _run_chi_scan(params, kind, prep, sweep, seed):
     )], None
 
 
-def _run_offset_scan(params, kind, prep, sweep, seed):
+@_kind("offset_scan", time_points=_whole(41),
+       # the scan's 16-level mode holds |beta| <= 2 under the truncation guard
+       ring_radius=_Key(1.9, lo=0.0, hi=2.0, lo_open=True))
+def _run_offset_scan(params, kind, spec, seed):
     t0 = sequences.default_ramsey_time(params)
-    times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, _count(sweep, "time_points", 41))
+    times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, spec["time_points"])
     scan = sequences.interaction_time_offset_scan(
         params, HilbertConfig(2, (16,)), NoiseModel(), times=times,
-        ring_radius=_positive(sweep, "ring_radius", 1.9),
+        ring_radius=spec["ring_radius"],
     )
     summary = {
         "kind": "offset_scan",
@@ -451,20 +492,6 @@ def _run_offset_scan(params, kind, prep, sweep, seed):
     }
     rows = list(zip(scan.times, scan.offsets))
     return summary, [("offset_scan.csv", ["time_s", "offset"], rows)], None
-
-
-_RUNNERS = {
-    "spectroscopy": _run_spectroscopy,
-    "ramsey_parity": _run_parity,
-    "echo_parity": _run_parity,
-    "wigner": _run_wigner,
-    "fock_prep_check": _run_fock_prep_check,
-    "t1": _run_coherence,
-    "t2_ramsey": _run_coherence,
-    "rabi_chevron": _run_rabi_chevron,
-    "chi_scan": _run_chi_scan,
-    "offset_scan": _run_offset_scan,
-}
 
 
 def _fit_dict(fit) -> dict:
@@ -485,15 +512,11 @@ def run_experiment(manifest: RunManifest) -> dict:
         params_hash = hashlib.sha256(Path(manifest.params_path).read_bytes()).hexdigest()
     else:
         params_hash = hashlib.sha256(b"paper-defaults").hexdigest()
-    data = load_keyval(manifest.experiment_path)
-    kind, prep, sweep = _spec_from_keyval(data)
+    kind, spec = _spec_from_keyval(load_keyval(manifest.experiment_path))
 
     written: list[Path] = []
     try:
-        summary, csvs, fits = _RUNNERS[kind](params, kind, prep, sweep, manifest.seed)
-        unread = sorted(set(sweep) - sweep.read)
-        if unread:
-            raise ValidationError(f"spec keys not read by kind {kind!r}: {', '.join(unread)}")
+        summary, csvs, fits = _KINDS[kind][0](params, kind, spec, manifest.seed)
         summary["seed"] = manifest.seed
         summary["params_sha256"] = params_hash
         out.mkdir(parents=True, exist_ok=True)

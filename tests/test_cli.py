@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqadsim import sequences
+from cqadsim import cli, sequences
 from cqadsim.cli import RunManifest, compare_summaries, main, run_experiment
 from cqadsim.device import paper_default_params
 from cqadsim.dynamics import NoiseModel
 from cqadsim.exceptions import ValidationError
 from cqadsim.hilbert import HilbertConfig, fock_state
-from cqadsim.keyval import parse_keyval, parse_number
+from cqadsim.keyval import load_keyval, parse_keyval, parse_number
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
@@ -353,6 +354,17 @@ def test_non_integral_integer_key_is_a_validation_error(tmp_path, capsys, preset
     ("fock1_ramsey_parity.spec", {"interaction_time": 1e300}, "interaction_time"),
     ("vacuum_rabi.spec", {"time_max": 1e300}, "time_max"),
     ("phonon_t1.spec", {"delay_max": 1.01e-3}, "delay_max"),
+    ("fock1_ramsey_parity.spec", {"static_qubit_offset": 1e300}, "static_qubit_offset"),
+    ("fock1_ramsey_parity.spec", {"detuning": 1e300}, "detuning"),
+    ("phonon_t1.spec", {"kind": "t2_ramsey", "demod_freq": 1e300}, "demod_freq"),
+    ("vacuum_rabi.spec", {"detuning_min": -1e300}, "detuning_min"),
+    ("vacuum_rabi.spec", {"include_lg10": 2}, "include_lg10"),
+    ("chi_scan.spec", {"prep_target": "fock", "prep_m": 3}, "prep_m"),
+    ("offset_scan.spec", {"prep_beta_re": 5}, "prep_beta_re"),
+    ("wigner_fock1.spec", {"lg10_dim": 3}, "lg10_dim"),
+    ("coherent_spectroscopy.spec", {"freq_min": "-1M"}, "freq_min"),
+    ("coherent_spectroscopy.spec", {"freq_min": "-2M", "freq_max": "-1M", "window_margin": "10k"},
+     "window_margin"),
 ])
 def test_nonsense_range_is_a_validation_error(tmp_path, capsys, preset, overrides, message):
     spec = preset_copy(tmp_path, preset, **overrides)
@@ -384,6 +396,9 @@ def test_overflowing_number_is_a_validation_error(tmp_path, capsys, preset, key)
     ("coherent_spectroscopy.spec", {"prep_beta_re": "1e100"}, "|beta|"),
     ("coherent_spectroscopy.spec",
      {"prep_target": "fock", "prep_method": "ideal_injection", "prep_m": "1e100"}, "M="),
+    ("fock1_ramsey_parity.spec",
+     {"prep_target": "coherent", "prep_method": "displacement_drive", "prep_beta_im": "-1e300"},
+     "|beta|"),
 ])
 def test_huge_amplitude_is_a_validation_error(tmp_path, capsys, preset, overrides, name):
     """An amplitude or phonon number beyond the float range or the mode: exit 2, not a crash."""
@@ -444,6 +459,7 @@ def test_cli_start_up_does_not_load_an_ode_solver():
     ({"window_margin": "-1M"}, "window_margin"),
     ({"freq_min": "-1M", "freq_max": "-1M"}, "freq_max"),
     ({"freq_min": "-1M", "freq_max": "-2M"}, "freq_max"),
+    ({"freq_step": 1}, "freq_step"),
 ])
 def test_empty_spectroscopy_grid_is_a_validation_error(tmp_path, capsys, overrides, key):
     spec = preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6, **overrides)
@@ -469,3 +485,138 @@ def test_compare_bad_tolerance_is_a_validation_error(tmp_path, capsys):
     assert main(["compare", "--reference", ref, "--new", ref,
                  "--tolerance", "m=abc", "--quiet"]) == 2
     assert "m=abc" in capsys.readouterr().err
+
+
+# Keys whose table leaves a bound open on purpose, with the check that takes
+# its place downstream.
+_OPEN_ABOVE = {
+    "prep_m": "_fock_preparation refuses M > phonon dim - 2 (test_huge_amplitude_...)",
+    "prep_beta_re": "_truncation_guard refuses a coherent |beta| (test_huge_amplitude_...)",
+    "prep_beta_im": "_truncation_guard refuses a coherent |beta| (test_huge_amplitude_...)",
+    "probe_duration": "the sweep refuses > 2^20 products, exit 3 (test_unbounded_expm_...)",
+}
+_OPEN_BELOW = {"prep_beta_re", "prep_beta_im"}
+
+
+def _outside(rule):
+    """Values the rule must refuse: wrong type, not whole, just past each bound, and +-1e300."""
+    if rule.rule == "word":
+        return [1.0, "not-a-word", 1e300, -1e300]
+    whole = rule.rule == "whole number"
+    values = ["not-a-number", 1e300, -1e300] + ([max(rule.lo, 0) + 0.5] if whole else [])
+    if math.isfinite(rule.lo):
+        values.append(rule.lo if rule.lo_open else
+                      rule.lo - 1 if whole else math.nextafter(rule.lo, -math.inf))
+    if math.isfinite(rule.hi):
+        values.append(rule.hi + 1 if whole else math.nextafter(rule.hi, math.inf))
+    return values
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_every_key_refuses_what_its_table_refuses(tmp_path, capsys, kind):
+    """Generated from the key tables: every bad value exits 2, names its key, writes nothing."""
+    out = tmp_path / "out"
+    for key, rule in cli._KINDS[kind][1].items():
+        for value in _outside(rule):
+            if value == 1e300 and key in _OPEN_ABOVE or value == -1e300 and key in _OPEN_BELOW:
+                cli._spec_from_keyval({"kind": kind, key: value})  # left to the check downstream
+                continue
+            spec = write(tmp_path, "audit.spec", f"kind = {kind}\n{key} = {value}\n")
+            assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2, \
+                (key, value)
+            assert key in capsys.readouterr().err, (key, value)
+            assert not out.exists()
+
+
+def _inside(rule):
+    """The default and the edge values the rule must admit."""
+    values = [] if rule.default is None else [rule.default]
+    values += list(rule.words) + ([",".join(rule.words)] if rule.listed else [])
+    if rule.rule != "word":
+        values.append(math.nextafter(rule.lo, math.inf) if rule.lo_open else rule.lo)
+        values.append(rule.hi)
+    return [v for v in values if not (isinstance(v, float) and math.isinf(v))]
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_every_default_and_edge_value_is_admitted(kind):
+    """Every default, accepted word and in-range edge passes, typed as the runner reads it."""
+    table = cli._KINDS[kind][1]
+    for key, rule in table.items():
+        for value in _inside(rule):
+            got_kind, spec = cli._spec_from_keyval({"kind": kind, key: value})
+            assert got_kind == kind and set(spec) == set(table)
+            assert spec[key] == value and type(spec[key]) is (
+                int if rule.rule == "whole number" else type(value)), (key, value)
+
+
+def test_every_preset_passes_its_table():
+    """Each preset holds only keys its kind reads, with values its table admits."""
+    for path in sorted(PRESETS.glob("*.spec")):
+        kind, spec = cli._spec_from_keyval(load_keyval(path))
+        assert set(spec) == set(cli._KINDS[kind][1]), path.name
+
+
+def test_a_typo_key_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    """The unknown key exits 2 before any state is prepared or any sweep runs."""
+    calls = []
+    monkeypatch.setattr(sequences, "qubit_spectroscopy", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(sequences, "prepare_state", lambda *a, **k: calls.append(a))
+    spec = preset_copy(tmp_path, "coherent_spectroscopy.spec", freq_stepp="4k")
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert "freq_stepp" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+class _ReadRecorder(dict):
+    """Spec values that record which keys were read; ``key in d`` is not a read."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# the smallest spec of each kind that the tests above run: a preset and overrides
+_SMALLEST_SPECS = {
+    "spectroscopy": ("coherent_spectroscopy.spec", {"phonon_dim": 6, "freq_step": 10e3}),
+    "ramsey_parity": ("fock1_ramsey_parity.spec", {}),
+    "echo_parity": ("fock1_ramsey_parity.spec", {"kind": "echo_parity"}),
+    "wigner": ("wigner_fock1.spec", {"phonon_dim": 8, "grid_points": 3, "grid_extent": 0.8}),
+    "fock_prep_check": (None, {"kind": "fock_prep_check", "prep_target": "fock", "prep_m": 1,
+                               "prep_method": "swap_sequence", "noise": "paper",
+                               "phonon_dim": 6}),
+    "t1": ("phonon_t1.spec", {}),
+    "t2_ramsey": ("phonon_t1.spec", {"kind": "t2_ramsey", "system": "qubit", "delay_max": "20u",
+                                     "delay_points": 21, "phonon_dim": 3}),
+    "rabi_chevron": ("vacuum_rabi.spec", {}),
+    "chi_scan": ("chi_scan.spec", {}),
+    "offset_scan": ("offset_scan.spec", {"time_points": 5}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_every_declared_key_is_read_by_its_runner(tmp_path, monkeypatch, kind):
+    """The table admits no key that the kind's runner ignores."""
+    specs = []
+
+    def recorded(data):
+        got_kind, spec = spec_from_keyval(data)
+        specs.append(_ReadRecorder(spec))
+        return got_kind, specs[-1]
+
+    spec_from_keyval = cli._spec_from_keyval
+    monkeypatch.setattr(cli, "_spec_from_keyval", recorded)
+    preset, overrides = _SMALLEST_SPECS[kind]
+    spec = preset_copy(tmp_path, preset, **overrides) if preset else write(
+        tmp_path, "smallest.spec", "".join(f"{k} = {v}\n" for k, v in overrides.items()))
+    assert main(["run", "--experiment", spec, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert specs[0].read == set(cli._KINDS[kind][1])

@@ -24,3 +24,13 @@ def test_coherent_pipeline_refuses_bad_targets_before_any_work(tmp_path, targets
     assert message in proc.stderr
     assert proc.stdout == ""  # no target was measured
     assert list(tmp_path.iterdir()) == []
+
+
+def test_code_lines_counts_only_code(tmp_path):
+    """A docstring, a comment and a blank line are not code lines; two assignments are."""
+    module = tmp_path / "fixture.py"
+    module.write_text('"""Module docstring,\nover two lines."""\n# a comment\n\nx = 1\ny = x + 1\n')
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(module)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "fixture.py", "2", "total"]

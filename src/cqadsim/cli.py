@@ -179,6 +179,8 @@ _STATE = {
         m for methods in sequences._PREP_METHODS.values() for m in methods))),
     **_NOISE, **_CONFIG,
 }
+# The prep keys each target reads; any other prep key must keep its default of 0.
+_PREP_KEYS = {"fock": ("prep_m",), "coherent": ("prep_beta_re", "prep_beta_im")}
 _KINDS = {}  # kind -> (runner, key table)
 
 
@@ -239,7 +241,8 @@ def _prepared(params: SystemParams, spec: dict, default_dim: int):
     """The spec's detuning, noise and Hilbert space, and the state it prepares in them.
 
     ``StatePrep`` refuses a target/method pair it cannot make, and a coherent
-    |beta| the mode cannot hold is refused before a drive of that size runs.
+    |beta| the mode cannot hold is refused before a drive of that size runs.  A
+    nonzero prep key that the target does not read is refused too.
     """
     prep = StatePrep(spec["prep_target"], spec["prep_m"],
                      complex(spec["prep_beta_re"], spec["prep_beta_im"]), spec["prep_method"])
@@ -249,7 +252,14 @@ def _prepared(params: SystemParams, spec: dict, default_dim: int):
     config = _config_for(spec, default_dim)
     if prep.target == "coherent":
         _truncation_guard(config, 0, prep.beta)
-    return delta, noise, config, sequences.prepare_state(prep, params, config, noise)
+    state = sequences.prepare_state(prep, params, config, noise)
+    # after the |beta| check and the M check of prepare_state, which name the graver fault
+    unused = [key for key in ("prep_m", "prep_beta_re", "prep_beta_im")
+              if spec[key] and key not in _PREP_KEYS.get(prep.target, ())]
+    if unused:
+        raise ValidationError(f"spec keys {', '.join(unused)} have no use with prep_target = "
+                              f"{prep.target!r}")
+    return delta, noise, config, state
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +364,10 @@ def _run_parity(params, kind, spec, seed):
        grid_points=_whole(9))
 def _run_wigner(params, kind, spec, seed):
     extent, npts = spec["grid_extent"], spec["grid_points"]
-    delta, noise, config, state = _prepared(params, spec, max(10, int(4.0 * extent**2) + 4))
+    # by default the smallest dim the truncation guard admits at the grid corner
+    # |beta| = sqrt(2) extent, where 4|beta|^2 = 8 extent^2 (60 at the largest extent)
+    default_dim = max(10, math.ceil(8.0 * extent * extent))
+    delta, noise, config, state = _prepared(params, spec, default_dim)
     axis = np.linspace(-extent, extent, npts)
     grid = axis[None, :] + 1j * axis[:, None]
     t = _interaction_time(spec, params, delta, "echo")

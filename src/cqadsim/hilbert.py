@@ -299,7 +299,9 @@ def fock_state(config: HilbertConfig, mode_occupations: Sequence[int], qubit_lev
 def _truncation_guard(config: HilbertConfig, mode_index: int, beta: complex):
     _check_mode(config, mode_index)
     dim = config.phonon_dims[mode_index]
-    required = 4.0 * abs(beta) * abs(beta)  # inf, not an OverflowError, for a huge |beta|
+    # |beta|^2 as re^2 + im^2, exact where they are (abs() rounds); inf, not an
+    # OverflowError, for a huge |beta|
+    required = 4.0 * (beta.real * beta.real + beta.imag * beta.imag)
     if dim < required:
         raise TruncationError(
             f"|beta|={abs(beta):.4g} needs phonon dim >= {np.ceil(required):.0f}, mode has {dim}"

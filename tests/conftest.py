@@ -7,11 +7,18 @@ only with a change that means to move the results, and say so.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from cqadsim.cli import compare_summaries
+# One BLAS thread, as the benchmark runs: small dense products are about 3x
+# slower at two threads on two cores.  numpy reads these when it is first
+# imported, which is below; a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from cqadsim.cli import compare_summaries  # noqa: E402
 
 REFERENCE = Path(__file__).resolve().parent / "reference" / "presets"
 

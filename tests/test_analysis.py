@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import voigt_profile
 
+from cqadsim import analysis
 from cqadsim.analysis import (
     FitResult,
     SpectrumTrace,
@@ -104,6 +105,86 @@ def test_voigt_roundtrip_with_noise_band():
     fit, pops = voigt_sum_fit(noisy, 6, -110e3, center_hint=-1.2e6)
     assert fit.converged
     assert np.abs(pops - pops_true).max() < 0.03
+
+
+def _spy_least_squares(monkeypatch):
+    """Records the arguments of every ``least_squares`` call the fits make."""
+    calls = []
+    real = analysis.least_squares
+
+    def spy(fun, x0, **kwargs):
+        calls.append((fun, np.array(x0, dtype=float), kwargs))
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(analysis, "least_squares", spy)
+    return calls
+
+
+FIVE_PEAKS = dict(pops=np.array([0.3, 0.25, 0.2, 0.15, 0.1]), spacing=-100e3, center=-0.85e6,
+                  sigma=5e3, gamma=7e3, devs=np.array([0.0, 3e3, 5e3, 4e3, 0.0]))
+
+
+def test_voigt_fit_sees_only_nonlinear_parameters_with_an_analytic_jacobian(monkeypatch):
+    """Baseline and heights are solved linearly: least_squares gets n + 2 parameters and an
+    analytic Jacobian, never 2n + 3 parameters."""
+    calls = _spy_least_squares(monkeypatch)
+    c = FIVE_PEAKS
+    tr = synth_spectrum(c["pops"] * 0.3, c["spacing"], c["center"], c["sigma"], c["gamma"],
+                        deviations=c["devs"])
+    fit, _ = voigt_sum_fit(tr, 5, -98e3, center_hint=-0.85e6)
+    assert fit.converged and len(calls) == 5  # the five starts
+    for _, x0, kwargs in calls:
+        assert x0.size == 5 + 2
+        assert callable(kwargs["jac"])
+    assert len(fit.parameters) == 2 * 5 + 3
+    assert set(fit.uncertainties) == set(fit.parameters)
+
+
+def test_voigt_analytic_jacobian_matches_central_differences(monkeypatch):
+    """The profile derivatives match central differences of the model, and at the true
+    parameters of a noise-free spectrum, where the residual vanishes, the projected (Kaufman)
+    Jacobian is the exact derivative of the projected residual."""
+    c = FIVE_PEAKS
+    step = 1.0  # Hz; every parameter is a frequency of 3 kHz or more
+    x = synth_spectrum(c["pops"], c["spacing"], c["center"], c["sigma"], c["gamma"]).frequencies
+    positions = c["center"] + c["spacing"] * np.arange(5) + c["devs"]
+    columns = analysis._voigt_columns(x, positions, c["sigma"], c["gamma"])
+    model = {
+        "position": lambda d: analysis._voigt_columns(x, positions + d, c["sigma"], c["gamma"])[0],
+        "sigma": lambda d: analysis._voigt_columns(x, positions, c["sigma"] + d, c["gamma"])[0],
+        "gamma": lambda d: analysis._voigt_columns(x, positions, c["sigma"], c["gamma"] + d)[0],
+    }
+    for analytic, (name, phi) in zip(columns[1:], model.items()):
+        central = (phi(step) - phi(-step)) / (2.0 * step)
+        assert np.linalg.norm(analytic - central) <= 1e-6 * np.linalg.norm(central), name
+
+    calls = _spy_least_squares(monkeypatch)
+    tr = synth_spectrum(c["pops"] * 0.3, c["spacing"], c["center"], c["sigma"], c["gamma"],
+                        deviations=c["devs"])
+    voigt_sum_fit(tr, 5, -98e3, center_hint=-0.85e6)
+    residual, _, kwargs = calls[0]
+    theta = np.concatenate([[c["center"], c["spacing"], c["sigma"], c["gamma"]], c["devs"][1:4]])
+    assert np.abs(residual(theta)).max() < 1e-12
+    jac = kwargs["jac"](theta)
+    for j in range(theta.size):
+        e = np.zeros(theta.size)
+        e[j] = step
+        central = (residual(theta + e) - residual(theta - e)) / (2.0 * step)
+        assert np.linalg.norm(jac[:, j] - central) <= 1e-6 * np.linalg.norm(central), j
+
+
+@pytest.mark.parametrize("height", [0.0, -1e-3])
+def test_voigt_absent_peak_keeps_every_population_nonnegative(height):
+    """A missing line, or a small dip where it would sit, gives a population of 0, not < 0."""
+    c = FIVE_PEAKS
+    pops_true = c["pops"].copy()
+    pops_true[2] = height
+    tr = synth_spectrum(pops_true * 0.3, c["spacing"], c["center"], c["sigma"], c["gamma"],
+                        deviations=c["devs"])
+    fit, pops = voigt_sum_fit(tr, 5, -98e3, center_hint=-0.85e6)
+    assert fit.converged
+    assert np.all(pops >= 0.0)
+    assert pops[2] < 1e-6
 
 
 def test_poisson_fit_exact():

@@ -425,6 +425,34 @@ def test_prep_pair_without_a_preparation_is_refused(tmp_path, capsys, target, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extent", [1.5, 2.0])
+def test_wigner_default_dim_holds_the_grid_corner(tmp_path, extent):
+    """Without phonon_dim, the Wigner dim is the one the truncation guard admits at the
+    grid corner |beta| = sqrt(2) extent: 4|beta|^2 = 8 extent^2 levels, 18 at extent 1.5
+    and 32 at the default 2.0 (where |beta|*|beta| rounds above 32)."""
+    spec = write(tmp_path, "wigner.spec", "kind = wigner\nprep_target = fock\nprep_m = 1\n"
+                 f"noise = none\ngrid_extent = {extent}\ngrid_points = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["w_origin"] < 0
+
+
+@pytest.mark.parametrize("preset, overrides, key", [
+    ("fock1_ramsey_parity.spec", {"prep_beta_re": 5}, "prep_beta_re"),
+    ("fock1_ramsey_parity.spec",
+     {"prep_target": "coherent", "prep_beta_re": 0.5, "prep_m": 1}, "prep_m"),
+    ("fock1_ramsey_parity.spec", {"prep_target": "vacuum", "prep_m": 0, "prep_beta_im": 1},
+     "prep_beta_im"),
+    ("fock1_ramsey_parity.spec", {"prep_target": "superposition_01", "prep_m": 1}, "prep_m"),
+])
+def test_prep_key_the_target_does_not_use_is_refused(tmp_path, capsys, preset, overrides, key):
+    spec = preset_copy(tmp_path, preset, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert f"spec keys {key} have no use" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _python(*args):
     """``python *args`` in a fresh process that imports cqadsim from this checkout."""
     env = dict(os.environ)

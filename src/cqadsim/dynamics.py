@@ -13,9 +13,12 @@ propagator's row count); ``_apply_adjoint`` is the same step taken backward
 on an observable.  Each comes from one cache keyed on the segment's inputs
 (segment, params, config, noise).  The Liouvillian is built as a sparse
 matrix.  Without drives it conserves the total excitation number, so it
-splits into independent blocks by coherence order; its propagator is
-exponentiated block by block, with the blocks read off the generator's own
-nonzero pattern, and stored sparse.
+splits into independent blocks by coherence order, read off the generator's
+own nonzero pattern; its propagator (``_BlockPropagator``) keeps them apart
+and exponentiates a block only when a vector applied to it, forward or
+transposed, first reaches that block.  A parity readout that starts from
+sigma_z and passes through qubit rotations builds only the few blocks of
+low coherence order.
 
 Driven segments (square, resonant drives) build no propagator: each is
 applied once to one state (``_drive_action``).  Every drive is constant in
@@ -33,6 +36,7 @@ radius.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -143,17 +147,20 @@ def collapse_operators(config: HilbertConfig, noise: NoiseModel) -> list[np.ndar
 
 
 def liouvillian(h_angular: np.ndarray, collapse: Sequence[np.ndarray]) -> sparse.csr_matrix:
-    """Sparse (CSR) superoperator acting on vec(rho) (row-major vectorization)."""
+    """Sparse (CSR) superoperator acting on vec(rho) (row-major vectorization).
+
+    One pass: kron(-iH - C/2, I) + kron(I, (iH - C/2)^T) + sum_c kron(c, c*),
+    with C = sum_c c^dag c.  H enters as given, never as H^dag, so a
+    non-Hermitian H gives its exact (non-Hermiticity-preserving) generator.
+    """
     d = h_angular.shape[0]
     eye = sparse.identity(d, format="csr")
     h = sparse.csr_matrix(h_angular)
-    lv = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
-    for c in collapse:
-        c = sparse.csr_matrix(c)
-        cdc = c.conj().T @ c
-        lv = lv + sparse.kron(c, c.conj()) - 0.5 * (
-            sparse.kron(cdc, eye) + sparse.kron(eye, cdc.T)
-        )
+    cs = [sparse.csr_matrix(c) for c in collapse]
+    half_c = 0.5 * sum((c.conj().T @ c for c in cs), sparse.csr_matrix((d, d)))
+    lv = sparse.kron(-1j * h - half_c, eye) + sparse.kron(eye, (1j * h - half_c).T)
+    for c in cs:
+        lv = lv + sparse.kron(c, c.conj())
     return lv.tocsr()
 
 
@@ -209,8 +216,9 @@ class Segment:
 class _PropagatorCache:
     """Size-budgeted LRU for segment propagators, keyed by the segment's inputs.
 
-    The budget counts stored elements: ``size`` of a dense array, ``nnz`` of
-    a sparse one.  Unlocked: every sweep runs in one thread.
+    The budget counts elements: ``size`` of a dense array, and of a
+    ``_BlockPropagator`` the full element count of all its blocks, built or
+    not.  Unlocked: every sweep runs in one thread.
     """
 
     def __init__(self, max_elements: float = 4.8e7):
@@ -245,7 +253,7 @@ def clear_propagator_cache():
 def _propagator(h_angular: np.ndarray, collapse: Sequence[np.ndarray], duration: float):
     """exp(L t) on vec(rho) (d^2 rows) with collapse operators, else exp(-i H t) (d rows)."""
     if collapse:
-        return _blocked_expm(liouvillian(h_angular, collapse) * duration)
+        return _BlockPropagator(liouvillian(h_angular, collapse) * duration)
     return hermitian_propagator(h_angular, duration)
 
 
@@ -328,21 +336,48 @@ def _hermitian_generator(gen: sparse.csr_matrix) -> sparse.csr_matrix:
     return g.real
 
 
-def _blocked_expm(gen: sparse.csr_matrix):
-    """exp(gen) as a sparse (CSR) matrix, one dense ``expm`` per independent block.
+class _BlockPropagator:
+    """exp(gen) kept as its independent blocks, each exponentiated when a vector first reaches it.
 
     The blocks are the connected components of the generator's nonzero
-    pattern, so the propagator has exactly zero coupling between them.  They
-    stay complex: the real Hermitian basis of ``_hermitian_generator`` would
-    pair each coherence-order block q with -q into one block twice the size.
+    pattern (for a Liouvillian without drives, its coherence orders), so the
+    propagator has exactly zero coupling between them.  ``P @ v`` and
+    ``P.T @ v`` run one dense ``expm`` of a block's generator slice the first
+    time v has a nonzero entry in that block; a block whose part of v is all
+    zeros maps it to zeros, so nothing is approximated.  The blocks stay
+    complex: the real Hermitian basis of ``_hermitian_generator`` would pair
+    each coherence-order block q with -q into one block twice the size.
+    ``size`` is the element count of all blocks, built or not.
     """
-    n_blocks, labels = connected_components(gen != 0, directed=False)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(n_blocks + 1))
-    permuted = gen[order][:, order]
-    blocks = [_expm(permuted[a:b, a:b].toarray()) for a, b in zip(bounds[:-1], bounds[1:])]
-    p = sparse.block_diag(blocks, format="coo")
-    return sparse.csr_matrix((p.data, (order[p.row], order[p.col])), shape=gen.shape)
+
+    def __init__(self, gen: sparse.csr_matrix):
+        n_blocks, labels = connected_components(gen != 0, directed=False)
+        self._order = np.argsort(labels, kind="stable")
+        self._bounds = np.searchsorted(labels[self._order], np.arange(n_blocks + 1))
+        self._gen = gen[self._order][:, self._order]
+        self._blocks: list[np.ndarray | None] = [None] * n_blocks
+        self._transposed = False
+        self.shape = gen.shape
+        self.size = int(np.sum(np.diff(self._bounds) ** 2))
+
+    @property
+    def T(self) -> "_BlockPropagator":
+        """The transpose, sharing this propagator's blocks."""
+        t = copy.copy(self)
+        t._transposed = not self._transposed
+        return t
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        x = v[self._order]
+        out = np.zeros(x.shape, dtype=np.result_type(x, complex))
+        for k, (a, b) in enumerate(zip(self._bounds[:-1], self._bounds[1:])):
+            if x[a:b].any():
+                if self._blocks[k] is None:
+                    self._blocks[k] = _expm(self._gen[a:b, a:b].toarray())
+                out[a:b] = (self._blocks[k].T if self._transposed else self._blocks[k]) @ x[a:b]
+        result = np.empty_like(out)
+        result[self._order] = out
+        return result
 
 
 # At most 2^20 products per sweep; the spectroscopy preset takes about 1.8e3.

@@ -27,9 +27,10 @@ readout offsets share every step but the final pulse, so the vacuum takes the
 shared steps once.
 
 The vacuum fringe and the echo-offset zero time are ``functools.lru_cache``
-memos keyed on their arguments; the zero time's 121-point bracket scan is one
-batched analytic call per phase.  Wigner grid points and offset-scan times
-run in order in one thread; the spectroscopy grid runs as one block.
+memos keyed on their arguments; each evaluation of the zero time's offset,
+the 121-point bracket scan included, is one analytic call batched over the
+four phases.  Wigner grid points and offset-scan times run in order in one
+thread; the spectroscopy grid runs as one block.
 """
 
 from __future__ import annotations
@@ -331,11 +332,12 @@ def echo_offset_zero_time(params: SystemParams, delta: float) -> float:
     """
     t0 = default_ramsey_time(params, delta)
     c = coherent_amplitudes(22, 2.0)
+    phases = np.reshape(FOUR_PHASES, (4, 1))
 
     def offset(t):
-        # one call per phase, batched over an array of times
-        vals = [echo_sigma_z_analytic(c, th, t, params, delta) for th in FOUR_PHASES]
-        return np.mean(vals, axis=0)
+        # one call for all four phases, batched over an array of times
+        vals = echo_sigma_z_analytic(c, phases, t, params, delta)
+        return np.mean(vals, axis=0).reshape(np.shape(t))
 
     times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 121)
     vals = offset(times)

@@ -244,20 +244,21 @@ def ramsey_sigma_z_from_phases(
 
 
 def echo_sigma_z_analytic(
-    c: Sequence[complex], theta: float, t_total, params: SystemParams, delta: float
+    c: Sequence[complex], theta, t_total, params: SystemParams, delta: float
 ):
     """Echo-sequence <sigma_z>_theta through second order in eps.
 
     Composition: pi/2 -> half evolution at delta -> pi echo -> half evolution
     at -delta (eps and chi flip sign) -> pi/2, all with the same pulse phase.
-    An array of total times gives an array of the same shape; a scalar a float.
+    Array times or phases give an array of their broadcast shape (``theta``
+    leading); scalars give a float.
     """
     c = _check_inputs(c, t_total, delta)
     half = t_total / 2.0
     legs = [(*_phases(params, delta, half), 1), (*_phases(params, -delta, half), -1)]
     orders = _graded_sigma_z(c, theta, params.g_lg00 / delta, legs)
     total = np.real(orders[0] + orders[1] + orders[2])
-    return float(total) if np.ndim(t_total) == 0 else total
+    return float(total) if np.ndim(total) == 0 else total
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix, identity
+from scipy.sparse.csgraph import connected_components
 
 from cqadsim import dynamics
 from cqadsim.device import TWO_PI, _jc_terms, full_jc_hamiltonian, paper_default_params
@@ -24,7 +25,7 @@ from cqadsim.dynamics import (
 from cqadsim.dynamics import (
     _apply,
     _apply_adjoint,
-    _blocked_expm,
+    _BlockPropagator,
     _drive_hamiltonian,
     _drive_terms,
     _gershgorin,
@@ -43,7 +44,13 @@ from cqadsim.hilbert import (
     fock_state,
     qubit_projector,
 )
-from cqadsim.sequences import StatePrep, prepare_state
+from cqadsim.sequences import (
+    FOUR_PHASES,
+    StatePrep,
+    _calibrated_effect,
+    _vacuum_fringe,
+    prepare_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -423,17 +430,86 @@ def _static_generators(draw):
 def test_blocked_propagator_matches_dense_expm(gen):
     config, h, cs, duration = gen
     dense = expm(liouvillian(h, cs).toarray() * duration)
-    prop = _blocked_expm(liouvillian(h, cs) * duration)
-    assert isinstance(prop, csr_matrix)
-    err = np.abs(prop.toarray() - dense).max()
+    prop = _BlockPropagator(liouvillian(h, cs) * duration)
+    err = np.abs(prop @ np.eye(dense.shape[0]) - dense).max()
     assert err <= 1e-12 * np.abs(dense).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_static_generators(), st.integers(0, 2**32 - 1))
+def test_block_propagator_builds_only_the_blocks_a_vector_reaches(gen, seed):
+    """Forward and transposed products build the blocks of the vector's support, no others."""
+    config, h, cs, duration = gen
+    gen_matrix = liouvillian(h, cs) * duration
+    dense = expm(gen_matrix.toarray())
+    n_blocks, labels = connected_components(gen_matrix != 0, directed=False)
+    rng = np.random.default_rng(seed)
+    reached = rng.choice(n_blocks, size=rng.integers(1, n_blocks + 1), replace=False)
+    support = np.isin(labels, reached)
+    v = np.where(support, rng.normal(size=labels.size) + 1j * rng.normal(size=labels.size), 0.0)
+    for transposed in (False, True):
+        prop = _BlockPropagator(gen_matrix)
+        p, expected = (prop.T, dense.T @ v) if transposed else (prop, dense @ v)
+        got = p @ v
+        assert sum(b is not None for b in prop._blocks) == reached.size
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(dense).max() * np.abs(v).sum()
+        assert not got[~support].any()
+
+
+def test_echo_parity_effect_builds_only_low_coherence_orders(params):
+    """sigma_z read back through the echo reaches |q| <= 2 in the late half, |q| <= 3 in the early.
+
+    The late half is reached from sigma_z through a pi/2 pulse and from the
+    vacuum through pi/2, a wait and a pi pulse; the pi pulse turns the
+    a^dag^2 sigma_- part of the late half's Heisenberg operator into coherence
+    order 3 before the early half.
+    """
+    config = HilbertConfig(2, (5,))
+    delta = params.delta("ramsey")
+    noise = NoiseModel.from_params(params, delta)
+    clear_propagator_cache()
+    _vacuum_fringe.cache_clear()  # the fringe's forward run is one of the two readers
+    _calibrated_effect("echo", FOUR_PHASES, 6e-6, delta, params, config, noise)
+    levels = np.indices(config.dims).reshape(2, -1)
+    n = (levels[0] == 1) + levels[1]
+    q = np.subtract.outer(n, n).reshape(-1)
+    built = {}
+    for (seg, *_), prop in dynamics._CACHE._data.items():
+        starts = prop._order[prop._bounds[:-1]]
+        built[seg.detuning] = sorted(q[s] for s, b in zip(starts, prop._blocks) if b is not None)
+        assert len(prop._blocks) == 2 * n.max() + 1
+    assert built == {delta: [-3, -2, -1, 0, 1, 2, 3], -delta: [-2, -1, 0, 1, 2]}
+
+
+@pytest.mark.parametrize("n_collapse", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_liouvillian_matches_the_three_term_kron_formula(n_collapse, hermitian):
+    """-i(H x I - I x H^T) + sum_c [c x c* - (c^dag c x I + I x (c^dag c)^T)/2], term by term."""
+    d = 5
+    rng = np.random.default_rng(10 * n_collapse + hermitian)
+
+    def gaussian():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    h = gaussian()
+    if hermitian:
+        h = (h + h.conj().T) / 2
+    cs = [gaussian() for _ in range(n_collapse)]
+    eye = np.eye(d)
+    expected = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c in cs:
+        cdc = c.conj().T @ c
+        expected = expected + np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    got = liouvillian(h, cs)
+    assert isinstance(got, csr_matrix)
+    assert np.abs(got.toarray() - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @settings(max_examples=25, deadline=None)
 @given(_static_generators(), st.integers(0, 2**32 - 1))
 def test_blocked_propagator_trace_and_hermiticity(gen, seed):
     config, h, cs, duration = gen
-    prop = _blocked_expm(liouvillian(h, cs) * duration)
+    prop = _BlockPropagator(liouvillian(h, cs) * duration)
     vec_eye = np.eye(config.dim).reshape(-1)
     assert np.abs(prop.T @ vec_eye - vec_eye).max() < 1e-10
     rng = np.random.default_rng(seed)

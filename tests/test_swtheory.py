@@ -206,6 +206,14 @@ def test_echo_analytic_batches_over_times(params):
         assert isinstance(batch, np.ndarray) and batch.shape == times.shape
         assert all(type(v) is float for v in scalar)
         assert np.abs(batch - scalar).max() <= 1e-15
+    # array phases broadcast against the times, phases leading; a scalar time too
+    phases = np.array([[0.0], [1.3], [4.0]])
+    grid = echo_sigma_z_analytic(c, phases, times, params, delta)
+    assert grid.shape == (3, times.size)
+    for th, row in zip(phases[:, 0], grid):
+        assert np.abs(row - echo_sigma_z_analytic(c, th, times, params, delta)).max() <= 1e-15
+    column = echo_sigma_z_analytic(c, phases, times[5], params, delta)
+    assert column.shape == (3, 1) and np.abs(column[:, 0] - grid[:, 5]).max() <= 1e-15
     with pytest.raises(ValidationError, match="positive"):
         echo_sigma_z_analytic(c, 0.0, np.array([1e-6, 0.0]), params, delta)
 

@@ -156,6 +156,9 @@ _MAX_POINTS = 10_000
 # corner of the Wigner grid.  chi_scan and the spectroscopy peak hints diagonalise
 # n + 6 levels for n shifts or peaks.
 _MAX_DIM = 60
+# Fewest points on an axis that analysis.decay_fit fits (T1, T2, the resonant
+# chevron trace): it refuses fewer than 8, so the spec is refused before the sweep.
+_FIT_POINTS = 8
 
 
 _whole = partial(_Key, rule="whole number", lo=1, hi=_MAX_POINTS)  # by default a count
@@ -408,7 +411,7 @@ def _run_fock_prep_check(params, kind, spec, seed):
 @_kind("t1", "t2_ramsey", **_NOISE, **_CONFIG,
        system=_Key("phonon", "word", words=("phonon", "qubit")),
        delay_max=_time(None),  # None: 300 us for the phonon, 30 us for the qubit
-       delay_points=_whole(31),
+       delay_points=_whole(31, lo=_FIT_POINTS),
        demod_freq=_freq(None))  # None: the protocol's own
 def _run_coherence(params, kind, spec, seed):
     system = spec["system"]
@@ -437,7 +440,7 @@ def _run_coherence(params, kind, spec, seed):
        detuning_max=_freq(2.0e6),
        detuning_points=_whole(36),
        time_max=_time(4e-6),
-       time_points=_whole(81))
+       time_points=_whole(81, lo=_FIT_POINTS))
 def _run_rabi_chevron(params, kind, spec, seed):
     noise = _noise_for(params, spec, 0.0)
     config = _config_for(spec, 4)

@@ -24,14 +24,17 @@ Driven segments (square, resonant drives) build no propagator: each is
 applied once to one state (``_drive_action``).  Every drive is constant in
 its own frame, the segment detuning for a qubit drive and the phonon frame
 for a phonon drive, so the exact evolution is a constant generator acting on
-one vector (``expm_multiply`` on vec(rho), or exp(-i H t) on a Ket),
+one state (exp(-i H t) on a Ket; ``_frame_states`` on a density matrix),
 followed by the diagonal phases that return to the phonon frame.
 
-Beside these two paths, ``_sweep_action`` serves sweeps that need a
-single number w . exp(G0 + f G1) u per point f and no propagator
-(spectroscopy): one Chebyshev recurrence of sparse products on a block that
-holds the whole grid, about as many products as the generator's spectral
-radius.
+``_frame_states`` is the one kernel for a constant generator acting on one
+density matrix without a propagator: exp(L(f) t) rho for every frame
+frequency f of a grid, L(f) the Lindbladian of H - 2 pi f K.  It runs
+``_sweep_action``, one Chebyshev recurrence of sparse products of the real
+generator G0 + f G1 (Hermitian basis) on a block that holds the whole grid,
+about as many products as the generator's spectral radius.  A driven
+segment is a grid of one frame; the spectroscopy probe sweep is a grid of
+every probe frequency.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm as _expm
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
 from .device import TWO_PI, SystemParams, _jc_terms, full_jc_hamiltonian
@@ -380,7 +382,7 @@ class _BlockPropagator:
         return result
 
 
-# At most 2^20 products per sweep; the spectroscopy preset takes about 1.8e3.
+# At most 2^20 products per action; the spectroscopy preset's sweep takes about 1.8e3.
 _MAX_PRODUCTS = 2**20
 
 
@@ -398,13 +400,14 @@ def _gershgorin(g: sparse.csr_matrix) -> tuple[float, float, float]:
 
 
 def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray,
-                  u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w . exp(G0 + f G1) u for every f in ``freqs``, without forming an exponential.
+                  u: np.ndarray) -> np.ndarray:
+    """The block whose column k is exp(G0 + f_k G1) u, for every f_k in ``freqs``.
 
-    One real Chebyshev recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
-    1984) runs on a block with one column per f.  The Gershgorin bounds of
-    G0 + f G1 are convex or concave in f, so taken at the grid's two ends they
-    put every spectrum of the grid in [lo, hi] x i[-R, R].  exp(G) is taken
+    No exponential is formed.  One real Chebyshev recurrence (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967, 1984) runs on a block with one column
+    per f.  The Gershgorin bounds of G0 + f G1 are convex or concave in f,
+    so taken at the grid's two ends (once, when they coincide) they put
+    every spectrum of the grid in [lo, hi] x i[-R, R].  exp(G) is taken
     as p = ceil((hi - lo)/2) substeps, each of real half-extent at most 1,
     and the real centre c is taken out as a factor.  A substep is
     G/p = c + r Y with Y's spectrum about i[-1, 1], and
@@ -415,7 +418,7 @@ def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarra
     products, or one that is not finite, is a ``NumericError`` raised before
     any work.
     """
-    ends = np.array([_gershgorin(g0 + f * g1) for f in (freqs.min(), freqs.max())])
+    ends = np.array([_gershgorin(g0 + f * g1) for f in {freqs.min(), freqs.max()}])
     lo, hi, radius = ends[:, 0].min(), ends[:, 1].max(), ends[:, 2].max()
     half = (hi - lo) / 2.0
     if not radius + half <= _MAX_PRODUCTS:
@@ -450,15 +453,40 @@ def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarra
             prev, cur = cur, twice_y(cur) + prev
             v += a * cur
         v *= math.exp(c)
-    return w @ v
+    return v
 
 
 # ---------------------------------------------------------------------------
 # segment execution
 
 
-def _drive_terms(config: HilbertConfig, segment: Segment):
-    """[(op_plus, op_minus, amplitude, phase)] of the segment's drives."""
+def _frame_charge(config: HilbertConfig) -> np.ndarray:
+    """The diagonal of K = sigma_z/2 + sum_k n_k, the generator of frame changes."""
+    sz, modes = _jc_terms(config)
+    return 0.5 * sz.diagonal() + sum(n_k.diagonal() for n_k, _ in modes)
+
+
+def _frame_states(rho: DensityMatrix, h: np.ndarray, collapse: Sequence[np.ndarray],
+                  duration: float, frames: np.ndarray) -> np.ndarray:
+    """exp(L(f) t) rho for every frame frequency f in ``frames``, as a (len(frames), d, d) array.
+
+    L(f) is the Lindbladian of H - 2 pi f K with the collapse operators, K
+    from ``_frame_charge``: H seen from the frame rotating at f.  In the
+    Hermitian basis it is the real G0 + f G1, G0 = S^dag L(H) S t and
+    G1 = S^dag L(-2 pi K) S t, and one ``_sweep_action`` runs every frame
+    from u = S^dag vec(rho).
+    """
+    d = rho.config.dim
+    g0 = _hermitian_generator(liouvillian(h, collapse) * duration)
+    g1 = _hermitian_generator(
+        liouvillian(np.diag(-TWO_PI * _frame_charge(rho.config)), ()) * duration)
+    s, s_h = _hermitian_basis(d)
+    v = _sweep_action(g0, g1, frames, (s_h @ rho.matrix.reshape(-1)).real)
+    return (s @ v).T.reshape(len(frames), d, d)
+
+
+def _drive_hamiltonian(config: HilbertConfig, segment: Segment):
+    """The segment's drives in their own frame: sum of pi amp (e^{-i phase} op_plus + h.c.)."""
     terms = []
     if segment.qubit_drive is not None:
         p = segment.qubit_drive
@@ -469,11 +497,6 @@ def _drive_terms(config: HilbertConfig, segment: Segment):
         p = segment.phonon_drive
         a = annihilation(config, 0).matrix
         terms.append((a.conj().T, a, p.amplitude, p.phase))
-    return terms
-
-
-def _drive_hamiltonian(terms):
-    """The drives in their own frame: sum of pi amp (e^{-i phase} op_plus + h.c.)."""
     h = 0.0
     for op_p, op_m, amp, phase in terms:
         h = h + TWO_PI * 0.5 * amp * (np.exp(-1j * phase) * op_p + np.exp(1j * phase) * op_m)
@@ -486,25 +509,22 @@ def _drive_action(state, seg: Segment, params, config: HilbertConfig, noise: Noi
     In the frame f of the drives (the segment detuning for a qubit drive, 0
     for a phonon drive alone) H is constant: ``full_jc_hamiltonian`` at
     frame f plus the static drive.  A Ket takes exp(-i H t); a density matrix
-    takes exp(L t) vec(rho) by ``expm_multiply`` (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 488, 2011) and is checked for trace (1e-6), hermiticity
-    (1e-8) and positivity (eigenvalues above -1e-6).  The diagonal
-    V = exp(-i 2 pi f t K), K = sigma_z/2 + sum_k n_k, returns the state to
-    the phonon frame.
+    takes ``_frame_states`` at the one frame f and is checked for trace
+    (1e-6), hermiticity (1e-8) and positivity (eigenvalues above -1e-6).  The
+    diagonal V = exp(-i 2 pi f t K), K = sigma_z/2 + sum_k n_k, returns the
+    state to the phonon frame.
     """
     f = seg.detuning if seg.qubit_drive is not None else 0.0
+    ket = isinstance(state, Ket)
+    # the density branch enters the frame inside _frame_states
     h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset,
-                             frame=f).matrix
-         + _drive_hamiltonian(_drive_terms(config, seg)))
-    sz, modes = _jc_terms(config)
-    k = 0.5 * sz.diagonal() + sum(n_k.diagonal() for n_k, _ in modes)
-    v = np.diag(np.exp(-1j * TWO_PI * f * seg.duration * k))
-    if isinstance(state, Ket):
+                             frame=f if ket else 0.0).matrix
+         + _drive_hamiltonian(config, seg))
+    v = np.diag(np.exp(-1j * TWO_PI * f * seg.duration * _frame_charge(config)))
+    if ket:
         return _apply(v, _apply(hermitian_propagator(h, seg.duration), state))
-    d = config.dim
-    gen = liouvillian(h, collapse_operators(config, noise)) * seg.duration
-    rho = DensityMatrix(config, expm_multiply(gen, state.matrix.reshape(-1)).reshape(d, d))
-    return _apply(v, rho).validate(herm_tol=1e-8, eig_floor=-1e-6)
+    rho = _frame_states(state, h, collapse_operators(config, noise), seg.duration, np.array([f]))
+    return _apply(v, DensityMatrix(config, rho[0])).validate(herm_tol=1e-8, eig_floor=-1e-6)
 
 
 def evolve_segments(

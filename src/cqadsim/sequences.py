@@ -10,8 +10,9 @@ qubit expectation is kept alongside.
 
 Prepared states are Kets; ``dynamics.evolve_segments`` turns a Ket into a
 density matrix when it meets a dissipative segment.  Spectroscopy, which
-propagates in its own probe frame, converts its input itself and reads each
-frequency grid with one ``dynamics._sweep_action``, never building a propagator.
+propagates in its own probe frame, converts its input itself and evolves it
+over the whole frequency grid with one ``dynamics._frame_states`` (the probe
+frequency is the frame), never building a propagator.
 Every other state update, instantaneous pulses included, goes through
 ``dynamics._apply``.
 
@@ -44,14 +45,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .analysis import SpectrumTrace, _dominant_frequency, _fit, decay_fit
-from .device import (
-    TWO_PI,
-    SystemParams,
-    _jc_terms,
-    chi_analytic,
-    delta_prime,
-    full_jc_hamiltonian,
-)
+from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
 from .dynamics import (
     NoiseModel,
     Pulse,
@@ -59,14 +53,10 @@ from .dynamics import (
     _apply,
     _apply_adjoint,
     _drive_hamiltonian,
-    _drive_terms,
-    _hermitian_basis,
-    _hermitian_generator,
+    _frame_states,
     _segment_propagator,
-    _sweep_action,
     collapse_operators,
     evolve_segments,
-    liouvillian,
 )
 from .exceptions import NumericError, TruncationError, ValidationError
 from .hilbert import (
@@ -484,13 +474,12 @@ def qubit_spectroscopy(
     R turns the phase-0 drive into the phase-phi one, so the m-phase average is
     the phase-0 run on rho projected onto coherence orders N_i - N_j = 0 (mod m).
 
-    The sweep builds no propagator.  The probe frequency f enters the real
-    Liouvillian (Hermitian basis, times the probe duration) as G = G0 + f G1,
-    both built once per sweep and kept sparse; ``dynamics._sweep_action``
-    then runs the whole grid as one Chebyshev recurrence.  At the preset's
-    size (400 rows, 15 us probe) that is 3 substeps of 583 sparse products on
-    one block: 0.66-0.99 s for the 119-point grid at one BLAS thread on a
-    2-core machine.
+    The sweep builds no propagator.  The probe drive is static in the probe
+    frame, so ``dynamics._frame_states`` evolves rho under H plus the drive
+    in every probe frame f of the grid at once (one Chebyshev recurrence),
+    and each point reads Tr[P_e rho_f].  At the preset's size (400 rows,
+    15 us probe) that is 3 substeps of 583 sparse products on one block:
+    0.66-0.99 s for the 119-point grid at one BLAS thread on a 2-core machine.
 
     ``jobs`` accepts only 1; it stays because ``benchmarks/worker.py`` passes
     ``jobs=1``.
@@ -504,25 +493,16 @@ def qubit_spectroscopy(
         probe = Pulse(0.5 / (TWO_PI * probe_duration))
     pe = qubit_projector(config, 1)
     probe_seg = Segment(probe_duration, 0.0, qubit_drive=probe)  # resonant in the probe frame
-    h_drive = _drive_hamiltonian(_drive_terms(config, probe_seg))
     rho = prepared_state.to_density() if isinstance(prepared_state, Ket) else prepared_state
     # N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none
     levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
     n = (levels[0] == 1) + levels[1:].sum(axis=0)
     keep = np.subtract.outer(n, n) % _PHASE_CYCLES == 0
     rho = DensityMatrix(config, np.where(keep, rho.matrix, 0.0))
-    # the probe frame f enters H only as -2 pi f K, K = sigma_z/2 + sum_k n_k
-    sz, modes = _jc_terms(config)
-    k = 0.5 * sz + sum(n_k for n_k, _ in modes)
-    h0 = full_jc_hamiltonian(params, config, delta_operate + noise.static_qubit_offset).matrix
-    g0 = _hermitian_generator(
-        liouvillian(h0 + h_drive, collapse_operators(config, noise)) * probe_duration)
-    g1 = _hermitian_generator(liouvillian(-TWO_PI * k, ()) * probe_duration)
-    # Tr[P_e rho(tau)] = w . exp(G) u, u = S^dag vec(rho), w = S^T vec(P_e^T), both real
-    s, s_h = _hermitian_basis(config.dim)
-    u = (s_h @ rho.matrix.reshape(-1)).real
-    w = (s.T @ pe.matrix.T.reshape(-1)).real
-    return SpectrumTrace(freqs, _sweep_action(g0, g1, freqs, u, w))
+    h = (full_jc_hamiltonian(params, config, delta_operate + noise.static_qubit_offset).matrix
+         + _drive_hamiltonian(config, probe_seg))
+    states = _frame_states(rho, h, collapse_operators(config, noise), probe_duration, freqs)
+    return SpectrumTrace(freqs, np.einsum("fij,ji->f", states, pe.matrix).real)
 
 
 # ---------------------------------------------------------------------------

@@ -597,6 +597,25 @@ def test_a_typo_key_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("preset, overrides, key", [
+    ("phonon_t1.spec", {"delay_points": 3}, "delay_points"),
+    ("phonon_t1.spec", {"kind": "t2_ramsey", "system": "qubit", "delay_points": 7},
+     "delay_points"),
+    ("vacuum_rabi.spec", {"time_points": 5}, "time_points"),
+])
+def test_too_few_fit_points_are_refused_before_any_work(tmp_path, capsys, monkeypatch, preset,
+                                                         overrides, key):
+    """A sweep too short for its decay fit exits 2 before any segment or chevron runs."""
+    calls = []
+    monkeypatch.setattr(sequences, "evolve_segments", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "vacuum_rabi_chevron", lambda *a, **k: calls.append(a))
+    spec = preset_copy(tmp_path, preset, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 class _ReadRecorder(dict):
     """Spec values that record which keys were read; ``key in d`` is not a read."""
 

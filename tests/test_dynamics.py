@@ -27,7 +27,7 @@ from cqadsim.dynamics import (
     _apply_adjoint,
     _BlockPropagator,
     _drive_hamiltonian,
-    _drive_terms,
+    _frame_states,
     _gershgorin,
     _hermitian_basis,
     _hermitian_generator,
@@ -50,6 +50,7 @@ from cqadsim.sequences import (
     _calibrated_effect,
     _vacuum_fringe,
     prepare_state,
+    qubit_spectroscopy,
 )
 
 
@@ -273,8 +274,7 @@ def _in_drive_frame(state, seg, params, config, noise):
     delta = seg.detuning
     h = (full_jc_hamiltonian(params, config, delta + noise.static_qubit_offset,
                              frame=delta).matrix
-         + _drive_hamiltonian(_drive_terms(config, Segment(seg.duration, 0.0,
-                                                           qubit_drive=seg.qubit_drive))))
+         + _drive_hamiltonian(config, Segment(seg.duration, 0.0, qubit_drive=seg.qubit_drive)))
     in_frame = _apply(_propagator(h, collapse_operators(config, noise), seg.duration), state)
     sz, modes = _jc_terms(config)
     k = 0.5 * sz + sum(n_k for n_k, _ in modes)
@@ -360,19 +360,81 @@ def test_driven_segments_are_cptp(params, config, rates, detuning, drives, durat
     assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("config", [HilbertConfig(2, (6,)), HilbertConfig(2, (3, 2))])
-@pytest.mark.parametrize("detuning, qubit_drive", [(-1.9e6, None), (0.0, Pulse(2e6, 0.7))])
-def test_phonon_drive_matches_the_dense_propagator(params, config, detuning, qubit_drive):
-    """A phonon drive is static in the phonon frame: the action equals the dense exp(L t)."""
-    seg = Segment(0.3e-6, detuning, qubit_drive=qubit_drive, phonon_drive=Pulse(1.5e6, -0.4))
-    noise = NoiseModel.from_params(params, params.delta("coherent"), static_qubit_offset=20e3)
-    h = (full_jc_hamiltonian(params, config, detuning + noise.static_qubit_offset).matrix
-         + _drive_hamiltonian(_drive_terms(config, seg)))
-    rho = fock_state(config, [1] + [0] * (config.n_modes - 1), 1).to_density()
+_KICK = Pulse(1.5e6, -0.4)
+_REST = paper_default_params().delta("rest")
+
+
+@pytest.mark.parametrize("config, seg, offset, start", [
+    (HilbertConfig(2, (6,)), Segment(0.3e-6, -1.9e6, phonon_drive=_KICK), 20e3, 1),
+    (HilbertConfig(2, (3, 2)), Segment(0.3e-6, -1.9e6, phonon_drive=_KICK), 20e3, 1),
+    (HilbertConfig(2, (6,)), Segment(0.3e-6, 0.0, Pulse(2e6, 0.7), _KICK), 20e3, 1),
+    (HilbertConfig(2, (3, 2)), Segment(0.3e-6, 0.0, Pulse(2e6, 0.7), _KICK), 20e3, 1),
+    # the spectroscopy preset's preparation: |beta| = 0.8 in 1 us at rest, from the vacuum
+    (HilbertConfig(2, (10,)),
+     Segment(1e-6, _REST, phonon_drive=Pulse(0.8 / (math.pi * 1e-6), math.pi / 2.0)), 0.0, 0),
+], ids=["-1900000.0-None-config0", "-1900000.0-None-config1", "0.0-qubit_drive1-config0",
+        "0.0-qubit_drive1-config1", "spectroscopy_prep"])
+def test_phonon_drive_matches_the_dense_propagator(params, config, seg, offset, start):
+    """A phonon drive is static in the phonon frame: the action equals the dense exp(L t).
+
+    ``start`` is the level of the qubit and of the first mode in the initial state.
+    """
+    noise = NoiseModel.from_params(params, params.delta("coherent"), static_qubit_offset=offset)
+    h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
+         + _drive_hamiltonian(config, seg))
+    rho = fock_state(config, [start] + [0] * (config.n_modes - 1), start).to_density()
     dense = expm(liouvillian(h, collapse_operators(config, noise)).toarray() * seg.duration)
     exact = (dense @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
     diff = evolve_segments(rho, [seg], params, config, noise).matrix - exact
     assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
+
+
+def test_frame_states_match_the_dense_exponential_in_every_frame(params):
+    """exp(L(f) t) rho against dense expm of the Lindbladian of H - 2 pi f K, frame by frame."""
+    config = HilbertConfig(2, (3, 2))
+    noise = NoiseModel.from_params(params, params.delta("coherent"))
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
+    rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
+    seg = Segment(0.2e-6, 0.0, qubit_drive=Pulse(3e6, 0.3), phonon_drive=_KICK)
+    h = full_jc_hamiltonian(params, config, -1.9e6).matrix + _drive_hamiltonian(config, seg)
+    sz, modes = _jc_terms(config)
+    k = 0.5 * sz + sum(n_k for n_k, _ in modes)
+    cs = collapse_operators(config, noise)
+    frames = np.array([-2e6, 0.0, 0.5e6, 3e6])
+    got = _frame_states(rho, h, cs, seg.duration, frames)
+    assert got.shape == (frames.size, config.dim, config.dim)
+    for f, state in zip(frames, got):
+        dense = expm(liouvillian(h - TWO_PI * f * k, cs).toarray() * seg.duration)
+        diff = state - (dense @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
+        assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
+
+
+def test_every_driven_density_action_is_one_sweep_action(params, monkeypatch):
+    """A driven segment on a density matrix, and a whole spectroscopy grid, each make one
+    Chebyshev action; a driven Ket takes its dense exp(-i H t) and makes none."""
+    calls = []
+
+    def counted(g0, g1, freqs, u):
+        calls.append(freqs.size)
+        return _sweep_action(g0, g1, freqs, u)
+
+    monkeypatch.setattr(dynamics, "_sweep_action", counted)
+    config = HilbertConfig(2, (4,))
+    noise = NoiseModel.from_params(params, params.delta("rest"))
+    vacuum = fock_state(config, [0], 0)
+    for seg in (Segment(50e-9, params.delta("rest"), qubit_drive=Pulse(10e6)),
+                Segment(1e-6, params.delta("rest"), phonon_drive=_KICK),
+                Segment(0.3e-6, 0.0, Pulse(2e6, 0.7), _KICK)):
+        calls.clear()
+        evolve_segments(vacuum, [seg], params, config, noise)
+        assert calls == [1]
+        calls.clear()
+        assert isinstance(evolve_segments(vacuum, [seg], params, config, NoiseModel()), Ket)
+        assert calls == []
+    freqs = np.linspace(-2e6, -1.5e6, 5)
+    qubit_spectroscopy(vacuum, params.delta("coherent"), None, freqs, params, config, noise)
+    assert calls == [5]
 
 
 def test_two_drives_without_a_common_frame_are_refused():
@@ -570,21 +632,21 @@ def test_sweep_action_matches_dense_expm(seed, decay):
     assert math.ceil((hi - lo) / 2) > 1 and radius > 50
     expected = np.array([w @ expm((g0 + f * g1).toarray()) @ u for f in freqs])
     expected *= math.exp(-decay)
-    got = _sweep_action((g0 - decay * identity(g0.shape[0])).tocsr(), g1, freqs, u, w)
+    got = w @ _sweep_action((g0 - decay * identity(g0.shape[0])).tocsr(), g1, freqs, u)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, 1e7])
 def test_sweep_action_refuses_before_any_work(monkeypatch, scale):
     """A generator that is not finite, or needs more than 2^20 products, is a NumericError."""
-    g0, g1, u, w = _random_sweep(0)
+    g0, g1, u, _ = _random_sweep(0)
 
     def no_work(*args):
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(dynamics, "jv", no_work)
     with pytest.raises(NumericError, match="matrix-vector products"):
-        _sweep_action(g0 * scale, g1, np.linspace(-2.0, 3.0, 7), u, w)
+        _sweep_action(g0 * scale, g1, np.linspace(-2.0, 3.0, 7), u)
 
 
 def test_cached_propagator_follows_every_input(params):

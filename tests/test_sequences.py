@@ -437,12 +437,12 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
     probe = Pulse(amplitude=0.5 / (TWO_PI * tau), phase=phase)
     vectors = []
 
-    def recording_action(g0, g1, f, u, w):
+    def recording_action(g0, g1, f, u):
         vectors.append(u)
-        return _sweep_action(g0, g1, f, u, w)
+        return _sweep_action(g0, g1, f, u)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sequences, "_sweep_action", recording_action)
+        mp.setattr(dynamics, "_sweep_action", recording_action)
         tr = qubit_spectroscopy(rho, delta, probe, freqs, params, cfg, noise, probe_duration=tau)
     # one action for the whole sweep
     assert len(vectors) == 1
@@ -472,12 +472,12 @@ def test_spectroscopy_action_matches_dense_propagator(params, dim, tau, substeps
     freqs = np.array([line0 + 4 * spacing - 50e3, line0 + 1.5 * spacing, line0])
     generators = []
 
-    def recording_action(g0, g1, f, u, w):
+    def recording_action(g0, g1, f, u):
         generators.append(g0)
-        return _sweep_action(g0, g1, f, u, w)
+        return _sweep_action(g0, g1, f, u)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sequences, "_sweep_action", recording_action)
+        mp.setattr(dynamics, "_sweep_action", recording_action)
         tr = qubit_spectroscopy(rho, delta, None, freqs, params, cfg, noise, probe_duration=tau)
     # G1 is antisymmetric, so G0 alone sets the real extent and the substep count
     lo, hi, _ = dynamics._gershgorin(generators[0])

@@ -6,35 +6,39 @@ frame, 0 Hz from LG-00), so the qubit detuning Delta(t) appears
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
-Undriven segments take a propagator, built one way (``_propagator``: the
-Liouvillian exponential with collapse operators, exp(-i H t) without) and
-applied one way (``_apply``: U psi, U rho U^dag or P vec(rho), by the
-propagator's row count); ``_apply_adjoint`` is the same step taken backward
-on an observable.  Each comes from one cache keyed on the segment's inputs
-(segment, params, config, noise).  The Liouvillian is built as a sparse
-matrix.  Without drives it conserves the total excitation number, so it
-splits into independent blocks by coherence order, read off the generator's
-own nonzero pattern; its propagator (``_BlockPropagator``) keeps them apart
-and exponentiates a block only when a vector applied to it, forward or
-transposed, first reaches that block.  A parity readout that starts from
-sigma_z and passes through qubit rotations builds only the few blocks of
-low coherence order.
+A propagator is built only where it is reused: by the parity readout (run
+backward through ``_apply_adjoint``, and forward for its vacuum fringe), by
+``vacuum_rabi_chevron``'s time steps, by ``sequences.coherence_protocols``'s
+delay loop, and for an undriven segment of a Ket (noiseless evolution).  It
+is built one way (``_propagator``: the Liouvillian exponential with collapse
+operators, exp(-i H t) without) and applied one way (``_apply``: U psi,
+U rho U^dag or P vec(rho), by the propagator's row count);
+``_apply_adjoint`` is the same step taken backward on an observable.  Each comes from one cache keyed on
+the segment's inputs (segment, params, config, noise).  The Liouvillian is
+built as a sparse matrix.  Without drives it conserves the total excitation
+number, so it splits into independent blocks by coherence order, read off
+the generator's own nonzero pattern; its propagator (``_BlockPropagator``)
+keeps them apart and exponentiates a block only when a vector applied to
+it, forward or transposed, first reaches that block.  A parity readout that
+starts from sigma_z and passes through qubit rotations builds only the few
+blocks of low coherence order.
 
-Driven segments (square, resonant drives) build no propagator: each is
-applied once to one state (``_drive_action``).  Every drive is constant in
+A single pass is an action: ``evolve_segments`` applies every segment of a
+density matrix, and every driven segment of a Ket, once to one state
+(``_segment_action``) and builds no propagator.  Every drive is constant in
 its own frame, the segment detuning for a qubit drive and the phonon frame
-for a phonon drive, so the exact evolution is a constant generator acting on
-one state (exp(-i H t) on a Ket; ``_frame_states`` on a density matrix),
-followed by the diagonal phases that return to the phonon frame.
+for a phonon drive or none, so the exact evolution is a constant generator
+acting on one state (exp(-i H t) on a Ket; ``_frame_states`` on a density
+matrix), followed by the diagonal phases that return to the phonon frame.
 
 ``_frame_states`` is the one kernel for a constant generator acting on one
 density matrix without a propagator: exp(L(f) t) rho for every frame
 frequency f of a grid, L(f) the Lindbladian of H - 2 pi f K.  It runs
 ``_sweep_action``, one Chebyshev recurrence of sparse products of the real
 generator G0 + f G1 (Hermitian basis) on a block that holds the whole grid,
-about as many products as the generator's spectral radius.  A driven
-segment is a grid of one frame; the spectroscopy probe sweep is a grid of
-every probe frequency.
+about as many products as the generator's spectral radius.  A segment is a
+grid of one frame; the spectroscopy probe sweep is a grid of every probe
+frequency.
 """
 
 from __future__ import annotations
@@ -151,19 +155,38 @@ def collapse_operators(config: HilbertConfig, noise: NoiseModel) -> list[np.ndar
 def liouvillian(h_angular: np.ndarray, collapse: Sequence[np.ndarray]) -> sparse.csr_matrix:
     """Sparse (CSR) superoperator acting on vec(rho) (row-major vectorization).
 
-    One pass: kron(-iH - C/2, I) + kron(I, (iH - C/2)^T) + sum_c kron(c, c*),
-    with C = sum_c c^dag c.  H enters as given, never as H^dag, so a
+    kron(-iH - C/2, I) + kron(I, (iH - C/2)^T) + sum_c kron(c, c*), with
+    C = sum_c c^dag c, assembled in one scatter: each term's entries are
+    placed from the nonzeros of its factors, entries at one position are
+    summed in the order of the terms, and exact zeros are dropped, so the
+    result is canonical CSR.  H enters as given, never as H^dag, so a
     non-Hermitian H gives its exact (non-Hermiticity-preserving) generator.
     """
     d = h_angular.shape[0]
-    eye = sparse.identity(d, format="csr")
-    h = sparse.csr_matrix(h_angular)
-    cs = [sparse.csr_matrix(c) for c in collapse]
-    half_c = 0.5 * sum((c.conj().T @ c for c in cs), sparse.csr_matrix((d, d)))
-    lv = sparse.kron(-1j * h - half_c, eye) + sparse.kron(eye, (1j * h - half_c).T)
-    for c in cs:
-        lv = lv + sparse.kron(c, c.conj())
-    return lv.tocsr()
+    eye = np.eye(d)
+    half_c = 0.5 * sum((c.conj().T @ c for c in collapse), np.zeros((d, d)))
+
+    def kron_entries(a, b):
+        ra, ca = np.nonzero(a)
+        rb, cb = np.nonzero(b)
+        return (np.add.outer(ra * d, rb).ravel(), np.add.outer(ca * d, cb).ravel(),
+                np.outer(a[ra, ca], b[rb, cb]).ravel())
+
+    terms = [kron_entries(-1j * h_angular - half_c, eye),
+             kron_entries(eye, (1j * h_angular - half_c).T),
+             *(kron_entries(c, c.conj()) for c in collapse)]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
+    n = d * d
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")  # a position's entries stay in term order
+    key, vals = key[order], vals[order]
+    first = np.diff(key, prepend=-1) != 0
+    total = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(total, np.cumsum(first) - 1, vals)  # sequential: (t1 + t2) + t3 ...
+    keep = total != 0
+    key = key[first][keep]
+    return sparse.csr_matrix((total[keep], key % n, np.searchsorted(key // n, np.arange(n + 1))),
+                             shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +241,12 @@ class Segment:
 class _PropagatorCache:
     """Size-budgeted LRU for segment propagators, keyed by the segment's inputs.
 
-    The budget counts elements: ``size`` of a dense array, and of a
-    ``_BlockPropagator`` the full element count of all its blocks, built or
-    not.  Unlocked: every sweep runs in one thread.
+    Its entries are the propagators of loops that reuse them (the parity
+    readout, ``vacuum_rabi_chevron``, ``sequences.coherence_protocols``) and
+    of undriven Ket segments; a single pass over a density matrix is an
+    action and puts nothing here.  The budget counts elements: ``size`` of a
+    dense array, and of a ``_BlockPropagator`` the full element count of all
+    its blocks, built or not.  Unlocked: every sweep runs in one thread.
     """
 
     def __init__(self, max_elements: float = 4.8e7):
@@ -463,7 +489,27 @@ def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarra
 def _frame_charge(config: HilbertConfig) -> np.ndarray:
     """The diagonal of K = sigma_z/2 + sum_k n_k, the generator of frame changes."""
     sz, modes = _jc_terms(config)
-    return 0.5 * sz.diagonal() + sum(n_k.diagonal() for n_k, _ in modes)
+    return (0.5 * sz.diagonal() + sum(n_k.diagonal() for n_k, _ in modes)).real
+
+
+@lru_cache(maxsize=None)
+def _frame_generator(config: HilbertConfig) -> sparse.csr_matrix:
+    """G1 per unit time: S^dag L(-2 pi K) S, the frame change in the Hermitian basis.
+
+    K is diagonal, so the Lindbladian of -2 pi K leaves each |i><i| fixed
+    and turns each pair (X_ij, Y_ij) of ``_hermitian_basis`` by the angle
+    2 pi t (k_i - k_j): X_ij -> w Y_ij and Y_ij -> -w X_ij per unit time,
+    w = 2 pi (k_i - k_j).  Pairs with k_i = k_j have no entry.
+    """
+    k = _frame_charge(config)
+    d = k.size
+    i, j = np.triu_indices(d, k=1)
+    w = TWO_PI * (k[i] - k[j])
+    turned = np.flatnonzero(w)
+    x, y = d + turned, d + i.size + turned
+    return sparse.csr_matrix((np.concatenate([-w[turned], w[turned]]),
+                              (np.concatenate([x, y]), np.concatenate([y, x]))),
+                             shape=(d * d, d * d))
 
 
 def _frame_states(rho: DensityMatrix, h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -473,15 +519,14 @@ def _frame_states(rho: DensityMatrix, h: np.ndarray, collapse: Sequence[np.ndarr
     L(f) is the Lindbladian of H - 2 pi f K with the collapse operators, K
     from ``_frame_charge``: H seen from the frame rotating at f.  In the
     Hermitian basis it is the real G0 + f G1, G0 = S^dag L(H) S t and
-    G1 = S^dag L(-2 pi K) S t, and one ``_sweep_action`` runs every frame
+    G1 = ``_frame_generator`` t, and one ``_sweep_action`` runs every frame
     from u = S^dag vec(rho).
     """
     d = rho.config.dim
     g0 = _hermitian_generator(liouvillian(h, collapse) * duration)
-    g1 = _hermitian_generator(
-        liouvillian(np.diag(-TWO_PI * _frame_charge(rho.config)), ()) * duration)
     s, s_h = _hermitian_basis(d)
-    v = _sweep_action(g0, g1, frames, (s_h @ rho.matrix.reshape(-1)).real)
+    v = _sweep_action(g0, _frame_generator(rho.config) * duration, frames,
+                      (s_h @ rho.matrix.reshape(-1)).real)
     return (s @ v).T.reshape(len(frames), d, d)
 
 
@@ -503,16 +548,17 @@ def _drive_hamiltonian(config: HilbertConfig, segment: Segment):
     return h
 
 
-def _drive_action(state, seg: Segment, params, config: HilbertConfig, noise: NoiseModel):
-    """A driven segment applied to one state, exactly, without a propagator.
+def _segment_action(state, seg: Segment, params, config: HilbertConfig, noise: NoiseModel):
+    """One segment applied to one state, exactly, without a propagator.
 
-    In the frame f of the drives (the segment detuning for a qubit drive, 0
-    for a phonon drive alone) H is constant: ``full_jc_hamiltonian`` at
-    frame f plus the static drive.  A Ket takes exp(-i H t); a density matrix
-    takes ``_frame_states`` at the one frame f and is checked for trace
-    (1e-6), hermiticity (1e-8) and positivity (eigenvalues above -1e-6).  The
-    diagonal V = exp(-i 2 pi f t K), K = sigma_z/2 + sum_k n_k, returns the
-    state to the phonon frame.
+    Serves every segment of a density matrix and the driven segments of a
+    Ket.  In the frame f of the drives (the segment detuning for a qubit
+    drive, 0 for a phonon drive alone or none) H is constant:
+    ``full_jc_hamiltonian`` at frame f plus the static drive.  A Ket takes
+    exp(-i H t); a density matrix takes ``_frame_states`` at the one frame f
+    and is checked for trace (1e-6), hermiticity (1e-8) and positivity
+    (eigenvalues above -1e-6).  The diagonal V = exp(-i 2 pi f t K),
+    K = sigma_z/2 + sum_k n_k, returns the state to the phonon frame.
     """
     f = seg.detuning if seg.qubit_drive is not None else 0.0
     ket = isinstance(state, Ket)
@@ -534,20 +580,23 @@ def evolve_segments(
     config: HilbertConfig,
     noise: NoiseModel,
 ):
-    """Run a list of segments; detuning changes between segments are frame jumps.
+    """Run a list of segments once; detuning changes between segments are frame jumps.
 
     A Ket stays a Ket while the noise is trivial and is evolved unitarily.
     Dissipative segments need a density matrix: this is the one place a Ket
-    becomes a ``DensityMatrix``.  Undriven segments apply their cached
-    propagator; driven ones act on the state in their drive frame.
+    becomes a ``DensityMatrix``.  An undriven segment of a Ket applies its
+    cached exp(-i H t); every other segment is one ``_segment_action`` on
+    the state, so a single pass over a density matrix builds no propagator.
+    Loops that apply one segment to many states take ``_segment_propagator``
+    and ``_apply`` themselves.
     """
     if isinstance(state, Ket) and not noise.is_trivial:
         state = state.to_density()
     for seg in segments:
-        if seg.qubit_drive is None and seg.phonon_drive is None:
+        if isinstance(state, Ket) and seg.qubit_drive is None and seg.phonon_drive is None:
             state = _apply(_segment_propagator(seg, params, config, noise), state)
         else:
-            state = _drive_action(state, seg, params, config, noise)
+            state = _segment_action(state, seg, params, config, noise)
     return state
 
 
@@ -567,7 +616,7 @@ def vacuum_rabi_chevron(
     The time grid must be uniform starting at 0 (stepped propagators).
     """
     times = np.asarray(time_grid, dtype=float)
-    if times[0] != 0.0 or times.size < 2:
+    if times.size < 2 or times[0] != 0.0:
         raise ValidationError("time grid must start at 0 with at least two points")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-15):

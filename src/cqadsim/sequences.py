@@ -9,12 +9,15 @@ Parity values are reported normalized by the vacuum fringe contrast; the raw
 qubit expectation is kept alongside.
 
 Prepared states are Kets; ``dynamics.evolve_segments`` turns a Ket into a
-density matrix when it meets a dissipative segment.  Spectroscopy, which
-propagates in its own probe frame, converts its input itself and evolves it
-over the whole frequency grid with one ``dynamics._frame_states`` (the probe
-frequency is the frame), never building a propagator.
-Every other state update, instantaneous pulses included, goes through
-``dynamics._apply``.
+density matrix when it meets a dissipative segment.  A preparation passes
+each of its segments once, so ``evolve_segments`` applies it to the state as
+an action and builds no propagator.  Spectroscopy, which propagates in its
+own probe frame, converts its input itself and evolves it over the whole
+frequency grid with one ``dynamics._frame_states`` (the probe frequency is
+the frame), never building a propagator.  The loops that reuse a segment
+(the parity readout and the coherence protocols' delays) take its cached
+``dynamics._segment_propagator``; they, and the instantaneous pulses, apply
+it through ``dynamics._apply``.
 
 The Ramsey and echo sequences are one list of steps (``_parity_steps``:
 rotation matrices and constant segments).  Parity has one readout,
@@ -583,7 +586,10 @@ def coherence_protocols(
     for i, tau in enumerate(delays):
         wait = [Segment(tau, rest)] if tau > 0 else []
         st = _apply(qubit_rotation(config, 0.0, first_angle), vac)
-        st = evolve_segments(st, swaps + wait + swaps, params, config, noise)
+        # every delay reuses the swap propagator, and a long wait's exponential
+        # takes scaling and squaring where an action would take ~ 2 pi delta tau products
+        for seg in swaps + wait + swaps:
+            st = _apply(_segment_propagator(seg, params, config, noise), st)
         if ramsey:
             theta2 = -TWO_PI * f_stored * tau + TWO_PI * f_demod * tau
             plus, minus = (

@@ -4,10 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix, identity, kron
 from scipy.sparse.csgraph import connected_components
 
 from cqadsim import dynamics
@@ -27,11 +27,14 @@ from cqadsim.dynamics import (
     _apply_adjoint,
     _BlockPropagator,
     _drive_hamiltonian,
+    _frame_charge,
+    _frame_generator,
     _frame_states,
     _gershgorin,
     _hermitian_basis,
     _hermitian_generator,
     _propagator,
+    _segment_propagator,
     _sweep_action,
 )
 from cqadsim.exceptions import NumericError, ValidationError
@@ -170,6 +173,13 @@ def test_vacuum_rabi_zero_coupling_flat(params):
     cfg = HilbertConfig(2, (3,))
     m = vacuum_rabi_chevron(p0, cfg, NoiseModel(), [0.0, -1e6], np.linspace(0, 2e-6, 21))
     assert np.abs(m - 1.0).max() < 1e-9
+
+
+@pytest.mark.parametrize("times", [[], [0.0], [1e-7, 2e-7], [0.0, 1e-7, 3e-7]])
+def test_vacuum_rabi_refuses_a_bad_time_grid(params, times):
+    """An empty, one-point, late-starting or non-uniform grid is a ValidationError."""
+    with pytest.raises(ValidationError, match="time grid"):
+        vacuum_rabi_chevron(params, HilbertConfig(2, (3,)), NoiseModel(), [0.0], times)
 
 
 def test_vacuum_rabi_lg10_feature(params):
@@ -411,8 +421,9 @@ def test_frame_states_match_the_dense_exponential_in_every_frame(params):
 
 
 def test_every_driven_density_action_is_one_sweep_action(params, monkeypatch):
-    """A driven segment on a density matrix, and a whole spectroscopy grid, each make one
-    Chebyshev action; a driven Ket takes its dense exp(-i H t) and makes none."""
+    """A segment on a density matrix, driven or not, and a whole spectroscopy grid, each make
+    one Chebyshev action; a driven Ket takes its dense exp(-i H t) and makes none.  A swap
+    Fock-1 preparation, a single pass, builds no propagator."""
     calls = []
 
     def counted(g0, g1, freqs, u):
@@ -432,9 +443,16 @@ def test_every_driven_density_action_is_one_sweep_action(params, monkeypatch):
         calls.clear()
         assert isinstance(evolve_segments(vacuum, [seg], params, config, NoiseModel()), Ket)
         assert calls == []
+    calls.clear()
+    clear_propagator_cache()
+    evolve_segments(vacuum, [Segment(0.4e-6, params.delta("rest"))], params, config, noise)
+    assert calls == [1]
+    calls.clear()
+    prepare_state(StatePrep("fock", 1, method="swap_sequence"), params, config, noise)
+    assert calls == [1, 1] and not dynamics._CACHE._data
     freqs = np.linspace(-2e6, -1.5e6, 5)
     qubit_spectroscopy(vacuum, params.delta("coherent"), None, freqs, params, config, noise)
-    assert calls == [5]
+    assert calls == [1, 1, 5]
 
 
 def test_two_drives_without_a_common_frame_are_refused():
@@ -470,8 +488,8 @@ _CONFIGS = st.one_of(
 
 
 @st.composite
-def _static_generators(draw):
-    """(config, h, collapse ops, duration) of an undriven segment with random noise."""
+def _static_segments(draw):
+    """(config, noise, segment): an undriven segment with random noise."""
     config = draw(_CONFIGS)
     noise = NoiseModel(
         qubit_gamma1=draw(_RATES),
@@ -480,11 +498,40 @@ def _static_generators(draw):
         phonon_kappa_phi=draw(_RATES),
         static_qubit_offset=draw(st.floats(-2e5, 2e5)),
     )
-    detuning = draw(st.floats(-3e6, 3e6))
-    duration = draw(st.floats(1e-8, 5e-6))
-    h = full_jc_hamiltonian(paper_default_params(), config,
-                            detuning + noise.static_qubit_offset).matrix
-    return config, h, collapse_operators(config, noise), duration
+    return config, noise, Segment(draw(st.floats(1e-8, 5e-6)), draw(st.floats(-3e6, 3e6)))
+
+
+def _static_generators():
+    """(config, h, collapse ops, duration) of an undriven segment with random noise."""
+    def generator(drawn):
+        config, noise, seg = drawn
+        h = full_jc_hamiltonian(paper_default_params(), config,
+                                seg.detuning + noise.static_qubit_offset).matrix
+        return config, h, collapse_operators(config, noise), seg.duration
+    return _static_segments().map(generator)
+
+
+_PAPER_NOISE = NoiseModel.from_params(paper_default_params(), _REST)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_static_segments(), st.integers(0, 2**32 - 1))
+@example((HilbertConfig(2, (6,)), _PAPER_NOISE, Segment(2e-6, _REST)), 0)
+@example((HilbertConfig(2, (3, 3)), _PAPER_NOISE, Segment(2e-6, _REST)), 1)
+def test_single_pass_action_matches_the_cached_propagator(drawn, seed):
+    """evolve_segments takes an undriven segment of a density matrix as one action; it equals
+    the propagator the reusing loops apply, and the state stays physical."""
+    config, noise, seg = drawn
+    params = paper_default_params()
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
+    rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
+    out = evolve_segments(rho, [seg], params, config, noise).matrix
+    expected = _apply(_segment_propagator(seg, params, config, noise), rho).matrix
+    assert np.abs(out - expected).max() <= 1e-12
+    assert abs(np.trace(out) - 1.0) < 1e-10
+    assert np.abs(out - out.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(out).min() >= -1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,6 +612,43 @@ def test_liouvillian_matches_the_three_term_kron_formula(n_collapse, hermitian):
     got = liouvillian(h, cs)
     assert isinstance(got, csr_matrix)
     assert np.abs(got.toarray() - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+@pytest.mark.parametrize("config", [HilbertConfig(2, (6,)), HilbertConfig(3, (4, 3))])
+def test_liouvillian_is_canonical_csr_with_the_kron_sum_pattern(params, config, noisy):
+    """Sorted indices, no duplicates, no explicit zeros, and the pattern (and values) of the
+    kron sum, so the blocks ``_BlockPropagator`` reads off ``gen != 0`` stay the same.
+
+    Without noise the commutator's diagonal cancels exactly: those zeros are dropped.
+    """
+    noise = NoiseModel.from_params(params, params.delta("ramsey")) if noisy else NoiseModel()
+    h = full_jc_hamiltonian(params, config, params.delta("ramsey")).matrix
+    cs = collapse_operators(config, noise)
+    got = liouvillian(h, cs)
+    rows = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+    assert np.all((np.diff(got.indices) > 0) | (np.diff(rows) > 0))
+    assert np.all(got.data != 0)
+    eye = identity(config.dim, format="csr")
+    half_c = 0.5 * sum((csr_matrix(c).conj().T @ csr_matrix(c) for c in cs),
+                       csr_matrix((config.dim, config.dim)))
+    ref = kron(-1j * csr_matrix(h) - half_c, eye) + kron(eye, (1j * csr_matrix(h) - half_c).T)
+    for c in cs:
+        ref = ref + kron(csr_matrix(c), csr_matrix(c).conj())
+    ref = ref.tocsr()
+    ref.sort_indices()
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("config", [HilbertConfig(2, (5,)), HilbertConfig(3, (4, 3))])
+def test_frame_generator_is_the_reduced_frame_liouvillian(config):
+    """G1 built pair by pair equals S^dag L(-2 pi K) S t taken through the Liouvillian."""
+    t = 0.37e-6
+    k = _frame_charge(config)
+    expected = _hermitian_generator(liouvillian(np.diag(-TWO_PI * k), ()) * t).toarray()
+    got = (_frame_generator(config) * t).toarray()
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cqadsim.exceptions import TruncationError, ValidationError
 from cqadsim.hilbert import (
@@ -152,6 +153,16 @@ def test_displacement_identity_and_series():
     out = displacement_operator(cfg28, 0, -2.0j) @ fock_state(cfg28, [0], 0)
     series = coherent_state(cfg28, 0, -2.0j)
     assert np.abs(out.amplitudes - series.amplitudes).max() < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1), st.complex_numbers(max_magnitude=1.5))
+def test_displacement_matches_expm_of_the_truncated_generator(mode, beta):
+    """The eigenbasis form equals expm(beta a^dag - beta* a) of the truncated ladder, per mode."""
+    cfg = HilbertConfig(2, (12, 9))
+    a = annihilation(cfg, mode).matrix
+    expected = expm(beta * a.conj().T - np.conj(beta) * a)
+    assert np.abs(displacement_operator(cfg, mode, beta).matrix - expected).max() <= 1e-13
 
 
 def test_displacement_inverse():

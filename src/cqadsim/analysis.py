@@ -1,14 +1,15 @@
 """Fitting and reconstruction: spectra, populations, decays, Wigner maps.
 
 Every nonlinear fit is one bounded least-squares problem
-(``scipy.optimize.least_squares``) solved by ``_fit``: the Voigt-sum and decay
-fits from five starts (the unjittered one and four seeded jitters), the
-Poisson fit and the offset-scan sinusoid (``sequences``) from one.  The
+(``scipy.optimize.least_squares``) solved by ``_fit``: the decay fits from
+five starts (the unjittered one and four seeded jitters), the Voigt-sum fit,
+the Poisson fit and the offset-scan sinusoid (``sequences``) from one.  The
 Voigt-sum fit is separable: the baseline and the heights come from a bounded
 linear solve at every trial, so ``_fit`` sees only the positions and widths,
-with an analytic Jacobian.  Uncertainties come from the standard covariance of the linearized problem at
-the optimum (``_covariance_sigmas``, which the calibration line shares).  Fits
-never raise on pathological data; they return a result with
+with an analytic Jacobian.  Uncertainties come from the standard covariance
+of the linearized problem at the optimum, taken from the SVD of the
+column-scaled Jacobian (``_covariance_sigmas``, which the calibration line
+shares).  Fits never raise on pathological data; they return a result with
 ``converged=False``.
 """
 
@@ -98,17 +99,33 @@ class WignerMap:
 
 
 def _covariance_sigmas(jac: np.ndarray, cost: float) -> np.ndarray:
-    """One-standard-deviation parameter uncertainties at an optimum of cost = SSR/2."""
+    """One-standard-deviation parameter uncertainties at an optimum of cost = SSR/2.
+
+    The square roots of the diagonal of s^2 (J^T J)^-1, taken from the SVD of
+    J with unit-norm columns, J = U S V^T D: the variance of parameter i is
+    s^2 sum_j (V_ij / S_j)^2 / D_i^2.  Forming J^T J would square the
+    condition number, which column scales alone (Hz against unit heights)
+    push past 1e9, and lose the weakest directions to rounding.  A parameter
+    whose column is zero, or every parameter when J is not finite or the
+    scaled J is rank-deficient, is undetermined: its uncertainty is infinite.
+    """
     n_data, n_params = jac.shape
     s_sq = 2.0 * cost / max(n_data - n_params, 1)
+    sigmas = np.full(n_params, np.inf)
+    norms = np.linalg.norm(jac, axis=0)
+    if not np.all(np.isfinite(norms)):
+        return sigmas
+    live = norms > 0.0
     try:
-        cov = np.linalg.pinv(jac.T @ jac) * s_sq
-        return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        _, s, vt = np.linalg.svd(jac[:, live] / norms[live], full_matrices=False)
     except np.linalg.LinAlgError:
-        return np.full(n_params, np.inf)
+        return sigmas
+    if s.size and s[-1] > s[0] * max(jac.shape) * np.finfo(float).eps:
+        sigmas[live] = np.sqrt(s_sq * np.sum((vt / s[:, None]) ** 2, axis=0)) / norms[live]
+    return sigmas
 
 
-_RESTARTS = 5  # with a jitter: the unjittered start plus four seeded jitters
+_RESTARTS = 5  # with a jitter (the decay fits): the unjittered start plus four seeded jitters
 
 
 def _fit(residual, x0, bounds, names, seed=0, jitter=None, **options):
@@ -202,11 +219,14 @@ def voigt_sum_fit(
     Anal. 10, 413, 1973): the model is linear in the baseline and the heights,
     which a bounded linear least-squares solve (BVLS) finds for every trial of
     the nonlinear parameters (center, spacing, widths, deviations).  Only those
-    reach ``least_squares``, from five starts, with the analytic Jacobian of
+    reach ``least_squares``, from one start, with the analytic Jacobian of
     the Faddeeva profiles projected off the free linear unknowns (Kaufman's
     form).  The reported uncertainties come from the full Jacobian at the
     optimum.  Returns (FitResult, populations) where the populations are the
     normalized peak heights.
+
+    ``seed`` is unused: a single start draws no jitter.  It stays because the
+    benchmark's worker passes it.
     """
     if n_peaks < 1:
         raise ValidationError("need at least one peak")
@@ -271,9 +291,10 @@ def voigt_sum_fit(
                           abs(spacing_hint) * 1.5, abs(spacing_hint) * 1.5], dmax * np.ones(nd)])
     names = ["center", "spacing", "sigma_gauss", "gamma_lorentz"] + [
         f"deviation_{k}" for k in range(1, n_peaks - 1)]
-    # at 1e-12 every start stops at one optimum: on the spectroscopy benchmark's
-    # spectra, chi from fit seeds 0-9 agrees to 1e-8 (at the default 1e-8, to 6e-4)
-    fit, best = _fit(residual, x0, (lo, hi), names, seed, jitter=abs(spacing_hint) / 40.0,
+    # one start: at 1e-12 the four seeded jitters this fit once added all stopped
+    # at this start's optimum (chi from fit seeds 0-9 agreed to 1e-8 on the
+    # spectroscopy benchmark's spectra, to 6e-4 at the default 1e-8)
+    fit, best = _fit(residual, x0, (lo, hi), names,
                      jac=jacobian, xtol=1e-12, ftol=1e-12, gtol=1e-12)
     if best is None:
         return fit, np.zeros(n_peaks)

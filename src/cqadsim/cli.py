@@ -313,7 +313,7 @@ def _run_spectroscopy(params, kind, spec, seed):
         state, delta, None, grid, params, config, noise,
         probe_duration=spec["probe_duration"],
     )
-    fit, pops = analysis.voigt_sum_fit(trace, n_peaks, spacing, center_hint=line0, seed=seed)
+    fit, pops = analysis.voigt_sum_fit(trace, n_peaks, spacing, center_hint=line0)
     summary = {
         "kind": "spectroscopy",
         "detuning_hz": delta,

@@ -425,24 +425,13 @@ def _gershgorin(g: sparse.csr_matrix) -> tuple[float, float, float]:
     return float((d - off).min()), float((d + off).max()), float(abs(asym).sum(axis=1).max())
 
 
-def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray,
-                  u: np.ndarray) -> np.ndarray:
-    """The block whose column k is exp(G0 + f_k G1) u, for every f_k in ``freqs``.
+def _sweep_plan(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray):
+    """(stack, coef, p, c) of ``_sweep_action``'s recurrence.
 
-    No exponential is formed.  One real Chebyshev recurrence (Tal-Ezer &
-    Kosloff, J. Chem. Phys. 81, 3967, 1984) runs on a block with one column
-    per f.  The Gershgorin bounds of G0 + f G1 are convex or concave in f,
-    so taken at the grid's two ends (once, when they coincide) they put
-    every spectrum of the grid in [lo, hi] x i[-R, R].  exp(G) is taken
-    as p = ceil((hi - lo)/2) substeps, each of real half-extent at most 1,
-    and the real centre c is taken out as a factor.  A substep is
-    G/p = c + r Y with Y's spectrum about i[-1, 1], and
-    exp(r Y) u = sum_k (2 - delta_k0) J_k(r) s_k, s_0 = u, s_1 = Y u,
-    s_{k+1} = 2 Y s_k + s_{k-1}, truncated where J_k(r) falls below double
-    precision.  That is about R products of G0 and G1 with the block, where
-    a Taylor method takes several times the 1-norm.  A bound above 2^20
-    products, or one that is not finite, is a ``NumericError`` raised before
-    any work.
+    p substeps of G/p = c + r Y, stack = [A; B] with 2 Y = A + f B on the
+    column of f, and coef_k = (2 - delta_k0) J_k(r), truncated.  A bound that
+    is not finite, or that needs more than 2^20 products, is a
+    ``NumericError`` raised before any work.
     """
     ends = np.array([_gershgorin(g0 + f * g1) for f in {freqs.min(), freqs.max()}])
     lo, hi, radius = ends[:, 0].min(), ends[:, 1].max(), ends[:, 2].max()
@@ -462,22 +451,54 @@ def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarra
     coef = coef[:np.nonzero(np.abs(coef) * (b + math.sqrt(1.0 + b * b))**k > 1e-16)[0][-1] + 1]
     coef[0] /= 2.0
     n = g0.shape[0]
-    # 2 Y = A + f B on the column of f; one product with the stacked [A; B] gives both
     stack = sparse.vstack([(g0 / p - c * sparse.identity(n)) * (2.0 / r),
                            g1 * (2.0 / (p * r))]).tocsr()
-    f = freqs[None, :]
+    return stack, coef, p, c
 
-    def twice_y(v):
+
+def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray,
+                  u: np.ndarray) -> np.ndarray:
+    """The block whose column k is exp(G0 + f_k G1) u, for every f_k in ``freqs``.
+
+    No exponential is formed.  One real Chebyshev recurrence (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967, 1984) runs on a block with one column
+    per f.  The Gershgorin bounds of G0 + f G1 are convex or concave in f,
+    so taken at the grid's two ends (once, when they coincide) they put
+    every spectrum of the grid in [lo, hi] x i[-R, R].  exp(G) is taken
+    as p = ceil((hi - lo)/2) substeps, each of real half-extent at most 1,
+    and the real centre c is taken out as a factor.  A substep is
+    G/p = c + r Y with Y's spectrum about i[-1, 1], and
+    exp(r Y) u = sum_k (2 - delta_k0) J_k(r) s_k, s_0 = u, s_1 = Y u,
+    s_{k+1} = 2 Y s_k + s_{k-1}, truncated where J_k(r) falls below double
+    precision (``_sweep_plan``).  That is about R products of G0 and G1
+    with the block, where a Taylor method takes several times the 1-norm.
+    A bound above 2^20 products, or one that is not finite, is a
+    ``NumericError`` raised before any work.
+
+    Each new term is written over the one two steps back and each weighted
+    term goes through one scratch block, so a product allocates only the
+    stacked [A; B] v.
+    """
+    stack, coef, p, c = _sweep_plan(g0, g1, freqs)
+    n = g0.shape[0]
+    # f in full block shape: a product with a broadcast (1, m) row takes about 2.5 times as long
+    f = np.tile(freqs, (n, 1))
+
+    def twice_y(v, out):
         t = stack @ v
-        return t[:n] + t[n:] * f
+        np.multiply(t[n:], f, out=out)
+        out += t[:n]
+        return out
 
     v = np.repeat(u[:, None], freqs.size, axis=1)
+    scratch = np.empty_like(v)
     for _ in range(p):
-        prev, cur = v, 0.5 * twice_y(v)
+        prev, cur = v, twice_y(v, scratch) * 0.5
         v = coef[0] * prev + coef[1] * cur
         for a in coef[2:]:
-            prev, cur = cur, twice_y(cur) + prev
-            v += a * cur
+            prev += twice_y(cur, scratch)  # s_{k+1} = 2 Y s_k + s_{k-1}, over s_{k-1}
+            prev, cur = cur, prev
+            v += np.multiply(a, cur, out=scratch)
         v *= math.exp(c)
     return v
 

@@ -482,7 +482,7 @@ def qubit_spectroscopy(
     in every probe frame f of the grid at once (one Chebyshev recurrence),
     and each point reads Tr[P_e rho_f].  At the preset's size (400 rows,
     15 us probe) that is 3 substeps of 583 sparse products on one block:
-    0.66-0.99 s for the 119-point grid at one BLAS thread on a 2-core machine.
+    0.82-1.01 s for the 119-point grid at one BLAS thread on a 2-core machine.
 
     ``jobs`` accepts only 1; it stays because ``benchmarks/worker.py`` passes
     ``jobs=1``.

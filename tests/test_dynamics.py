@@ -36,6 +36,7 @@ from cqadsim.dynamics import (
     _propagator,
     _segment_propagator,
     _sweep_action,
+    _sweep_plan,
 )
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
@@ -718,6 +719,39 @@ def test_sweep_action_matches_dense_expm(seed, decay):
     expected *= math.exp(-decay)
     got = w @ _sweep_action((g0 - decay * identity(g0.shape[0])).tocsr(), g1, freqs, u)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _allocating_sweep(g0, g1, freqs, u):
+    """The recurrence of ``_sweep_action`` as plain expressions, each term a new array."""
+    stack, coef, p, c = _sweep_plan(g0, g1, freqs)
+    n = g0.shape[0]
+
+    def twice_y(v):
+        t = stack @ v
+        return t[:n] + t[n:] * freqs[None, :]
+
+    v = np.repeat(u[:, None], freqs.size, axis=1)
+    for _ in range(p):
+        prev, cur = v, 0.5 * twice_y(v)
+        v = coef[0] * prev + coef[1] * cur
+        for a in coef[2:]:
+            prev, cur = cur, twice_y(cur) + prev
+            v = v + a * cur
+        v = v * math.exp(c)
+    return v
+
+
+@pytest.mark.parametrize("freqs", [np.array([0.7]), np.linspace(-2.0, 3.0, 7),
+                                   np.linspace(-2.0, 3.0, 40)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sweep_action_in_place_is_the_allocating_recurrence(seed, freqs):
+    """Terms written over their predecessors give the same bits as fresh arrays, over
+    several substeps, and the start vector is left as it was."""
+    g0, g1, u, _ = _random_sweep(seed)
+    assert _sweep_plan(g0, g1, freqs)[2] > 1
+    u0 = u.copy()
+    assert np.array_equal(_sweep_action(g0, g1, freqs, u), _allocating_sweep(g0, g1, freqs, u))
+    assert np.array_equal(u, u0)
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, 1e7])

@@ -33,8 +33,9 @@ shared steps once.
 The vacuum fringe and the echo-offset zero time are ``functools.lru_cache``
 memos keyed on their arguments; each evaluation of the zero time's offset,
 the 121-point bracket scan included, is one analytic call batched over the
-four phases.  Wigner grid points and offset-scan times run in order in one
-thread; the spectroscopy grid runs as one block.
+four phases.  The Wigner grid is read in blocks of bounded size and the
+offset-scan times in order, in one thread; the spectroscopy grid runs as
+one block.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ from .hilbert import (
     HilbertConfig,
     Ket,
     OperatorMatrix,
+    _check_same_config,
+    _displacements,
+    _truncation_guard,
     coherent_amplitudes,
     coherent_state,
-    displacement_operator,
     expectation,
     fock_state,
     qubit_operator,
@@ -321,7 +324,9 @@ def echo_offset_zero_time(params: SystemParams, delta: float) -> float:
     ~ 0) with the order-eps^2 echo expression, four-phase averaged; the zero
     crossing closest to t0 within t0 +- 0.3 us is refined by Brent's method
     (t0 itself if there is none).  This mirrors choosing the tomography
-    interaction time that nulls the Wigner background.
+    interaction time that nulls the Wigner background.  Each evaluation is
+    one ``echo_sigma_z_analytic`` call: one power-series array batched over
+    the four phases, and over the 121 times of the bracket scan.
     """
     t0 = default_ramsey_time(params, delta)
     c = coherent_amplitudes(22, 2.0)
@@ -374,16 +379,14 @@ def interaction_time_offset_scan(
             f"an offset scan needs at least 4 times to fit a sinusoid's 3 parameters, "
             f"got {times.size}")
     vac = fock_state(config, [0] * config.n_modes, 0)
-    ring = [ring_radius * np.exp(2j * math.pi * k / n_ring) for k in range(n_ring)]
-    displaced = []
-    for b in ring:
-        u = displacement_operator(config, 0, -b).matrix
-        displaced.append(_apply(u, vac))
+    ring = np.array([ring_radius * np.exp(2j * math.pi * k / n_ring) for k in range(n_ring)])
+    _guard_points(config, ring)
+    dmats = _displacements(config.phonon_dims[0], -ring)
     offsets = np.empty(times.size)
     for i, t in enumerate(times):
         effect, offset, contrast = _calibrated_effect("echo", FOUR_PHASES, t, d, params, config,
                                                       noise)
-        vals = [(expectation(st, effect).real - offset) / contrast for st in displaced]
+        vals = (_displaced_readout(vac, effect, dmats) - offset) / contrast
         offsets[i] = (2.0 / math.pi) * float(np.mean(vals))
 
     freq = _fit_oscillation_frequency(times, offsets)
@@ -512,6 +515,36 @@ def qubit_spectroscopy(
 # Wigner tomography
 
 
+# complex entries of displaced states formed at once: about 256 kB, whatever the grid
+_WIGNER_BLOCK_ENTRIES = 1 << 14
+
+
+def _guard_points(config: HilbertConfig, betas: np.ndarray):
+    """Mode 0's truncation guard on every point: it grows with |beta|, so the largest decides."""
+    if betas.size:
+        _truncation_guard(config, 0, betas[np.argmax(betas.real ** 2 + betas.imag ** 2)])
+
+
+def _displaced_readout(state, effect: OperatorMatrix, dmats: np.ndarray) -> np.ndarray:
+    """Tr[E D rho D^dag] (<psi|D^dag E D|psi> for a Ket) for each of the stacked mode-0 ``dmats``.
+
+    D acts on the mode-0 axis of the state by stacked matmuls; the qubit and
+    the other modes ride along as block axes.
+    """
+    _check_same_config(state, effect)
+    config, e = state.config, effect.matrix
+    q, m = config.qubit_levels, config.phonon_dims[0]
+    rest = config.dim // (q * m)
+    b = len(dmats)
+    if isinstance(state, Ket):
+        phi = (dmats[:, None] @ state.amplitudes.reshape(q, m, rest)).reshape(b, -1)
+        return np.sum(phi.conj() * (phi @ e.T), axis=-1).real
+    # D on the row's mode axis, then D* on the column's
+    half = dmats[:, None] @ state.matrix.reshape(q, m, -1)
+    full = dmats.conj()[:, None] @ half.reshape(b, -1, m, rest)
+    return (full.reshape(b, -1) @ e.T.reshape(-1)).real
+
+
 def wigner_scan(
     prepared_state,
     beta_grid: np.ndarray,
@@ -528,18 +561,26 @@ def wigner_scan(
     this function returns the calibrated parities (the 2/pi scaling and axis
     calibration are applied by ``analysis.wigner_assemble``).  Each point
     reads the four-phase echo parity.
+
+    Every grid point passes the truncation guard before any readout is
+    built.  The grid is then read in blocks of points: one stack of
+    displacements from the cached ``hilbert._quadrature_eigh``, applied to
+    the state and contracted with the effect.  A block holds at most
+    ``_WIGNER_BLOCK_ENTRIES`` complex entries of displaced states, so the
+    transient does not grow with the grid.
     """
     grid = np.asarray(beta_grid, dtype=complex)
     flat = grid.reshape(-1)
+    _guard_points(config, flat)
     effect, offset, contrast = _calibrated_effect("echo", FOUR_PHASES, interaction_time, delta,
                                                   params, config, noise)
-
-    def one_point(b: complex) -> float:
-        st = _apply(displacement_operator(config, 0, -b).matrix, prepared_state)
-        return (expectation(st, effect).real - offset) / contrast
-
-    out = np.array([one_point(b) for b in flat])
-    return out.reshape(grid.shape)
+    size = config.dim if isinstance(prepared_state, Ket) else config.dim ** 2
+    block = max(1, _WIGNER_BLOCK_ENTRIES // size)
+    raw = np.empty(flat.size)
+    for i in range(0, flat.size, block):
+        dmats = _displacements(config.phonon_dims[0], -flat[i:i + block])
+        raw[i:i + block] = _displaced_readout(prepared_state, effect, dmats)
+    return ((raw - offset) / contrast).reshape(grid.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ n(phi - psi), phi = Delta' t and psi = chi t/2.  This module provides
 closed-form Ramsey and echo <sigma_z> correct through second order in eps,
 and exact-diagonalization dispersive shifts.
 
-The second-order expressions are not transcribed from anywhere: one graded
+The second-order expressions are not transcribed from anywhere: one
 composition (``_graded_sigma_z``) carries the state through the
-pulse/transform/evolve steps as a polynomial in the formal variables
-(eps, eps*), truncated at total degree two.  That makes every first- and
-second-order constant an output of the algebra, checkable against the exact
-matrix-exponential composition at the same phases
+pulse/transform/evolve steps as a power series in one expansion parameter
+lam (eps -> lam eps, with eps a number), truncated at lam^2.  The series is
+one array of orders 0-2 on which every step acts at once, and <sigma_z> of
+order k sums <psi_j|sigma_z|psi_i> over i + j = k.  That makes every first-
+and second-order constant an output of the algebra, checkable against the
+exact matrix-exponential composition at the same phases
 (``ramsey_sigma_z_exact_phases``).
 
 The full-JC oracles take their Hamiltonian from ``device.full_jc_hamiltonian``
@@ -87,88 +89,55 @@ def sw_flip_block_norm(params: SystemParams, config: HilbertConfig, delta: float
 
 
 # ---------------------------------------------------------------------------
-# polynomial algebra in (eps, eps*) up to total degree 2
+# power series in one expansion parameter: eps -> lam eps, truncated at lam^2
+#
+# The state is one array of shape (*batch, 3, 2, dim): the order of lam, the
+# qubit level and the phonon number.  eps enters as a number; pulse and
+# evolution phases may be arrays, over whose shape the series broadcasts.
 
-class _GradedState:
-    """Qubit+mode amplitudes with coefficients graded by powers of (eps, eps*).
 
-    Each part has shape (*batch, 2, dim).  Pulse phases and evolution phases
-    may be arrays; the parts broadcast over their leading batch shape.
+def _pulse(amp, theta, eta: float):
+    """Counterclockwise rotation |g> -> cos|g> + e^{i theta} sin|e> of every order."""
+    c, s = math.cos(eta / 2.0), math.sin(eta / 2.0)
+    ph = np.exp(1j * np.asarray(theta))[..., None, None]
+    g, e = amp[..., 0, :], amp[..., 1, :]
+    return np.stack([c * g - (s * ph.conj()) * e, (s * ph) * g + c * e], axis=-2)
+
+
+def _sw(amp, sign: int, eps: complex):
+    """Apply I + sA + A^2/2 in place; s = +1 for U, -1 for U^dag, negated when eps is (-Delta).
+
+    Orders 1 and 2 gain sA of orders 0 and 1, and order 2 gains A^2/2 of
+    order 0, all formed from the orders before this step.
     """
+    dim = amp.shape[-1]
+    sq = np.sqrt(np.arange(1, dim, dtype=float))
+    step = np.zeros_like(amp[..., :2, :, :])
+    # eps sqrt(n) g_n -> e_{n-1} and -eps* sqrt(n+1) e_n -> g_{n+1}
+    step[..., 1, :-1] = (sign * eps) * sq * amp[..., :2, 0, 1:]
+    step[..., 0, 1:] = (-sign * np.conj(eps)) * sq * amp[..., :2, 1, :-1]
+    amp[..., 1:, :, :] += step
+    # A^2 = -|eps|^2 (n on |g,n>, n + 1 on |e,n>): sigma+ sigma+ = 0 for two levels
+    n = np.arange(dim, dtype=float)
+    amp[..., 2, :, :] -= (0.5 * abs(eps) ** 2) * np.stack([n, n + 1.0]) * amp[..., 0, :, :]
+    return amp
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.parts: dict[tuple[int, int], np.ndarray] = {}
 
-    @classmethod
-    def from_mode_coefficients(cls, c: np.ndarray, dim: int) -> "_GradedState":
-        st = cls(dim)
-        base = np.zeros((2, dim), dtype=complex)
-        base[0, : c.size] = c  # qubit |g>
-        st.parts[(0, 0)] = base
-        return st
+def _evolve(amp, phi, psi):
+    """Diagonal phases: |g,n> gains e^{+i n(phi+psi)}, |e,n> e^{+i n(phi-psi)}."""
+    n = np.arange(amp.shape[-1], dtype=float)
+    phi, psi = np.asarray(phi)[..., None, None], np.asarray(psi)[..., None, None]
+    return amp * np.exp(1j * n * (phi + np.array([[1.0], [-1.0]]) * psi))[..., None, :, :]
 
-    def _add(self, grade, arr):
-        if grade in self.parts:
-            self.parts[grade] = self.parts[grade] + arr
-        else:
-            self.parts[grade] = arr
 
-    def pulse(self, theta, eta: float):
-        """Counterclockwise rotation: |g> -> cos|g> + e^{i theta} sin|e>."""
-        c, s = math.cos(eta / 2.0), math.sin(eta / 2.0)
-        theta = np.asarray(theta)[..., None]
-        for grade, arr in list(self.parts.items()):
-            g, e = arr[..., 0, :], arr[..., 1, :]
-            self.parts[grade] = np.stack([c * g - np.exp(-1j * theta) * s * e,
-                                          np.exp(1j * theta) * s * g + c * e], axis=-2)
+def _sigma_z_by_order(amp) -> dict[int, complex]:
+    """<sigma_z> by order of lam as {order: batch-shaped value}.
 
-    def sw(self, sign: int):
-        """Apply I + sA + A^2/2: s = +1 for U, -1 for U^dag, negated again when eps is (-Delta).
-
-        Updates beyond total degree two are never formed.
-        """
-        n = np.arange(self.dim, dtype=float)
-        sq = np.sqrt(n)
-        old = dict(self.parts)  # every update is formed from the parts before this step
-        for (p, q), arr in old.items():
-            g, e = arr[..., 0, :], arr[..., 1, :]
-            if p + q < 2:
-                # grade (p+1, q): eps sqrt(n) g_n -> e_{n-1}
-                first = np.zeros_like(arr)
-                first[..., 1, :-1] = sq[1:] * g[..., 1:]
-                self._add((p + 1, q), sign * first)
-                # grade (p, q+1): -eps* sqrt(n+1) e_n -> g_{n+1}
-                second = np.zeros_like(arr)
-                second[..., 0, 1:] = -sq[1:] * e[..., :-1]
-                self._add((p, q + 1), sign * second)
-            if p + q == 0:
-                # grade (p+1, q+1): -(1/2)(n g_n, (n+1) e_n); sign^2 = 1
-                self._add((p + 1, q + 1), np.stack([-0.5 * n * g, -0.5 * (n + 1.0) * e], axis=-2))
-
-    def evolve(self, phi, psi):
-        """Diagonal phases: |g,n> gains e^{+i n(phi+psi)}, |e,n> e^{+i n(phi-psi)}."""
-        n = np.arange(self.dim, dtype=float)
-        phi, psi = np.asarray(phi)[..., None], np.asarray(psi)[..., None]
-        pg = np.exp(1j * n * (phi + psi))
-        pe = np.exp(1j * n * (phi - psi))
-        for grade, arr in list(self.parts.items()):
-            self.parts[grade] = np.stack([arr[..., 0, :] * pg, arr[..., 1, :] * pe], axis=-2)
-
-    def sigma_z_by_order(self, epsilon: complex) -> dict[int, complex]:
-        """<sigma_z> as {order: value}, truncated at total degree 2; batch-shaped values."""
-        out: dict[int, complex] = {0: 0.0, 1: 0.0, 2: 0.0}
-        items = list(self.parts.items())
-        for (p, q), a1 in items:
-            for (r, s), a2 in items:
-                total_p, total_q = p + s, q + r
-                if total_p + total_q > 2:
-                    continue
-                weight = (epsilon ** total_p) * (np.conj(epsilon) ** total_q)
-                val = (np.sum(a1[..., 1, :] * a2[..., 1, :].conj(), axis=-1)
-                       - np.sum(a1[..., 0, :] * a2[..., 0, :].conj(), axis=-1))
-                out[total_p + total_q] += weight * val
-        return out
+    Order k sums <psi_j|sigma_z|psi_i> over i + j = k.
+    """
+    z = amp * np.array([[-1.0], [1.0]])
+    return {k: sum(np.sum(z[..., i, :, :] * amp[..., k - i, :, :].conj(), axis=(-2, -1))
+                   for i in range(k + 1)) for k in range(3)}
 
 
 def _phases(params: SystemParams, delta: float, t: float) -> tuple[float, float]:
@@ -190,22 +159,20 @@ def _check_inputs(c, t, delta):
 
 
 def _graded_sigma_z(c: np.ndarray, theta, eps: complex, legs) -> dict[int, complex]:
-    """<sigma_z> by order in eps of the graded composition, batched over array phases.
+    """<sigma_z> by order in eps of the power-series composition, batched over array phases.
 
     A pi/2 pulse, then each leg (phi, psi, eps_sign) as U, evolution, U^dag,
     consecutive legs separated by pi pulses, then a pi/2 pulse; every pulse
     has the drive phase ``theta``.
     """
-    st = _GradedState.from_mode_coefficients(c, c.size + 3)
-    st.pulse(theta, math.pi / 2.0)
+    amp = np.zeros((3, 2, c.size + 3), dtype=complex)
+    amp[0, 0, : c.size] = c  # order 0, qubit |g>
+    amp = _pulse(amp, theta, math.pi / 2.0)
     for k, (phi, psi, eps_sign) in enumerate(legs):
         if k:
-            st.pulse(theta, math.pi)
-        st.sw(eps_sign)
-        st.evolve(phi, psi)
-        st.sw(-eps_sign)
-    st.pulse(theta, math.pi / 2.0)
-    return st.sigma_z_by_order(eps)
+            amp = _pulse(amp, theta, math.pi)
+        amp = _sw(_evolve(_sw(amp, eps_sign, eps), phi, psi), -eps_sign, eps)
+    return _sigma_z_by_order(_pulse(amp, theta, math.pi / 2.0))
 
 
 @dataclass(frozen=True)

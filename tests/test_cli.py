@@ -207,6 +207,15 @@ def test_wigner_preset_run(tmp_path):
     assert len(rows) == 2 + 9
 
 
+def test_wigner_grid_beyond_the_truncation_is_refused(tmp_path, capsys):
+    """The corner |beta| = sqrt(2) needs phonon dim 8: exit 2, the guard's message, no output."""
+    spec = preset_copy(tmp_path, "wigner_fock1.spec", phonon_dim=6, grid_points=3, grid_extent=1.0)
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 2
+    assert "needs phonon dim >= 8, mode has 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_offset_scan_preset_run(tmp_path, matches_reference):
     out = tmp_path / "out"
     assert main(["run", "--experiment", str(PRESETS / "offset_scan.spec"),

@@ -19,12 +19,13 @@ from cqadsim.dynamics import (
     collapse_operators,
     evolve_segments,
 )
-from cqadsim.exceptions import NumericError, ValidationError
+from cqadsim.exceptions import NumericError, TruncationError, ValidationError
 from cqadsim.hilbert import (
     DensityMatrix,
     HilbertConfig,
     Ket,
     coherent_state,
+    displacement_operator,
     expectation,
     fock_state,
     number_operator,
@@ -320,6 +321,71 @@ def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases,
     for state in states:
         forward = _forward_phase_mean(state, variant, phases, offset, t, d, params, cfg, noise)
         assert abs(expectation(state, effect).real - forward) < 1e-12
+
+
+def _per_point_wigner(state, grid, params, cfg, noise, t, d):
+    """The per-point reference: ``displacement_operator``, ``_apply``, ``expectation``."""
+    effect, offset, contrast = sequences._calibrated_effect("echo", FOUR_PHASES, t, d, params,
+                                                            cfg, noise)
+    vals = [(expectation(_apply(displacement_operator(cfg, 0, -b).matrix, state), effect).real
+             - offset) / contrast for b in np.asarray(grid).reshape(-1)]
+    return np.reshape(vals, np.shape(grid))
+
+
+def _wigner_case(name, params):
+    d = params.delta("ramsey")
+    paper = NoiseModel.from_params(params, d)
+    if name == "paper_density":
+        cfg, noise = HilbertConfig(2, (8,)), paper
+        state = prepare_state(StatePrep("fock", 1, method="swap_sequence"), params, cfg, noise)
+        assert isinstance(state, DensityMatrix)
+    elif name == "noiseless_ket":
+        cfg, noise = HilbertConfig(2, (8,)), NOISELESS
+        state = coherent_state(cfg, 0, 0.5 + 0.3j)
+    else:  # two modes, LG-10 coupled in the model and occupied in the state
+        cfg, noise = HilbertConfig(2, (7, 3)), paper
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(cfg.dim, 3)) + 1j * rng.normal(size=(cfg.dim, 3))
+        state = DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T))
+    return state, cfg, noise
+
+
+@pytest.mark.parametrize("case", ["paper_density", "noiseless_ket", "two_mode_lg10"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (5, 2)])
+@pytest.mark.parametrize("block_entries", [None, 1, 100])
+def test_wigner_scan_blocks_read_the_per_point_reference(params, case, shape, block_entries,
+                                                         monkeypatch):
+    """Batched readout against the per-point one, whatever the block size; no block is larger
+    than the cap allows (one point when a single state is larger)."""
+    state, cfg, noise = _wigner_case(case, params)
+    d = params.delta("ramsey")
+    re, im = np.linspace(-0.8, 0.7, shape[1]), np.linspace(-0.6, 0.9, shape[0])
+    grid = re[None, :] + 1j * im[:, None] + 0.05j
+    if block_entries is not None:
+        monkeypatch.setattr(sequences, "_WIGNER_BLOCK_ENTRIES", block_entries)
+    cap = sequences._WIGNER_BLOCK_ENTRIES
+    blocks = []
+    displacements = sequences._displacements
+    monkeypatch.setattr(sequences, "_displacements",
+                        lambda dim, betas: blocks.append(len(betas)) or displacements(dim, betas))
+    got = wigner_scan(state, grid, params, cfg, noise, 7e-6, d)
+    ref = _per_point_wigner(state, grid, params, cfg, noise, 7e-6, d)
+    assert got.shape == shape
+    assert np.abs(got - ref).max() < 1e-12
+    size = state.amplitudes.size if isinstance(state, Ket) else cfg.dim ** 2
+    assert sum(blocks) == grid.size and max(blocks) == max(1, min(grid.size, cap // size))
+
+
+def test_wigner_scan_refuses_a_bad_corner_before_any_readout(params, monkeypatch):
+    """The corner |beta| = 1.84 needs dim 14 (the centre needs none): refused before E is built."""
+    cfg = HilbertConfig(2, (6,))
+    built = []
+    monkeypatch.setattr(sequences, "_calibrated_effect", lambda *args: built.append(args))
+    axis = np.linspace(-1.3, 1.3, 3)
+    with pytest.raises(TruncationError, match="needs phonon dim >= 14"):
+        wigner_scan(fock_state(cfg, [0], 0), axis[None, :] + 1j * axis[:, None], params, cfg,
+                    NOISELESS, 7e-6, params.delta("ramsey"))
+    assert built == []
 
 
 def test_wigner_scan_evolves_no_segment_per_grid_point(params):

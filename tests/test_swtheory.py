@@ -8,6 +8,7 @@ from cqadsim.device import TWO_PI, chi_analytic, delta_prime, paper_default_para
 from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import HilbertConfig
 from cqadsim.swtheory import (
+    _graded_sigma_z,
     _phases,
     chi_numeric,
     echo_sigma_z_analytic,
@@ -216,6 +217,49 @@ def test_echo_analytic_batches_over_times(params):
     assert column.shape == (3, 1) and np.abs(column[:, 0] - grid[:, 5]).max() <= 1e-15
     with pytest.raises(ValidationError, match="positive"):
         echo_sigma_z_analytic(c, 0.0, np.array([1e-6, 0.0]), params, delta)
+
+
+# Recorded from the (eps, eps*)-graded algebra this power series replaced: a normalized
+# four-level state, eps = 0.08 + 0.05j, and the phases below.
+_PIN_C = np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(0.3j)])
+_PIN_THETA = np.array([0.0, 0.7, 2.1, 4.0])
+_PIN_RAMSEY_ORDERS = [
+    [0.2325283678761575, 0.23252836787615777, 0.2325283678761576, 0.23252836787615755],
+    [-0.1069437058534356, -0.06615634602147413, 0.07494495954504779, 0.05153130578849856],
+    [0.02557835648048199, 0.02561188782863953, -0.008289484742196974, 0.020863082761979297],
+]
+_PIN_ECHO = [  # theta x t, t = (0.8, 1.0, 1.3) t0 at the Ramsey point
+    [-0.018568117002316448, -0.12121590928331089, 0.1525614254928291],
+    [-0.04746527758976425, -0.07533756711579992, 0.16288867110104518],
+    [-0.25297113896265294, 0.09816693539995418, -0.48965611654431973],
+    [-0.38699264077137957, -0.07075144665041593, -0.6248706802312626],
+]
+_PIN_ZERO_TIMES = {"ramsey": 7.00661461292382e-06, "fock": 2.986935875660462e-06,
+                   "coherent": 4.427006088388666e-06, "rest": 1.526466831780572e-05}
+
+
+def test_power_series_is_pinned_to_the_graded_algebra(params):
+    """Orders, echo values and echo-offset zero times of the recorded algebra.
+
+    The zero times are pinned relatively: near a zero the offset is a sum of
+    order-one terms cancelling to 1e-15, and at the rest point its slope of
+    0.15 per unit relative time turns that into about 1e-14 of the time.
+    """
+    from cqadsim.sequences import echo_offset_zero_time
+
+    orders = _graded_sigma_z(_PIN_C, _PIN_THETA, 0.08 + 0.05j, [(1.3, 0.4, 1)])
+    assert set(orders) == {0, 1, 2}
+    for k, ref in enumerate(_PIN_RAMSEY_ORDERS):
+        assert orders[k].shape == _PIN_THETA.shape
+        assert np.abs(orders[k] - ref).max() <= 1e-13
+    delta = params.delta("ramsey")
+    t = t0_of(params, delta) * np.array([0.8, 1.0, 1.3])
+    echo = echo_sigma_z_analytic(_PIN_C, _PIN_THETA[:, None], t, params, delta)
+    assert echo.shape == (4, 3) and np.abs(echo - _PIN_ECHO).max() <= 1e-13
+    for point, ref in _PIN_ZERO_TIMES.items():
+        echo_offset_zero_time.cache_clear()
+        assert abs(echo_offset_zero_time(params, params.delta(point)) / ref - 1.0) <= 1e-14
+    echo_offset_zero_time.cache_clear()
 
 
 def test_unnormalized_input_rejected(params):

@@ -1,16 +1,19 @@
 """Fitting and reconstruction: spectra, populations, decays, Wigner maps.
 
 Every nonlinear fit is one bounded least-squares problem
-(``scipy.optimize.least_squares``) solved by ``_fit``: the decay fits from
-five starts (the unjittered one and four seeded jitters), the Voigt-sum fit,
-the Poisson fit and the offset-scan sinusoid (``sequences``) from one.  The
-Voigt-sum fit is separable: the baseline and the heights come from a bounded
-linear solve at every trial, so ``_fit`` sees only the positions and widths,
-with an analytic Jacobian.  Uncertainties come from the standard covariance
-of the linearized problem at the optimum, taken from the SVD of the
-column-scaled Jacobian (``_covariance_sigmas``, which the calibration line
-shares).  Fits never raise on pathological data; they return a result with
-``converged=False``.
+(``scipy.optimize.least_squares``) solved by ``_fit`` from one deterministic
+start; no fit draws a random number.  The fits with linear parameters are
+separable (variable projection): the linear ones are solved exactly at every
+trial, so ``_fit`` sees only the nonlinear ones, with exact derivatives.
+The Voigt-sum fit solves its baseline and heights by a bounded linear solve
+and fits positions and widths; ``_projected_fit`` solves the amplitudes and
+offsets of the decay fits and of the offset-scan sinusoid (``sequences``) by
+``lstsq`` and fits only the decay time and the frequency.  The Poisson fit
+has one parameter.  Uncertainties come from the standard covariance of the
+linearized problem at the optimum, taken from the SVD of the column-scaled
+Jacobian of the full model (``_covariance_sigmas``, which the calibration
+line shares).  Fits never raise on pathological data; they return a result
+with ``converged=False``.
 """
 
 from __future__ import annotations
@@ -125,41 +128,66 @@ def _covariance_sigmas(jac: np.ndarray, cost: float) -> np.ndarray:
     return sigmas
 
 
-_RESTARTS = 5  # with a jitter (the decay fits): the unjittered start plus four seeded jitters
-
-
-def _fit(residual, x0, bounds, names, seed=0, jitter=None, **options):
-    """Bounded least squares from ``x0``, and with ``jitter`` from four seeded jittered starts.
+def _fit(residual, x0, bounds, names, **options):
+    """Bounded least squares from the one start ``x0``.
 
     ``options`` (tolerances, an analytic ``jac``) go to ``least_squares``.
-    Returns (FitResult, x) at the lowest cost; ``converged`` means success and
-    a finite cost.  When no start finishes, x is None and the result is flagged.
+    Returns (FitResult, x); ``converged`` means success and a finite cost.  When
+    the start is infeasible or not finite, x is None and the result is flagged.
     """
-    rng = np.random.default_rng(seed)
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    best = None
-    for k in range(_RESTARTS if jitter is not None else 1):
-        start = np.array(x0, dtype=float)
-        if k > 0:
-            start = start + rng.standard_normal(start.size) * jitter
-            start = np.clip(start, lo + 1e-12, hi - 1e-12 if np.all(np.isfinite(hi)) else start)
-            start = np.minimum(np.maximum(start, lo), np.where(np.isfinite(hi), hi, start))
-        try:
-            res = least_squares(residual, start, bounds=(lo, hi), method="trf", **options)
-        except (ValueError, np.linalg.LinAlgError):  # an infeasible or non-finite start
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None:
+    try:
+        res = least_squares(residual, np.array(x0, dtype=float), bounds=(lo, hi), method="trf",
+                            **options)
+    except (ValueError, np.linalg.LinAlgError):
         return FitResult({}, {}, math.nan, False, {"reason": "no convergence"}), None
-    sigmas = _covariance_sigmas(best.jac, best.cost)
+    sigmas = _covariance_sigmas(res.jac, res.cost)
     fit = FitResult(
-        dict(zip(names, [float(v) for v in best.x])),
+        dict(zip(names, [float(v) for v in res.x])),
         dict(zip(names, [float(v) for v in sigmas])),
-        float(math.sqrt(2.0 * best.cost)),
-        bool(best.success and np.isfinite(best.cost)),
+        float(math.sqrt(2.0 * res.cost)),
+        bool(res.success and np.isfinite(res.cost)),
     )
-    return fit, best.x
+    return fit, res.x
+
+
+def _projected_fit(columns, y, theta0, bounds, names):
+    """Separable least squares of y against the columns of a basis B(theta).
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
+    the coefficients c of the columns are solved by ``lstsq`` at every trial,
+    so ``_fit`` sees only the nonlinear parameters theta, from one start at
+    1e-12 tolerances, with the Jacobian projected off the columns (Kaufman's
+    form).  The derivatives dB/dtheta_k are exact to rounding: each is the
+    imaginary part of B(theta + i h e_k)/h, a complex step (Squire & Trapp,
+    SIAM Rev. 40, 110, 1998), so ``columns`` must be written in real
+    functions that extend to complex theta, and theta stays nonzero within
+    its bounds.  Returns (FitResult over theta, theta, c, the full model's
+    Jacobian [B, dB/dtheta c] at the optimum); all but the FitResult are None
+    when the fit cannot start.
+    """
+    def solve(theta):
+        basis = columns(theta)
+        coef = np.linalg.lstsq(basis, y, rcond=None)[0]
+        steps = np.diag(1e-20 * np.abs(theta))  # one complex step per parameter
+        deriv = [columns(theta + 1j * h).imag @ coef / h[k] for k, h in enumerate(steps)]
+        return basis, coef, np.column_stack(deriv)
+
+    def residual(theta):
+        basis, coef, _ = solve(theta)
+        return basis @ coef - y
+
+    def jacobian(theta):
+        basis, _, deriv = solve(theta)
+        q = np.linalg.qr(basis)[0]
+        return deriv - q @ (q.T @ deriv)
+
+    fit, theta = _fit(residual, theta0, bounds, names, jac=jacobian,
+                      xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    if theta is None:
+        return fit, None, None, None
+    basis, coef, deriv = solve(theta)
+    return fit, theta, coef, np.column_stack([basis, deriv])
 
 
 def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
@@ -225,8 +253,9 @@ def voigt_sum_fit(
     optimum.  Returns (FitResult, populations) where the populations are the
     normalized peak heights.
 
-    ``seed`` is unused: a single start draws no jitter.  It stays because the
-    benchmark's worker passes it.
+    ``seed`` is unused: no fit draws a random number.  It stays only because
+    the benchmark's worker (``benchmarks/worker.py``) passes it, as
+    ``RunManifest.seed`` and ``jobs`` do.
     """
     if n_peaks < 1:
         raise ValidationError("need at least one peak")
@@ -291,8 +320,8 @@ def voigt_sum_fit(
                           abs(spacing_hint) * 1.5, abs(spacing_hint) * 1.5], dmax * np.ones(nd)])
     names = ["center", "spacing", "sigma_gauss", "gamma_lorentz"] + [
         f"deviation_{k}" for k in range(1, n_peaks - 1)]
-    # one start: at 1e-12 the four seeded jitters this fit once added all stopped
-    # at this start's optimum (chi from fit seeds 0-9 agreed to 1e-8 on the
+    # one start: at 1e-12 the four jittered starts this fit once added all stopped
+    # at this start's optimum (chi from ten jitter draws agreed to 1e-8 on the
     # spectroscopy benchmark's spectra, to 6e-4 at the default 1e-8)
     fit, best = _fit(residual, x0, (lo, hi), names,
                      jac=jacobian, xtol=1e-12, ftol=1e-12, gtol=1e-12)
@@ -394,15 +423,19 @@ def parity_from_populations(populations: Sequence[float]) -> float:
 # decay fits
 
 
-def decay_fit(times: Sequence[float], values: Sequence[float], model: str = "exponential",
-              seed: int = 0) -> FitResult:
+def decay_fit(times: Sequence[float], values: Sequence[float],
+              model: str = "exponential") -> FitResult:
     """Fit a decay trace.
 
     ``exponential``: A exp(-t/T) + C with parameter ``t_decay``.
     ``exponential_sine``: A exp(-t/T) cos(2 pi f t + phi) + C with parameters
-    ``t_decay``, ``frequency``, ``phase``.  A constant (or worse) trace is
-    returned flagged, not raised; an essentially undamped fit is flagged
-    ``divergent`` with ``t_decay`` set to infinity.
+    ``t_decay``, ``frequency``, ``phase``.  Both are separable: A and C (for
+    the sine A cos phi, A sin phi and C) are linear, so only T (and f, which
+    starts at the FFT peak) are fitted, and phi = atan2 lies in (-pi, pi].
+    Uncertainties come from the full model's Jacobian at the optimum.
+    A constant (or worse) trace is returned flagged, not raised; an
+    essentially undamped fit is flagged ``divergent`` with ``t_decay`` set to
+    infinity.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -415,30 +448,36 @@ def decay_fit(times: Sequence[float], values: Sequence[float], model: str = "exp
     if signal <= 1e-12:
         return FitResult({}, {}, 0.0, False, {"reason": "constant trace"})
 
+    ones = np.ones_like(t)
     if model == "exponential":
-        def residual(p):
-            a, tau, c = p
-            return a * np.exp(-t / tau) + c - y
+        def columns(theta):
+            return np.column_stack([np.exp(-t / theta[0]), ones])
 
-        x0 = [y[0] - y[-1], span / 2.0, y[-1]]
-        lo = [-np.inf, span / 1e4, -np.inf]
-        hi = [np.inf, span * 1e4, np.inf]
-        names = ["amplitude", "t_decay", "offset"]
+        theta0, lo, hi = [span / 2.0], [span / 1e4], [span * 1e4]
     else:
         f0 = _dominant_frequency(t, y)
 
-        def residual(p):
-            a, tau, f, ph, c = p
-            return a * np.exp(-t / tau) * np.cos(TWO_PI * f * t + ph) + c - y
+        def columns(theta):
+            decay, arg = np.exp(-t / theta[0]), TWO_PI * theta[1] * t
+            return np.column_stack([decay * np.cos(arg), -decay * np.sin(arg), ones])
 
-        x0 = [signal / 2.0, span / 2.0, f0, 0.0, float(y.mean())]
-        lo = [0.0, span / 1e4, f0 / 4.0, -TWO_PI, -np.inf]
-        hi = [np.inf, span * 1e4, f0 * 4.0 + 1.0 / span, TWO_PI, np.inf]
-        names = ["amplitude", "t_decay", "frequency", "phase", "offset"]
-
-    fit, best = _fit(residual, x0, (lo, hi), names, seed,
-                     jitter=abs(np.array(x0)).max() / 20.0 + 1e-12)
-    if best is not None and fit.parameters["t_decay"] > 50.0 * span:
+        theta0, lo, hi = ([span / 2.0, f0], [span / 1e4, f0 / 4.0],
+                          [span * 1e4, f0 * 4.0 + 1.0 / span])
+    # the columns' coefficients, then theta; zip drops "frequency" from the exponential
+    names = ["amplitude", "offset", "t_decay", "frequency"]
+    fit, theta, coef, full = _projected_fit(columns, y, theta0, (lo, hi), names[2:])
+    if theta is None:
+        return fit
+    values = [*coef, *theta]
+    if model == "exponential_sine":  # A and phi for A cos phi and A sin phi, by the chain rule
+        a, b = coef[:2]
+        values[:2] = math.hypot(a, b), math.atan2(b, a)
+        full[:, :2] = full[:, :2] @ [[a / values[0], -b], [b / values[0], a]]
+        names.insert(1, "phase")
+    sigmas = _covariance_sigmas(full, 0.5 * fit.residual_norm**2)
+    fit = replace(fit, parameters=dict(zip(names, map(float, values))),
+                  uncertainties=dict(zip(names, map(float, sigmas))))
+    if fit.parameters["t_decay"] > 50.0 * span:
         fit.metadata["divergent"] = True
         fit.parameters["t_decay"] = math.inf
     return fit

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -45,7 +45,8 @@ __all__ = ["main", "run_experiment", "compare_summaries", "RunManifest"]
 @dataclass(frozen=True)
 class RunManifest:
     """Inputs of one ``cqadsim run``.  ``jobs`` accepts only 1 (sweeps run in
-    one thread); it stays because ``benchmarks/worker.py`` passes ``jobs=1``.
+    one thread), and ``seed`` is unused (every fit takes one deterministic
+    start); both stay only because ``benchmarks/worker.py`` passes them.
     """
 
     params_path: str | None
@@ -279,7 +280,7 @@ def _prepared(params: SystemParams, spec: dict, default_dim: int):
        freq_min=_freq(None),
        freq_max=_freq(None),
        window_margin=_Key(None, lo=0.0, hi=_MAX_FREQ))  # None: 50 kHz
-def _run_spectroscopy(params, kind, spec, seed):
+def _run_spectroscopy(params, kind, spec):
     lo, hi, margin = spec["freq_min"], spec["freq_max"], spec["window_margin"]
     if (lo is None) != (hi is None) or (lo is not None and margin is not None):
         raise ValidationError("spec sets the frequency window by 'freq_min' and 'freq_max' "
@@ -323,12 +324,12 @@ def _run_spectroscopy(params, kind, spec, seed):
         "parity_spectroscopy": analysis.parity_from_populations(pops) if fit.converged else None,
         "converged": fit.converged,
     }
-    fit_payload = {"voigt": _fit_dict(fit)}
+    fit_payload = {"voigt": asdict(fit)}
     if fit.converged and pops.sum() > 0:
         pfit = analysis.poisson_fit(pops)
         summary["nbar"] = pfit.parameters["nbar"]
         summary["beta_fit"] = pfit.parameters["beta"]
-        fit_payload["poisson"] = _fit_dict(pfit)
+        fit_payload["poisson"] = asdict(pfit)
     rows = list(zip(trace.frequencies, trace.populations))
     return summary, [("spectrum.csv", ["frequency_hz", "population"], rows)], fit_payload
 
@@ -337,7 +338,7 @@ def _run_spectroscopy(params, kind, spec, seed):
        detuning=_freq("ramsey", words=_POINT_NAMES),
        interaction_time=_time("auto", words=("auto",)),
        phases=_whole(4))
-def _run_parity(params, kind, spec, seed):
+def _run_parity(params, kind, spec):
     delta, noise, config, state = _prepared(params, spec, 8)
     variant = "ramsey" if kind == "ramsey_parity" else "echo"
     t = _interaction_time(spec, params, delta, variant)
@@ -365,7 +366,7 @@ def _run_parity(params, kind, spec, seed):
        # prepared per requested |beta|, about 0.9 on this device: tenfold is no calibration
        calibration_scale=_Key(1.0, lo=0.0, hi=10.0, lo_open=True),
        grid_points=_whole(9))
-def _run_wigner(params, kind, spec, seed):
+def _run_wigner(params, kind, spec):
     extent, npts = spec["grid_extent"], spec["grid_points"]
     # by default the smallest dim the truncation guard admits at the grid corner
     # |beta| = sqrt(2) extent, where 4|beta|^2 = 8 extent^2 (60 at the largest extent)
@@ -394,7 +395,7 @@ def _run_wigner(params, kind, spec, seed):
 
 
 @_kind("fock_prep_check", **_STATE, detuning=_freq("rest", words=_POINT_NAMES))
-def _run_fock_prep_check(params, kind, spec, seed):
+def _run_fock_prep_check(params, kind, spec):
     state = _prepared(params, spec, 8)[3]
     rho = state.to_density() if isinstance(state, Ket) else state
     pn = np.real(np.diag(reduced_mode_matrix(rho, 0)))
@@ -413,7 +414,7 @@ def _run_fock_prep_check(params, kind, spec, seed):
        delay_max=_time(None),  # None: 300 us for the phonon, 30 us for the qubit
        delay_points=_whole(31, lo=_FIT_POINTS),
        demod_freq=_freq(None))  # None: the protocol's own
-def _run_coherence(params, kind, spec, seed):
+def _run_coherence(params, kind, spec):
     system = spec["system"]
     noise = _noise_for(params, spec, params.delta("rest"))
     config = _config_for(spec, 6)
@@ -432,7 +433,7 @@ def _run_coherence(params, kind, spec, seed):
     if "frequency" in fit.parameters:
         summary["fringe_frequency_hz"] = fit.parameters["frequency"]
     rows = list(zip(times, values))
-    return summary, [("decay.csv", ["delay_s", "population"], rows)], {"decay": _fit_dict(fit)}
+    return summary, [("decay.csv", ["delay_s", "population"], rows)], {"decay": asdict(fit)}
 
 
 @_kind("rabi_chevron", **{**_NOISE, "noise": _NOISE["noise"]._replace(default="none")}, **_CONFIG,
@@ -441,7 +442,7 @@ def _run_coherence(params, kind, spec, seed):
        detuning_points=_whole(36),
        time_max=_time(4e-6),
        time_points=_whole(81, lo=_FIT_POINTS))
-def _run_rabi_chevron(params, kind, spec, seed):
+def _run_rabi_chevron(params, kind, spec):
     noise = _noise_for(params, spec, 0.0)
     config = _config_for(spec, 4)
     nd, nt = spec["detuning_points"], spec["time_points"]
@@ -449,7 +450,7 @@ def _run_rabi_chevron(params, kind, spec, seed):
     times = np.linspace(0.0, spec["time_max"], nt)
     pe = vacuum_rabi_chevron(params, config, noise, deltas, times)
     i0 = int(np.argmin(np.abs(deltas)))
-    fit = analysis.decay_fit(times, pe[i0] - 0.5, "exponential_sine", seed=seed)
+    fit = analysis.decay_fit(times, pe[i0] - 0.5, "exponential_sine")
     summary = {
         "kind": "rabi_chevron",
         "resonant_oscillation_hz": fit.parameters.get("frequency", float("nan")),
@@ -461,12 +462,12 @@ def _run_rabi_chevron(params, kind, spec, seed):
         for i in range(nd)
         for j in range(nt)
     ]
-    return summary, [("chevron.csv", ["detuning_hz", "time_s", "p_e"], rows)], {"resonant": _fit_dict(fit)}
+    return summary, [("chevron.csv", ["detuning_hz", "time_s", "p_e"], rows)], {"resonant": asdict(fit)}
 
 
 @_kind("chi_scan", n_max=_whole(4, hi=_MAX_DIM - 6),
        points=_Key("fock,coherent,ramsey,rest", "word", words=_POINT_NAMES, listed=True))
-def _run_chi_scan(params, kind, spec, seed):
+def _run_chi_scan(params, kind, spec):
     n_max = spec["n_max"]
     config = HilbertConfig(2, (max(12, n_max + 6),))
     points = [p.strip() for p in spec["points"].split(",")]
@@ -491,7 +492,7 @@ def _run_chi_scan(params, kind, spec, seed):
 @_kind("offset_scan", time_points=_whole(41),
        # the scan's 16-level mode holds |beta| <= 2 under the truncation guard
        ring_radius=_Key(1.9, lo=0.0, hi=2.0, lo_open=True))
-def _run_offset_scan(params, kind, spec, seed):
+def _run_offset_scan(params, kind, spec):
     t0 = sequences.default_ramsey_time(params)
     times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, spec["time_points"])
     scan = sequences.interaction_time_offset_scan(
@@ -510,16 +511,6 @@ def _run_offset_scan(params, kind, spec, seed):
     return summary, [("offset_scan.csv", ["time_s", "offset"], rows)], None
 
 
-def _fit_dict(fit) -> dict:
-    return {
-        "parameters": dict(fit.parameters),
-        "uncertainties": dict(fit.uncertainties),
-        "residual_norm": fit.residual_norm,
-        "converged": fit.converged,
-        "metadata": dict(fit.metadata),
-    }
-
-
 def run_experiment(manifest: RunManifest) -> dict:
     """Execute one experiment; returns the summary dict (also written to disk)."""
     out = Path(manifest.out_dir)
@@ -532,8 +523,7 @@ def run_experiment(manifest: RunManifest) -> dict:
 
     written: list[Path] = []
     try:
-        summary, csvs, fits = _KINDS[kind][0](params, kind, spec, manifest.seed)
-        summary["seed"] = manifest.seed
+        summary, csvs, fits = _KINDS[kind][0](params, kind, spec)
         summary["params_sha256"] = params_hash
         out.mkdir(parents=True, exist_ok=True)
         for name, header, rows in csvs:
@@ -562,24 +552,22 @@ def compare_summaries(reference: dict, new: dict, tolerances: dict,
             f"experiment kinds differ: {reference.get('kind')!r} vs {new.get('kind')!r}"
         )
     report = []
-    ok = True
     skip = {"kind", "seed", "params_sha256", "phases"}
     for key, ref_val in reference.items():
         if key in skip or not isinstance(ref_val, (int, float)) or isinstance(ref_val, bool):
             continue
         tol = float(tolerances.get(key, default_tolerance))
-        if key not in new:
-            ok = False
-            report.append(f"FAIL {key}: missing metric in new summary")
+        if not isinstance(new.get(key), (int, float)):  # absent, or null as an unfitted value
+            report.append(f"FAIL {key}: missing metric or not a number in new summary")
             continue
         new_val = new[key]
-        scale = max(abs(ref_val), 1e-30)
-        rel = abs(new_val - ref_val) / scale
+        # equal values agree, two like infinities and two NaNs included; any other
+        # rel that is not finite (NaN against a number, an infinity) fails
+        same = new_val == ref_val or (math.isnan(new_val) and math.isnan(ref_val))
+        rel = 0.0 if same else abs(new_val - ref_val) / max(abs(ref_val), 1e-30)
         status = "ok" if rel <= tol else "FAIL"
-        if rel > tol:
-            ok = False
         report.append(f"{status} {key}: ref={ref_val!r} new={new_val!r} rel={rel:.3e} tol={tol}")
-    return ok, report
+    return not any(line.startswith("FAIL") for line in report), report
 
 
 def _load_summary(path: str) -> dict:
@@ -603,7 +591,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--params", default=None, help="parameter key/value file")
     runp.add_argument("--experiment", required=True, help="experiment spec file")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--paper-defaults", action="store_true")
     runp.add_argument("--quiet", action="store_true")
     cmp = sub.add_parser("compare", help="compare two summary JSON files")
@@ -624,7 +611,6 @@ def main(argv=None) -> int:
                 params_path=args.params,
                 experiment_path=args.experiment,
                 out_dir=args.out,
-                seed=args.seed,
                 paper_defaults=args.paper_defaults,
             )
             summary = run_experiment(manifest)

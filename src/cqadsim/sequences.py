@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .analysis import SpectrumTrace, _dominant_frequency, _fit, decay_fit
+from .analysis import SpectrumTrace, _dominant_frequency, _projected_fit, decay_fit
 from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
 from .dynamics import (
     NoiseModel,
@@ -405,23 +405,24 @@ def interaction_time_offset_scan(
 
 
 def _fit_oscillation_frequency(times, offsets) -> float:
-    """Least-squares sinusoid frequency of the signed offset trace (Hz)."""
+    """Least-squares sinusoid frequency of the signed offset trace (Hz).
+
+    a cos(2 pi f t + phi) is separable: a cos phi and a sin phi are linear, so
+    only f is fitted, from the FFT peak.
+    """
     t = times - times[0]
     y = offsets - offsets.mean()
     if np.allclose(y, 0):
         return 0.0
     f0 = _dominant_frequency(t, y)
 
-    def residual(p):
-        a, f, ph = p
-        return a * np.cos(TWO_PI * f * t + ph) - y
+    def columns(theta):
+        return np.column_stack([np.cos(TWO_PI * theta[0] * t), -np.sin(TWO_PI * theta[0] * t)])
 
-    _, x = _fit(residual, [float(np.abs(y).max()), f0, 0.0],
-                ([0.0, f0 / 3.0, -TWO_PI], [np.inf, f0 * 3.0, TWO_PI]),
-                ["amplitude", "frequency", "phase"])
-    if x is None:
+    theta = _projected_fit(columns, y, [f0], ([f0 / 3.0], [f0 * 3.0]), ["frequency"])[1]
+    if theta is None:
         raise NumericError("the offset-scan sinusoid fit did not finish")
-    return float(x[1])
+    return float(theta[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@
 ``cqadsim run --experiment presets/<name>.spec`` wrote before the latest
 refactor.  A refactor must reproduce it to 1e-6 relative; rewrite a reference
 only with a change that means to move the results, and say so.
+
+``coherent_spectroscopy.json`` is written at the size its test runs: the preset
+with ``phonon_dim = 6`` and ``freq_step = 10000.0`` (10 kHz).  References
+written before the ``seed`` option went still hold a ``"seed"`` key, which
+``compare_summaries`` skips.
 """
 
 import json

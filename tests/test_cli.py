@@ -76,7 +76,6 @@ def test_run_determinism(tmp_path):
             params_path=None,
             experiment_path=str(PRESETS / "chi_scan.spec"),
             out_dir=str(out),
-            seed=7,
         ))
         texts.append((out / "summary.json").read_bytes())
     assert texts[0] == texts[1]
@@ -123,6 +122,44 @@ def test_compare_cli_exit_codes(tmp_path):
     assert main(["compare", "--reference", ref, "--new", new_ok, "--quiet"]) == 0
 
 
+def test_compare_fails_a_value_that_turned_nan(tmp_path, capsys):
+    ref = write(tmp_path, "ref.json", json.dumps({"kind": "x", "t_fit_s": 7.47e-05}))
+    new = write(tmp_path, "new.json", json.dumps({"kind": "x", "t_fit_s": math.nan}))
+    assert main(["compare", "--reference", ref, "--new", new]) == 4
+    assert "FAIL t_fit_s" in capsys.readouterr().out
+    ok, report = compare_summaries(json.loads(Path(new).read_text()),
+                                   json.loads(Path(ref).read_text()), {})
+    assert not ok and report[0].startswith("FAIL ")
+
+
+def test_compare_equal_non_finite_values_agree(tmp_path, capsys):
+    """An undamped qubit Ramsey fit reports t_fit_s = Infinity; its summary compares clean
+    with itself, and so do two NaNs.  An infinity against a number, or of the other sign,
+    fails."""
+    spec = write(tmp_path, "t2.spec", "kind = t2_ramsey\nsystem = qubit\nnoise = none\n")
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    summary = str(out / "summary.json")
+    assert "Infinity" in Path(summary).read_text()
+    assert main(["compare", "--reference", summary, "--new", summary]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    ok, _ = compare_summaries({"kind": "x", "m": math.nan}, {"kind": "x", "m": math.nan}, {})
+    assert ok
+    for new in (1.0, -math.inf, math.nan, None):
+        ok, report = compare_summaries({"kind": "x", "m": math.inf}, {"kind": "x", "m": new}, {})
+        assert not ok and report[0].startswith("FAIL "), new
+
+
+def test_run_has_no_seed_option(tmp_path, capsys):
+    """Every fit takes one deterministic start, so there is no seed to set."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--seed", "1", "--experiment", str(PRESETS / "chi_scan.spec"),
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_spec_kind_no_outputs(tmp_path):
     bad = write(tmp_path, "bad.spec", "kind = frobnicate\n")
     out = tmp_path / "out"
@@ -164,6 +201,9 @@ def test_vacuum_rabi_run(tmp_path, matches_reference):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["resonant_oscillation_hz"] == pytest.approx(519e3, rel=0.02)
     matches_reference("vacuum_rabi", summary)
+    # one optimum, one phase: atan2 of the linear A cos phi and A sin phi
+    phase = json.loads((out / "fit.json").read_text())["resonant"]["parameters"]["phase"]
+    assert -math.pi < phase <= math.pi
     rows = (out / "chevron.csv").read_text().splitlines()
     assert rows[1] == "detuning_hz,time_s,p_e"
 
@@ -185,7 +225,7 @@ def preset_copy(tmp_path, name, **overrides):
     return write(tmp_path, name, "".join(f"{k} = {v}\n" for k, v in data.items()))
 
 
-def test_coherent_spectroscopy_preset_run(tmp_path):
+def test_coherent_spectroscopy_preset_run(tmp_path, matches_reference):
     spec = preset_copy(tmp_path, "coherent_spectroscopy.spec",
                        phonon_dim=6, freq_step=10e3)
     out = tmp_path / "out"
@@ -194,6 +234,7 @@ def test_coherent_spectroscopy_preset_run(tmp_path):
     assert '"converged": true' in text
     summary = json.loads(text)
     assert summary["nbar"] == pytest.approx(0.64, abs=0.2)
+    matches_reference("coherent_spectroscopy", summary)
 
 
 def test_wigner_preset_run(tmp_path):
@@ -469,6 +510,18 @@ def _python(*args):
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=60)
+
+
+@pytest.mark.parametrize("workload", ["wigner", "spectroscopy"])
+def test_benchmark_worker_runs_a_traced_tiny_sample(workload):
+    """The benchmark's worker still finds what it calls and traces in cqadsim (the runner and
+    fit arguments it passes, the propagator cache, every layer module): one traced tiny sample
+    exits 0 and passes its checks."""
+    proc = _python(str(ROOT / "benchmarks" / "worker.py"), "--workload", workload,
+                   "--size", "tiny", "--seed", "0", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["ok"] is True, record["errors"]
 
 
 def test_unbounded_expm_action_is_a_numeric_failure(tmp_path):

@@ -6,22 +6,23 @@ frame, 0 Hz from LG-00), so the qubit detuning Delta(t) appears
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
-A propagator is built only where it is reused: by the parity readout (run
-backward through ``_apply_adjoint``, and forward for its vacuum fringe), by
-``vacuum_rabi_chevron``'s time steps, by ``sequences.coherence_protocols``'s
-delay loop, and for an undriven segment of a Ket (noiseless evolution).  It
-is built one way (``_propagator``: the Liouvillian exponential with collapse
-operators, exp(-i H t) without) and applied one way (``_apply``: U psi,
-U rho U^dag or P vec(rho), by the propagator's row count);
-``_apply_adjoint`` is the same step taken backward on an observable.  Each comes from one cache keyed on
-the segment's inputs (segment, params, config, noise).  The Liouvillian is
+A propagator is built only where it is reused, or where a pass reaches few
+of its blocks: by the parity readout (one pass backward through
+``_apply_adjoint`` per operating point), by ``vacuum_rabi_chevron``'s time
+steps, by ``sequences.coherence_protocols``'s delay loop, and for an
+undriven segment of a Ket (noiseless evolution).  It is built one way
+(``_propagator``: the Liouvillian exponential with collapse operators,
+exp(-i H t) without) and applied one way (``_apply``: U psi, U rho U^dag or
+P vec(rho), by the propagator's row count); ``_apply_adjoint`` is the same
+step taken backward on an operator.  Each comes from one cache keyed on the
+segment's inputs (segment, params, config, noise).  The Liouvillian is
 built as a sparse matrix.  Without drives it conserves the total excitation
 number, so it splits into independent blocks by coherence order, read off
 the generator's own nonzero pattern; its propagator (``_BlockPropagator``)
 keeps them apart and exponentiates a block only when a vector applied to
-it, forward or transposed, first reaches that block.  A parity readout that
-starts from sigma_z and passes through qubit rotations builds only the few
-blocks of low coherence order.
+it, forward or transposed, first reaches that block.  The parity readout,
+which starts from sigma_+ and passes through qubit rotations, builds only
+the few blocks of low coherence order.
 
 A single pass is an action: ``evolve_segments`` applies every segment of a
 density matrix, and every driven segment of a Ket, once to one state
@@ -241,9 +242,9 @@ class Segment:
 class _PropagatorCache:
     """Size-budgeted LRU for segment propagators, keyed by the segment's inputs.
 
-    Its entries are the propagators of loops that reuse them (the parity
-    readout, ``vacuum_rabi_chevron``, ``sequences.coherence_protocols``) and
-    of undriven Ket segments; a single pass over a density matrix is an
+    Its entries are the propagators of the parity readout, of loops that
+    reuse them (``vacuum_rabi_chevron``, ``sequences.coherence_protocols``)
+    and of undriven Ket segments; a single pass over a density matrix is an
     action and puts nothing here.  The budget counts elements: ``size`` of a
     dense array, and of a ``_BlockPropagator`` the full element count of all
     its blocks, built or not.  Unlocked: every sweep runs in one thread.

@@ -141,7 +141,7 @@ class Ket:
             )
         if self.normalized:
             nrm = np.linalg.norm(v)
-            if abs(nrm - 1.0) > 1e-9:
+            if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
                 raise ValidationError(f"state norm {nrm!r} deviates from 1 beyond 1e-9")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
@@ -300,9 +300,9 @@ def _truncation_guard(config: HilbertConfig, mode_index: int, beta: complex):
     _check_mode(config, mode_index)
     dim = config.phonon_dims[mode_index]
     # |beta|^2 as re^2 + im^2, exact where they are (abs() rounds); inf, not an
-    # OverflowError, for a huge |beta|
+    # OverflowError, for a huge |beta|; a NaN beta fails the check too
     required = 4.0 * (beta.real * beta.real + beta.imag * beta.imag)
-    if dim < required:
+    if not required <= dim:
         raise TruncationError(
             f"|beta|={abs(beta):.4g} needs phonon dim >= {np.ceil(required):.0f}, mode has {dim}"
         )

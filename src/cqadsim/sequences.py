@@ -1,12 +1,11 @@
 """Experiment protocols: state preparation, spectroscopy, parity, Wigner scans.
 
 Pulses in the parity sequences are instantaneous rotations; the phase of the
-final pi/2 pulse is calibrated numerically against a vacuum reference run
-(four phase offsets, cosine extraction), exactly one calibration per
-operating point: variant, interaction time, detuning, parameters, Hilbert
-space, and noise without its static offset.
-Parity values are reported normalized by the vacuum fringe contrast; the raw
-qubit expectation is kept alongside.
+final pi/2 pulse is calibrated against the vacuum fringe, exactly one
+calibration per operating point: variant, interaction time, detuning,
+parameters, Hilbert space, and noise without its static offset.  Parity
+values are reported normalized by the vacuum fringe contrast; the raw qubit
+expectation is kept alongside.
 
 Prepared states are Kets; ``dynamics.evolve_segments`` turns a Ket into a
 density matrix when it meets a dissipative segment.  A preparation passes
@@ -14,23 +13,24 @@ each of its segments once, so ``evolve_segments`` applies it to the state as
 an action and builds no propagator.  Spectroscopy, which propagates in its
 own probe frame, converts its input itself and evolves it over the whole
 frequency grid with one ``dynamics._frame_states`` (the probe frequency is
-the frame), never building a propagator.  The loops that reuse a segment
-(the parity readout and the coherence protocols' delays) take its cached
-``dynamics._segment_propagator``; they, and the instantaneous pulses, apply
-it through ``dynamics._apply``.
+the frame), never building a propagator.  The parity readout and the
+coherence protocols' delay loop take a segment's cached
+``dynamics._segment_propagator``; the loop and the instantaneous pulses
+apply it through ``dynamics._apply``, the readout through
+``dynamics._apply_adjoint``.
 
 The Ramsey and echo sequences are one list of steps (``_parity_steps``:
-rotation matrices and constant segments).  Parity has one readout,
-run backward: from sigma_z through ``dynamics._apply_adjoint`` into one
-phase-averaged effect operator E per operating point, and each state is read
-as Tr[E rho] (<psi|E|psi> for a Ket).  ``_calibrated_effect`` pairs E with its
-vacuum calibration; the parity estimate (``four_phase_average``; one drive
-phase is ``phases=(theta,)``) and the Wigner and offset scans all read parity
-through it.  The vacuum fringe that calibrates E runs forward: its four
-readout offsets share every step but the final pulse, so the vacuum takes the
-shared steps once.
+rotation matrices and constant segments).  Parity has one readout, run
+backward once per operating point: sigma_+ goes through the phase-0 sequence
+up to its readout pulse by ``dynamics._apply_adjoint`` (``_readout_adjoint``).
+Its vacuum entry is the vacuum fringe, and ``_calibrated_effect`` turns it
+into the effect operator E for any drive phases, because a drive phase is a
+rotation exp(i theta N) that every segment commutes with.  Each state is read
+as Tr[E rho] (<psi|E|psi> for a Ket); the parity estimate
+(``four_phase_average``; one drive phase is ``phases=(theta,)``) and the
+Wigner and offset scans all read parity through it.
 
-The vacuum fringe and the echo-offset zero time are ``functools.lru_cache``
+The readout pass and the echo-offset zero time are ``functools.lru_cache``
 memos keyed on their arguments; each evaluation of the zero time's offset,
 the 121-point bracket scan included, is one analytic call batched over the
 four phases.  The Wigner grid is read in blocks of bounded size and the
@@ -135,8 +135,10 @@ class StatePrep:
 class ParityResult:
     """Calibrated parity estimate from one qubit interferometry sequence.
 
-    ``value`` is the contrast-normalized estimate (raw - offset)/contrast
-    against the vacuum reference; ``raw_sigma_z`` is the bare expectation.
+    ``value`` is the contrast-normalized estimate raw/contrast against the
+    vacuum reference; ``raw_sigma_z`` is the bare expectation.  The vacuum
+    fringe is 2 Re(e^{io} <sigma_+>) in the readout phase o, so it has no
+    offset term to subtract.
     Single-phase estimates at finite g/Delta can overshoot |1| by O(eps^2);
     four-phase averages at offset-zeroed times stay within 1e-3.
     """
@@ -231,63 +233,59 @@ def _parity_steps(variant, theta, theta2, t, delta, config):
             qubit_rotation(config, theta2, math.pi / 2.0)]
 
 
-def _parity_effect(variant, phases, offset, t, delta, params, config, noise) -> OperatorMatrix:
-    """The phase-averaged effect E: Tr[E rho] is the mean raw sigma_z over ``phases``.
+def _excitation_number(config: HilbertConfig) -> np.ndarray:
+    """N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none, plus sum_k n_k.
 
-    Drive phase th is read out at th + ``offset``.  Each phase's sequence runs
-    backward from sigma_z (the Heisenberg picture) through the cached segment
-    propagators, so one E reads any number of states by one contraction each.
+    exp(i theta N) commutes with every segment's Hamiltonian and collapse
+    operators and turns a phase-0 qubit drive or pulse into the phase-theta one.
     """
-    if len(phases) == 0:
-        raise ValidationError("phases must hold at least one drive phase")
-    sz = qubit_operator(config, "sigma_z").matrix
-    total = 0.0
-    for th in phases:
-        op = sz
-        for step in reversed(_parity_steps(variant, th, th + offset, t, delta, config)):
-            if isinstance(step, Segment):
-                step = _segment_propagator(step, params, config, noise)
-            op = _apply_adjoint(step, op)
-        total = total + op
-    return OperatorMatrix(config, total / len(phases))
+    levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
+    return (levels[0] == 1) + levels[1:].sum(axis=0)
+
+
+@functools.lru_cache(maxsize=8)
+def _readout_adjoint(variant, t, delta, params, config, noise) -> np.ndarray:
+    """F: sigma_+ run backward through the phase-0 sequence up to its readout pulse, cached.
+
+    Tr[F rho] is <sigma_+> just before the readout pulse, so F's vacuum entry
+    F_00 is the vacuum fringe.  An entry is a dense d x d array that is
+    reused only while its operating point is read (with a static offset, by
+    two passes), so the cache keeps few.
+    """
+    op = qubit_operator(config, "sigma_plus").matrix
+    for step in reversed(_parity_steps(variant, 0.0, 0.0, t, delta, config)[:-1]):
+        if isinstance(step, Segment):
+            step = _segment_propagator(step, params, config, noise)
+        op = _apply_adjoint(step, op)
+    op.setflags(write=False)
+    return op
 
 
 def _calibrated_effect(variant, phases, t, delta, params, config, noise):
-    """The effect E at one operating point with its vacuum calibration: (E, offset, contrast).
+    """The phase-averaged effect E at one operating point and its vacuum contrast: (E, contrast).
 
-    The fringe is computed without any static qubit offset (an uncalibrated
-    drift must not leak into the calibration), so offset variants share one
-    calibration; E reads each drive phase at the fringe's phase offset.
+    Tr[E rho] is the mean raw sigma_z over the drive ``phases``, each read out
+    at the vacuum fringe's phase.  A readout pulse at phase o turns sigma_z
+    into e^{io} sigma_+ + h.c., so the vacuum reads 2 Re(e^{io} F_00): contrast
+    2|F_00| at o = -arg F_00, and no offset term.  The fringe is taken without
+    any static qubit offset (an uncalibrated drift must not leak into the
+    calibration); that is the same pass when the offset is 0.  Drive phase th
+    is the phase-0 sequence conjugated by exp(i th N), so
+    E = [(F_00*/|F_00|) F + h.c.] o M with M_ij = mean_th exp(i th (N_i - N_j)).
     """
-    phase, contrast, offset = _vacuum_fringe(variant, t, delta, params, config,
-                                             noise.without_offset())
-    return _parity_effect(variant, phases, phase, t, delta, params, config, noise), offset, contrast
-
-
-@functools.lru_cache(maxsize=1024)
-def _vacuum_fringe(variant, t, delta, params, config, noise):
-    """The fringe of the vacuum at four readout-phase offsets, cached on its arguments.
-
-    The four runs share every step but the final pi/2 pulse, so the vacuum
-    goes forward through the shared steps once and is read after each of the
-    four final rotations.
-    """
-    state = fock_state(config, [0] * config.n_modes, 0)
-    for step in _parity_steps(variant, 0.0, 0.0, t, delta, config)[:-1]:
-        if isinstance(step, Segment):
-            step = _segment_propagator(step, params, config, noise)
-        state = _apply(step, state)
-    sz = qubit_operator(config, "sigma_z")
-    vals = [expectation(_apply(qubit_rotation(config, o, math.pi / 2.0), state), sz).real
-            for o in FOUR_PHASES]
-    c = (vals[0] - vals[2]) / 2.0
-    s = (vals[1] - vals[3]) / 2.0
-    phase = math.atan2(s, c)
-    contrast = math.hypot(c, s)
-    offset = sum(vals) / 4.0
+    phases = np.asarray(phases, dtype=float)
+    if phases.size == 0:
+        raise ValidationError("phases must hold at least one drive phase")
+    if not np.isfinite(phases).all():
+        raise ValidationError(f"drive phases must be finite, got {phases.tolist()}")
+    f00 = _readout_adjoint(variant, t, delta, params, config, noise.without_offset())[0, 0]
+    contrast = 2.0 * abs(f00)
     if contrast < 1e-6:
         raise NumericError("vacuum reference fringe has no contrast; cannot calibrate")
-    return phase, contrast, offset
+    n = _excitation_number(config)
+    m = np.mean(np.exp(1j * np.multiply.outer(phases, np.subtract.outer(n, n))), axis=0)
+    w = (np.conj(f00) / abs(f00)) * _readout_adjoint(variant, t, delta, params, config, noise)
+    return OperatorMatrix(config, (w + w.conj().T) * m), contrast
 
 
 def four_phase_average(
@@ -305,10 +303,10 @@ def four_phase_average(
     Ramsey is pi/2 - interaction - pi/2; echo splits the interaction into
     halves at +-``delta`` around a pi pulse.  One drive phase is ``(theta,)``.
     """
-    effect, offset, contrast = _calibrated_effect(variant, phases, t_interaction, delta, params,
-                                                  config, noise)
+    effect, contrast = _calibrated_effect(variant, phases, t_interaction, delta, params, config,
+                                          noise)
     raw = float(expectation(prepared_state, effect).real)
-    return ParityResult(value=(raw - offset) / contrast, raw_sigma_z=raw,
+    return ParityResult(value=raw / contrast, raw_sigma_z=raw,
                         reference_contrast=contrast)
 
 
@@ -378,15 +376,16 @@ def interaction_time_offset_scan(
         raise ValidationError(
             f"an offset scan needs at least 4 times to fit a sinusoid's 3 parameters, "
             f"got {times.size}")
+    if n_ring < 1:
+        raise ValidationError(f"n_ring must be >= 1 ring point, got {n_ring}")
     vac = fock_state(config, [0] * config.n_modes, 0)
     ring = np.array([ring_radius * np.exp(2j * math.pi * k / n_ring) for k in range(n_ring)])
     _guard_points(config, ring)
     dmats = _displacements(config.phonon_dims[0], -ring)
     offsets = np.empty(times.size)
     for i, t in enumerate(times):
-        effect, offset, contrast = _calibrated_effect("echo", FOUR_PHASES, t, d, params, config,
-                                                      noise)
-        vals = (_displaced_readout(vac, effect, dmats) - offset) / contrast
+        effect, contrast = _calibrated_effect("echo", FOUR_PHASES, t, d, params, config, noise)
+        vals = _displaced_readout(vac, effect, dmats) / contrast
         offsets[i] = (2.0 / math.pi) * float(np.mean(vals))
 
     freq = _fit_oscillation_frequency(times, offsets)
@@ -501,9 +500,7 @@ def qubit_spectroscopy(
     pe = qubit_projector(config, 1)
     probe_seg = Segment(probe_duration, 0.0, qubit_drive=probe)  # resonant in the probe frame
     rho = prepared_state.to_density() if isinstance(prepared_state, Ket) else prepared_state
-    # N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none
-    levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
-    n = (levels[0] == 1) + levels[1:].sum(axis=0)
+    n = _excitation_number(config)
     keep = np.subtract.outer(n, n) % _PHASE_CYCLES == 0
     rho = DensityMatrix(config, np.where(keep, rho.matrix, 0.0))
     h = (full_jc_hamiltonian(params, config, delta_operate + noise.static_qubit_offset).matrix
@@ -573,15 +570,15 @@ def wigner_scan(
     grid = np.asarray(beta_grid, dtype=complex)
     flat = grid.reshape(-1)
     _guard_points(config, flat)
-    effect, offset, contrast = _calibrated_effect("echo", FOUR_PHASES, interaction_time, delta,
-                                                  params, config, noise)
+    effect, contrast = _calibrated_effect("echo", FOUR_PHASES, interaction_time, delta, params,
+                                          config, noise)
     size = config.dim if isinstance(prepared_state, Ket) else config.dim ** 2
     block = max(1, _WIGNER_BLOCK_ENTRIES // size)
     raw = np.empty(flat.size)
     for i in range(0, flat.size, block):
         dmats = _displacements(config.phonon_dims[0], -flat[i:i + block])
         raw[i:i + block] = _displaced_readout(prepared_state, effect, dmats)
-    return ((raw - offset) / contrast).reshape(grid.shape)
+    return (raw / contrast).reshape(grid.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ from cqadsim.sequences import (
     FOUR_PHASES,
     StatePrep,
     _calibrated_effect,
-    _vacuum_fringe,
+    _excitation_number,
+    _readout_adjoint,
     prepare_state,
     qubit_spectroscopy,
 )
@@ -567,28 +568,31 @@ def test_block_propagator_builds_only_the_blocks_a_vector_reaches(gen, seed):
 
 
 def test_echo_parity_effect_builds_only_low_coherence_orders(params):
-    """sigma_z read back through the echo reaches |q| <= 2 in the late half, |q| <= 3 in the early.
+    """sigma_+ read back through the echo reaches one coherence order in the late half, five in
+    the early one.
 
-    The late half is reached from sigma_z through a pi/2 pulse and from the
-    vacuum through pi/2, a wait and a pi pulse; the pi pulse turns the
-    a^dag^2 sigma_- part of the late half's Heisenberg operator into coherence
-    order 3 before the early half.
+    The readout pass stops before the final pi/2 pulse, so the late half sees
+    sigma_+ alone, a single coherence order; the pi pulse between the halves
+    turns it into orders -3..1 (in the vec of the transposed operator that
+    ``_apply_adjoint`` hands the block propagator).  Measured the same at
+    phonon dims 5 and 19.
     """
-    config = HilbertConfig(2, (5,))
     delta = params.delta("ramsey")
     noise = NoiseModel.from_params(params, delta)
-    clear_propagator_cache()
-    _vacuum_fringe.cache_clear()  # the fringe's forward run is one of the two readers
-    _calibrated_effect("echo", FOUR_PHASES, 6e-6, delta, params, config, noise)
-    levels = np.indices(config.dims).reshape(2, -1)
-    n = (levels[0] == 1) + levels[1]
-    q = np.subtract.outer(n, n).reshape(-1)
-    built = {}
-    for (seg, *_), prop in dynamics._CACHE._data.items():
-        starts = prop._order[prop._bounds[:-1]]
-        built[seg.detuning] = sorted(q[s] for s, b in zip(starts, prop._blocks) if b is not None)
-        assert len(prop._blocks) == 2 * n.max() + 1
-    assert built == {delta: [-3, -2, -1, 0, 1, 2, 3], -delta: [-2, -1, 0, 1, 2]}
+    for dim in (5, 19):
+        config = HilbertConfig(2, (dim,))
+        clear_propagator_cache()
+        _readout_adjoint.cache_clear()
+        _calibrated_effect("echo", FOUR_PHASES, 6e-6, delta, params, config, noise)
+        n = _excitation_number(config)
+        q = np.subtract.outer(n, n).reshape(-1)
+        built = {}
+        for (seg, *_), prop in dynamics._CACHE._data.items():
+            starts = prop._order[prop._bounds[:-1]]
+            built[seg.detuning] = sorted(q[s] for s, b in zip(starts, prop._blocks)
+                                         if b is not None)
+            assert len(prop._blocks) == 2 * n.max() + 1
+        assert built == {delta: [-3, -2, -1, 0, 1], -delta: [-1]}
 
 
 @pytest.mark.parametrize("n_collapse", [0, 1, 2, 3, 4])

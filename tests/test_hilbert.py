@@ -139,6 +139,23 @@ def test_coherent_truncation_guard():
         coherent_state(cfg, 0, 2.5)
 
 
+@pytest.mark.parametrize("beta", [complex(math.nan, 0.0), complex(0.5, math.nan)])
+def test_coherent_truncation_guard_refuses_a_nan_amplitude(beta):
+    with pytest.raises(TruncationError, match="nan"):
+        coherent_state(HilbertConfig(2, (8,)), 0, beta)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ket_refuses_a_non_finite_vector_as_normalized(bad):
+    cfg = HilbertConfig(2, (3,))
+    with pytest.raises(ValidationError, match="norm"):
+        Ket(cfg, np.full(cfg.dim, bad, dtype=complex))
+    v = np.zeros(cfg.dim, dtype=complex)
+    v[0], v[1] = 1.0, bad
+    with pytest.raises(ValidationError, match="norm"):
+        Ket(cfg, v)
+
+
 def test_displacement_identity_and_series():
     cfg = HilbertConfig(2, (20,))
     d0 = displacement_operator(cfg, 0, 0.0)

@@ -204,6 +204,14 @@ def test_four_phase_average_rejects_no_phases(params, cfg8):
                            params.delta("ramsey"), phases=())
 
 
+@pytest.mark.parametrize("phases", [(math.inf,), (0.0, math.nan)])
+def test_four_phase_average_rejects_non_finite_phases(params, cfg8, phases):
+    vac = prepare_state(StatePrep("fock", 0), params, cfg8, NOISELESS)
+    with pytest.raises(ValidationError, match="finite"):
+        four_phase_average(vac, "echo", params, cfg8, NOISELESS, default_ramsey_time(params),
+                           params.delta("ramsey"), phases=phases)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.2])
 def test_parity_result_rejects_non_finite_or_far_values(value):
     with pytest.raises(NumericError):
@@ -286,27 +294,45 @@ _EFFECT_CONFIGS = st.one_of(
 )
 
 
-def _forward_phase_mean(state, variant, phases, offset, t, d, params, cfg, noise):
-    """Mean sigma_z after running each phase's sequence forward on the state."""
+def _forward_phase_mean(state, variant, phases, readout, t, d, params, cfg, noise):
+    """Mean sigma_z after running each phase's sequence forward on the state.
+
+    Drive phase th is read out at th + ``readout``.
+    """
     vals = []
     for th in phases:
         out = state
-        for step in sequences._parity_steps(variant, th, th + offset, t, d, cfg):
+        for step in sequences._parity_steps(variant, th, th + readout, t, d, cfg):
             out = (evolve_segments(out, [step], params, cfg, noise) if isinstance(step, Segment)
                    else _apply(step, out))
         vals.append(expectation(out, qubit_operator(cfg, "sigma_z")).real)
     return float(np.mean(vals))
 
 
+def _four_offset_vacuum_fringe(variant, t, d, params, cfg, noise):
+    """(phase, contrast, offset) of the vacuum read at the four readout offsets FOUR_PHASES."""
+    vac = fock_state(cfg, [0] * cfg.n_modes, 0)
+    vals = [_forward_phase_mean(vac, variant, [0.0], o, t, d, params, cfg, noise)
+            for o in FOUR_PHASES]
+    c, s = (vals[0] - vals[2]) / 2.0, (vals[1] - vals[3]) / 2.0
+    return math.atan2(s, c), math.hypot(c, s), sum(vals) / 4.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(_EFFECT_CONFIGS, st.booleans(), st.sampled_from(("echo", "ramsey")),
        st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4),
-       st.floats(-math.pi, math.pi), st.floats(0.5, 1.5), st.integers(0, 2**32 - 1))
-@example(HilbertConfig(2, (6,)), True, "echo", list(FOUR_PHASES), 0.7, 1.0, 0)
-@example(HilbertConfig(3, (4,)), True, "ramsey", [0.3, 1.7], -1.2, 0.8, 1)
-@example(HilbertConfig(2, (3, 3)), False, "echo", [2.0], 2.5, 1.2, 2)
-def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases, offset,
-                                                    t_scale, seed):
+       st.floats(0.5, 1.5), st.integers(0, 2**32 - 1))
+@example(HilbertConfig(2, (6,)), True, "echo", list(FOUR_PHASES), 1.0, 0)
+@example(HilbertConfig(3, (4,)), True, "ramsey", [0.3, 1.7], 0.8, 1)
+@example(HilbertConfig(2, (3, 3)), False, "echo", [2.0], 1.2, 2)
+def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases, t_scale, seed):
+    """E and the contrast from one backward sigma_+ pass against every phase run forward.
+
+    The reference calibrates on the vacuum read at four readout offsets
+    (without the static offset) and runs each drive phase's sequence forward
+    on the state, read out at the fringe's phase; its offset term is zero to
+    rounding.
+    """
     params = paper_default_params()
     d = params.delta("ramsey")
     t = t_scale * default_ramsey_time(params, d)
@@ -317,18 +343,22 @@ def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases,
     a = rng.normal(size=(cfg.dim, 2)) + 1j * rng.normal(size=(cfg.dim, 2))
     states = (Ket(cfg, v / np.linalg.norm(v)),
               DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T)))
-    effect = sequences._parity_effect(variant, tuple(phases), offset, t, d, params, cfg, noise)
+    readout, contrast, offset = _four_offset_vacuum_fringe(variant, t, d, params, cfg,
+                                                           noise.without_offset())
+    effect, got_contrast = sequences._calibrated_effect(variant, tuple(phases), t, d, params, cfg,
+                                                        noise)
+    assert abs(got_contrast - contrast) < 1e-12
+    assert abs(offset) < 1e-12
     for state in states:
-        forward = _forward_phase_mean(state, variant, phases, offset, t, d, params, cfg, noise)
+        forward = _forward_phase_mean(state, variant, phases, readout, t, d, params, cfg, noise)
         assert abs(expectation(state, effect).real - forward) < 1e-12
 
 
 def _per_point_wigner(state, grid, params, cfg, noise, t, d):
     """The per-point reference: ``displacement_operator``, ``_apply``, ``expectation``."""
-    effect, offset, contrast = sequences._calibrated_effect("echo", FOUR_PHASES, t, d, params,
-                                                            cfg, noise)
-    vals = [(expectation(_apply(displacement_operator(cfg, 0, -b).matrix, state), effect).real
-             - offset) / contrast for b in np.asarray(grid).reshape(-1)]
+    effect, contrast = sequences._calibrated_effect("echo", FOUR_PHASES, t, d, params, cfg, noise)
+    vals = [expectation(_apply(displacement_operator(cfg, 0, -b).matrix, state), effect).real
+            / contrast for b in np.asarray(grid).reshape(-1)]
     return np.reshape(vals, np.shape(grid))
 
 
@@ -388,6 +418,13 @@ def test_wigner_scan_refuses_a_bad_corner_before_any_readout(params, monkeypatch
     assert built == []
 
 
+def test_wigner_scan_refuses_a_nan_grid_point(params):
+    cfg = HilbertConfig(2, (6,))
+    with pytest.raises(TruncationError, match="nan"):
+        wigner_scan(fock_state(cfg, [0], 0), np.array([[0.1, complex(math.nan, 0.0)]]), params,
+                    cfg, NOISELESS, 7e-6, params.delta("ramsey"))
+
+
 def test_wigner_scan_evolves_no_segment_per_grid_point(params):
     cfg = HilbertConfig(2, (5,))
     noise = NoiseModel.from_params(params, params.delta("ramsey"))
@@ -402,7 +439,7 @@ def test_wigner_scan_evolves_no_segment_per_grid_point(params):
 
     def calls(grid):
         counts.clear()
-        sequences._vacuum_fringe.cache_clear()
+        sequences._readout_adjoint.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             for name in ("_segment_propagator", "_apply_adjoint"):
                 mp.setattr(sequences, name, counting(name, getattr(sequences, name)))
@@ -421,6 +458,14 @@ def test_offset_scan_needs_four_times(params):
     with pytest.raises(ValidationError, match="at least 4 times"):
         interaction_time_offset_scan(params, cfg, NOISELESS, times=[t0 - 1e-7, t0, t0 + 1e-7],
                                      n_ring=1)
+
+
+def test_offset_scan_needs_a_ring_point(params):
+    cfg = HilbertConfig(2, (6,))
+    t0 = default_ramsey_time(params)
+    with pytest.raises(ValidationError, match="n_ring"):
+        interaction_time_offset_scan(params, cfg, NOISELESS, times=t0 + np.arange(4) * 1e-7,
+                                     n_ring=0)
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +671,34 @@ def test_zero_noise_divergent_flagged(params):
 
 
 def test_fringe_calibration_cache_tracks_lg10_coupling(params):
-    from cqadsim import sequences
-
-    sequences._vacuum_fringe.cache_clear()
+    """The cached readout pass is keyed on the LG-10 coupling: its vacuum fringe phase moves."""
+    sequences._readout_adjoint.cache_clear()
     cfg = HilbertConfig(2, (5, 3))
     strong = replace(params, g_lg10=200e3)
     d = params.delta("ramsey")
     t = default_ramsey_time(params, d)
-    fresh = sequences._vacuum_fringe("ramsey", t, d, strong, cfg, NOISELESS)
-    sequences._vacuum_fringe.cache_clear()
-    weak = sequences._vacuum_fringe("ramsey", t, d, params, cfg, NOISELESS)
-    assert sequences._vacuum_fringe("ramsey", t, d, strong, cfg, NOISELESS) == fresh
-    assert abs(fresh[0] - weak[0]) > 0.1
+    fresh = sequences._readout_adjoint("ramsey", t, d, strong, cfg, NOISELESS)
+    sequences._readout_adjoint.cache_clear()
+    weak = sequences._readout_adjoint("ramsey", t, d, params, cfg, NOISELESS)
+    assert np.array_equal(sequences._readout_adjoint("ramsey", t, d, strong, cfg, NOISELESS), fresh)
+    assert abs(np.angle(fresh[0, 0] / weak[0, 0])) > 0.1
+
+
+@pytest.mark.parametrize("static_offset", [0.0, 20e3])
+def test_readout_pass_runs_once_per_operating_point(params, static_offset):
+    """An offset-free noise model makes one cache miss per operating point; a static offset adds
+    the offset-free calibration pass.  Further phases and states at the point are hits."""
+    cfg = HilbertConfig(2, (4,))
+    d = params.delta("ramsey")
+    noise = NoiseModel.from_params(params, d, static_qubit_offset=static_offset)
+    states = (fock_state(cfg, [0], 0), fock_state(cfg, [1], 0))
+    sequences._readout_adjoint.cache_clear()
+    for t in (6e-6, 7e-6):
+        for phases in (FOUR_PHASES, (0.3,)):
+            for state in states:
+                four_phase_average(state, "echo", params, cfg, noise, t, d, phases)
+    per_point = 1 if static_offset == 0.0 else 2
+    assert sequences._readout_adjoint.cache_info().misses == 2 * per_point
 
 
 @pytest.mark.parametrize("point", ["ramsey", "fock", "coherent", "rest"])

@@ -1,19 +1,20 @@
 """Fitting and reconstruction: spectra, populations, decays, Wigner maps.
 
-Every nonlinear fit is one bounded least-squares problem
-(``scipy.optimize.least_squares``) solved by ``_fit`` from one deterministic
-start; no fit draws a random number.  The fits with linear parameters are
-separable (variable projection): the linear ones are solved exactly at every
-trial, so ``_fit`` sees only the nonlinear ones, with exact derivatives.
-The Voigt-sum fit solves its baseline and heights by a bounded linear solve
-and fits positions and widths; ``_projected_fit`` solves the amplitudes and
-offsets of the decay fits and of the offset-scan sinusoid (``sequences``) by
-``lstsq`` and fits only the decay time and the frequency.  The Poisson fit
-has one parameter.  Uncertainties come from the standard covariance of the
-linearized problem at the optimum, taken from the SVD of the column-scaled
-Jacobian of the full model (``_covariance_sigmas``, which the calibration
-line shares).  Fits never raise on pathological data; they return a result
-with ``converged=False``.
+Every nonlinear fit is one bounded least-squares problem solved by ``_fit``,
+a Levenberg-Marquardt trust-region method with an analytic Jacobian, from
+one deterministic start; no fit draws a random number.  The fits with linear
+parameters are separable (variable projection): the linear ones are solved
+exactly at every trial, so ``_fit`` sees only the nonlinear ones, with exact
+derivatives.  The Voigt-sum fit solves its baseline and heights by a bounded
+linear solve (``_bvls``, an active-set method) and fits positions and
+widths; ``_projected_fit`` solves the amplitudes and offsets of the decay
+fits and of the offset-scan sinusoid (``sequences``) by ``lstsq`` and fits
+only the decay time and the frequency.  The Poisson fit has one parameter,
+with the exact derivative dP_n/dnbar = P_{n-1} - P_n.  Uncertainties come
+from the standard covariance of the linearized problem at the optimum, taken
+from the SVD of the column-scaled Jacobian of the full model
+(``_covariance_sigmas``, which the calibration line shares).  Fits never
+raise on pathological data; they return a result with ``converged=False``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, lsq_linear
 from scipy.special import erfcx, gammaln, wofz
 
 from .exceptions import ValidationError
@@ -128,27 +128,183 @@ def _covariance_sigmas(jac: np.ndarray, cost: float) -> np.ndarray:
     return sigmas
 
 
-def _fit(residual, x0, bounds, names, **options):
-    """Bounded least squares from the one start ``x0``.
+def _fit(residual, jac, x0, bounds, names, tol=1e-12):
+    """Bounded least squares, min |r(x)|^2 / 2 over lo <= x <= hi, from the one start ``x0``.
 
-    ``options`` (tolerances, an analytic ``jac``) go to ``least_squares``.
-    Returns (FitResult, x); ``converged`` means success and a finite cost.  When
-    the start is infeasible or not finite, x is None and the result is flagged.
+    Solved by ``_levenberg_marquardt`` with the analytic Jacobian ``jac``.
+    Returns (FitResult, x), the uncertainties from J at x; ``converged``
+    means a stopping test held within the evaluation budget at a finite cost.
+    When the start is infeasible or not finite, or a linear solve fails, x
+    is None and the result is flagged.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    x = np.array(x0, dtype=float)
     try:
-        res = least_squares(residual, np.array(x0, dtype=float), bounds=(lo, hi), method="trf",
-                            **options)
-    except (ValueError, np.linalg.LinAlgError):
+        x, r, jx, converged = _levenberg_marquardt(residual, jac, x, lo, hi, tol)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None:
         return FitResult({}, {}, math.nan, False, {"reason": "no convergence"}), None
-    sigmas = _covariance_sigmas(res.jac, res.cost)
+    cost = 0.5 * float(r @ r)
+    sigmas = _covariance_sigmas(jx, cost)
     fit = FitResult(
-        dict(zip(names, [float(v) for v in res.x])),
+        dict(zip(names, [float(v) for v in x])),
         dict(zip(names, [float(v) for v in sigmas])),
-        float(math.sqrt(2.0 * res.cost)),
-        bool(res.success and np.isfinite(res.cost)),
+        float(math.sqrt(2.0 * cost)),
+        bool(converged and np.isfinite(cost)),
     )
-    return fit, res.x
+    return fit, x
+
+
+def _levenberg_marquardt(residual, jac, x, lo, hi, tol):
+    """Levenberg-Marquardt as a trust-region method, kept inside the box [lo, hi].
+
+    After Moré (Lecture Notes in Mathematics 630, 105, 1978): each trial step
+    minimizes the linearized cost over |D p| <= Delta, D the column norms of
+    J (``_trust_step``), and Delta starts at 100 |D x|.  A parameter on a
+    bound that the gradient, or else the step, pushes against is held there;
+    a step that would cross a bound stops on it.  The ratio of the actual to
+    the predicted fall of the cost decides whether the step is taken (above
+    1e-4; above 1/4 for a step that stops on a bound, since a bound can hold
+    a flat corner, such as a decay time at its floor, where every column
+    vanishes) and how Delta changes.  Stops, converged, when the residual is
+    zero or at most ``tol`` in cosine from every free column, when a full
+    step moves D x by at most ``tol`` relative, or when a step's actual and
+    predicted falls are both at most ``tol`` of the cost; not converged
+    after 100 residual evaluations per parameter.  Returns (x, r, J,
+    converged), or Nones when x or r(x) is not finite or x is outside the
+    box.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(lo <= x) and np.all(x <= hi)):
+        return None, None, None, False
+    r = residual(x)
+    if not np.all(np.isfinite(r)):
+        return None, None, None, False
+    jx, cost, delta = jac(x), 0.5 * float(r @ r), None
+    for _ in range(100 * x.size - 1):
+        g = jx.T @ r
+        norms = np.linalg.norm(jx, axis=0)
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        if cost == 0.0 or np.all(np.abs(g[free]) <= tol * norms[free] * math.sqrt(2.0 * cost)):
+            return x, r, jx, True
+        scale = np.where(norms > 0.0, norms, 1.0)
+        if delta is None:
+            delta = 100.0 * (float(np.linalg.norm(scale * x)) or 1.0)
+        while True:
+            step = np.zeros(x.size)
+            step[free] = _trust_step(jx[:, free] / scale[free], r, delta) / scale[free]
+            out = ((x <= lo) & (step < 0.0)) | ((x >= hi) & (step > 0.0))
+            if not out.any():
+                break
+            free &= ~out
+        room = np.full(x.size, np.inf)  # the fraction of the step that reaches each bound
+        up, down = step > 0.0, step < 0.0
+        room[up] = (hi - x)[up] / step[up]
+        room[down] = (lo - x)[down] / step[down]
+        k = int(np.argmin(room))
+        stops = room[k] < 1.0
+        trial = np.clip(x + min(room[k], 1.0) * step, lo, hi)
+        if stops:
+            trial[k] = hi[k] if up[k] else lo[k]
+        step = trial - x
+        r_trial = residual(trial)
+        cost_trial = 0.5 * float(r_trial @ r_trial)
+        if not np.isfinite(cost_trial):
+            cost_trial = math.inf
+        actual = cost - cost_trial
+        predicted = -float(g @ step) - 0.5 * float(np.sum((jx @ step) ** 2))
+        ratio = actual / predicted if predicted > 0.0 else 0.0
+        step_norm = float(np.linalg.norm(scale * step))
+        if ratio < 0.25:
+            delta = 0.25 * step_norm
+        elif ratio > 0.75:
+            delta = max(delta, 2.0 * step_norm)
+        if ratio > (0.25 if stops else 1e-4):
+            x, r, jx, cost = trial, r_trial, jac(trial), cost_trial
+        if (not stops and step_norm <= tol * float(np.linalg.norm(scale * x))) or (
+                abs(actual) <= tol * cost and predicted <= tol * cost):
+            return x, r, jx, True
+    return x, r, jx, False
+
+
+def _trust_step(jac, r, delta):
+    """The step q minimizing |jac q + r| over |q| <= delta, for columns of at most unit norm.
+
+    Directions of jac weaker than rounding of 1 are dropped.  The (minimum
+    norm) Gauss-Newton step when it is inside the ball; else q(lam) =
+    -(jac^T jac + lam)^-1 jac^T r with |q(lam)| = delta to 10 %, lam from
+    safeguarded Newton iterations on 1/|q(lam)| (Moré 1978; Nocedal & Wright,
+    Numerical Optimization, algorithm 4.3), all on the SVD jac = U S V^T.
+    """
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > max(jac.shape) * np.finfo(float).eps
+    s, uf, vt = s[keep], (u.T @ r)[keep], vt[keep]
+    q = -vt.T @ (uf / s)
+    if np.linalg.norm(q) <= delta:
+        return q
+    suf = s * uf
+
+    def size_and_slope(lam):
+        den = s**2 + lam
+        size = float(np.linalg.norm(suf / den))
+        return size, -float(np.sum(suf**2 / den**3)) / size
+
+    size, slope = size_and_slope(0.0)
+    lower, upper = -(size - delta) / slope, float(np.linalg.norm(suf)) / delta
+    lam = max(1e-3 * upper, math.sqrt(lower * upper))
+    for _ in range(10):
+        if not lower <= lam <= upper:
+            lam = max(1e-3 * upper, math.sqrt(lower * upper))
+        size, slope = size_and_slope(lam)
+        if abs(size - delta) <= 0.1 * delta:
+            break
+        if size < delta:
+            upper = lam
+        newton = (size - delta) / slope
+        lower = max(lower, lam - newton)
+        lam -= newton * size / delta
+    return -vt.T @ (suf / (s**2 + lam))
+
+
+def _bvls(a, b, lo, hi):
+    """Bounded-variable least squares, min |a x - b| over lo <= x <= hi.
+
+    The active-set method of Stark & Parker (Comput. Stat. 10, 129, 1995):
+    from the unconstrained ``lstsq`` solution clipped to the box (the answer,
+    at the cost of that one solve, when it lies inside), solve on the free
+    variables with the others held at their bounds, stepping back to the
+    first bound the solution would cross and holding that variable there,
+    until the free solution is feasible; then free the held variable whose
+    gradient most wants it inside, until none does beyond rounding.
+    Returns (x, active), ``active`` True where x is held at a bound.
+    """
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    side = np.where(x < lo, -1, np.where(x > hi, 1, 0))  # -1 held at lo, 1 held at hi
+    if not side.any():
+        return x, side != 0
+    x = np.clip(x, lo, hi)
+    tol = 1e-10 * np.linalg.norm(a, axis=0) * np.linalg.norm(b)
+    for _ in range(3 * x.size):
+        while True:  # least squares on the free variables until it is feasible
+            free = side == 0
+            z = x.copy()
+            z[free] = np.linalg.lstsq(a[:, free], b - a[:, ~free] @ x[~free], rcond=None)[0]
+            crossed = free & ((z < lo) | (z > hi))
+            if not crossed.any():
+                x = z
+                break
+            target = np.where(z < lo, lo, hi)
+            alpha = np.full(x.size, np.inf)
+            alpha[crossed] = (target[crossed] - x[crossed]) / (z[crossed] - x[crossed])
+            k = int(np.argmin(alpha))
+            x = x + alpha[k] * (z - x)
+            x[k], side[k] = target[k], (-1 if z[k] < lo[k] else 1)
+        pull = side * (a.T @ (a @ x - b))  # > 0: the cost falls if x_k moves inside
+        k = int(np.argmax(pull - tol))
+        if pull[k] <= tol[k]:
+            break
+        side[k] = 0
+    return x, side != 0
 
 
 def _projected_fit(columns, y, theta0, bounds, names):
@@ -182,8 +338,7 @@ def _projected_fit(columns, y, theta0, bounds, names):
         q = np.linalg.qr(basis)[0]
         return deriv - q @ (q.T @ deriv)
 
-    fit, theta = _fit(residual, theta0, bounds, names, jac=jacobian,
-                      xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    fit, theta = _fit(residual, jacobian, theta0, bounds, names)
     if theta is None:
         return fit, None, None, None
     basis, coef, deriv = solve(theta)
@@ -245,9 +400,10 @@ def voigt_sum_fit(
 
     The fit is separable (variable projection; Golub & Pereyra, SIAM J. Numer.
     Anal. 10, 413, 1973): the model is linear in the baseline and the heights,
-    which a bounded linear least-squares solve (BVLS) finds for every trial of
-    the nonlinear parameters (center, spacing, widths, deviations).  Only those
-    reach ``least_squares``, from one start, with the analytic Jacobian of
+    which a bounded linear least-squares solve (``_bvls``) finds for every
+    trial of the nonlinear parameters (center, spacing, widths, deviations).
+    Only those reach the nonlinear solve (``_fit``), from one start, with the
+    analytic Jacobian of
     the Faddeeva profiles projected off the free linear unknowns (Kaufman's
     form).  The reported uncertainties come from the full Jacobian at the
     optimum.  Returns (FitResult, populations) where the populations are the
@@ -292,8 +448,8 @@ def voigt_sum_fit(
             phi, d_pos, d_sigma, d_gamma = _voigt_columns(
                 x, center + index * spacing + devs, sigma, gamma)
             basis = np.column_stack([np.ones_like(x), phi])
-            lin = lsq_linear(basis, y, bounds=linear_bounds, method="bvls")
-            h = lin.x[1:]
+            lin = _bvls(basis, y, *linear_bounds)
+            h = lin[0][1:]
             slope = d_pos * h  # d model / d position of each peak
             deriv = np.column_stack([slope.sum(axis=1), slope @ index, d_sigma @ h,
                                      d_gamma @ h, slope[:, 1 : 1 + nd]])
@@ -302,12 +458,12 @@ def voigt_sum_fit(
         return cache[key]
 
     def residual(theta):
-        basis, lin, _ = solve(theta)
-        return basis @ lin.x - y
+        basis, (coef, _), _ = solve(theta)
+        return basis @ coef - y
 
     def jacobian(theta):
-        basis, lin, deriv = solve(theta)
-        q, _ = np.linalg.qr(basis[:, lin.active_mask == 0])
+        basis, (_, active), deriv = solve(theta)
+        q, _ = np.linalg.qr(basis[:, ~active])
         return deriv - q @ (q.T @ deriv)
 
     # params: [center, spacing, sigma, gamma, d_1..d_{n-2}]; the baseline and the
@@ -323,12 +479,11 @@ def voigt_sum_fit(
     # one start: at 1e-12 the four jittered starts this fit once added all stopped
     # at this start's optimum (chi from ten jitter draws agreed to 1e-8 on the
     # spectroscopy benchmark's spectra, to 6e-4 at the default 1e-8)
-    fit, best = _fit(residual, x0, (lo, hi), names,
-                     jac=jacobian, xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    fit, best = _fit(residual, jacobian, x0, (lo, hi), names)
     if best is None:
         return fit, np.zeros(n_peaks)
-    basis, lin, deriv = solve(best)
-    base, heights = lin.x[0], lin.x[1:]
+    basis, (coef, _), deriv = solve(best)
+    base, heights = coef[0], coef[1:]
     # the full Jacobian [1, phi_k, d model/d theta] in the order of the names below
     full = np.column_stack([basis[:, 0], deriv[:, :4], basis[:, 1:], deriv[:, 4:]])
     center, spacing, sigma, gamma = best[:4]
@@ -368,9 +523,13 @@ def poisson_fit(populations: Sequence[float]) -> FitResult:
     def residual(theta):
         return poisson(theta[0]) - p
 
+    def jacobian(theta):  # dP_n/dnbar = P_n (n/nbar - 1) = P_{n-1} - P_n
+        q = poisson(theta[0])
+        return (np.concatenate([[0.0], q[:-1]]) - q)[:, None]
+
     nbar0 = float(np.sum(n * p))
-    fit, x = _fit(residual, [nbar0], ([0.0], [float(p.size) * 2.0]), ["nbar"],
-                  xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    fit, x = _fit(residual, jacobian, [nbar0], ([0.0], [float(p.size) * 2.0]), ["nbar"],
+                  tol=1e-14)
     if x is not None:
         nbar, nbar_err = fit.parameters["nbar"], fit.uncertainties["nbar"]
         beta = math.sqrt(max(nbar, 0.0))

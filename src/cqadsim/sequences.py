@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analysis import SpectrumTrace, _dominant_frequency, _projected_fit, decay_fit
 from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
@@ -314,6 +313,54 @@ def four_phase_average(
 # interaction-time selection (finite-epsilon offset of the parity estimate)
 
 
+def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in the bracket [xa, xb] by Brent's method, step for step as scipy's brentq.
+
+    Each step interpolates (secant or inverse quadratic) when that shrinks the
+    bracket fast enough and bisects otherwise (Brent, Algorithms for
+    Minimization without Derivatives, 1973, chapter 4), never stepping less
+    than the tolerance (xtol + rtol |x|) / 2; it stops when the bracket's
+    half-width falls below it.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f must change sign on the bracket")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the best estimate, xblk the far end of the bracket
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < tol:
+            return xcur
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - tol):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else (tol if sbis > 0.0 else -tol)
+        fcur = float(f(xcur))
+    raise RuntimeError("Brent's method took more than 100 steps")
+
+
 @functools.lru_cache(maxsize=64)
 def echo_offset_zero_time(params: SystemParams, delta: float) -> float:
     """Interaction time near pi/|chi| where the analytic echo offset crosses zero.
@@ -341,7 +388,7 @@ def echo_offset_zero_time(params: SystemParams, delta: float) -> float:
     if crossings.size == 0:
         return t0
     best = crossings[np.argmin(np.abs(times[crossings] - t0))]
-    return brentq(offset, times[best], times[best + 1], xtol=1e-20, rtol=4 * np.finfo(float).eps)
+    return _brent_root(offset, times[best], times[best + 1], 1e-20, 4 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -376,8 +423,8 @@ def interaction_time_offset_scan(
         raise ValidationError(
             f"an offset scan needs at least 4 times to fit a sinusoid's 3 parameters, "
             f"got {times.size}")
-    if n_ring < 1:
-        raise ValidationError(f"n_ring must be >= 1 ring point, got {n_ring}")
+    if not isinstance(n_ring, (int, np.integer)) or n_ring < 1:
+        raise ValidationError(f"n_ring must be a whole number >= 1 of ring points, got {n_ring!r}")
     vac = fock_state(config, [0] * config.n_modes, 0)
     ring = np.array([ring_radius * np.exp(2j * math.pi * k / n_ring) for k in range(n_ring)])
     _guard_points(config, ring)

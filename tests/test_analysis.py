@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares, lsq_linear
 from scipy.special import voigt_profile
 
 from cqadsim import analysis, sequences
@@ -107,16 +108,16 @@ def test_voigt_roundtrip_with_noise_band():
     assert np.abs(pops - pops_true).max() < 0.03
 
 
-def _spy_least_squares(monkeypatch):
-    """Records the arguments of every ``least_squares`` call the fits make."""
+def _spy_fit(monkeypatch):
+    """Records (residual, start, Jacobian) of every nonlinear solve (``_fit``) the fits make."""
     calls = []
-    real = analysis.least_squares
+    real = analysis._fit
 
-    def spy(fun, x0, **kwargs):
-        calls.append((fun, np.array(x0, dtype=float), kwargs))
-        return real(fun, x0, **kwargs)
+    def spy(residual, jac, x0, bounds, names, **kwargs):
+        calls.append((residual, np.array(x0, dtype=float), jac))
+        return real(residual, jac, x0, bounds, names, **kwargs)
 
-    monkeypatch.setattr(analysis, "least_squares", spy)
+    monkeypatch.setattr(analysis, "_fit", spy)
     return calls
 
 
@@ -125,17 +126,17 @@ FIVE_PEAKS = dict(pops=np.array([0.3, 0.25, 0.2, 0.15, 0.1]), spacing=-100e3, ce
 
 
 def test_voigt_fit_sees_only_nonlinear_parameters_with_an_analytic_jacobian(monkeypatch):
-    """Baseline and heights are solved linearly: least_squares gets n + 2 parameters and an
-    analytic Jacobian, never 2n + 3 parameters."""
-    calls = _spy_least_squares(monkeypatch)
+    """Baseline and heights are solved linearly: the nonlinear solve gets n + 2 parameters and
+    an analytic Jacobian, never 2n + 3 parameters."""
+    calls = _spy_fit(monkeypatch)
     c = FIVE_PEAKS
     tr = synth_spectrum(c["pops"] * 0.3, c["spacing"], c["center"], c["sigma"], c["gamma"],
                         deviations=c["devs"])
     fit, _ = voigt_sum_fit(tr, 5, -98e3, center_hint=-0.85e6)
     assert fit.converged and len(calls) == 1  # one start
-    for _, x0, kwargs in calls:
+    for _, x0, jac in calls:
         assert x0.size == 5 + 2
-        assert callable(kwargs["jac"])
+        assert callable(jac)
     assert len(fit.parameters) == 2 * 5 + 3
     assert set(fit.uncertainties) == set(fit.parameters)
 
@@ -158,14 +159,14 @@ def test_voigt_analytic_jacobian_matches_central_differences(monkeypatch):
         central = (phi(step) - phi(-step)) / (2.0 * step)
         assert np.linalg.norm(analytic - central) <= 1e-6 * np.linalg.norm(central), name
 
-    calls = _spy_least_squares(monkeypatch)
+    calls = _spy_fit(monkeypatch)
     tr = synth_spectrum(c["pops"] * 0.3, c["spacing"], c["center"], c["sigma"], c["gamma"],
                         deviations=c["devs"])
     voigt_sum_fit(tr, 5, -98e3, center_hint=-0.85e6)
-    residual, _, kwargs = calls[0]
+    residual, _, jacobian = calls[0]
     theta = np.concatenate([[c["center"], c["spacing"], c["sigma"], c["gamma"]], c["devs"][1:4]])
     assert np.abs(residual(theta)).max() < 1e-12
-    jac = kwargs["jac"](theta)
+    jac = jacobian(theta)
     for j in range(theta.size):
         e = np.zeros(theta.size)
         e[j] = step
@@ -374,14 +375,14 @@ def _decay_trace(model, noise=0.01, seed=3):
 
 @pytest.mark.parametrize("model", ["exponential", "exponential_sine"])
 def test_decay_fit_sees_only_nonlinear_parameters_from_one_start(monkeypatch, model):
-    """A, C (and A cos phi, A sin phi) are solved linearly: least_squares runs once, on t_decay
-    (and the frequency) alone, with an analytic Jacobian; the phase lies in (-pi, pi]."""
-    calls = _spy_least_squares(monkeypatch)
+    """A, C (and A cos phi, A sin phi) are solved linearly: the nonlinear solve runs once, on
+    t_decay (and the frequency) alone, with an analytic Jacobian; the phase lies in (-pi, pi]."""
+    calls = _spy_fit(monkeypatch)
     t, y, _ = _decay_trace(model)
     fit = decay_fit(t, y, model)
     assert fit.converged and len(calls) == 1
     assert calls[0][1].size == (1 if model == "exponential" else 2)
-    assert callable(calls[0][2]["jac"])
+    assert callable(calls[0][2])
     assert set(fit.uncertainties) == set(fit.parameters)
     if model == "exponential_sine":
         assert -math.pi < fit.parameters["phase"] <= math.pi
@@ -428,6 +429,149 @@ def test_separable_fits_ignore_last_bit_changes_of_their_data():
                    [f.parameters["t_decay"] for f in fits], freqs):
         assert np.ptp(values) <= 1e-9 * abs(np.median(values))
     assert np.median(freqs) == pytest.approx(1.58e6, rel=0.05)
+
+
+def _scipy_fit(residual, jac, x0, bounds, tol=1e-12):
+    """The same problem by scipy's trust-region-reflective solver, the one ``_fit`` replaces."""
+    return least_squares(residual, np.array(x0, dtype=float), jac=jac, bounds=bounds,
+                         method="trf", xtol=tol, ftol=tol, gtol=tol)
+
+
+def test_fit_agrees_with_scipy_least_squares_on_the_fits_problems(monkeypatch):
+    """Every nonlinear solve the fits make on the spectra and traces of these tests, once by
+    ``_fit`` and once by scipy: the converged flags agree, the cost is no higher (to 1e-10
+    relative), and each parameter agrees to 1e-8 relative or to 1e-5 of its standard error
+    (the valleys of the noisy Voigt fit pin the deviations no closer, at scipy's own
+    stopping point).  The set holds zero-residual data, an absent peak whose height BVLS
+    clamps at 0, and a divergent decay whose time stops on its upper bound, where scipy's
+    interior iterates stop just short of it."""
+    real, solves = analysis._fit, []
+
+    def both(residual, jac, x0, bounds, names, **kwargs):
+        fit, x = real(residual, jac, x0, bounds, names, **kwargs)
+        solves.append((names, fit, x, _scipy_fit(residual, jac, x0, bounds, **kwargs)))
+        return fit, x
+
+    monkeypatch.setattr(analysis, "_fit", both)
+    c = FIVE_PEAKS
+    absent = c["pops"].copy()
+    absent[2] = 0.0
+    for pops in (c["pops"], absent):
+        voigt_sum_fit(synth_spectrum(pops * 0.3, c["spacing"], c["center"], c["sigma"], c["gamma"],
+                                     deviations=c["devs"]), 5, -98e3, center_hint=-0.85e6)
+    nbar = 1.4
+    p = np.exp(-nbar) * nbar ** np.arange(6) / [1, 1, 2, 6, 24, 120]
+    p = p / p.sum()
+    clean = synth_spectrum(p * 0.25, -110e3, -1.2e6, 6e3, 8e3, baseline=0.01)
+    noisy = SpectrumTrace(clean.frequencies, clean.populations
+                          + np.random.default_rng(0).normal(0, 0.002, clean.frequencies.size))
+    poisson_fit(voigt_sum_fit(noisy, 6, -110e3, center_hint=-1.2e6)[1])
+    poisson_fit(p)
+    for model in ("exponential", "exponential_sine"):
+        decay_fit(*_decay_trace(model)[:2], model)
+    t = np.linspace(0, 250e-6, 40)
+    decay_fit(t, 0.9 * np.exp(-t / 81e-6) + 0.05, "exponential")
+    t = np.linspace(0, 1e-4, 30)
+    divergent = decay_fit(t, 0.5 + 0.2 * np.cos(2 * math.pi * 40e3 * t), "exponential_sine")
+    times = np.linspace(6.7e-6, 7.3e-6, 41)
+    wave = 0.03 * np.cos(2 * math.pi * 1.58e6 * (times - 6.7e-6) + 1.0)
+    sequences._fit_oscillation_frequency(times, wave + np.random.default_rng(5).normal(0, 0.01, 41))
+
+    assert len(solves) == 10 and divergent.metadata["divergent"]
+    for k, (names, fit, x, ref) in enumerate(solves):
+        assert fit.converged == ref.success, names
+        cost = 0.5 * fit.residual_norm**2
+        assert cost <= ref.cost * (1.0 + 1e-10) + 1e-20, names
+        sigmas = analysis._covariance_sigmas(ref.jac, ref.cost)
+        free = [j for j in range(x.size) if not (k == 1 and names[j] == "deviation_2")]
+        gap = np.abs(x - ref.x)[free]  # the absent peak's deviation moves nothing
+        assert np.all((gap <= 1e-8 * np.abs(ref.x[free])) | (gap <= 1e-5 * sigmas[free])), names
+    names, fit, x, _ = solves[8]
+    assert x[0] == 1e4 * 1e-4  # the divergent decay time stops on its upper bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_fit_agrees_with_scipy_least_squares_on_random_bounded_problems(seed):
+    """Mildly nonlinear residuals A x + B tanh(x) - b in a random box, some with zero residual
+    at an interior point: the same converged flag, the same cost to 1e-9 relative (1e-16
+    absolute), and the same point to 1e-4 (the costs pin the weakest directions no closer)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(n + 2, 14))
+    a, b_mix = rng.normal(size=(m, n)), 0.1 * rng.normal(size=(m, n))
+    lo = rng.uniform(-2.0, 0.5, n)
+    hi = lo + rng.uniform(0.1, 3.0, n)
+    x0, inside = (lo + rng.uniform(0.0, 1.0, (2, n)) * (hi - lo))
+    b = a @ inside + b_mix @ np.tanh(inside) if seed % 3 == 0 else 2.0 * rng.normal(size=m)
+
+    def residual(x):
+        return a @ x + b_mix @ np.tanh(x) - b
+
+    def jac(x):
+        return a + b_mix * (1.0 - np.tanh(x) ** 2)
+
+    fit, x = analysis._fit(residual, jac, x0, (lo, hi), [f"x{k}" for k in range(n)])
+    ref = _scipy_fit(residual, jac, x0, (lo, hi))
+    assert fit.converged == ref.success
+    assert 0.5 * fit.residual_norm**2 == pytest.approx(ref.cost, rel=1e-9, abs=1e-16)
+    assert np.all((lo <= x) & (x <= hi))
+    assert np.abs(x - ref.x).max() <= 1e-4 * (1.0 + np.abs(ref.x).max())
+
+
+def test_fit_flags_an_infeasible_or_non_finite_start():
+    def residual(x):  # not finite at 0
+        return np.array([x[0] - 1.0, math.log(x[0]) if x[0] > 0 else -math.inf])
+
+    def jac(x):
+        return np.array([[1.0], [1.0 / x[0]]])
+
+    for x0 in ([3.0], [math.nan]):  # outside [0.5, 2], not finite
+        fit, x = analysis._fit(residual, jac, x0, ([0.5], [2.0]), ["x"])
+        assert x is None and not fit.converged
+    fit, x = analysis._fit(residual, jac, [0.0], ([0.0], [2.0]), ["x"])
+    assert x is None and not fit.converged
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bvls_agrees_with_scipy_lsq_linear(seed):
+    """Random boxes, from all free to many variables held, and some with zero residual at an
+    interior point: the same x to rounding and the same variables held at a bound."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(n, 15))
+    a = rng.normal(size=(m, n))
+    lo = rng.uniform(-1.5, 0.5, n)
+    hi = lo + rng.uniform(0.01, 3.0, n) * (10.0 if seed % 4 == 1 else 1.0)
+    b = a @ (lo + 0.5 * (hi - lo)) if seed % 4 == 0 else rng.normal(size=m)
+    x, active = analysis._bvls(a, b, lo, hi)
+    ref = lsq_linear(a, b, bounds=(lo, hi), method="bvls")
+    assert np.abs(x - ref.x).max() <= 1e-12 * (1.0 + np.abs(ref.x).max())
+    assert np.array_equal(active, ref.active_mask != 0)
+
+
+def test_bvls_clamps_an_absent_peak_at_zero():
+    """The baseline and heights of a spectrum with a dip where peak 2 would sit: its height is
+    held at 0, as lsq_linear(method="bvls") holds it, and a feasible lstsq solution is
+    returned as it is."""
+    c = FIVE_PEAKS
+    pops = c["pops"].copy()
+    pops[2] = -1e-3
+    tr = synth_spectrum(pops * 0.3, c["spacing"], c["center"], c["sigma"], c["gamma"],
+                        deviations=c["devs"])
+    x = tr.frequencies
+    phi = analysis._voigt_columns(x, c["center"] + c["spacing"] * np.arange(5) + c["devs"],
+                                  c["sigma"], c["gamma"])[0]
+    basis = np.column_stack([np.ones_like(x), phi])
+    lo, hi = np.array([-1.0, 0, 0, 0, 0, 0]), np.full(6, 10.0)
+    coef, active = analysis._bvls(basis, tr.populations, lo, hi)
+    ref = lsq_linear(basis, tr.populations, bounds=(lo, hi), method="bvls")
+    assert coef[3] == 0.0 and active.tolist() == [False, False, False, True, False, False]
+    assert coef == pytest.approx(ref.x, rel=1e-12, abs=1e-15)
+    clean = basis @ np.array([0.01, 0.1, 0.2, 0.05, 0.1, 0.02])
+    coef, active = analysis._bvls(basis, clean, lo, hi)
+    assert np.array_equal(coef, np.linalg.lstsq(basis, clean, rcond=None)[0]) and not active.any()
 
 
 def test_fit_result_validation():

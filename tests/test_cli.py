@@ -536,10 +536,15 @@ def test_unbounded_expm_action_is_a_numeric_failure(tmp_path):
 
 
 def test_cli_start_up_does_not_load_an_ode_solver():
-    """No path integrates an ODE, so ``import cqadsim.cli`` leaves scipy.integrate unloaded."""
-    proc = _python("-c", "import sys, cqadsim.cli; print('scipy.integrate' in sys.modules)")
+    """No path integrates an ODE and the fits and the echo root have their own solvers, so
+    ``import cqadsim.cli`` leaves scipy.integrate and scipy.optimize unloaded; it loads every
+    layer module, which the benchmark's tracer looks up in ``sys.modules``."""
+    proc = _python("-c", "import json, sys, cqadsim.cli; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = set(json.loads(proc.stdout))
+    assert not {"scipy.integrate", "scipy.optimize"} & loaded
+    layers = ("hilbert", "device", "dynamics", "sequences", "swtheory", "analysis", "cli", "keyval")
+    assert {f"cqadsim.{name}" for name in layers} <= loaded
 
 
 @pytest.mark.parametrize("overrides, key", [

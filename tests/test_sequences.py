@@ -463,9 +463,10 @@ def test_offset_scan_needs_four_times(params):
 def test_offset_scan_needs_a_ring_point(params):
     cfg = HilbertConfig(2, (6,))
     t0 = default_ramsey_time(params)
-    with pytest.raises(ValidationError, match="n_ring"):
-        interaction_time_offset_scan(params, cfg, NOISELESS, times=t0 + np.arange(4) * 1e-7,
-                                     n_ring=0)
+    for n_ring in (0, 2.5):
+        with pytest.raises(ValidationError, match="n_ring"):
+            interaction_time_offset_scan(params, cfg, NOISELESS, times=t0 + np.arange(4) * 1e-7,
+                                         n_ring=n_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +720,52 @@ def test_echo_offset_zero_time_is_a_bracketed_sign_change(params, point):
     assert scan[i] < t_star < scan[i + 1]
     assert offset(scan[i]) * offset(scan[i + 1]) < 0
     assert offset(t_star * (1 - 1e-12)) * offset(t_star * (1 + 1e-12)) < 0
+
+
+@pytest.mark.parametrize("f, bracket", [
+    (lambda x: x**3 - 2.0 * x - 5.0, (2.0, 3.0)),
+    (lambda x: math.cos(x) - x, (0.0, 1.0)),
+    (lambda x: 1e-8 * math.atan(x - 0.2), (-1.0, 5.0)),
+    (lambda x: math.sin(40.0 * x) + 0.1, (0.05, 0.1)),
+    (lambda x: (x - 1.3) ** 5, (0.0, 2.0)),  # no convergence in 100 steps at xtol 1e-20
+])
+@pytest.mark.parametrize("xtol, rtol", [(1e-20, 4 * np.finfo(float).eps), (2e-12, 1e-10)])
+def test_brent_root_takes_the_steps_of_scipys_brentq(f, bracket, xtol, rtol):
+    from scipy.optimize import brentq
+
+    outcomes = []
+    for solve in (sequences._brent_root, lambda g, a, b, xt, rt: brentq(g, a, b, xtol=xt, rtol=rt)):
+        points = []
+        try:
+            root = solve(lambda x: points.append(x) or f(x), *bracket, xtol, rtol)
+        except RuntimeError:
+            root = None
+        outcomes.append((root, points))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("point", ["ramsey", "fock", "coherent", "rest"])
+def test_echo_offset_zero_time_is_the_root_brentq_finds(params, point, monkeypatch):
+    """Bit for bit, from as many evaluations: the scan, then one per Brent step."""
+    from scipy.optimize import brentq
+
+    analytic = sequences.echo_sigma_z_analytic
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return analytic(*args)
+
+    monkeypatch.setattr(sequences, "echo_sigma_z_analytic", counting)
+    runs = []
+    for root in (sequences._brent_root,
+                 lambda g, a, b, xtol, rtol: brentq(g, a, b, xtol=xtol, rtol=rtol)):
+        monkeypatch.setattr(sequences, "_brent_root", root)
+        echo_offset_zero_time.cache_clear()
+        calls.clear()
+        runs.append((echo_offset_zero_time(params, params.delta(point)), len(calls)))
+    echo_offset_zero_time.cache_clear()
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("point", ["ramsey", "fock", "coherent", "rest"])

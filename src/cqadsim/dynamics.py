@@ -40,6 +40,13 @@ generator G0 + f G1 (Hermitian basis) on a block that holds the whole grid,
 about as many products as the generator's spectral radius.  A segment is a
 grid of one frame; the spectroscopy probe sweep is a grid of every probe
 frequency.
+
+Of scipy only ``scipy.sparse`` is used; the dense kernels are numpy
+routines checked against scipy's in the tests.  ``_expm`` exponentiates a
+block by scaling and squaring with the Pade degree and squarings scipy's
+``expm`` would choose, ``_components`` labels the blocks as scipy's
+``connected_components`` does, and ``_bessel_j`` gives the Chebyshev
+coefficients J_k(r) by Miller's backward recurrence.
 """
 
 from __future__ import annotations
@@ -53,9 +60,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm as _expm
-from scipy.sparse.csgraph import connected_components
-from scipy.special import jv
 
 from .device import TWO_PI, SystemParams, _jc_terms, full_jc_hamiltonian
 from .exceptions import NumericError, ValidationError
@@ -247,12 +251,15 @@ class _PropagatorCache:
     and of undriven Ket segments; a single pass over a density matrix is an
     action and puts nothing here.  The budget counts elements: ``size`` of a
     dense array, and of a ``_BlockPropagator`` the full element count of all
-    its blocks, built or not.  Unlocked: every sweep runs in one thread.
+    its blocks, built or not.  The element total is kept as entries come and
+    go, so a put hashes its own key only.  Unlocked: every sweep runs in one
+    thread.
     """
 
     def __init__(self, max_elements: float = 4.8e7):
         self._data: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._max_elements = max_elements
+        self._total = 0
 
     def get(self, key: tuple):
         if key in self._data:
@@ -261,15 +268,18 @@ class _PropagatorCache:
         return None
 
     def put(self, key: tuple, value: np.ndarray):
+        old = self._data.pop(key, None)
+        if old is not None:
+            self._total -= old.size
         self._data[key] = value
-        self._data.move_to_end(key)
-        total = sum(v.size for v in self._data.values())
-        while total > self._max_elements and len(self._data) > 1:
+        self._total += value.size
+        while self._total > self._max_elements and len(self._data) > 1:
             _, old = self._data.popitem(last=False)
-            total -= old.size
+            self._total -= old.size
 
     def clear(self):
         self._data.clear()
+        self._total = 0
 
 
 _CACHE = _PropagatorCache()
@@ -365,22 +375,160 @@ def _hermitian_generator(gen: sparse.csr_matrix) -> sparse.csr_matrix:
     return g.real
 
 
+def _components(pattern: sparse.spmatrix) -> tuple[int, np.ndarray]:
+    """(count, labels) of the connected components of a nonzero pattern, taken as undirected.
+
+    Components are numbered in the order of their lowest index, as scipy's
+    ``connected_components`` numbers them.  Label propagation with pointer
+    jumping: every index starts as its own root.  A round hooks, for every
+    edge whose ends carry different labels, the higher label (a root) onto
+    the lower, then lets every label jump to its root's label until all
+    labels are roots.  A label only falls and never leaves its component, so
+    once both ends of every edge agree, each component carries one label,
+    its lowest index.
+    """
+    coo = pattern.tocoo()
+    label = np.arange(pattern.shape[0])
+    while True:
+        li, lj = label[coo.row], label[coo.col]
+        if np.array_equal(li, lj):
+            break
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+    root = label == np.arange(label.size)
+    return int(np.count_nonzero(root)), (np.cumsum(root) - 1)[label]
+
+
+# theta_m: the largest norm at which the degree-m Pade approximant r_m is exact to double
+# precision, the values of Al-Mohy & Higham (2009) that scipy's expm takes
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 4.25}
+
+
+def _norm1(a: np.ndarray) -> float:
+    return float((np.ones(a.shape[0]) @ np.abs(a)).max())
+
+
+def _pade_excess(a: np.ndarray, m: int, s: int = 0) -> int:
+    """ell(A/2^s, m): the squarings r_m still needs at A/2^s for a backward error below 2^-53.
+
+    alpha = |c_{2m+1}| ||abs(B)^(2m+1)||_1 / ||B||_1 at B = A/2^s, with c_{2m+1}
+    the leading coefficient of r_m's error series, and
+    ell = max(ceil(log2(alpha / u) / 2m), 0).  The power's norm is exact,
+    1^T abs(A)^(2m+1), taken on abs(A)/||A||_1 and added in logarithms, so it
+    cannot overflow; a zero or NaN norm gives 0.
+    """
+    scaled = np.abs(a)
+    norm = float((np.ones(a.shape[0]) @ scaled).max())
+    if not norm > 0:
+        return 0
+    scaled /= norm
+    v = np.ones(a.shape[0])
+    for _ in range(2 * m + 1):
+        v = v @ scaled
+    rest = float(v.max())
+    if not rest > 0:
+        return 0
+    log2_c = 2.0 * math.log2(math.factorial(m)) - math.log2(
+        math.factorial(2 * m) * math.factorial(2 * m + 1))
+    log2_norm = math.log2(norm) - s
+    return max(math.ceil((log2_c + math.log2(rest) + 2 * m * log2_norm + 53) / (2 * m)), 0)
+
+
+def _pade_structure(a: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(m, s, [I, A^2, A^4, ...]): the Pade degree and squarings for exp(A), and the powers.
+
+    Algorithm 5.1 of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31, 970,
+    2009) with exact 1-norms, the choice scipy's expm makes: the lowest
+    degree m of 3, 5, 7, 9 whose eta (from ||A^4||, ||A^6||, ||A^8||) is below
+    theta_m and that needs no squaring (``_pade_excess``), else degree 13 at
+    the fewest squarings s that bring eta below theta_13, plus ell(A/2^s, 13).
+    The even powers are those degree m uses, unscaled, stacked in one array.
+    """
+    n = a.shape[0]
+    powers = np.empty((5, n, n), dtype=np.result_type(a, float))
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    d6 = _norm1(powers[3]) ** (1.0 / 6.0)
+    eta = max(_norm1(powers[2]) ** 0.25, d6)
+    for m in (3, 5):
+        if eta < _PADE_THETA[m] and _pade_excess(a, m) == 0:
+            return m, 0, powers[: (m + 1) // 2]
+    np.matmul(powers[2], powers[2], out=powers[4])
+    d8 = _norm1(powers[4]) ** 0.125
+    eta = max(d6, d8)
+    for m in (7, 9):
+        if eta < _PADE_THETA[m] and _pade_excess(a, m) == 0:
+            return m, 0, powers[: (m + 1) // 2]
+    np.matmul(powers[2], powers[3], out=powers[4])  # A^10, in the slot of A^8
+    eta = min(eta, max(d8, _norm1(powers[4]) ** 0.1))
+    s = max(math.ceil(math.log2(eta / _PADE_THETA[13])), 0) if eta > 0 else 0
+    return 13, s + _pade_excess(a, 13, s), powers[:4]
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) of a dense square matrix by scaling and squaring a Pade approximant.
+
+    r_m(A/2^s) = (V - U)^-1 (V + U), U and V the odd and even parts of the
+    degree-m numerator sum_j b_j A^j, b_j = (2m - j)! / (j! (m - j)!) (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 1179, 2005), squared s times;
+    ``_pade_structure`` picks m and s.  The scaling goes into the
+    coefficients, b_j 2^(-js) on A^j, and every sum of powers is one product
+    of a coefficient row with the stacked powers; degree 13 takes U and V
+    from A, A^2, A^4 and A^6 alone.  A 1 x 1 matrix is exponentiated directly.
+    """
+    n = a.shape[0]
+    if n == 1:
+        return np.exp(a)
+    m, s, powers = _pade_structure(a)
+    b = np.array([math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+                  for j in range(m + 1)], dtype=float) * 2.0 ** (-s * np.arange(m + 1.0))
+    # the real coefficient rows times the powers' real and imaginary parts at once
+    stacked = powers.reshape(len(powers), -1).view(np.float64)
+
+    def combine(rows):
+        return (np.array(rows) @ stacked).view(powers.dtype).reshape(-1, n, n)
+
+    if m == 13:  # U = A (A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + ... + b1), V alike
+        u_high, u_low, v_high, v_low = combine(
+            [[0.0, *b[9::2]], b[1:9:2], [0.0, *b[8::2]], b[:8:2]])
+        u = powers[3] @ u_high
+        u += u_low
+        u = a @ u
+        v = powers[3] @ v_high
+        v += v_low
+    else:
+        u, v = combine([b[1::2], b[::2]])
+        u = a @ u
+    q = v - u
+    v += u
+    x = np.linalg.solve(q, v)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
 class _BlockPropagator:
     """exp(gen) kept as its independent blocks, each exponentiated when a vector first reaches it.
 
     The blocks are the connected components of the generator's nonzero
-    pattern (for a Liouvillian without drives, its coherence orders), so the
-    propagator has exactly zero coupling between them.  ``P @ v`` and
-    ``P.T @ v`` run one dense ``expm`` of a block's generator slice the first
-    time v has a nonzero entry in that block; a block whose part of v is all
-    zeros maps it to zeros, so nothing is approximated.  The blocks stay
-    complex: the real Hermitian basis of ``_hermitian_generator`` would pair
-    each coherence-order block q with -q into one block twice the size.
-    ``size`` is the element count of all blocks, built or not.
+    pattern (``_components``; for a Liouvillian without drives, its
+    coherence orders), numbered by their lowest index, so the propagator has
+    exactly zero coupling between them.  ``P @ v`` and ``P.T @ v`` run one
+    dense ``_expm`` of a block's generator slice the first time v has a
+    nonzero entry in that block; a block whose part of v is all zeros maps
+    it to zeros, so nothing is approximated.  The blocks stay complex: the
+    real Hermitian basis of ``_hermitian_generator`` would pair each
+    coherence-order block q with -q into one block twice the size.  ``size``
+    is the element count of all blocks, built or not.
     """
 
     def __init__(self, gen: sparse.csr_matrix):
-        n_blocks, labels = connected_components(gen != 0, directed=False)
+        n_blocks, labels = _components(gen != 0)
         self._order = np.argsort(labels, kind="stable")
         self._bounds = np.searchsorted(labels[self._order], np.arange(n_blocks + 1))
         self._gen = gen[self._order][:, self._order]
@@ -426,13 +574,41 @@ def _gershgorin(g: sparse.csr_matrix) -> tuple[float, float, float]:
     return float((d - off).min()), float((d + off).max()), float(abs(asym).sum(axis=1).max())
 
 
+def _bessel_j(n: int, r: float) -> np.ndarray:
+    """J_k(r) for k = 0..n-1 and r > 0, by Miller's backward recurrence.
+
+    J_{k-1} = (2k/r) J_k - J_{k+1} is run down from 0 and 1 at a start
+    sqrt(160 max(n, r)) past n and r, where J is negligible.  Taken downward
+    the recurrence converges onto J, the solution that decays with k; the
+    factor left is fixed by J_0 + 2 sum_k J_2k = 1.  The values grow by as
+    much as 1e400 on the way down, so they are divided by 2^600 (exactly)
+    whenever they pass it.
+    """
+    big = 2.0**600
+    start = max(n, math.ceil(r)) + math.isqrt(int(160 * max(n, r))) + 1
+    upper, j = 0.0, 1.0  # J_{k+1}, J_k up to a common factor
+    total = 0.0  # 2 sum J_2k over the even k passed
+    values = []  # J_k for k < n, highest k first
+    for k in range(start, 0, -1):
+        if k < n:
+            values.append(j)
+        if k % 2 == 0:
+            total += 2.0 * j
+        upper, j = j, (2.0 * k / r) * j - upper
+        if abs(j) > big:
+            upper, j, total = upper / big, j / big, total / big
+            values = [v / big for v in values]
+    values.append(j)
+    return np.array(values[::-1]) / (total + j)
+
+
 def _sweep_plan(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray):
     """(stack, coef, p, c) of ``_sweep_action``'s recurrence.
 
     p substeps of G/p = c + r Y, stack = [A; B] with 2 Y = A + f B on the
-    column of f, and coef_k = (2 - delta_k0) J_k(r), truncated.  A bound that
-    is not finite, or that needs more than 2^20 products, is a
-    ``NumericError`` raised before any work.
+    column of f, and coef_k = (2 - delta_k0) J_k(r) from ``_bessel_j``,
+    truncated.  A bound that is not finite, or that needs more than 2^20
+    products, is a ``NumericError`` raised before any work.
     """
     ends = np.array([_gershgorin(g0 + f * g1) for f in {freqs.min(), freqs.max()}])
     lo, hi, radius = ends[:, 0].min(), ends[:, 1].max(), ends[:, 2].max()
@@ -448,7 +624,7 @@ def _sweep_plan(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray)
     # term is far below double precision
     b = half / (p * r)
     k = np.arange(int(1.5 * r) + 50)
-    coef = 2.0 * jv(k, r)
+    coef = 2.0 * _bessel_j(k.size, r)
     coef = coef[:np.nonzero(np.abs(coef) * (b + math.sqrt(1.0 + b * b))**k > 1e-16)[0][-1] + 1]
     coef[0] /= 2.0
     n = g0.shape[0]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
 from .exceptions import NumericError, ValidationError
@@ -82,7 +81,7 @@ def sw_flip_block_norm(params: SystemParams, config: HilbertConfig, delta: float
     scale = max(np.abs(gen).max(), 1e-300)
     if np.abs(gen + gen.conj().T).max() / scale > 1e-12:
         raise NumericError("SW generator is not anti-Hermitian")
-    u = _expm(gen)
+    u = hermitian_propagator(1j * gen, 1.0)  # exp(A) = exp(-i (iA)), iA Hermitian
     d = config.phonon_dims[0]
     m = (u @ full_jc_hamiltonian(params, config, delta).matrix @ u.conj().T).reshape(2, d, 2, d)
     return float(np.linalg.norm(m[0, :, 1, :]) + np.linalg.norm(m[1, :, 0, :]))
@@ -254,7 +253,7 @@ def ramsey_sigma_z_exact_phases(
     """Exact exp(A) composition at explicit evolution phases (testing hook)."""
     c = np.asarray(c, dtype=complex).reshape(-1)
     config = HilbertConfig(2, (c.size + 6,))
-    u = _expm(sw_generator(config, eps).matrix)
+    u = hermitian_propagator(1j * sw_generator(config, eps).matrix, 1.0)
     n = np.arange(config.phonon_dims[0])
     phases = np.concatenate([np.exp(1j * n * (phi + psi)), np.exp(1j * n * (phi - psi))])
     return _composed_sigma_z(config, c, theta, [u.conj().T @ (phases[:, None] * u)])

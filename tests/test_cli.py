@@ -535,16 +535,45 @@ def test_unbounded_expm_action_is_a_numeric_failure(tmp_path):
     assert not out.exists()
 
 
+# scipy modules no path loads: the kernels are numpy routines, only scipy.sparse is used
+_UNLOADED_SCIPY = {"scipy.special", "scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+                   "scipy.optimize", "scipy.integrate"}
+_LAYERS = {f"cqadsim.{name}" for name in
+           ("hilbert", "device", "dynamics", "sequences", "swtheory", "analysis", "cli", "keyval")}
+
+
 def test_cli_start_up_does_not_load_an_ode_solver():
-    """No path integrates an ODE and the fits and the echo root have their own solvers, so
-    ``import cqadsim.cli`` leaves scipy.integrate and scipy.optimize unloaded; it loads every
-    layer module, which the benchmark's tracer looks up in ``sys.modules``."""
+    """No path integrates an ODE, and the fits, the echo root, the matrix exponential, the Bessel
+    and Faddeeva functions and the block labelling are numpy routines, so ``import cqadsim.cli``
+    loads no scipy module but scipy.sparse; it loads every layer module, which the benchmark's
+    tracer looks up in ``sys.modules``."""
     proc = _python("-c", "import json, sys, cqadsim.cli; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert not {"scipy.integrate", "scipy.optimize"} & loaded
-    layers = ("hilbert", "device", "dynamics", "sequences", "swtheory", "analysis", "cli", "keyval")
-    assert {f"cqadsim.{name}" for name in layers} <= loaded
+    assert not _UNLOADED_SCIPY & loaded
+    assert _LAYERS <= loaded
+
+
+def test_wigner_and_spectroscopy_runs_load_no_scipy_beyond_sparse(tmp_path):
+    """A tiny Wigner run and a tiny spectroscopy run in one fresh process, which would show a
+    lazy import on any path they take (block exponentials, Chebyshev sweep, Voigt and Poisson
+    fits), leave the same scipy modules unloaded, and every layer module loaded."""
+    specs = [preset_copy(tmp_path, "wigner_fock1.spec", phonon_dim=8, grid_points=3,
+                         grid_extent=0.8),
+             preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6, freq_step=10e3)]
+    code = ("import json, sys\n"
+            "from cqadsim import cli\n"
+            "for spec, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    assert cli.main(['run', '--experiment', spec, '--out', out, '--quiet']) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = _python("-c", code, specs[0], str(tmp_path / "wigner"),
+                   specs[1], str(tmp_path / "spectroscopy"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "wigner" / "wigner.csv").exists()
+    assert (tmp_path / "spectroscopy" / "fit.json").exists()
+    loaded = set(json.loads(proc.stdout))
+    assert not _UNLOADED_SCIPY & loaded
+    assert _LAYERS <= loaded
 
 
 @pytest.mark.parametrize("overrides, key", [

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix, identity, kron
 from scipy.sparse.csgraph import connected_components
+from scipy.special import jv
 
 from cqadsim import dynamics
 from cqadsim.device import TWO_PI, _jc_terms, full_jc_hamiltonian, paper_default_params
@@ -25,15 +27,20 @@ from cqadsim.dynamics import (
 from cqadsim.dynamics import (
     _apply,
     _apply_adjoint,
+    _bessel_j,
     _BlockPropagator,
+    _components,
     _drive_hamiltonian,
+    _expm,
     _frame_charge,
     _frame_generator,
     _frame_states,
     _gershgorin,
     _hermitian_basis,
     _hermitian_generator,
+    _pade_structure,
     _propagator,
+    _PropagatorCache,
     _segment_propagator,
     _sweep_action,
     _sweep_plan,
@@ -760,13 +767,14 @@ def test_sweep_action_in_place_is_the_allocating_recurrence(seed, freqs):
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, 1e7])
 def test_sweep_action_refuses_before_any_work(monkeypatch, scale):
-    """A generator that is not finite, or needs more than 2^20 products, is a NumericError."""
+    """A generator that is not finite, or needs more than 2^20 products, is a NumericError,
+    raised before any Bessel coefficient is computed."""
     g0, g1, u, _ = _random_sweep(0)
 
     def no_work(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(dynamics, "jv", no_work)
+    monkeypatch.setattr(dynamics, "_bessel_j", no_work)
     with pytest.raises(NumericError, match="matrix-vector products"):
         _sweep_action(g0 * scale, g1, np.linspace(-2.0, 3.0, 7), u)
 
@@ -803,3 +811,144 @@ def test_cached_propagator_follows_every_input(params):
         assert np.array_equal(run(*v), cold)
     for a, b in combinations(warm, 2):
         assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernels against scipy's
+
+
+@pytest.mark.parametrize("r", [1.0, 1.7, 9.5, 25.0, 140.0, 333.3, 600.0, 900.0])
+def test_bessel_j_matches_scipy(r):
+    """J_0..J_{n-1}(r) at the length ``_sweep_plan`` takes, n = 1.5 r + 50: within 3e-14
+    absolute of scipy's jv up to r = 900 (1.9e-14 measured there), 1e-15 up to r = 25."""
+    n = int(1.5 * r) + 50
+    err = np.abs(_bessel_j(n, r) - jv(np.arange(n), r)).max()
+    assert err <= (1e-15 if r <= 25 else 3e-14)
+
+
+@pytest.mark.parametrize("half", [0.0, 0.4, 3.0])
+@pytest.mark.parametrize("radius", [1.0, 12.0, 250.0, 900.0])
+def test_sweep_plan_truncates_the_bessel_series_as_with_scipy(monkeypatch, radius, half):
+    """The coefficients of one substep keep the same number of terms as with scipy's jv, and
+    agree with them.  G0 = diag(-2 half, 0) + radius J has Gershgorin bounds [-2 half, 0] and
+    radius ``radius``, so the plan takes r = max(radius / p, 1), p = max(ceil(half), 1)."""
+    g0 = csr_matrix(np.array([[-2.0 * half, radius], [-radius, 0.0]]))
+    g1 = csr_matrix((2, 2))
+    freqs = np.array([0.0])
+    _, coef, p, _ = _sweep_plan(g0, g1, freqs)
+    monkeypatch.setattr(dynamics, "_bessel_j", lambda n, r: jv(np.arange(n), r))
+    _, ref, p_ref, _ = _sweep_plan(g0, g1, freqs)
+    assert p == p_ref and coef.size == ref.size
+    assert np.abs(coef - ref).max() <= 6e-14
+
+
+def _jc_liouvillian_blocks():
+    """Dense blocks of a dissipative JC Liouvillian at (2,(6,)), each scaled to 1-norm 1."""
+    params = paper_default_params()
+    config = HilbertConfig(2, (6,))
+    gen = liouvillian(full_jc_hamiltonian(params, config, _REST).matrix,
+                      collapse_operators(config, _PAPER_NOISE))
+    _, labels = _components(gen != 0)
+    blocks = [gen[labels == k][:, labels == k].toarray() for k in (0, 1, 3)]
+    return [b / np.abs(b).sum(axis=0).max() for b in blocks]
+
+
+_EXPM_NORMS = [1e-3, 1e-2, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 1e3]
+
+
+@pytest.mark.parametrize("norm", _EXPM_NORMS)
+def test_expm_matches_scipy(norm):
+    """At 1-norms from 1e-3 to 1e3, on JC Liouvillian blocks and on random complex and real
+    matrices: the degree and squarings are scipy's, and the exponential is within 1e-13 of
+    scipy's, relative to its largest entry."""
+    from scipy.linalg._matfuncs_expm import pick_pade_structure  # scipy's private (m, s) choice
+
+    rng = np.random.default_rng(int(norm * 1e3))
+    mats = [*_jc_liouvillian_blocks(),
+            rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)),
+            rng.normal(size=(30, 30))]
+    for a in mats:
+        a = a * (norm / np.abs(a).sum(axis=0).max())
+        work = np.zeros((5, *a.shape), dtype=a.dtype)
+        work[0] = a
+        assert _pade_structure(a)[:2] == tuple(pick_pade_structure(work))
+        ref = expm(a)
+        assert np.abs(_expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_expm_norms_reach_every_degree_and_squaring():
+    """The norms above take a JC block through every Pade degree, and up to 8 squarings."""
+    block = _jc_liouvillian_blocks()[0]
+    structures = [_pade_structure(block * norm)[:2] for norm in _EXPM_NORMS]
+    assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
+    assert max(s for _, s in structures) >= 8
+
+
+def test_expm_of_a_single_entry_is_its_exponential():
+    """A one-index block (a component of one coherence) takes exp exactly, as scipy does."""
+    a = np.array([[-3.0e3 + 1.0e2j]])
+    assert np.array_equal(_expm(a), np.exp(a))
+    assert np.array_equal(_expm(a), expm(a))
+
+
+def _assert_same_components(pattern):
+    count, labels = _components(pattern)
+    ref_count, ref_labels = connected_components(pattern, directed=False)
+    assert count == ref_count
+    assert np.array_equal(labels, ref_labels)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_components_match_csgraph_on_random_patterns(seed):
+    """The same partition and the same block numbering (by lowest index) as scipy, on directed
+    patterns from empty to dense, with self-loops and isolated indices."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    density = min(float(rng.uniform(0.0, 4.0)) / n, 1.0)
+    _assert_same_components(sparse.random(n, n, density=density, format="csr", rng=rng) != 0)
+
+
+def test_components_match_csgraph_on_a_scrambled_path():
+    """A path through 500 indices in random order: one component, however it is labelled."""
+    order = np.random.default_rng(7).permutation(500)
+    path = csr_matrix((np.ones(499), (order[:-1], order[1:])), shape=(500, 500))
+    _assert_same_components(path != 0)
+
+
+@pytest.mark.parametrize("config", [HilbertConfig(2, (7,)), HilbertConfig(3, (5,)),
+                                    HilbertConfig(2, (4, 3))])
+@pytest.mark.parametrize("noise", [
+    _PAPER_NOISE,
+    NoiseModel(),
+    NoiseModel(qubit_gamma1=1e4, phonon_kappa_phi=3e3),
+    NoiseModel(qubit_gamma_phi=2e4, phonon_kappa1=5e2),
+])
+def test_components_match_csgraph_on_liouvillians(config, noise):
+    """Liouvillians of one and two modes and of a three-level qubit, with some rates 0."""
+    h = full_jc_hamiltonian(paper_default_params(), config, _REST).matrix
+    _assert_same_components(liouvillian(h, collapse_operators(config, noise)) != 0)
+
+
+def test_cache_total_evicts_as_resumming_does():
+    """A running element total evicts the same keys, in the same order, as re-summing every
+    entry on each put: over a sequence with a re-put of a live key (larger, then smaller) and
+    an entry larger than the whole budget, which stays alone."""
+    def resummed(budget, puts):
+        data, states = {}, []
+        for key, size in puts:
+            data.pop(key, None)
+            data[key] = size
+            while sum(data.values()) > budget and len(data) > 1:
+                del data[next(iter(data))]
+            states.append(list(data.items()))
+        return states
+
+    puts = [("a", 30), ("b", 30), ("c", 30), ("a", 50), ("d", 10), ("c", 5), ("e", 250),
+            ("f", 40), ("g", 60), ("f", 1), ("h", 20), ("h", 99)]
+    cache = _PropagatorCache(max_elements=100)
+    for (key, size), expected in zip(puts, resummed(100, puts)):
+        cache.put(key, np.zeros(size))
+        assert [(k, v.size) for k, v in cache._data.items()] == expected
+        assert cache._total == sum(size for _, size in expected)
+    cache.clear()
+    assert cache._total == 0 and not cache._data

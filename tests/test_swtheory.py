@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cqadsim.device import TWO_PI, chi_analytic, delta_prime, paper_default_params
 from cqadsim.exceptions import NumericError, ValidationError
-from cqadsim.hilbert import HilbertConfig
+from cqadsim.hilbert import HilbertConfig, hermitian_propagator
 from cqadsim.swtheory import (
     _graded_sigma_z,
     _phases,
@@ -300,3 +301,10 @@ def test_chi_numeric_near_degeneracy_errors(params):
     # at resonance the dressed states are equal mixtures: labeling must fail
     with pytest.raises(NumericError):
         chi_numeric(params, HilbertConfig(2, (8,)), 10.0, 2)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05 + 0.02j, 0.3, 1.5j])
+def test_sw_transformation_is_scipys_expm_of_the_generator(eps):
+    """U = exp(A) as the module takes it, exp(-i (iA)) of the Hermitian iA, is scipy's expm(A)."""
+    a = sw_generator(HilbertConfig(2, (12,)), eps).matrix
+    assert np.abs(hermitian_propagator(1j * a, 1.0) - expm(a)).max() <= 1e-13

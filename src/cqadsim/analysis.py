@@ -580,13 +580,36 @@ def poisson_fit(populations: Sequence[float]) -> FitResult:
     def residual(theta):
         return poisson(theta[0]) - p
 
+    def lower(v):  # v_{n-1}, with v_{-1} = 0: d/dnbar of P_n is lower(P)_n - P_n
+        return np.concatenate([[0.0], v[:-1]])
+
     def jacobian(theta):  # dP_n/dnbar = P_n (n/nbar - 1) = P_{n-1} - P_n
         q = poisson(theta[0])
-        return (np.concatenate([[0.0], q[:-1]]) - q)[:, None]
+        return (lower(q) - q)[:, None]
 
-    nbar0 = float(np.sum(n * p))
-    fit, x = _fit(residual, jacobian, [nbar0], ([0.0], [float(p.size) * 2.0]), ["nbar"],
-                  tol=1e-14)
+    def gradient(nbar):  # (J^T r, its derivative J^T J + r^T d^2P/dnbar^2)
+        q = poisson(nbar)
+        dq = lower(q) - q
+        r = q - p
+        return float(dq @ r), float(dq @ dq + (lower(dq) - dq) @ r)
+
+    nbar0, upper = float(np.sum(n * p)), float(p.size) * 2.0
+    fit, x = _fit(residual, jacobian, [nbar0], ([0.0], [upper]), ["nbar"], tol=1e-14)
+    if x is not None and 0.0 < x[0] < upper:
+        # _fit stops on its cosine and step tests, up to about 1e-9 short of the optimum;
+        # Newton steps on the gradient, each taken only while |J^T r| falls and nbar stays
+        # inside its bounds, bring J^T r to rounding
+        nbar = float(x[0])
+        g, dg = gradient(nbar)
+        while dg > 0.0 and 0.0 < (trial := nbar - g / dg) < upper:
+            g_trial, dg_trial = gradient(trial)
+            if not abs(g_trial) < abs(g):
+                break
+            nbar, g, dg = trial, g_trial, dg_trial
+        r = residual([nbar])
+        cost = 0.5 * float(r @ r)
+        fit = replace(fit, parameters={"nbar": nbar}, residual_norm=math.sqrt(2.0 * cost),
+                      uncertainties={"nbar": float(_covariance_sigmas(jacobian([nbar]), cost)[0])})
     if x is not None:
         nbar, nbar_err = fit.parameters["nbar"], fit.uncertainties["nbar"]
         beta = math.sqrt(max(nbar, 0.0))

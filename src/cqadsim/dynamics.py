@@ -6,23 +6,20 @@ frame, 0 Hz from LG-00), so the qubit detuning Delta(t) appears
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
-A propagator is built only where it is reused, or where a pass reaches few
-of its blocks: by the parity readout (one pass backward through
-``_apply_adjoint`` per operating point), by ``vacuum_rabi_chevron``'s time
-steps, by ``sequences.coherence_protocols``'s delay loop, and for an
-undriven segment of a Ket (noiseless evolution).  It is built one way
-(``_propagator``: the Liouvillian exponential with collapse operators,
-exp(-i H t) without) and applied one way (``_apply``: U psi, U rho U^dag or
-P vec(rho), by the propagator's row count); ``_apply_adjoint`` is the same
-step taken backward on an operator.  Each comes from one cache keyed on the
-segment's inputs (segment, params, config, noise).  The Liouvillian is
-built as a sparse matrix.  Without drives it conserves the total excitation
-number, so it splits into independent blocks by coherence order, read off
+A propagator is built only where it is reused: by ``vacuum_rabi_chevron``'s
+time steps, by ``sequences.coherence_protocols``'s delay loop, and for an
+undriven segment of a Ket or of a noise-free parity readout (noiseless
+evolution).  It is built one way (``_propagator``: the Liouvillian
+exponential with collapse operators, exp(-i H t) without) and applied one
+way (``_apply``: U psi, U rho U^dag or P vec(rho), by the propagator's row
+count); ``_apply_adjoint`` is the unitary step taken backward on an
+operator.  Each comes from one cache keyed on the segment's inputs
+(segment, params, config, noise).  The Liouvillian is built as a sparse
+matrix.  Without drives it conserves the coherence order N_i - N_j
+(``_excitation_number``), so it splits into independent blocks, read off
 the generator's own nonzero pattern; its propagator (``_BlockPropagator``)
 keeps them apart and exponentiates a block only when a vector applied to
-it, forward or transposed, first reaches that block.  The parity readout,
-which starts from sigma_+ and passes through qubit rotations, builds only
-the few blocks of low coherence order.
+it first reaches that block.
 
 A single pass is an action: ``evolve_segments`` applies every segment of a
 density matrix, and every driven segment of a Ket, once to one state
@@ -32,6 +29,12 @@ for a phonon drive or none, so the exact evolution is a constant generator
 acting on one state (exp(-i H t) on a Ket; ``_frame_states`` on a density
 matrix), followed by the diagonal phases that return to the phonon frame.
 
+The parity readout runs backward (``_segment_adjoint``): with noise each
+segment is one action of the transposed Liouvillian on the operator,
+restricted to the coherence orders the operator holds, so a readout that
+starts from sigma_+ and passes through qubit rotations touches the few
+entries of low coherence order and builds no propagator.
+
 ``_frame_states`` is the one kernel for a constant generator acting on one
 density matrix without a propagator: exp(L(f) t) rho for every frame
 frequency f of a grid, L(f) the Lindbladian of H - 2 pi f K.  It runs
@@ -39,7 +42,8 @@ frequency f of a grid, L(f) the Lindbladian of H - 2 pi f K.  It runs
 generator G0 + f G1 (Hermitian basis) on a block that holds the whole grid,
 about as many products as the generator's spectral radius.  A segment is a
 grid of one frame; the spectroscopy probe sweep is a grid of every probe
-frequency.
+frequency.  The readout's restricted action is the same recurrence on one
+complex generator and no frame.
 
 Of scipy only ``scipy.sparse`` is used; the dense kernels are numpy
 routines checked against scipy's in the tests.  ``_expm`` exponentiates a
@@ -51,7 +55,6 @@ coefficients J_k(r) by Miller's backward recurrence.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -246,10 +249,11 @@ class Segment:
 class _PropagatorCache:
     """Size-budgeted LRU for segment propagators, keyed by the segment's inputs.
 
-    Its entries are the propagators of the parity readout, of loops that
-    reuse them (``vacuum_rabi_chevron``, ``sequences.coherence_protocols``)
-    and of undriven Ket segments; a single pass over a density matrix is an
-    action and puts nothing here.  The budget counts elements: ``size`` of a
+    Its entries are the propagators of loops that reuse them
+    (``vacuum_rabi_chevron``, ``sequences.coherence_protocols``), of
+    undriven Ket segments and of the segments of a noise-free parity
+    readout; a single pass over a density matrix, and a readout with noise,
+    is an action and puts nothing here.  The budget counts elements: ``size`` of a
     dense array, and of a ``_BlockPropagator`` the full element count of all
     its blocks, built or not.  The element total is kept as entries come and
     go, so a put hashes its own key only.  Unlocked: every sweep runs in one
@@ -327,16 +331,10 @@ def _apply(prop, state):
     return DensityMatrix(config, prop @ state.matrix @ prop.conj().T)
 
 
-def _apply_adjoint(prop, op: np.ndarray) -> np.ndarray:
-    """The Heisenberg step: the operator B with Tr[B rho] = Tr[op _apply(prop, rho)].
-
-    U^dag op U for a d-row propagator; mat(P^T vec(op^T))^T for a d^2-row
-    one, in the row-major vec convention of ``liouvillian``.
-    """
-    d = op.shape[0]
-    if prop.shape[0] == d * d:
-        return (prop.T @ op.T.reshape(-1)).reshape(d, d).T
-    return prop.conj().T @ op @ prop
+def _apply_adjoint(u: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """The Heisenberg step of a d-row propagator U: U^dag op U, so Tr[op _apply(U, rho)]
+    is Tr[(U^dag op U) rho]."""
+    return u.conj().T @ op @ u
 
 
 @lru_cache(maxsize=None)
@@ -518,10 +516,10 @@ class _BlockPropagator:
     The blocks are the connected components of the generator's nonzero
     pattern (``_components``; for a Liouvillian without drives, its
     coherence orders), numbered by their lowest index, so the propagator has
-    exactly zero coupling between them.  ``P @ v`` and ``P.T @ v`` run one
-    dense ``_expm`` of a block's generator slice the first time v has a
-    nonzero entry in that block; a block whose part of v is all zeros maps
-    it to zeros, so nothing is approximated.  The blocks stay complex: the
+    exactly zero coupling between them.  ``P @ v`` runs one dense ``_expm``
+    of a block's generator slice the first time v has a nonzero entry in
+    that block; a block whose part of v is all zeros maps it to zeros, so
+    nothing is approximated.  The blocks stay complex: the
     real Hermitian basis of ``_hermitian_generator`` would pair each
     coherence-order block q with -q into one block twice the size.  ``size``
     is the element count of all blocks, built or not.
@@ -533,16 +531,8 @@ class _BlockPropagator:
         self._bounds = np.searchsorted(labels[self._order], np.arange(n_blocks + 1))
         self._gen = gen[self._order][:, self._order]
         self._blocks: list[np.ndarray | None] = [None] * n_blocks
-        self._transposed = False
         self.shape = gen.shape
         self.size = int(np.sum(np.diff(self._bounds) ** 2))
-
-    @property
-    def T(self) -> "_BlockPropagator":
-        """The transpose, sharing this propagator's blocks."""
-        t = copy.copy(self)
-        t._transposed = not self._transposed
-        return t
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         x = v[self._order]
@@ -551,7 +541,7 @@ class _BlockPropagator:
             if x[a:b].any():
                 if self._blocks[k] is None:
                     self._blocks[k] = _expm(self._gen[a:b, a:b].toarray())
-                out[a:b] = (self._blocks[k].T if self._transposed else self._blocks[k]) @ x[a:b]
+                out[a:b] = self._blocks[k] @ x[a:b]
         result = np.empty_like(out)
         result[self._order] = out
         return result
@@ -562,14 +552,15 @@ _MAX_PRODUCTS = 2**20
 
 
 def _gershgorin(g: sparse.csr_matrix) -> tuple[float, float, float]:
-    """(lo, hi, r): the field of values of the real matrix g, so its spectrum, lies in
-    [lo, hi] x i[-r, r].
+    """(lo, hi, r): the field of values of g, so its spectrum, lies in [lo, hi] x i[-r, r].
 
-    [lo, hi] holds the Gershgorin discs of the symmetric part, and r is the
-    largest absolute row sum of the antisymmetric part, which bounds its norm.
+    [lo, hi] holds the Gershgorin discs of the Hermitian part, and r is the
+    largest absolute row sum of the anti-Hermitian part, which bounds its
+    norm.  For a real g these are the symmetric and antisymmetric parts.
     """
-    sym, asym = (g + g.T) * 0.5, (g - g.T) * 0.5
-    d = sym.diagonal()
+    gh = g.conj().T
+    sym, asym = (g + gh) * 0.5, (g - gh) * 0.5
+    d = sym.diagonal().real
     off = np.asarray(abs(sym).sum(axis=1)).ravel() - np.abs(d)
     return float((d - off).min()), float((d + off).max()), float(abs(asym).sum(axis=1).max())
 
@@ -602,15 +593,17 @@ def _bessel_j(n: int, r: float) -> np.ndarray:
     return np.array(values[::-1]) / (total + j)
 
 
-def _sweep_plan(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray):
+def _sweep_plan(g0: sparse.csr_matrix, g1: sparse.csr_matrix | None, freqs: np.ndarray | None):
     """(stack, coef, p, c) of ``_sweep_action``'s recurrence.
 
     p substeps of G/p = c + r Y, stack = [A; B] with 2 Y = A + f B on the
-    column of f, and coef_k = (2 - delta_k0) J_k(r) from ``_bessel_j``,
-    truncated.  A bound that is not finite, or that needs more than 2^20
-    products, is a ``NumericError`` raised before any work.
+    column of f (stack = A without G1), and coef_k = (2 - delta_k0) J_k(r)
+    from ``_bessel_j``, truncated.  A bound that is not finite, or that
+    needs more than 2^20 products, is a ``NumericError`` raised before any
+    work.
     """
-    ends = np.array([_gershgorin(g0 + f * g1) for f in {freqs.min(), freqs.max()}])
+    gens = [g0] if g1 is None else [g0 + f * g1 for f in {freqs.min(), freqs.max()}]
+    ends = np.array([_gershgorin(g) for g in gens])
     lo, hi, radius = ends[:, 0].min(), ends[:, 1].max(), ends[:, 2].max()
     half = (hi - lo) / 2.0
     if not radius + half <= _MAX_PRODUCTS:
@@ -627,23 +620,25 @@ def _sweep_plan(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray)
     coef = 2.0 * _bessel_j(k.size, r)
     coef = coef[:np.nonzero(np.abs(coef) * (b + math.sqrt(1.0 + b * b))**k > 1e-16)[0][-1] + 1]
     coef[0] /= 2.0
-    n = g0.shape[0]
-    stack = sparse.vstack([(g0 / p - c * sparse.identity(n)) * (2.0 / r),
-                           g1 * (2.0 / (p * r))]).tocsr()
-    return stack, coef, p, c
+    stack = (g0 / p - c * sparse.identity(g0.shape[0])) * (2.0 / r)
+    if g1 is not None:
+        stack = sparse.vstack([stack, g1 * (2.0 / (p * r))])
+    return stack.tocsr(), coef, p, c
 
 
-def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarray,
-                  u: np.ndarray) -> np.ndarray:
+def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix | None,
+                  freqs: np.ndarray | None, u: np.ndarray) -> np.ndarray:
     """The block whose column k is exp(G0 + f_k G1) u, for every f_k in ``freqs``.
 
-    No exponential is formed.  One real Chebyshev recurrence (Tal-Ezer &
-    Kosloff, J. Chem. Phys. 81, 3967, 1984) runs on a block with one column
-    per f.  The Gershgorin bounds of G0 + f G1 are convex or concave in f,
-    so taken at the grid's two ends (once, when they coincide) they put
-    every spectrum of the grid in [lo, hi] x i[-R, R].  exp(G) is taken
-    as p = ceil((hi - lo)/2) substeps, each of real half-extent at most 1,
-    and the real centre c is taken out as a factor.  A substep is
+    Without G1 (``g1`` and ``freqs`` None) it is exp(G0) u, of u's shape,
+    and G0 may be complex.  No exponential is formed.  One Chebyshev
+    recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) runs on
+    a block with one column per f.  The Gershgorin bounds of G0 + f G1 are
+    convex or concave in f, so taken at the grid's two ends (once, when they
+    coincide, or of G0 alone) they put every spectrum of the grid in
+    [lo, hi] x i[-R, R].  exp(G) is taken as p = ceil((hi - lo)/2)
+    substeps, each of real half-extent at most 1, and the real centre c is
+    taken out as a factor.  A substep is
     G/p = c + r Y with Y's spectrum about i[-1, 1], and
     exp(r Y) u = sum_k (2 - delta_k0) J_k(r) s_k, s_0 = u, s_1 = Y u,
     s_{k+1} = 2 Y s_k + s_{k-1}, truncated where J_k(r) falls below double
@@ -657,17 +652,24 @@ def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix, freqs: np.ndarra
     stacked [A; B] v.
     """
     stack, coef, p, c = _sweep_plan(g0, g1, freqs)
-    n = g0.shape[0]
-    # f in full block shape: a product with a broadcast (1, m) row takes about 2.5 times as long
-    f = np.tile(freqs, (n, 1))
+    if g1 is None:
+        def twice_y(v, out):
+            return stack @ v
 
-    def twice_y(v, out):
-        t = stack @ v
-        np.multiply(t[n:], f, out=out)
-        out += t[:n]
-        return out
+        v = np.array(u, dtype=np.result_type(u, stack.dtype))
+    else:
+        n = g0.shape[0]
+        # f in full block shape: a product with a broadcast (1, m) row takes about 2.5 times
+        # as long
+        f = np.tile(freqs, (n, 1))
 
-    v = np.repeat(u[:, None], freqs.size, axis=1)
+        def twice_y(v, out):
+            t = stack @ v
+            np.multiply(t[n:], f, out=out)
+            out += t[:n]
+            return out
+
+        v = np.repeat(u[:, None], freqs.size, axis=1)
     scratch = np.empty_like(v)
     for _ in range(p):
         prev, cur = v, twice_y(v, scratch) * 0.5
@@ -688,6 +690,18 @@ def _frame_charge(config: HilbertConfig) -> np.ndarray:
     """The diagonal of K = sigma_z/2 + sum_k n_k, the generator of frame changes."""
     sz, modes = _jc_terms(config)
     return (0.5 * sz.diagonal() + sum(n_k.diagonal() for n_k, _ in modes)).real
+
+
+def _excitation_number(config: HilbertConfig) -> np.ndarray:
+    """N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none, plus sum_k n_k.
+
+    exp(i theta N) commutes with every segment's Hamiltonian and collapse
+    operators and turns a phase-0 qubit drive or pulse into the phase-theta one.
+    An undriven Liouvillian therefore conserves the coherence order N_i - N_j
+    of each entry |i><j|.
+    """
+    levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
+    return (levels[0] == 1) + levels[1:].sum(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -769,6 +783,32 @@ def _segment_action(state, seg: Segment, params, config: HilbertConfig, noise: N
         return _apply(v, _apply(hermitian_propagator(h, seg.duration), state))
     rho = _frame_states(state, h, collapse_operators(config, noise), seg.duration, np.array([f]))
     return _apply(v, DensityMatrix(config, rho[0])).validate(herm_tol=1e-8, eig_floor=-1e-6)
+
+
+def _segment_adjoint(op: np.ndarray, seg: Segment, params: SystemParams,
+                     config: HilbertConfig, noise: NoiseModel) -> np.ndarray:
+    """The Heisenberg step of an undriven segment: B with Tr[B rho] = Tr[op rho(t)].
+
+    Without collapse operators B = U^dag op U, U the cached propagator.  With
+    them B is one action and builds no propagator: vec(B^T) = exp(L^T t)
+    vec(op^T), row-major as in ``liouvillian``.  L conserves the coherence
+    order N_i - N_j of entry i d + j (``_excitation_number``), so the action
+    runs on the entries of the orders op holds, as the one recurrence of
+    ``_sweep_action`` on that slice of L^T t, and every other entry of B is
+    zero.
+    """
+    if noise.is_trivial:
+        return _apply_adjoint(_segment_propagator(seg, params, config, noise), op)
+    d = config.dim
+    n = _excitation_number(config)
+    order = np.subtract.outer(n, n).reshape(-1)
+    v = op.T.reshape(-1)
+    rows = np.flatnonzero(np.isin(order, order[v != 0]))
+    h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
+    gen = (liouvillian(h, collapse_operators(config, noise)) * seg.duration)[rows][:, rows]
+    out = np.zeros(d * d, dtype=complex)
+    out[rows] = _sweep_action(gen.T.tocsr(), None, None, v[rows])
+    return out.reshape(d, d).T
 
 
 def evolve_segments(

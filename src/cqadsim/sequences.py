@@ -13,29 +13,31 @@ each of its segments once, so ``evolve_segments`` applies it to the state as
 an action and builds no propagator.  Spectroscopy, which propagates in its
 own probe frame, converts its input itself and evolves it over the whole
 frequency grid with one ``dynamics._frame_states`` (the probe frequency is
-the frame), never building a propagator.  The parity readout and the
-coherence protocols' delay loop take a segment's cached
-``dynamics._segment_propagator``; the loop and the instantaneous pulses
-apply it through ``dynamics._apply``, the readout through
-``dynamics._apply_adjoint``.
+the frame), never building a propagator.  The coherence protocols' delay
+loop reuses a segment's cached ``dynamics._segment_propagator`` through
+``dynamics._apply``; propagators are built only for such reuse.
 
 The Ramsey and echo sequences are one list of steps (``_parity_steps``:
 rotation matrices and constant segments).  Parity has one readout, run
 backward once per operating point: sigma_+ goes through the phase-0 sequence
-up to its readout pulse by ``dynamics._apply_adjoint`` (``_readout_adjoint``).
-Its vacuum entry is the vacuum fringe, and ``_calibrated_effect`` turns it
-into the effect operator E for any drive phases, because a drive phase is a
-rotation exp(i theta N) that every segment commutes with.  Each state is read
+up to its readout pulse (``_readout_adjoint``), each pulse by
+``dynamics._apply_adjoint`` and each segment by ``dynamics._segment_adjoint``,
+which with noise is one Chebyshev action restricted to the coherence orders
+the operator holds and without noise the cached unitary.  Its vacuum entry
+is the vacuum fringe, and ``_calibrated_effect`` turns it into the effect
+operator E for any drive phases, because a drive phase is a rotation
+exp(i theta N) that every segment commutes with.  Each state is read
 as Tr[E rho] (<psi|E|psi> for a Ket); the parity estimate
 (``four_phase_average``; one drive phase is ``phases=(theta,)``) and the
 Wigner and offset scans all read parity through it.
 
 The readout pass and the echo-offset zero time are ``functools.lru_cache``
-memos keyed on their arguments; each evaluation of the zero time's offset,
-the 121-point bracket scan included, is one analytic call batched over the
-four phases.  The Wigner grid is read in blocks of bounded size and the
-offset-scan times in order, in one thread; the spectroscopy grid runs as
-one block.
+memos keyed on their arguments; each evaluation of the zero time's offset is
+one analytic call batched over the four phases, and its bracket scan
+evaluates a 121-point grid from t0 outward, a window of times per call,
+only until no nearer crossing can remain.  The Wigner grid is read in
+blocks of bounded size and the offset-scan times in order, in one thread;
+the spectroscopy grid runs as one block.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ from .dynamics import (
     _apply,
     _apply_adjoint,
     _drive_hamiltonian,
+    _excitation_number,
     _frame_states,
+    _segment_adjoint,
     _segment_propagator,
     collapse_operators,
     evolve_segments,
@@ -232,16 +236,6 @@ def _parity_steps(variant, theta, theta2, t, delta, config):
             qubit_rotation(config, theta2, math.pi / 2.0)]
 
 
-def _excitation_number(config: HilbertConfig) -> np.ndarray:
-    """N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none, plus sum_k n_k.
-
-    exp(i theta N) commutes with every segment's Hamiltonian and collapse
-    operators and turns a phase-0 qubit drive or pulse into the phase-theta one.
-    """
-    levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
-    return (levels[0] == 1) + levels[1:].sum(axis=0)
-
-
 @functools.lru_cache(maxsize=8)
 def _readout_adjoint(variant, t, delta, params, config, noise) -> np.ndarray:
     """F: sigma_+ run backward through the phase-0 sequence up to its readout pulse, cached.
@@ -254,8 +248,9 @@ def _readout_adjoint(variant, t, delta, params, config, noise) -> np.ndarray:
     op = qubit_operator(config, "sigma_plus").matrix
     for step in reversed(_parity_steps(variant, 0.0, 0.0, t, delta, config)[:-1]):
         if isinstance(step, Segment):
-            step = _segment_propagator(step, params, config, noise)
-        op = _apply_adjoint(step, op)
+            op = _segment_adjoint(op, step, params, config, noise)
+        else:
+            op = _apply_adjoint(step, op)
     op.setflags(write=False)
     return op
 
@@ -361,17 +356,29 @@ def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     raise RuntimeError("Brent's method took more than 100 steps")
 
 
+# grid steps added on each side of t0 per window of the echo bracket scan
+_ECHO_WINDOW = 8
+
+
 @functools.lru_cache(maxsize=64)
 def echo_offset_zero_time(params: SystemParams, delta: float) -> float:
     """Interaction time near pi/|chi| where the analytic echo offset crosses zero.
 
     The offset is evaluated on a far-field coherent state (|beta| = 2, parity
     ~ 0) with the order-eps^2 echo expression, four-phase averaged; the zero
-    crossing closest to t0 within t0 +- 0.3 us is refined by Brent's method
-    (t0 itself if there is none).  This mirrors choosing the tomography
-    interaction time that nulls the Wigner background.  Each evaluation is
-    one ``echo_sigma_z_analytic`` call: one power-series array batched over
-    the four phases, and over the 121 times of the bracket scan.
+    crossing closest to t0 on a 121-point grid over t0 +- 0.3 us (the pair
+    whose earlier time is nearest t0, the earlier pair on a tie) is refined
+    by Brent's method (t0 itself if there is none).  This mirrors choosing
+    the tomography interaction time that nulls the Wigner background.
+
+    The grid is evaluated from the middle out, ``_ECHO_WINDOW`` points more
+    on each side per window, and the scan stops once no pair left
+    unevaluated can lie as near t0 as the best crossing found; without a
+    crossing it covers the whole grid.  A time's offset does not depend on
+    the other times of its call, so the bracket is the full grid's, bit for
+    bit.  Each evaluation is one ``echo_sigma_z_analytic`` call: one
+    power-series array batched over the four phases, and over a window's
+    times.
     """
     t0 = default_ramsey_time(params, delta)
     c = coherent_amplitudes(22, 2.0)
@@ -383,12 +390,25 @@ def echo_offset_zero_time(params: SystemParams, delta: float) -> float:
         return np.mean(vals, axis=0).reshape(np.shape(t))
 
     times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 121)
-    vals = offset(times)
-    crossings = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if crossings.size == 0:
-        return t0
-    best = crossings[np.argmin(np.abs(times[crossings] - t0))]
-    return _brent_root(offset, times[best], times[best + 1], 1e-20, 4 * np.finfo(float).eps)
+    dist = np.abs(times - t0)  # pair i is (times[i], times[i + 1]), at the distance of times[i]
+    vals = np.empty(times.size)
+    w = _ECHO_WINDOW
+    lo, hi = times.size // 2 - w, times.size // 2 + w + 1  # times[lo:hi] are evaluated
+    new = np.arange(lo, hi)
+    while new.size:
+        vals[new] = offset(times[new])
+        signs = np.sign(vals[lo:hi])
+        crossings = lo + np.flatnonzero(signs[:-1] * signs[1:] < 0)
+        if crossings.size:
+            best = crossings[np.argmin(dist[crossings])]
+            # the nearest pairs left out: (lo - 1, lo) before best, (hi - 1, hi) after it
+            if (lo == 0 or dist[lo - 1] > dist[best]) and (
+                    hi == times.size or dist[hi - 1] >= dist[best]):
+                return _brent_root(offset, times[best], times[best + 1], 1e-20,
+                                   4 * np.finfo(float).eps)
+        new = np.r_[max(lo - w, 0):lo, hi:min(hi + w, times.size)]
+        lo, hi = max(lo - w, 0), min(hi + w, times.size)
+    return t0
 
 
 @dataclass(frozen=True)

@@ -633,3 +633,23 @@ def test_poisson_fit_recovers_a_distribution_built_with_scipys_gammaln(nbar):
     fit = poisson_fit(np.exp(-nbar + n * math.log(nbar) - gammaln(n + 1)))
     assert fit.converged
     assert fit.parameters["nbar"] == pytest.approx(nbar, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poisson_fit_stops_where_its_gradient_changes_sign(seed):
+    """On a perturbed Poisson ladder the fitted nbar brackets the optimum to 1e-13 relative:
+    the gradient J^T r has opposite signs a relative 1e-13 to either side."""
+    rng = np.random.default_rng(seed)
+    nbar = rng.uniform(0.2, 3.0)
+    n = np.arange(12)
+    p = np.exp(-nbar + n * math.log(nbar) - gammaln(n + 1)) * rng.uniform(0.9, 1.1, n.size)
+    p /= p.sum()
+
+    def gradient(x):
+        q = np.exp(-x + n * math.log(x) - gammaln(n + 1))
+        return float((np.concatenate([[0.0], q[:-1]]) - q) @ (q - p))
+
+    fit = poisson_fit(p)
+    x = fit.parameters["nbar"]
+    assert gradient(x * (1.0 - 1e-13)) < 0.0 < gradient(x * (1.0 + 1e-13))
+    assert fit.parameters["beta"] == math.sqrt(x)

@@ -12,7 +12,7 @@ from scipy.sparse import csr_matrix, identity, kron
 from scipy.sparse.csgraph import connected_components
 from scipy.special import jv
 
-from cqadsim import dynamics
+from cqadsim import dynamics, sequences
 from cqadsim.device import TWO_PI, _jc_terms, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
     NoiseModel,
@@ -26,7 +26,6 @@ from cqadsim.dynamics import (
 )
 from cqadsim.dynamics import (
     _apply,
-    _apply_adjoint,
     _bessel_j,
     _BlockPropagator,
     _components,
@@ -556,7 +555,7 @@ def test_blocked_propagator_matches_dense_expm(gen):
 @settings(max_examples=40, deadline=None)
 @given(_static_generators(), st.integers(0, 2**32 - 1))
 def test_block_propagator_builds_only_the_blocks_a_vector_reaches(gen, seed):
-    """Forward and transposed products build the blocks of the vector's support, no others."""
+    """A product builds the blocks of the vector's support, no others."""
     config, h, cs, duration = gen
     gen_matrix = liouvillian(h, cs) * duration
     dense = expm(gen_matrix.toarray())
@@ -565,41 +564,54 @@ def test_block_propagator_builds_only_the_blocks_a_vector_reaches(gen, seed):
     reached = rng.choice(n_blocks, size=rng.integers(1, n_blocks + 1), replace=False)
     support = np.isin(labels, reached)
     v = np.where(support, rng.normal(size=labels.size) + 1j * rng.normal(size=labels.size), 0.0)
-    for transposed in (False, True):
-        prop = _BlockPropagator(gen_matrix)
-        p, expected = (prop.T, dense.T @ v) if transposed else (prop, dense @ v)
-        got = p @ v
-        assert sum(b is not None for b in prop._blocks) == reached.size
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(dense).max() * np.abs(v).sum()
-        assert not got[~support].any()
+    prop = _BlockPropagator(gen_matrix)
+    got = prop @ v
+    assert sum(b is not None for b in prop._blocks) == reached.size
+    assert np.abs(got - dense @ v).max() <= 1e-12 * np.abs(dense).max() * np.abs(v).sum()
+    assert not got[~support].any()
 
 
-def test_echo_parity_effect_builds_only_low_coherence_orders(params):
-    """sigma_+ read back through the echo reaches one coherence order in the late half, five in
-    the early one.
+def test_echo_parity_effect_builds_only_low_coherence_orders(params, monkeypatch):
+    """sigma_+ read back through the echo is one action on the rows of one coherence order in
+    the late half, of five in the early one, and puts nothing in the propagator cache.
 
     The readout pass stops before the final pi/2 pulse, so the late half sees
     sigma_+ alone, a single coherence order; the pi pulse between the halves
     turns it into orders -3..1 (in the vec of the transposed operator that
-    ``_apply_adjoint`` hands the block propagator).  Measured the same at
-    phonon dims 5 and 19.
+    the action takes).  Each action runs on exactly the entries of its
+    orders.  Checked at phonon dims 5 and 19.
     """
     delta = params.delta("ramsey")
     noise = NoiseModel.from_params(params, delta)
+    steps, actions = [], []
+    segment_adjoint, sweep_action = dynamics._segment_adjoint, dynamics._sweep_action
+
+    def recorded_step(op, seg, *args):
+        steps.append((seg.detuning, op))
+        return segment_adjoint(op, seg, *args)
+
+    def recorded_action(g0, g1, freqs, u):
+        actions.append(u)
+        return sweep_action(g0, g1, freqs, u)
+
+    monkeypatch.setattr(sequences, "_segment_adjoint", recorded_step)
+    monkeypatch.setattr(dynamics, "_sweep_action", recorded_action)
     for dim in (5, 19):
         config = HilbertConfig(2, (dim,))
         clear_propagator_cache()
         _readout_adjoint.cache_clear()
+        steps.clear()
+        actions.clear()
         _calibrated_effect("echo", FOUR_PHASES, 6e-6, delta, params, config, noise)
         n = _excitation_number(config)
         q = np.subtract.outer(n, n).reshape(-1)
-        built = {}
-        for (seg, *_), prop in dynamics._CACHE._data.items():
-            starts = prop._order[prop._bounds[:-1]]
-            built[seg.detuning] = sorted(q[s] for s, b in zip(starts, prop._blocks)
-                                         if b is not None)
-            assert len(prop._blocks) == 2 * n.max() + 1
-        assert built == {delta: [-3, -2, -1, 0, 1], -delta: [-1]}
+        reached = {}
+        for (detuning, op), u in zip(steps, actions, strict=True):
+            rows = np.flatnonzero(np.isin(q, q[op.T.reshape(-1) != 0]))
+            assert np.array_equal(u, op.T.reshape(-1)[rows])
+            reached[detuning] = sorted(set(q[rows]))
+        assert reached == {delta: [-3, -2, -1, 0, 1], -delta: [-1]}
+        assert not dynamics._CACHE._data
 
 
 @pytest.mark.parametrize("n_collapse", [0, 1, 2, 3, 4])
@@ -668,8 +680,6 @@ def test_frame_generator_is_the_reduced_frame_liouvillian(config):
 def test_blocked_propagator_trace_and_hermiticity(gen, seed):
     config, h, cs, duration = gen
     prop = _BlockPropagator(liouvillian(h, cs) * duration)
-    vec_eye = np.eye(config.dim).reshape(-1)
-    assert np.abs(prop.T @ vec_eye - vec_eye).max() < 1e-10
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
     rho = m @ m.conj().T
@@ -678,11 +688,44 @@ def test_blocked_propagator_trace_and_hermiticity(gen, seed):
     assert np.abs(out - out.conj().T).max() < 1e-12
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.eigvalsh(out).min() >= -1e-10
-    # the Heisenberg step of a CPTP map is unital and positive
-    assert np.abs(_apply_adjoint(prop, np.eye(config.dim)) - np.eye(config.dim)).max() < 1e-10
-    back = _apply_adjoint(prop, rho)
-    assert np.abs(back - back.conj().T).max() < 1e-12
-    assert np.linalg.eigvalsh(back).min() >= -1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(_static_segments(), st.integers(0, 2**32 - 1))
+@example((HilbertConfig(2, (6,)), _PAPER_NOISE, Segment(2e-6, _REST)), 0)
+@example((HilbertConfig(2, (3, 3)), _PAPER_NOISE, Segment(2e-6, _REST)), 1)
+def test_segment_adjoint_is_the_dual_of_the_dense_segment(drawn, seed):
+    """The Heisenberg step of an undriven segment against scipy's expm: vec(B^T) = P^T vec(op^T)
+    for the dense Liouvillian exponential P (U^dag op U without noise), on an operator with
+    entries of every coherence order and on one of a single order; the step of a CPTP map is
+    unital and keeps Hermiticity and positivity."""
+    config, noise, seg = drawn
+    params = paper_default_params()
+    h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
+    cs = collapse_operators(config, noise)
+    d = config.dim
+    if cs:
+        dense = expm(liouvillian(h, cs).toarray() * seg.duration)
+
+        def expected(op):
+            return (dense.T @ op.T.reshape(-1)).reshape(d, d).T
+    else:
+        u = expm(-1j * h * seg.duration)
+
+        def expected(op):
+            return u.conj().T @ op @ u
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    n = _excitation_number(config)
+    single = np.where(np.subtract.outer(n, n) == rng.integers(-1, 2), m, 0.0)
+    for op in (m, single, m @ m.conj().T):
+        got = dynamics._segment_adjoint(op, seg, params, config, noise)
+        assert np.abs(got - expected(op)).max() <= 1e-12 * np.abs(expected(op)).max()
+    assert np.abs(dynamics._segment_adjoint(np.eye(d), seg, params, config, noise)
+                  - np.eye(d)).max() < 1e-10
+    back = dynamics._segment_adjoint(m @ m.conj().T, seg, params, config, noise)
+    assert np.abs(back - back.conj().T).max() < 1e-12 * np.abs(back).max()
+    assert np.linalg.eigvalsh(back).min() >= -1e-10 * np.abs(back).max()
 
 
 def test_generator_that_breaks_hermiticity_is_refused():

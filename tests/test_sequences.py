@@ -354,6 +354,49 @@ def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases,
         assert abs(expectation(state, effect).real - forward) < 1e-12
 
 
+def _dense_readout(variant, t, d, params, cfg, noise):
+    """F by scipy's dense expm: sigma_+ through each rotation as U^dag F U and through each segment
+    as vec(F^T) -> exp(L t)^T vec(F^T), or U^dag F U with U = exp(-i H t) without noise."""
+    from scipy.linalg import expm
+
+    dim = cfg.dim
+    op = qubit_operator(cfg, "sigma_plus").matrix
+    for step in reversed(sequences._parity_steps(variant, 0.0, 0.0, t, d, cfg)[:-1]):
+        if isinstance(step, Segment):
+            h = full_jc_hamiltonian(params, cfg, step.detuning + noise.static_qubit_offset).matrix
+            cs = collapse_operators(cfg, noise)
+            if cs:
+                p = expm(dynamics.liouvillian(h, cs).toarray() * step.duration)
+                op = (p.T @ op.T.reshape(-1)).reshape(dim, dim).T
+                continue
+            step = expm(-1j * h * step.duration)
+        op = step.conj().T @ op @ step
+    return op
+
+
+@pytest.mark.parametrize("cfg", [HilbertConfig(2, (5,)), HilbertConfig(2, (4, 3))])
+@pytest.mark.parametrize("static_offset", [0.0, 20e3])
+@pytest.mark.parametrize("variant", ["ramsey", "echo"])
+def test_readout_pass_matches_the_dense_expm_oracle(params, cfg, static_offset, variant):
+    """With noise, F from the restricted actions matches the dense oracle to 1e-12 relative;
+    without noise it is, byte for byte, U^dag F U over the cached segment propagators."""
+    d = params.delta("ramsey")
+    t = echo_offset_zero_time(params, d)
+    sequences._readout_adjoint.cache_clear()
+    noise = NoiseModel.from_params(params, d, static_qubit_offset=static_offset)
+    got = sequences._readout_adjoint(variant, t, d, params, cfg, noise)
+    want = _dense_readout(variant, t, d, params, cfg, noise)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    noiseless = NoiseModel(static_qubit_offset=static_offset)
+    op = qubit_operator(cfg, "sigma_plus").matrix
+    for step in reversed(sequences._parity_steps(variant, 0.0, 0.0, t, d, cfg)[:-1]):
+        if isinstance(step, Segment):
+            step = dynamics._segment_propagator(step, params, cfg, noiseless)
+        op = step.conj().T @ op @ step
+    assert np.array_equal(sequences._readout_adjoint(variant, t, d, params, cfg, noiseless), op)
+    sequences._readout_adjoint.cache_clear()
+
+
 def _per_point_wigner(state, grid, params, cfg, noise, t, d):
     """The per-point reference: ``displacement_operator``, ``_apply``, ``expectation``."""
     effect, contrast = sequences._calibrated_effect("echo", FOUR_PHASES, t, d, params, cfg, noise)
@@ -426,6 +469,8 @@ def test_wigner_scan_refuses_a_nan_grid_point(params):
 
 
 def test_wigner_scan_evolves_no_segment_per_grid_point(params):
+    """One readout pass, the same for one point and for a grid: each of its segments is one
+    action and each of its pulses one conjugation, whatever the grid."""
     cfg = HilbertConfig(2, (5,))
     noise = NoiseModel.from_params(params, params.delta("ramsey"))
     one = fock_state(cfg, [1], 0)
@@ -441,15 +486,16 @@ def test_wigner_scan_evolves_no_segment_per_grid_point(params):
         counts.clear()
         sequences._readout_adjoint.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_segment_propagator", "_apply_adjoint"):
+            for name in ("_segment_adjoint", "_apply_adjoint"):
                 mp.setattr(sequences, name, counting(name, getattr(sequences, name)))
+            mp.setattr(dynamics, "_sweep_action", counting("_sweep_action", _sweep_action))
             wigner_scan(one, grid, params, cfg, noise, 7e-6, params.delta("ramsey"))
         return dict(counts)
 
     axis = np.linspace(-0.5, 0.5, 3)
     single = calls(np.zeros((1, 1), complex))
     assert single == calls(axis[None, :] + 1j * axis[:, None])
-    assert single["_segment_propagator"] > 0 and single["_apply_adjoint"] > 0
+    assert single == {"_segment_adjoint": 2, "_sweep_action": 2, "_apply_adjoint": 2}
 
 
 def test_offset_scan_needs_four_times(params):
@@ -770,7 +816,8 @@ def test_echo_offset_zero_time_is_the_root_brentq_finds(params, point, monkeypat
 
 @pytest.mark.parametrize("point", ["ramsey", "fock", "coherent", "rest"])
 def test_echo_offset_zero_time_makes_one_call_per_evaluation(params, point, monkeypatch):
-    """The four phases ride in one call: the batched scan, then one scalar-time call per Brent step."""
+    """The four phases ride in one call: one batched call per window of the scan, then one
+    scalar-time call per Brent step."""
     analytic = sequences.echo_sigma_z_analytic
     calls = []
 
@@ -782,5 +829,66 @@ def test_echo_offset_zero_time_makes_one_call_per_evaluation(params, point, monk
     echo_offset_zero_time.cache_clear()
     echo_offset_zero_time(params, params.delta(point))
     echo_offset_zero_time.cache_clear()
-    assert calls[0] == ((4, 1), 1) and set(calls[1:]) == {((4, 1), 0)}
+    windows = calls.count(((4, 1), 1))
+    assert windows >= 1 and set(calls[:windows]) == {((4, 1), 1)}
+    assert set(calls[windows:]) == {((4, 1), 0)}
     assert len(calls) <= 20
+
+
+def _full_grid_zero_time(params, delta):
+    """The bracket from the whole 121-point grid in one call, then the same Brent refinement."""
+    from cqadsim.hilbert import coherent_amplitudes
+
+    t0 = default_ramsey_time(params, delta)
+    c = coherent_amplitudes(22, 2.0)
+
+    def offset(t):
+        vals = sequences.echo_sigma_z_analytic(c, np.reshape(FOUR_PHASES, (4, 1)), t, params, delta)
+        return np.mean(vals, axis=0).reshape(np.shape(t))
+
+    times = np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 121)
+    vals = offset(times)
+    crossings = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    if crossings.size == 0:
+        return t0
+    best = crossings[np.argmin(np.abs(times[crossings] - t0))]
+    return sequences._brent_root(offset, times[best], times[best + 1], 1e-20,
+                                 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("point", ["ramsey", "fock", "coherent", "rest"])
+def test_echo_offset_zero_time_windows_give_the_full_grid_root(params, point, monkeypatch):
+    """Bit for bit the full grid's root, from fewer than its 121 scan points."""
+    analytic = sequences.echo_sigma_z_analytic
+    scanned = []
+
+    def scanning(c, theta, t, *args):
+        if np.ndim(t):  # the windows; Brent's steps are scalar calls
+            scanned.extend(t)
+        return analytic(c, theta, t, *args)
+
+    monkeypatch.setattr(sequences, "echo_sigma_z_analytic", scanning)
+    d = params.delta(point)
+    echo_offset_zero_time.cache_clear()
+    got = echo_offset_zero_time(params, d)
+    echo_offset_zero_time.cache_clear()
+    assert len(scanned) < 121 and len(set(scanned)) == len(scanned)
+    monkeypatch.setattr(sequences, "echo_sigma_z_analytic", analytic)
+    assert got == _full_grid_zero_time(params, d)
+
+
+def test_echo_offset_zero_time_without_a_crossing_scans_the_grid_and_returns_t0(params,
+                                                                               monkeypatch):
+    scanned = []
+
+    def positive(c, theta, t, *args):
+        scanned.extend(np.atleast_1d(t))
+        return np.ones(np.broadcast_shapes(np.shape(theta), np.shape(t)))
+
+    monkeypatch.setattr(sequences, "echo_sigma_z_analytic", positive)
+    d = params.delta("ramsey")
+    t0 = default_ramsey_time(params, d)
+    echo_offset_zero_time.cache_clear()
+    assert echo_offset_zero_time(params, d) == t0
+    echo_offset_zero_time.cache_clear()
+    assert sorted(scanned) == list(np.linspace(t0 - 0.30e-6, t0 + 0.30e-6, 121))

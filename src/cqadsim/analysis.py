@@ -347,10 +347,16 @@ def _projected_fit(columns, y, theta0, bounds, names):
 
 
 def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
-    """Frequency (Hz) of the largest non-constant FFT component of the detrended trace."""
-    spec = np.abs(np.fft.rfft(y - y.mean()))
-    freqs = np.fft.rfftfreq(t.size, float(np.median(np.diff(t))))
-    return float(freqs[np.argmax(spec[1:]) + 1])
+    """Frequency (Hz) of the peak of the detrended trace's periodogram, zero-padded 8-fold.
+
+    The peak is sought from the lowest non-constant frequency of the unpadded
+    transform up to, but not at, the Nyquist frequency, where the sine of
+    every sample vanishes and a fit started there cannot leave it.
+    """
+    n = 8 * t.size
+    spec = np.abs(np.fft.rfft(y - y.mean(), n))
+    freqs = np.fft.rfftfreq(n, float(np.median(np.diff(t))))
+    return float(freqs[np.argmax(spec[8:-1]) + 8])
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +676,9 @@ def decay_fit(times: Sequence[float], values: Sequence[float],
     ``exponential_sine``: A exp(-t/T) cos(2 pi f t + phi) + C with parameters
     ``t_decay``, ``frequency``, ``phase``.  Both are separable: A and C (for
     the sine A cos phi, A sin phi and C) are linear, so only T (and f, which
-    starts at the FFT peak) are fitted, and phi = atan2 lies in (-pi, pi].
-    Uncertainties come from the full model's Jacobian at the optimum.
+    starts at the periodogram's peak, ``_dominant_frequency``) are fitted,
+    and phi = atan2 lies in (-pi, pi].  Uncertainties come from the full
+    model's Jacobian at the optimum.
     A constant (or worse) trace is returned flagged, not raised; an
     essentially undamped fit is flagged ``divergent`` with ``t_decay`` set to
     infinity.

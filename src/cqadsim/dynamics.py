@@ -38,12 +38,17 @@ entries of low coherence order and builds no propagator.
 ``_frame_states`` is the one kernel for a constant generator acting on one
 density matrix without a propagator: exp(L(f) t) rho for every frame
 frequency f of a grid, L(f) the Lindbladian of H - 2 pi f K.  It runs
-``_sweep_action``, one Chebyshev recurrence of sparse products of the real
-generator G0 + f G1 (Hermitian basis) on a block that holds the whole grid,
-about as many products as the generator's spectral radius.  A segment is a
+``_sweep_action``, one Chebyshev recurrence on a block that holds the whole
+grid (Hermitian basis).  Sparse products carry only the couplings and the
+dissipator; everything diagonal in the number basis (the frame and the
+diagonal of H) is an exact rotation of each pair (X_ij, Y_ij) by
+t [(h_i - h_j) - 2 pi f (k_i - k_j)], one rate per pair and frame.  The
+recurrence takes about as many products as the radius ``_radius`` reads
+off the d x d model: the spread of H - 2 pi f K's eigenvalues plus the
+squared norms of the non-Hermitian collapse operators.  A segment is a
 grid of one frame; the spectroscopy probe sweep is a grid of every probe
 frequency.  The readout's restricted action is the same recurrence on one
-complex generator and no frame.
+complex generator, no rotation, and the radius of H.
 
 Of scipy only ``scipy.sparse`` is used; the dense kernels are numpy
 routines checked against scipy's in the tests.  ``_expm`` exponentiates a
@@ -63,6 +68,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+# the compiled kernel behind A @ V, which adds A V into a given block
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .device import TWO_PI, SystemParams, _jc_terms, full_jc_hamiltonian
 from .exceptions import NumericError, ValidationError
@@ -547,22 +554,34 @@ class _BlockPropagator:
         return result
 
 
-# At most 2^20 products per action; the spectroscopy preset's sweep takes about 1.8e3.
+# At most 2^20 products per action; the spectroscopy preset's sweep takes about 1.7e3.
 _MAX_PRODUCTS = 2**20
 
 
-def _gershgorin(g: sparse.csr_matrix) -> tuple[float, float, float]:
-    """(lo, hi, r): the field of values of g, so its spectrum, lies in [lo, hi] x i[-r, r].
-
-    [lo, hi] holds the Gershgorin discs of the Hermitian part, and r is the
-    largest absolute row sum of the anti-Hermitian part, which bounds its
-    norm.  For a real g these are the symmetric and antisymmetric parts.
-    """
-    gh = g.conj().T
-    sym, asym = (g + gh) * 0.5, (g - gh) * 0.5
+def _gershgorin(g: sparse.csr_matrix) -> tuple[float, float]:
+    """(lo, hi): the Gershgorin interval of g's Hermitian part, so the real part of g's field
+    of values lies in [lo, hi]."""
+    sym = (g + g.conj().T) * 0.5
     d = sym.diagonal().real
     off = np.asarray(abs(sym).sum(axis=1)).ravel() - np.abs(d)
-    return float((d - off).min()), float((d + off).max()), float(abs(asym).sum(axis=1).max())
+    return float((d - off).min()), float((d + off).max())
+
+
+def _radius(hs: Sequence[np.ndarray], collapse: Sequence[np.ndarray]) -> float:
+    """R >= ||(L - L^dag)/2||_2 for the Lindbladian L of each H in ``hs``: the imaginary
+    part of L's field of values lies in [-R, R].
+
+    -i[H, .] is anti-Hermitian, of norm the spread of H's eigenvalues.  A
+    collapse operator c adds (c X c^dag - c^dag X c)/2, of norm at most
+    ||c||^2, the largest eigenvalue of c^dag c, and nothing when Hermitian.
+    A restriction of L to some entries, or its transpose, has no larger
+    norm.  NaN unless H and every c are finite.
+    """
+    if not all(np.isfinite(m).all() for m in (*hs, *collapse)):
+        return math.nan
+    spread = max(np.ptp(np.linalg.eigvalsh(h)) for h in hs)
+    return float(spread + sum(np.linalg.eigvalsh(c.conj().T @ c)[-1]
+                              for c in collapse if not np.array_equal(c, c.conj().T)))
 
 
 def _bessel_j(n: int, r: float) -> np.ndarray:
@@ -593,93 +612,86 @@ def _bessel_j(n: int, r: float) -> np.ndarray:
     return np.array(values[::-1]) / (total + j)
 
 
-def _sweep_plan(g0: sparse.csr_matrix, g1: sparse.csr_matrix | None, freqs: np.ndarray | None):
-    """(stack, coef, p, c) of ``_sweep_action``'s recurrence.
+def _sweep_plan(gen: sparse.csr_matrix, radius: float, turn: np.ndarray | None):
+    """(a, w, coef, p, c) of ``_sweep_action``'s recurrence.
 
-    p substeps of G/p = c + r Y, stack = [A; B] with 2 Y = A + f B on the
-    column of f (stack = A without G1), and coef_k = (2 - delta_k0) J_k(r)
-    from ``_bessel_j``, truncated.  A bound that is not finite, or that
-    needs more than 2^20 products, is a ``NumericError`` raised before any
-    work.
+    p substeps of G/p = c + r Y, 2 Y = a + the pair rotation by w, and
+    coef_k = (2 - delta_k0) J_k(r) from ``_bessel_j``, truncated.  A bound
+    that is not finite, or that needs more than 2^20 products, is a
+    ``NumericError`` raised before any work.
     """
-    gens = [g0] if g1 is None else [g0 + f * g1 for f in {freqs.min(), freqs.max()}]
-    ends = np.array([_gershgorin(g) for g in gens])
-    lo, hi, radius = ends[:, 0].min(), ends[:, 1].max(), ends[:, 2].max()
+    lo, hi = _gershgorin(gen)
     half = (hi - lo) / 2.0
     if not radius + half <= _MAX_PRODUCTS:
         raise NumericError(f"Chebyshev action of a generator with spectral bound "
                            f"{radius + half:.3g} needs more than 2^20 matrix-vector products")
-    p = max(math.ceil(half), 1)
+    # a substep spans a real half-extent of at most 1.5, so its terms exceed the result
+    # at most e^3 (about 20) times
+    p = max(math.ceil(half / 1.5), 1)
     r = max(radius / p, 1.0)
     c = (lo + hi) / (2.0 * p)
     # J_k(r) is weighed by rho^k, rho = b + sqrt(1 + b^2), the growth of T_k at
-    # Y's real half-extent b = half/(p r) <= 1; past k = 1.5 r + 50 the weighed
+    # Y's real half-extent b = half/(p r) <= 1.5; past k = 1.5 r + 50 the weighed
     # term is far below double precision
     b = half / (p * r)
     k = np.arange(int(1.5 * r) + 50)
     coef = 2.0 * _bessel_j(k.size, r)
     coef = coef[:np.nonzero(np.abs(coef) * (b + math.sqrt(1.0 + b * b))**k > 1e-16)[0][-1] + 1]
     coef[0] /= 2.0
-    stack = (g0 / p - c * sparse.identity(g0.shape[0])) * (2.0 / r)
-    if g1 is not None:
-        stack = sparse.vstack([stack, g1 * (2.0 / (p * r))])
-    return stack.tocsr(), coef, p, c
+    a = ((gen / p - c * sparse.identity(gen.shape[0])) * (2.0 / r)).tocsr()
+    return a, None if turn is None else turn * (2.0 / (p * r)), coef, p, c
 
 
-def _sweep_action(g0: sparse.csr_matrix, g1: sparse.csr_matrix | None,
-                  freqs: np.ndarray | None, u: np.ndarray) -> np.ndarray:
-    """The block whose column k is exp(G0 + f_k G1) u, for every f_k in ``freqs``.
+def _sweep_action(gen: sparse.csr_matrix, radius: float, u: np.ndarray,
+                  turn: np.ndarray | None = None) -> np.ndarray:
+    """exp(G) u without forming an exponential, G = gen plus the pair rotation by ``turn``.
 
-    Without G1 (``g1`` and ``freqs`` None) it is exp(G0) u, of u's shape,
-    and G0 may be complex.  No exponential is formed.  One Chebyshev
-    recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) runs on
-    a block with one column per f.  The Gershgorin bounds of G0 + f G1 are
-    convex or concave in f, so taken at the grid's two ends (once, when they
-    coincide, or of G0 alone) they put every spectrum of the grid in
-    [lo, hi] x i[-R, R].  exp(G) is taken as p = ceil((hi - lo)/2)
-    substeps, each of real half-extent at most 1, and the real centre c is
-    taken out as a factor.  A substep is
-    G/p = c + r Y with Y's spectrum about i[-1, 1], and
+    ``u`` is a vector or a block of columns.  ``turn``, if given, holds one
+    rate per pair and column for the n pairs (X, Y) in u's last 2n rows:
+    (G s)_X = turn s_Y and (G s)_Y = -turn s_X, so each column has its own
+    antisymmetric rotation, exactly.  ``radius`` bounds the imaginary part
+    of every G's field of values (``_radius``), and the Gershgorin interval
+    [lo, hi] of gen's Hermitian part its real part (the rotation adds none).
+
+    One Chebyshev recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
+    1984) runs: exp(G) is taken as p = ceil((hi - lo)/3) substeps, each of
+    real half-extent at most 1.5, and the real centre c is taken out as a
+    factor.  A substep is G/p = c + r Y, Y's field of values within
+    [-b, b] x i[-1, 1], b = (hi - lo)/(2 p r), and
     exp(r Y) u = sum_k (2 - delta_k0) J_k(r) s_k, s_0 = u, s_1 = Y u,
     s_{k+1} = 2 Y s_k + s_{k-1}, truncated where J_k(r) falls below double
-    precision (``_sweep_plan``).  That is about R products of G0 and G1
-    with the block, where a Taylor method takes several times the 1-norm.
-    A bound above 2^20 products, or one that is not finite, is a
-    ``NumericError`` raised before any work.
+    precision (``_sweep_plan``).  That is about R products with the block,
+    where a Taylor method takes several times the 1-norm.  A bound above
+    2^20 products, or one that is not finite, is a ``NumericError`` raised
+    before any work.
 
-    Each new term is written over the one two steps back and each weighted
-    term goes through one scratch block, so a product allocates only the
-    stacked [A; B] v.
+    ``csr_matvecs`` adds each product to the term two steps back, which the
+    new term overwrites, and each rotation and weighted term goes through
+    one scratch block, so a step allocates nothing.
     """
-    stack, coef, p, c = _sweep_plan(g0, g1, freqs)
-    if g1 is None:
-        def twice_y(v, out):
-            return stack @ v
-
-        v = np.array(u, dtype=np.result_type(u, stack.dtype))
-    else:
-        n = g0.shape[0]
-        # f in full block shape: a product with a broadcast (1, m) row takes about 2.5 times
-        # as long
-        f = np.tile(freqs, (n, 1))
-
-        def twice_y(v, out):
-            t = stack @ v
-            np.multiply(t[n:], f, out=out)
-            out += t[:n]
-            return out
-
-        v = np.repeat(u[:, None], freqs.size, axis=1)
+    a, w, coef, p, c = _sweep_plan(gen, radius, turn)
+    v = np.array(u, dtype=np.result_type(u, a.dtype)).reshape(u.shape[0], -1)
+    rows, cols = v.shape
     scratch = np.empty_like(v)
+    if w is not None:
+        x, y = slice(rows - 2 * w.shape[0], rows - w.shape[0]), slice(rows - w.shape[0], rows)
+
+    def add_twice_y(s, out):  # out += 2 Y s
+        csr_matvecs(rows, rows, cols, a.indptr, a.indices, a.data, s.ravel(), out.ravel())
+        if w is not None:
+            out[x] += np.multiply(w, s[y], out=scratch[x])
+            out[y] -= np.multiply(w, s[x], out=scratch[y])
+        return out
+
     for _ in range(p):
-        prev, cur = v, twice_y(v, scratch) * 0.5
+        prev, cur = v, add_twice_y(v, np.zeros_like(v)) * 0.5
         v = coef[0] * prev + coef[1] * cur
-        for a in coef[2:]:
-            prev += twice_y(cur, scratch)  # s_{k+1} = 2 Y s_k + s_{k-1}, over s_{k-1}
+        for ck in coef[2:]:
+            add_twice_y(cur, prev)  # s_{k+1} = 2 Y s_k + s_{k-1}, over s_{k-1}
             prev, cur = cur, prev
-            v += np.multiply(a, cur, out=scratch)
+            v += np.multiply(ck, cur, out=scratch)
         v *= math.exp(c)
-    return v
+    return v.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -704,41 +716,30 @@ def _excitation_number(config: HilbertConfig) -> np.ndarray:
     return (levels[0] == 1) + levels[1:].sum(axis=0)
 
 
-@lru_cache(maxsize=None)
-def _frame_generator(config: HilbertConfig) -> sparse.csr_matrix:
-    """G1 per unit time: S^dag L(-2 pi K) S, the frame change in the Hermitian basis.
-
-    K is diagonal, so the Lindbladian of -2 pi K leaves each |i><i| fixed
-    and turns each pair (X_ij, Y_ij) of ``_hermitian_basis`` by the angle
-    2 pi t (k_i - k_j): X_ij -> w Y_ij and Y_ij -> -w X_ij per unit time,
-    w = 2 pi (k_i - k_j).  Pairs with k_i = k_j have no entry.
-    """
-    k = _frame_charge(config)
-    d = k.size
-    i, j = np.triu_indices(d, k=1)
-    w = TWO_PI * (k[i] - k[j])
-    turned = np.flatnonzero(w)
-    x, y = d + turned, d + i.size + turned
-    return sparse.csr_matrix((np.concatenate([-w[turned], w[turned]]),
-                              (np.concatenate([x, y]), np.concatenate([y, x]))),
-                             shape=(d * d, d * d))
-
-
 def _frame_states(rho: DensityMatrix, h: np.ndarray, collapse: Sequence[np.ndarray],
                   duration: float, frames: np.ndarray) -> np.ndarray:
     """exp(L(f) t) rho for every frame frequency f in ``frames``, as a (len(frames), d, d) array.
 
     L(f) is the Lindbladian of H - 2 pi f K with the collapse operators, K
     from ``_frame_charge``: H seen from the frame rotating at f.  In the
-    Hermitian basis it is the real G0 + f G1, G0 = S^dag L(H) S t and
-    G1 = ``_frame_generator`` t, and one ``_sweep_action`` runs every frame
-    from u = S^dag vec(rho).
+    Hermitian basis L(f) t is the real A + R(f): A = S^dag L(H_off) S t
+    holds the couplings (H without its diagonal) and the dissipator, and
+    R(f), everything diagonal in the number basis, turns each pair
+    (X_ij, Y_ij) at the rate t [(h_i - h_j) - 2 pi f (k_i - k_j)].  The
+    spread of H - 2 pi f K is convex in f, so ``_radius`` at the grid's two
+    ends bounds every frame, and one ``_sweep_action`` runs every frame from
+    u = S^dag vec(rho).
     """
     d = rho.config.dim
-    g0 = _hermitian_generator(liouvillian(h, collapse) * duration)
+    k, hd = _frame_charge(rho.config), h.diagonal().real
+    i, j = np.triu_indices(d, k=1)
+    turn = duration * ((hd[i] - hd[j])[:, None] - TWO_PI * np.outer(k[i] - k[j], frames))
+    radius = _radius([h - TWO_PI * f * np.diag(k) for f in {frames.min(), frames.max()}],
+                     collapse)
+    a = _hermitian_generator(liouvillian(h - np.diag(hd), collapse) * duration)
     s, s_h = _hermitian_basis(d)
-    v = _sweep_action(g0, _frame_generator(rho.config) * duration, frames,
-                      (s_h @ rho.matrix.reshape(-1)).real)
+    u = (s_h @ rho.matrix.reshape(-1)).real
+    v = _sweep_action(a, duration * radius, np.repeat(u[:, None], frames.size, axis=1), turn)
     return (s @ v).T.reshape(len(frames), d, d)
 
 
@@ -805,9 +806,10 @@ def _segment_adjoint(op: np.ndarray, seg: Segment, params: SystemParams,
     v = op.T.reshape(-1)
     rows = np.flatnonzero(np.isin(order, order[v != 0]))
     h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
-    gen = (liouvillian(h, collapse_operators(config, noise)) * seg.duration)[rows][:, rows]
+    cs = collapse_operators(config, noise)
+    gen = (liouvillian(h, cs) * seg.duration)[rows][:, rows]
     out = np.zeros(d * d, dtype=complex)
-    out[rows] = _sweep_action(gen.T.tocsr(), None, None, v[rows])
+    out[rows] = _sweep_action(gen.T.tocsr(), seg.duration * _radius([h], cs), v[rows])
     return out.reshape(d, d).T
 
 

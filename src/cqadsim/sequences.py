@@ -474,7 +474,7 @@ def _fit_oscillation_frequency(times, offsets) -> float:
     """Least-squares sinusoid frequency of the signed offset trace (Hz).
 
     a cos(2 pi f t + phi) is separable: a cos phi and a sin phi are linear, so
-    only f is fitted, from the FFT peak.
+    only f is fitted, from the periodogram's peak (``_dominant_frequency``).
     """
     t = times - times[0]
     y = offsets - offsets.mean()
@@ -551,8 +551,8 @@ def qubit_spectroscopy(
     frame, so ``dynamics._frame_states`` evolves rho under H plus the drive
     in every probe frame f of the grid at once (one Chebyshev recurrence),
     and each point reads Tr[P_e rho_f].  At the preset's size (400 rows,
-    15 us probe) that is 3 substeps of 583 sparse products on one block:
-    0.82-1.01 s for the 119-point grid at one BLAS thread on a 2-core machine.
+    15 us probe) that is 2 substeps of 836 sparse products on one block:
+    0.31-0.36 s for the 119-point grid at one BLAS thread on a 2-core machine.
 
     ``jobs`` accepts only 1; it stays because ``benchmarks/worker.py`` passes
     ``jobs=1``.

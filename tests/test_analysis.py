@@ -490,6 +490,34 @@ def test_fit_agrees_with_scipy_least_squares_on_the_fits_problems(monkeypatch):
     assert x[0] == 1e4 * 1e-4  # the divergent decay time stops on its upper bound
 
 
+def test_damped_sines_below_nyquist_end_no_higher_than_scipy(monkeypatch):
+    """12 damped 30-35 kHz sines of 32 samples 13.45 us apart (Nyquist 37.2 kHz), with 0.1
+    noise: each fit starts at the zero-padded periodogram's peak, never at the Nyquist
+    frequency, where the sine column vanishes at every sample, and none ends above the cost
+    scipy's solver reaches from the same start (1e-10 relative).  From the peak of the
+    unpadded transform the 11th trace started at the Nyquist frequency and stayed there, at
+    cost 0.193 against scipy's 0.145."""
+    real, solves = analysis._fit, []
+
+    def both(residual, jac, x0, bounds, names, **kwargs):
+        fit, x = real(residual, jac, x0, bounds, names, **kwargs)
+        ref = _scipy_fit(residual, jac, x0, bounds, **kwargs)
+        solves.append((x0[1], 0.5 * fit.residual_norm**2, ref.cost))
+        return fit, x
+
+    monkeypatch.setattr(analysis, "_fit", both)
+    rng = np.random.default_rng(0)
+    t = 13.45e-6 * np.arange(32)
+    for f in np.linspace(30e3, 35e3, 12):
+        tau, phase = rng.uniform(100e-6, 400e-6), rng.uniform(-math.pi, math.pi)
+        wave = 0.45 * np.exp(-t / tau) * np.cos(2 * math.pi * f * t + phase)
+        decay_fit(t, 0.5 + wave + rng.normal(0, 0.1, t.size), "exponential_sine")
+    assert len(solves) == 12
+    for start, cost, ref in solves:
+        assert start < 0.5 / 13.45e-6
+        assert cost <= ref * (1.0 + 1e-10) + 1e-20
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_fit_agrees_with_scipy_least_squares_on_random_bounded_problems(seed):

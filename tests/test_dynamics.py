@@ -32,14 +32,13 @@ from cqadsim.dynamics import (
     _drive_hamiltonian,
     _expm,
     _frame_charge,
-    _frame_generator,
     _frame_states,
-    _gershgorin,
     _hermitian_basis,
     _hermitian_generator,
     _pade_structure,
     _propagator,
     _PropagatorCache,
+    _radius,
     _segment_propagator,
     _sweep_action,
     _sweep_plan,
@@ -434,9 +433,9 @@ def test_every_driven_density_action_is_one_sweep_action(params, monkeypatch):
     Fock-1 preparation, a single pass, builds no propagator."""
     calls = []
 
-    def counted(g0, g1, freqs, u):
-        calls.append(freqs.size)
-        return _sweep_action(g0, g1, freqs, u)
+    def counted(gen, radius, u, turn=None):
+        calls.append(u.shape[1])
+        return _sweep_action(gen, radius, u, turn)
 
     monkeypatch.setattr(dynamics, "_sweep_action", counted)
     config = HilbertConfig(2, (4,))
@@ -590,9 +589,9 @@ def test_echo_parity_effect_builds_only_low_coherence_orders(params, monkeypatch
         steps.append((seg.detuning, op))
         return segment_adjoint(op, seg, *args)
 
-    def recorded_action(g0, g1, freqs, u):
+    def recorded_action(gen, radius, u, turn=None):
         actions.append(u)
-        return sweep_action(g0, g1, freqs, u)
+        return sweep_action(gen, radius, u, turn)
 
     monkeypatch.setattr(sequences, "_segment_adjoint", recorded_step)
     monkeypatch.setattr(dynamics, "_sweep_action", recorded_action)
@@ -666,13 +665,24 @@ def test_liouvillian_is_canonical_csr_with_the_kron_sum_pattern(params, config, 
 
 
 @pytest.mark.parametrize("config", [HilbertConfig(2, (5,)), HilbertConfig(3, (4, 3))])
-def test_frame_generator_is_the_reduced_frame_liouvillian(config):
-    """G1 built pair by pair equals S^dag L(-2 pi K) S t taken through the Liouvillian."""
+def test_pair_rotation_is_the_reduced_diagonal_liouvillian(config):
+    """A diagonal H seen from frames f is the pair rotation alone (no sparse part): each state
+    is exp(S^dag L(H - 2 pi f K) S t) u, taken through the Liouvillian."""
     t = 0.37e-6
-    k = _frame_charge(config)
-    expected = _hermitian_generator(liouvillian(np.diag(-TWO_PI * k), ()) * t).toarray()
-    got = (_frame_generator(config) * t).toarray()
-    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+    d = config.dim
+    rng = np.random.default_rng(11)
+    h = np.diag(TWO_PI * rng.normal(scale=3e6, size=d))
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
+    frames = np.array([-2e6, 0.0, 0.5e6])
+    s, s_h = _hermitian_basis(d)
+    u = (s_h @ rho.matrix.reshape(-1)).real
+    got = _frame_states(rho, h, (), t, frames)
+    for f, state in zip(frames, got):
+        g = _hermitian_generator(liouvillian(h - TWO_PI * f * np.diag(_frame_charge(config)), ())
+                                 * t).toarray()
+        expected = (s @ (expm(g) @ u)).reshape(d, d)
+        assert np.abs(state - expected).max() <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -737,11 +747,12 @@ def test_generator_that_breaks_hermiticity_is_refused():
 
 
 def _random_sweep(seed, d=4):
-    """(G0, G1, u, w) of a random d-level Lindbladian of H0 + f H1 in the Hermitian basis.
+    """(H0, H1, cs, u, w): a random d-level H0 + f H1 with two jump operators, u a random
+    state and w a random observable in the Hermitian basis.
 
-    u is a random state and w a random observable.  H0 and H1 set the
-    imaginary spread (a Gershgorin radius near 140), and two jump operators a
-    real spread that takes 7 to 10 substeps.
+    H1 is diagonal, as every frame change is.  H0 and H1 set the imaginary
+    spread (a radius near 100), and the jump operators a real spread that
+    takes 5 to 7 substeps.
     """
     rng = np.random.default_rng(seed)
 
@@ -749,13 +760,25 @@ def _random_sweep(seed, d=4):
         return scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
 
     h0, h1, obs = ((m + m.conj().T) / 2 for m in (gaussian(10.0), gaussian(5.0), gaussian(1.0)))
+    h1 = np.diag(h1.diagonal())
     rho = gaussian(1.0) @ gaussian(1.0).conj().T
-    g0 = _hermitian_generator(liouvillian(h0, [gaussian(0.4), gaussian(0.4)]))
-    g1 = _hermitian_generator(liouvillian(h1, []))
+    cs = [gaussian(0.4), gaussian(0.4)]
     s, s_h = _hermitian_basis(d)
     u = (s_h @ (rho / np.trace(rho)).reshape(-1)).real
     w = (s.T @ obs.T.reshape(-1)).real
-    return g0, g1, u, w
+    return h0, h1, cs, u, w
+
+
+def _sweep_inputs(h0, h1, cs, freqs, u):
+    """(gen, radius, u block, turn) of the sweep of H0 + f H1 over ``freqs``: the couplings
+    and the jumps as the sparse part, everything diagonal as the pair rotation."""
+    d = h0.shape[0]
+    i, j = np.triu_indices(d, k=1)
+    hd, kd = h0.diagonal().real, h1.diagonal().real
+    turn = (hd[i] - hd[j])[:, None] + np.outer(kd[i] - kd[j], freqs)
+    gen = _hermitian_generator(liouvillian(h0 - np.diag(hd), cs))
+    radius = _radius([h0 + f * h1 for f in (freqs.min(), freqs.max())], cs)
+    return gen, radius, np.repeat(u[:, None], freqs.size, axis=1), turn
 
 
 @pytest.mark.parametrize("seed, decay", [(0, 0.0), (1, 0.0), (2, 0.0), (0, 100.0)])
@@ -765,32 +788,91 @@ def test_sweep_action_matches_dense_expm(seed, decay):
     A uniform ``decay`` moves the spectrum far off the imaginary axis; it
     commutes with the rest, so the expected values are exp(-decay) times.
     """
-    g0, g1, u, w = _random_sweep(seed)
+    h0, h1, cs, u, w = _random_sweep(seed)
     freqs = np.linspace(-2.0, 3.0, 7)
-    lo, hi, radius = _gershgorin(g0 + 3.0 * g1)
-    assert math.ceil((hi - lo) / 2) > 1 and radius > 50
-    expected = np.array([w @ expm((g0 + f * g1).toarray()) @ u for f in freqs])
+    gen, radius, block, turn = _sweep_inputs(h0, h1, cs, freqs, u)
+    assert _sweep_plan(gen, radius, turn)[3] > 1 and radius > 50
+    expected = np.array([w @ expm(_hermitian_generator(liouvillian(h0 + f * h1, cs)).toarray())
+                         @ u for f in freqs])
     expected *= math.exp(-decay)
-    got = w @ _sweep_action((g0 - decay * identity(g0.shape[0])).tocsr(), g1, freqs, u)
+    got = w @ _sweep_action((gen - decay * identity(gen.shape[0])).tocsr(), radius, block, turn)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def _allocating_sweep(g0, g1, freqs, u):
+@st.composite
+def _lindblad_models(draw):
+    """(config, H, collapse ops, t, frames, entries): a random Hermitian H, up to three random
+    collapse operators of which some are Hermitian, a grid of one to four frames of either
+    sign, and a random nonempty set of the d^2 entries of vec(rho)."""
+    config = draw(st.sampled_from([HilbertConfig(2, (2,)), HilbertConfig(2, (4,)),
+                                   HilbertConfig(3, (2,)), HilbertConfig(2, (2, 2))]))
+    d = config.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(scale):
+        return scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+    h = gaussian(draw(st.floats(0.1, 10.0)))
+    cs = []
+    for hermitian in draw(st.lists(st.booleans(), max_size=3)):
+        c = gaussian(draw(st.floats(0.05, 2.0)))
+        cs.append((c + c.conj().T) / 2 if hermitian else c)
+    frames = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)))
+    entries = np.flatnonzero(rng.random(d * d) < draw(st.floats(0.1, 1.0)))
+    return config, (h + h.conj().T) / 2, cs, draw(st.floats(0.05, 2.0)), frames, entries
+
+
+def _asym_norm(g: np.ndarray) -> float:
+    return float(np.linalg.norm((g - g.conj().T) / 2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lindblad_models())
+def test_radius_bounds_the_anti_hermitian_part_in_every_frame(model):
+    """The radius ``_frame_states`` hands the sweep is no less than the dense norm of the
+    anti-Hermitian part of the reduced Lindbladian of H - 2 pi f K at every grid frame, and
+    the readout's radius no less than that of L^T t restricted to any set of entries."""
+    config, h, cs, t, frames, entries = model
+    d = config.dim
+    radii = []
+
+    def recorded_action(gen, radius, u, turn=None):
+        radii.append(radius)
+        return u
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_sweep_action", recorded_action)
+        _frame_states(DensityMatrix(config, np.eye(d) / d), h, cs, t, frames)
+    [radius] = radii
+    k = np.diag(_frame_charge(config))
+    for f in frames:
+        g = _hermitian_generator(liouvillian(h - TWO_PI * f * k, cs) * t).toarray()
+        assert _asym_norm(g) <= radius * (1.0 + 1e-12)
+    if entries.size:
+        restricted = (liouvillian(h, cs) * t)[entries][:, entries].T.toarray()
+        assert _asym_norm(restricted) <= t * _radius([h], cs) * (1.0 + 1e-12)
+
+
+def _allocating_sweep(gen, radius, u, turn):
     """The recurrence of ``_sweep_action`` as plain expressions, each term a new array."""
-    stack, coef, p, c = _sweep_plan(g0, g1, freqs)
-    n = g0.shape[0]
+    a, w, coef, p, c = _sweep_plan(gen, radius, turn)
+    n = w.shape[0]
 
-    def twice_y(v):
-        t = stack @ v
-        return t[:n] + t[n:] * freqs[None, :]
+    def twice_y(s, prev):  # prev + 2 Y s
+        out = prev.copy()
+        dynamics.csr_matvecs(*a.shape, s.shape[1], a.indptr, a.indices, a.data, s.ravel(),
+                             out.ravel())
+        out[-2 * n:-n] += w * s[-n:]
+        out[-n:] -= w * s[-2 * n:-n]
+        return out
 
-    v = np.repeat(u[:, None], freqs.size, axis=1)
+    v = u
     for _ in range(p):
-        prev, cur = v, 0.5 * twice_y(v)
+        prev, cur = v, 0.5 * twice_y(v, np.zeros_like(v))
         v = coef[0] * prev + coef[1] * cur
-        for a in coef[2:]:
-            prev, cur = cur, twice_y(cur) + prev
-            v = v + a * cur
+        for ck in coef[2:]:
+            prev, cur = cur, twice_y(cur, prev)
+            v = v + ck * cur
         v = v * math.exp(c)
     return v
 
@@ -800,26 +882,48 @@ def _allocating_sweep(g0, g1, freqs, u):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sweep_action_in_place_is_the_allocating_recurrence(seed, freqs):
     """Terms written over their predecessors give the same bits as fresh arrays, over
-    several substeps, and the start vector is left as it was."""
-    g0, g1, u, _ = _random_sweep(seed)
-    assert _sweep_plan(g0, g1, freqs)[2] > 1
-    u0 = u.copy()
-    assert np.array_equal(_sweep_action(g0, g1, freqs, u), _allocating_sweep(g0, g1, freqs, u))
-    assert np.array_equal(u, u0)
+    several substeps, and the start block is left as it was."""
+    h0, h1, cs, u, _ = _random_sweep(seed)
+    gen, radius, block, turn = _sweep_inputs(h0, h1, cs, freqs, u)
+    assert _sweep_plan(gen, radius, turn)[3] > 1
+    block0 = block.copy()
+    assert np.array_equal(_sweep_action(gen, radius, block, turn),
+                          _allocating_sweep(gen, radius, block, turn))
+    assert np.array_equal(block, block0)
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, 1e7])
 def test_sweep_action_refuses_before_any_work(monkeypatch, scale):
     """A generator that is not finite, or needs more than 2^20 products, is a NumericError,
     raised before any Bessel coefficient is computed."""
-    g0, g1, u, _ = _random_sweep(0)
+    h0, h1, cs, u, _ = _random_sweep(0)
+    gen, radius, block, turn = _sweep_inputs(h0, h1, cs, np.linspace(-2.0, 3.0, 7), u)
 
     def no_work(*args):
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(dynamics, "_bessel_j", no_work)
     with pytest.raises(NumericError, match="matrix-vector products"):
-        _sweep_action(g0 * scale, g1, np.linspace(-2.0, 3.0, 7), u)
+        _sweep_action(gen * scale, radius * scale, block, turn)
+
+
+@pytest.mark.parametrize("where", ["everywhere", "diagonal"])
+def test_density_action_refuses_a_nan_hamiltonian_before_any_work(monkeypatch, where):
+    """A NaN H is a NumericError before any Bessel coefficient is computed, also when only a
+    diagonal entry is NaN, which the pair rotation alone would carry."""
+    h0, _, cs, _, _ = _random_sweep(0)
+    if where == "everywhere":
+        h0[:] = np.nan
+    else:
+        h0[1, 1] = np.nan
+
+    def no_work(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(dynamics, "_bessel_j", no_work)
+    rho = DensityMatrix(HilbertConfig(2, (2,)), np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    with pytest.raises(NumericError, match="matrix-vector products"):
+        _frame_states(rho, h0, cs, 1.0, np.array([0.0, 1e3]))
 
 
 def test_cached_propagator_follows_every_input(params):
@@ -873,15 +977,13 @@ def test_bessel_j_matches_scipy(r):
 @pytest.mark.parametrize("radius", [1.0, 12.0, 250.0, 900.0])
 def test_sweep_plan_truncates_the_bessel_series_as_with_scipy(monkeypatch, radius, half):
     """The coefficients of one substep keep the same number of terms as with scipy's jv, and
-    agree with them.  G0 = diag(-2 half, 0) + radius J has Gershgorin bounds [-2 half, 0] and
-    radius ``radius``, so the plan takes r = max(radius / p, 1), p = max(ceil(half), 1)."""
-    g0 = csr_matrix(np.array([[-2.0 * half, radius], [-radius, 0.0]]))
-    g1 = csr_matrix((2, 2))
-    freqs = np.array([0.0])
-    _, coef, p, _ = _sweep_plan(g0, g1, freqs)
+    agree with them.  gen = diag(-2 half, 0) has the Gershgorin interval [-2 half, 0], so the
+    plan takes p = max(ceil(half / 1.5), 1) and r = max(radius / p, 1)."""
+    gen = csr_matrix(np.diag([-2.0 * half, 0.0]))
+    _, _, coef, p, _ = _sweep_plan(gen, radius, None)
     monkeypatch.setattr(dynamics, "_bessel_j", lambda n, r: jv(np.arange(n), r))
-    _, ref, p_ref, _ = _sweep_plan(g0, g1, freqs)
-    assert p == p_ref and coef.size == ref.size
+    _, _, ref, p_ref, _ = _sweep_plan(gen, radius, None)
+    assert p == p_ref == max(math.ceil(half / 1.5), 1) and coef.size == ref.size
     assert np.abs(coef - ref).max() <= 6e-14
 
 

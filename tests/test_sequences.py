@@ -595,32 +595,33 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
     probe = Pulse(amplitude=0.5 / (TWO_PI * tau), phase=phase)
     vectors = []
 
-    def recording_action(g0, g1, f, u):
+    def recording_action(gen, radius, u, turn=None):
         vectors.append(u)
-        return _sweep_action(g0, g1, f, u)
+        return _sweep_action(gen, radius, u, turn)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_sweep_action", recording_action)
         tr = qubit_spectroscopy(rho, delta, probe, freqs, params, cfg, noise, probe_duration=tau)
-    # one action for the whole sweep
-    assert len(vectors) == 1
+    # one action for the whole sweep, one column per frequency
+    assert len(vectors) == 1 and vectors[0].shape[1] == freqs.size
     # the run sees rho twirled over the m probe phases, |f> (if any) unrotated
     s, _ = _hermitian_basis(cfg.dim)
-    seen = (s @ vectors[0]).reshape(cfg.dim, cfg.dim)
+    seen = (s @ vectors[0][:, 0]).reshape(cfg.dim, cfg.dim)
     assert np.abs(seen - _phase_twirl(rho, m, cfg)).max() < 1e-15
     expected = _explicit_cycle_average(rho, m, probe, tr.frequencies, delta, params, cfg,
                                        noise, tau)
     assert np.abs(tr.populations - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("dim, tau, substeps",
+@pytest.mark.parametrize("dim, tau, half_extent",
                          [(10, 15e-6, 3), (10, 20e-9, 1), (10, 60e-6, 11), (4, 150e-6, 17)])
-def test_spectroscopy_action_matches_dense_propagator(params, dim, tau, substeps):
-    """Paper noise: one Chebyshev sweep in ``substeps`` substeps.
+def test_spectroscopy_action_matches_dense_propagator(params, dim, tau, half_extent):
+    """Paper noise: one Chebyshev sweep whose generator has a real half-extent up to
+    ``half_extent``, taken in substeps of at most 1.5 each.
 
-    15 us is the preset's probe; 20 ns takes one substep and 60 us several.
-    At dim 4 and 150 us one substep would lose every digit.  Each way the
-    populations match the dense propagator to 1e-12.
+    15 us is the preset's probe (2 substeps); 20 ns takes one substep and
+    60 us several.  At dim 4 and 150 us one substep would lose every digit.
+    Each way the populations match the dense propagator to 1e-12.
     """
     cfg, delta = HilbertConfig(2, (dim,)), params.delta("coherent")
     noise = NoiseModel.from_params(params, delta)
@@ -628,22 +629,77 @@ def test_spectroscopy_action_matches_dense_propagator(params, dim, tau, substeps
     line0, spacing = spectroscopy_peak_hints(params, delta, 5)
     # the CLI grid's lower edge, between peaks 1 and 2, and on peak 0
     freqs = np.array([line0 + 4 * spacing - 50e3, line0 + 1.5 * spacing, line0])
-    generators = []
+    plans, sweep_plan = [], dynamics._sweep_plan
 
-    def recording_action(g0, g1, f, u):
-        generators.append(g0)
-        return _sweep_action(g0, g1, f, u)
+    def recording_plan(gen, radius, turn):
+        plans.append((dynamics._gershgorin(gen), sweep_plan(gen, radius, turn)))
+        return plans[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_sweep_action", recording_action)
+        mp.setattr(dynamics, "_sweep_plan", recording_plan)
         tr = qubit_spectroscopy(rho, delta, None, freqs, params, cfg, noise, probe_duration=tau)
-    # G1 is antisymmetric, so G0 alone sets the real extent and the substep count
-    lo, hi, _ = dynamics._gershgorin(generators[0])
-    assert math.ceil((hi - lo) / 2) == substeps
+    # the pair rotation is antisymmetric, so the sparse part alone sets the real extent
+    [((lo, hi), (_, _, _, p, _))] = plans
+    assert math.ceil((hi - lo) / 2) == half_extent
+    assert p == max(math.ceil((hi - lo) / 3), 1)
     probe = Pulse(amplitude=0.5 / (TWO_PI * tau))
     expected = _explicit_cycle_average(rho, 2, probe, tr.frequencies, delta, params, cfg,
                                        noise, tau)
     assert np.abs(tr.populations - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _counted_products(monkeypatch):
+    """A list that gets the column count of every sparse product the Chebyshev recurrence takes."""
+    products, matvecs = [], dynamics.csr_matvecs
+
+    def counted(n_row, n_col, n_vecs, *arrays):
+        products.append(n_vecs)
+        return matvecs(n_row, n_col, n_vecs, *arrays)
+
+    monkeypatch.setattr(dynamics, "csr_matvecs", counted)
+    return products
+
+
+def test_benchmark_size_sweep_takes_at_most_1674_products(params, monkeypatch):
+    """The ``spectroscopy`` benchmark's sweep (dim 10, 15 us probe, the 24-point grid at a 20 kHz
+    step) takes at most 2 substeps of 837 products, each on the whole 24-column block."""
+    cfg, delta = HilbertConfig(2, (10,)), params.delta("coherent")
+    noise = NoiseModel.from_params(params, delta)
+    line0, spacing = spectroscopy_peak_hints(params, delta, 5)
+    grid = np.arange(line0 + 4 * spacing - 50e3, line0 + 50e3, 20e3)
+    assert grid.size == 24
+    products = _counted_products(monkeypatch)
+    qubit_spectroscopy(coherent_state(cfg, 0, 0.8).to_density(), delta, None, grid, params, cfg,
+                       noise, probe_duration=15e-6)
+    assert len(products) <= 1674 and set(products) == {24}
+
+
+def test_wigner_readout_halves_take_at_most_112_products(params, monkeypatch):
+    """Each echo half of ``wigner_fock1``'s readout (phonon dim 19, paper noise, the automatic
+    interaction time) is one substep of at most 112 products, and its radius lies within 3% of
+    the largest singular value of the anti-Hermitian part of the restricted generator."""
+    delta = params.delta("ramsey")
+    cfg, noise = HilbertConfig(2, (19,)), NoiseModel.from_params(params, delta)
+    t = echo_offset_zero_time(params, delta)
+    products = _counted_products(monkeypatch)
+    halves, sweep_action = [], dynamics._sweep_action
+
+    def recorded_action(gen, radius, u, turn=None):
+        start = len(products)
+        out = sweep_action(gen, radius, u, turn)
+        dense = gen.toarray()
+        halves.append((len(products) - start, radius,
+                       np.linalg.norm((dense - dense.conj().T) / 2, 2)))
+        return out
+
+    monkeypatch.setattr(dynamics, "_sweep_action", recorded_action)
+    sequences._readout_adjoint.cache_clear()
+    sequences._calibrated_effect("echo", FOUR_PHASES, t, delta, params, cfg, noise)
+    sequences._readout_adjoint.cache_clear()
+    assert len(halves) == 2
+    for count, radius, norm in halves:
+        assert count <= 112
+        assert norm <= radius <= 1.03 * norm
 
 
 # ---------------------------------------------------------------------------

@@ -6,56 +6,46 @@ frame, 0 Hz from LG-00), so the qubit detuning Delta(t) appears
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
-A propagator is built only where it is reused: by ``vacuum_rabi_chevron``'s
-time steps, by ``sequences.coherence_protocols``'s delay loop, and for an
-undriven segment of a Ket or of a noise-free parity readout (noiseless
-evolution).  It is built one way (``_propagator``: the Liouvillian
-exponential with collapse operators, exp(-i H t) without) and applied one
-way (``_apply``: U psi, U rho U^dag or P vec(rho), by the propagator's row
-count); ``_apply_adjoint`` is the unitary step taken backward on an
-operator.  Each comes from one cache keyed on the segment's inputs
-(segment, params, config, noise).  The Liouvillian is built as a sparse
-matrix.  Without drives it conserves the coherence order N_i - N_j
-(``_excitation_number``), so it splits into independent blocks, read off
-the generator's own nonzero pattern; its propagator (``_BlockPropagator``)
-keeps them apart and exponentiates a block only when a vector applied to
-it first reaches that block.
+One rule propagates a state: a Ket takes exp(-i H t), a density matrix
+takes a Chebyshev action.  ``evolve_segments`` runs a list of segments once:
+an undriven segment of a Ket applies its cached exp(-i H t)
+(``_segment_propagator``, the one cache, keyed on the segment's inputs),
+and every other segment is one ``_segment_action`` on the state.  Every
+drive is constant in its own frame, the segment detuning for a qubit drive
+and the phonon frame for a phonon drive or none, so the exact evolution is a
+constant generator followed by the diagonal phases that return to the
+phonon frame.
 
-A single pass is an action: ``evolve_segments`` applies every segment of a
-density matrix, and every driven segment of a Ket, once to one state
-(``_segment_action``) and builds no propagator.  Every drive is constant in
-its own frame, the segment detuning for a qubit drive and the phonon frame
-for a phonon drive or none, so the exact evolution is a constant generator
-acting on one state (exp(-i H t) on a Ket; ``_frame_states`` on a density
-matrix), followed by the diagonal phases that return to the phonon frame.
+The density kernel is one Chebyshev recurrence (``_sweep_action``) on the
+real coordinates of density matrices in an orthonormal Hermitian basis
+(``_hermitian_basis``), one state per column.  ``_frame_plan`` plans
+exp(L(f) t) for every frame frequency f of a grid, L(f) the Lindbladian of
+H - 2 pi f D for a diagonal charge D, one frame per column.  Sparse products
+carry only the couplings and the dissipator; everything diagonal in the
+number basis is an exact rotation of each pair (X_ij, Y_ij) by
+t [(h_i - h_j) - 2 pi f (D_i - D_j)], one rate per pair and frame.  The
+recurrence takes about as many products as the radius ``_radius`` reads off
+the d x d model: the spread of the eigenvalues of H - 2 pi f D plus the
+squared norms of the non-Hermitian collapse operators.  A plan is made once
+and serves any number of steps and columns.  A segment of a density matrix
+is a grid of one frame of D = K = sigma_z/2 + sum_k n_k (``_frame_states``),
+the spectroscopy probe sweep a grid of every probe frequency, and
+``vacuum_rabi_chevron``'s detunings a grid of D = -sigma_z/2, stepped
+through its time grid.  The delay loop of ``sequences.coherence_protocols``
+plans its wait and its swap once each (``_segment_plan``); every column
+takes the one frame there, so the diagonal stays in the sparse product.
 
-The parity readout runs backward (``_segment_adjoint``): with noise each
-segment is one action of the transposed Liouvillian on the operator,
-restricted to the coherence orders the operator holds, so a readout that
-starts from sigma_+ and passes through qubit rotations touches the few
-entries of low coherence order and builds no propagator.
+The parity readout runs backward (``_segment_adjoint``): without noise each
+segment is the cached unitary taken backward on the operator
+(``_apply_adjoint``); with noise it is one action of the transposed
+Liouvillian, restricted to the coherence orders the operator holds, so a
+readout that starts from sigma_+ and passes through qubit rotations touches
+the few entries of low coherence order.  That action is the same recurrence
+on one complex generator, no rotation, and the radius of H.
 
-``_frame_states`` is the one kernel for a constant generator acting on one
-density matrix without a propagator: exp(L(f) t) rho for every frame
-frequency f of a grid, L(f) the Lindbladian of H - 2 pi f K.  It runs
-``_sweep_action``, one Chebyshev recurrence on a block that holds the whole
-grid (Hermitian basis).  Sparse products carry only the couplings and the
-dissipator; everything diagonal in the number basis (the frame and the
-diagonal of H) is an exact rotation of each pair (X_ij, Y_ij) by
-t [(h_i - h_j) - 2 pi f (k_i - k_j)], one rate per pair and frame.  The
-recurrence takes about as many products as the radius ``_radius`` reads
-off the d x d model: the spread of H - 2 pi f K's eigenvalues plus the
-squared norms of the non-Hermitian collapse operators.  A segment is a
-grid of one frame; the spectroscopy probe sweep is a grid of every probe
-frequency.  The readout's restricted action is the same recurrence on one
-complex generator, no rotation, and the radius of H.
-
-Of scipy only ``scipy.sparse`` is used; the dense kernels are numpy
-routines checked against scipy's in the tests.  ``_expm`` exponentiates a
-block by scaling and squaring with the Pade degree and squarings scipy's
-``expm`` would choose, ``_components`` labels the blocks as scipy's
-``connected_components`` does, and ``_bessel_j`` gives the Chebyshev
-coefficients J_k(r) by Miller's backward recurrence.
+Of scipy only ``scipy.sparse`` is used; ``_bessel_j`` gives the Chebyshev
+coefficients J_k(r) by Miller's backward recurrence, checked against
+scipy's ``jv`` in the tests.
 """
 
 from __future__ import annotations
@@ -78,7 +68,6 @@ from .hilbert import (
     HilbertConfig,
     Ket,
     annihilation,
-    expectation,
     fock_state,
     hermitian_propagator,
     qubit_operator,
@@ -254,17 +243,13 @@ class Segment:
 
 
 class _PropagatorCache:
-    """Size-budgeted LRU for segment propagators, keyed by the segment's inputs.
+    """Size-budgeted LRU for the exp(-i H t) of undriven segments, keyed by the segment's inputs.
 
-    Its entries are the propagators of loops that reuse them
-    (``vacuum_rabi_chevron``, ``sequences.coherence_protocols``), of
-    undriven Ket segments and of the segments of a noise-free parity
-    readout; a single pass over a density matrix, and a readout with noise,
-    is an action and puts nothing here.  The budget counts elements: ``size`` of a
-    dense array, and of a ``_BlockPropagator`` the full element count of all
-    its blocks, built or not.  The element total is kept as entries come and
-    go, so a put hashes its own key only.  Unlocked: every sweep runs in one
-    thread.
+    Its entries are d-row unitaries: of the undriven segments of a Ket and of
+    the segments of a noise-free parity readout.  A density matrix takes an
+    action and puts nothing here.  The budget counts the elements of the
+    arrays; the total is kept as entries come and go, so a put hashes its own
+    key only.  Unlocked: every sweep runs in one thread.
     """
 
     def __init__(self, max_elements: float = 4.8e7):
@@ -300,42 +285,28 @@ def clear_propagator_cache():
     _CACHE.clear()
 
 
-def _propagator(h_angular: np.ndarray, collapse: Sequence[np.ndarray], duration: float):
-    """exp(L t) on vec(rho) (d^2 rows) with collapse operators, else exp(-i H t) (d rows)."""
-    if collapse:
-        return _BlockPropagator(liouvillian(h_angular, collapse) * duration)
-    return hermitian_propagator(h_angular, duration)
-
-
 def _segment_propagator(seg: Segment, params: SystemParams, config: HilbertConfig,
                         noise: NoiseModel):
-    """Cached propagator of an undriven segment (its drives, if any, are not read).
+    """Cached exp(-i H t) of an undriven segment (its drives, if any, are not read).
 
-    The key is every input H and the collapse operators are built from, so
-    nothing is built or hashed beyond the arguments on a hit.
+    The collapse operators are not read either: only states without noise
+    take it.  The key is every input H is built from, so nothing is built
+    or hashed beyond the arguments on a hit.
     """
     key = (seg, params, config, noise)
     prop = _CACHE.get(key)
     if prop is None:
         h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
-        prop = _propagator(h, collapse_operators(config, noise), seg.duration)
+        prop = hermitian_propagator(h, seg.duration)
         _CACHE.put(key, prop)
     return prop
 
 
-def _apply(prop, state):
-    """U psi, U rho U^dag or P vec(rho), chosen by the propagator's row count.
-
-    A Ket handed a superoperator (d^2 rows) becomes a density matrix.
-    """
-    config = state.config
-    d = config.dim
-    if prop.shape[0] == d * d:
-        rho = state.to_density() if isinstance(state, Ket) else state
-        return DensityMatrix(config, (prop @ rho.matrix.reshape(-1)).reshape(d, d))
+def _apply(u: np.ndarray, state):
+    """U psi or U rho U^dag of a d-row U."""
     if isinstance(state, Ket):
-        return Ket(config, prop @ state.amplitudes, normalized=False)
-    return DensityMatrix(config, prop @ state.matrix @ prop.conj().T)
+        return Ket(state.config, u @ state.amplitudes, normalized=False)
+    return DensityMatrix(state.config, u @ state.matrix @ u.conj().T)
 
 
 def _apply_adjoint(u: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -378,180 +349,6 @@ def _hermitian_generator(gen: sparse.csr_matrix) -> sparse.csr_matrix:
     if abs(g.imag).max() > 1e-12 * abs(g.real).max():
         raise NumericError("generator does not preserve Hermiticity")
     return g.real
-
-
-def _components(pattern: sparse.spmatrix) -> tuple[int, np.ndarray]:
-    """(count, labels) of the connected components of a nonzero pattern, taken as undirected.
-
-    Components are numbered in the order of their lowest index, as scipy's
-    ``connected_components`` numbers them.  Label propagation with pointer
-    jumping: every index starts as its own root.  A round hooks, for every
-    edge whose ends carry different labels, the higher label (a root) onto
-    the lower, then lets every label jump to its root's label until all
-    labels are roots.  A label only falls and never leaves its component, so
-    once both ends of every edge agree, each component carries one label,
-    its lowest index.
-    """
-    coo = pattern.tocoo()
-    label = np.arange(pattern.shape[0])
-    while True:
-        li, lj = label[coo.row], label[coo.col]
-        if np.array_equal(li, lj):
-            break
-        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
-        jumped = label[label]
-        while not np.array_equal(jumped, label):
-            label, jumped = jumped, jumped[jumped]
-    root = label == np.arange(label.size)
-    return int(np.count_nonzero(root)), (np.cumsum(root) - 1)[label]
-
-
-# theta_m: the largest norm at which the degree-m Pade approximant r_m is exact to double
-# precision, the values of Al-Mohy & Higham (2009) that scipy's expm takes
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-               9: 2.097847961257068, 13: 4.25}
-
-
-def _norm1(a: np.ndarray) -> float:
-    return float((np.ones(a.shape[0]) @ np.abs(a)).max())
-
-
-def _pade_excess(a: np.ndarray, m: int, s: int = 0) -> int:
-    """ell(A/2^s, m): the squarings r_m still needs at A/2^s for a backward error below 2^-53.
-
-    alpha = |c_{2m+1}| ||abs(B)^(2m+1)||_1 / ||B||_1 at B = A/2^s, with c_{2m+1}
-    the leading coefficient of r_m's error series, and
-    ell = max(ceil(log2(alpha / u) / 2m), 0).  The power's norm is exact,
-    1^T abs(A)^(2m+1), taken on abs(A)/||A||_1 and added in logarithms, so it
-    cannot overflow; a zero or NaN norm gives 0.
-    """
-    scaled = np.abs(a)
-    norm = float((np.ones(a.shape[0]) @ scaled).max())
-    if not norm > 0:
-        return 0
-    scaled /= norm
-    v = np.ones(a.shape[0])
-    for _ in range(2 * m + 1):
-        v = v @ scaled
-    rest = float(v.max())
-    if not rest > 0:
-        return 0
-    log2_c = 2.0 * math.log2(math.factorial(m)) - math.log2(
-        math.factorial(2 * m) * math.factorial(2 * m + 1))
-    log2_norm = math.log2(norm) - s
-    return max(math.ceil((log2_c + math.log2(rest) + 2 * m * log2_norm + 53) / (2 * m)), 0)
-
-
-def _pade_structure(a: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(m, s, [I, A^2, A^4, ...]): the Pade degree and squarings for exp(A), and the powers.
-
-    Algorithm 5.1 of Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31, 970,
-    2009) with exact 1-norms, the choice scipy's expm makes: the lowest
-    degree m of 3, 5, 7, 9 whose eta (from ||A^4||, ||A^6||, ||A^8||) is below
-    theta_m and that needs no squaring (``_pade_excess``), else degree 13 at
-    the fewest squarings s that bring eta below theta_13, plus ell(A/2^s, 13).
-    The even powers are those degree m uses, unscaled, stacked in one array.
-    """
-    n = a.shape[0]
-    powers = np.empty((5, n, n), dtype=np.result_type(a, float))
-    powers[0] = np.eye(n)
-    np.matmul(a, a, out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[2], powers[1], out=powers[3])
-    d6 = _norm1(powers[3]) ** (1.0 / 6.0)
-    eta = max(_norm1(powers[2]) ** 0.25, d6)
-    for m in (3, 5):
-        if eta < _PADE_THETA[m] and _pade_excess(a, m) == 0:
-            return m, 0, powers[: (m + 1) // 2]
-    np.matmul(powers[2], powers[2], out=powers[4])
-    d8 = _norm1(powers[4]) ** 0.125
-    eta = max(d6, d8)
-    for m in (7, 9):
-        if eta < _PADE_THETA[m] and _pade_excess(a, m) == 0:
-            return m, 0, powers[: (m + 1) // 2]
-    np.matmul(powers[2], powers[3], out=powers[4])  # A^10, in the slot of A^8
-    eta = min(eta, max(d8, _norm1(powers[4]) ** 0.1))
-    s = max(math.ceil(math.log2(eta / _PADE_THETA[13])), 0) if eta > 0 else 0
-    return 13, s + _pade_excess(a, 13, s), powers[:4]
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(A) of a dense square matrix by scaling and squaring a Pade approximant.
-
-    r_m(A/2^s) = (V - U)^-1 (V + U), U and V the odd and even parts of the
-    degree-m numerator sum_j b_j A^j, b_j = (2m - j)! / (j! (m - j)!) (Higham,
-    SIAM J. Matrix Anal. Appl. 26, 1179, 2005), squared s times;
-    ``_pade_structure`` picks m and s.  The scaling goes into the
-    coefficients, b_j 2^(-js) on A^j, and every sum of powers is one product
-    of a coefficient row with the stacked powers; degree 13 takes U and V
-    from A, A^2, A^4 and A^6 alone.  A 1 x 1 matrix is exponentiated directly.
-    """
-    n = a.shape[0]
-    if n == 1:
-        return np.exp(a)
-    m, s, powers = _pade_structure(a)
-    b = np.array([math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
-                  for j in range(m + 1)], dtype=float) * 2.0 ** (-s * np.arange(m + 1.0))
-    # the real coefficient rows times the powers' real and imaginary parts at once
-    stacked = powers.reshape(len(powers), -1).view(np.float64)
-
-    def combine(rows):
-        return (np.array(rows) @ stacked).view(powers.dtype).reshape(-1, n, n)
-
-    if m == 13:  # U = A (A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + ... + b1), V alike
-        u_high, u_low, v_high, v_low = combine(
-            [[0.0, *b[9::2]], b[1:9:2], [0.0, *b[8::2]], b[:8:2]])
-        u = powers[3] @ u_high
-        u += u_low
-        u = a @ u
-        v = powers[3] @ v_high
-        v += v_low
-    else:
-        u, v = combine([b[1::2], b[::2]])
-        u = a @ u
-    q = v - u
-    v += u
-    x = np.linalg.solve(q, v)
-    for _ in range(s):
-        x = x @ x
-    return x
-
-
-class _BlockPropagator:
-    """exp(gen) kept as its independent blocks, each exponentiated when a vector first reaches it.
-
-    The blocks are the connected components of the generator's nonzero
-    pattern (``_components``; for a Liouvillian without drives, its
-    coherence orders), numbered by their lowest index, so the propagator has
-    exactly zero coupling between them.  ``P @ v`` runs one dense ``_expm``
-    of a block's generator slice the first time v has a nonzero entry in
-    that block; a block whose part of v is all zeros maps it to zeros, so
-    nothing is approximated.  The blocks stay complex: the
-    real Hermitian basis of ``_hermitian_generator`` would pair each
-    coherence-order block q with -q into one block twice the size.  ``size``
-    is the element count of all blocks, built or not.
-    """
-
-    def __init__(self, gen: sparse.csr_matrix):
-        n_blocks, labels = _components(gen != 0)
-        self._order = np.argsort(labels, kind="stable")
-        self._bounds = np.searchsorted(labels[self._order], np.arange(n_blocks + 1))
-        self._gen = gen[self._order][:, self._order]
-        self._blocks: list[np.ndarray | None] = [None] * n_blocks
-        self.shape = gen.shape
-        self.size = int(np.sum(np.diff(self._bounds) ** 2))
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        x = v[self._order]
-        out = np.zeros(x.shape, dtype=np.result_type(x, complex))
-        for k, (a, b) in enumerate(zip(self._bounds[:-1], self._bounds[1:])):
-            if x[a:b].any():
-                if self._blocks[k] is None:
-                    self._blocks[k] = _expm(self._gen[a:b, a:b].toarray())
-                out[a:b] = self._blocks[k] @ x[a:b]
-        result = np.empty_like(out)
-        result[self._order] = out
-        return result
 
 
 # At most 2^20 products per action; the spectroscopy preset's sweep takes about 1.7e3.
@@ -612,13 +409,25 @@ def _bessel_j(n: int, r: float) -> np.ndarray:
     return np.array(values[::-1]) / (total + j)
 
 
-def _sweep_plan(gen: sparse.csr_matrix, radius: float, turn: np.ndarray | None):
-    """(a, w, coef, p, c) of ``_sweep_action``'s recurrence.
+def _sweep_plan(gen: sparse.csr_matrix, radius: float, turn: np.ndarray | None = None):
+    """The plan (a, w, coef, p, c) of exp(G), G = gen plus the pair rotation by ``turn``.
 
-    p substeps of G/p = c + r Y, 2 Y = a + the pair rotation by w, and
-    coef_k = (2 - delta_k0) J_k(r) from ``_bessel_j``, truncated.  A bound
-    that is not finite, or that needs more than 2^20 products, is a
-    ``NumericError`` raised before any work.
+    ``turn``, if given, holds one rate per pair, per column or for every
+    column, for the n pairs (X, Y) in the last 2n rows of the states the plan
+    acts on: (G s)_X = turn s_Y and (G s)_Y = -turn s_X, so each column has
+    its own antisymmetric rotation, exactly.  ``radius`` bounds the
+    imaginary part of every G's field of values (``_radius``), and the
+    Gershgorin interval [lo, hi] of gen's Hermitian part its real part (the
+    rotation adds none).
+
+    exp(G) is taken as p = ceil((hi - lo)/3) substeps, each of real
+    half-extent at most 1.5, and the real centre c is taken out as a factor.
+    A substep is G/p = c + r Y, 2 Y = a + the pair rotation by w, Y's field
+    of values within [-b, b] x i[-1, 1], b = (hi - lo)/(2 p r), and
+    coef_k = (2 - delta_k0) J_k(r) from ``_bessel_j``, truncated where the
+    terms fall below double precision.  A bound that is not finite, or that
+    needs more than 2^20 products, is a ``NumericError`` raised before any
+    work.  One plan serves any number of ``_sweep_action`` calls.
     """
     lo, hi = _gershgorin(gen)
     half = (hi - lo) / 2.0
@@ -642,34 +451,20 @@ def _sweep_plan(gen: sparse.csr_matrix, radius: float, turn: np.ndarray | None):
     return a, None if turn is None else turn * (2.0 / (p * r)), coef, p, c
 
 
-def _sweep_action(gen: sparse.csr_matrix, radius: float, u: np.ndarray,
-                  turn: np.ndarray | None = None) -> np.ndarray:
-    """exp(G) u without forming an exponential, G = gen plus the pair rotation by ``turn``.
+def _sweep_action(plan, u: np.ndarray) -> np.ndarray:
+    """exp(G) u for the G of ``plan`` (``_sweep_plan``), without forming an exponential.
 
-    ``u`` is a vector or a block of columns.  ``turn``, if given, holds one
-    rate per pair and column for the n pairs (X, Y) in u's last 2n rows:
-    (G s)_X = turn s_Y and (G s)_Y = -turn s_X, so each column has its own
-    antisymmetric rotation, exactly.  ``radius`` bounds the imaginary part
-    of every G's field of values (``_radius``), and the Gershgorin interval
-    [lo, hi] of gen's Hermitian part its real part (the rotation adds none).
-
-    One Chebyshev recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
-    1984) runs: exp(G) is taken as p = ceil((hi - lo)/3) substeps, each of
-    real half-extent at most 1.5, and the real centre c is taken out as a
-    factor.  A substep is G/p = c + r Y, Y's field of values within
-    [-b, b] x i[-1, 1], b = (hi - lo)/(2 p r), and
-    exp(r Y) u = sum_k (2 - delta_k0) J_k(r) s_k, s_0 = u, s_1 = Y u,
-    s_{k+1} = 2 Y s_k + s_{k-1}, truncated where J_k(r) falls below double
-    precision (``_sweep_plan``).  That is about R products with the block,
-    where a Taylor method takes several times the 1-norm.  A bound above
-    2^20 products, or one that is not finite, is a ``NumericError`` raised
-    before any work.
+    ``u`` is a vector or a block of columns.  Each substep runs one
+    Chebyshev recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
+    1984): exp(r Y) u = sum_k (2 - delta_k0) J_k(r) s_k, s_0 = u, s_1 = Y u,
+    s_{k+1} = 2 Y s_k + s_{k-1}.  That is about R products with the block,
+    where a Taylor method takes several times the 1-norm.
 
     ``csr_matvecs`` adds each product to the term two steps back, which the
     new term overwrites, and each rotation and weighted term goes through
     one scratch block, so a step allocates nothing.
     """
-    a, w, coef, p, c = _sweep_plan(gen, radius, turn)
+    a, w, coef, p, c = plan
     v = np.array(u, dtype=np.result_type(u, a.dtype)).reshape(u.shape[0], -1)
     rows, cols = v.shape
     scratch = np.empty_like(v)
@@ -716,31 +511,67 @@ def _excitation_number(config: HilbertConfig) -> np.ndarray:
     return (levels[0] == 1) + levels[1:].sum(axis=0)
 
 
+def _coordinates(m: np.ndarray) -> np.ndarray:
+    """S^dag vec(m): the real coordinates of a Hermitian d x d matrix in ``_hermitian_basis``.
+
+    The first d are its diagonal."""
+    return (_hermitian_basis(m.shape[0])[1] @ m.reshape(-1)).real
+
+
+def _matrices(v: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices whose coordinates are v's columns, as a (columns, d, d) array."""
+    d = math.isqrt(v.shape[0])
+    return (_hermitian_basis(d)[0] @ v).T.reshape(-1, d, d)
+
+
+def _frame_plan(h: np.ndarray, collapse: Sequence[np.ndarray], duration: float,
+                charge: np.ndarray, frames: np.ndarray):
+    """The ``_sweep_plan`` of exp(L(f) t) on Hermitian coordinates, one frame f of ``frames``
+    per column.
+
+    L(f) is the Lindbladian of H - 2 pi f D with the collapse operators,
+    D = diag(``charge``).  In the Hermitian basis L(f) t is the real
+    A + R(f): A = S^dag L(H_off) S t holds the couplings (H without its
+    diagonal) and the dissipator, and R(f), everything diagonal in the
+    number basis, turns each pair (X_ij, Y_ij) at the rate
+    t [(h_i - h_j) - 2 pi f (D_i - D_j)].  The spread of H - 2 pi f D is
+    convex in f, so ``_radius`` at the grid's two ends bounds every frame.
+    A plan of one frame acts alike on a block of any width.
+    """
+    hd = h.diagonal().real
+    i, j = np.triu_indices(h.shape[0], k=1)
+    turn = duration * ((hd[i] - hd[j])[:, None] - TWO_PI * np.outer(charge[i] - charge[j], frames))
+    radius = _radius([h - TWO_PI * f * np.diag(charge) for f in {frames.min(), frames.max()}],
+                     collapse)
+    a = _hermitian_generator(liouvillian(h - np.diag(hd), collapse) * duration)
+    return _sweep_plan(a, duration * radius, turn)
+
+
 def _frame_states(rho: DensityMatrix, h: np.ndarray, collapse: Sequence[np.ndarray],
                   duration: float, frames: np.ndarray) -> np.ndarray:
     """exp(L(f) t) rho for every frame frequency f in ``frames``, as a (len(frames), d, d) array.
 
-    L(f) is the Lindbladian of H - 2 pi f K with the collapse operators, K
-    from ``_frame_charge``: H seen from the frame rotating at f.  In the
-    Hermitian basis L(f) t is the real A + R(f): A = S^dag L(H_off) S t
-    holds the couplings (H without its diagonal) and the dissipator, and
-    R(f), everything diagonal in the number basis, turns each pair
-    (X_ij, Y_ij) at the rate t [(h_i - h_j) - 2 pi f (k_i - k_j)].  The
-    spread of H - 2 pi f K is convex in f, so ``_radius`` at the grid's two
-    ends bounds every frame, and one ``_sweep_action`` runs every frame from
-    u = S^dag vec(rho).
+    L(f) is the Lindbladian of H - 2 pi f K, K from ``_frame_charge``: H seen
+    from the frame rotating at f.  One ``_sweep_action`` of the
+    ``_frame_plan`` runs every frame from the coordinates of rho.
     """
-    d = rho.config.dim
-    k, hd = _frame_charge(rho.config), h.diagonal().real
-    i, j = np.triu_indices(d, k=1)
-    turn = duration * ((hd[i] - hd[j])[:, None] - TWO_PI * np.outer(k[i] - k[j], frames))
-    radius = _radius([h - TWO_PI * f * np.diag(k) for f in {frames.min(), frames.max()}],
-                     collapse)
-    a = _hermitian_generator(liouvillian(h - np.diag(hd), collapse) * duration)
-    s, s_h = _hermitian_basis(d)
-    u = (s_h @ rho.matrix.reshape(-1)).real
-    v = _sweep_action(a, duration * radius, np.repeat(u[:, None], frames.size, axis=1), turn)
-    return (s @ v).T.reshape(len(frames), d, d)
+    plan = _frame_plan(h, collapse, duration, _frame_charge(rho.config), frames)
+    u = _coordinates(rho.matrix)
+    return _matrices(_sweep_action(plan, np.repeat(u[:, None], frames.size, axis=1)))
+
+
+def _segment_plan(seg: Segment, params: SystemParams, config: HilbertConfig,
+                  noise: NoiseModel):
+    """The ``_sweep_plan`` of an undriven segment's exp(L t) on the Hermitian coordinates of a
+    block of states of any width (its drives are not read).
+
+    Every column takes the one frame, so the diagonal of H stays in the
+    sparse generator, S^dag L S t, and a product takes no pair rotation.
+    """
+    h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
+    cs = collapse_operators(config, noise)
+    return _sweep_plan(_hermitian_generator(liouvillian(h, cs) * seg.duration),
+                       seg.duration * _radius([h], cs))
 
 
 def _drive_hamiltonian(config: HilbertConfig, segment: Segment):
@@ -809,7 +640,8 @@ def _segment_adjoint(op: np.ndarray, seg: Segment, params: SystemParams,
     cs = collapse_operators(config, noise)
     gen = (liouvillian(h, cs) * seg.duration)[rows][:, rows]
     out = np.zeros(d * d, dtype=complex)
-    out[rows] = _sweep_action(gen.T.tocsr(), seg.duration * _radius([h], cs), v[rows])
+    out[rows] = _sweep_action(_sweep_plan(gen.T.tocsr(), seg.duration * _radius([h], cs)),
+                              v[rows])
     return out.reshape(d, d).T
 
 
@@ -827,8 +659,8 @@ def evolve_segments(
     becomes a ``DensityMatrix``.  An undriven segment of a Ket applies its
     cached exp(-i H t); every other segment is one ``_segment_action`` on
     the state, so a single pass over a density matrix builds no propagator.
-    Loops that apply one segment to many states take ``_segment_propagator``
-    and ``_apply`` themselves.
+    Loops that apply one segment to many states plan it once
+    (``_segment_plan``) and step it with ``_sweep_action``.
     """
     if isinstance(state, Ket) and not noise.is_trivial:
         state = state.to_density()
@@ -844,6 +676,18 @@ def evolve_segments(
 # named operations
 
 
+def _uniform_step(times: Sequence[float]) -> float:
+    """The spacing of a uniform time grid from 0 of at least two points, the grid a stepped
+    loop takes; any other grid is a ``ValidationError``."""
+    times = np.asarray(times, dtype=float)
+    if times.size < 2 or times[0] != 0.0:
+        raise ValidationError("time grid must start at 0 with at least two points")
+    dt = times[1] - times[0]
+    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-15):
+        raise ValidationError("time grid must be uniform")
+    return dt
+
+
 def vacuum_rabi_chevron(
     params: SystemParams,
     config: HilbertConfig,
@@ -853,23 +697,26 @@ def vacuum_rabi_chevron(
 ) -> np.ndarray:
     """Excited-qubit population map P_e(detuning, time), qubit starts |e>, modes in vacuum.
 
-    The time grid must be uniform starting at 0 (stepped propagators).
+    The time grid must be uniform starting at 0 (``_uniform_step``).
+    H(Delta) = H(0) + 2 pi Delta sigma_z/2 differs between detunings only on
+    its diagonal, so the detunings are the frames of the charge -sigma_z/2:
+    one ``_frame_plan``, with or without noise, and one ``_sweep_action`` on
+    the block of every detuning per time step.  P_e is read off the block's
+    first d rows, the diagonal of rho.
     """
-    times = np.asarray(time_grid, dtype=float)
-    if times.size < 2 or times[0] != 0.0:
-        raise ValidationError("time grid must start at 0 with at least two points")
-    dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-15):
-        raise ValidationError("time grid must be uniform")
-
-    pe = qubit_projector(config, 1)
-    psi0 = fock_state(config, [0] * config.n_modes, 1)
-    out = np.empty((len(detuning_grid), times.size))
-    for i, delta in enumerate(detuning_grid):
-        prop = _segment_propagator(Segment(dt, delta), params, config, noise)
-        state = psi0
-        for j in range(times.size):
-            if j:
-                state = _apply(prop, state)
-            out[i, j] = expectation(state, pe).real
+    dt = _uniform_step(time_grid)
+    deltas = np.asarray(detuning_grid, dtype=float)
+    out = np.empty((deltas.size, len(time_grid)))
+    if not deltas.size:
+        return out
+    sz, _ = _jc_terms(config)
+    h = full_jc_hamiltonian(params, config, noise.static_qubit_offset).matrix
+    plan = _frame_plan(h, collapse_operators(config, noise), dt, -0.5 * sz.diagonal().real, deltas)
+    v = _coordinates(fock_state(config, [0] * config.n_modes, 1).to_density().matrix)
+    v = np.repeat(v[:, None], deltas.size, axis=1)
+    pe = qubit_projector(config, 1).matrix.diagonal().real
+    for j in range(out.shape[1]):
+        if j:
+            v = _sweep_action(plan, v)
+        out[:, j] = pe @ v[:config.dim]
     return out

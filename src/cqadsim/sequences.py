@@ -10,12 +10,13 @@ expectation is kept alongside.
 Prepared states are Kets; ``dynamics.evolve_segments`` turns a Ket into a
 density matrix when it meets a dissipative segment.  A preparation passes
 each of its segments once, so ``evolve_segments`` applies it to the state as
-an action and builds no propagator.  Spectroscopy, which propagates in its
-own probe frame, converts its input itself and evolves it over the whole
-frequency grid with one ``dynamics._frame_states`` (the probe frequency is
-the frame), never building a propagator.  The coherence protocols' delay
-loop reuses a segment's cached ``dynamics._segment_propagator`` through
-``dynamics._apply``; propagators are built only for such reuse.
+an action.  Spectroscopy, which propagates in its own probe frame, converts
+its input itself and evolves it over the whole frequency grid with one
+``dynamics._frame_states`` (the probe frequency is the frame).  The
+coherence protocols' delay loop plans its swap and its wait once each
+(``dynamics._segment_plan``) and steps the density matrix through the delay
+grid with ``dynamics._sweep_action``.  No density matrix here takes a
+propagator.
 
 The Ramsey and echo sequences are one list of steps (``_parity_steps``:
 rotation matrices and constant segments).  Parity has one readout, run
@@ -57,11 +58,15 @@ from .dynamics import (
     Segment,
     _apply,
     _apply_adjoint,
+    _coordinates,
     _drive_hamiltonian,
     _excitation_number,
     _frame_states,
+    _matrices,
     _segment_adjoint,
-    _segment_propagator,
+    _segment_plan,
+    _sweep_action,
+    _uniform_step,
     collapse_operators,
     evolve_segments,
 )
@@ -676,26 +681,40 @@ def coherence_protocols(
     quadrature-opposed final pulses, so the T1 baseline drift cancels; their
     phase follows the demodulation frequency less the stored excitation's
     own precession (the rest detuning for the qubit, none for the phonon).
+
+    The delays must be a uniform grid from 0 (``dynamics._uniform_step``).
+    The loop runs on density matrices, noise or not: the swap and one wait
+    step of the delay spacing are planned once each
+    (``dynamics._segment_plan``); the state is swapped in once, waits step by
+    step, and every delay's state is swapped out at once, as the columns of
+    one block.
     """
     if kind not in _COHERENCE_PROTOCOLS:
         raise ValidationError(f"unknown coherence protocol {kind!r}")
     first_angle, swap, ramsey, default_demod = _COHERENCE_PROTOCOLS[kind]
     f_demod = default_demod if demod_freq is None else demod_freq
     delays = np.asarray(delays, dtype=float)
+    dt = _uniform_step(delays)
     rest = params.delta("rest")
     f_stored = 0.0 if swap else rest
-    swaps = [_swap_segment(params)] if swap else []
+    swaps = [_segment_plan(_swap_segment(params), params, config, noise)] if swap else []
+    wait = _segment_plan(Segment(dt, rest), params, config, noise)
     pe = qubit_projector(config, 1)
     vac = fock_state(config, [0] * config.n_modes, 0)
 
+    # swap in once, wait step by step, then swap every delay's state out at once
+    v = _coordinates(_apply(qubit_rotation(config, 0.0, first_angle), vac).to_density().matrix)
+    for plan in swaps:
+        v = _sweep_action(plan, v)
+    steps = [v]
+    for _ in range(delays.size - 1):
+        steps.append(_sweep_action(wait, steps[-1]))
+    block = np.stack(steps, axis=1)
+    for plan in swaps:
+        block = _sweep_action(plan, block)
     values = np.empty(delays.size)
-    for i, tau in enumerate(delays):
-        wait = [Segment(tau, rest)] if tau > 0 else []
-        st = _apply(qubit_rotation(config, 0.0, first_angle), vac)
-        # every delay reuses the swap propagator, and a long wait's exponential
-        # takes scaling and squaring where an action would take ~ 2 pi delta tau products
-        for seg in swaps + wait + swaps:
-            st = _apply(_segment_propagator(seg, params, config, noise), st)
+    for i, (tau, rho) in enumerate(zip(delays, _matrices(block))):
+        st = DensityMatrix(config, rho)
         if ramsey:
             theta2 = -TWO_PI * f_stored * tau + TWO_PI * f_demod * tau
             plus, minus = (

@@ -543,10 +543,10 @@ _LAYERS = {f"cqadsim.{name}" for name in
 
 
 def test_cli_start_up_does_not_load_an_ode_solver():
-    """No path integrates an ODE, and the fits, the echo root, the matrix exponential, the Bessel
-    and Faddeeva functions and the block labelling are numpy routines, so ``import cqadsim.cli``
-    loads no scipy module but scipy.sparse; it loads every layer module, which the benchmark's
-    tracer looks up in ``sys.modules``."""
+    """No path integrates an ODE or exponentiates a Liouvillian, and the fits, the echo root and
+    the Bessel and Faddeeva functions are numpy routines, so ``import cqadsim.cli`` loads no
+    scipy module but scipy.sparse; it loads every layer module, which the benchmark's tracer
+    looks up in ``sys.modules``."""
     proc = _python("-c", "import json, sys, cqadsim.cli; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
@@ -555,22 +555,29 @@ def test_cli_start_up_does_not_load_an_ode_solver():
 
 
 def test_wigner_and_spectroscopy_runs_load_no_scipy_beyond_sparse(tmp_path):
-    """A tiny Wigner run and a tiny spectroscopy run in one fresh process, which would show a
-    lazy import on any path they take (block exponentials, Chebyshev sweep, Voigt and Poisson
-    fits), leave the same scipy modules unloaded, and every layer module loaded."""
+    """Tiny Wigner, spectroscopy, phonon T1 and noisy chevron runs in one fresh process, which
+    would show a lazy import on any path they take (readout actions, Chebyshev sweep, stepped
+    delay loop and chevron, Voigt, Poisson and decay fits), leave the same scipy modules
+    unloaded, and every layer module loaded."""
     specs = [preset_copy(tmp_path, "wigner_fock1.spec", phonon_dim=8, grid_points=3,
                          grid_extent=0.8),
-             preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6, freq_step=10e3)]
+             preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6, freq_step=10e3),
+             preset_copy(tmp_path, "phonon_t1.spec", phonon_dim=3, delay_points=9),
+             preset_copy(tmp_path, "vacuum_rabi.spec", noise="paper", phonon_dim=2,
+                         lg10_dim=2, detuning_points=3, time_points=9)]
     code = ("import json, sys\n"
             "from cqadsim import cli\n"
             "for spec, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
             "    assert cli.main(['run', '--experiment', spec, '--out', out, '--quiet']) == 0\n"
             "print(json.dumps(sorted(sys.modules)))\n")
-    proc = _python("-c", code, specs[0], str(tmp_path / "wigner"),
-                   specs[1], str(tmp_path / "spectroscopy"))
+    outs = ["wigner", "spectroscopy", "t1", "chevron"]
+    proc = _python("-c", code, *(arg for spec, out in zip(specs, outs)
+                                 for arg in (spec, str(tmp_path / out))))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "wigner" / "wigner.csv").exists()
     assert (tmp_path / "spectroscopy" / "fit.json").exists()
+    assert (tmp_path / "t1" / "decay.csv").exists()
+    assert (tmp_path / "chevron" / "chevron.csv").exists()
     loaded = set(json.loads(proc.stdout))
     assert not _UNLOADED_SCIPY & loaded
     assert _LAYERS <= loaded

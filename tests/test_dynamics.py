@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix, identity, kron
-from scipy.sparse.csgraph import connected_components
 from scipy.special import jv
 
 from cqadsim import dynamics, sequences
@@ -27,19 +25,14 @@ from cqadsim.dynamics import (
 from cqadsim.dynamics import (
     _apply,
     _bessel_j,
-    _BlockPropagator,
-    _components,
     _drive_hamiltonian,
-    _expm,
     _frame_charge,
     _frame_states,
     _hermitian_basis,
     _hermitian_generator,
-    _pade_structure,
-    _propagator,
+    _matrices,
     _PropagatorCache,
     _radius,
-    _segment_propagator,
     _sweep_action,
     _sweep_plan,
 )
@@ -59,6 +52,7 @@ from cqadsim.sequences import (
     _calibrated_effect,
     _excitation_number,
     _readout_adjoint,
+    coherence_protocols,
     prepare_state,
     qubit_spectroscopy,
 )
@@ -184,9 +178,13 @@ def test_vacuum_rabi_zero_coupling_flat(params):
 
 @pytest.mark.parametrize("times", [[], [0.0], [1e-7, 2e-7], [0.0, 1e-7, 3e-7]])
 def test_vacuum_rabi_refuses_a_bad_time_grid(params, times):
-    """An empty, one-point, late-starting or non-uniform grid is a ValidationError."""
+    """An empty, one-point, late-starting or non-uniform grid is a ValidationError, as the
+    chevron's times and as the delays of a coherence protocol: both loops step one grid."""
+    cfg = HilbertConfig(2, (3,))
     with pytest.raises(ValidationError, match="time grid"):
-        vacuum_rabi_chevron(params, HilbertConfig(2, (3,)), NoiseModel(), [0.0], times)
+        vacuum_rabi_chevron(params, cfg, NoiseModel(), [0.0], times)
+    with pytest.raises(ValidationError, match="time grid"):
+        coherence_protocols("phonon_t1", params, cfg, NoiseModel(), times)
 
 
 def test_vacuum_rabi_lg10_feature(params):
@@ -197,6 +195,68 @@ def test_vacuum_rabi_lg10_feature(params):
     # at the LG-10 offset the qubit exchanges with the second mode
     assert 1.0 - m[1].min() > 0.8
     assert 1.0 - m[0].min() > 0.9
+
+
+_CHEVRON_NOISE = NoiseModel.from_params(paper_default_params(), 0.0)
+
+
+@pytest.mark.parametrize("config, offset", [(HilbertConfig(2, (4,)), 0.0),
+                                            (HilbertConfig(2, (3, 3)), 0.0),
+                                            (HilbertConfig(2, (4,)), 30e3)],
+                         ids=["one_mode", "two_modes", "static_offset"])
+def test_noisy_chevron_matches_the_dense_liouvillian_exponential(params, monkeypatch, config,
+                                                                 offset):
+    """With paper noise, P_e at every detuning and time against scipy's dense expm of the
+    Liouvillian at that detuning and time, to 1e-12, for one mode, for two modes and with a
+    static offset; every stepped state keeps its trace, Hermiticity and positivity."""
+    noise = replace(_CHEVRON_NOISE, static_qubit_offset=offset)
+    deltas = np.array([-1.2e6, 0.0, params.lg10_offset])
+    times = np.linspace(0.0, 2e-6, 9)
+    blocks = []
+
+    def recorded(plan, u):
+        blocks.append(_sweep_action(plan, u))
+        return blocks[-1]
+
+    monkeypatch.setattr(dynamics, "_sweep_action", recorded)
+    got = vacuum_rabi_chevron(params, config, noise, deltas, times)
+    d, cs = config.dim, collapse_operators(config, noise)
+    rho0 = fock_state(config, [0] * config.n_modes, 1).to_density().matrix.reshape(-1)
+    pe = qubit_projector(config, 1).matrix
+    for delta, row in zip(deltas, got):
+        gen = liouvillian(full_jc_hamiltonian(params, config, delta + offset).matrix, cs).toarray()
+        expected = [np.trace(pe @ (expm(gen * t) @ rho0).reshape(d, d)).real for t in times]
+        assert np.abs(row - expected).max() <= 1e-12
+    assert len(blocks) == times.size - 1
+    for state in _matrices(np.hstack(blocks)):
+        assert abs(np.trace(state) - 1.0) < 1e-10
+        assert np.abs(state - state.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(state).min() >= -1e-10
+
+
+def test_stepped_loops_plan_once(params, monkeypatch):
+    """The chevron makes one Chebyshev plan, with or without noise, and a delay loop one for its
+    wait plus one for the swap it runs in and out, whatever the grid; with noise neither puts
+    anything in the propagator cache."""
+    plans, sweep_plan = [], dynamics._sweep_plan
+
+    def counted(*args):
+        plans.append(args)
+        return sweep_plan(*args)
+
+    monkeypatch.setattr(dynamics, "_sweep_plan", counted)
+    config = HilbertConfig(2, (3,))
+    for noise in (_CHEVRON_NOISE, NoiseModel()):
+        clear_propagator_cache()
+        plans.clear()
+        vacuum_rabi_chevron(params, config, noise, [-1e6, 0.0, 1e6], np.linspace(0.0, 1e-6, 11))
+        assert len(plans) == 1 and not dynamics._CACHE._data
+    noise = NoiseModel.from_params(params, params.delta("rest"))
+    for kind, expected in (("qubit_t1", 1), ("qubit_t2", 1), ("phonon_t1", 2), ("phonon_t2", 2)):
+        clear_propagator_cache()
+        plans.clear()
+        coherence_protocols(kind, params, config, noise, np.linspace(0.0, 20e-6, 11))
+        assert len(plans) == expected and not dynamics._CACHE._data
 
 
 def test_swap_gate_fidelity(params):
@@ -283,8 +343,9 @@ _DRIVE_CONFIGS = st.one_of(
 def _in_drive_frame(state, seg, params, config, noise):
     """The exact evolution through a qubit drive at detuning delta, in the frame f = delta.
 
-    There the drive is static, so the generator is constant: rho_f(tau) is one
-    propagator run of full_jc_hamiltonian(frame=delta) plus the static drive.
+    There the drive is static, so the generator is constant: rho_f(tau) is
+    scipy's dense exponential of the Liouvillian (exp(-i H tau) for a Ket) of
+    full_jc_hamiltonian(frame=delta) plus the static drive.
     Back in the phonon frame, rho(tau) = V rho_f(tau) V^dag with
     V = exp(-i 2 pi delta tau K), K = sigma_z/2 + sum_k n_k.
     """
@@ -292,7 +353,11 @@ def _in_drive_frame(state, seg, params, config, noise):
     h = (full_jc_hamiltonian(params, config, delta + noise.static_qubit_offset,
                              frame=delta).matrix
          + _drive_hamiltonian(config, Segment(seg.duration, 0.0, qubit_drive=seg.qubit_drive)))
-    in_frame = _apply(_propagator(h, collapse_operators(config, noise), seg.duration), state)
+    if isinstance(state, Ket):
+        in_frame = _apply(expm(-1j * h * seg.duration), state)
+    else:
+        dense = expm(liouvillian(h, collapse_operators(config, noise)).toarray() * seg.duration)
+        in_frame = DensityMatrix(config, (dense @ state.matrix.reshape(-1)).reshape(h.shape))
     sz, modes = _jc_terms(config)
     k = 0.5 * sz + sum(n_k for n_k, _ in modes)
     return _apply(expm(-1j * TWO_PI * delta * seg.duration * k), in_frame)
@@ -433,9 +498,9 @@ def test_every_driven_density_action_is_one_sweep_action(params, monkeypatch):
     Fock-1 preparation, a single pass, builds no propagator."""
     calls = []
 
-    def counted(gen, radius, u, turn=None):
+    def counted(plan, u):
         calls.append(u.shape[1])
-        return _sweep_action(gen, radius, u, turn)
+        return _sweep_action(plan, u)
 
     monkeypatch.setattr(dynamics, "_sweep_action", counted)
     config = HilbertConfig(2, (4,))
@@ -484,7 +549,7 @@ def test_static_offset_shifts_qubit(params):
 
 
 # ---------------------------------------------------------------------------
-# block-diagonal Liouvillian propagators
+# undriven segments and stepped loops
 
 _RATES = st.one_of(st.just(0.0), st.floats(min_value=1e2, max_value=1e5))
 _CONFIGS = st.one_of(
@@ -508,16 +573,6 @@ def _static_segments(draw):
     return config, noise, Segment(draw(st.floats(1e-8, 5e-6)), draw(st.floats(-3e6, 3e6)))
 
 
-def _static_generators():
-    """(config, h, collapse ops, duration) of an undriven segment with random noise."""
-    def generator(drawn):
-        config, noise, seg = drawn
-        h = full_jc_hamiltonian(paper_default_params(), config,
-                                seg.detuning + noise.static_qubit_offset).matrix
-        return config, h, collapse_operators(config, noise), seg.duration
-    return _static_segments().map(generator)
-
-
 _PAPER_NOISE = NoiseModel.from_params(paper_default_params(), _REST)
 
 
@@ -527,47 +582,20 @@ _PAPER_NOISE = NoiseModel.from_params(paper_default_params(), _REST)
 @example((HilbertConfig(2, (3, 3)), _PAPER_NOISE, Segment(2e-6, _REST)), 1)
 def test_single_pass_action_matches_the_cached_propagator(drawn, seed):
     """evolve_segments takes an undriven segment of a density matrix as one action; it equals
-    the propagator the reusing loops apply, and the state stays physical."""
+    scipy's dense exponential of the segment's Liouvillian, and the state stays physical."""
     config, noise, seg = drawn
     params = paper_default_params()
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
     rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
     out = evolve_segments(rho, [seg], params, config, noise).matrix
-    expected = _apply(_segment_propagator(seg, params, config, noise), rho).matrix
+    h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
+    dense = expm(liouvillian(h, collapse_operators(config, noise)).toarray() * seg.duration)
+    expected = (dense @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
     assert np.abs(out - expected).max() <= 1e-12
     assert abs(np.trace(out) - 1.0) < 1e-10
     assert np.abs(out - out.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(out).min() >= -1e-10
-
-
-@settings(max_examples=40, deadline=None)
-@given(_static_generators())
-def test_blocked_propagator_matches_dense_expm(gen):
-    config, h, cs, duration = gen
-    dense = expm(liouvillian(h, cs).toarray() * duration)
-    prop = _BlockPropagator(liouvillian(h, cs) * duration)
-    err = np.abs(prop @ np.eye(dense.shape[0]) - dense).max()
-    assert err <= 1e-12 * np.abs(dense).max()
-
-
-@settings(max_examples=40, deadline=None)
-@given(_static_generators(), st.integers(0, 2**32 - 1))
-def test_block_propagator_builds_only_the_blocks_a_vector_reaches(gen, seed):
-    """A product builds the blocks of the vector's support, no others."""
-    config, h, cs, duration = gen
-    gen_matrix = liouvillian(h, cs) * duration
-    dense = expm(gen_matrix.toarray())
-    n_blocks, labels = connected_components(gen_matrix != 0, directed=False)
-    rng = np.random.default_rng(seed)
-    reached = rng.choice(n_blocks, size=rng.integers(1, n_blocks + 1), replace=False)
-    support = np.isin(labels, reached)
-    v = np.where(support, rng.normal(size=labels.size) + 1j * rng.normal(size=labels.size), 0.0)
-    prop = _BlockPropagator(gen_matrix)
-    got = prop @ v
-    assert sum(b is not None for b in prop._blocks) == reached.size
-    assert np.abs(got - dense @ v).max() <= 1e-12 * np.abs(dense).max() * np.abs(v).sum()
-    assert not got[~support].any()
 
 
 def test_echo_parity_effect_builds_only_low_coherence_orders(params, monkeypatch):
@@ -589,9 +617,9 @@ def test_echo_parity_effect_builds_only_low_coherence_orders(params, monkeypatch
         steps.append((seg.detuning, op))
         return segment_adjoint(op, seg, *args)
 
-    def recorded_action(gen, radius, u, turn=None):
+    def recorded_action(plan, u):
         actions.append(u)
-        return sweep_action(gen, radius, u, turn)
+        return sweep_action(plan, u)
 
     monkeypatch.setattr(sequences, "_segment_adjoint", recorded_step)
     monkeypatch.setattr(dynamics, "_sweep_action", recorded_action)
@@ -641,7 +669,7 @@ def test_liouvillian_matches_the_three_term_kron_formula(n_collapse, hermitian):
 @pytest.mark.parametrize("config", [HilbertConfig(2, (6,)), HilbertConfig(3, (4, 3))])
 def test_liouvillian_is_canonical_csr_with_the_kron_sum_pattern(params, config, noisy):
     """Sorted indices, no duplicates, no explicit zeros, and the pattern (and values) of the
-    kron sum, so the blocks ``_BlockPropagator`` reads off ``gen != 0`` stay the same.
+    kron sum.
 
     Without noise the commutator's diagonal cancels exactly: those zeros are dropped.
     """
@@ -683,21 +711,6 @@ def test_pair_rotation_is_the_reduced_diagonal_liouvillian(config):
                                  * t).toarray()
         expected = (s @ (expm(g) @ u)).reshape(d, d)
         assert np.abs(state - expected).max() <= 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(_static_generators(), st.integers(0, 2**32 - 1))
-def test_blocked_propagator_trace_and_hermiticity(gen, seed):
-    config, h, cs, duration = gen
-    prop = _BlockPropagator(liouvillian(h, cs) * duration)
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(config.dim,) * 2) + 1j * rng.normal(size=(config.dim,) * 2)
-    rho = m @ m.conj().T
-    rho /= np.trace(rho)
-    out = (prop @ rho.reshape(-1)).reshape(config.dim, config.dim)
-    assert np.abs(out - out.conj().T).max() < 1e-12
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
-    assert np.linalg.eigvalsh(out).min() >= -1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -795,7 +808,8 @@ def test_sweep_action_matches_dense_expm(seed, decay):
     expected = np.array([w @ expm(_hermitian_generator(liouvillian(h0 + f * h1, cs)).toarray())
                          @ u for f in freqs])
     expected *= math.exp(-decay)
-    got = w @ _sweep_action((gen - decay * identity(gen.shape[0])).tocsr(), radius, block, turn)
+    plan = _sweep_plan((gen - decay * identity(gen.shape[0])).tocsr(), radius, turn)
+    got = w @ _sweep_action(plan, block)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -834,14 +848,14 @@ def test_radius_bounds_the_anti_hermitian_part_in_every_frame(model):
     the readout's radius no less than that of L^T t restricted to any set of entries."""
     config, h, cs, t, frames, entries = model
     d = config.dim
-    radii = []
+    radii, sweep_plan = [], dynamics._sweep_plan
 
-    def recorded_action(gen, radius, u, turn=None):
+    def recorded_plan(gen, radius, turn=None):
         radii.append(radius)
-        return u
+        return sweep_plan(gen, radius, turn)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_sweep_action", recorded_action)
+        mp.setattr(dynamics, "_sweep_plan", recorded_plan)
         _frame_states(DensityMatrix(config, np.eye(d) / d), h, cs, t, frames)
     [radius] = radii
     k = np.diag(_frame_charge(config))
@@ -887,7 +901,7 @@ def test_sweep_action_in_place_is_the_allocating_recurrence(seed, freqs):
     gen, radius, block, turn = _sweep_inputs(h0, h1, cs, freqs, u)
     assert _sweep_plan(gen, radius, turn)[3] > 1
     block0 = block.copy()
-    assert np.array_equal(_sweep_action(gen, radius, block, turn),
+    assert np.array_equal(_sweep_action(_sweep_plan(gen, radius, turn), block),
                           _allocating_sweep(gen, radius, block, turn))
     assert np.array_equal(block, block0)
 
@@ -904,7 +918,7 @@ def test_sweep_action_refuses_before_any_work(monkeypatch, scale):
 
     monkeypatch.setattr(dynamics, "_bessel_j", no_work)
     with pytest.raises(NumericError, match="matrix-vector products"):
-        _sweep_action(gen * scale, radius * scale, block, turn)
+        _sweep_action(_sweep_plan(gen * scale, radius * scale, turn), block)
 
 
 @pytest.mark.parametrize("where", ["everywhere", "diagonal"])
@@ -985,93 +999,6 @@ def test_sweep_plan_truncates_the_bessel_series_as_with_scipy(monkeypatch, radiu
     _, _, ref, p_ref, _ = _sweep_plan(gen, radius, None)
     assert p == p_ref == max(math.ceil(half / 1.5), 1) and coef.size == ref.size
     assert np.abs(coef - ref).max() <= 6e-14
-
-
-def _jc_liouvillian_blocks():
-    """Dense blocks of a dissipative JC Liouvillian at (2,(6,)), each scaled to 1-norm 1."""
-    params = paper_default_params()
-    config = HilbertConfig(2, (6,))
-    gen = liouvillian(full_jc_hamiltonian(params, config, _REST).matrix,
-                      collapse_operators(config, _PAPER_NOISE))
-    _, labels = _components(gen != 0)
-    blocks = [gen[labels == k][:, labels == k].toarray() for k in (0, 1, 3)]
-    return [b / np.abs(b).sum(axis=0).max() for b in blocks]
-
-
-_EXPM_NORMS = [1e-3, 1e-2, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 1e3]
-
-
-@pytest.mark.parametrize("norm", _EXPM_NORMS)
-def test_expm_matches_scipy(norm):
-    """At 1-norms from 1e-3 to 1e3, on JC Liouvillian blocks and on random complex and real
-    matrices: the degree and squarings are scipy's, and the exponential is within 1e-13 of
-    scipy's, relative to its largest entry."""
-    from scipy.linalg._matfuncs_expm import pick_pade_structure  # scipy's private (m, s) choice
-
-    rng = np.random.default_rng(int(norm * 1e3))
-    mats = [*_jc_liouvillian_blocks(),
-            rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)),
-            rng.normal(size=(30, 30))]
-    for a in mats:
-        a = a * (norm / np.abs(a).sum(axis=0).max())
-        work = np.zeros((5, *a.shape), dtype=a.dtype)
-        work[0] = a
-        assert _pade_structure(a)[:2] == tuple(pick_pade_structure(work))
-        ref = expm(a)
-        assert np.abs(_expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_expm_norms_reach_every_degree_and_squaring():
-    """The norms above take a JC block through every Pade degree, and up to 8 squarings."""
-    block = _jc_liouvillian_blocks()[0]
-    structures = [_pade_structure(block * norm)[:2] for norm in _EXPM_NORMS]
-    assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
-    assert max(s for _, s in structures) >= 8
-
-
-def test_expm_of_a_single_entry_is_its_exponential():
-    """A one-index block (a component of one coherence) takes exp exactly, as scipy does."""
-    a = np.array([[-3.0e3 + 1.0e2j]])
-    assert np.array_equal(_expm(a), np.exp(a))
-    assert np.array_equal(_expm(a), expm(a))
-
-
-def _assert_same_components(pattern):
-    count, labels = _components(pattern)
-    ref_count, ref_labels = connected_components(pattern, directed=False)
-    assert count == ref_count
-    assert np.array_equal(labels, ref_labels)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_components_match_csgraph_on_random_patterns(seed):
-    """The same partition and the same block numbering (by lowest index) as scipy, on directed
-    patterns from empty to dense, with self-loops and isolated indices."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 200))
-    density = min(float(rng.uniform(0.0, 4.0)) / n, 1.0)
-    _assert_same_components(sparse.random(n, n, density=density, format="csr", rng=rng) != 0)
-
-
-def test_components_match_csgraph_on_a_scrambled_path():
-    """A path through 500 indices in random order: one component, however it is labelled."""
-    order = np.random.default_rng(7).permutation(500)
-    path = csr_matrix((np.ones(499), (order[:-1], order[1:])), shape=(500, 500))
-    _assert_same_components(path != 0)
-
-
-@pytest.mark.parametrize("config", [HilbertConfig(2, (7,)), HilbertConfig(3, (5,)),
-                                    HilbertConfig(2, (4, 3))])
-@pytest.mark.parametrize("noise", [
-    _PAPER_NOISE,
-    NoiseModel(),
-    NoiseModel(qubit_gamma1=1e4, phonon_kappa_phi=3e3),
-    NoiseModel(qubit_gamma_phi=2e4, phonon_kappa1=5e2),
-])
-def test_components_match_csgraph_on_liouvillians(config, noise):
-    """Liouvillians of one and two modes and of a three-level qubit, with some rates 0."""
-    h = full_jc_hamiltonian(paper_default_params(), config, _REST).matrix
-    _assert_same_components(liouvillian(h, collapse_operators(config, noise)) != 0)
 
 
 def test_cache_total_evicts_as_resumming_does():

@@ -14,8 +14,8 @@ from cqadsim.dynamics import (
     Segment,
     _apply,
     _hermitian_basis,
-    _propagator,
     _sweep_action,
+    liouvillian,
     collapse_operators,
     evolve_segments,
 )
@@ -539,7 +539,10 @@ def test_spectroscopy_empty_grid_is_a_validation_error(params):
 
 
 def _explicit_cycle_average(rho, m, probe, freqs, delta, params, cfg, noise, tau):
-    """The m-cycle spectrum run drive by drive: one propagator per cycle and point."""
+    """The m-cycle spectrum run drive by drive: scipy's dense expm of the Liouvillian per cycle
+    and point."""
+    from scipy.linalg import expm
+
     sp = qubit_operator(cfg, "sigma_plus").matrix
     sm = qubit_operator(cfg, "sigma_minus").matrix
     amp = TWO_PI * 0.5 * probe.amplitude
@@ -552,7 +555,9 @@ def _explicit_cycle_average(rho, m, probe, freqs, delta, params, cfg, noise, tau
         for k in range(m):
             phi = -(probe.phase + TWO_PI * k / m + math.pi / 2.0)
             h = h0 + amp * (np.exp(-1j * phi) * sp + np.exp(1j * phi) * sm)
-            acc += expectation(_apply(_propagator(h, cs, tau), rho), pe).real
+            dense = expm(liouvillian(h, cs).toarray() * tau)
+            evolved = (dense @ rho.matrix.reshape(-1)).reshape(cfg.dim, cfg.dim)
+            acc += np.trace(pe.matrix @ evolved).real
         pops.append(acc / m)
     return np.array(pops)
 
@@ -595,9 +600,9 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
     probe = Pulse(amplitude=0.5 / (TWO_PI * tau), phase=phase)
     vectors = []
 
-    def recording_action(gen, radius, u, turn=None):
+    def recording_action(plan, u):
         vectors.append(u)
-        return _sweep_action(gen, radius, u, turn)
+        return _sweep_action(plan, u)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_sweep_action", recording_action)
@@ -682,16 +687,20 @@ def test_wigner_readout_halves_take_at_most_112_products(params, monkeypatch):
     cfg, noise = HilbertConfig(2, (19,)), NoiseModel.from_params(params, delta)
     t = echo_offset_zero_time(params, delta)
     products = _counted_products(monkeypatch)
-    halves, sweep_action = [], dynamics._sweep_action
+    halves, sweep_plan, sweep_action = [], dynamics._sweep_plan, dynamics._sweep_action
 
-    def recorded_action(gen, radius, u, turn=None):
-        start = len(products)
-        out = sweep_action(gen, radius, u, turn)
+    def recorded_plan(gen, radius, turn=None):
         dense = gen.toarray()
-        halves.append((len(products) - start, radius,
-                       np.linalg.norm((dense - dense.conj().T) / 2, 2)))
+        halves.append([radius, np.linalg.norm((dense - dense.conj().T) / 2, 2)])
+        return sweep_plan(gen, radius, turn)
+
+    def recorded_action(plan, u):
+        start = len(products)
+        out = sweep_action(plan, u)
+        halves[-1].insert(0, len(products) - start)
         return out
 
+    monkeypatch.setattr(dynamics, "_sweep_plan", recorded_plan)
     monkeypatch.setattr(dynamics, "_sweep_action", recorded_action)
     sequences._readout_adjoint.cache_clear()
     sequences._calibrated_effect("echo", FOUR_PHASES, t, delta, params, cfg, noise)

@@ -29,7 +29,10 @@ the d x d model: the spread of the eigenvalues of H - 2 pi f D plus the
 squared norms of the non-Hermitian collapse operators.  A plan is made once
 and serves any number of steps and columns.  A segment of a density matrix
 is a grid of one frame of D = K = sigma_z/2 + sum_k n_k (``_frame_states``),
-the spectroscopy probe sweep a grid of every probe frequency, and
+which is N - 1/2 for the excitation number N (``_excitation_number``), the
+sum of a basis state's level indices; the frame charge, the coherence orders
+N_i - N_j and the spectroscopy phase-cycle mask all read that one N.  The
+spectroscopy probe sweep is a grid of every probe frequency, and
 ``vacuum_rabi_chevron``'s detunings a grid of D = -sigma_z/2, stepped
 through its time grid.  The delay loop of ``sequences.coherence_protocols``
 plans its wait and its swap once each (``_segment_plan``); every column
@@ -494,21 +497,19 @@ def _sweep_action(plan, u: np.ndarray) -> np.ndarray:
 
 
 def _frame_charge(config: HilbertConfig) -> np.ndarray:
-    """The diagonal of K = sigma_z/2 + sum_k n_k, the generator of frame changes."""
-    sz, modes = _jc_terms(config)
-    return (0.5 * sz.diagonal() + sum(n_k.diagonal() for n_k, _ in modes)).real
+    """The diagonal of K = sigma_z/2 + sum_k n_k = N - 1/2, the generator of frame changes."""
+    return _excitation_number(config) - 0.5
 
 
 def _excitation_number(config: HilbertConfig) -> np.ndarray:
-    """N per basis state: |e> counts one excitation, |f> (dark to sigma+-) none, plus sum_k n_k.
+    """N per basis state, the sum of its level indices: |e> counts one excitation, plus sum_k n_k.
 
     exp(i theta N) commutes with every segment's Hamiltonian and collapse
     operators and turns a phase-0 qubit drive or pulse into the phase-theta one.
     An undriven Liouvillian therefore conserves the coherence order N_i - N_j
     of each entry |i><j|.
     """
-    levels = np.indices(config.dims).reshape(config.n_modes + 1, -1)
-    return (levels[0] == 1) + levels[1:].sum(axis=0)
+    return np.indices(config.dims).reshape(config.n_modes + 1, -1).sum(axis=0)
 
 
 def _coordinates(m: np.ndarray) -> np.ndarray:

@@ -4,19 +4,22 @@ Conventions fixed here and relied on everywhere else:
 
 * Tensor ordering: qubit factor is slowest-varying, then phonon modes in the
   order they appear in ``HilbertConfig.phonon_dims`` (LG-00 first).
-* Qubit basis index 0 is ``|g>``, 1 is ``|e>`` (and 2 is ``|f>`` for a
-  three-level qubit).  ``sigma_z |e> = +|e>``, ``sigma_z |g> = -|g>``.
+* The qubit has two levels: basis index 0 is ``|g>``, 1 is ``|e>``.
+  ``sigma_z |e> = +|e>``, ``sigma_z |g> = -|g>``.  The transmon's next level
+  enters only through the alpha/(Delta - alpha) factor of chi
+  (``swtheory.chi_analytic``).
 * States and operators are dense complex arrays; dimensions stay small
-  (a few hundred at most).  Only the d^2 x d^2 Liouvillian superoperator and
-  its block-diagonal propagators in ``cqadsim.dynamics`` are sparse.
+  (a few hundred at most).  Only the d^2 x d^2 Liouvillian superoperator in
+  ``cqadsim.dynamics`` is sparse.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, lgamma, sin
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,24 +45,42 @@ __all__ = [
     "hermitian_propagator",
 ]
 
-_QUBIT_SELECTORS = ("sigma_z", "sigma_plus", "sigma_minus", "sigma_x", "sigma_y")
+# The qubit operators on (|g>, |e>); ``qubit_operator`` embeds them.
+_PAULIS = {
+    "sigma_z": np.array([[-1, 0], [0, 1]], dtype=complex),
+    "sigma_plus": np.array([[0, 0], [1, 0]], dtype=complex),
+    "sigma_minus": np.array([[0, 1], [0, 0]], dtype=complex),
+    "sigma_x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "sigma_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+}
 
 
 @dataclass(frozen=True)
 class HilbertConfig:
-    """Truncation layout: qubit levels and one Fock cutoff per acoustic mode."""
+    """Truncation layout: a two-level qubit and one Fock cutoff per acoustic mode.
+
+    ``qubit_levels`` must be 2; it stays the first field, so a config reads
+    ``HilbertConfig(2, dims)``.  Every entry must be a whole number (an int or
+    a numpy integer), not a float that happens to be one.
+    """
 
     qubit_levels: int = 2
     phonon_dims: tuple[int, ...] = (10,)
 
     def __post_init__(self):
-        if self.qubit_levels not in (2, 3):
-            raise ValidationError(f"qubit_levels must be 2 or 3, got {self.qubit_levels}")
-        dims = tuple(int(d) for d in self.phonon_dims)
+        try:
+            levels = operator.index(self.qubit_levels)
+            dims = tuple(operator.index(d) for d in self.phonon_dims)
+        except TypeError:
+            raise ValidationError(f"qubit_levels and phonon_dims must be whole numbers, got "
+                                  f"{self.qubit_levels!r} and {self.phonon_dims!r}") from None
+        if levels != 2:
+            raise ValidationError(f"the qubit has two levels, got qubit_levels={levels}")
         if not dims:
             raise ValidationError("at least one phonon mode is required")
         if any(d < 2 for d in dims):
             raise ValidationError(f"every phonon dim must be >= 2, got {dims}")
+        object.__setattr__(self, "qubit_levels", levels)
         object.__setattr__(self, "phonon_dims", dims)
 
     @property
@@ -196,13 +217,6 @@ def _mode_ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
 
 
-def _embed(config: HilbertConfig, factors: Iterable[np.ndarray]) -> np.ndarray:
-    full = None
-    for f in factors:
-        full = f if full is None else np.kron(full, f)
-    return full
-
-
 def _check_mode(config: HilbertConfig, mode_index: int) -> int:
     if not 0 <= mode_index < config.n_modes:
         raise ValidationError(
@@ -212,11 +226,11 @@ def _check_mode(config: HilbertConfig, mode_index: int) -> int:
 
 
 def _mode_operator(config: HilbertConfig, mode_index: int, op: np.ndarray) -> np.ndarray:
+    """I (x) op (x) I: ``op`` on one mode, identity on the qubit and every other mode."""
     _check_mode(config, mode_index)
-    factors = [np.eye(config.qubit_levels, dtype=complex)]
-    for k, d in enumerate(config.phonon_dims):
-        factors.append(op if k == mode_index else np.eye(d, dtype=complex))
-    return _embed(config, factors)
+    before = int(np.prod(config.dims[:1 + mode_index]))
+    after = int(np.prod(config.dims[2 + mode_index:]))
+    return np.kron(np.kron(np.eye(before, dtype=complex), op), np.eye(after, dtype=complex))
 
 
 def annihilation(config: HilbertConfig, mode_index: int = 0) -> OperatorMatrix:
@@ -233,60 +247,34 @@ def number_operator(config: HilbertConfig, mode_index: int = 0) -> OperatorMatri
     return OperatorMatrix(config, _mode_operator(config, mode_index, a.conj().T @ a))
 
 
-def _qubit_matrix(levels: int, which: str) -> np.ndarray:
-    # Paulis act on the {g, e} block; |f> (if present) is annihilated.
-    m = np.zeros((levels, levels), dtype=complex)
-    if which == "sigma_z":
-        m[0, 0] = -1.0
-        m[1, 1] = +1.0
-    elif which == "sigma_plus":
-        m[1, 0] = 1.0
-    elif which == "sigma_minus":
-        m[0, 1] = 1.0
-    elif which == "sigma_x":
-        m[0, 1] = m[1, 0] = 1.0
-    elif which == "sigma_y":
-        m[1, 0] = 1.0j
-        m[0, 1] = -1.0j
-    else:
-        raise ValidationError(
-            f"unknown qubit operator {which!r}; expected one of {_QUBIT_SELECTORS}"
-        )
-    return m
+def _qubit_embed(config: HilbertConfig, m: np.ndarray) -> np.ndarray:
+    """m (x) I: a 2 x 2 qubit matrix, identity on every mode."""
+    return np.kron(m, np.eye(config.dim // 2, dtype=complex))
 
 
 def qubit_operator(config: HilbertConfig, which: str) -> OperatorMatrix:
     """Pauli-type operator embedded in the full space (see module conventions)."""
-    m = _qubit_matrix(config.qubit_levels, which)
-    factors = [m] + [np.eye(d, dtype=complex) for d in config.phonon_dims]
-    return OperatorMatrix(config, _embed(config, factors))
+    if which not in _PAULIS:
+        raise ValidationError(
+            f"unknown qubit operator {which!r}; expected one of {tuple(_PAULIS)}"
+        )
+    return OperatorMatrix(config, _qubit_embed(config, _PAULIS[which]))
 
 
 def qubit_projector(config: HilbertConfig, level: int) -> OperatorMatrix:
-    if not 0 <= level < config.qubit_levels:
+    if level not in (0, 1):
         raise ValidationError(f"qubit level {level} out of range")
-    m = np.zeros((config.qubit_levels,) * 2, dtype=complex)
-    m[level, level] = 1.0
-    factors = [m] + [np.eye(d, dtype=complex) for d in config.phonon_dims]
-    return OperatorMatrix(config, _embed(config, factors))
+    return OperatorMatrix(config, _qubit_embed(config, np.diag(np.eye(2)[level])))
 
 
 def qubit_rotation(config: HilbertConfig, theta: float, eta: float) -> np.ndarray:
     """Counterclockwise qubit rotation: |g> -> cos(eta/2)|g> + e^{i theta} sin(eta/2)|e>.
 
-    Acts on the {g, e} block (|f>, if present, is left alone), identity on
-    every mode.
+    Identity on every mode.
     """
     c, s = cos(eta / 2.0), sin(eta / 2.0)
-    q = np.eye(config.qubit_levels, dtype=complex)
-    q[0, 0] = c
-    q[1, 1] = c
-    q[1, 0] = np.exp(1j * theta) * s
-    q[0, 1] = -np.exp(-1j * theta) * s
-    m = q
-    for d in config.phonon_dims:
-        m = np.kron(m, np.eye(d))
-    return m
+    q = np.array([[c, -np.exp(-1j * theta) * s], [np.exp(1j * theta) * s, c]], dtype=complex)
+    return _qubit_embed(config, q)
 
 
 def fock_state(config: HilbertConfig, mode_occupations: Sequence[int], qubit_level: int = 0) -> Ket:
@@ -325,19 +313,11 @@ def coherent_amplitudes(dim: int, beta: complex) -> np.ndarray:
 def coherent_state(config: HilbertConfig, mode_index: int, beta: complex, qubit_level: int = 0) -> Ket:
     """Coherent state on one mode, vacuum elsewhere, qubit in a basis level."""
     _truncation_guard(config, mode_index, beta)
-    qv = np.zeros(config.qubit_levels, dtype=complex)
-    qv[qubit_level] = 1.0
-    factors = [qv]
-    for k, d in enumerate(config.phonon_dims):
-        if k == mode_index:
-            factors.append(coherent_amplitudes(d, beta))
-        else:
-            g = np.zeros(d, dtype=complex)
-            g[0] = 1.0
-            factors.append(g)
-    v = factors[0]
-    for f in factors[1:]:
-        v = np.kron(v, f)
+    d = config.phonon_dims[mode_index]
+    stride = int(np.prod(config.phonon_dims[mode_index + 1:]))
+    v = np.zeros(config.dim, dtype=complex)
+    v[config.index(qubit_level, [0] * config.n_modes) + stride * np.arange(d)] = (
+        coherent_amplitudes(d, beta))
     return Ket(config, v)
 
 

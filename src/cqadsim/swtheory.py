@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 
-def _require_two_level_single_mode(config: HilbertConfig):
-    if config.qubit_levels != 2 or config.n_modes != 1:
-        raise ValidationError("the SW track models a two-level qubit and a single mode")
+def _require_single_mode(config: HilbertConfig):
+    if config.n_modes != 1:
+        raise ValidationError("the SW track models a single mode")
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def _require_two_level_single_mode(config: HilbertConfig):
 
 def sw_generator(config: HilbertConfig, epsilon: complex) -> OperatorMatrix:
     """A = eps sigma+ a - eps* sigma- a^dag (dimensionless, anti-Hermitian)."""
-    _require_two_level_single_mode(config)
+    _require_single_mode(config)
     a = annihilation(config, 0).matrix
     sp = qubit_operator(config, "sigma_plus").matrix
     sm = qubit_operator(config, "sigma_minus").matrix
@@ -299,7 +299,7 @@ def chi_numeric(
     qubit frequency E(e,n) - E(g,n); dressed labels are assigned by maximal
     overlap with the bare states.
     """
-    _require_two_level_single_mode(config)
+    _require_single_mode(config)
     d = config.phonon_dims[0]
     if d < n_max + 5:
         raise ValidationError(f"truncation dim {d} must be >= n_max + 5 = {n_max + 5}")

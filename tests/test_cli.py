@@ -688,6 +688,13 @@ def test_every_preset_passes_its_table():
         assert set(spec) == set(cli._KINDS[kind][1]), path.name
 
 
+def test_every_preset_has_a_reference_and_every_reference_a_preset():
+    """The 1e-6 refactor gate covers every preset: one tests/reference/presets/<name>.json each."""
+    specs = {path.stem for path in PRESETS.glob("*.spec")}
+    references = {path.stem for path in (ROOT / "tests" / "reference" / "presets").glob("*.json")}
+    assert specs and specs == references
+
+
 def test_a_typo_key_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
     """The unknown key exits 2 before any state is prepared or any sweep runs."""
     calls = []

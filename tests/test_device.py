@@ -15,6 +15,7 @@ from cqadsim.device import (
     paper_default_params,
     purcell_rate,
 )
+from cqadsim.dynamics import _excitation_number, _frame_charge
 from cqadsim.exceptions import ValidationError
 from cqadsim.hilbert import HilbertConfig, number_operator, qubit_operator
 
@@ -130,7 +131,7 @@ def test_full_jc_hermitian_and_excitation_conserving(params):
 
 _JC_CONFIGS = st.one_of(
     st.integers(2, 6).map(lambda n: HilbertConfig(2, (n,))),
-    st.integers(2, 5).map(lambda n: HilbertConfig(3, (n,))),
+    st.integers(2, 5).map(lambda n: HilbertConfig(2, (n,))),
     st.tuples(st.integers(2, 4), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
 )
 
@@ -150,12 +151,18 @@ def test_jc_frame_subtracts_excitation_number(cfg, delta, f):
     assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("cfg", [HilbertConfig(2, (10,)), HilbertConfig(3, (3,)),
+@pytest.mark.parametrize("cfg", [HilbertConfig(2, (10,)), HilbertConfig(2, (3,)),
                                  HilbertConfig(2, (3, 2))])
 def test_jc_frame_term_is_minus_two_pi_k(params, cfg):
-    """H(f) - H(0) = f (-2 pi K), K = sigma_z/2 + sum_k n_k from ``_jc_terms``, to 4 ulps of H."""
+    """H(f) - H(0) = f (-2 pi K), K = sigma_z/2 + sum_k n_k from ``_jc_terms``, to 4 ulps of H.
+
+    The dynamics' frame charge is N - 1/2 exactly, and K's diagonal to 4 ulps.
+    """
     sz, modes = _jc_terms(cfg)
     k = 0.5 * sz + sum(n_k for n_k, _ in modes)
+    charge, kd = _frame_charge(cfg), k.diagonal().real
+    assert np.array_equal(charge, _excitation_number(cfg) - 0.5)
+    assert np.all(np.abs(charge - kd) <= 4 * np.spacing(np.abs(kd)))
     delta = params.delta("coherent")
     h0 = full_jc_hamiltonian(params, cfg, delta, frame=0.0).matrix
     for f in np.linspace(-2e6, 1e6, 31):

@@ -334,9 +334,9 @@ def test_rk_density_path_returns_a_valid_state(params):
 
 _DRIVE_CONFIGS = st.one_of(
     st.integers(2, 4).map(lambda n: HilbertConfig(2, (n,))),
-    st.integers(2, 3).map(lambda n: HilbertConfig(3, (n,))),
+    st.integers(2, 3).map(lambda n: HilbertConfig(2, (n,))),
     st.tuples(st.integers(2, 3), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
-    st.just(HilbertConfig(3, (2, 2))),
+    st.just(HilbertConfig(2, (2, 2))),
 )
 
 
@@ -554,7 +554,7 @@ def test_static_offset_shifts_qubit(params):
 _RATES = st.one_of(st.just(0.0), st.floats(min_value=1e2, max_value=1e5))
 _CONFIGS = st.one_of(
     st.integers(2, 6).map(lambda n: HilbertConfig(2, (n,))),
-    st.integers(2, 5).map(lambda n: HilbertConfig(3, (n,))),
+    st.integers(2, 5).map(lambda n: HilbertConfig(2, (n,))),
     st.tuples(st.integers(2, 3), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
 )
 
@@ -666,7 +666,7 @@ def test_liouvillian_matches_the_three_term_kron_formula(n_collapse, hermitian):
 
 
 @pytest.mark.parametrize("noisy", [True, False])
-@pytest.mark.parametrize("config", [HilbertConfig(2, (6,)), HilbertConfig(3, (4, 3))])
+@pytest.mark.parametrize("config", [HilbertConfig(2, (6,)), HilbertConfig(2, (4, 3))])
 def test_liouvillian_is_canonical_csr_with_the_kron_sum_pattern(params, config, noisy):
     """Sorted indices, no duplicates, no explicit zeros, and the pattern (and values) of the
     kron sum.
@@ -692,7 +692,7 @@ def test_liouvillian_is_canonical_csr_with_the_kron_sum_pattern(params, config, 
     assert np.array_equal(got.data, ref.data)
 
 
-@pytest.mark.parametrize("config", [HilbertConfig(2, (5,)), HilbertConfig(3, (4, 3))])
+@pytest.mark.parametrize("config", [HilbertConfig(2, (5,)), HilbertConfig(2, (4, 3))])
 def test_pair_rotation_is_the_reduced_diagonal_liouvillian(config):
     """A diagonal H seen from frames f is the pair rotation alone (no sparse part): each state
     is exp(S^dag L(H - 2 pi f K) S t) u, taken through the Liouvillian."""
@@ -819,7 +819,7 @@ def _lindblad_models(draw):
     collapse operators of which some are Hermitian, a grid of one to four frames of either
     sign, and a random nonempty set of the d^2 entries of vec(rho)."""
     config = draw(st.sampled_from([HilbertConfig(2, (2,)), HilbertConfig(2, (4,)),
-                                   HilbertConfig(3, (2,)), HilbertConfig(2, (2, 2))]))
+                                   HilbertConfig(2, (3,)), HilbertConfig(2, (2, 2))]))
     d = config.dim
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 

@@ -289,7 +289,7 @@ def test_interaction_time_offset_scan_smoke(params):
 
 _EFFECT_CONFIGS = st.one_of(
     st.integers(2, 6).map(lambda n: HilbertConfig(2, (n,))),
-    st.integers(2, 4).map(lambda n: HilbertConfig(3, (n,))),
+    st.integers(2, 4).map(lambda n: HilbertConfig(2, (n,))),
     st.tuples(st.integers(2, 3), st.integers(2, 3)).map(lambda nm: HilbertConfig(2, nm)),
 )
 
@@ -323,7 +323,7 @@ def _four_offset_vacuum_fringe(variant, t, d, params, cfg, noise):
        st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4),
        st.floats(0.5, 1.5), st.integers(0, 2**32 - 1))
 @example(HilbertConfig(2, (6,)), True, "echo", list(FOUR_PHASES), 1.0, 0)
-@example(HilbertConfig(3, (4,)), True, "ramsey", [0.3, 1.7], 0.8, 1)
+@example(HilbertConfig(2, (4,)), True, "ramsey", [0.3, 1.7], 0.8, 1)
 @example(HilbertConfig(2, (3, 3)), False, "echo", [2.0], 1.2, 2)
 def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases, t_scale, seed):
     """E and the contrast from one backward sigma_+ pass against every phase run forward.
@@ -570,7 +570,7 @@ def _phase_twirl(rho, m, cfg):
     return sum(np.outer(r.conj(), r) * rho.matrix for r in phases) / m
 
 
-_SPEC_CONFIGS = (HilbertConfig(2, (4,)), HilbertConfig(3, (3,)), HilbertConfig(2, (3, 2)))
+_SPEC_CONFIGS = (HilbertConfig(2, (4,)), HilbertConfig(2, (3,)), HilbertConfig(2, (3, 2)))
 
 
 @settings(max_examples=12, deadline=None)
@@ -609,7 +609,7 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
         tr = qubit_spectroscopy(rho, delta, probe, freqs, params, cfg, noise, probe_duration=tau)
     # one action for the whole sweep, one column per frequency
     assert len(vectors) == 1 and vectors[0].shape[1] == freqs.size
-    # the run sees rho twirled over the m probe phases, |f> (if any) unrotated
+    # the run sees rho twirled over the m probe phases
     s, _ = _hermitian_basis(cfg.dim)
     seen = (s @ vectors[0][:, 0]).reshape(cfg.dim, cfg.dim)
     assert np.abs(seen - _phase_twirl(rho, m, cfg)).max() < 1e-15

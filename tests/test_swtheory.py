@@ -303,6 +303,48 @@ def test_chi_numeric_near_degeneracy_errors(params):
         chi_numeric(params, HilbertConfig(2, (8,)), 10.0, 2)
 
 
+def _three_level_first_shift(g, delta, alpha, dim):
+    """shift_0 in Hz of a transmon qubit g, e, f on one mode, by exact diagonalisation.
+
+    Phonon frame: E_g = -Delta/2, E_e = Delta/2, E_f = 3 Delta/2 - alpha, the mode
+    at 0; g couples g<->e and sqrt(2) g couples e<->f to a.  Dressed states are
+    labelled by maximal overlap, as ``chi_numeric`` labels them.
+    """
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    up = np.diag([1.0, math.sqrt(2.0)], -1)  # |e><g| + sqrt(2) |f><e|
+    h = np.kron(np.diag([-delta / 2, delta / 2, 1.5 * delta - alpha]), np.eye(dim))
+    h = h + g * (np.kron(up, a) + np.kron(up.T, a.T))
+    w, v = np.linalg.eigh(h)
+    labels = np.argmax(np.abs(v) ** 2, axis=0)
+    assert np.unique(labels).size == labels.size
+    energy = dict(zip(labels.tolist(), w))
+
+    def f_q(n):
+        return energy[dim + n] - energy[n]
+
+    return f_q(1) - f_q(0)
+
+
+@pytest.mark.parametrize("point", ["fock", "coherent", "ramsey", "rest"])
+def test_two_level_chi_systematic_against_a_three_level_transmon(params, point):
+    """What dropping the transmon's |f> costs the first shift: under 700 Hz at every
+    operating point, below the spectroscopy fit's +-3.7 kHz.
+
+    The relative change is -Delta/(Delta - alpha), the factor by which
+    ``chi_analytic``'s full form departs from its approximate form, to 3% of it.
+    """
+    delta, g, alpha = params.delta(point), params.g_lg00, params.alpha
+    assert alpha == 214e6
+    shift2 = [chi_numeric(params, HilbertConfig(2, (d,)), delta, 1)[0] for d in (12, 16)]
+    shift3 = [_three_level_first_shift(g, delta, alpha, d) for d in (12, 16)]
+    assert abs(shift2[1] - shift2[0]) < 1.0 and abs(shift3[1] - shift3[0]) < 1.0
+    assert abs(shift3[0] - shift2[0]) < 700.0
+    factor = -delta / (delta - alpha)
+    ratio = chi_analytic(g, delta, alpha, "full") / chi_analytic(g, delta, alpha, "approximate")
+    assert ratio - 1.0 == pytest.approx(factor, rel=1e-12)
+    assert (shift3[0] - shift2[0]) / shift2[0] == pytest.approx(factor, rel=0.03)
+
+
 @pytest.mark.parametrize("eps", [1e-3, 0.05 + 0.02j, 0.3, 1.5j])
 def test_sw_transformation_is_scipys_expm_of_the_generator(eps):
     """U = exp(A) as the module takes it, exp(-i (iA)) of the Hermitian iA, is scipy's expm(A)."""

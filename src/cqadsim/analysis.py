@@ -26,6 +26,9 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
+# np.median, np.percentile and np.unique import numpy.ma on their first call (about 8 ms);
+# imported here, it is paid at start-up instead of inside a run's first fit
+import numpy.ma  # noqa: F401
 
 from .exceptions import ValidationError
 

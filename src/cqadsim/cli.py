@@ -546,7 +546,12 @@ def run_experiment(manifest: RunManifest) -> dict:
 
 def compare_summaries(reference: dict, new: dict, tolerances: dict,
                       default_tolerance: float = 0.05) -> tuple[bool, list[str]]:
-    """Per-metric relative comparison; returns (ok, report lines)."""
+    """Per-metric relative comparison; returns (ok, report lines).
+
+    A number is compared with the new summary's value at the key's
+    tolerance, and a list element by element at it, as ``key[i]``; a list
+    of another length, or an element that is not a number, fails.
+    """
     if reference.get("kind") != new.get("kind"):
         raise ValidationError(
             f"experiment kinds differ: {reference.get('kind')!r} vs {new.get('kind')!r}"
@@ -554,20 +559,36 @@ def compare_summaries(reference: dict, new: dict, tolerances: dict,
     report = []
     skip = {"kind", "seed", "params_sha256", "phases"}
     for key, ref_val in reference.items():
-        if key in skip or not isinstance(ref_val, (int, float)) or isinstance(ref_val, bool):
+        if key in skip:
             continue
         tol = float(tolerances.get(key, default_tolerance))
-        if not isinstance(new.get(key), (int, float)):  # absent, or null as an unfitted value
-            report.append(f"FAIL {key}: missing metric or not a number in new summary")
-            continue
-        new_val = new[key]
-        # equal values agree, two like infinities and two NaNs included; any other
-        # rel that is not finite (NaN against a number, an infinity) fails
-        same = new_val == ref_val or (math.isnan(new_val) and math.isnan(ref_val))
-        rel = 0.0 if same else abs(new_val - ref_val) / max(abs(ref_val), 1e-30)
-        status = "ok" if rel <= tol else "FAIL"
-        report.append(f"{status} {key}: ref={ref_val!r} new={new_val!r} rel={rel:.3e} tol={tol}")
+        if isinstance(ref_val, list):
+            new_val = new.get(key)
+            if not isinstance(new_val, list) or len(new_val) != len(ref_val):
+                report.append(f"FAIL {key}: missing list or not {len(ref_val)} values "
+                              f"in new summary")
+                continue
+            report += [_compare_value(f"{key}[{i}]", r, v, tol)
+                       for i, (r, v) in enumerate(zip(ref_val, new_val))]
+        elif _is_number(ref_val):
+            report.append(_compare_value(key, ref_val, new.get(key), tol))
     return not any(line.startswith("FAIL") for line in report), report
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _compare_value(name: str, ref_val, new_val, tol: float) -> str:
+    """One report line: ``ok`` if both are numbers within relative ``tol``, else ``FAIL``."""
+    if not (_is_number(ref_val) and _is_number(new_val)):  # absent, or null as an unfitted value
+        return f"FAIL {name}: missing metric or not a number in new summary"
+    # equal values agree, two like infinities and two NaNs included; any other
+    # rel that is not finite (NaN against a number, an infinity) fails
+    same = new_val == ref_val or (math.isnan(new_val) and math.isnan(ref_val))
+    rel = 0.0 if same else abs(new_val - ref_val) / max(abs(ref_val), 1e-30)
+    status = "ok" if rel <= tol else "FAIL"
+    return f"{status} {name}: ref={ref_val!r} new={new_val!r} rel={rel:.3e} tol={tol}"
 
 
 def _load_summary(path: str) -> dict:

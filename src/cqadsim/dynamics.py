@@ -18,7 +18,7 @@ phonon frame.
 
 The density kernel is one Chebyshev recurrence (``_sweep_action``) on the
 real coordinates of density matrices in an orthonormal Hermitian basis
-(``_hermitian_basis``), one state per column.  ``_frame_plan`` plans
+(``_coordinates``), one state per column.  ``_frame_plan`` plans
 exp(L(f) t) for every frame frequency f of a grid, L(f) the Lindbladian of
 H - 2 pi f D for a diagonal charge D, one frame per column.  Sparse products
 carry only the couplings and the dissipator; everything diagonal in the
@@ -46,23 +46,30 @@ readout that starts from sigma_+ and passes through qubit rotations touches
 the few entries of low coherence order.  That action is the same recurrence
 on one complex generator, no rotation, and the radius of H.
 
-Of scipy only ``scipy.sparse`` is used; ``_bessel_j`` gives the Chebyshev
-coefficients J_k(r) by Miller's backward recurrence, checked against
-scipy's ``jv`` in the tests.
+Every generator is a numpy CSR matrix (``_Csr``) assembled straight from
+the d x d model: the Lindbladian's diagonal as a d x d array and its few
+other entries as triplets (``_lindblad_entries``), mapped onto the Hermitian
+coordinates (``_hermitian_generator``) or onto the restricted transposed
+entries of a readout (``_adjoint_generator``) and summed in one sort
+(``_csr``).  Of scipy only the compiled product ``csr_matvecs`` is used,
+loaded on its own (``_load_csr_matvecs``), so no scipy package is imported;
+``_bessel_j`` gives the Chebyshev coefficients J_k(r) by Miller's backward
+recurrence, checked against scipy's ``jv`` in the tests.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-# the compiled kernel behind A @ V, which adds A V into a given block
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .device import TWO_PI, SystemParams, _jc_terms, full_jc_hamiltonian
 from .exceptions import NumericError, ValidationError
@@ -84,9 +91,40 @@ __all__ = [
     "evolve_segments",
     "vacuum_rabi_chevron",
     "collapse_operators",
-    "liouvillian",
     "clear_propagator_cache",
 ]
+
+
+def _load_csr_matvecs():
+    """scipy's compiled kernel behind A @ V for a CSR matrix A, which adds A V into a given block.
+
+    It is the one compiled routine this package uses of scipy, so its
+    extension module, ``scipy.sparse._sparsetools``, is loaded on its own:
+    the one scipy.sparse already loaded if there is one, else the file found
+    in scipy's ``sparse`` directory, located by ``find_spec`` without
+    importing scipy.  Loading the scipy.sparse package would more than double
+    the start-up of numpy alone.
+    """
+    name = "scipy.sparse._sparsetools"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        spec = None if scipy_spec is None else importlib.machinery.FileFinder(
+            os.path.join(scipy_spec.submodule_search_locations[0], "sparse"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        ).find_spec(name)
+        if spec is None:
+            raise ImportError(f"cqadsim needs scipy's compiled sparse kernels ({name}), "
+                              f"which were not found; install scipy")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # the module enters sys.modules as it is made; a later import of scipy.sparse
+        # must load it as its own submodule, or the package lacks the attribute
+        sys.modules.pop(name, None)
+    return module.csr_matvecs
+
+
+csr_matvecs = _load_csr_matvecs()
 
 
 @dataclass(frozen=True)
@@ -157,43 +195,6 @@ def collapse_operators(config: HilbertConfig, noise: NoiseModel) -> list[np.ndar
         if noise.phonon_kappa_phi > 0:
             ops.append(math.sqrt(2.0 * TWO_PI * noise.phonon_kappa_phi) * (a.conj().T @ a))
     return ops
-
-
-def liouvillian(h_angular: np.ndarray, collapse: Sequence[np.ndarray]) -> sparse.csr_matrix:
-    """Sparse (CSR) superoperator acting on vec(rho) (row-major vectorization).
-
-    kron(-iH - C/2, I) + kron(I, (iH - C/2)^T) + sum_c kron(c, c*), with
-    C = sum_c c^dag c, assembled in one scatter: each term's entries are
-    placed from the nonzeros of its factors, entries at one position are
-    summed in the order of the terms, and exact zeros are dropped, so the
-    result is canonical CSR.  H enters as given, never as H^dag, so a
-    non-Hermitian H gives its exact (non-Hermiticity-preserving) generator.
-    """
-    d = h_angular.shape[0]
-    eye = np.eye(d)
-    half_c = 0.5 * sum((c.conj().T @ c for c in collapse), np.zeros((d, d)))
-
-    def kron_entries(a, b):
-        ra, ca = np.nonzero(a)
-        rb, cb = np.nonzero(b)
-        return (np.add.outer(ra * d, rb).ravel(), np.add.outer(ca * d, cb).ravel(),
-                np.outer(a[ra, ca], b[rb, cb]).ravel())
-
-    terms = [kron_entries(-1j * h_angular - half_c, eye),
-             kron_entries(eye, (1j * h_angular - half_c).T),
-             *(kron_entries(c, c.conj()) for c in collapse)]
-    rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
-    n = d * d
-    key = rows * n + cols
-    order = np.argsort(key, kind="stable")  # a position's entries stay in term order
-    key, vals = key[order], vals[order]
-    first = np.diff(key, prepend=-1) != 0
-    total = np.zeros(np.count_nonzero(first), dtype=complex)
-    np.add.at(total, np.cumsum(first) - 1, vals)  # sequential: (t1 + t2) + t3 ...
-    keep = total != 0
-    key = key[first][keep]
-    return sparse.csr_matrix((total[keep], key % n, np.searchsorted(key // n, np.arange(n + 1))),
-                             shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -318,52 +319,185 @@ def _apply_adjoint(u: np.ndarray, op: np.ndarray) -> np.ndarray:
     return u.conj().T @ op @ u
 
 
-@lru_cache(maxsize=None)
-def _hermitian_basis(d: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """(S, S^dag): columns are vec of an orthonormal basis of Hermitian d x d matrices.
+# ---------------------------------------------------------------------------
+# sparse generators
 
-    |i><i|, (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2 for i < j,
-    in the row-major vec convention of ``liouvillian``.
+
+class _Csr(NamedTuple):
+    """An n x n sparse matrix as compressed rows, the operand of ``csr_matvecs``.
+
+    Canonical as ``_csr`` makes it: column indices sorted within each row,
+    one entry per position, no zero off the diagonal, and every diagonal
+    entry stored.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
+    """The canonical n x n ``_Csr`` of the entries (rows, cols, vals), in one sort.
+
+    Entries at one position are summed in the order given.
+    """
+    diag = np.arange(n) * (n + 1)
+    key, at = np.unique(np.concatenate([rows * n + cols, diag]), return_inverse=True)
+    vals = np.concatenate([vals, np.zeros(n, dtype=vals.dtype)])
+    data = np.bincount(at, vals.real, key.size)
+    if np.iscomplexobj(vals):
+        data = data + 1j * np.bincount(at, vals.imag, key.size)
+    keep = (data != 0) | (key % (n + 1) == 0)  # row r, column c: c == r iff key = r (n + 1)
+    key = key[keep]
+    return _Csr(np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32),
+                (key % n).astype(np.int32), data[keep], (n, n))
+
+
+def _lindblad_entries(h: np.ndarray, collapse: Sequence[np.ndarray]):
+    """(diag, rows, cols, vals): the Lindbladian L of H and the collapse operators.
+
+    L = kron(M, I) + kron(I, N) + sum_c kron(c, c*) acts on vec(rho), row-major
+    (position i d + j holds rho_ij), with M = -iH - C/2, N = (iH - C/2)^T and
+    C = sum_c c^dag c.  ``diag`` is the d x d array of its diagonal,
+    L_(ij),(ij) = M_ii + N_jj + sum_c c_ii c*_jj; the triplets are its other
+    entries, from the off-diagonal entries of M and N and the pairs of
+    entries of c and c* that are not both diagonal, one triplet per term.
+    H enters as given, never as H^dag, so a non-Hermitian H gives its exact
+    (non-Hermiticity-preserving) generator.
+    """
+    d = h.shape[0]
+    half_c = 0.5 * sum((c.conj().T @ c for c in collapse), np.zeros((d, d)))
+    m, n = -1j * h - half_c, (1j * h - half_c).T
+    diag = np.add.outer(m.diagonal(), n.diagonal())
+    for c in collapse:
+        diag = diag + np.outer(c.diagonal(), c.diagonal().conj())
+    eye = np.eye(d)
+
+    def kron_entries(a, b):
+        ra, ca = np.nonzero(a)
+        rb, cb = np.nonzero(b)
+        return (np.add.outer(ra * d, rb).ravel(), np.add.outer(ca * d, cb).ravel(),
+                np.outer(a[ra, ca], b[rb, cb]).ravel())
+
+    terms = [kron_entries(m - np.diag(m.diagonal()), eye),
+             kron_entries(eye, n - np.diag(n.diagonal())),
+             *(kron_entries(c, c.conj()) for c in collapse)]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
+    off = rows != cols
+    return diag, rows[off], cols[off], vals[off]
+
+
+@lru_cache(maxsize=None)
+def _coordinate_map(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, s): the Hermitian coordinates that hold each row-major vec position i d + j.
+
+    In the basis of ``_coordinates``, (i, i) is coordinate x = i alone, and
+    s = 0 there.  (i, j) and (j, i), the k-th pair i < j of the upper
+    triangle, share X = x = d + k and Y = y = d + d(d-1)/2 + k, whose basis
+    matrices hold 1/sqrt2 and s i/sqrt2 there, s = +1 at (i, j) and -1 at
+    (j, i).
     """
     i, j = np.triu_indices(d, k=1)
-    diag = np.arange(d) * (d + 1)
-    upper, lower = i * d + j, j * d + i
-    n_off = i.size
-    rows = np.concatenate([diag, upper, lower, upper, lower])
-    cols = np.concatenate([np.arange(d), np.tile(d + np.arange(n_off), 2),
-                           np.tile(d + n_off + np.arange(n_off), 2)])
-    r = math.sqrt(0.5)
-    vals = np.concatenate([np.ones(d), np.full(2 * n_off, r),
-                           np.full(n_off, 1j * r), np.full(n_off, -1j * r)])
-    s = sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
-    return s, s.conj().T.tocsr()
+    x = np.zeros((d, d), dtype=np.intp)
+    x[np.diag_indices(d)] = np.arange(d)
+    x[i, j] = x[j, i] = d + np.arange(i.size)
+    s = np.zeros((d, d))
+    s[i, j], s[j, i] = 1.0, -1.0
+    return x.ravel(), x.ravel() + i.size, s.ravel()
 
 
-def _hermitian_generator(gen: sparse.csr_matrix) -> sparse.csr_matrix:
-    """The real S^dag gen S of a superoperator that maps Hermitian matrices to Hermitian ones.
+def _hermitian_generator(h: np.ndarray, collapse: Sequence[np.ndarray], t: float) -> _Csr:
+    """G = S^dag L S t, the real generator on the coordinates of ``_coordinates``: L the
+    Lindbladian of H and the collapse operators (``_lindblad_entries``), S's columns the
+    basis matrices.
 
-    Raises ``NumericError`` if the reduction is not real to 1e-12 of its largest entry.
+    L maps Hermitian matrices to Hermitian ones, so its entries come in
+    conjugate pairs, L_p'q' = L*_pq with p' = (j, i) for p = (i, j), one pair
+    within each term, and the two land on the same entries of G as
+    conjugates.  L's diagonal l_ij = L_(ij),(ij) fills G directly:
+    G_ii = l_ii and, for i < j, G_XX = G_YY = Re l_ij and
+    G_XY = -G_YX = -Im l_ij.  Of every other pair the entry whose row lies on
+    or above the diagonal (and whose column does, if its row is on it) adds
+    twice Re(S*_pa L_pq S_qb), once if it is its own pair, at each pair (a, b)
+    of coordinates that hold p and q (``_coordinate_map``); one ``_csr`` sums
+    it all.
+
+    The dissipator always maps Hermitian matrices to Hermitian ones and
+    -i[H, .] only for a Hermitian H: ``NumericError`` if H departs from
+    H^dag by more than 1e-12 of its largest entry.
     """
-    s, s_h = _hermitian_basis(math.isqrt(gen.shape[0]))
-    g = (s_h @ gen @ s).tocsr()
-    # canonical first: views such as g.imag share its index arrays, and their
-    # max() would sort those in place under g's unsorted data
-    g.sum_duplicates()
-    if abs(g.imag).max() > 1e-12 * abs(g.real).max():
+    if np.abs(h - h.conj().T).max() > 1e-12 * np.abs(h).max():
         raise NumericError("generator does not preserve Hermiticity")
-    return g.real
+    diag, p, q, vals = _lindblad_entries(h, collapse)
+    d = h.shape[0]
+    x, y, s = _coordinate_map(d)
+    sp, sq = s[p], s[q]
+    taken = (sp > 0) | ((sp == 0) & (sq >= 0))
+    p, q, sp, sq = p[taken], q[taken], sp[taken], sq[taken]
+    v = vals[taken] * np.where((sp == 0) & (sq == 0), t, 2.0 * t)
+    r = math.sqrt(0.5)
+    wp, wq = np.where(sp == 0, 1.0, r), np.where(sq == 0, 1.0, r)  # S at the X or diagonal
+    i, j = np.triu_indices(d, k=1)
+    xs, ys = x[i * d + j], y[i * d + j]
+    l = diag[i, j] * t
+    rows = np.concatenate([np.arange(d), xs, ys, xs, ys, x[p], x[p], y[p], y[p]])
+    cols = np.concatenate([np.arange(d), xs, ys, ys, xs, x[q], y[q], x[q], y[q]])
+    vals = np.concatenate([diag.diagonal().real * t, l.real, l.real, -l.imag, l.imag,
+                           wp * wq * v.real, -r * wp * sq * v.imag, r * sp * wq * v.imag,
+                           0.5 * sp * sq * v.real])
+    held = vals != 0  # the Y terms of a diagonal position are 0
+    return _csr(rows[held], cols[held], vals[held], d * d)
+
+
+def _adjoint_generator(h: np.ndarray, collapse: Sequence[np.ndarray], t: float,
+                       kept: np.ndarray) -> _Csr:
+    """(L t)[kept][:, kept]^T, L the Lindbladian of H and the collapse operators: the
+    transposed restriction of L t to the vec positions where the mask ``kept`` is true, in
+    their order, assembled from the entries of L that join two of them."""
+    diag, p, q, vals = _lindblad_entries(h, collapse)
+    at = np.cumsum(kept) - 1  # the restricted index of each kept position
+    both = kept[p] & kept[q]
+    on = np.arange(np.count_nonzero(kept))
+    return _csr(np.concatenate([at[q[both]], on]), np.concatenate([at[p[both]], on]),
+                np.concatenate([vals[both], diag.reshape(-1)[kept]]) * t, on.size)
 
 
 # At most 2^20 products per action; the spectroscopy preset's sweep takes about 1.7e3.
 _MAX_PRODUCTS = 2**20
 
 
-def _gershgorin(g: sparse.csr_matrix) -> tuple[float, float]:
+def _gershgorin(g: _Csr) -> tuple[float, float]:
     """(lo, hi): the Gershgorin interval of g's Hermitian part, so the real part of g's field
-    of values lies in [lo, hi]."""
-    sym = (g + g.conj().T) * 0.5
-    d = sym.diagonal().real
-    off = np.asarray(abs(sym).sum(axis=1)).ravel() - np.abs(d)
+    of values lies in [lo, hi].
+
+    The Hermitian part's entry at (r, c) is (g_rc + g*_cr)/2; g_cr is found
+    by a binary search of g's canonical order, and a g_cr stored without its
+    g_rc adds |g_cr|/2 to row r as well.  A g that is not finite gives an
+    interval that is not, which ``_sweep_plan`` refuses.
+    """
+    n = g.shape[0]
+    rows = g.rows()
+    key = rows * n + g.indices  # ascending: g is canonical
+    mirror = g.indices * n + rows
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    paired = key[at] == mirror
+    with np.errstate(invalid="ignore"):  # inf - inf
+        sym = 0.5 * np.abs(g.data + np.where(paired, g.data[at].conj(), 0.0))
+    on = rows == g.indices
+    d = np.zeros(n)
+    d[rows[on]] = g.data[on].real
+    off = (np.bincount(rows, np.where(on, 0.0, sym), n)
+           + np.bincount(g.indices, np.where(paired, 0.0, sym), n))
     return float((d - off).min()), float((d + off).max())
 
 
@@ -412,7 +546,7 @@ def _bessel_j(n: int, r: float) -> np.ndarray:
     return np.array(values[::-1]) / (total + j)
 
 
-def _sweep_plan(gen: sparse.csr_matrix, radius: float, turn: np.ndarray | None = None):
+def _sweep_plan(gen: _Csr, radius: float, turn: np.ndarray | None = None):
     """The plan (a, w, coef, p, c) of exp(G), G = gen plus the pair rotation by ``turn``.
 
     ``turn``, if given, holds one rate per pair, per column or for every
@@ -450,7 +584,9 @@ def _sweep_plan(gen: sparse.csr_matrix, radius: float, turn: np.ndarray | None =
     coef = 2.0 * _bessel_j(k.size, r)
     coef = coef[:np.nonzero(np.abs(coef) * (b + math.sqrt(1.0 + b * b))**k > 1e-16)[0][-1] + 1]
     coef[0] /= 2.0
-    a = ((gen / p - c * sparse.identity(gen.shape[0])) * (2.0 / r)).tocsr()
+    data = gen.data / p
+    data[gen.rows() == gen.indices] -= c  # canonical: the whole diagonal is stored
+    a = gen._replace(data=data * (2.0 / r))
     return a, None if turn is None else turn * (2.0 / (p * r)), coef, p, c
 
 
@@ -468,7 +604,7 @@ def _sweep_action(plan, u: np.ndarray) -> np.ndarray:
     one scratch block, so a step allocates nothing.
     """
     a, w, coef, p, c = plan
-    v = np.array(u, dtype=np.result_type(u, a.dtype)).reshape(u.shape[0], -1)
+    v = np.array(u, dtype=np.result_type(u, a.data.dtype)).reshape(u.shape[0], -1)
     rows, cols = v.shape
     scratch = np.empty_like(v)
     if w is not None:
@@ -513,16 +649,27 @@ def _excitation_number(config: HilbertConfig) -> np.ndarray:
 
 
 def _coordinates(m: np.ndarray) -> np.ndarray:
-    """S^dag vec(m): the real coordinates of a Hermitian d x d matrix in ``_hermitian_basis``.
+    """The real coordinates of a Hermitian d x d matrix in an orthonormal Hermitian basis.
 
-    The first d are its diagonal."""
-    return (_hermitian_basis(m.shape[0])[1] @ m.reshape(-1)).real
+    The basis is |i><i|, then (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2
+    for the pairs i < j of the upper triangle in row-major order, so the
+    coordinates are m's diagonal, sqrt2 Re m_ij and sqrt2 Im m_ij.
+    """
+    i, j = np.triu_indices(m.shape[0], k=1)
+    upper = math.sqrt(2.0) * m[i, j]
+    return np.concatenate([m.diagonal().real, upper.real, upper.imag])
 
 
 def _matrices(v: np.ndarray) -> np.ndarray:
-    """The Hermitian matrices whose coordinates are v's columns, as a (columns, d, d) array."""
+    """The Hermitian matrices whose coordinates (``_coordinates``) are v's columns, as a
+    (columns, d, d) array."""
     d = math.isqrt(v.shape[0])
-    return (_hermitian_basis(d)[0] @ v).T.reshape(-1, d, d)
+    i, j = np.triu_indices(d, k=1)
+    out = np.empty((v.shape[1], d, d), dtype=complex)
+    out[:, np.arange(d), np.arange(d)] = v[:d].T
+    upper = math.sqrt(0.5) * (v[d:d + i.size] + 1j * v[d + i.size:]).T
+    out[:, i, j], out[:, j, i] = upper, upper.conj()
+    return out
 
 
 def _frame_plan(h: np.ndarray, collapse: Sequence[np.ndarray], duration: float,
@@ -544,8 +691,8 @@ def _frame_plan(h: np.ndarray, collapse: Sequence[np.ndarray], duration: float,
     turn = duration * ((hd[i] - hd[j])[:, None] - TWO_PI * np.outer(charge[i] - charge[j], frames))
     radius = _radius([h - TWO_PI * f * np.diag(charge) for f in {frames.min(), frames.max()}],
                      collapse)
-    a = _hermitian_generator(liouvillian(h - np.diag(hd), collapse) * duration)
-    return _sweep_plan(a, duration * radius, turn)
+    return _sweep_plan(_hermitian_generator(h - np.diag(hd), collapse, duration),
+                       duration * radius, turn)
 
 
 def _frame_states(rho: DensityMatrix, h: np.ndarray, collapse: Sequence[np.ndarray],
@@ -571,8 +718,7 @@ def _segment_plan(seg: Segment, params: SystemParams, config: HilbertConfig,
     """
     h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
     cs = collapse_operators(config, noise)
-    return _sweep_plan(_hermitian_generator(liouvillian(h, cs) * seg.duration),
-                       seg.duration * _radius([h], cs))
+    return _sweep_plan(_hermitian_generator(h, cs, seg.duration), seg.duration * _radius([h], cs))
 
 
 def _drive_hamiltonian(config: HilbertConfig, segment: Segment):
@@ -624,11 +770,12 @@ def _segment_adjoint(op: np.ndarray, seg: Segment, params: SystemParams,
 
     Without collapse operators B = U^dag op U, U the cached propagator.  With
     them B is one action and builds no propagator: vec(B^T) = exp(L^T t)
-    vec(op^T), row-major as in ``liouvillian``.  L conserves the coherence
-    order N_i - N_j of entry i d + j (``_excitation_number``), so the action
-    runs on the entries of the orders op holds, as the one recurrence of
-    ``_sweep_action`` on that slice of L^T t, and every other entry of B is
-    zero.
+    vec(op^T), row-major as in ``_lindblad_entries``.  L conserves the
+    coherence order N_i - N_j of entry i d + j (``_excitation_number``), so
+    the action runs on the entries of the orders op holds, as the one
+    recurrence of ``_sweep_action`` on the transposed restriction of L t,
+    assembled from the entries of L that join two of them, and every other
+    entry of B is zero.
     """
     if noise.is_trivial:
         return _apply_adjoint(_segment_propagator(seg, params, config, noise), op)
@@ -636,13 +783,12 @@ def _segment_adjoint(op: np.ndarray, seg: Segment, params: SystemParams,
     n = _excitation_number(config)
     order = np.subtract.outer(n, n).reshape(-1)
     v = op.T.reshape(-1)
-    rows = np.flatnonzero(np.isin(order, order[v != 0]))
+    kept = np.isin(order, order[v != 0])
     h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
     cs = collapse_operators(config, noise)
-    gen = (liouvillian(h, cs) * seg.duration)[rows][:, rows]
+    gen = _adjoint_generator(h, cs, seg.duration, kept)
     out = np.zeros(d * d, dtype=complex)
-    out[rows] = _sweep_action(_sweep_plan(gen.T.tocsr(), seg.duration * _radius([h], cs)),
-                              v[rows])
+    out[kept] = _sweep_action(_sweep_plan(gen, seg.duration * _radius([h], cs)), v[kept])
     return out.reshape(d, d).T
 
 

@@ -9,9 +9,13 @@ only with a change that means to move the results, and say so.
 with ``phonon_dim = 6`` and ``freq_step = 10000.0`` (10 kHz).  References
 written before the ``seed`` option went still hold a ``"seed"`` key, which
 ``compare_summaries`` skips.
+
+The dense oracles of the Lindblad kernels are built here, in numpy, from
+their definitions: ``dense_liouvillian`` and the basis ``hermitian_basis``.
 """
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -22,6 +26,8 @@ import pytest
 # imported, which is below; a value already in the environment wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from cqadsim.cli import compare_summaries  # noqa: E402
 
@@ -36,3 +42,27 @@ def matches_reference():
         ok, report = compare_summaries(reference, summary, {}, default_tolerance=1e-6)
         assert ok, "\n".join(report)
     return check
+
+
+def dense_liouvillian(h, collapse):
+    """-i(H x I - I x H^T) + sum_c [c x c* - (c^dag c x I + I x (c^dag c)^T)/2]: the
+    Lindbladian on row-major vec(rho), dense, with H taken as given."""
+    eye = np.eye(h.shape[0])
+    out = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c in collapse:
+        cdc = c.conj().T @ c
+        out = out + np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    return out
+
+
+def hermitian_basis(d):
+    """S: its columns are vec of |i><i|, then (|i><j| + |j><i|)/sqrt2 and then
+    i(|i><j| - |j><i|)/sqrt2 for the pairs i < j in row-major order, so S^dag vec(rho) is
+    the coordinates of a Hermitian rho."""
+    i, j = np.triu_indices(d, k=1)
+    s = np.zeros((d, d, d * d), dtype=complex)
+    s[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    x, y = d + np.arange(i.size), d + i.size + np.arange(i.size)
+    s[i, j, x] = s[j, i, x] = math.sqrt(0.5)
+    s[i, j, y], s[j, i, y] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    return s.reshape(d * d, d * d)

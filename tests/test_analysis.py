@@ -431,6 +431,21 @@ def test_separable_fits_ignore_last_bit_changes_of_their_data():
     assert np.median(freqs) == pytest.approx(1.58e6, rel=0.05)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_offset_scan_frequency_is_the_same_from_every_start(monkeypatch, noise):
+    """The sinusoid fit of the offset scan ends at its optimum, not on a stopping test short of
+    it: started 3% and 10% off on either side of the frequency it reaches from the periodogram,
+    it returns that frequency within 1e-12 relative, on a clean and on a noisy trace."""
+    times = np.linspace(6.7e-6, 7.3e-6, 41)
+    wave = 0.03 * np.cos(2 * math.pi * 1.58e6 * (times - 6.7e-6) + 1.0)
+    wave += np.random.default_rng(5).normal(0, noise, times.size)
+    best = sequences._fit_oscillation_frequency(times, wave)
+    assert best == pytest.approx(1.58e6, rel=0.05)
+    for scale in (0.9, 0.97, 1.03, 1.1):
+        monkeypatch.setattr(sequences, "_dominant_frequency", lambda t, y: scale * best)
+        assert abs(sequences._fit_oscillation_frequency(times, wave) - best) <= 1e-12 * best
+
+
 def _scipy_fit(residual, jac, x0, bounds, tol=1e-12):
     """The same problem by scipy's trust-region-reflective solver, the one ``_fit`` replaces."""
     return least_squares(residual, np.array(x0, dtype=float), jac=jac, bounds=bounds,

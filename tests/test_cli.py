@@ -122,6 +122,29 @@ def test_compare_cli_exit_codes(tmp_path):
     assert main(["compare", "--reference", ref, "--new", new_ok, "--quiet"]) == 0
 
 
+def test_compare_checks_lists_element_by_element(tmp_path, capsys):
+    """``coherent_spectroscopy``'s populations, the phonon-number distribution, are in the
+    gate: moved populations fail with exit 4, each element at the key's tolerance, and so do a
+    list of another length and an element that is not a number."""
+    path = ROOT / "tests" / "reference" / "presets" / "coherent_spectroscopy.json"
+    reference = json.loads(path.read_text())
+    moved = dict(reference, populations=[0.9, 0, 0, 0, 0.1])
+    new = write(tmp_path, "new.json", json.dumps(moved))
+    assert main(["compare", "--reference", str(path), "--new", new,
+                 "--default-tolerance", "1e-6"]) == 4
+    assert "FAIL populations[0]" in capsys.readouterr().out
+    pops = reference["populations"]
+    assert compare_summaries(reference, dict(reference), {}, 1e-6)[0]
+    nudged = [p * (1 + 2e-6) for p in pops]
+    assert not compare_summaries(reference, dict(reference, populations=nudged), {}, 1e-6)[0]
+    assert compare_summaries(reference, dict(reference, populations=nudged),
+                             {"populations": 3e-6}, 1e-6)[0]
+    for other in (pops[:-1], pops + [0.0], pops[:-1] + [None], pops[:-1] + ["0.003"],
+                  None, 0.5):
+        ok, report = compare_summaries(reference, dict(reference, populations=other), {}, 1e-6)
+        assert not ok and any(line.startswith("FAIL populations") for line in report), other
+
+
 def test_compare_fails_a_value_that_turned_nan(tmp_path, capsys):
     ref = write(tmp_path, "ref.json", json.dumps({"kind": "x", "t_fit_s": 7.47e-05}))
     new = write(tmp_path, "new.json", json.dumps({"kind": "x", "t_fit_s": math.nan}))
@@ -535,30 +558,34 @@ def test_unbounded_expm_action_is_a_numeric_failure(tmp_path):
     assert not out.exists()
 
 
-# scipy modules no path loads: the kernels are numpy routines, only scipy.sparse is used
-_UNLOADED_SCIPY = {"scipy.special", "scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg",
-                   "scipy.optimize", "scipy.integrate"}
+# Of scipy only its compiled CSR kernels are loaded, as the one extension module
+# dynamics loads by itself, and that does not stay in sys.modules
 _LAYERS = {f"cqadsim.{name}" for name in
            ("hilbert", "device", "dynamics", "sequences", "swtheory", "analysis", "cli", "keyval")}
 
 
-def test_cli_start_up_does_not_load_an_ode_solver():
-    """No path integrates an ODE or exponentiates a Liouvillian, and the fits, the echo root and
-    the Bessel and Faddeeva functions are numpy routines, so ``import cqadsim.cli`` loads no
-    scipy module but scipy.sparse; it loads every layer module, which the benchmark's tracer
-    looks up in ``sys.modules``."""
+def _scipy_modules(loaded):
+    return {name for name in loaded if name == "scipy" or name.startswith("scipy.")}
+
+
+def test_cli_start_up_loads_no_scipy_package():
+    """No path integrates an ODE or exponentiates a Liouvillian, the fits, the echo root and
+    the Bessel and Faddeeva functions are numpy routines, and the Chebyshev products take
+    scipy's compiled CSR kernel loaded alone, so ``import cqadsim.cli`` loads neither scipy
+    nor scipy.sparse; it loads every layer module, which the benchmark's tracer looks up in
+    ``sys.modules``."""
     proc = _python("-c", "import json, sys, cqadsim.cli; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert not _UNLOADED_SCIPY & loaded
+    assert _scipy_modules(loaded) <= {"scipy.sparse._sparsetools"}
     assert _LAYERS <= loaded
 
 
-def test_wigner_and_spectroscopy_runs_load_no_scipy_beyond_sparse(tmp_path):
+def test_wigner_and_spectroscopy_runs_load_no_scipy_package(tmp_path):
     """Tiny Wigner, spectroscopy, phonon T1 and noisy chevron runs in one fresh process, which
     would show a lazy import on any path they take (readout actions, Chebyshev sweep, stepped
-    delay loop and chevron, Voigt, Poisson and decay fits), leave the same scipy modules
-    unloaded, and every layer module loaded."""
+    delay loop and chevron, Voigt, Poisson and decay fits), load neither scipy nor
+    scipy.sparse, and every layer module."""
     specs = [preset_copy(tmp_path, "wigner_fock1.spec", phonon_dim=8, grid_points=3,
                          grid_extent=0.8),
              preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6, freq_step=10e3),
@@ -579,8 +606,34 @@ def test_wigner_and_spectroscopy_runs_load_no_scipy_beyond_sparse(tmp_path):
     assert (tmp_path / "t1" / "decay.csv").exists()
     assert (tmp_path / "chevron" / "chevron.csv").exists()
     loaded = set(json.loads(proc.stdout))
-    assert not _UNLOADED_SCIPY & loaded
+    assert _scipy_modules(loaded) <= {"scipy.sparse._sparsetools"}
     assert _LAYERS <= loaded
+
+
+def test_the_kernel_loads_with_scipy_sparse_in_either_order(tmp_path):
+    """With scipy.sparse imported before cqadsim, dynamics takes its loaded kernel module and
+    the tiny spectroscopy run writes the same summary.json, byte for byte, as without it;
+    with scipy.sparse imported after, scipy.sparse holds its kernel module as its own."""
+    spec = preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6, freq_step=10e3)
+    run = ("import sys\n"
+           "{first}\n"
+           "from cqadsim import cli, dynamics\n"
+           "assert cli.main(['run', '--experiment', sys.argv[1], '--out', sys.argv[2],"
+           " '--quiet']) == 0\n"
+           "{then}\n")
+    before = run.format(first="import scipy.sparse",
+                        then="assert dynamics.csr_matvecs is "
+                             "sys.modules['scipy.sparse._sparsetools'].csr_matvecs")
+    after = run.format(first="", then="import scipy.sparse\n"
+                                      "assert scipy.sparse._sparsetools.csr_matvecs is "
+                                      "dynamics.csr_matvecs\n"
+                                      "assert scipy.sparse.identity(3).toarray().trace() == 3")
+    summaries = []
+    for name, code in (("before", before), ("after", after)):
+        proc = _python("-c", code, spec, str(tmp_path / name))
+        assert proc.returncode == 0, proc.stderr
+        summaries.append((tmp_path / name / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 @pytest.mark.parametrize("overrides, key", [

@@ -4,12 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse import csr_matrix, identity, kron
 from scipy.special import jv
 
+from conftest import dense_liouvillian, hermitian_basis
 from cqadsim import dynamics, sequences
 from cqadsim.device import TWO_PI, _jc_terms, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
@@ -19,17 +19,20 @@ from cqadsim.dynamics import (
     clear_propagator_cache,
     collapse_operators,
     evolve_segments,
-    liouvillian,
     vacuum_rabi_chevron,
 )
 from cqadsim.dynamics import (
+    _adjoint_generator,
     _apply,
     _bessel_j,
+    _coordinates,
+    _csr,
     _drive_hamiltonian,
     _frame_charge,
     _frame_states,
-    _hermitian_basis,
+    _gershgorin,
     _hermitian_generator,
+    _lindblad_entries,
     _matrices,
     _PropagatorCache,
     _radius,
@@ -224,7 +227,7 @@ def test_noisy_chevron_matches_the_dense_liouvillian_exponential(params, monkeyp
     rho0 = fock_state(config, [0] * config.n_modes, 1).to_density().matrix.reshape(-1)
     pe = qubit_projector(config, 1).matrix
     for delta, row in zip(deltas, got):
-        gen = liouvillian(full_jc_hamiltonian(params, config, delta + offset).matrix, cs).toarray()
+        gen = dense_liouvillian(full_jc_hamiltonian(params, config, delta + offset).matrix, cs)
         expected = [np.trace(pe @ (expm(gen * t) @ rho0).reshape(d, d)).real for t in times]
         assert np.abs(row - expected).max() <= 1e-12
     assert len(blocks) == times.size - 1
@@ -356,7 +359,7 @@ def _in_drive_frame(state, seg, params, config, noise):
     if isinstance(state, Ket):
         in_frame = _apply(expm(-1j * h * seg.duration), state)
     else:
-        dense = expm(liouvillian(h, collapse_operators(config, noise)).toarray() * seg.duration)
+        dense = expm(dense_liouvillian(h, collapse_operators(config, noise)) * seg.duration)
         in_frame = DensityMatrix(config, (dense @ state.matrix.reshape(-1)).reshape(h.shape))
     sz, modes = _jc_terms(config)
     k = 0.5 * sz + sum(n_k for n_k, _ in modes)
@@ -465,7 +468,7 @@ def test_phonon_drive_matches_the_dense_propagator(params, config, seg, offset, 
     h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
          + _drive_hamiltonian(config, seg))
     rho = fock_state(config, [start] + [0] * (config.n_modes - 1), start).to_density()
-    dense = expm(liouvillian(h, collapse_operators(config, noise)).toarray() * seg.duration)
+    dense = expm(dense_liouvillian(h, collapse_operators(config, noise)) * seg.duration)
     exact = (dense @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
     diff = evolve_segments(rho, [seg], params, config, noise).matrix - exact
     assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
@@ -487,7 +490,7 @@ def test_frame_states_match_the_dense_exponential_in_every_frame(params):
     got = _frame_states(rho, h, cs, seg.duration, frames)
     assert got.shape == (frames.size, config.dim, config.dim)
     for f, state in zip(frames, got):
-        dense = expm(liouvillian(h - TWO_PI * f * k, cs).toarray() * seg.duration)
+        dense = expm(dense_liouvillian(h - TWO_PI * f * k, cs) * seg.duration)
         diff = state - (dense @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
         assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
 
@@ -590,7 +593,7 @@ def test_single_pass_action_matches_the_cached_propagator(drawn, seed):
     rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
     out = evolve_segments(rho, [seg], params, config, noise).matrix
     h = full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
-    dense = expm(liouvillian(h, collapse_operators(config, noise)).toarray() * seg.duration)
+    dense = expm(dense_liouvillian(h, collapse_operators(config, noise)) * seg.duration)
     expected = (dense @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
     assert np.abs(out - expected).max() <= 1e-12
     assert abs(np.trace(out) - 1.0) < 1e-10
@@ -641,10 +644,18 @@ def test_echo_parity_effect_builds_only_low_coherence_orders(params, monkeypatch
         assert not dynamics._CACHE._data
 
 
+def _csr_of(m: np.ndarray):
+    """The canonical ``_Csr`` of a dense square matrix."""
+    rows, cols = np.nonzero(m)
+    return _csr(rows, cols, m[rows, cols], m.shape[0])
+
+
 @pytest.mark.parametrize("n_collapse", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_liouvillian_matches_the_three_term_kron_formula(n_collapse, hermitian):
-    """-i(H x I - I x H^T) + sum_c [c x c* - (c^dag c x I + I x (c^dag c)^T)/2], term by term."""
+    """-i(H x I - I x H^T) + sum_c [c x c* - (c^dag c x I + I x (c^dag c)^T)/2], term by term:
+    the diagonal array of ``_lindblad_entries`` plus its off-diagonal triplets, for Hermitian
+    and non-Hermitian H and collapse operators."""
     d = 5
     rng = np.random.default_rng(10 * n_collapse + hermitian)
 
@@ -655,31 +666,59 @@ def test_liouvillian_matches_the_three_term_kron_formula(n_collapse, hermitian):
     if hermitian:
         h = (h + h.conj().T) / 2
     cs = [gaussian() for _ in range(n_collapse)]
-    eye = np.eye(d)
-    expected = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c in cs:
-        cdc = c.conj().T @ c
-        expected = expected + np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    got = liouvillian(h, cs)
-    assert isinstance(got, csr_matrix)
-    assert np.abs(got.toarray() - expected).max() <= 1e-12 * np.abs(expected).max()
+    diag, rows, cols, vals = _lindblad_entries(h, cs)
+    assert diag.shape == (d, d) and np.all(rows != cols)
+    got = np.diag(diag.reshape(-1))
+    np.add.at(got, (rows, cols), vals)
+    expected = dense_liouvillian(h, cs)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_csr_is_canonical_with_its_whole_diagonal(seed, dtype):
+    """Sorted 32-bit indices, one entry per position, no zero off the diagonal, every diagonal
+    entry stored, and the sums of scipy's COO-to-CSR conversion, on triplets with duplicates
+    and with sums that cancel exactly."""
+    from scipy.sparse import coo_matrix
+
+    n = 9
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(0, n, 60), rng.integers(0, n, 60)
+    vals = rng.normal(size=60) + (1j * rng.normal(size=60) if dtype is complex else 0.0)
+    rows, cols = np.concatenate([rows, rows[:10]]), np.concatenate([cols, cols[:10]])
+    vals = np.concatenate([vals, -vals[:10]])  # first ten positions: exact zeros, unless repeated
+    got = _csr(rows, cols, vals, n)
+    assert got.indptr.dtype == got.indices.dtype == np.int32 and got.data.dtype == dtype
+    at = got.rows()
+    assert np.all((np.diff(got.indices) > 0) | (np.diff(at) > 0))
+    assert np.all((got.data != 0) | (at == got.indices))
+    assert np.array_equal(np.sort(got.indices[at == got.indices]), np.arange(n))
+    ref = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    assert np.abs(got.toarray() - ref.toarray()).max() <= 1e-15 * np.abs(vals).max()
 
 
 @pytest.mark.parametrize("noisy", [True, False])
 @pytest.mark.parametrize("config", [HilbertConfig(2, (6,)), HilbertConfig(2, (4, 3))])
 def test_liouvillian_is_canonical_csr_with_the_kron_sum_pattern(params, config, noisy):
-    """Sorted indices, no duplicates, no explicit zeros, and the pattern (and values) of the
-    kron sum.
+    """The Liouvillian's entries in one ``_csr``: sorted indices, no duplicates, no zero off
+    the diagonal, and the pattern and values of scipy's kron sum.
 
-    Without noise the commutator's diagonal cancels exactly: those zeros are dropped.
+    Where the diagonal cancels exactly (the commutator's, and dephasing's on populations),
+    its zero is stored; scipy drops it.
     """
+    from scipy.sparse import csr_matrix, identity, kron
+
     noise = NoiseModel.from_params(params, params.delta("ramsey")) if noisy else NoiseModel()
     h = full_jc_hamiltonian(params, config, params.delta("ramsey")).matrix
     cs = collapse_operators(config, noise)
-    got = liouvillian(h, cs)
-    rows = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
-    assert np.all((np.diff(got.indices) > 0) | (np.diff(rows) > 0))
-    assert np.all(got.data != 0)
+    diag, rows, cols, vals = _lindblad_entries(h, cs)
+    n = config.dim ** 2
+    got = _csr(np.concatenate([rows, np.arange(n)]), np.concatenate([cols, np.arange(n)]),
+               np.concatenate([vals, diag.reshape(-1)]), n)
+    at = got.rows()
+    assert np.all((np.diff(got.indices) > 0) | (np.diff(at) > 0))
+    assert np.all((got.data != 0) | (at == got.indices))
     eye = identity(config.dim, format="csr")
     half_c = 0.5 * sum((csr_matrix(c).conj().T @ csr_matrix(c) for c in cs),
                        csr_matrix((config.dim, config.dim)))
@@ -688,14 +727,17 @@ def test_liouvillian_is_canonical_csr_with_the_kron_sum_pattern(params, config, 
         ref = ref + kron(csr_matrix(c), csr_matrix(c).conj())
     ref = ref.tocsr()
     ref.sort_indices()
-    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
-    assert np.array_equal(got.data, ref.data)
+    stored = (got.data != 0)
+    assert np.array_equal(np.diff(np.searchsorted(np.flatnonzero(stored), got.indptr)),
+                          np.diff(ref.indptr))
+    assert np.array_equal(got.indices[stored], ref.indices)
+    assert np.array_equal(got.data[stored], ref.data)
 
 
 @pytest.mark.parametrize("config", [HilbertConfig(2, (5,)), HilbertConfig(2, (4, 3))])
 def test_pair_rotation_is_the_reduced_diagonal_liouvillian(config):
     """A diagonal H seen from frames f is the pair rotation alone (no sparse part): each state
-    is exp(S^dag L(H - 2 pi f K) S t) u, taken through the Liouvillian."""
+    is exp(S^dag L(H - 2 pi f K) S t) u, taken through the dense Liouvillian."""
     t = 0.37e-6
     d = config.dim
     rng = np.random.default_rng(11)
@@ -703,12 +745,12 @@ def test_pair_rotation_is_the_reduced_diagonal_liouvillian(config):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = DensityMatrix(config, m @ m.conj().T / np.trace(m @ m.conj().T))
     frames = np.array([-2e6, 0.0, 0.5e6])
-    s, s_h = _hermitian_basis(d)
-    u = (s_h @ rho.matrix.reshape(-1)).real
+    s = hermitian_basis(d)
+    u = _coordinates(rho.matrix)
     got = _frame_states(rho, h, (), t, frames)
     for f, state in zip(frames, got):
-        g = _hermitian_generator(liouvillian(h - TWO_PI * f * np.diag(_frame_charge(config)), ())
-                                 * t).toarray()
+        lf = dense_liouvillian(h - TWO_PI * f * np.diag(_frame_charge(config)), ())
+        g = (s.conj().T @ lf @ s).real * t
         expected = (s @ (expm(g) @ u)).reshape(d, d)
         assert np.abs(state - expected).max() <= 1e-12
 
@@ -728,7 +770,7 @@ def test_segment_adjoint_is_the_dual_of_the_dense_segment(drawn, seed):
     cs = collapse_operators(config, noise)
     d = config.dim
     if cs:
-        dense = expm(liouvillian(h, cs).toarray() * seg.duration)
+        dense = expm(dense_liouvillian(h, cs) * seg.duration)
 
         def expected(op):
             return (dense.T @ op.T.reshape(-1)).reshape(d, d).T
@@ -756,7 +798,7 @@ def test_generator_that_breaks_hermiticity_is_refused():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     with pytest.raises(NumericError, match="Hermiticity"):
-        _hermitian_generator(liouvillian(m, []) * 0.1)
+        _hermitian_generator(m, [], 0.1)
 
 
 def _random_sweep(seed, d=4):
@@ -776,10 +818,7 @@ def _random_sweep(seed, d=4):
     h1 = np.diag(h1.diagonal())
     rho = gaussian(1.0) @ gaussian(1.0).conj().T
     cs = [gaussian(0.4), gaussian(0.4)]
-    s, s_h = _hermitian_basis(d)
-    u = (s_h @ (rho / np.trace(rho)).reshape(-1)).real
-    w = (s.T @ obs.T.reshape(-1)).real
-    return h0, h1, cs, u, w
+    return h0, h1, cs, _coordinates(rho / np.trace(rho)), _coordinates(obs)
 
 
 def _sweep_inputs(h0, h1, cs, freqs, u):
@@ -789,7 +828,7 @@ def _sweep_inputs(h0, h1, cs, freqs, u):
     i, j = np.triu_indices(d, k=1)
     hd, kd = h0.diagonal().real, h1.diagonal().real
     turn = (hd[i] - hd[j])[:, None] + np.outer(kd[i] - kd[j], freqs)
-    gen = _hermitian_generator(liouvillian(h0 - np.diag(hd), cs))
+    gen = _hermitian_generator(h0 - np.diag(hd), cs, 1.0)
     radius = _radius([h0 + f * h1 for f in (freqs.min(), freqs.max())], cs)
     return gen, radius, np.repeat(u[:, None], freqs.size, axis=1), turn
 
@@ -805,10 +844,11 @@ def test_sweep_action_matches_dense_expm(seed, decay):
     freqs = np.linspace(-2.0, 3.0, 7)
     gen, radius, block, turn = _sweep_inputs(h0, h1, cs, freqs, u)
     assert _sweep_plan(gen, radius, turn)[3] > 1 and radius > 50
-    expected = np.array([w @ expm(_hermitian_generator(liouvillian(h0 + f * h1, cs)).toarray())
+    s = hermitian_basis(h0.shape[0])
+    expected = np.array([w @ expm((s.conj().T @ dense_liouvillian(h0 + f * h1, cs) @ s).real)
                          @ u for f in freqs])
     expected *= math.exp(-decay)
-    plan = _sweep_plan((gen - decay * identity(gen.shape[0])).tocsr(), radius, turn)
+    plan = _sweep_plan(_csr_of(gen.toarray() - decay * np.eye(gen.shape[0])), radius, turn)
     got = w @ _sweep_action(plan, block)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -859,12 +899,68 @@ def test_radius_bounds_the_anti_hermitian_part_in_every_frame(model):
         _frame_states(DensityMatrix(config, np.eye(d) / d), h, cs, t, frames)
     [radius] = radii
     k = np.diag(_frame_charge(config))
+    s = hermitian_basis(d)
     for f in frames:
-        g = _hermitian_generator(liouvillian(h - TWO_PI * f * k, cs) * t).toarray()
+        g = (s.conj().T @ dense_liouvillian(h - TWO_PI * f * k, cs) @ s).real * t
         assert _asym_norm(g) <= radius * (1.0 + 1e-12)
     if entries.size:
-        restricted = (liouvillian(h, cs) * t)[entries][:, entries].T.toarray()
+        restricted = (dense_liouvillian(h, cs) * t)[entries][:, entries].T
         assert _asym_norm(restricted) <= t * _radius([h], cs) * (1.0 + 1e-12)
+
+
+# the assembled generators against the dense Lindbladian: H with and without its diagonal,
+# collapse operators Hermitian and not, one mode and two
+
+
+def _assert_gershgorin_of_the_hermitian_part(g):
+    """``_gershgorin`` against the formula on (g + g^dag)/2 by scipy.sparse: row sums of the
+    absolute entries less the diagonal's.  The two sum each row in different orders, so they
+    agree to rounding of the largest row sum: within 2e-15 of it (7.4e-16 at most over 3000
+    random generators of up to 64 rows)."""
+    from scipy.sparse import csr_matrix
+
+    m = csr_matrix((g.data, g.indices, g.indptr), shape=g.shape)
+    sym = (m + m.conj().T) * 0.5
+    d = sym.diagonal().real
+    sums = np.asarray(abs(sym).sum(axis=1)).ravel()
+    expected = (d - sums + np.abs(d)).min(), (d + sums - np.abs(d)).max()
+    assert np.allclose(_gershgorin(g), expected, rtol=0.0, atol=2e-15 * sums.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lindblad_models(), st.booleans())
+def test_hermitian_generator_is_the_reduced_dense_liouvillian(model, with_diagonal):
+    """G = S^dag L S t entry by entry, within 1e-15 of its largest entry, and its Gershgorin
+    interval that of the formula on the same matrix."""
+    config, h, cs, t, _, _ = model
+    if not with_diagonal:
+        h = h - np.diag(h.diagonal())
+    s = hermitian_basis(config.dim)
+    expected = s.conj().T @ (dense_liouvillian(h, cs) * t) @ s
+    scale = np.abs(expected).max()
+    assert np.abs(expected.imag).max() <= 1e-15 * scale
+    got = _hermitian_generator(h, cs, t)
+    assert got.data.dtype == float
+    assert np.abs(got.toarray() - expected.real).max() <= 1e-15 * scale
+    _assert_gershgorin_of_the_hermitian_part(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lindblad_models(), st.booleans())
+def test_adjoint_generator_is_the_transposed_restriction(model, with_diagonal):
+    """The readout's generator is (L t)[rows][:, rows]^T of the dense Lindbladian, within 1e-15
+    of its largest entry, and its Gershgorin interval that of the formula."""
+    config, h, cs, t, _, entries = model
+    assume(entries.size)
+    if not with_diagonal:
+        h = h - np.diag(h.diagonal())
+    kept = np.zeros(config.dim ** 2, dtype=bool)
+    kept[entries] = True
+    expected = (dense_liouvillian(h, cs) * t)[entries][:, entries].T
+    scale = np.abs(expected).max()
+    got = _adjoint_generator(h, cs, t, kept)
+    assert np.abs(got.toarray() - expected).max() <= 1e-15 * scale
+    _assert_gershgorin_of_the_hermitian_part(got)
 
 
 def _allocating_sweep(gen, radius, u, turn):
@@ -918,7 +1014,8 @@ def test_sweep_action_refuses_before_any_work(monkeypatch, scale):
 
     monkeypatch.setattr(dynamics, "_bessel_j", no_work)
     with pytest.raises(NumericError, match="matrix-vector products"):
-        _sweep_action(_sweep_plan(gen * scale, radius * scale, turn), block)
+        _sweep_action(_sweep_plan(gen._replace(data=gen.data * scale), radius * scale, turn),
+                      block)
 
 
 @pytest.mark.parametrize("where", ["everywhere", "diagonal"])
@@ -974,6 +1071,25 @@ def test_cached_propagator_follows_every_input(params):
         assert not np.array_equal(a, b)
 
 
+def test_a_missing_kernel_module_is_an_import_error(tmp_path):
+    """Without scipy, or without the compiled kernel module in scipy's sparse directory, the
+    loader raises an ImportError that names the module, and imports nothing else."""
+    import importlib.util
+    import sys
+    from types import SimpleNamespace
+
+    (tmp_path / "sparse").mkdir()
+    without_kernel = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    for scipy_spec in (None, without_kernel):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+            mp.setattr(importlib.util, "find_spec", lambda name, spec=scipy_spec: spec)
+            loaded = set(sys.modules)
+            with pytest.raises(ImportError, match=r"scipy\.sparse\._sparsetools"):
+                dynamics._load_csr_matvecs()
+            assert set(sys.modules) == loaded
+
+
 # ---------------------------------------------------------------------------
 # the numpy kernels against scipy's
 
@@ -993,7 +1109,7 @@ def test_sweep_plan_truncates_the_bessel_series_as_with_scipy(monkeypatch, radiu
     """The coefficients of one substep keep the same number of terms as with scipy's jv, and
     agree with them.  gen = diag(-2 half, 0) has the Gershgorin interval [-2 half, 0], so the
     plan takes p = max(ceil(half / 1.5), 1) and r = max(radius / p, 1)."""
-    gen = csr_matrix(np.diag([-2.0 * half, 0.0]))
+    gen = _csr_of(np.diag([-2.0 * half, 0.0]))
     _, _, coef, p, _ = _sweep_plan(gen, radius, None)
     monkeypatch.setattr(dynamics, "_bessel_j", lambda n, r: jv(np.arange(n), r))
     _, _, ref, p_ref, _ = _sweep_plan(gen, radius, None)

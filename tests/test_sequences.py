@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_liouvillian
 from cqadsim import dynamics, sequences
 from cqadsim.device import TWO_PI, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
@@ -13,9 +14,8 @@ from cqadsim.dynamics import (
     Pulse,
     Segment,
     _apply,
-    _hermitian_basis,
+    _matrices,
     _sweep_action,
-    liouvillian,
     collapse_operators,
     evolve_segments,
 )
@@ -366,7 +366,7 @@ def _dense_readout(variant, t, d, params, cfg, noise):
             h = full_jc_hamiltonian(params, cfg, step.detuning + noise.static_qubit_offset).matrix
             cs = collapse_operators(cfg, noise)
             if cs:
-                p = expm(dynamics.liouvillian(h, cs).toarray() * step.duration)
+                p = expm(dense_liouvillian(h, cs) * step.duration)
                 op = (p.T @ op.T.reshape(-1)).reshape(dim, dim).T
                 continue
             step = expm(-1j * h * step.duration)
@@ -555,7 +555,7 @@ def _explicit_cycle_average(rho, m, probe, freqs, delta, params, cfg, noise, tau
         for k in range(m):
             phi = -(probe.phase + TWO_PI * k / m + math.pi / 2.0)
             h = h0 + amp * (np.exp(-1j * phi) * sp + np.exp(1j * phi) * sm)
-            dense = expm(liouvillian(h, cs).toarray() * tau)
+            dense = expm(dense_liouvillian(h, cs) * tau)
             evolved = (dense @ rho.matrix.reshape(-1)).reshape(cfg.dim, cfg.dim)
             acc += np.trace(pe.matrix @ evolved).real
         pops.append(acc / m)
@@ -610,8 +610,7 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
     # one action for the whole sweep, one column per frequency
     assert len(vectors) == 1 and vectors[0].shape[1] == freqs.size
     # the run sees rho twirled over the m probe phases
-    s, _ = _hermitian_basis(cfg.dim)
-    seen = (s @ vectors[0][:, 0]).reshape(cfg.dim, cfg.dim)
+    seen = _matrices(vectors[0][:, :1])[0]
     assert np.abs(seen - _phase_twirl(rho, m, cfg)).max() < 1e-15
     expected = _explicit_cycle_average(rho, m, probe, tr.frequencies, delta, params, cfg,
                                        noise, tau)

@@ -17,7 +17,7 @@ from cqadsim.analysis import calibration_fit, poisson_fit, voigt_sum_fit
 from cqadsim.device import paper_default_params
 from cqadsim.dynamics import NoiseModel, Pulse
 from cqadsim.device import TWO_PI
-from cqadsim.hilbert import HilbertConfig, Ket, annihilation
+from cqadsim.hilbert import HilbertConfig, annihilation
 from cqadsim.sequences import (
     StatePrep,
     prepare_state,
@@ -33,15 +33,14 @@ def measure_amplitude(params, target_beta, probe_angle=1.0, tau=15e-6):
     config = HilbertConfig(2, (dim,))
     prep = StatePrep(target="coherent", beta=complex(target_beta, 0.0),
                      method="displacement_drive")
-    state = prepare_state(prep, params, config, noise)
-    rho = state.to_density() if isinstance(state, Ket) else state
+    rho = prepare_state(prep, params, config, noise)
     beta_prep = abs(np.trace(rho.matrix @ annihilation(config).matrix))
     nbar_eff = (0.86 * beta_prep) ** 2
     n_peaks = min(int(np.ceil(nbar_eff + 4.0 * np.sqrt(max(nbar_eff, 0.25)))) + 1, 7)
     line0, chord = spectroscopy_peak_hints(params, delta, n_peaks)
     probe = Pulse(amplitude=probe_angle / (TWO_PI * tau))
     grid = np.arange(line0 + (n_peaks - 1) * chord - 100e3, line0 + 100e3, 4e3)
-    trace = qubit_spectroscopy(state, delta, probe, grid, params, config, noise,
+    trace = qubit_spectroscopy(rho, delta, probe, grid, params, config, noise,
                                probe_duration=tau)
     fit, pops = voigt_sum_fit(trace, n_peaks, chord, center_hint=line0,
                               deviation_bound=0.35)

@@ -26,9 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-# np.median, np.percentile and np.unique import numpy.ma on their first call (about 8 ms);
-# imported here, it is paid at start-up instead of inside a run's first fit
-import numpy.ma  # noqa: F401
 
 from .exceptions import ValidationError
 
@@ -349,6 +346,23 @@ def _projected_fit(columns, y, theta0, bounds, names):
     return fit, theta, coef, np.column_stack([basis, deriv])
 
 
+def _quantile(x: np.ndarray, q: float) -> float:
+    """The q-quantile of x by numpy's default linear rule, as ``np.quantile(x, q)``, bit for bit.
+
+    The value at the virtual index h = (n - 1) q lies between the sorted
+    values a and b at floor(h) and the next index, which one ``np.partition``
+    finds; with g = h - floor(h) it is a + (b - a) g, or b - (b - a)(1 - g)
+    from g = 1/2 on.  ``np.quantile`` and ``np.median`` would import
+    ``numpy.ma`` on their first call.
+    """
+    h = (x.size - 1) * q
+    lo = math.floor(h)
+    hi = min(lo + 1, x.size - 1)
+    a, b = np.partition(x, [lo, hi])[[lo, hi]]
+    g = h - lo
+    return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+
+
 def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
     """Frequency (Hz) of the peak of the detrended trace's periodogram, zero-padded 8-fold.
 
@@ -358,7 +372,7 @@ def _dominant_frequency(t: np.ndarray, y: np.ndarray) -> float:
     """
     n = 8 * t.size
     spec = np.abs(np.fft.rfft(y - y.mean(), n))
-    freqs = np.fft.rfftfreq(n, float(np.median(np.diff(t))))
+    freqs = np.fft.rfftfreq(n, _quantile(np.diff(t), 0.5))
     return float(freqs[np.argmax(spec[8:-1]) + 8])
 
 
@@ -493,7 +507,7 @@ def voigt_sum_fit(
 
     w0 = max(abs(spacing_hint) / 8.0, span / 200.0)
     c0 = center_hint if center_hint is not None else float(x[np.argmax(y)])
-    base0 = float(np.percentile(y, 5))
+    base0 = _quantile(y, 0.05)
     base_lo = min(base0, float(y.min()))
     nd = max(n_peaks - 2, 0)
     index = np.arange(n_peaks)

@@ -34,7 +34,7 @@ from . import analysis, sequences
 from .device import _POINT_NAMES, SystemParams, chi_analytic, load_params
 from .dynamics import NoiseModel, vacuum_rabi_chevron
 from .exceptions import CqadError, NumericError, ValidationError
-from .hilbert import HilbertConfig, Ket, _truncation_guard, reduced_mode_matrix
+from .hilbert import HilbertConfig, _truncation_guard, reduced_mode_matrix
 from .keyval import load_keyval
 from .sequences import StatePrep
 from .swtheory import chi_numeric
@@ -396,8 +396,7 @@ def _run_wigner(params, kind, spec):
 
 @_kind("fock_prep_check", **_STATE, detuning=_freq("rest", words=_POINT_NAMES))
 def _run_fock_prep_check(params, kind, spec):
-    state = _prepared(params, spec, 8)[3]
-    rho = state.to_density() if isinstance(state, Ket) else state
+    rho = _prepared(params, spec, 8)[3]
     pn = np.real(np.diag(reduced_mode_matrix(rho, 0)))
     summary = {
         "kind": "fock_prep_check",

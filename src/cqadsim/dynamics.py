@@ -6,11 +6,9 @@ frame, 0 Hz from LG-00), so the qubit detuning Delta(t) appears
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
-One rule propagates a state: a Ket takes exp(-i H t), a density matrix
-takes a Chebyshev action.  ``evolve_segments`` runs a list of segments once:
-an undriven segment of a Ket applies its cached exp(-i H t)
-(``_segment_propagator``, the one cache, keyed on the segment's inputs),
-and every other segment is one ``_segment_action`` on the state.  Every
+Every state is propagated as a density matrix: ``evolve_segments`` turns a
+Ket into one on entry and runs a list of segments once, each segment one
+``_segment_action`` on the state, so a pass builds no propagator.  Every
 drive is constant in its own frame, the segment detuning for a qubit drive
 and the phonon frame for a phonon drive or none, so the exact evolution is a
 constant generator followed by the diagonal phases that return to the
@@ -169,7 +167,7 @@ class NoiseModel:
 
     @property
     def is_trivial(self) -> bool:
-        """True when no dissipation is present (pure-state evolution allowed)."""
+        """True when no dissipation is present, so a readout step may take the cached unitary."""
         return (
             self.qubit_gamma1 == 0.0
             and self.qubit_gamma_phi == 0.0
@@ -249,9 +247,9 @@ class Segment:
 class _PropagatorCache:
     """Size-budgeted LRU for the exp(-i H t) of undriven segments, keyed by the segment's inputs.
 
-    Its entries are d-row unitaries: of the undriven segments of a Ket and of
-    the segments of a noise-free parity readout.  A density matrix takes an
-    action and puts nothing here.  The budget counts the elements of the
+    Its entries are the d-row unitaries of the segments of a noise-free
+    parity readout (``_segment_adjoint``); a state takes an action and puts
+    nothing here.  The budget counts the elements of the
     arrays; the total is kept as entries come and go, so a put hashes its own
     key only.  Unlocked: every sweep runs in one thread.
     """
@@ -293,8 +291,8 @@ def _segment_propagator(seg: Segment, params: SystemParams, config: HilbertConfi
                         noise: NoiseModel):
     """Cached exp(-i H t) of an undriven segment (its drives, if any, are not read).
 
-    The collapse operators are not read either: only states without noise
-    take it.  The key is every input H is built from, so nothing is built
+    The collapse operators are not read either: only a noise-free readout
+    takes it.  The key is every input H is built from, so nothing is built
     or hashed beyond the arguments on a hit.
     """
     key = (seg, params, config, noise)
@@ -306,11 +304,9 @@ def _segment_propagator(seg: Segment, params: SystemParams, config: HilbertConfi
     return prop
 
 
-def _apply(u: np.ndarray, state):
-    """U psi or U rho U^dag of a d-row U."""
-    if isinstance(state, Ket):
-        return Ket(state.config, u @ state.amplitudes, normalized=False)
-    return DensityMatrix(state.config, u @ state.matrix @ u.conj().T)
+def _apply(u: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
+    """U rho U^dag of a d-row U."""
+    return DensityMatrix(rho.config, u @ rho.matrix @ u.conj().T)
 
 
 def _apply_adjoint(u: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -739,29 +735,24 @@ def _drive_hamiltonian(config: HilbertConfig, segment: Segment):
     return h
 
 
-def _segment_action(state, seg: Segment, params, config: HilbertConfig, noise: NoiseModel):
-    """One segment applied to one state, exactly, without a propagator.
+def _segment_action(rho: DensityMatrix, seg: Segment, params, config: HilbertConfig,
+                    noise: NoiseModel) -> DensityMatrix:
+    """One segment applied to one density matrix, exactly, without a propagator.
 
-    Serves every segment of a density matrix and the driven segments of a
-    Ket.  In the frame f of the drives (the segment detuning for a qubit
-    drive, 0 for a phonon drive alone or none) H is constant:
-    ``full_jc_hamiltonian`` at frame f plus the static drive.  A Ket takes
-    exp(-i H t); a density matrix takes ``_frame_states`` at the one frame f
-    and is checked for trace (1e-6), hermiticity (1e-8) and positivity
-    (eigenvalues above -1e-6).  The diagonal V = exp(-i 2 pi f t K),
-    K = sigma_z/2 + sum_k n_k, returns the state to the phonon frame.
+    In the frame f of the drives (the segment detuning for a qubit drive, 0
+    for a phonon drive alone or none) H is constant: ``full_jc_hamiltonian``
+    plus the static drive, taken into the frame by ``_frame_states`` at the
+    one frame f.  The result is checked for trace (1e-6), hermiticity (1e-8)
+    and positivity (eigenvalues above -1e-6).  The diagonal
+    V = exp(-i 2 pi f t K), K = sigma_z/2 + sum_k n_k, returns the state to
+    the phonon frame.
     """
     f = seg.detuning if seg.qubit_drive is not None else 0.0
-    ket = isinstance(state, Ket)
-    # the density branch enters the frame inside _frame_states
-    h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset,
-                             frame=f if ket else 0.0).matrix
+    h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
          + _drive_hamiltonian(config, seg))
     v = np.diag(np.exp(-1j * TWO_PI * f * seg.duration * _frame_charge(config)))
-    if ket:
-        return _apply(v, _apply(hermitian_propagator(h, seg.duration), state))
-    rho = _frame_states(state, h, collapse_operators(config, noise), seg.duration, np.array([f]))
-    return _apply(v, DensityMatrix(config, rho[0])).validate(herm_tol=1e-8, eig_floor=-1e-6)
+    out = _frame_states(rho, h, collapse_operators(config, noise), seg.duration, np.array([f]))
+    return _apply(v, DensityMatrix(config, out[0])).validate(herm_tol=1e-8, eig_floor=-1e-6)
 
 
 def _segment_adjoint(op: np.ndarray, seg: Segment, params: SystemParams,
@@ -793,29 +784,24 @@ def _segment_adjoint(op: np.ndarray, seg: Segment, params: SystemParams,
 
 
 def evolve_segments(
-    state,
+    state: Ket | DensityMatrix,
     segments: Sequence[Segment],
     params: SystemParams,
     config: HilbertConfig,
     noise: NoiseModel,
-):
+) -> DensityMatrix:
     """Run a list of segments once; detuning changes between segments are frame jumps.
 
-    A Ket stays a Ket while the noise is trivial and is evolved unitarily.
-    Dissipative segments need a density matrix: this is the one place a Ket
-    becomes a ``DensityMatrix``.  An undriven segment of a Ket applies its
-    cached exp(-i H t); every other segment is one ``_segment_action`` on
-    the state, so a single pass over a density matrix builds no propagator.
-    Loops that apply one segment to many states plan it once
-    (``_segment_plan``) and step it with ``_sweep_action``.
+    The state comes out a ``DensityMatrix``, noise or not: this is the one
+    place a Ket becomes one.  Every segment, driven or not, is one
+    ``_segment_action``, so a single pass builds no propagator.  Loops that
+    apply one segment to many states plan it once (``_segment_plan``) and
+    step it with ``_sweep_action``.
     """
-    if isinstance(state, Ket) and not noise.is_trivial:
+    if isinstance(state, Ket):
         state = state.to_density()
     for seg in segments:
-        if isinstance(state, Ket) and seg.qubit_drive is None and seg.phonon_drive is None:
-            state = _apply(_segment_propagator(seg, params, config, noise), state)
-        else:
-            state = _segment_action(state, seg, params, config, noise)
+        state = _segment_action(state, seg, params, config, noise)
     return state
 
 

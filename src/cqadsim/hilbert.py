@@ -9,8 +9,12 @@ Conventions fixed here and relied on everywhere else:
   enters only through the alpha/(Delta - alpha) factor of chi
   (``swtheory.chi_analytic``).
 * States and operators are dense complex arrays; dimensions stay small
-  (a few hundred at most).  Only the d^2 x d^2 Liouvillian superoperator in
-  ``cqadsim.dynamics`` is sparse.
+  (a few hundred at most).  Only the Chebyshev generators of
+  ``cqadsim.dynamics`` are sparse: numpy CSR arrays assembled straight from
+  these d x d operators.
+* Every state the protocols evolve or read is a ``DensityMatrix``;
+  ``fock_state`` and ``coherent_state`` build a ``Ket``, which
+  ``dynamics.evolve_segments`` turns into its density matrix.
 """
 
 from __future__ import annotations

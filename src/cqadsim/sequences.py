@@ -7,16 +7,14 @@ parameters, Hilbert space, and noise without its static offset.  Parity
 values are reported normalized by the vacuum fringe contrast; the raw qubit
 expectation is kept alongside.
 
-Prepared states are Kets; ``dynamics.evolve_segments`` turns a Ket into a
-density matrix when it meets a dissipative segment.  A preparation passes
-each of its segments once, so ``evolve_segments`` applies it to the state as
-an action.  Spectroscopy, which propagates in its own probe frame, converts
-its input itself and evolves it over the whole frequency grid with one
+Every prepared state is a density matrix.  A preparation is a start state
+and one list of segments, which one ``dynamics.evolve_segments`` call passes
+once, each segment as an action.  Spectroscopy, which propagates in its own
+probe frame, evolves the state over the whole frequency grid with one
 ``dynamics._frame_states`` (the probe frequency is the frame).  The
 coherence protocols' delay loop plans its swap and its wait once each
 (``dynamics._segment_plan``) and steps the density matrix through the delay
-grid with ``dynamics._sweep_action``.  No density matrix here takes a
-propagator.
+grid with ``dynamics._sweep_action``.  No state here takes a propagator.
 
 The Ramsey and echo sequences are one list of steps (``_parity_steps``:
 rotation matrices and constant segments).  Parity has one readout, run
@@ -27,10 +25,10 @@ which with noise is one Chebyshev action restricted to the coherence orders
 the operator holds and without noise the cached unitary.  Its vacuum entry
 is the vacuum fringe, and ``_calibrated_effect`` turns it into the effect
 operator E for any drive phases, because a drive phase is a rotation
-exp(i theta N) that every segment commutes with.  Each state is read
-as Tr[E rho] (<psi|E|psi> for a Ket); the parity estimate
-(``four_phase_average``; one drive phase is ``phases=(theta,)``) and the
-Wigner and offset scans all read parity through it.
+exp(i theta N) that every segment commutes with.  Each state is read as
+Tr[E rho]; the parity estimate (``four_phase_average``; one drive phase is
+``phases=(theta,)``) and the Wigner and offset scans all read parity through
+it.
 
 The readout pass and the echo-offset zero time are ``functools.lru_cache``
 memos keyed on their arguments; each evaluation of the zero time's offset is
@@ -165,44 +163,37 @@ class ParityResult:
 
 
 def prepare_state(prep: StatePrep, params: SystemParams, config: HilbertConfig,
-                  noise: NoiseModel):
-    """Produce the phonon state at the rest detuning with the qubit in |g>."""
-    vacuum = fock_state(config, [0] * config.n_modes, 0)
-    if prep.target == "vacuum":
-        return vacuum
-    if prep.target == "fock":
-        return _fock_preparation(prep.m, prep.method, params, config, noise)
-    if prep.target == "coherent":
-        if prep.method == "displacement_drive":
-            # resonant square drive with the qubit at rest: |beta| = pi amp duration
-            drive = Pulse(abs(prep.beta) / (math.pi * _DRIVE_DURATION),
-                          float(np.angle(prep.beta) + math.pi / 2.0))
-            seg = Segment(_DRIVE_DURATION, params.delta("rest"), phonon_drive=drive)
-            return evolve_segments(vacuum, [seg], params, config, noise)
-        return coherent_state(config, 0, prep.beta)
-    # superposition_01: (|0> + |1>)/sqrt(2) in LG-00
-    if prep.method == "swap_sequence":
-        state = _excite_qubit(vacuum, params, config, noise, math.pi / 2.0)
-        return evolve_segments(state, [_swap_segment(params)], params, config, noise)
-    one = fock_state(config, [1] + [0] * (config.n_modes - 1), 0)
-    return Ket(config, (vacuum.amplitudes + one.amplitudes) / math.sqrt(2.0))
+                  noise: NoiseModel) -> DensityMatrix:
+    """The phonon state at the rest detuning with the qubit in |g>, as a density matrix.
 
-
-def _fock_preparation(M, method, params, config, noise):
-    """Prepare M phonons: ideal injection or repeated pi-pulse + swap rounds.
-
-    Swap k uses the resonant duration 1/(4 g sqrt(k)) for full transfer on
-    the |e, k-1> <-> |g, k> transition.
+    A start state and a list of segments, run by one ``evolve_segments``
+    call.  M phonons are injected ideally or built by M rounds of a pi pulse
+    and a swap; swap k uses the resonant duration 1/(4 g sqrt(k)) for full
+    transfer on the |e, k-1> <-> |g, k> transition.
     """
-    if M > config.phonon_dims[0] - 2:
-        raise TruncationError(f"M={M} needs phonon dim >= {M + 2}")
-    if method == "ideal_injection" or M == 0:
-        return fock_state(config, [M] + [0] * (config.n_modes - 1), 0)
-    state = fock_state(config, [0] * config.n_modes, 0)
-    for k in range(1, M + 1):
-        state = _excite_qubit(state, params, config, noise, math.pi)
-        state = evolve_segments(state, [_swap_segment(params, k)], params, config, noise)
-    return state
+    start = fock_state(config, [0] * config.n_modes, 0)
+    segments = []
+    if prep.target == "fock":
+        if prep.m > config.phonon_dims[0] - 2:
+            raise TruncationError(f"M={prep.m} needs phonon dim >= {prep.m + 2}")
+        if prep.method == "ideal_injection":
+            start = fock_state(config, [prep.m] + [0] * (config.n_modes - 1), 0)
+        else:
+            for k in range(1, prep.m + 1):
+                segments += [_excite_qubit(params, math.pi), _swap_segment(params, k)]
+    elif prep.target == "coherent" and prep.method == "displacement_drive":
+        # resonant square drive with the qubit at rest: |beta| = pi amp duration
+        drive = Pulse(abs(prep.beta) / (math.pi * _DRIVE_DURATION),
+                      float(np.angle(prep.beta) + math.pi / 2.0))
+        segments = [Segment(_DRIVE_DURATION, params.delta("rest"), phonon_drive=drive)]
+    elif prep.target == "coherent":
+        start = coherent_state(config, 0, prep.beta)
+    elif prep.target == "superposition_01" and prep.method == "swap_sequence":
+        segments = [_excite_qubit(params, math.pi / 2.0), _swap_segment(params)]
+    elif prep.target == "superposition_01":  # (|0> + |1>)/sqrt(2) in LG-00
+        one = fock_state(config, [1] + [0] * (config.n_modes - 1), 0)
+        start = Ket(config, (start.amplitudes + one.amplitudes) / math.sqrt(2.0))
+    return evolve_segments(start, segments, params, config, noise)
 
 
 def _swap_segment(params: SystemParams, k: int = 1) -> Segment:
@@ -210,11 +201,10 @@ def _swap_segment(params: SystemParams, k: int = 1) -> Segment:
     return Segment(1.0 / (4.0 * params.mode_g(0) * math.sqrt(k)), 0.0)
 
 
-def _excite_qubit(state, params, config, noise, angle):
+def _excite_qubit(params: SystemParams, angle: float) -> Segment:
     """A square qubit pulse of rotation ``angle`` at the rest detuning."""
-    seg = Segment(_PULSE_DURATION, params.delta("rest"),
-                  qubit_drive=Pulse(angle / (TWO_PI * _PULSE_DURATION)))
-    return evolve_segments(state, [seg], params, config, noise)
+    return Segment(_PULSE_DURATION, params.delta("rest"),
+                   qubit_drive=Pulse(angle / (TWO_PI * _PULSE_DURATION)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +440,7 @@ def interaction_time_offset_scan(
             f"got {times.size}")
     if not isinstance(n_ring, (int, np.integer)) or n_ring < 1:
         raise ValidationError(f"n_ring must be a whole number >= 1 of ring points, got {n_ring!r}")
-    vac = fock_state(config, [0] * config.n_modes, 0)
+    vac = fock_state(config, [0] * config.n_modes, 0).to_density()
     ring = np.array([ring_radius * np.exp(2j * math.pi * k / n_ring) for k in range(n_ring)])
     _guard_points(config, ring)
     dmats = _displacements(config.phonon_dims[0], -ring)
@@ -551,7 +541,7 @@ def spectroscopy_peak_hints(
 
 
 def qubit_spectroscopy(
-    prepared_state,
+    prepared_state: DensityMatrix,
     delta_operate: float,
     probe: Pulse | None,
     freq_grid: Sequence[float],
@@ -597,10 +587,9 @@ def qubit_spectroscopy(
         probe = Pulse(0.5 / (TWO_PI * probe_duration))
     pe = qubit_projector(config, 1)
     probe_seg = Segment(probe_duration, 0.0, qubit_drive=probe)  # resonant in the probe frame
-    rho = prepared_state.to_density() if isinstance(prepared_state, Ket) else prepared_state
     n = _excitation_number(config)
     keep = np.subtract.outer(n, n) % _PHASE_CYCLES == 0
-    rho = DensityMatrix(config, np.where(keep, rho.matrix, 0.0))
+    rho = DensityMatrix(config, np.where(keep, prepared_state.matrix, 0.0))
     h = (full_jc_hamiltonian(params, config, delta_operate + noise.static_qubit_offset).matrix
          + _drive_hamiltonian(config, probe_seg))
     states = _frame_states(rho, h, collapse_operators(config, noise), probe_duration, freqs)
@@ -621,28 +610,26 @@ def _guard_points(config: HilbertConfig, betas: np.ndarray):
         _truncation_guard(config, 0, betas[np.argmax(betas.real ** 2 + betas.imag ** 2)])
 
 
-def _displaced_readout(state, effect: OperatorMatrix, dmats: np.ndarray) -> np.ndarray:
-    """Tr[E D rho D^dag] (<psi|D^dag E D|psi> for a Ket) for each of the stacked mode-0 ``dmats``.
+def _displaced_readout(rho: DensityMatrix, effect: OperatorMatrix,
+                       dmats: np.ndarray) -> np.ndarray:
+    """Tr[E D rho D^dag] for each of the stacked mode-0 ``dmats``.
 
-    D acts on the mode-0 axis of the state by stacked matmuls; the qubit and
-    the other modes ride along as block axes.
+    D acts on the mode-0 axis of rho's rows and then, as D*, of its columns
+    by stacked matmuls; the qubit and the other modes ride along as block
+    axes.
     """
-    _check_same_config(state, effect)
-    config, e = state.config, effect.matrix
+    _check_same_config(rho, effect)
+    config, e = rho.config, effect.matrix
     q, m = config.qubit_levels, config.phonon_dims[0]
     rest = config.dim // (q * m)
     b = len(dmats)
-    if isinstance(state, Ket):
-        phi = (dmats[:, None] @ state.amplitudes.reshape(q, m, rest)).reshape(b, -1)
-        return np.sum(phi.conj() * (phi @ e.T), axis=-1).real
-    # D on the row's mode axis, then D* on the column's
-    half = dmats[:, None] @ state.matrix.reshape(q, m, -1)
+    half = dmats[:, None] @ rho.matrix.reshape(q, m, -1)
     full = dmats.conj()[:, None] @ half.reshape(b, -1, m, rest)
     return (full.reshape(b, -1) @ e.T.reshape(-1)).real
 
 
 def wigner_scan(
-    prepared_state,
+    prepared_state: DensityMatrix,
     beta_grid: np.ndarray,
     params: SystemParams,
     config: HilbertConfig,
@@ -670,8 +657,7 @@ def wigner_scan(
     _guard_points(config, flat)
     effect, contrast = _calibrated_effect("echo", FOUR_PHASES, interaction_time, delta, params,
                                           config, noise)
-    size = config.dim if isinstance(prepared_state, Ket) else config.dim ** 2
-    block = max(1, _WIGNER_BLOCK_ENTRIES // size)
+    block = max(1, _WIGNER_BLOCK_ENTRIES // config.dim ** 2)
     raw = np.empty(flat.size)
     for i in range(0, flat.size, block):
         dmats = _displacements(config.phonon_dims[0], -flat[i:i + block])
@@ -726,10 +712,10 @@ def coherence_protocols(
     swaps = [_segment_plan(_swap_segment(params), params, config, noise)] if swap else []
     wait = _segment_plan(Segment(dt, rest), params, config, noise)
     pe = qubit_projector(config, 1)
-    vac = fock_state(config, [0] * config.n_modes, 0)
+    vac = fock_state(config, [0] * config.n_modes, 0).to_density()
 
     # swap in once, wait step by step, then swap every delay's state out at once
-    v = _coordinates(_apply(qubit_rotation(config, 0.0, first_angle), vac).to_density().matrix)
+    v = _coordinates(_apply(qubit_rotation(config, 0.0, first_angle), vac).matrix)
     for plan in swaps:
         v = _sweep_action(plan, v)
     steps = [v]

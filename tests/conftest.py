@@ -5,10 +5,8 @@
 refactor.  A refactor must reproduce it to 1e-6 relative; rewrite a reference
 only with a change that means to move the results, and say so.
 
-``coherent_spectroscopy.json`` is written at the size its test runs: the preset
-with ``phonon_dim = 6`` and ``freq_step = 10000.0`` (10 kHz).  References
-written before the ``seed`` option went still hold a ``"seed"`` key, which
-``compare_summaries`` skips.
+References written before the ``seed`` option went still hold a ``"seed"``
+key, which ``compare_summaries`` skips.
 
 The dense oracles of the Lindblad kernels are built here, in numpy, from
 their definitions: ``dense_liouvillian`` and the basis ``hermitian_basis``.

@@ -696,3 +696,16 @@ def test_poisson_fit_stops_where_its_gradient_changes_sign(seed):
     x = fit.parameters["nbar"]
     assert gradient(x * (1.0 - 1e-13)) < 0.0 < gradient(x * (1.0 + 1e-13))
     assert fit.parameters["beta"] == math.sqrt(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.sampled_from([0.0, 0.05, 0.37, 0.5, 0.95, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_quantile_is_numpys_linear_rule_bit_for_bit(n, q, seed):
+    """The Voigt baseline's 5% quantile and the periodogram's median spacing against
+    ``np.quantile``, on data with ties and with spreads of ten decades."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+    if seed % 2:
+        x = np.round(x, 1)
+    assert analysis._quantile(x, q) == float(np.quantile(x, q))

@@ -241,6 +241,16 @@ def test_fock_prep_check_run(tmp_path):
     assert summary["target_population"] > 0.9
 
 
+def test_fock_prep_check_preset_run(tmp_path, matches_reference):
+    """The noise-free swap preparation of one phonon, against its reference at 1e-6."""
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", str(PRESETS / "fock_prep_check.spec"),
+                 "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["target_population"] > 0.99
+    matches_reference("fock_prep_check", summary)
+
+
 def preset_copy(tmp_path, name, **overrides):
     """A copy of a preset spec in tmp_path with some keys overridden."""
     data = parse_keyval((PRESETS / name).read_text())
@@ -249,10 +259,10 @@ def preset_copy(tmp_path, name, **overrides):
 
 
 def test_coherent_spectroscopy_preset_run(tmp_path, matches_reference):
-    spec = preset_copy(tmp_path, "coherent_spectroscopy.spec",
-                       phonon_dim=6, freq_step=10e3)
+    """The full preset, against its reference at 1e-6."""
     out = tmp_path / "out"
-    assert main(["run", "--experiment", spec, "--out", str(out), "--quiet"]) == 0
+    assert main(["run", "--experiment", str(PRESETS / "coherent_spectroscopy.spec"),
+                 "--out", str(out), "--quiet"]) == 0
     text = (out / "summary.json").read_text()
     assert '"converged": true' in text
     summary = json.loads(text)
@@ -572,32 +582,35 @@ def test_cli_start_up_loads_no_scipy_package():
     """No path integrates an ODE or exponentiates a Liouvillian, the fits, the echo root and
     the Bessel and Faddeeva functions are numpy routines, and the Chebyshev products take
     scipy's compiled CSR kernel loaded alone, so ``import cqadsim.cli`` loads neither scipy
-    nor scipy.sparse; it loads every layer module, which the benchmark's tracer looks up in
-    ``sys.modules``."""
+    nor scipy.sparse, nor numpy.ma; it loads every layer module, which the benchmark's tracer
+    looks up in ``sys.modules``."""
     proc = _python("-c", "import json, sys, cqadsim.cli; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert _scipy_modules(loaded) <= {"scipy.sparse._sparsetools"}
+    assert "numpy.ma" not in loaded
     assert _LAYERS <= loaded
 
 
 def test_wigner_and_spectroscopy_runs_load_no_scipy_package(tmp_path):
-    """Tiny Wigner, spectroscopy, phonon T1 and noisy chevron runs in one fresh process, which
-    would show a lazy import on any path they take (readout actions, Chebyshev sweep, stepped
-    delay loop and chevron, Voigt, Poisson and decay fits), load neither scipy nor
-    scipy.sparse, and every layer module."""
+    """Tiny Wigner, spectroscopy, phonon T1, noisy chevron and offset-scan runs in one fresh
+    process, which would show a lazy import on any path they take (readout actions, Chebyshev
+    sweep, stepped delay loop and chevron, Voigt, Poisson, decay and sinusoid fits, and the
+    quantiles of the Voigt baseline and the periodogram's spacing), load neither scipy nor
+    scipy.sparse, nor numpy.ma, and every layer module."""
     specs = [preset_copy(tmp_path, "wigner_fock1.spec", phonon_dim=8, grid_points=3,
                          grid_extent=0.8),
              preset_copy(tmp_path, "coherent_spectroscopy.spec", phonon_dim=6, freq_step=10e3),
              preset_copy(tmp_path, "phonon_t1.spec", phonon_dim=3, delay_points=9),
              preset_copy(tmp_path, "vacuum_rabi.spec", noise="paper", phonon_dim=2,
-                         lg10_dim=2, detuning_points=3, time_points=9)]
+                         lg10_dim=2, detuning_points=3, time_points=9),
+             preset_copy(tmp_path, "offset_scan.spec", time_points=5)]
     code = ("import json, sys\n"
             "from cqadsim import cli\n"
             "for spec, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
             "    assert cli.main(['run', '--experiment', spec, '--out', out, '--quiet']) == 0\n"
             "print(json.dumps(sorted(sys.modules)))\n")
-    outs = ["wigner", "spectroscopy", "t1", "chevron"]
+    outs = ["wigner", "spectroscopy", "t1", "chevron", "offset"]
     proc = _python("-c", code, *(arg for spec, out in zip(specs, outs)
                                  for arg in (spec, str(tmp_path / out))))
     assert proc.returncode == 0, proc.stderr
@@ -605,8 +618,10 @@ def test_wigner_and_spectroscopy_runs_load_no_scipy_package(tmp_path):
     assert (tmp_path / "spectroscopy" / "fit.json").exists()
     assert (tmp_path / "t1" / "decay.csv").exists()
     assert (tmp_path / "chevron" / "chevron.csv").exists()
+    assert (tmp_path / "offset" / "offset_scan.csv").exists()
     loaded = set(json.loads(proc.stdout))
     assert _scipy_modules(loaded) <= {"scipy.sparse._sparsetools"}
+    assert "numpy.ma" not in loaded
     assert _LAYERS <= loaded
 
 

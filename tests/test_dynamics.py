@@ -80,14 +80,18 @@ def test_noise_model_from_params(params):
 
 
 def test_schedule_validation():
-    """A segment list holds segments of positive duration; an empty one changes nothing."""
+    """A segment list holds segments of positive duration; an empty one changes nothing, and a
+    Ket comes out as its density matrix."""
     with pytest.raises(ValidationError):
         Segment(duration=0.0, detuning=0.0)
     with pytest.raises(ValidationError):
         Segment(duration=-1e-6, detuning=0.0)
     cfg = HilbertConfig(2, (3,))
     psi = fock_state(cfg, [1], 0)
-    assert evolve_segments(psi, [], paper_default_params(), cfg, NoiseModel()) is psi
+    rho = psi.to_density()
+    assert evolve_segments(rho, [], paper_default_params(), cfg, NoiseModel()) is rho
+    out = evolve_segments(psi, [], paper_default_params(), cfg, NoiseModel())
+    assert isinstance(out, DensityMatrix) and np.array_equal(out.matrix, rho.matrix)
 
 
 def test_pulse_validation():
@@ -267,12 +271,13 @@ def test_swap_gate_fidelity(params):
     cfg = HilbertConfig(2, (6,))
     swap = [Segment(1.0 / (4.0 * params.g_lg00), 0.0)]
     out = evolve_segments(fock_state(cfg, [0], 1), swap, params, cfg, NoiseModel())
-    assert abs(out.amplitudes[cfg.index(0, [1])]) ** 2 > 0.99
+    g1, e0, g0 = cfg.index(0, [1]), cfg.index(1, [0]), cfg.index(0, [0])
+    assert out.matrix[g1, g1].real > 0.99
     back = evolve_segments(out, swap, params, cfg, NoiseModel())
-    assert abs(back.amplitudes[cfg.index(1, [0])]) ** 2 > 0.98
+    assert back.matrix[e0, e0].real > 0.98
     # zero-excitation sector untouched
     vac = evolve_segments(fock_state(cfg, [0], 0), swap, params, cfg, NoiseModel())
-    assert abs(vac.amplitudes[cfg.index(0, [0])]) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert vac.matrix[g0, g0].real == pytest.approx(1.0, abs=1e-12)
 
 
 def _driven_coherent(params, cfg, noise, beta):
@@ -308,10 +313,10 @@ def test_displacement_with_decay_shrinks(params):
     cfg = HilbertConfig(2, (10,))
     target = math.pi * 0.3e6 * 1e-6  # amplitude 0.3 MHz
     rho = _driven_coherent(params, cfg, NoiseModel(phonon_kappa1=20e3), target)
-    ket = _driven_coherent(params, cfg, NoiseModel(), target)
-    assert isinstance(rho, DensityMatrix) and isinstance(ket, Ket)
+    clean = _driven_coherent(params, cfg, NoiseModel(), target)
+    assert isinstance(rho, DensityMatrix) and isinstance(clean, DensityMatrix)
     b_noisy = abs(expectation(rho, annihilation(cfg)))
-    b_clean = abs(expectation(ket, annihilation(cfg)))
+    b_clean = abs(expectation(clean, annihilation(cfg)))
     assert b_noisy < b_clean
 
 
@@ -322,7 +327,7 @@ def test_instantaneous_ramp_is_frame_jump(params):
     segs = [Segment(duration=1e-9, detuning=-4.1e6)]
     out = evolve_segments(k, segs, params, cfg, NoiseModel())
     # 1 ns at rest barely evolves the state
-    assert abs(np.vdot(out.amplitudes, k.amplitudes)) ** 2 > 1.0 - 1e-3
+    assert (k.amplitudes.conj() @ out.matrix @ k.amplitudes).real > 1.0 - 1e-3
 
 
 def test_rk_density_path_returns_a_valid_state(params):
@@ -347,23 +352,21 @@ def _in_drive_frame(state, seg, params, config, noise):
     """The exact evolution through a qubit drive at detuning delta, in the frame f = delta.
 
     There the drive is static, so the generator is constant: rho_f(tau) is
-    scipy's dense exponential of the Liouvillian (exp(-i H tau) for a Ket) of
-    full_jc_hamiltonian(frame=delta) plus the static drive.
-    Back in the phonon frame, rho(tau) = V rho_f(tau) V^dag with
+    scipy's dense exponential of the Liouvillian (psi_f(tau) = exp(-i H tau) psi
+    for a Ket) of full_jc_hamiltonian(frame=delta) plus the static drive.
+    Back in the phonon frame, rho(tau) = V rho_f(tau) V^dag (V psi_f(tau)) with
     V = exp(-i 2 pi delta tau K), K = sigma_z/2 + sum_k n_k.
     """
     delta = seg.detuning
     h = (full_jc_hamiltonian(params, config, delta + noise.static_qubit_offset,
                              frame=delta).matrix
          + _drive_hamiltonian(config, Segment(seg.duration, 0.0, qubit_drive=seg.qubit_drive)))
-    if isinstance(state, Ket):
-        in_frame = _apply(expm(-1j * h * seg.duration), state)
-    else:
-        dense = expm(dense_liouvillian(h, collapse_operators(config, noise)) * seg.duration)
-        in_frame = DensityMatrix(config, (dense @ state.matrix.reshape(-1)).reshape(h.shape))
     sz, modes = _jc_terms(config)
-    k = 0.5 * sz + sum(n_k for n_k, _ in modes)
-    return _apply(expm(-1j * TWO_PI * delta * seg.duration * k), in_frame)
+    v = expm(-1j * TWO_PI * delta * seg.duration * (0.5 * sz + sum(n_k for n_k, _ in modes)))
+    if isinstance(state, Ket):
+        return Ket(config, v @ expm(-1j * h * seg.duration) @ state.amplitudes)
+    dense = expm(dense_liouvillian(h, collapse_operators(config, noise)) * seg.duration)
+    return _apply(v, DensityMatrix(config, (dense @ state.matrix.reshape(-1)).reshape(h.shape)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,18 +403,38 @@ def test_qubit_drive_matches_the_constant_generator_in_the_drive_frame(
 )
 def test_ket_qubit_drive_matches_the_constant_generator_in_the_drive_frame(
         params, config, delta, duration, amplitude, phase, seed):
+    """A pure state without noise, given as a Ket or as its density matrix, against the
+    dense exp(-i H t) of the Ket in the drive frame: the action and the dense kernel reach the
+    same state."""
     seg = Segment(duration, delta, qubit_drive=Pulse(amplitude, phase))
     rng = np.random.default_rng(seed)
     v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
     psi = Ket(config, v / np.linalg.norm(v))
-    out = evolve_segments(psi, [seg], params, config, NoiseModel())
-    assert isinstance(out, Ket)
+    out = evolve_segments(psi.to_density(), [seg], params, config, NoiseModel())
+    assert isinstance(out, DensityMatrix)
+    assert np.array_equal(evolve_segments(psi, [seg], params, config, NoiseModel()).matrix,
+                          out.matrix)
     exact = _in_drive_frame(psi, seg, params, config, NoiseModel())
-    assert np.linalg.norm(out.amplitudes - exact.amplitudes) <= 1e-12
-    # the Ket and the density matrix take independent kernels to the same state
-    rho = evolve_segments(psi.to_density(), [seg], params, config, NoiseModel())
-    diff = out.to_density().matrix - rho.matrix
+    diff = out.matrix - exact.to_density().matrix
     assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
+
+
+@pytest.mark.parametrize("config", [HilbertConfig(2, (4,)), HilbertConfig(2, (4, 3))],
+                         ids=["one_mode", "two_modes"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_noise_free_swap_preparation_matches_the_dense_ket_oracle(params, config, m):
+    """A driven pure state against an exact unitary: the noise-free swap preparation of M
+    phonons, M rounds of a pi pulse at rest and a swap, against scipy's expm of each segment's
+    drive-frame H on a Ket, to 1e-12; rho stays pure to 1e-12."""
+    rho = prepare_state(StatePrep("fock", m, method="swap_sequence"), params, config, NoiseModel())
+    pulse = Segment(50e-9, _REST, qubit_drive=Pulse(math.pi / (TWO_PI * 50e-9)))
+    psi = fock_state(config, [0] * config.n_modes, 0)
+    for k in range(1, m + 1):
+        for seg in (pulse, Segment(1.0 / (4.0 * params.g_lg00 * math.sqrt(k)), 0.0)):
+            psi = _in_drive_frame(psi, seg, params, config, NoiseModel())
+    assert isinstance(rho, DensityMatrix)
+    assert np.abs(rho.matrix - psi.to_density().matrix).max() <= 1e-12
+    assert abs(rho.purity() - 1.0) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -427,7 +450,8 @@ def test_ket_qubit_drive_matches_the_constant_generator_in_the_drive_frame(
 )
 def test_driven_segments_are_cptp(params, config, rates, detuning, drives, duration, amplitude,
                                   phase, seed):
-    """Any drive keeps a random rho's trace, Hermiticity and positivity, and a Ket's norm."""
+    """Any drive keeps a random rho's trace, Hermiticity and positivity, and the trace of a
+    Ket's density matrix."""
     pulse = Pulse(amplitude, phase)
     seg = Segment(duration, 0.0 if drives == "both" else detuning,
                   qubit_drive=None if drives == "phonon" else pulse,
@@ -440,9 +464,9 @@ def test_driven_segments_are_cptp(params, config, rates, detuning, drives, durat
     assert np.abs(out - out.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(out).min() >= -1e-10
     v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
-    psi = evolve_segments(Ket(config, v / np.linalg.norm(v)), [seg], params, config, NoiseModel())
-    assert isinstance(psi, Ket)
-    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    pure = evolve_segments(Ket(config, v / np.linalg.norm(v)), [seg], params, config, NoiseModel())
+    assert isinstance(pure, DensityMatrix)
+    assert np.trace(pure.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
 _KICK = Pulse(1.5e6, -0.4)
@@ -496,9 +520,9 @@ def test_frame_states_match_the_dense_exponential_in_every_frame(params):
 
 
 def test_every_driven_density_action_is_one_sweep_action(params, monkeypatch):
-    """A segment on a density matrix, driven or not, and a whole spectroscopy grid, each make
-    one Chebyshev action; a driven Ket takes its dense exp(-i H t) and makes none.  A swap
-    Fock-1 preparation, a single pass, builds no propagator."""
+    """A segment, driven or not, with or without noise, and a whole spectroscopy grid, each make
+    one Chebyshev action.  A swap preparation of M phonons, a single pass, makes 2M, with or
+    without noise, and builds no propagator."""
     calls = []
 
     def counted(plan, u):
@@ -509,25 +533,25 @@ def test_every_driven_density_action_is_one_sweep_action(params, monkeypatch):
     config = HilbertConfig(2, (4,))
     noise = NoiseModel.from_params(params, params.delta("rest"))
     vacuum = fock_state(config, [0], 0)
+    clear_propagator_cache()
     for seg in (Segment(50e-9, params.delta("rest"), qubit_drive=Pulse(10e6)),
                 Segment(1e-6, params.delta("rest"), phonon_drive=_KICK),
-                Segment(0.3e-6, 0.0, Pulse(2e6, 0.7), _KICK)):
-        calls.clear()
-        evolve_segments(vacuum, [seg], params, config, noise)
-        assert calls == [1]
-        calls.clear()
-        assert isinstance(evolve_segments(vacuum, [seg], params, config, NoiseModel()), Ket)
-        assert calls == []
+                Segment(0.3e-6, 0.0, Pulse(2e6, 0.7), _KICK),
+                Segment(0.4e-6, params.delta("rest"))):
+        for n in (noise, NoiseModel()):
+            calls.clear()
+            assert isinstance(evolve_segments(vacuum, [seg], params, config, n), DensityMatrix)
+            assert calls == [1]
+    for m in (1, 2):
+        for n in (noise, NoiseModel()):
+            calls.clear()
+            prepare_state(StatePrep("fock", m, method="swap_sequence"), params, config, n)
+            assert calls == [1] * (2 * m) and not dynamics._CACHE._data
     calls.clear()
-    clear_propagator_cache()
-    evolve_segments(vacuum, [Segment(0.4e-6, params.delta("rest"))], params, config, noise)
-    assert calls == [1]
-    calls.clear()
-    prepare_state(StatePrep("fock", 1, method="swap_sequence"), params, config, noise)
-    assert calls == [1, 1] and not dynamics._CACHE._data
     freqs = np.linspace(-2e6, -1.5e6, 5)
-    qubit_spectroscopy(vacuum, params.delta("coherent"), None, freqs, params, config, noise)
-    assert calls == [1, 1, 5]
+    qubit_spectroscopy(vacuum.to_density(), params.delta("coherent"), None, freqs, params,
+                       config, noise)
+    assert calls == [5]
 
 
 def test_two_drives_without_a_common_frame_are_refused():
@@ -1038,7 +1062,8 @@ def test_density_action_refuses_a_nan_hamiltonian_before_any_work(monkeypatch, w
 
 
 def test_cached_propagator_follows_every_input(params):
-    """A warm cache gives what a cold one does, whichever segment input changes."""
+    """A warm cache gives what a cold one does, whichever segment input changes: a state's
+    step and an operator's readout step, which without noise takes the cached propagator."""
     config = HilbertConfig(2, (5, 3))
     delta = params.delta("ramsey")
     noise = NoiseModel.from_params(params, delta)
@@ -1046,19 +1071,23 @@ def test_cached_propagator_follows_every_input(params):
     rng = np.random.default_rng(5)
     v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
     psi = Ket(config, v / np.linalg.norm(v))
+    op = np.outer(v, rng.normal(size=config.dim))
     variants = [
         (params, noise, seg),
         (replace(params, g_lg10=200e3), noise, seg),
         (params, replace(noise, static_qubit_offset=50e3), seg),
         (params, replace(noise, phonon_kappa1=4 * noise.phonon_kappa1), seg),
         (params, NoiseModel(), seg),
+        (replace(params, g_lg10=200e3), NoiseModel(), seg),
+        (params, NoiseModel(static_qubit_offset=50e3), seg),
+        (params, NoiseModel(), replace(seg, detuning=0.0)),
         (params, noise, replace(seg, detuning=0.0)),
         (params, noise, replace(seg, detuning=0.0, qubit_drive=Pulse(amplitude=0.5e6))),
     ]
 
     def run(p, n, s):
-        out = evolve_segments(psi, [s], p, config, n)
-        return out.to_density().matrix if isinstance(out, Ket) else out.matrix
+        return np.stack([evolve_segments(psi, [s], p, config, n).matrix,
+                         dynamics._segment_adjoint(op, s, p, config, n)])
 
     clear_propagator_cache()
     warm = [run(*v) for v in variants]

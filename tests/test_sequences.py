@@ -62,8 +62,7 @@ def cfg8():
 NOISELESS = NoiseModel()
 
 
-def phonon_populations(state):
-    rho = state.to_density() if isinstance(state, Ket) else state
+def phonon_populations(rho):
     return np.real(np.diag(reduced_mode_matrix(rho, 0)))
 
 
@@ -311,7 +310,7 @@ def _forward_phase_mean(state, variant, phases, readout, t, d, params, cfg, nois
 
 def _four_offset_vacuum_fringe(variant, t, d, params, cfg, noise):
     """(phase, contrast, offset) of the vacuum read at the four readout offsets FOUR_PHASES."""
-    vac = fock_state(cfg, [0] * cfg.n_modes, 0)
+    vac = fock_state(cfg, [0] * cfg.n_modes, 0).to_density()
     vals = [_forward_phase_mean(vac, variant, [0.0], o, t, d, params, cfg, noise)
             for o in FOUR_PHASES]
     c, s = (vals[0] - vals[2]) / 2.0, (vals[1] - vals[3]) / 2.0
@@ -341,7 +340,7 @@ def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases,
     rng = np.random.default_rng(seed)
     v = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
     a = rng.normal(size=(cfg.dim, 2)) + 1j * rng.normal(size=(cfg.dim, 2))
-    states = (Ket(cfg, v / np.linalg.norm(v)),
+    states = (Ket(cfg, v / np.linalg.norm(v)).to_density(),
               DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T)))
     readout, contrast, offset = _four_offset_vacuum_fringe(variant, t, d, params, cfg,
                                                            noise.without_offset())
@@ -412,9 +411,9 @@ def _wigner_case(name, params):
         cfg, noise = HilbertConfig(2, (8,)), paper
         state = prepare_state(StatePrep("fock", 1, method="swap_sequence"), params, cfg, noise)
         assert isinstance(state, DensityMatrix)
-    elif name == "noiseless_ket":
+    elif name == "noiseless_ket":  # a coherent Ket, read as its density matrix
         cfg, noise = HilbertConfig(2, (8,)), NOISELESS
-        state = coherent_state(cfg, 0, 0.5 + 0.3j)
+        state = coherent_state(cfg, 0, 0.5 + 0.3j).to_density()
     else:  # two modes, LG-10 coupled in the model and occupied in the state
         cfg, noise = HilbertConfig(2, (7, 3)), paper
         rng = np.random.default_rng(5)
@@ -445,8 +444,7 @@ def test_wigner_scan_blocks_read_the_per_point_reference(params, case, shape, bl
     ref = _per_point_wigner(state, grid, params, cfg, noise, 7e-6, d)
     assert got.shape == shape
     assert np.abs(got - ref).max() < 1e-12
-    size = state.amplitudes.size if isinstance(state, Ket) else cfg.dim ** 2
-    assert sum(blocks) == grid.size and max(blocks) == max(1, min(grid.size, cap // size))
+    assert sum(blocks) == grid.size and max(blocks) == max(1, min(grid.size, cap // cfg.dim ** 2))
 
 
 def test_wigner_scan_refuses_a_bad_corner_before_any_readout(params, monkeypatch):
@@ -473,7 +471,7 @@ def test_wigner_scan_evolves_no_segment_per_grid_point(params):
     action and each of its pulses one conjugation, whatever the grid."""
     cfg = HilbertConfig(2, (5,))
     noise = NoiseModel.from_params(params, params.delta("ramsey"))
-    one = fock_state(cfg, [1], 0)
+    one = fock_state(cfg, [1], 0).to_density()
     counts = {}
 
     def counting(name, fn):
@@ -590,7 +588,7 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
     if kind == "fock":
         rho = fock_state(cfg, [1] + [0] * (cfg.n_modes - 1), 0).to_density()
     elif kind == "coherent":
-        rho = prepare_state(StatePrep(target="coherent", beta=0.8), params, cfg, noise).to_density()
+        rho = prepare_state(StatePrep(target="coherent", beta=0.8), params, cfg, noise)
     else:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(cfg.dim,) * 2) + 1j * rng.normal(size=(cfg.dim,) * 2)

@@ -31,7 +31,6 @@ from .exceptions import (
 from .hilbert import (
     DensityMatrix,
     HilbertConfig,
-    Ket,
     OperatorMatrix,
     annihilation,
     coherent_state,

@@ -346,6 +346,23 @@ def _projected_fit(columns, y, theta0, bounds, names):
     return fit, theta, coef, np.column_stack([basis, deriv])
 
 
+def _newton_polish(gradient, x: float, lo: float, hi: float) -> float:
+    """Safeguarded Newton steps on a one-parameter fit's slope, from the fit's optimum x.
+
+    ``_fit`` stops on its cosine and step tests, up to about 1e-9 short of the
+    optimum.  ``gradient(x)`` returns the cost's slope and its curvature; a
+    step x - slope/curvature is taken only while |slope| falls and x stays
+    inside (lo, hi), which brings the slope to rounding.
+    """
+    g, dg = gradient(x)
+    while dg > 0.0 and lo < (trial := x - g / dg) < hi:
+        g_trial, dg_trial = gradient(trial)
+        if not abs(g_trial) < abs(g):
+            break
+        x, g, dg = trial, g_trial, dg_trial
+    return x
+
+
 def _quantile(x: np.ndarray, q: float) -> float:
     """The q-quantile of x by numpy's default linear rule, as ``np.quantile(x, q)``, bit for bit.
 
@@ -619,16 +636,7 @@ def poisson_fit(populations: Sequence[float]) -> FitResult:
     nbar0, upper = float(np.sum(n * p)), float(p.size) * 2.0
     fit, x = _fit(residual, jacobian, [nbar0], ([0.0], [upper]), ["nbar"], tol=1e-14)
     if x is not None and 0.0 < x[0] < upper:
-        # _fit stops on its cosine and step tests, up to about 1e-9 short of the optimum;
-        # Newton steps on the gradient, each taken only while |J^T r| falls and nbar stays
-        # inside its bounds, bring J^T r to rounding
-        nbar = float(x[0])
-        g, dg = gradient(nbar)
-        while dg > 0.0 and 0.0 < (trial := nbar - g / dg) < upper:
-            g_trial, dg_trial = gradient(trial)
-            if not abs(g_trial) < abs(g):
-                break
-            nbar, g, dg = trial, g_trial, dg_trial
+        nbar = _newton_polish(gradient, float(x[0]), 0.0, upper)
         r = residual([nbar])
         cost = 0.5 * float(r @ r)
         fit = replace(fit, parameters={"nbar": nbar}, residual_norm=math.sqrt(2.0 * cost),

@@ -6,13 +6,12 @@ frame, 0 Hz from LG-00), so the qubit detuning Delta(t) appears
 explicitly and a second mode sits at its +1.1 MHz offset.  Rates and
 frequencies are ordinary Hz at the API; Hamiltonians are angular internally.
 
-Every state is propagated as a density matrix: ``evolve_segments`` turns a
-Ket into one on entry and runs a list of segments once, each segment one
-``_segment_action`` on the state, so a pass builds no propagator.  Every
-drive is constant in its own frame, the segment detuning for a qubit drive
-and the phonon frame for a phonon drive or none, so the exact evolution is a
-constant generator followed by the diagonal phases that return to the
-phonon frame.
+Every state is a density matrix: ``evolve_segments`` runs a list of
+segments once, each segment one ``_segment_action`` on the state, so a pass
+builds no propagator.  Every drive is constant in its own frame, the segment
+detuning for a qubit drive and the phonon frame for a phonon drive or none,
+so the exact evolution is a constant generator followed by the diagonal
+phases that return to the phonon frame.
 
 The density kernel is one Chebyshev recurrence (``_sweep_action``) on the
 real coordinates of density matrices in an orthonormal Hermitian basis
@@ -74,7 +73,6 @@ from .exceptions import NumericError, ValidationError
 from .hilbert import (
     DensityMatrix,
     HilbertConfig,
-    Ket,
     annihilation,
     fock_state,
     hermitian_propagator,
@@ -784,7 +782,7 @@ def _segment_adjoint(op: np.ndarray, seg: Segment, params: SystemParams,
 
 
 def evolve_segments(
-    state: Ket | DensityMatrix,
+    state: DensityMatrix,
     segments: Sequence[Segment],
     params: SystemParams,
     config: HilbertConfig,
@@ -792,14 +790,10 @@ def evolve_segments(
 ) -> DensityMatrix:
     """Run a list of segments once; detuning changes between segments are frame jumps.
 
-    The state comes out a ``DensityMatrix``, noise or not: this is the one
-    place a Ket becomes one.  Every segment, driven or not, is one
-    ``_segment_action``, so a single pass builds no propagator.  Loops that
-    apply one segment to many states plan it once (``_segment_plan``) and
-    step it with ``_sweep_action``.
+    Every segment, driven or not, is one ``_segment_action``, so a single
+    pass builds no propagator.  Loops that apply one segment to many states
+    plan it once (``_segment_plan``) and step it with ``_sweep_action``.
     """
-    if isinstance(state, Ket):
-        state = state.to_density()
     for seg in segments:
         state = _segment_action(state, seg, params, config, noise)
     return state
@@ -845,7 +839,7 @@ def vacuum_rabi_chevron(
     sz, _ = _jc_terms(config)
     h = full_jc_hamiltonian(params, config, noise.static_qubit_offset).matrix
     plan = _frame_plan(h, collapse_operators(config, noise), dt, -0.5 * sz.diagonal().real, deltas)
-    v = _coordinates(fock_state(config, [0] * config.n_modes, 1).to_density().matrix)
+    v = _coordinates(fock_state(config, [0] * config.n_modes, 1).matrix)
     v = np.repeat(v[:, None], deltas.size, axis=1)
     pe = qubit_projector(config, 1).matrix.diagonal().real
     for j in range(out.shape[1]):

@@ -7,20 +7,20 @@ Conventions fixed here and relied on everywhere else:
 * The qubit has two levels: basis index 0 is ``|g>``, 1 is ``|e>``.
   ``sigma_z |e> = +|e>``, ``sigma_z |g> = -|g>``.  The transmon's next level
   enters only through the alpha/(Delta - alpha) factor of chi
-  (``swtheory.chi_analytic``).
+  (``device.chi_analytic``).
 * States and operators are dense complex arrays; dimensions stay small
   (a few hundred at most).  Only the Chebyshev generators of
   ``cqadsim.dynamics`` are sparse: numpy CSR arrays assembled straight from
   these d x d operators.
-* Every state the protocols evolve or read is a ``DensityMatrix``;
-  ``fock_state`` and ``coherent_state`` build a ``Ket``, which
-  ``dynamics.evolve_segments`` turns into its density matrix.
+* There is one state type, ``DensityMatrix``: ``fock_state`` and
+  ``coherent_state`` build the pure |psi><psi| of their basis or coherent
+  vector, and every state the protocols evolve or read is one.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, lgamma, sin
 from typing import Sequence
@@ -32,7 +32,6 @@ from .exceptions import NumericError, TruncationError, ValidationError
 __all__ = [
     "HilbertConfig",
     "OperatorMatrix",
-    "Ket",
     "DensityMatrix",
     "annihilation",
     "number_operator",
@@ -135,47 +134,10 @@ class OperatorMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            _check_same_config(self, other)
-            return OperatorMatrix(self.config, self.matrix @ other.matrix)
-        if isinstance(other, Ket):
-            _check_same_config(self, other)
-            return Ket(self.config, self.matrix @ other.amplitudes, normalized=False)
-        return NotImplemented
-
     def hermiticity_defect(self) -> float:
         """Max |H - H^dag| entry relative to the largest entry magnitude."""
         scale = max(np.abs(self.matrix).max(), 1e-300)
         return float(np.abs(self.matrix - self.matrix.conj().T).max() / scale)
-
-
-@dataclass(frozen=True)
-class Ket:
-    """Pure state vector on the full tensor space."""
-
-    config: HilbertConfig
-    amplitudes: np.ndarray
-    normalized: bool = field(default=True, compare=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if v.size != self.config.dim:
-            raise ValidationError(
-                f"vector length {v.size} does not match config dim {self.config.dim}"
-            )
-        if self.normalized:
-            nrm = np.linalg.norm(v)
-            if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
-                raise ValidationError(f"state norm {nrm!r} deviates from 1 beyond 1e-9")
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.config, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -281,11 +243,13 @@ def qubit_rotation(config: HilbertConfig, theta: float, eta: float) -> np.ndarra
     return _qubit_embed(config, q)
 
 
-def fock_state(config: HilbertConfig, mode_occupations: Sequence[int], qubit_level: int = 0) -> Ket:
-    """Basis vector |qubit_level; n_1, n_2, ...>."""
-    v = np.zeros(config.dim, dtype=complex)
-    v[config.index(qubit_level, list(mode_occupations))] = 1.0
-    return Ket(config, v)
+def fock_state(config: HilbertConfig, mode_occupations: Sequence[int],
+               qubit_level: int = 0) -> DensityMatrix:
+    """|k><k| for the basis state |k> = |qubit_level; n_1, n_2, ...>."""
+    k = config.index(qubit_level, list(mode_occupations))
+    m = np.zeros((config.dim, config.dim), dtype=complex)
+    m[k, k] = 1.0
+    return DensityMatrix(config, m)
 
 
 def _truncation_guard(config: HilbertConfig, mode_index: int, beta: complex):
@@ -314,15 +278,16 @@ def coherent_amplitudes(dim: int, beta: complex) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def coherent_state(config: HilbertConfig, mode_index: int, beta: complex, qubit_level: int = 0) -> Ket:
-    """Coherent state on one mode, vacuum elsewhere, qubit in a basis level."""
+def coherent_state(config: HilbertConfig, mode_index: int, beta: complex,
+                   qubit_level: int = 0) -> DensityMatrix:
+    """|psi><psi| for a coherent state on one mode, vacuum elsewhere, qubit in a basis level."""
     _truncation_guard(config, mode_index, beta)
     d = config.phonon_dims[mode_index]
     stride = int(np.prod(config.phonon_dims[mode_index + 1:]))
     v = np.zeros(config.dim, dtype=complex)
     v[config.index(qubit_level, [0] * config.n_modes) + stride * np.arange(d)] = (
         coherent_amplitudes(d, beta))
-    return Ket(config, v)
+    return DensityMatrix(config, np.outer(v, v.conj()))
 
 
 @lru_cache(maxsize=None)
@@ -378,14 +343,12 @@ def parity_operator(config: HilbertConfig, mode_index: int = 0) -> OperatorMatri
 # functionals
 
 
-def expectation(state, operator: OperatorMatrix) -> complex:
-    """<psi|O|psi> or Tr(rho O)."""
+def expectation(state: DensityMatrix, operator: OperatorMatrix) -> complex:
+    """Tr(rho O)."""
+    if not isinstance(state, DensityMatrix):
+        raise ValidationError(f"cannot take expectation of {type(state).__name__}")
     _check_same_config(state, operator)
-    if isinstance(state, Ket):
-        return complex(state.amplitudes.conj() @ (operator.matrix @ state.amplitudes))
-    if isinstance(state, DensityMatrix):
-        return complex(np.trace(state.matrix @ operator.matrix))
-    raise ValidationError(f"cannot take expectation of {type(state).__name__}")
+    return complex(np.trace(state.matrix @ operator.matrix))
 
 
 def reduced_mode_matrix(density: DensityMatrix, mode_index: int = 0) -> np.ndarray:

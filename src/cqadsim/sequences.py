@@ -7,9 +7,10 @@ parameters, Hilbert space, and noise without its static offset.  Parity
 values are reported normalized by the vacuum fringe contrast; the raw qubit
 expectation is kept alongside.
 
-Every prepared state is a density matrix.  A preparation is a start state
-and one list of segments, which one ``dynamics.evolve_segments`` call passes
-once, each segment as an action.  Spectroscopy, which propagates in its own
+Every state here is a density matrix, from the pure start state of a
+preparation to the readout.  A preparation is that start state and one list
+of segments, which one ``dynamics.evolve_segments`` call passes once, each
+segment as an action.  Spectroscopy, which propagates in its own
 probe frame, evolves the state over the whole frequency grid with one
 ``dynamics._frame_states`` (the probe frequency is the frame).  The
 coherence protocols' delay loop plans its swap and its wait once each
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import SpectrumTrace, _dominant_frequency, _projected_fit, decay_fit
+from .analysis import SpectrumTrace, _dominant_frequency, _newton_polish, _projected_fit, decay_fit
 from .device import TWO_PI, SystemParams, chi_analytic, delta_prime, full_jc_hamiltonian
 from .dynamics import (
     NoiseModel,
@@ -72,7 +73,6 @@ from .exceptions import NumericError, TruncationError, ValidationError
 from .hilbert import (
     DensityMatrix,
     HilbertConfig,
-    Ket,
     OperatorMatrix,
     _check_same_config,
     _displacements,
@@ -191,8 +191,10 @@ def prepare_state(prep: StatePrep, params: SystemParams, config: HilbertConfig,
     elif prep.target == "superposition_01" and prep.method == "swap_sequence":
         segments = [_excite_qubit(params, math.pi / 2.0), _swap_segment(params)]
     elif prep.target == "superposition_01":  # (|0> + |1>)/sqrt(2) in LG-00
-        one = fock_state(config, [1] + [0] * (config.n_modes - 1), 0)
-        start = Ket(config, (start.amplitudes + one.amplitudes) / math.sqrt(2.0))
+        v = np.zeros(config.dim, dtype=complex)
+        v[[config.index(0, [n] + [0] * (config.n_modes - 1)) for n in (0, 1)]] = 1.0
+        v /= math.sqrt(2.0)
+        start = DensityMatrix(config, np.outer(v, v.conj()))
     return evolve_segments(start, segments, params, config, noise)
 
 
@@ -440,7 +442,7 @@ def interaction_time_offset_scan(
             f"got {times.size}")
     if not isinstance(n_ring, (int, np.integer)) or n_ring < 1:
         raise ValidationError(f"n_ring must be a whole number >= 1 of ring points, got {n_ring!r}")
-    vac = fock_state(config, [0] * config.n_modes, 0).to_density()
+    vac = fock_state(config, [0] * config.n_modes, 0)
     ring = np.array([ring_radius * np.exp(2j * math.pi * k / n_ring) for k in range(n_ring)])
     _guard_points(config, ring)
     dmats = _displacements(config.phonon_dims[0], -ring)
@@ -471,12 +473,10 @@ def _fit_oscillation_frequency(times, offsets) -> float:
     a cos(2 pi f t + phi) is separable: a cos phi and a sin phi are linear, so
     only f is fitted, from the periodogram's peak (``_dominant_frequency``).
 
-    The fit stops on its cosine and step tests, up to about 1e-9 short of
-    the optimum.  Newton steps on the slope of the projected cost bring that
-    slope to rounding, each taken only while |slope| falls and f stays inside
-    the fit's bounds: the slope is r^T (dB/df) c at the best coefficients c
-    of f, B the columns and r the residual, and its derivative is a complex
-    step of it (every operation extends to a complex f).
+    ``analysis._newton_polish`` brings the slope of the projected cost to
+    rounding inside the fit's bounds: the slope is r^T (dB/df) c at the best
+    coefficients c of f, B the columns and r the residual, and its derivative
+    is a complex step of it (every operation extends to a complex f).
     """
     t = times - times[0]
     y = offsets - offsets.mean()
@@ -502,14 +502,7 @@ def _fit_oscillation_frequency(times, offsets) -> float:
     theta = _projected_fit(columns, y, [f0], ([lo], [hi]), ["frequency"])[1]
     if theta is None:
         raise NumericError("the offset-scan sinusoid fit did not finish")
-    freq = float(theta[0])
-    g, dg = slope_and_curvature(freq)
-    while dg > 0.0 and lo < (trial := freq - g / dg) < hi:
-        g_trial, dg_trial = slope_and_curvature(trial)
-        if not abs(g_trial) < abs(g):
-            break
-        freq, g, dg = trial, g_trial, dg_trial
-    return freq
+    return _newton_polish(slope_and_curvature, float(theta[0]), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +705,7 @@ def coherence_protocols(
     swaps = [_segment_plan(_swap_segment(params), params, config, noise)] if swap else []
     wait = _segment_plan(Segment(dt, rest), params, config, noise)
     pe = qubit_projector(config, 1)
-    vac = fock_state(config, [0] * config.n_modes, 0).to_density()
+    vac = fock_state(config, [0] * config.n_modes, 0)
 
     # swap in once, wait step by step, then swap every delay's state out at once
     v = _coordinates(_apply(qubit_rotation(config, 0.0, first_angle), vac).matrix)

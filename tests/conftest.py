@@ -10,6 +10,8 @@ key, which ``compare_summaries`` skips.
 
 The dense oracles of the Lindblad kernels are built here, in numpy, from
 their definitions: ``dense_liouvillian`` and the basis ``hermitian_basis``.
+The state constructors build density matrices only; ``basis_vector`` and
+``coherent_vector`` give the plain vectors that the dense ket oracles act on.
 """
 
 import json
@@ -28,6 +30,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from cqadsim.cli import compare_summaries  # noqa: E402
+from cqadsim.hilbert import coherent_amplitudes  # noqa: E402
 
 REFERENCE = Path(__file__).resolve().parent / "reference" / "presets"
 
@@ -64,3 +67,19 @@ def hermitian_basis(d):
     s[i, j, x] = s[j, i, x] = math.sqrt(0.5)
     s[i, j, y], s[j, i, y] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
     return s.reshape(d * d, d * d)
+
+
+def basis_vector(config, occupations, qubit_level=0):
+    """The basis vector |qubit_level; n_1, n_2, ...> of ``config``, a plain complex array."""
+    v = np.zeros(config.dim, dtype=complex)
+    v[config.index(qubit_level, list(occupations))] = 1.0
+    return v
+
+
+def coherent_vector(config, beta):
+    """The vector of ``coherent_state(config, 0, beta)``: the qubit in |g>, the truncated
+    coherent series in the first mode and every other mode in vacuum."""
+    v = np.zeros((2, config.phonon_dims[0], config.dim // (2 * config.phonon_dims[0])),
+                 dtype=complex)
+    v[0, :, 0] = coherent_amplitudes(config.phonon_dims[0], beta)
+    return v.reshape(-1)

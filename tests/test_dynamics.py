@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import jv
 
-from conftest import dense_liouvillian, hermitian_basis
+from conftest import basis_vector, dense_liouvillian, hermitian_basis
 from cqadsim import dynamics, sequences
 from cqadsim.device import TWO_PI, _jc_terms, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
@@ -43,7 +43,6 @@ from cqadsim.exceptions import NumericError, ValidationError
 from cqadsim.hilbert import (
     DensityMatrix,
     HilbertConfig,
-    Ket,
     annihilation,
     expectation,
     fock_state,
@@ -80,18 +79,16 @@ def test_noise_model_from_params(params):
 
 
 def test_schedule_validation():
-    """A segment list holds segments of positive duration; an empty one changes nothing, and a
-    Ket comes out as its density matrix."""
+    """A segment list holds segments of positive duration; an empty one returns the given
+    density matrix."""
     with pytest.raises(ValidationError):
         Segment(duration=0.0, detuning=0.0)
     with pytest.raises(ValidationError):
         Segment(duration=-1e-6, detuning=0.0)
     cfg = HilbertConfig(2, (3,))
-    psi = fock_state(cfg, [1], 0)
-    rho = psi.to_density()
-    assert evolve_segments(rho, [], paper_default_params(), cfg, NoiseModel()) is rho
-    out = evolve_segments(psi, [], paper_default_params(), cfg, NoiseModel())
-    assert isinstance(out, DensityMatrix) and np.array_equal(out.matrix, rho.matrix)
+    rho = fock_state(cfg, [1], 0)
+    out = evolve_segments(rho, [], paper_default_params(), cfg, NoiseModel())
+    assert isinstance(out, DensityMatrix) and out is rho
 
 
 def test_pulse_validation():
@@ -123,10 +120,10 @@ def test_phonon_dephasing_closed_form(params):
     cfg = HilbertConfig(2, (3,))
     kphi = 5e3
     noise = NoiseModel(phonon_kappa_phi=kphi)
-    v = (fock_state(cfg, [0]).amplitudes + fock_state(cfg, [1]).amplitudes) / math.sqrt(2)
+    v = (basis_vector(cfg, [0]) + basis_vector(cfg, [1])) / math.sqrt(2)
     t = 20e-6
-    out = evolve_segments(Ket(cfg, v), [Segment(t, params.delta("rest"))], _uncoupled(params),
-                          cfg, noise)
+    out = evolve_segments(DensityMatrix(cfg, np.outer(v, v.conj())),
+                          [Segment(t, params.delta("rest"))], _uncoupled(params), cfg, noise)
     od = out.matrix[cfg.index(0, [0]), cfg.index(0, [1])]
     assert abs(od) == pytest.approx(0.5 * math.exp(-TWO_PI * kphi * t), abs=1e-6)
 
@@ -147,7 +144,7 @@ def test_evolved_states_stay_physical(params):
 
 def test_noiseless_purity_preserved(params):
     cfg = HilbertConfig(2, (5,))
-    rho0 = fock_state(cfg, [1], 1).to_density()
+    rho0 = fock_state(cfg, [1], 1)
     segs = [Segment(6e-6, -1.1e6), Segment(0.2e-6, -1.1e6, qubit_drive=Pulse(2e6, 1.0))]
     out = evolve_segments(rho0, segs, params, cfg, NoiseModel())
     assert isinstance(out, DensityMatrix)
@@ -228,7 +225,7 @@ def test_noisy_chevron_matches_the_dense_liouvillian_exponential(params, monkeyp
     monkeypatch.setattr(dynamics, "_sweep_action", recorded)
     got = vacuum_rabi_chevron(params, config, noise, deltas, times)
     d, cs = config.dim, collapse_operators(config, noise)
-    rho0 = fock_state(config, [0] * config.n_modes, 1).to_density().matrix.reshape(-1)
+    rho0 = fock_state(config, [0] * config.n_modes, 1).matrix.reshape(-1)
     pe = qubit_projector(config, 1).matrix
     for delta, row in zip(deltas, got):
         gen = dense_liouvillian(full_jc_hamiltonian(params, config, delta + offset).matrix, cs)
@@ -323,11 +320,11 @@ def test_displacement_with_decay_shrinks(params):
 def test_instantaneous_ramp_is_frame_jump(params):
     # state unchanged across a detuning jump; only the Hamiltonian changes
     cfg = HilbertConfig(2, (4,))
-    k = fock_state(cfg, [1], 0)
+    k = basis_vector(cfg, [1], 0)
     segs = [Segment(duration=1e-9, detuning=-4.1e6)]
-    out = evolve_segments(k, segs, params, cfg, NoiseModel())
+    out = evolve_segments(fock_state(cfg, [1], 0), segs, params, cfg, NoiseModel())
     # 1 ns at rest barely evolves the state
-    assert (k.amplitudes.conj() @ out.matrix @ k.amplitudes).real > 1.0 - 1e-3
+    assert (k.conj() @ out.matrix @ k).real > 1.0 - 1e-3
 
 
 def test_rk_density_path_returns_a_valid_state(params):
@@ -353,9 +350,9 @@ def _in_drive_frame(state, seg, params, config, noise):
 
     There the drive is static, so the generator is constant: rho_f(tau) is
     scipy's dense exponential of the Liouvillian (psi_f(tau) = exp(-i H tau) psi
-    for a Ket) of full_jc_hamiltonian(frame=delta) plus the static drive.
-    Back in the phonon frame, rho(tau) = V rho_f(tau) V^dag (V psi_f(tau)) with
-    V = exp(-i 2 pi delta tau K), K = sigma_z/2 + sum_k n_k.
+    for a state vector, a plain array) of full_jc_hamiltonian(frame=delta) plus
+    the static drive.  Back in the phonon frame, rho(tau) = V rho_f(tau) V^dag
+    (V psi_f(tau)) with V = exp(-i 2 pi delta tau K), K = sigma_z/2 + sum_k n_k.
     """
     delta = seg.detuning
     h = (full_jc_hamiltonian(params, config, delta + noise.static_qubit_offset,
@@ -363,8 +360,8 @@ def _in_drive_frame(state, seg, params, config, noise):
          + _drive_hamiltonian(config, Segment(seg.duration, 0.0, qubit_drive=seg.qubit_drive)))
     sz, modes = _jc_terms(config)
     v = expm(-1j * TWO_PI * delta * seg.duration * (0.5 * sz + sum(n_k for n_k, _ in modes)))
-    if isinstance(state, Ket):
-        return Ket(config, v @ expm(-1j * h * seg.duration) @ state.amplitudes)
+    if isinstance(state, np.ndarray):
+        return v @ expm(-1j * h * seg.duration) @ state
     dense = expm(dense_liouvillian(h, collapse_operators(config, noise)) * seg.duration)
     return _apply(v, DensityMatrix(config, (dense @ state.matrix.reshape(-1)).reshape(h.shape)))
 
@@ -403,19 +400,17 @@ def test_qubit_drive_matches_the_constant_generator_in_the_drive_frame(
 )
 def test_ket_qubit_drive_matches_the_constant_generator_in_the_drive_frame(
         params, config, delta, duration, amplitude, phase, seed):
-    """A pure state without noise, given as a Ket or as its density matrix, against the
-    dense exp(-i H t) of the Ket in the drive frame: the action and the dense kernel reach the
-    same state."""
+    """A pure density matrix without noise against the dense exp(-i H t) of its state vector
+    in the drive frame: the action and the dense kernel reach the same state."""
     seg = Segment(duration, delta, qubit_drive=Pulse(amplitude, phase))
     rng = np.random.default_rng(seed)
     v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
-    psi = Ket(config, v / np.linalg.norm(v))
-    out = evolve_segments(psi.to_density(), [seg], params, config, NoiseModel())
+    psi = v / np.linalg.norm(v)
+    out = evolve_segments(DensityMatrix(config, np.outer(psi, psi.conj())), [seg], params, config,
+                          NoiseModel())
     assert isinstance(out, DensityMatrix)
-    assert np.array_equal(evolve_segments(psi, [seg], params, config, NoiseModel()).matrix,
-                          out.matrix)
     exact = _in_drive_frame(psi, seg, params, config, NoiseModel())
-    diff = out.matrix - exact.to_density().matrix
+    diff = out.matrix - np.outer(exact, exact.conj())
     assert 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum() <= 1e-12
 
 
@@ -425,15 +420,15 @@ def test_ket_qubit_drive_matches_the_constant_generator_in_the_drive_frame(
 def test_noise_free_swap_preparation_matches_the_dense_ket_oracle(params, config, m):
     """A driven pure state against an exact unitary: the noise-free swap preparation of M
     phonons, M rounds of a pi pulse at rest and a swap, against scipy's expm of each segment's
-    drive-frame H on a Ket, to 1e-12; rho stays pure to 1e-12."""
+    drive-frame H on a state vector, to 1e-12; rho stays pure to 1e-12."""
     rho = prepare_state(StatePrep("fock", m, method="swap_sequence"), params, config, NoiseModel())
     pulse = Segment(50e-9, _REST, qubit_drive=Pulse(math.pi / (TWO_PI * 50e-9)))
-    psi = fock_state(config, [0] * config.n_modes, 0)
+    psi = basis_vector(config, [0] * config.n_modes, 0)
     for k in range(1, m + 1):
         for seg in (pulse, Segment(1.0 / (4.0 * params.g_lg00 * math.sqrt(k)), 0.0)):
             psi = _in_drive_frame(psi, seg, params, config, NoiseModel())
     assert isinstance(rho, DensityMatrix)
-    assert np.abs(rho.matrix - psi.to_density().matrix).max() <= 1e-12
+    assert np.abs(rho.matrix - np.outer(psi, psi.conj())).max() <= 1e-12
     assert abs(rho.purity() - 1.0) <= 1e-12
 
 
@@ -451,7 +446,7 @@ def test_noise_free_swap_preparation_matches_the_dense_ket_oracle(params, config
 def test_driven_segments_are_cptp(params, config, rates, detuning, drives, duration, amplitude,
                                   phase, seed):
     """Any drive keeps a random rho's trace, Hermiticity and positivity, and the trace of a
-    Ket's density matrix."""
+    pure state's density matrix."""
     pulse = Pulse(amplitude, phase)
     seg = Segment(duration, 0.0 if drives == "both" else detuning,
                   qubit_drive=None if drives == "phonon" else pulse,
@@ -464,7 +459,9 @@ def test_driven_segments_are_cptp(params, config, rates, detuning, drives, durat
     assert np.abs(out - out.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(out).min() >= -1e-10
     v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
-    pure = evolve_segments(Ket(config, v / np.linalg.norm(v)), [seg], params, config, NoiseModel())
+    v = v / np.linalg.norm(v)
+    pure = evolve_segments(DensityMatrix(config, np.outer(v, v.conj())), [seg], params, config,
+                           NoiseModel())
     assert isinstance(pure, DensityMatrix)
     assert np.trace(pure.matrix).real == pytest.approx(1.0, abs=1e-12)
 
@@ -491,7 +488,7 @@ def test_phonon_drive_matches_the_dense_propagator(params, config, seg, offset, 
     noise = NoiseModel.from_params(params, params.delta("coherent"), static_qubit_offset=offset)
     h = (full_jc_hamiltonian(params, config, seg.detuning + noise.static_qubit_offset).matrix
          + _drive_hamiltonian(config, seg))
-    rho = fock_state(config, [start] + [0] * (config.n_modes - 1), start).to_density()
+    rho = fock_state(config, [start] + [0] * (config.n_modes - 1), start)
     dense = expm(dense_liouvillian(h, collapse_operators(config, noise)) * seg.duration)
     exact = (dense @ rho.matrix.reshape(-1)).reshape(config.dim, config.dim)
     diff = evolve_segments(rho, [seg], params, config, noise).matrix - exact
@@ -549,7 +546,7 @@ def test_every_driven_density_action_is_one_sweep_action(params, monkeypatch):
             assert calls == [1] * (2 * m) and not dynamics._CACHE._data
     calls.clear()
     freqs = np.linspace(-2e6, -1.5e6, 5)
-    qubit_spectroscopy(vacuum.to_density(), params.delta("coherent"), None, freqs, params,
+    qubit_spectroscopy(vacuum, params.delta("coherent"), None, freqs, params,
                        config, noise)
     assert calls == [5]
 
@@ -1070,7 +1067,8 @@ def test_cached_propagator_follows_every_input(params):
     seg = Segment(duration=0.3e-6, detuning=delta)
     rng = np.random.default_rng(5)
     v = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
-    psi = Ket(config, v / np.linalg.norm(v))
+    u = v / np.linalg.norm(v)
+    psi = DensityMatrix(config, np.outer(u, u.conj()))
     op = np.outer(v, rng.normal(size=config.dim))
     variants = [
         (params, noise, seg),

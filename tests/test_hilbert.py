@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import basis_vector, coherent_vector
 from scipy.linalg import expm
 
 from cqadsim.exceptions import TruncationError, ValidationError
 from cqadsim.hilbert import (
     DensityMatrix,
     HilbertConfig,
-    Ket,
     annihilation,
     coherent_state,
     displacement_operator,
@@ -51,8 +51,8 @@ def test_annihilation_matrix_element():
 def test_annihilation_kills_vacuum():
     cfg = HilbertConfig(2, (4,))
     a = annihilation(cfg)
-    out = a @ fock_state(cfg, [0], 0)
-    assert np.abs(out.amplitudes).max() == 0.0
+    out = a.matrix @ basis_vector(cfg, [0], 0)
+    assert np.abs(out).max() == 0.0
 
 
 def test_commutator_truncation_structure():
@@ -76,9 +76,9 @@ def test_annihilation_mode_index_out_of_range():
 def test_qubit_operators():
     cfg = HilbertConfig(2, (3,))
     sp = qubit_operator(cfg, "sigma_plus")
-    out = sp @ fock_state(cfg, [0], 0)
-    target = fock_state(cfg, [0], 1)
-    assert np.allclose(out.amplitudes, target.amplitudes)
+    out = sp.matrix @ basis_vector(cfg, [0], 0)
+    target = basis_vector(cfg, [0], 1)
+    assert np.allclose(out, target)
     sz = qubit_operator(cfg, "sigma_z")
     g = fock_state(cfg, [0], 0)
     assert expectation(g, sz).real == pytest.approx(-1.0)
@@ -94,29 +94,23 @@ def test_qubit_operators():
 def test_fock_state_indexing():
     cfg = HilbertConfig(2, (5,))
     k = fock_state(cfg, [2], 1)
-    idx = np.flatnonzero(k.amplitudes)
-    assert idx.tolist() == [1 * 5 + 2]
-    assert k.norm() == pytest.approx(1.0)
+    idx = np.argwhere(k.matrix)
+    assert idx.tolist() == [[1 * 5 + 2, 1 * 5 + 2]]
+    assert k.trace() == pytest.approx(1.0)
     with pytest.raises(TruncationError):
         fock_state(cfg, [5], 0)
-
-
-@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=1))
-def test_fock_state_norm_property(n, q):
-    cfg = HilbertConfig(2, (6,))
-    assert fock_state(cfg, [n], q).norm() == pytest.approx(1.0)
 
 
 def test_coherent_state_vacuum_and_mean():
     cfg = HilbertConfig(2, (20,))
     vac = coherent_state(cfg, 0, 0.0)
-    assert np.allclose(vac.amplitudes, fock_state(cfg, [0], 0).amplitudes)
+    assert np.allclose(vac.matrix, fock_state(cfg, [0], 0).matrix)
     k = coherent_state(cfg, 0, 1.0)
     nbar = expectation(k, number_operator(cfg)).real
     assert nbar == pytest.approx(1.0, abs=1e-6)
-    # |c_1/c_0| = |beta|
-    amps = k.amplitudes.reshape(2, 20)[0]
-    assert abs(amps[1] / amps[0]) == pytest.approx(1.0, abs=1e-9)
+    # |c_1/c_0| = |beta|, with c_1/c_0 = rho_10/rho_00
+    rho = k.matrix.reshape(2, 20, 2, 20)[0, :, 0, :]
+    assert abs(rho[1, 0] / rho[0, 0]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_coherent_truncation_requirement():
@@ -146,31 +140,20 @@ def test_coherent_truncation_guard_refuses_a_nan_amplitude(beta):
         coherent_state(HilbertConfig(2, (8,)), 0, beta)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_ket_refuses_a_non_finite_vector_as_normalized(bad):
-    cfg = HilbertConfig(2, (3,))
-    with pytest.raises(ValidationError, match="norm"):
-        Ket(cfg, np.full(cfg.dim, bad, dtype=complex))
-    v = np.zeros(cfg.dim, dtype=complex)
-    v[0], v[1] = 1.0, bad
-    with pytest.raises(ValidationError, match="norm"):
-        Ket(cfg, v)
-
-
 def test_displacement_identity_and_series():
     cfg = HilbertConfig(2, (20,))
     d0 = displacement_operator(cfg, 0, 0.0)
     assert np.allclose(d0.matrix, np.eye(cfg.dim))
     for beta in (0.7, 1.3 + 0.4j, -1.5j):
         d = displacement_operator(cfg, 0, beta)
-        out = d @ fock_state(cfg, [0], 0)
-        series = coherent_state(cfg, 0, beta)
-        assert np.abs(out.amplitudes - series.amplitudes).max() < 1e-7
+        out = d.matrix @ basis_vector(cfg, [0], 0)
+        series = coherent_vector(cfg, beta)
+        assert np.abs(out - series).max() < 1e-7
     # |beta| = 2 needs extra truncation headroom for the 1e-7 agreement
     cfg28 = HilbertConfig(2, (28,))
-    out = displacement_operator(cfg28, 0, -2.0j) @ fock_state(cfg28, [0], 0)
-    series = coherent_state(cfg28, 0, -2.0j)
-    assert np.abs(out.amplitudes - series.amplitudes).max() < 1e-7
+    out = displacement_operator(cfg28, 0, -2.0j).matrix @ basis_vector(cfg28, [0], 0)
+    series = coherent_vector(cfg28, -2.0j)
+    assert np.abs(out - series).max() < 1e-7
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,14 +209,17 @@ def test_expectation_real_for_hermitian():
     cfg = HilbertConfig(2, (6,))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(cfg.dim) + 1j * rng.standard_normal(cfg.dim)
-    k = Ket(cfg, v / np.linalg.norm(v))
+    v = v / np.linalg.norm(v)
+    k = DensityMatrix(cfg, np.outer(v, v.conj()))
     n = number_operator(cfg)
     assert abs(expectation(k, n).imag) < 1e-10
+    with pytest.raises(ValidationError, match="cannot take expectation of ndarray"):
+        expectation(v, n)  # a state is a DensityMatrix, never a bare vector
 
 
 def test_density_matrix_validate():
     cfg = HilbertConfig(2, (2,))
-    good = fock_state(cfg, [0], 0).to_density()
+    good = fock_state(cfg, [0], 0)
     good.validate()
     bad = DensityMatrix(cfg, good.matrix * 1.5)
     with pytest.raises(Exception):

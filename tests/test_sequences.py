@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_liouvillian
+from conftest import basis_vector, coherent_vector, dense_liouvillian
 from cqadsim import dynamics, sequences
 from cqadsim.device import TWO_PI, full_jc_hamiltonian, paper_default_params
 from cqadsim.dynamics import (
@@ -23,7 +23,6 @@ from cqadsim.exceptions import NumericError, TruncationError, ValidationError
 from cqadsim.hilbert import (
     DensityMatrix,
     HilbertConfig,
-    Ket,
     coherent_state,
     displacement_operator,
     expectation,
@@ -112,6 +111,37 @@ def test_prep_coherent_drive_matches_target(params):
                           params, cfg, NOISELESS)
     nbar = expectation(state, number_operator(cfg)).real
     assert nbar == pytest.approx(0.64, rel=0.03)
+
+
+def test_every_state_constructor_and_preparation_is_a_pure_density_matrix(params, cfg8):
+    """One state type: ``fock_state``, ``coherent_state`` and every ``prepare_state``
+    target/method pair without noise give a DensityMatrix that validates and is pure to 1e-12.
+    Each constructor is the outer product of its vector exactly, ``coherent_state`` that of the
+    embedded ``coherent_amplitudes``."""
+    two = HilbertConfig(2, (6, 3))
+    states = []
+    basis = [(cfg8, [n], q) for n in range(4) for q in (0, 1)] + [(two, [0, 0], 0),
+                                                                     (two, [2, 1], 1)]
+    for cfg, occupations, q in basis:
+        v = basis_vector(cfg, occupations, q)
+        states.append(fock_state(cfg, occupations, q))
+        assert np.array_equal(states[-1].matrix, np.outer(v, v.conj()))
+    for cfg, beta in [(cfg8, 0.0), (cfg8, 0.9 - 0.4j), (two, 1.1j)]:
+        v = coherent_vector(cfg, beta)
+        states.append(coherent_state(cfg, 0, beta))
+        assert np.array_equal(states[-1].matrix, np.outer(v, v.conj()))
+    pairs = [(target, method) for target, methods in sequences._PREP_METHODS.items()
+             for method in methods]
+    assert len(pairs) == 7
+    for cfg in (cfg8, two):
+        for target, method in pairs:
+            prep = StatePrep(target, 2 if target == "fock" else 0,
+                             0.8 if target == "coherent" else 0j, method)
+            states.append(prepare_state(prep, params, cfg, NOISELESS))
+    for rho in states:
+        assert isinstance(rho, DensityMatrix)
+        rho.validate()
+        assert abs(rho.purity() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +340,7 @@ def _forward_phase_mean(state, variant, phases, readout, t, d, params, cfg, nois
 
 def _four_offset_vacuum_fringe(variant, t, d, params, cfg, noise):
     """(phase, contrast, offset) of the vacuum read at the four readout offsets FOUR_PHASES."""
-    vac = fock_state(cfg, [0] * cfg.n_modes, 0).to_density()
+    vac = fock_state(cfg, [0] * cfg.n_modes, 0)
     vals = [_forward_phase_mean(vac, variant, [0.0], o, t, d, params, cfg, noise)
             for o in FOUR_PHASES]
     c, s = (vals[0] - vals[2]) / 2.0, (vals[1] - vals[3]) / 2.0
@@ -340,7 +370,8 @@ def test_parity_effect_reads_the_forward_phase_mean(cfg, noisy, variant, phases,
     rng = np.random.default_rng(seed)
     v = rng.normal(size=cfg.dim) + 1j * rng.normal(size=cfg.dim)
     a = rng.normal(size=(cfg.dim, 2)) + 1j * rng.normal(size=(cfg.dim, 2))
-    states = (Ket(cfg, v / np.linalg.norm(v)).to_density(),
+    v = v / np.linalg.norm(v)
+    states = (DensityMatrix(cfg, np.outer(v, v.conj())),
               DensityMatrix(cfg, a @ a.conj().T / np.trace(a @ a.conj().T)))
     readout, contrast, offset = _four_offset_vacuum_fringe(variant, t, d, params, cfg,
                                                            noise.without_offset())
@@ -411,9 +442,9 @@ def _wigner_case(name, params):
         cfg, noise = HilbertConfig(2, (8,)), paper
         state = prepare_state(StatePrep("fock", 1, method="swap_sequence"), params, cfg, noise)
         assert isinstance(state, DensityMatrix)
-    elif name == "noiseless_ket":  # a coherent Ket, read as its density matrix
+    elif name == "noiseless_ket":  # a pure coherent state
         cfg, noise = HilbertConfig(2, (8,)), NOISELESS
-        state = coherent_state(cfg, 0, 0.5 + 0.3j).to_density()
+        state = coherent_state(cfg, 0, 0.5 + 0.3j)
     else:  # two modes, LG-10 coupled in the model and occupied in the state
         cfg, noise = HilbertConfig(2, (7, 3)), paper
         rng = np.random.default_rng(5)
@@ -471,7 +502,7 @@ def test_wigner_scan_evolves_no_segment_per_grid_point(params):
     action and each of its pulses one conjugation, whatever the grid."""
     cfg = HilbertConfig(2, (5,))
     noise = NoiseModel.from_params(params, params.delta("ramsey"))
-    one = fock_state(cfg, [1], 0).to_density()
+    one = fock_state(cfg, [1], 0)
     counts = {}
 
     def counting(name, fn):
@@ -586,7 +617,7 @@ def test_spectroscopy_projection_equals_explicit_phase_average(cfg, kind, seed, 
     delta, tau = params.delta("coherent"), 15e-6
     noise = NoiseModel.from_params(params, delta, static_qubit_offset=20e3)
     if kind == "fock":
-        rho = fock_state(cfg, [1] + [0] * (cfg.n_modes - 1), 0).to_density()
+        rho = fock_state(cfg, [1] + [0] * (cfg.n_modes - 1), 0)
     elif kind == "coherent":
         rho = prepare_state(StatePrep(target="coherent", beta=0.8), params, cfg, noise)
     else:
@@ -627,7 +658,7 @@ def test_spectroscopy_action_matches_dense_propagator(params, dim, tau, half_ext
     """
     cfg, delta = HilbertConfig(2, (dim,)), params.delta("coherent")
     noise = NoiseModel.from_params(params, delta)
-    rho = coherent_state(cfg, 0, 0.8).to_density()
+    rho = coherent_state(cfg, 0, 0.8)
     line0, spacing = spectroscopy_peak_hints(params, delta, 5)
     # the CLI grid's lower edge, between peaks 1 and 2, and on peak 0
     freqs = np.array([line0 + 4 * spacing - 50e3, line0 + 1.5 * spacing, line0])
@@ -671,8 +702,8 @@ def test_benchmark_size_sweep_takes_at_most_1674_products(params, monkeypatch):
     grid = np.arange(line0 + 4 * spacing - 50e3, line0 + 50e3, 20e3)
     assert grid.size == 24
     products = _counted_products(monkeypatch)
-    qubit_spectroscopy(coherent_state(cfg, 0, 0.8).to_density(), delta, None, grid, params, cfg,
-                       noise, probe_duration=15e-6)
+    qubit_spectroscopy(coherent_state(cfg, 0, 0.8), delta, None, grid, params, cfg, noise,
+                       probe_duration=15e-6)
     assert len(products) <= 1674 and set(products) == {24}
 
 
